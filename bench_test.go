@@ -568,29 +568,20 @@ func encodeRawMiter(b *testing.B, s sat.Interface, orig, wc *netlist.Circuit) {
 }
 
 // portfolioMiterSeed diversifies the portfolio members of
-// BenchmarkPortfolioMiter. The deterministic member 0 needs ~7.4k
-// conflicts on this needle; under this base seed a diverged member
-// finds the sparse distinguishing input ~20x faster, which is what
-// makes the pure-diversification race (the noshare variant) win wall
-// clock even time-sliced on a single core. With clause sharing on,
-// imports at restart boundaries perturb that lucky trajectory — the
-// sharing variant shows the cost of cooperation on a SAT needle, the
-// mirror image of its UNSAT payoff in BenchmarkPortfolioUNSAT.
+// BenchmarkPortfolioMiter and BenchmarkPortfolioUNSAT. Under this base
+// seed the fastest diverged member, run solo, finds the wrong-key
+// needle's distinguishing input faster than the default member 0
+// (members=4 reports both times).
 const portfolioMiterSeed = 7
 
 // BenchmarkPortfolioMiter measures portfolio-vs-single solving on the
 // hard wrong-key b14 miter (see loadWrongKeyPair): mirrored encoding
-// and the race are both inside the timed region. The noshare variants
-// preserve the PR 4 pure-diversification race (the lucky diverged
-// member wins in ~350 conflicts); the sharing variant documents that
-// cooperation can disturb exactly that luck on a SAT needle — the
-// UNSAT side, where sharing pays, is BenchmarkPortfolioUNSAT — and is
-// additionally scheduler-dependent on one core. The members=4 variant
-// additionally solves each diverged member configuration solo and
-// reports the fastest (minSoloMs) — the critical path a multi-core
-// host's wall clock approaches — next to the deterministic member's
-// time (member0Ms); their ratio is the speedup diversification makes
-// available regardless of core count.
+// and the time-sliced schedule are both inside the timed region. The
+// members=4 variant additionally solves each diverged member
+// configuration solo and reports the fastest (minSoloMs) next to the
+// default member's time (member0Ms); their ratio is the speedup
+// diversification makes available to a schedule that runs members in
+// parallel.
 func BenchmarkPortfolioMiter(b *testing.B) {
 	orig, wc := loadWrongKeyPair(b)
 	b.Run("single", func(b *testing.B) {
@@ -603,17 +594,10 @@ func BenchmarkPortfolioMiter(b *testing.B) {
 			b.ReportMetric(float64(s.Stats.Conflicts), "conflicts")
 		}
 	})
-	for _, tc := range []struct {
-		name string
-		opt  sat.PortfolioOptions
-	}{
-		{"portfolio=2", sat.PortfolioOptions{Workers: 2, Seed: portfolioMiterSeed}},
-		{"portfolio=2/noshare", sat.PortfolioOptions{Workers: 2, Seed: portfolioMiterSeed, NoShare: true}},
-		{"portfolio=4/noshare", sat.PortfolioOptions{Workers: 4, Seed: portfolioMiterSeed, NoShare: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, workers := range []int{2, 4} {
+		b.Run(fmt.Sprintf("deterministic=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := sat.NewPortfolio(tc.opt)
+				p := sat.NewPortfolio(sat.PortfolioOptions{Workers: workers, Seed: portfolioMiterSeed})
 				encodeRawMiter(b, p, orig, wc)
 				if st := p.Solve(); st != sat.Sat {
 					b.Fatalf("wrong-key miter must be SAT, got %v", st)
@@ -671,14 +655,12 @@ func loadCorrectKeyPair(b *testing.B) (orig, kc *netlist.Circuit) {
 	return orig, kc
 }
 
-// BenchmarkPortfolioUNSAT measures the portfolio on the UNSAT side —
-// the case PR 4's racing portfolio lost, because every member had to
-// rediscover the full refutation. The correct-key b14 miter is raced
-// single vs 2-member portfolio with clause sharing on and off
-// (noshare), plus the deterministic time-sliced schedule; the sharing
-// variants report the exported/imported clause counts and the summed
-// member conflicts, so the BENCH json shows whether cooperation
-// actually shortened the proof.
+// BenchmarkPortfolioUNSAT measures the portfolio on the UNSAT side,
+// where every member would otherwise have to rediscover the full
+// refutation: single solver vs a 2-member portfolio on the correct-key
+// b14 miter. The portfolio reports the exported/imported clause counts
+// and the summed member conflicts, so the BENCH json shows whether
+// clause sharing actually shortened the proof.
 func BenchmarkPortfolioUNSAT(b *testing.B) {
 	orig, kc := loadCorrectKeyPair(b)
 	b.Run("single", func(b *testing.B) {
@@ -691,29 +673,20 @@ func BenchmarkPortfolioUNSAT(b *testing.B) {
 			b.ReportMetric(float64(s.Stats.Conflicts), "conflicts")
 		}
 	})
-	for _, tc := range []struct {
-		name string
-		opt  sat.PortfolioOptions
-	}{
-		{"portfolio=2", sat.PortfolioOptions{Workers: 2, Seed: portfolioMiterSeed}},
-		{"portfolio=2/noshare", sat.PortfolioOptions{Workers: 2, Seed: portfolioMiterSeed, NoShare: true}},
-		{"deterministic=2", sat.PortfolioOptions{Workers: 2, Seed: portfolioMiterSeed, Deterministic: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := sat.NewPortfolio(tc.opt)
-				encodeRawMiter(b, p, orig, kc)
-				if st := p.Solve(); st != sat.Unsat {
-					b.Fatalf("correct-key miter must be UNSAT, got %v", st)
-				}
-				agg := p.Stats()
-				b.ReportMetric(float64(agg.Conflicts), "conflictsSum")
-				b.ReportMetric(float64(agg.Exported), "exported")
-				b.ReportMetric(float64(agg.Imported), "imported")
-				b.ReportMetric(float64(p.Winner()), "winner")
+	b.Run("deterministic=2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := sat.NewPortfolio(sat.PortfolioOptions{Workers: 2, Seed: portfolioMiterSeed})
+			encodeRawMiter(b, p, orig, kc)
+			if st := p.Solve(); st != sat.Unsat {
+				b.Fatalf("correct-key miter must be UNSAT, got %v", st)
 			}
-		})
-	}
+			agg := p.Stats()
+			b.ReportMetric(float64(agg.Conflicts), "conflictsSum")
+			b.ReportMetric(float64(agg.Exported), "exported")
+			b.ReportMetric(float64(agg.Imported), "imported")
+			b.ReportMetric(float64(p.Winner()), "winner")
+		}
+	})
 }
 
 // BenchmarkFlowRuntime measures the end-to-end secure flow wall time

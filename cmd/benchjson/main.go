@@ -208,17 +208,6 @@ func diff(old, new map[string]Result, timeTol, metricTol float64) (report []stri
 				regressions = append(regressions, line+fmt.Sprintf(" exceeds -time-tol %.0f%%", timeTol))
 			}
 		}
-		// Racing portfolios are scheduling-dependent: when a different
-		// member wins, the whole search path (and conflictsSum) differs
-		// for reasons unrelated to the code change, so work metrics are
-		// reported but never fail. Deterministic variants always report
-		// the same winner, keeping their guard strict.
-		raceChanged := false
-		if ow, ok := o.Metrics["winner"]; ok {
-			if nw, ok := r.Metrics["winner"]; ok && ow != nw {
-				raceChanged = true
-			}
-		}
 		metrics := make([]string, 0, len(o.Metrics))
 		for m := range o.Metrics {
 			metrics = append(metrics, m)
@@ -233,7 +222,7 @@ func diff(old, new map[string]Result, timeTol, metricTol float64) (report []stri
 			d := pct(ov, nv)
 			line := fmt.Sprintf("%s: %s %v -> %v (%+.1f%%)", n, m, ov, nv, d)
 			report = append(report, line)
-			if workMetrics[m] && d > metricTol && !raceChanged {
+			if workMetrics[m] && d > metricTol {
 				regressions = append(regressions, line+fmt.Sprintf(" exceeds -metric-tol %.0f%%", metricTol))
 			}
 		}

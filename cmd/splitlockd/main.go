@@ -18,13 +18,15 @@
 // queued and while computing, so the coordinator's lease stays alive
 // exactly as long as the daemon is.
 //
-// Deterministic jobs (the default) are cached by the canonical
+// Lock, verify and attack jobs are cached by the canonical
 // strashed-graph fingerprint of the locked circuit, so resubmitting an
 // identical problem returns the identical payload without re-solving;
 // concurrent identical submissions coalesce onto one computation.
 // Admission control bounds concurrent jobs (-jobs) and the waiting
 // queue (-queue, 503 beyond it); all jobs share one solver pool
-// (-solverslots). SIGINT/SIGTERM drains gracefully: running table jobs
+// (-solverslots), and a job waits until its whole portfolio width —
+// clamped to the pool size — is free, so its payload never depends on
+// load. SIGINT/SIGTERM drains gracefully: running table jobs
 // checkpoint their finished cells and are requeued on the next start,
 // resuming byte-identically.
 package main

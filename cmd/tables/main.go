@@ -18,9 +18,9 @@
 // is practical on a laptop: the AIG rewriting and SAT inprocessing
 // passes keep the LEC and attack queries tractable at 1.0 scale, and
 // -benchmarks restricts the suite so a single circuit can be studied
-// at full size. With -satworkers in the deterministic time-sliced
-// mode (the default), the printed tables are byte-identical for every
-// worker count.
+// at full size. The -satworkers portfolio is time-sliced on one
+// goroutine in a deterministic schedule, so the printed tables are
+// byte-identical for every worker count.
 //
 // Long sweeps are crash-safe: -manifest checkpoints every completed
 // benchmark×layer cell to an atomically updated JSON file, SIGINT or
@@ -76,7 +76,7 @@ func main() {
 		parallel   = flag.Bool("parallel", true, "run benchmarks concurrently")
 		simWork    = flag.Int("simworkers", 0, "pattern-simulation workers per job (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		simWidth   = flag.Int("simwidth", 0, "simulation width in 64-pattern words per net (1, 4 or 8; 0 = auto): tables are byte-identical at every width")
-		satWork    = flag.Int("satworkers", 2, "SAT portfolio members per LEC solve, run in the deterministic time-sliced mode: results are bit-identical for every value (0/1 = single solver)")
+		satWork    = flag.Int("satworkers", 2, "SAT portfolio members per LEC solve, time-sliced in a deterministic schedule: results are bit-identical for every value (0/1 = single solver)")
 		benchSel   = flag.String("benchmarks", "", "comma-separated benchmark subset (default: the full suite of the selected table); e.g. -benchmarks b14 for a single full-scale run")
 		jobTimeout = flag.Duration("jobtimeout", 0, "per-cell deadline for Table I/II jobs; a blown deadline is recorded on that cell and the others keep running (0 = none)")
 		retries    = flag.Int("retries", 0, "extra attempts for a failed Table I/II job (doubling backoff; timeouts and interrupts are not retried)")

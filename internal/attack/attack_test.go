@@ -9,6 +9,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/route"
+	"repro/internal/sat"
 	"repro/internal/sim"
 	"repro/internal/split"
 )
@@ -321,11 +322,12 @@ func TestSATAttackClauseGrowthBounded(t *testing.T) {
 		res.BaseClauses, res.Iterations, res.AddedClauses, perIter, res.SolveCalls, res.OracleEvals)
 }
 
-// TestSATAttackPortfolio: the attack with per-query portfolio solving
+// TestSATAttackPortfolio: the attack on an injected portfolio backend
 // must still recover a functionally correct key and keep the
-// incremental clause-growth bound, for every worker count. Which
-// distinguishing inputs are mined depends on the race, so only the
-// invariants — convergence, correctness, boundedness — are asserted.
+// incremental clause-growth bound, for every member count. Which
+// distinguishing inputs are mined depends on the member count, so only
+// the invariants — convergence, correctness, boundedness — are
+// asserted.
 func TestSATAttackPortfolio(t *testing.T) {
 	orig, err := bmarks.Generate(bmarks.Spec{Name: "satp", Inputs: 12, Outputs: 6, Gates: 300, Seed: 180})
 	if err != nil {
@@ -336,7 +338,10 @@ func TestSATAttackPortfolio(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3} {
-		res, err := SATAttackOpt(lk, orig, SATAttackOptions{MaxIter: 400, PortfolioWorkers: workers, Seed: uint64(workers)})
+		res, err := SATAttackOpt(lk, orig, SATAttackOptions{
+			MaxIter: 400,
+			Solver:  sat.NewPortfolio(sat.PortfolioOptions{Workers: workers, Seed: uint64(workers)}),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

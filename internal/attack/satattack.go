@@ -61,32 +61,14 @@ type SATAttackOptions struct {
 	// trips, which wins when the oracle is a physical chip rather than
 	// an in-process simulation.
 	BatchSize int
-	// PortfolioWorkers > 1 runs every per-query solve on a
-	// sat.Portfolio of that many diverging solver instances (first
-	// definitive answer wins and cancels the rest). The attack still
-	// recovers a functionally correct key — any model of the miter is
-	// a valid distinguishing input — but which inputs are mined, and
-	// therefore the exact query count and clause growth, depends on
-	// the race. 0 or 1 keeps the single deterministic solver.
-	PortfolioWorkers int
-	// PortfolioDeterministic replaces the race with the reproducible
-	// time-sliced portfolio schedule: the recovered key, query count
-	// and clause growth are bit-identical on every host (and across
-	// member counts for queries decided in the schedule's first
-	// rounds). The experiment flow sets this for reproducible tables.
-	PortfolioDeterministic bool
-	// Seed diversifies the portfolio members (unused without
-	// PortfolioWorkers > 1).
-	Seed uint64
 	// NoRewrite disables the AIG cut-rewriting pass that shrinks the
 	// observable cones before the one-time shared encoding.
 	NoRewrite bool
-	// Solver, when non-nil, is the SAT backend for the whole attack and
-	// overrides the PortfolioWorkers/PortfolioDeterministic
-	// construction. It must be fresh (no variables or clauses): the
-	// attack encodes its incremental miter into it and owns it for the
-	// run. This is the pool seam — a daemon injects a portfolio sized
-	// to its admission grant.
+	// Solver, when non-nil, is the SAT backend for the whole attack
+	// (default: one plain solver). It must be fresh (no variables or
+	// clauses): the attack encodes its incremental miter into it and
+	// owns it for the run. This is the portfolio and pool seam — a
+	// daemon injects a portfolio sized to its admission grant.
 	Solver sat.Interface
 }
 
@@ -138,12 +120,6 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 	var s sat.Interface = sat.New()
 	if opt.Solver != nil {
 		s = opt.Solver
-	} else if opt.PortfolioWorkers > 1 {
-		s = sat.NewPortfolio(sat.PortfolioOptions{
-			Workers:       opt.PortfolioWorkers,
-			Seed:          opt.Seed,
-			Deterministic: opt.PortfolioDeterministic,
-		})
 	}
 
 	// One shared strashed graph: key TIE cells become leaves, so cones

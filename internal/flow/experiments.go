@@ -88,7 +88,7 @@ type ITCOptions struct {
 	// every width.
 	SimWidth int
 	// SolverWorkers is passed to every job's flow.Config: LEC SAT
-	// queries race that many portfolio members (0/1 = single solver).
+	// queries run on that many portfolio members (0/1 = single solver).
 	SolverWorkers int
 	// JobTimeout bounds each benchmark×layer job; a job that exceeds it
 	// is cancelled and recorded on its row's Errors map, and the other

@@ -64,11 +64,11 @@ type Config struct {
 	// (benchmark baseline; the AIG path is the default).
 	LECLegacyEncoder bool
 	// SolverWorkers > 1 backs the Fig. 3 LEC step with a portfolio of
-	// that many diverging SAT solver instances. The flow always runs
-	// the portfolio in its deterministic time-sliced mode, so every
-	// experiment stays bit-reproducible at any worker count — the
-	// verdict, the stats, and the tables do not change with
-	// -satworkers. 0 or 1 keeps the single solver.
+	// that many diverging SAT solver instances. The portfolio's
+	// time-sliced schedule is deterministic, so every experiment stays
+	// bit-reproducible at any worker count — the verdict, the stats,
+	// and the tables do not change with -satworkers. 0 or 1 keeps the
+	// single solver.
 	SolverWorkers int
 	// PlacePasses overrides placement improvement passes (0 = default).
 	PlacePasses int
@@ -229,12 +229,8 @@ func verifyEquivalence(ctx context.Context, orig, locked *netlist.Circuit, cfg C
 			SimWidth:          cfg.SimWidth,
 			LegacyEncoder:     cfg.LECLegacyEncoder,
 			PortfolioWorkers:  cfg.SolverWorkers,
-			// Experiments must reproduce bit-identically on any host
-			// and worker count, so the flow always takes the
-			// deterministic portfolio schedule.
-			PortfolioDeterministic: true,
-			Solver:                 cfg.LECSolver,
-			Stop:                   stop,
+			Solver:            cfg.LECSolver,
+			Stop:              stop,
 		})
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {

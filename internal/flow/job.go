@@ -39,8 +39,7 @@ const (
 
 // JobSpec is the wire-format description of one job (the POST /v1/jobs
 // body). Zero-valued fields take kind-appropriate defaults; results are
-// deterministic functions of the spec (plus the daemon's solver-width
-// grant for hard racing instances), never of wall clock.
+// deterministic functions of the spec, never of wall clock.
 type JobSpec struct {
 	Kind JobKind `json:"kind"`
 	// Bench is the benchmark name for lock/verify/attack jobs.
@@ -64,21 +63,16 @@ type JobSpec struct {
 	Patterns int `json:"patterns,omitempty"`
 	// MaxIter caps SAT-attack distinguishing-input queries (default 256).
 	MaxIter int `json:"max_iter,omitempty"`
-	// SolverWorkers is the portfolio width the job asks for; the
-	// daemon's pool may grant fewer under load (0/1 = single solver).
+	// SolverWorkers is the portfolio width (0/1 = single solver). A
+	// daemon clamps it to its solver pool's size before the job is
+	// prepared, so the cache key names the width the job runs with.
 	SolverWorkers int `json:"solver_workers,omitempty"`
 	// SimWidth is the simulation width in 64-pattern words per net (1,
 	// 4 or 8; 0 auto-selects per run). Results are bit-identical at
-	// every width, so — like SolverWorkers in deterministic mode — it
-	// is excluded from cache keys and table fingerprints: a cached or
-	// checkpointed result satisfies the same job at any width.
+	// every width, so it is excluded from cache keys and table
+	// fingerprints: a cached or checkpointed result satisfies the same
+	// job at any width.
 	SimWidth int `json:"sim_width,omitempty"`
-	// Racing selects the portfolio's concurrent racing mode: lower
-	// latency, but which model/counterexample wins is scheduling-
-	// dependent, so racing jobs are never cached. The default
-	// (deterministic time-sliced scheduling) keeps results reproducible
-	// and cacheable.
-	Racing bool `json:"racing,omitempty"`
 	// RandomLock selects plain random locking instead of the paper's
 	// cost-driven ATPG scheme.
 	RandomLock bool `json:"random_lock,omitempty"`
@@ -288,12 +282,10 @@ func (j *Job) Fingerprint() aig.Fingerprint { return j.fp }
 
 // CacheKey is the content address of the job's result, or "" for
 // uncacheable jobs. Table jobs are uncacheable (they checkpoint through
-// manifests instead); racing jobs are uncacheable because their payload
-// is scheduling-dependent and a hit must be byte-identical to a cold
-// run. The key combines the structural fingerprint with every
-// result-affecting option.
+// manifests instead). The key combines the structural fingerprint with
+// every result-affecting option.
 func (j *Job) CacheKey() string {
-	if j.Spec.Kind == JobTable || j.Spec.Racing || j.fp.IsZero() {
+	if j.Spec.Kind == JobTable || j.fp.IsZero() {
 		return ""
 	}
 	s := j.Spec
@@ -380,12 +372,7 @@ func (j *Job) newSolver(ctx context.Context, rt JobRuntime, stop *atomic.Bool) (
 	if want < 1 {
 		want = 1
 	}
-	popt := sat.PortfolioOptions{
-		Workers:       want,
-		Seed:          j.Spec.Seed,
-		Deterministic: !j.Spec.Racing,
-		Stop:          stop,
-	}
+	popt := sat.PortfolioOptions{Workers: want, Seed: j.Spec.Seed, Stop: stop}
 	if rt.Pool == nil {
 		if want == 1 {
 			return sat.NewWithOptions(sat.Options{ExternalStop: stop}), func() {}, nil
@@ -395,9 +382,6 @@ func (j *Job) newSolver(ctx context.Context, rt JobRuntime, stop *atomic.Bool) (
 	lease, err := rt.Pool.Acquire(ctx, want)
 	if err != nil {
 		return nil, nil, err
-	}
-	if got := lease.Slots(); got < want {
-		rt.emit("solver", "pool granted %d of %d solver slots", got, want)
 	}
 	return lease.NewPortfolio(popt), lease.Release, nil
 }
@@ -478,7 +462,6 @@ func (j *Job) runAttack(ctx context.Context, rt JobRuntime) (any, error) {
 	rt.emit("attack", "SAT attack on %s (%d key bits)", j.Spec.Bench, len(j.lk.KeyBits))
 	res, err := attack.SATAttackOpt(j.lk, j.orig, attack.SATAttackOptions{
 		MaxIter: j.Spec.MaxIter,
-		Seed:    j.Spec.Seed,
 		Solver:  solver,
 	})
 	if err != nil {
@@ -486,6 +469,21 @@ func (j *Job) runAttack(ctx context.Context, rt JobRuntime) (any, error) {
 			return nil, cerr
 		}
 		return nil, fmt.Errorf("flow: attack: %w", err)
+	}
+	out := &AttackJobResult{
+		Bench:       j.Spec.Bench,
+		KeyBits:     len(j.lk.KeyBits),
+		Key:         res.Key.String(),
+		Iterations:  res.Iterations,
+		Converged:   res.Converged,
+		SolveCalls:  res.SolveCalls,
+		OracleEvals: res.OracleEvals,
+	}
+	if !res.Converged {
+		// The query cap ran out before the key was pinned down: there
+		// is no key to check, and the attack failed.
+		rt.emit("attack", "attack stopped after %d queries without converging", res.Iterations)
+		return out, nil
 	}
 	rt.emit("attack", "attack finished after %d queries, checking recovered key", res.Iterations)
 	recovered, err := j.lk.ApplyKey(res.Key)
@@ -508,16 +506,8 @@ func (j *Job) runAttack(ctx context.Context, rt JobRuntime) (any, error) {
 		}
 		return nil, err
 	}
-	return &AttackJobResult{
-		Bench:       j.Spec.Bench,
-		KeyBits:     len(j.lk.KeyBits),
-		Key:         res.Key.String(),
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		SolveCalls:  res.SolveCalls,
-		OracleEvals: res.OracleEvals,
-		Success:     eq,
-	}, nil
+	out.Success = eq
+	return out, nil
 }
 
 func (j *Job) runTable(ctx context.Context, rt JobRuntime) (any, error) {

@@ -91,14 +91,6 @@ func TestJobVerifyDeterministic(t *testing.T) {
 	if j3.Fingerprint() == j1.Fingerprint() {
 		t.Fatal("different lock seeds produced the same fingerprint")
 	}
-	// Racing jobs must refuse a cache key.
-	j4 := mustJob(t, JobSpec{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, Racing: true})
-	if err := j4.Prepare(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if j4.CacheKey() != "" {
-		t.Fatalf("racing job has cache key %q", j4.CacheKey())
-	}
 }
 
 // TestJobVerifyPooled: a pool-backed verify job leases and releases its
@@ -165,6 +157,23 @@ func TestJobAttackSmoke(t *testing.T) {
 	}
 	if len(res.Key) != 8 {
 		t.Fatalf("recovered key %q, want 8 bits", res.Key)
+	}
+}
+
+// TestJobAttackNotConverged: an attack whose query cap runs out before
+// the key is pinned down reports a failed, non-converged result instead
+// of erroring on the empty key.
+func TestJobAttackNotConverged(t *testing.T) {
+	d, _ := runJob(t, JobSpec{Kind: JobAttack, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, MaxIter: 1, Patterns: 2048}, JobRuntime{})
+	var res AttackJobResult
+	if err := json.Unmarshal(d, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged || res.Success || res.Key != "" {
+		t.Fatalf("attack capped at 1 query reported %+v, want a failed non-converged result", res)
+	}
+	if res.Iterations != 1 {
+		t.Fatalf("iterations = %d, want the cap of 1", res.Iterations)
 	}
 }
 

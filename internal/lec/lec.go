@@ -96,24 +96,16 @@ type Options struct {
 	// XNOR-complement equivalences.
 	LegacyEncoder bool
 	// PortfolioWorkers > 1 backs the check with a sat.Portfolio of
-	// that many diverging solver instances: sweep probes and the
-	// miter queries race all members and the first definitive answer
-	// cancels the rest. The verdict is unchanged; only wall clock
-	// (and, for non-equivalent circuits, which counterexample is
-	// reported) depends on the setting. This pays on the hard miters
-	// that survive the zero-clause structural path — re-synthesized
-	// or wrong-key circuits — and is wasted mirroring work on miters
-	// that collapse structurally. 0 or 1 uses the single
-	// deterministic solver.
+	// that many diverging solver instances, time-sliced in its
+	// staircase schedule: verdicts, counterexamples and stats are
+	// bit-identical on every host, and identical across member counts
+	// for miters decided in the schedule's first rounds (the common
+	// case). This pays on the hard miters that survive the zero-clause
+	// structural path — re-synthesized or wrong-key circuits — and is
+	// wasted mirroring work on miters that collapse structurally. 0 or
+	// 1 uses the single solver.
 	PortfolioWorkers int
-	// PortfolioDeterministic replaces the portfolio's concurrent race
-	// with the reproducible time-sliced schedule (round-robin
-	// SolveLimited slices with doubling budgets): verdicts,
-	// counterexamples and stats are bit-identical on every host, and
-	// identical across member counts for miters decided in the
-	// schedule's first rounds (the common case). The experiment flow
-	// sets this so the paper tables stay reproducible at any
-	// -satworkers value.
+	// Deprecated: ignored; every portfolio is deterministic.
 	PortfolioDeterministic bool
 	// Stop, when non-nil and set, cancels the check — prefilter
 	// simulation, sweeping, and miter solving all observe it — and
@@ -123,8 +115,7 @@ type Options struct {
 	// never fires.
 	Stop *atomic.Bool
 	// Solver, when non-nil, is the SAT backend for this check and
-	// overrides the PortfolioWorkers/PortfolioDeterministic
-	// construction. It must be fresh (no variables or clauses): the
+	// overrides the PortfolioWorkers construction. It must be fresh (no variables or clauses): the
 	// check owns it for its duration. This is the pool seam — a daemon
 	// acquires a slot lease and injects a portfolio sized to the
 	// admission grant instead of letting every concurrent check build a
@@ -140,10 +131,9 @@ func newMiterSolver(opt Options) sat.Interface {
 	}
 	if opt.PortfolioWorkers > 1 {
 		return sat.NewPortfolio(sat.PortfolioOptions{
-			Workers:       opt.PortfolioWorkers,
-			Seed:          opt.Seed,
-			Deterministic: opt.PortfolioDeterministic,
-			Stop:          opt.Stop,
+			Workers: opt.PortfolioWorkers,
+			Seed:    opt.Seed,
+			Stop:    opt.Stop,
 		})
 	}
 	return sat.NewWithOptions(sat.Options{ExternalStop: opt.Stop})

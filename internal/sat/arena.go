@@ -14,7 +14,7 @@ import "math"
 //	word 2   float32 activity bits
 //	word 3…  the literals (internal encoding: var<<1 | neg)
 //
-// The imported bit marks clauses integrated from a peer's sharing ring
+// The imported bit marks clauses integrated from a peer's export log
 // (reduceDB evicts that tier harder — the peer still has the clause).
 // The vivified bit marks learnt clauses the distillation pass has
 // already processed, so each clause is vivified at most once.

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// buildDet constructs a deterministic sharing portfolio over one of the
+// buildDet constructs a sharing portfolio over one of the
 // regression instances.
 func buildDet(workers int, build func(Interface)) *Portfolio {
-	p := NewPortfolio(PortfolioOptions{Workers: workers, Seed: 11, Deterministic: true})
+	p := NewPortfolio(PortfolioOptions{Workers: workers, Seed: 11})
 	build(p)
 	return p
 }

@@ -6,14 +6,14 @@ import (
 	"sync"
 )
 
-// Pool rations solver member slots across concurrent jobs. A daemon
-// serving many lock/verify/attack jobs cannot let each one spin up a
-// full-width portfolio — N jobs × M members oversubscribes the machine
-// M-fold — so jobs Acquire a lease before building their portfolio and
-// size it to the slots actually granted. Admission is FIFO: a job that
-// asked first is granted first, and a grant is made as soon as at least
-// one slot is free (a job may receive fewer members than it wanted
-// under load — a narrower portfolio is slower, never wrong).
+// Pool rations solver member slots across concurrent jobs: every
+// portfolio member mirrors the whole instance, so a daemon bounds the
+// total member count (and with it the solver memory and mirroring
+// work) by making jobs Acquire a lease before building their
+// portfolio. Admission is FIFO, and a grant is always the full request
+// (capped at the pool total): a portfolio's member count shapes its
+// models, so a job that received fewer members under load would
+// compute a different payload than the same job run alone.
 //
 // Leases deliberately hand out *slots*, not solver instances: solvers
 // and portfolios carry instance-specific clauses and have no reset
@@ -29,7 +29,7 @@ type Pool struct {
 
 type poolWaiter struct {
 	want int
-	got  chan int // buffered(1); receives the granted slot count
+	got  chan struct{} // closed once the want slots are granted
 }
 
 // NewPool returns a pool of the given number of member slots; slots <= 0
@@ -51,38 +51,31 @@ func (p *Pool) Free() int {
 	return p.free
 }
 
-// Acquire blocks until the pool can grant at least one slot (FIFO with
-// respect to other acquirers) or ctx is done. The lease holds
-// min(want, free-at-grant-time) slots, capped at the pool total; want
-// < 1 asks for one slot. The caller must Release the lease.
+// Acquire blocks until the pool can grant min(want, Total()) slots
+// (FIFO with respect to other acquirers: a wide request at the head of
+// the queue is not overtaken by narrower ones behind it) or ctx is
+// done. want < 1 asks for one slot. The caller must Release the lease.
 func (p *Pool) Acquire(ctx context.Context, want int) (*Lease, error) {
-	if want < 1 {
-		want = 1
-	}
-	if want > p.total {
-		want = p.total
-	}
+	want = min(max(want, 1), p.total)
 	p.mu.Lock()
-	if len(p.waiters) == 0 && p.free > 0 {
-		n := want
-		if n > p.free {
-			n = p.free
-		}
-		p.free -= n
+	if len(p.waiters) == 0 && p.free >= want {
+		p.free -= want
 		p.mu.Unlock()
-		return &Lease{pool: p, slots: n}, nil
+		return &Lease{pool: p, slots: want}, nil
 	}
-	w := &poolWaiter{want: want, got: make(chan int, 1)}
+	w := &poolWaiter{want: want, got: make(chan struct{})}
 	p.waiters = append(p.waiters, w)
 	p.mu.Unlock()
 	select {
-	case n := <-w.got:
-		return &Lease{pool: p, slots: n}, nil
+	case <-w.got:
+		return &Lease{pool: p, slots: want}, nil
 	case <-ctx.Done():
 		p.mu.Lock()
 		for i, x := range p.waiters {
 			if x == w {
 				p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
+				// The head may have left: the next waiters may fit now.
+				p.grantLocked()
 				p.mu.Unlock()
 				return nil, ctx.Err()
 			}
@@ -90,7 +83,7 @@ func (p *Pool) Acquire(ctx context.Context, want int) (*Lease, error) {
 		p.mu.Unlock()
 		// A grant raced the cancellation: the slots are already ours,
 		// hand them straight back.
-		p.release(<-w.got)
+		p.release(want)
 		return nil, ctx.Err()
 	}
 }
@@ -101,15 +94,17 @@ func (p *Pool) release(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.free += n
-	for len(p.waiters) > 0 && p.free > 0 {
+	p.grantLocked()
+}
+
+// grantLocked grants queued waiters in FIFO order while the head's full
+// request fits. Callers hold p.mu.
+func (p *Pool) grantLocked() {
+	for len(p.waiters) > 0 && p.free >= p.waiters[0].want {
 		w := p.waiters[0]
-		g := w.want
-		if g > p.free {
-			g = p.free
-		}
-		p.free -= g
+		p.free -= w.want
 		p.waiters = p.waiters[1:]
-		w.got <- g
+		close(w.got)
 	}
 }
 

@@ -16,17 +16,18 @@ func TestPoolGrantAndClamp(t *testing.T) {
 	if err != nil || l.Slots() != 3 {
 		t.Fatalf("Acquire(3) = %d slots, %v", l.Slots(), err)
 	}
-	// Only one slot left: a wide request is granted narrow, not blocked.
-	l2, err := p.Acquire(context.Background(), 4)
-	if err != nil || l2.Slots() != 1 {
-		t.Fatalf("Acquire(4) with 1 free = %d slots, %v", l2.Slots(), err)
+	// Only one slot left: a wide request waits for its full width
+	// instead of being granted narrow.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if l2, err := p.Acquire(ctx, 4); err != context.DeadlineExceeded {
+		t.Fatalf("Acquire(4) with 1 free = %v, %v; want it to wait", l2, err)
 	}
-	if p.Free() != 0 {
-		t.Fatalf("free = %d, want 0", p.Free())
+	if p.Free() != 1 {
+		t.Fatalf("free = %d after an abandoned wait, want 1", p.Free())
 	}
 	l.Release()
 	l.Release() // idempotent
-	l2.Release()
 	if p.Free() != 4 {
 		t.Fatalf("free after releases = %d, want 4", p.Free())
 	}
@@ -44,56 +45,53 @@ func TestPoolGrantAndClamp(t *testing.T) {
 	l4.Release()
 }
 
+// TestPoolFIFOBlocking: grants are full-width and FIFO — a wide
+// request at the head of the queue is not overtaken by a narrower one
+// behind it that would fit in the free slots.
 func TestPoolFIFOBlocking(t *testing.T) {
 	p := NewPool(2)
-	la, _ := p.Acquire(context.Background(), 1)
-	lb, _ := p.Acquire(context.Background(), 1)
+	hold, _ := p.Acquire(context.Background(), 1)
 
 	type grant struct {
 		id    int
 		lease *Lease
 	}
 	grants := make(chan grant, 2)
-	var ready sync.WaitGroup
-	ready.Add(1)
-	go func() {
-		ready.Done()
-		g, err := p.Acquire(context.Background(), 1)
+	acquire := func(id, want int) {
+		g, err := p.Acquire(context.Background(), want)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		grants <- grant{1, g}
-	}()
-	ready.Wait()
+		grants <- grant{id, g}
+	}
+	go acquire(1, 2)
 	// Give the first waiter time to queue before the second arrives, so
 	// FIFO order is observable.
 	time.Sleep(20 * time.Millisecond)
-	go func() {
-		g, err := p.Acquire(context.Background(), 1)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		grants <- grant{2, g}
-	}()
+	go acquire(2, 1)
 	time.Sleep(20 * time.Millisecond)
 	select {
 	case g := <-grants:
-		t.Fatalf("waiter %d granted while pool exhausted", g.id)
+		t.Fatalf("waiter %d granted ahead of the wide head request", g.id)
 	default:
 	}
 
-	// One slot at a time: each release can satisfy only the head waiter,
-	// so the grant order is observable.
-	la.Release()
+	hold.Release()
 	g1 := <-grants
-	lb.Release()
-	g2 := <-grants
-	if g1.id != 1 || g2.id != 2 {
-		t.Fatalf("grant order %d,%d, want FIFO 1,2", g1.id, g2.id)
+	if g1.id != 1 || g1.lease.Slots() != 2 {
+		t.Fatalf("first grant: waiter %d with %d slots, want waiter 1 with 2", g1.id, g1.lease.Slots())
+	}
+	select {
+	case g := <-grants:
+		t.Fatalf("waiter %d granted while the pool is exhausted", g.id)
+	case <-time.After(20 * time.Millisecond):
 	}
 	g1.lease.Release()
+	g2 := <-grants
+	if g2.id != 2 || g2.lease.Slots() != 1 {
+		t.Fatalf("second grant: waiter %d with %d slots, want waiter 2 with 1", g2.id, g2.lease.Slots())
+	}
 	g2.lease.Release()
 	if p.Free() != 2 {
 		t.Fatalf("free = %d, want 2", p.Free())
@@ -168,6 +166,41 @@ func TestPoolCancelledWaiterMidQueue(t *testing.T) {
 	}
 }
 
+// TestPoolCancelledHeadUnblocksQueue: when a wide head waiter gives
+// up, the narrower waiter behind it is granted from the slots that are
+// already free, without waiting for another release.
+func TestPoolCancelledHeadUnblocksQueue(t *testing.T) {
+	p := NewPool(2)
+	hold, _ := p.Acquire(context.Background(), 1)
+	defer hold.Release()
+	ctxA, cancelA := context.WithCancel(context.Background())
+	aErr := make(chan error, 1)
+	go func() {
+		_, err := p.Acquire(ctxA, 2)
+		aErr <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // A heads the queue
+	bLease := make(chan *Lease, 1)
+	go func() {
+		l, err := p.Acquire(context.Background(), 1)
+		if err != nil {
+			t.Error(err)
+		}
+		bLease <- l
+	}()
+	time.Sleep(20 * time.Millisecond) // B waits behind A
+	cancelA()
+	if err := <-aErr; err != context.Canceled {
+		t.Fatalf("cancelled head Acquire = %v, want context.Canceled", err)
+	}
+	select {
+	case l := <-bLease:
+		l.Release()
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter behind a cancelled wide head was not granted the free slot")
+	}
+}
+
 // TestPoolWaiterCancelChurn hammers the grant-races-cancellation window
 // (a waiter whose context fires just as release hands it slots must
 // return the grant, not leak it). Any leaked slot shows up as a final
@@ -226,8 +259,8 @@ func TestPoolConcurrentChurn(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if l.Slots() < 1 || l.Slots() > 3 {
-					t.Errorf("lease of %d slots from a 3-slot pool", l.Slots())
+				if l.Slots() != min(want, 3) {
+					t.Errorf("lease of %d slots for a request of %d from a 3-slot pool", l.Slots(), want)
 				}
 				l.Release()
 			}

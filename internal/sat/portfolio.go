@@ -1,42 +1,24 @@
 package sat
 
-import (
-	"runtime"
-	"sync/atomic"
-
-	"repro/internal/engine"
-)
+import "sync/atomic"
 
 // PortfolioOptions configures NewPortfolio.
 type PortfolioOptions struct {
-	// Workers is the number of member solvers. 1 degenerates to a
-	// plain solver behind the Portfolio surface; <= 0 picks
-	// min(GOMAXPROCS, 4) — beyond a handful of members the marginal
-	// diversification rarely pays for the mirrored encoding work.
+	// Workers is the number of member solvers; <= 0 means 1, which
+	// degenerates to a plain solver behind the Portfolio surface. The
+	// count is never derived from the host, so a configuration answers
+	// the same on every machine.
 	Workers int
 	// Seed diversifies the member decision streams; the same Seed
 	// builds the same member configurations on every run.
 	Seed uint64
-	// NoShare disconnects the members' clause-sharing rings. By
-	// default every member exports its short/low-LBD learnt clauses
-	// through a lock-free ring and imports the peers' exports at
-	// restart boundaries, which is what stops an UNSAT race from
-	// rediscovering the same lemmas once per member.
-	NoShare bool
-	// Deterministic replaces the concurrent race with round-robin
-	// SolveLimited slices of doubling conflict budgets on the calling
-	// goroutine (see solveDeterministic). Results — status, model,
-	// winner, and all stats — are bit-identical across runs and hosts
-	// for a fixed configuration, at the cost of no multi-core speedup.
-	Deterministic bool
 	// Stop, when non-nil and set, cancels an in-flight solve (returning
 	// Unknown) from outside the portfolio — e.g. from a context watcher.
 	// Unlike Interrupt, it survives solve-entry reset: the portfolio
 	// never writes it, so a deadline that fires between solves still
 	// cancels the next one. A solve that completes before the flag is
-	// observed returns its result unchanged, which keeps
-	// deterministic-mode answers bit-identical when the deadline never
-	// fires.
+	// observed returns its result unchanged, which keeps answers
+	// bit-identical when the deadline never fires.
 	Stop *atomic.Bool
 }
 
@@ -44,74 +26,55 @@ type PortfolioOptions struct {
 // seeds, initial polarities and restart schedules diverge (member 0 is
 // always the deterministic default configuration). NewVar and AddClause
 // mirror to every member, so the members stay equisatisfiable copies of
-// the same instance; Solve races them over the internal/engine worker
-// pool and the first definitive answer cancels the rest through a
-// shared stop flag (Options.Stop), which is exactly the cancellation
-// hook the CDCL loop checks each iteration.
+// the same instance; Solve time-slices them on the calling goroutine in
+// the staircase schedule of solveStaircase.
 //
-// Unless PortfolioOptions.NoShare is set, the members also cooperate:
-// each publishes its short/low-LBD learnt clauses into a lock-free
-// ring (sharing.go) and imports the peers' exports at restart
-// boundaries, so lemmas — above all the UNSAT-proof glue clauses every
-// member would otherwise have to rediscover — are derived once and
-// reused N times.
+// The members cooperate: each appends its short/low-LBD learnt clauses
+// to its export log (sharing.go) and imports the peers' exports at
+// solve entry and restart boundaries, so lemmas — above all the
+// UNSAT-proof glue clauses every member would otherwise have to
+// rediscover — are derived once and reused N times.
 //
-// Statuses are exact: every member decides the same formula, so
-// whichever finishes first returns the unique Sat/Unsat answer. Which
-// *model* is found (and all Stats) depends on which member wins the
-// race, so multi-worker racing portfolios trade model reproducibility
-// for wall clock; with Workers == 1 the portfolio is bit-identical to
-// a plain solver, and with PortfolioOptions.Deterministic the race is
-// replaced by a reproducible time-sliced schedule (solveDeterministic)
-// whose results are bit-identical on every host. Portfolio is a
-// sat.Interface and a drop-in replacement for a Solver anywhere
-// statuses, not specific models, carry the result.
+// Everything a member sees is a pure function of the schedule, so the
+// result — status, model, winner and all stats — is bit-identical on
+// every run and host; with Workers == 1 the portfolio is bit-identical
+// to a plain solver. Portfolio is a sat.Interface and a drop-in
+// replacement for a Solver.
 //
-// A Portfolio is not safe for concurrent use by multiple goroutines
-// (the members own their state); it parallelizes internally instead.
+// A Portfolio is not safe for concurrent use by multiple goroutines;
+// only Interrupt may be called from another goroutine.
 type Portfolio struct {
 	members []*Solver
-	stop    *atomic.Bool
+	stop    *atomic.Bool // Interrupt flag shared by every member
 	ext     *atomic.Bool // caller cancellation (PortfolioOptions.Stop), never written here
-	status  []Status     // per-member result scratch for one solve round
 	winner  int          // member whose model Value reads
-	det     bool         // deterministic time-sliced mode
-	detUsed []int64      // per-member conflicts granted in the current deterministic solve
+	used    []int64      // per-member conflicts granted in the current solve
 }
 
 // NewPortfolio returns an empty portfolio of opt.Workers diverging
 // members.
 func NewPortfolio(opt PortfolioOptions) *Portfolio {
-	n := opt.Workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > 4 {
-			n = 4
-		}
-	}
+	n := max(opt.Workers, 1)
 	stop := new(atomic.Bool)
 	p := &Portfolio{
 		members: make([]*Solver, n),
 		stop:    stop,
 		ext:     opt.Stop,
-		status:  make([]Status, n),
-		winner:  0,
-		det:     opt.Deterministic,
-		detUsed: make([]int64, n),
+		used:    make([]int64, n),
 	}
 	for i := range p.members {
 		mo := memberOptions(i, opt.Seed, stop)
 		mo.ExternalStop = opt.Stop
 		p.members[i] = NewWithOptions(mo)
 	}
-	if n > 1 && !opt.NoShare {
+	if n > 1 {
 		for _, m := range p.members {
-			m.shareOut = newShareRing()
+			m.shareOut = newShareLog()
 		}
 		for i, m := range p.members {
 			for j, peer := range p.members {
 				if j != i {
-					m.shareIn = append(m.shareIn, shareReader{ring: peer.shareOut})
+					m.shareIn = append(m.shareIn, shareReader{log: peer.shareOut})
 				}
 			}
 		}
@@ -174,79 +137,48 @@ func (p *Portfolio) AddClause(lits ...int) {
 	}
 }
 
-// Solve races the members on the instance under the given assumptions;
-// the first definitive answer stops the others.
+// Solve decides the instance under the given assumptions.
 func (p *Portfolio) Solve(assumptions ...int) Status {
 	return p.solve(-1, assumptions)
 }
 
 // SolveLimited is Solve with a per-member conflict budget; it returns
 // Unknown only when every participating member exhausted the budget
-// (or was stopped). A budget small enough to fit in one deterministic
-// scheduling slice is answered canonically by member 0 alone — a
-// bounded probe is a cheap heuristic, not worth N-fold work.
+// (or was stopped). A budget small enough to fit in one scheduling
+// slice is answered canonically by member 0 alone — a bounded probe is
+// a cheap heuristic, not worth N-fold work.
 func (p *Portfolio) SolveLimited(budget int64, assumptions ...int) Status {
 	return p.solve(budget, assumptions)
 }
 
 func (p *Portfolio) solve(budget int64, assumptions []int) Status {
-	p.stop.Store(false) // discard any interrupt aimed at a previous round
+	p.stop.Store(false) // discard any interrupt aimed at a previous solve
+	p.winner = 0
 	if p.ext != nil && p.ext.Load() {
 		// Caller cancellation is level-triggered, not edge-triggered:
 		// once the flag is up, every subsequent solve is refused until
 		// the caller lowers it.
-		p.winner = 0
 		return Unknown
 	}
-	if len(p.members) == 1 || (budget >= 0 && budget <= detSliceUnit) {
+	if len(p.members) == 1 || (budget >= 0 && budget <= sliceUnit) {
 		// Single member, or a bounded probe that fits in one scheduling
 		// slice (the LEC sweeper's SolveLimited calls): member 0 answers
-		// canonically instead of burning the same budget N times — and
-		// without an engine.Run spawn per probe.
-		p.winner = 0
+		// canonically instead of burning the same budget N times.
 		return p.members[0].solve(budget, assumptions)
 	}
-	if p.det {
-		return p.solveDeterministic(budget, assumptions)
-	}
-	var win atomic.Int32
-	win.Store(-1)
-	// One engine batch per member: the pool is sized to the member
-	// count, so every member searches concurrently until the stop flag
-	// (or its budget) ends the race.
-	_, _ = engine.Run(len(p.members), engine.Options{Workers: len(p.members), Grain: 1},
-		func(worker int) int { return worker },
-		func(_ int, b engine.Batch) {
-			for i := b.Start; i < b.End; i++ {
-				if win.Load() >= 0 {
-					p.status[i] = Unknown
-					continue
-				}
-				st := p.members[i].solve(budget, assumptions)
-				p.status[i] = st
-				if st != Unknown && win.CompareAndSwap(-1, int32(i)) {
-					p.stop.Store(true)
-				}
-			}
-		})
-	if w := win.Load(); w >= 0 {
-		p.winner = int(w)
-		return p.status[w]
-	}
-	p.winner = 0
-	return Unknown
+	return p.solveStaircase(budget, assumptions)
 }
 
-// detSliceUnit is the first-round conflict budget of one deterministic
-// slice; round r grants detSliceUnit<<r conflicts per member.
-const detSliceUnit = 2000
+// sliceUnit is the first-round conflict budget of one scheduling
+// slice; round r grants sliceUnit<<r conflicts per member.
+const sliceUnit = 2000
 
-// solveDeterministic runs the members one after another on the calling
+// solveStaircase runs the members one after another on the calling
 // goroutine: round r gives each of the first min(r+1, N) members a
-// SolveLimited slice of detSliceUnit<<r conflicts, and the first
+// SolveLimited slice of sliceUnit<<r conflicts, and the first
 // definitive answer in (round, member) order wins. Everything that
-// feeds a member — its own slice history and the peers' ring contents
-// at each slice boundary — is a pure function of this schedule, so the
+// feeds a member — its own slice history and the peers' export logs at
+// each slice boundary — is a pure function of this schedule, so the
 // result (status, model, winner, stats) is bit-identical on every run
 // and host. The staircase (member i joins in round i) additionally
 // makes the result independent of the member count for every instance
@@ -256,20 +188,16 @@ const detSliceUnit = 2000
 // which is what lets the experiment tables change -satworkers without
 // changing a digit.
 //
-// A finite budget is per-member, as in the racing mode (budgets that
-// fit inside the first slice never reach here — solve routes them to
-// member 0).
-func (p *Portfolio) solveDeterministic(budget int64, assumptions []int) Status {
-	used := p.detUsed
+// A finite budget is per-member (budgets that fit inside the first
+// slice never reach here — solve routes them to member 0).
+func (p *Portfolio) solveStaircase(budget int64, assumptions []int) Status {
+	used := p.used
 	for i := range used {
 		used[i] = 0
 	}
-	slice := int64(detSliceUnit)
+	slice := int64(sliceUnit)
 	for round := 0; ; round++ {
-		active := round + 1
-		if active > len(p.members) {
-			active = len(p.members)
-		}
+		active := min(round+1, len(p.members))
 		progress := false
 		for i := 0; i < active; i++ {
 			b := slice
@@ -287,13 +215,11 @@ func (p *Portfolio) solveDeterministic(budget int64, assumptions []int) Status {
 				return st
 			}
 			if p.stop.Load() || (p.ext != nil && p.ext.Load()) {
-				p.winner = 0
 				return Unknown
 			}
 			progress = true
 		}
 		if !progress {
-			p.winner = 0
 			return Unknown // every member exhausted its budget
 		}
 		if slice < 1<<40 {

@@ -35,7 +35,7 @@ func TestOptionsSeededDeterministic(t *testing.T) {
 }
 
 // TestOptionsSeedsDiverge: different seeds must actually change the
-// search (otherwise the portfolio races N copies of the same run).
+// search (otherwise the portfolio runs N copies of the same run).
 func TestOptionsSeedsDiverge(t *testing.T) {
 	run := func(opt Options) int64 {
 		s := NewWithOptions(opt)
@@ -90,8 +90,9 @@ func TestPortfolioStatuses(t *testing.T) {
 	}
 }
 
-// TestPortfolioHardInstances races the members on instances hard enough
-// that cancellation actually fires, in both directions (SAT and UNSAT).
+// TestPortfolioHardInstances runs four members on instances hard enough
+// to outlive the first scheduling slices, in both directions (SAT and
+// UNSAT).
 func TestPortfolioHardInstances(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

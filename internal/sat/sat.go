@@ -15,12 +15,11 @@
 // integers allocated by NewVar, a literal is +v or -v. All operations
 // are deterministic: the same sequence of AddClause/Solve calls on the
 // same Options yields the same statuses and models on every run.
-// Cooperative cancellation (Interrupt, Options.Stop) and the racing
-// Portfolio layer (portfolio.go) trade that model determinism for wall
-// clock — statuses remain exact — while the portfolio's deterministic
-// time-sliced mode (PortfolioOptions.Deterministic) keeps bit-exact
-// reproducibility and still profits from lock-free clause sharing
-// between the members (sharing.go).
+// Cooperative cancellation (Interrupt, Options.Stop) ends a solve
+// early with Unknown and leaves the solver reusable. The Portfolio
+// layer (portfolio.go) time-slices diverging members on one goroutine
+// with clause sharing between them (sharing.go) and keeps the same
+// bit-exact reproducibility.
 package sat
 
 import (
@@ -90,13 +89,13 @@ type Options struct {
 	// Stop, when non-nil, is an external cancellation flag checked in
 	// the conflict loop alongside Interrupt. The solver never clears
 	// it, so one flag can stop a whole fleet of solvers; the Portfolio
-	// owns such a flag to cancel losers once a member finds an answer.
+	// owns such a flag so its Interrupt reaches whichever member runs.
 	Stop *atomic.Bool
 	// ExternalStop is a second stop flag with identical semantics,
 	// reserved for the caller above the portfolio layer: the Portfolio
-	// owns Stop for its internal race cancellation (and resets it at
-	// solve entry), so context/deadline cancellation threads through
-	// this one, which nothing in the solver stack ever writes.
+	// owns Stop for its Interrupt (and resets it at solve entry), so
+	// context/deadline cancellation threads through this one, which
+	// nothing in the solver stack ever writes.
 	ExternalStop *atomic.Bool
 	// NoPreprocess disables the solve-entry clause-database
 	// simplification (subsumption, self-subsumption and bounded
@@ -183,9 +182,9 @@ type Solver struct {
 	ext      *atomic.Bool // caller cancellation (Options.ExternalStop)
 
 	// Clause sharing (sharing.go), wired by the Portfolio: shareOut is
-	// this solver's publish ring, shareIn the peers' rings with this
+	// this solver's export log, shareIn the peers' logs with this
 	// solver's private read cursors.
-	shareOut  *shareRing
+	shareOut  *shareLog
 	shareIn   []shareReader
 	importBuf []uint32 // filtered-literal scratch for importClause
 
@@ -240,8 +239,8 @@ type Stats struct {
 	Minimized    int64 // literals removed by learnt-clause minimization
 	Reduced      int64 // learnt clauses deleted by reduceDB
 	Compactions  int64 // arena compactions (one per effective reduceDB)
-	Exported     int64 // learnt clauses published to the sharing ring
-	Imported     int64 // peer clauses integrated from sharing rings
+	Exported     int64 // learnt clauses published to the export log
+	Imported     int64 // peer clauses integrated from export logs
 	Subsumed     int64 // problem clauses removed by subsumption
 	Strengthened int64 // literals removed by self-subsumption
 	ElimVars     int64 // variables removed by bounded variable elimination

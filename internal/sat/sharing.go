@@ -1,21 +1,15 @@
 package sat
 
-import "sync/atomic"
-
 // Clause sharing
 //
-// Every portfolio member owns one shareRing it publishes its best
-// learnt clauses to (single producer); every other member holds a
-// shareReader with a private cursor into that ring (multiple
-// independent consumers, each sees every clause). The ring is a
-// fixed-size buffer of sequence-numbered slots and never blocks: a
-// producer that laps a slow consumer simply overwrites, and the
-// consumer detects the overrun from the slot's sequence number and
-// skips ahead (drop-on-overflow). All slot words are accessed
-// atomically and each slot is published seqlock-style — odd sequence
-// while the producer writes, even when stable, re-checked by the
-// consumer after copying — so readers never act on a torn clause and
-// the exchange is lock-free and allocation-free on both sides.
+// Every portfolio member owns one shareLog it appends its best learnt
+// clauses to; every other member holds a shareReader with a private
+// cursor into that log, so each reader sees every clause. The log keeps
+// the last shareRingSlots clauses in a fixed buffer and never blocks:
+// an append overwrites the oldest clause, and a reader that fell more
+// than shareRingSlots clauses behind resumes at the oldest clause still
+// held (drop-on-overflow). The portfolio runs its members one after
+// another on one goroutine, so the log needs no synchronization.
 //
 // Members export at the moment a clause is learnt (exportLearnt) and
 // import at restart boundaries and at solve entry (importShared), when
@@ -37,91 +31,57 @@ const (
 	// shareSlotWords is the uint32 footprint of one slot: a header word
 	// (len | lbd<<16) plus the literals.
 	shareSlotWords = 1 + shareMaxLits
-	// shareRingSlots is the per-member ring capacity. At ~4 KB of
-	// sequence numbers and ~36 KB of payload per member this absorbs
-	// export bursts between two restarts without measurable drops.
+	// shareRingSlots is the per-member log capacity in clauses (~144 KB
+	// of slots per member). A reader that falls further behind loses
+	// the oldest clauses.
 	shareRingSlots = 1 << 12
 )
 
-// shareRing is the single-producer multi-consumer broadcast ring of one
-// portfolio member.
-type shareRing struct {
-	seq   []atomic.Uint64 // per slot: 2k+1 while clause k is written, 2k+2 stable
-	buf   []atomic.Uint32 // shareRingSlots * shareSlotWords payload words
-	count uint64          // producer-private publish count
+// shareLog is the export log of one portfolio member.
+type shareLog struct {
+	buf   []uint32 // shareRingSlots * shareSlotWords slot words
+	count uint64   // clauses appended so far
 }
 
-func newShareRing() *shareRing {
-	return &shareRing{
-		seq: make([]atomic.Uint64, shareRingSlots),
-		buf: make([]atomic.Uint32, shareRingSlots*shareSlotWords),
-	}
+func newShareLog() *shareLog {
+	return &shareLog{buf: make([]uint32, shareRingSlots*shareSlotWords)}
 }
 
-// publish copies the clause into the next slot. Producer-only; callers
-// guarantee len(lits) <= shareMaxLits.
-func (r *shareRing) publish(lits []uint32, lbd int32) {
-	k := r.count
-	i := k % shareRingSlots
-	base := i * shareSlotWords
-	r.seq[i].Store(2*k + 1) // writing
-	r.buf[base].Store(uint32(len(lits)) | uint32(lbd)<<16)
-	for j, l := range lits {
-		r.buf[base+1+uint64(j)].Store(l)
-	}
-	r.seq[i].Store(2*k + 2) // stable
-	r.count = k + 1
+// publish appends the clause, overwriting the oldest one once the log
+// is full. Callers guarantee len(lits) <= shareMaxLits.
+func (l *shareLog) publish(lits []uint32, lbd int32) {
+	base := (l.count % shareRingSlots) * shareSlotWords
+	l.buf[base] = uint32(len(lits)) | uint32(lbd)<<16
+	copy(l.buf[base+1:], lits)
+	l.count++
 }
 
-// shareReader is one consumer's private cursor into a peer's ring.
+// shareReader is one consumer's private cursor into a peer's log.
 type shareReader struct {
-	ring *shareRing
+	log  *shareLog
 	next uint64 // next clause index to read
 }
 
-// read copies clause r.next into buf and advances the cursor. It
-// returns ok=false when the producer has published nothing newer. A
-// consumer that was lapped skips forward to the oldest clause still
-// guaranteed intact and keeps going — dropped clauses are gone for
-// this consumer, by design.
-func (rd *shareReader) read(buf *[shareMaxLits]uint32) (lits []uint32, lbd int32, ok bool) {
-	r := rd.ring
-	for {
-		i := rd.next % shareRingSlots
-		v := r.seq[i].Load()
-		want := 2*rd.next + 2
-		if v < want {
-			return nil, 0, false // clause rd.next not published yet
-		}
-		if v == want {
-			base := i * shareSlotWords
-			hdr := r.buf[base].Load()
-			n := hdr & 0xffff
-			if n > shareMaxLits {
-				n = shareMaxLits // torn header; the re-check below rejects it
-			}
-			for j := uint32(0); j < n; j++ {
-				buf[j] = r.buf[base+1+uint64(j)].Load()
-			}
-			if r.seq[i].Load() != want {
-				continue // overwritten mid-copy: re-resolve from the new sequence
-			}
-			rd.next++
-			return buf[:n], int32(hdr >> 16), true
-		}
-		// v > want: the producer lapped this cursor. Skip to the oldest
-		// clause whose slot has not been reused yet; the seqlock check
-		// protects the ones the producer is overtaking right now.
-		published := v / 2 // holds for both odd (writing) and even (stable) v
-		if published > shareRingSlots && rd.next < published-shareRingSlots {
-			rd.next = published - shareRingSlots
-		} else {
-			rd.next++ // pathological torn slot: step over it
-		}
+// read returns clause rd.next and advances the cursor, or ok=false
+// when the log holds nothing newer. A reader that was lapped resumes
+// at the oldest clause the log still holds — dropped clauses are gone
+// for this reader, by design. The returned literals alias the log and
+// are valid until the next publish.
+func (rd *shareReader) read() (lits []uint32, lbd int32, ok bool) {
+	l := rd.log
+	if rd.next >= l.count {
+		return nil, 0, false
 	}
+	if l.count-rd.next > shareRingSlots {
+		rd.next = l.count - shareRingSlots
+	}
+	base := (rd.next % shareRingSlots) * shareSlotWords
+	hdr := l.buf[base]
+	rd.next++
+	return l.buf[base+1 : base+1+uint64(hdr&0xffff)], int32(hdr >> 16), true
 }
 
-// exportLearnt publishes a freshly learnt clause to this member's ring
+// exportLearnt publishes a freshly learnt clause to this member's log
 // when it is short or low-glue enough to help a peer. No-op outside a
 // sharing portfolio.
 func (s *Solver) exportLearnt(lits []uint32, lbd int32) {
@@ -135,18 +95,17 @@ func (s *Solver) exportLearnt(lits []uint32, lbd int32) {
 	s.Stats.Exported++
 }
 
-// importShared drains every peer ring into this solver. It must be
+// importShared drains every peer log into this solver. It must be
 // called at the root decision level with no pending propagation
 // conflict (solve entry or a restart boundary). It returns true when an
 // imported clause is conflicting under the current root-level
 // assignment — the caller must then return Unsat (importClause has
 // already set s.unsat if the conflict is assumption-free).
 func (s *Solver) importShared() bool {
-	var buf [shareMaxLits]uint32
 	for i := range s.shareIn {
 		rd := &s.shareIn[i]
 		for {
-			lits, lbd, ok := rd.read(&buf)
+			lits, lbd, ok := rd.read()
 			if !ok {
 				break
 			}
@@ -169,7 +128,7 @@ func (s *Solver) importClause(lits []uint32, lbd int32) (conflict bool) {
 	out := s.importBuf[:0]
 	for _, l := range lits {
 		if int(l) >= len(s.assignLit) {
-			return false // torn/foreign literal: drop the clause
+			return false // out-of-range literal: drop the clause
 		}
 		if s.elim[litVar(l)] != 0 {
 			// Mentions a variable this member eliminated: attaching it

@@ -1,14 +1,10 @@
 package sat
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // ringClause builds the self-validating payload of clause k: the
-// literal values are a pure function of k, so any consumer can verify
-// that the clause it accepted under sequence number k carries exactly
-// clause k's payload (a torn or misattributed read would mismatch).
+// literal values are a pure function of k, so a reader can verify that
+// the clause it accepted as index k carries exactly clause k's payload.
 func ringClause(k uint64) []uint32 {
 	n := 1 + int(k%uint64(shareMaxLits))
 	lits := make([]uint32, n)
@@ -18,140 +14,71 @@ func ringClause(k uint64) []uint32 {
 	return lits
 }
 
-// TestShareRingRoundTrip drives one producer and one consumer in lock
-// step: every published clause arrives once, in order, bit-exact.
+// checkClause fails unless got/lbd is clause k as published by the
+// tests (lbd = len).
+func checkClause(t *testing.T, k uint64, got []uint32, lbd int32) {
+	t.Helper()
+	want := ringClause(k)
+	if lbd != int32(len(want)) || len(got) != len(want) {
+		t.Fatalf("clause %d: shape mismatch (lbd %d len %d)", k, lbd, len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("clause %d: payload mismatch at %d", k, i)
+		}
+	}
+}
+
+// TestShareRingRoundTrip drives one writer and one reader in lock step
+// past the log's capacity: every published clause arrives once, in
+// order, bit-exact.
 func TestShareRingRoundTrip(t *testing.T) {
-	r := newShareRing()
-	rd := shareReader{ring: r}
-	var buf [shareMaxLits]uint32
-	if _, _, ok := rd.read(&buf); ok {
-		t.Fatal("read from empty ring succeeded")
+	rd := shareReader{log: newShareLog()}
+	if _, _, ok := rd.read(); ok {
+		t.Fatal("read from empty log succeeded")
 	}
 	for k := uint64(0); k < 3*shareRingSlots/2; k++ {
 		want := ringClause(k)
-		r.publish(want, int32(len(want)))
-		got, lbd, ok := rd.read(&buf)
+		rd.log.publish(want, int32(len(want)))
+		got, lbd, ok := rd.read()
 		if !ok {
 			t.Fatalf("clause %d not readable after publish", k)
 		}
-		if lbd != int32(len(want)) || len(got) != len(want) {
-			t.Fatalf("clause %d: shape mismatch (lbd %d len %d)", k, lbd, len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("clause %d: payload mismatch at %d", k, i)
-			}
-		}
-		if _, _, ok := rd.read(&buf); ok {
+		checkClause(t, k, got, lbd)
+		if _, _, ok := rd.read(); ok {
 			t.Fatalf("clause %d: spurious second read", k)
 		}
 	}
 }
 
-// TestShareRingOverflow laps a stale consumer by several ring lengths
-// and checks that it skips ahead to still-intact clauses: everything it
-// accepts afterwards must be self-consistent and strictly newer than
-// the pre-overflow cursor.
+// TestShareRingOverflow pins the lapped-reader rule: a reader more than
+// shareRingSlots clauses behind resumes at the oldest clause the log
+// still holds — exactly clause count-shareRingSlots — and then reads
+// every newer clause in order. A reader exactly shareRingSlots behind
+// has lost nothing.
 func TestShareRingOverflow(t *testing.T) {
-	r := newShareRing()
-	rd := shareReader{ring: r}
+	l := newShareLog()
 	total := uint64(5 * shareRingSlots / 2)
 	for k := uint64(0); k < total; k++ {
-		r.publish(ringClause(k), 1)
+		c := ringClause(k)
+		l.publish(c, int32(len(c)))
 	}
-	var buf [shareMaxLits]uint32
-	seen := 0
-	for {
-		before := rd.next
-		got, _, ok := rd.read(&buf)
-		if !ok {
-			break
-		}
-		k := rd.next - 1 // the clause index just accepted
-		if k < before {
-			t.Fatalf("cursor went backwards: %d -> %d", before, k)
-		}
-		if k < total-shareRingSlots {
-			t.Fatalf("accepted clause %d, which must have been overwritten", k)
-		}
-		want := ringClause(k)
-		if len(got) != len(want) {
-			t.Fatalf("clause %d: wrong length after overflow skip", k)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("clause %d: payload mismatch after overflow skip", k)
+	for _, start := range []uint64{0, 1, total - shareRingSlots - 1, total - shareRingSlots} {
+		rd := shareReader{log: l, next: start}
+		want := max(start, total-shareRingSlots)
+		for ; want < total; want++ {
+			got, lbd, ok := rd.read()
+			if !ok {
+				t.Fatalf("reader from %d: clause %d unreadable", start, want)
 			}
-		}
-		seen++
-	}
-	if seen == 0 {
-		t.Fatal("lapped consumer recovered no clauses at all")
-	}
-	if rd.next != total {
-		t.Fatalf("cursor stopped at %d, want %d", rd.next, total)
-	}
-}
-
-// TestShareRingRaceStress hammers the rings the way a racing portfolio
-// does — every producer owns one ring and publishes flat out while the
-// other parties' consumers drain concurrently — and asserts under the
-// race detector that every accepted clause is bit-exact for its
-// sequence number. Run with -race to check the seqlock protocol.
-func TestShareRingRaceStress(t *testing.T) {
-	const producers = 3
-	const consumersPerRing = 2
-	const clauses = 6 * shareRingSlots
-	rings := make([]*shareRing, producers)
-	for i := range rings {
-		rings[i] = newShareRing()
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, producers*consumersPerRing)
-	for i := range rings {
-		wg.Add(1)
-		go func(r *shareRing) {
-			defer wg.Done()
-			for k := uint64(0); k < clauses; k++ {
-				r.publish(ringClause(k), int32(1+k%5))
+			if rd.next-1 != want {
+				t.Fatalf("reader from %d: accepted clause %d, want %d", start, rd.next-1, want)
 			}
-		}(rings[i])
-		for c := 0; c < consumersPerRing; c++ {
-			wg.Add(1)
-			go func(r *shareRing) {
-				defer wg.Done()
-				rd := shareReader{ring: r}
-				var buf [shareMaxLits]uint32
-				accepted := uint64(0)
-				for rd.next < clauses {
-					got, _, ok := rd.read(&buf)
-					if !ok {
-						continue // producer not done; spin
-					}
-					k := rd.next - 1
-					want := ringClause(k)
-					if len(got) != len(want) {
-						errs <- "length mismatch"
-						return
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							errs <- "payload mismatch"
-							return
-						}
-					}
-					accepted++
-				}
-				if accepted == 0 {
-					errs <- "consumer accepted nothing"
-				}
-			}(rings[i])
+			checkClause(t, want, got, lbd)
 		}
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
+		if _, _, ok := rd.read(); ok {
+			t.Fatalf("reader from %d: read past the newest clause", start)
+		}
 	}
 }
 
@@ -184,7 +111,7 @@ func unsat3SAT(s Interface, numVars int, seed uint64) {
 	}
 }
 
-// TestPortfolioSharingImports runs a deterministic sharing portfolio on
+// TestPortfolioSharingImports runs a sharing portfolio on
 // an UNSAT instance that outlives the first scheduling slice and checks
 // the cooperation actually happened: clauses were exported, later
 // members imported them, and the verdict matches the plain solver.
@@ -194,13 +121,13 @@ func TestPortfolioSharingImports(t *testing.T) {
 	if st := single.Solve(); st != Unsat {
 		t.Fatalf("reference instance must be UNSAT, got %v", st)
 	}
-	if single.Stats.Conflicts <= 3*detSliceUnit {
+	if single.Stats.Conflicts <= 3*sliceUnit {
 		// Member 0 alone gets 2000+4000 conflicts before member 1 ever
 		// runs; the instance must outlive that for imports to happen.
 		t.Fatalf("instance too easy (%d conflicts) to exercise sharing", single.Stats.Conflicts)
 	}
 
-	p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 3, Deterministic: true})
+	p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 3})
 	unsat3SAT(p, 200, 2)
 	if st := p.Solve(); st != Unsat {
 		t.Fatalf("sharing portfolio: got %v want UNSAT", st)
@@ -213,45 +140,13 @@ func TestPortfolioSharingImports(t *testing.T) {
 		t.Fatal("no clauses imported: members did not cooperate")
 	}
 
-	// NoShare control: same schedule, rings disconnected.
-	q := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 3, Deterministic: true, NoShare: true})
-	unsat3SAT(q, 200, 2)
-	if st := q.Solve(); st != Unsat {
-		t.Fatalf("no-share portfolio: got %v want UNSAT", st)
-	}
-	if qa := q.Stats(); qa.Exported != 0 || qa.Imported != 0 {
-		t.Fatalf("NoShare portfolio still shared: %+v", qa)
-	}
-}
-
-// TestPortfolioSharingRace exercises the concurrent racing mode with
-// sharing enabled on both verdicts (run with -race): statuses must stay
-// exact regardless of who wins or what was imported mid-flight.
-func TestPortfolioSharingRace(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		pigeons int
-		holes   int
-		want    Status
-	}{
-		{"unsat", 8, 7, Unsat},
-		{"sat", 8, 8, Sat},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := NewPortfolio(PortfolioOptions{Workers: 4, Seed: 21})
-			pigeonholeIface(p, tc.pigeons, tc.holes)
-			if st := p.Solve(); st != tc.want {
-				t.Fatalf("PHP(%d,%d) sharing race: got %v want %v", tc.pigeons, tc.holes, st, tc.want)
-			}
-		})
-	}
 }
 
 // TestSharingWithAssumptions mirrors the LEC probe pattern onto a
-// deterministic sharing portfolio: interleaved assumption solves and
+// sharing portfolio: interleaved assumption solves and
 // incremental clause additions must agree with brute force even while
 // members exchange clauses (shared lemmas are consequences of the
-// formula alone, so assumptions must never leak through the rings).
+// formula alone, so assumptions must never leak through the logs).
 func TestSharingWithAssumptions(t *testing.T) {
 	rng := uint64(0xabcdef)
 	next := func(n int) int {
@@ -280,7 +175,7 @@ func TestSharingWithAssumptions(t *testing.T) {
 			}
 			cnf = append(cnf, cl)
 		}
-		p := NewPortfolio(PortfolioOptions{Workers: 3, Seed: uint64(trial), Deterministic: true})
+		p := NewPortfolio(PortfolioOptions{Workers: 3, Seed: uint64(trial)})
 		// Tiny restart units force frequent restart-boundary imports
 		// even on these small instances.
 		for _, m := range p.members {

@@ -27,7 +27,7 @@ import "repro/internal/faultpoint"
 //     would let it subsume itself — then its literals are assumed false
 //     one at a time and unit propagation over the rest of the database
 //     shortens the clause when it derives a conflict or implies a
-//     literal. Shortened clauses re-enter the sharing ring, so a
+//     literal. Shortened clauses re-enter the export log, so a
 //     portfolio spreads distilled clauses instead of raw ones.
 //
 // Both passes run at decision level zero only and are deterministic:
@@ -744,7 +744,7 @@ loop:
 			s.arena[nc] |= claImportedFlag
 		}
 		s.arena[nc+2] = act
-		// A distilled clause is strictly stronger than what the ring
+		// A distilled clause is strictly stronger than what the log
 		// carried before: share it again.
 		s.exportLearnt(out, lbd)
 	}

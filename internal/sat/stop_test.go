@@ -122,53 +122,48 @@ func TestExternalStopSolver(t *testing.T) {
 }
 
 // TestPortfolioExternalStop: PortfolioOptions.Stop survives the
-// portfolio's solve-entry reset of its internal race-cancel flag, in
-// both racing and deterministic modes, and clears for re-solve.
+// portfolio's solve-entry reset of its internal interrupt flag and
+// clears for re-solve.
 func TestPortfolioExternalStop(t *testing.T) {
-	for _, det := range []bool{false, true} {
-		var ext atomic.Bool
-		p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 7, Deterministic: det, Stop: &ext})
-		pigeonholeIface(p, 8, 7)
-		ext.Store(true)
-		if got := p.Solve(); got != Unknown {
-			t.Fatalf("det=%v: solve under external stop: %v, want Unknown", det, got)
-		}
-		if !ext.Load() {
-			t.Fatalf("det=%v: portfolio cleared the external stop flag", det)
-		}
-		ext.Store(false)
-		if got := p.Solve(); got != Unsat {
-			t.Fatalf("det=%v: re-solve: %v, want Unsat", det, got)
-		}
+	var ext atomic.Bool
+	p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 7, Stop: &ext})
+	pigeonholeIface(p, 8, 7)
+	ext.Store(true)
+	if got := p.Solve(); got != Unknown {
+		t.Fatalf("solve under external stop: %v, want Unknown", got)
+	}
+	if !ext.Load() {
+		t.Fatal("portfolio cleared the external stop flag")
+	}
+	ext.Store(false)
+	if got := p.Solve(); got != Unsat {
+		t.Fatalf("re-solve: %v, want Unsat", got)
 	}
 }
 
 // TestPortfolioReuseAfterMidSolveStop: the shared-pool contract. A
 // portfolio whose ExternalStop fired *mid-solve* (not between solves)
-// must be reusable for the next job once the caller lowers the flag,
-// in both racing and deterministic modes — mirroring the single-solver
-// Interrupt re-solve guarantee. The flag is raised from inside member
-// preprocessing via a fault point, so the cancellation deterministically
-// lands while search state (trail, learnts, pending simplification) is
-// live.
+// must be reusable for the next job once the caller lowers the flag —
+// mirroring the single-solver Interrupt re-solve guarantee. The flag
+// is raised from inside member preprocessing via a fault point, so the
+// cancellation deterministically lands while search state (trail,
+// learnts, pending simplification) is live.
 func TestPortfolioReuseAfterMidSolveStop(t *testing.T) {
 	defer faultpoint.Reset()
-	for _, det := range []bool{false, true} {
-		var ext atomic.Bool
-		p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 7, Deterministic: det, Stop: &ext})
-		pigeonholeIface(p, 8, 7)
-		faultpoint.Set("sat.subsume", faultpoint.After(1, func() { ext.Store(true) }))
-		if got := p.Solve(); got != Unknown {
-			t.Fatalf("det=%v: mid-solve stop returned %v, want Unknown", det, got)
-		}
-		if !ext.Load() {
-			t.Fatalf("det=%v: portfolio cleared the external stop flag", det)
-		}
-		faultpoint.Reset()
-		ext.Store(false)
-		if got := p.Solve(); got != Unsat {
-			t.Fatalf("det=%v: re-solve after mid-solve stop: %v, want Unsat", det, got)
-		}
+	var ext atomic.Bool
+	p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 7, Stop: &ext})
+	pigeonholeIface(p, 8, 7)
+	faultpoint.Set("sat.subsume", faultpoint.After(1, func() { ext.Store(true) }))
+	if got := p.Solve(); got != Unknown {
+		t.Fatalf("mid-solve stop returned %v, want Unknown", got)
+	}
+	if !ext.Load() {
+		t.Fatal("portfolio cleared the external stop flag")
+	}
+	faultpoint.Reset()
+	ext.Store(false)
+	if got := p.Solve(); got != Unsat {
+		t.Fatalf("re-solve after mid-solve stop: %v, want Unsat", got)
 	}
 }
 
@@ -179,54 +174,52 @@ func TestPortfolioReuseAfterMidSolveStop(t *testing.T) {
 func TestPortfolioReuseAfterMidSolveStopSat(t *testing.T) {
 	defer faultpoint.Reset()
 	const pigeons, holes = 8, 8
-	for _, det := range []bool{false, true} {
-		var ext atomic.Bool
-		p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 11, Deterministic: det, Stop: &ext})
-		v := make([][]int, pigeons)
-		for i := range v {
-			v[i] = make([]int, holes)
-			for h := range v[i] {
-				v[i][h] = p.NewVar()
-			}
-			p.AddClause(v[i]...)
+	var ext atomic.Bool
+	p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 11, Stop: &ext})
+	v := make([][]int, pigeons)
+	for i := range v {
+		v[i] = make([]int, holes)
+		for h := range v[i] {
+			v[i][h] = p.NewVar()
 		}
-		for h := 0; h < holes; h++ {
-			for a := 0; a < pigeons; a++ {
-				for b := a + 1; b < pigeons; b++ {
-					p.AddClause(-v[a][h], -v[b][h])
-				}
+		p.AddClause(v[i]...)
+	}
+	for h := 0; h < holes; h++ {
+		for a := 0; a < pigeons; a++ {
+			for b := a + 1; b < pigeons; b++ {
+				p.AddClause(-v[a][h], -v[b][h])
 			}
 		}
-		faultpoint.Set("sat.subsume", faultpoint.After(1, func() { ext.Store(true) }))
-		if got := p.Solve(); got != Unknown {
-			t.Fatalf("det=%v: mid-solve stop returned %v, want Unknown", det, got)
-		}
-		faultpoint.Reset()
-		ext.Store(false)
-		if got := p.Solve(); got != Sat {
-			t.Fatalf("det=%v: re-solve after mid-solve stop: %v, want Sat", det, got)
-		}
-		for i := range v {
-			placed := 0
-			for h := range v[i] {
-				if p.Value(v[i][h]) {
-					placed++
-				}
-			}
-			if placed == 0 {
-				t.Fatalf("det=%v: model leaves pigeon %d unplaced", det, i)
+	}
+	faultpoint.Set("sat.subsume", faultpoint.After(1, func() { ext.Store(true) }))
+	if got := p.Solve(); got != Unknown {
+		t.Fatalf("mid-solve stop returned %v, want Unknown", got)
+	}
+	faultpoint.Reset()
+	ext.Store(false)
+	if got := p.Solve(); got != Sat {
+		t.Fatalf("re-solve after mid-solve stop: %v, want Sat", got)
+	}
+	for i := range v {
+		placed := 0
+		for h := range v[i] {
+			if p.Value(v[i][h]) {
+				placed++
 			}
 		}
-		for h := 0; h < holes; h++ {
-			occupants := 0
-			for i := 0; i < pigeons; i++ {
-				if p.Value(v[i][h]) {
-					occupants++
-				}
+		if placed == 0 {
+			t.Fatalf("model leaves pigeon %d unplaced", i)
+		}
+	}
+	for h := 0; h < holes; h++ {
+		occupants := 0
+		for i := 0; i < pigeons; i++ {
+			if p.Value(v[i][h]) {
+				occupants++
 			}
-			if occupants > 1 {
-				t.Fatalf("det=%v: model puts %d pigeons in hole %d", det, occupants, h)
-			}
+		}
+		if occupants > 1 {
+			t.Fatalf("model puts %d pigeons in hole %d", occupants, h)
 		}
 	}
 }

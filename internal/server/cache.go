@@ -28,7 +28,7 @@ const (
 	// waited for that leader's result instead of duplicating the work
 	// (singleflight).
 	CacheCoalesced CacheOutcome = "coalesced"
-	// CacheNone: the job was not cacheable (table jobs, racing jobs).
+	// CacheNone: the job was not cacheable (table jobs).
 	CacheNone CacheOutcome = ""
 )
 

@@ -418,6 +418,10 @@ func (m *Manager) runJob(id string) {
 		return
 	}
 	spec := js.rec.Spec
+	// A lease never holds more than the pool's total, so clamp the
+	// width before Prepare: the cache key must name the width the job
+	// runs with.
+	spec.SolverWorkers = min(spec.SolverWorkers, m.pool.Total())
 	ctx, cancel := context.WithCancel(m.rootCtx)
 	js.rec.Status = StatusRunning
 	js.cancel = cancel

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -87,6 +88,59 @@ func TestManagerCacheHitOnRepeatedJob(t *testing.T) {
 	// strash) but skips LEC; it must land well under a second.
 	if hitTime > 10*time.Second {
 		t.Fatalf("cache hit took %v", hitTime)
+	}
+}
+
+// TestManagerPoolFullWidth: a job never computes on a partial pool
+// grant. With one of two solver slots held, a 2-member attack job waits
+// for both and then returns the payload of an uncontended run (this b14
+// attack recovers a different key with 1 member, so a narrow grant
+// would show). A request wider than the pool is clamped before the
+// cache key is formed, so it hits the 2-member result.
+func TestManagerPoolFullWidth(t *testing.T) {
+	spec := flow.JobSpec{Kind: flow.JobAttack, Bench: "b14", Scale: 0.1, KeyBits: 64, Seed: 3,
+		MaxIter: 256, Patterns: 2048, SolverWorkers: 2}
+	ctrl := newTestManager(t, ManagerOptions{MaxJobs: 1, SolverSlots: 2})
+	rc, err := ctrl.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc = waitDone(t, ctrl, rc.ID); rc.Status != StatusDone {
+		t.Fatalf("uncontended job %s: %s", rc.Status, rc.Error)
+	}
+
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1, SolverSlots: 2})
+	hold, err := m.pool.Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := m.Done(r.ID)
+	select {
+	case <-done:
+		t.Fatal("job finished while only one of its two solver slots was free")
+	case <-time.After(time.Second):
+	}
+	hold.Release()
+	if r = waitDone(t, m, r.ID); r.Status != StatusDone {
+		t.Fatalf("contended job %s: %s", r.Status, r.Error)
+	}
+	if string(r.Result) != string(rc.Result) {
+		t.Fatalf("contended payload differs from the uncontended run:\n%s\n%s", r.Result, rc.Result)
+	}
+
+	wide := spec
+	wide.SolverWorkers = 8
+	rw, err := m.Submit(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw = waitDone(t, m, rw.ID)
+	if rw.Status != StatusDone || rw.Cache != string(CacheHit) || string(rw.Result) != string(rc.Result) {
+		t.Fatalf("8-member request on a 2-slot pool: status %s, cache %q; want a hit on the 2-member payload", rw.Status, rw.Cache)
 	}
 }
 

@@ -57,6 +57,10 @@ func TestServerHTTP(t *testing.T) {
 	if resp, _ := postJob(t, ts, `{"kind":"verify","bench":"c432","bogus_field":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d", resp.StatusCode)
 	}
+	// The removed racing mode is refused, not silently ignored.
+	if resp, _ := postJob(t, ts, `{"kind":"verify","bench":"c432","racing":true}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("racing field: %d", resp.StatusCode)
+	}
 	// Unknown job is a 404.
 	if resp := getJSON(t, ts, "/v1/jobs/job-999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", resp.StatusCode)
