@@ -168,6 +168,39 @@ func BenchmarkPatternEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkProximity isolates the Sec. IV-A proximity attack kernel on
+// b14 x0.2 split at M4: "post" is the Table I/II pass with key
+// post-processing, "raw" the footnote-6 pass without it. regCCR_% is a
+// deterministic check that the assignment itself did not move.
+func BenchmarkProximity(b *testing.B) {
+	orig, err := bmarks.Load("b14", 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	art, err := flow.Run(context.Background(), orig, flow.Config{KeyBits: benchKeyBits, SplitLayer: 4, Seed: 7, UseATPGLock: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		post bool
+	}{{"post", true}, {"raw", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var asg attack.Assignment
+			for i := 0; i < b.N; i++ {
+				asg, err = attack.Proximity(art.View, attack.ProximityOptions{Seed: 7, KeyPostProcess: mode.post})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			pins := float64(len(art.View.CutPins) * b.N)
+			b.ReportMetric(pins/1e3/b.Elapsed().Seconds(), "kpins/s")
+			b.ReportMetric(metrics.ComputeCCR(art.View, art.Secret, asg).Regular*100, "regCCR_%")
+		})
+	}
+}
+
 // BenchmarkCompare1M measures the wide-word simulation kernel head-on:
 // one HD/OER comparison at the paper's 1M-pattern depth between b14 and
 // a wrong-key locked copy (same boundary, nonzero HD), at each

@@ -8,15 +8,15 @@
 //	go run ./cmd/benchjson [-bench regexp] [-benchtime 1x] [-pkg .] [-out dir] [-note text] [-short] [-guard name:metric<=value]...
 //	go run ./cmd/benchjson -diff old new [-time-tol pct] [-metric-tol pct]
 //
-// The default pattern covers the paper-table benchmarks and the SAT
-// solver / LEC / SAT-attack benchmarks. -short restricts the run to
-// the fast solver-core benchmarks (the CI perf smoke), and -guard
-// asserts a custom metric of a named benchmark against a bound —
-// "name:metric<=value" (at most), "name:metric>=value" (at least) or
-// "name:metric=value" (exactly). CI uses ceiling guards to keep the
-// solver's search behavior inside a tolerance band without pinning
-// exact conflict counts, which legitimate search changes (such as
-// inprocessing) are allowed to move.
+// The default pattern covers the paper-table benchmarks, the proximity
+// attack kernel and the SAT solver / LEC / SAT-attack benchmarks.
+// -short restricts the run to the fast solver-core benchmarks (the CI
+// perf smoke), and -guard asserts a custom metric of a named benchmark
+// against a bound — "name:metric<=value" (at most),
+// "name:metric>=value" (at least) or "name:metric=value" (exactly). CI
+// uses ceiling guards to keep the solver's search behavior inside a
+// tolerance band without pinning exact conflict counts, which
+// legitimate search changes (such as inprocessing) are allowed to move.
 //
 // -diff compares two result sets — each argument a BENCH_*.json file
 // or a directory of them — by benchmark name and exits non-zero when
@@ -269,7 +269,7 @@ func runDiff(timeTol, metricTol float64, args []string) {
 }
 
 func main() {
-	bench := flag.String("bench", "BenchmarkTable|BenchmarkFig5|BenchmarkCompare1M|BenchmarkSATSolver|BenchmarkLEC|BenchmarkSATAttack|BenchmarkAIGMiter|BenchmarkPortfolioMiter|BenchmarkPortfolioUNSAT", "benchmark regexp passed to go test -bench")
+	bench := flag.String("bench", "BenchmarkTable|BenchmarkFig5|BenchmarkCompare1M|BenchmarkProximity|BenchmarkSATSolver|BenchmarkLEC|BenchmarkSATAttack|BenchmarkAIGMiter|BenchmarkPortfolioMiter|BenchmarkPortfolioUNSAT", "benchmark regexp passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "value passed to go test -benchtime")
 	pkg := flag.String("pkg", ".", "package to benchmark")
 	out := flag.String("out", ".", "directory for BENCH_<n>.json files")

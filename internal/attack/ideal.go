@@ -39,7 +39,7 @@ func RandomGuess(view *split.FEOLView, seed uint64) Assignment {
 	for _, cp := range view.CutPins {
 		asg[cp.Ref] = view.DriverStubs[rng.intn(len(view.DriverStubs))].Driver
 	}
-	repairCycles(view.Circuit, view, asg, rng)
+	repairCycles(view.Circuit, view, view.TieStubs(), asg)
 	return asg
 }
 

@@ -36,8 +36,9 @@ type ProximityOptions struct {
 	// CandidateLimit is the number of nearest driver stubs considered
 	// per sink pin (default 16).
 	CandidateLimit int
-	// UseDirectionHints discounts candidates that lie along the stub's
-	// FEOL escape direction (default on via withDefaults).
+	// NoDirectionHints turns off the direction hints, which discount
+	// candidates lying along a stub's FEOL escape direction and pair
+	// stubs that both lack an escape.
 	NoDirectionHints bool
 	// NoLoadConstraint disables the driver load check.
 	NoLoadConstraint bool
@@ -78,15 +79,19 @@ func Proximity(view *split.FEOLView, opt ProximityOptions) (Assignment, error) {
 
 	idx := newStubIndex(view.DriverStubs)
 	rng := newRand(opt.Seed)
+	ties := view.TieStubs()
 
-	// Score all sink pins' candidate lists.
+	// Score all sink pins' candidate lists; each list is a k-slot
+	// window of one shared backing array.
 	type scored struct {
 		pin   split.CutPin
 		cands []candidate
 	}
+	k := min(opt.CandidateLimit, len(view.DriverStubs))
 	pins := make([]scored, len(view.CutPins))
+	backing := make([]candidate, len(pins)*k)
 	for i, cp := range view.CutPins {
-		pins[i] = scored{pin: cp, cands: idx.nearest(cp, opt)}
+		pins[i] = scored{pin: cp, cands: idx.nearest(cp, opt, backing[i*k:i*k:(i+1)*k])}
 	}
 	// Most confident first: smallest best-candidate score.
 	sort.SliceStable(pins, func(i, j int) bool {
@@ -103,7 +108,7 @@ func Proximity(view *split.FEOLView, opt ProximityOptions) (Assignment, error) {
 	for _, ds := range view.DriverStubs {
 		load[ds.Driver] = cellib.FanoutCap(c, ds.Driver)
 	}
-	chk := newCycleChecker(c, asg, opt.CycleBudget)
+	chk := newCycleChecker(c, opt.CycleBudget)
 
 	for _, sp := range pins {
 		sinkCell := c.Gate(sp.pin.Ref.Gate)
@@ -126,7 +131,7 @@ func Proximity(view *split.FEOLView, opt ProximityOptions) (Assignment, error) {
 		if !assigned {
 			// Constraints exhausted: fall back to a random TIE cell
 			// (sources can never create loops and have no load limit).
-			if tie := randomTie(view, rng); tie != netlist.InvalidGate {
+			if tie := randomTie(ties, rng); tie != netlist.InvalidGate {
 				asg[sp.pin.Ref] = tie
 			} else if len(sp.cands) > 0 {
 				asg[sp.pin.Ref] = sp.cands[0].driver
@@ -135,17 +140,16 @@ func Proximity(view *split.FEOLView, opt ProximityOptions) (Assignment, error) {
 	}
 
 	if opt.KeyPostProcess {
-		postProcessKeyPins(view, asg, rng)
+		postProcessKeyPins(view, ties, asg, rng)
 	}
-	repairCycles(c, view, asg, rng)
+	repairCycles(c, view, ties, asg)
 	return asg, nil
 }
 
 // postProcessKeyPins applies the paper's Sec. IV-A customization: any
 // key-gate falsely connected to a regular driver is re-connected to a
 // random TIE cell (key-gates already on a TIE cell are kept).
-func postProcessKeyPins(view *split.FEOLView, asg Assignment, rng *xrand) {
-	ties := view.TieStubs()
+func postProcessKeyPins(view *split.FEOLView, ties []split.DriverStub, asg Assignment, rng *xrand) {
 	if len(ties) == 0 {
 		return
 	}
@@ -164,6 +168,15 @@ type candidate struct {
 	score  float64
 }
 
+// less is the ranking order: score, then driver ID. Candidates equal
+// under it are identical values, so any stable ranking agrees.
+func (a candidate) less(b candidate) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return a.driver < b.driver
+}
+
 func bestScore(cands []candidate) float64 {
 	if len(cands) == 0 {
 		return 1e18
@@ -179,6 +192,7 @@ type stubIndex struct {
 	tx, ty     int
 	minX, minY int
 	buckets    map[int][]int
+	found      []int // nearest's gather scratch, reused across pins
 }
 
 func newStubIndex(stubs []split.DriverStub) *stubIndex {
@@ -216,10 +230,11 @@ func (idx *stubIndex) key(p layout.Point) int {
 
 // nearest returns up to CandidateLimit driver stubs ranked by the
 // attack score: Manhattan distance discounted when the FEOL escape
-// directions agree with the geometry.
-func (idx *stubIndex) nearest(cp split.CutPin, opt ProximityOptions) []candidate {
+// directions agree with the geometry. The ranking is written into top,
+// which must have room for min(CandidateLimit, number of stubs).
+func (idx *stubIndex) nearest(cp split.CutPin, opt ProximityOptions, top []candidate) []candidate {
 	want := opt.CandidateLimit
-	var found []int
+	found := idx.found[:0]
 	cx := (cp.Stub.X - idx.minX) / idx.tile
 	cy := (cp.Stub.Y - idx.minY) / idx.tile
 	for r := 0; r < idx.tx+idx.ty+2; r++ {
@@ -236,12 +251,14 @@ func (idx *stubIndex) nearest(cp split.CutPin, opt ProximityOptions) []candidate
 				}
 			}
 		}
-		// Over-collect by one ring to avoid boundary misses, then stop.
+		// Stop once the rings hold at least 3×CandidateLimit stubs,
+		// but never before rings 0–2 are gathered.
 		if len(found) >= want*3 && r > 1 {
 			break
 		}
 	}
-	cands := make([]candidate, 0, len(found))
+	idx.found = found
+	top = top[:0]
 	for _, si := range found {
 		ds := idx.stubs[si]
 		d := float64(cp.Stub.Dist(ds.Stub))
@@ -265,18 +282,26 @@ func (idx *stubIndex) nearest(cp split.CutPin, opt ProximityOptions) []candidate
 				score *= 0.5
 			}
 		}
-		cands = append(cands, candidate{driver: ds.Driver, score: score})
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score < cands[j].score
+		// Keep the want best in order: insert after every equal
+		// candidate, and drop the worst once the buffer is full. This
+		// is exactly the want-prefix of a stable sort by less.
+		cand := candidate{driver: ds.Driver, score: score}
+		n := len(top)
+		if n == want {
+			if !cand.less(top[n-1]) {
+				continue
+			}
+			n--
+		} else {
+			top = top[:n+1]
 		}
-		return cands[i].driver < cands[j].driver
-	})
-	if len(cands) > want {
-		cands = cands[:want]
+		for n > 0 && cand.less(top[n-1]) {
+			top[n] = top[n-1]
+			n--
+		}
+		top[n] = cand
 	}
-	return cands
+	return top
 }
 
 // driverCanTake checks the load constraint: the proposed extra sink cap
@@ -295,15 +320,38 @@ func driverCanTake(c *netlist.Circuit, d netlist.GateID, cur, extra float64) boo
 // loop" with a budgeted DFS over FEOL edges plus assigned edges.
 type cycleChecker struct {
 	c      *netlist.Circuit
-	asg    Assignment
 	budget int
-	// extra maps a gate to hypothesis sinks added by assignments.
-	// Rebuilt lazily; assignments only grow.
-	extra map[netlist.GateID][]netlist.GateID
+	// The non-DFF FEOL fanouts of gate id, in Fanouts order, are
+	// succ[start[id]:start[id+1]].
+	start []int32
+	succ  []netlist.GateID
+	// extra[id] lists the hypothesis sinks added by assignments.
+	extra [][]netlist.GateID
+	// mark[id] == epoch means id was visited by the current query;
+	// bumping epoch clears every mark at once.
+	mark  []uint32
+	epoch uint32
+	stack []netlist.GateID
 }
 
-func newCycleChecker(c *netlist.Circuit, asg Assignment, budget int) *cycleChecker {
-	return &cycleChecker{c: c, asg: asg, budget: budget, extra: make(map[netlist.GateID][]netlist.GateID)}
+func newCycleChecker(c *netlist.Circuit, budget int) *cycleChecker {
+	n := c.NumIDs()
+	cc := &cycleChecker{
+		c:      c,
+		budget: budget,
+		start:  make([]int32, n+1),
+		extra:  make([][]netlist.GateID, n),
+		mark:   make([]uint32, n),
+	}
+	for id := 0; id < n; id++ {
+		for _, s := range c.Fanouts(netlist.GateID(id)) {
+			if c.Gate(s).Type != netlist.DFF {
+				cc.succ = append(cc.succ, s)
+			}
+		}
+		cc.start[id+1] = int32(len(cc.succ))
+	}
+	return cc
 }
 
 // note records an accepted assignment edge d→g (driver to sink gate).
@@ -321,49 +369,55 @@ func (cc *cycleChecker) createsCycle(g, d netlist.GateID) bool {
 	if g == d {
 		return true
 	}
-	visited := make(map[netlist.GateID]bool, 64)
-	stack := []netlist.GateID{g}
+	cc.epoch++
+	if cc.epoch == 0 {
+		clear(cc.mark)
+		cc.epoch = 1
+	}
+	mark, epoch := cc.mark, cc.epoch
+	stack := append(cc.stack[:0], g)
 	nodes := 0
+	hit := false
+search:
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited[id] {
+		if mark[id] == epoch {
 			continue
 		}
-		visited[id] = true
+		mark[id] = epoch
 		nodes++
 		if nodes > cc.budget {
-			return false
+			break
 		}
-		next := cc.c.Fanouts(id)
-		for _, s := range next {
-			if cc.c.Gate(s).Type == netlist.DFF {
-				continue
-			}
+		for _, s := range cc.succ[cc.start[id]:cc.start[id+1]] {
 			if s == d {
-				return true
+				hit = true
+				break search
 			}
-			if !visited[s] {
+			if mark[s] != epoch {
 				stack = append(stack, s)
 			}
 		}
 		for _, s := range cc.extra[id] {
 			if s == d {
-				return true
+				hit = true
+				break search
 			}
-			if !visited[s] {
+			if mark[s] != epoch {
 				stack = append(stack, s)
 			}
 		}
 	}
-	return false
+	cc.stack = stack
+	return hit
 }
 
 // repairCycles makes the hypothesis globally acyclic: any sink pin
 // whose assignment participates in a combinational loop is re-pointed
 // at a TIE cell (or a primary input), which can never lie on a loop.
-func repairCycles(c *netlist.Circuit, view *split.FEOLView, asg Assignment, rng *xrand) {
-	safe := safeSource(view, c)
+func repairCycles(c *netlist.Circuit, view *split.FEOLView, ties []split.DriverStub, asg Assignment) {
+	safe := safeSource(ties, c)
 	if safe == netlist.InvalidGate {
 		return
 	}
@@ -389,8 +443,8 @@ func repairCycles(c *netlist.Circuit, view *split.FEOLView, asg Assignment, rng 
 	}
 }
 
-func safeSource(view *split.FEOLView, c *netlist.Circuit) netlist.GateID {
-	if ties := view.TieStubs(); len(ties) > 0 {
+func safeSource(ties []split.DriverStub, c *netlist.Circuit) netlist.GateID {
+	if len(ties) > 0 {
 		return ties[0].Driver
 	}
 	if ins := c.Inputs(); len(ins) > 0 {
@@ -403,11 +457,6 @@ func safeSource(view *split.FEOLView, c *netlist.Circuit) netlist.GateID {
 // returns the gates that could not be ordered (loop members and their
 // combinational dependents).
 func cyclicGates(c *netlist.Circuit, asg Assignment) map[netlist.GateID]bool {
-	// Build effective fanin: original fanin with cut pins overridden.
-	override := make(map[split.PinRef]netlist.GateID, len(asg))
-	for k, v := range asg {
-		override[k] = v
-	}
 	n := c.NumIDs()
 	indeg := make([]int, n)
 	fanout := make([][]netlist.GateID, n)
@@ -422,8 +471,9 @@ func cyclicGates(c *netlist.Circuit, asg Assignment) map[netlist.GateID]bool {
 		if g.Type == netlist.DFF {
 			continue
 		}
+		// Effective fanin: original fanin with cut pins overridden.
 		for pin, f := range g.Fanin {
-			if d, ok := override[split.PinRef{Gate: id, Pin: pin}]; ok {
+			if d, ok := asg[split.PinRef{Gate: id, Pin: pin}]; ok {
 				f = d
 			}
 			indeg[id]++
@@ -462,8 +512,7 @@ func cyclicGates(c *netlist.Circuit, asg Assignment) map[netlist.GateID]bool {
 	return stuck
 }
 
-func randomTie(view *split.FEOLView, rng *xrand) netlist.GateID {
-	ties := view.TieStubs()
+func randomTie(ties []split.DriverStub, rng *xrand) netlist.GateID {
 	if len(ties) == 0 {
 		return netlist.InvalidGate
 	}

@@ -62,6 +62,18 @@ func (o ATPGLockOptions) withDefaults() ATPGLockOptions {
 	return o
 }
 
+// regionOptionsFor derives the region-analysis bounds from the lock
+// options.
+func regionOptionsFor(opt ATPGLockOptions) regionOptions {
+	return regionOptions{
+		BackDepth:   opt.MaxDepth,
+		FwdDepth:    opt.ForwardDepth,
+		MaxSupport:  opt.MaxSupport,
+		MaxActOnSet: opt.MaxOnSet,
+		MaxSOP:      opt.MaxOnSet,
+	}
+}
+
 // ATPGLockReport summarizes what the synthesis stage did.
 type ATPGLockReport struct {
 	ModulesLocked  int
@@ -93,13 +105,7 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 	}
 	lk := &Locked{Circuit: c, Scheme: "atpg-region"}
 	budget := opt.KeyBits
-	ropt := regionOptions{
-		BackDepth:   opt.MaxDepth,
-		FwdDepth:    opt.ForwardDepth,
-		MaxSupport:  opt.MaxSupport,
-		MaxActOnSet: opt.MaxOnSet,
-		MaxSOP:      opt.MaxOnSet,
-	}
+	ropt := regionOptionsFor(opt)
 
 	// Several selection rounds over the modules: each round picks at
 	// most one fault per module (the paper's per-module selection);
@@ -196,6 +202,13 @@ func bestRegion(c *netlist.Circuit, mod partition.Module, ropt regionOptions, ma
 	if err != nil {
 		return nil
 	}
+	topoPos := make([]int32, c.NumIDs())
+	for i := range topoPos {
+		topoPos[i] = -1
+	}
+	for i, id := range order {
+		topoPos[id] = int32(i)
+	}
 	nets := make([]uint64, c.NumIDs())
 	var best *region
 	tries := 0
@@ -226,7 +239,7 @@ func bestRegion(c *netlist.Circuit, mod partition.Module, ropt regionOptions, ma
 			}
 			tries++
 			rep.FaultsTried++
-			r := analyzeRegion(c, atpg.Fault{Net: id, StuckAt: sa}, ropt, order, nets)
+			r := analyzeRegion(c, atpg.Fault{Net: id, StuckAt: sa}, ropt, budget, topoPos, nets)
 			if r == nil || r.keyBits == 0 || r.keyBits > budget {
 				rep.FaultsRejected++
 				continue

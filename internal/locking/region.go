@@ -1,7 +1,9 @@
 package locking
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"math/bits"
@@ -68,16 +70,35 @@ type regionOptions struct {
 }
 
 // analyzeRegion evaluates one fault candidate; it returns nil when the
-// candidate violates a bound. order is the circuit's current
-// topological order and nets a NumIDs-sized scratch buffer (both
-// hoisted by the caller across the candidate scan).
-func analyzeRegion(c *netlist.Circuit, f atpg.Fault, opt regionOptions, order []netlist.GateID, nets []uint64) *region {
+// candidate violates a bound or needs more than budget key bits (the
+// caller rejects such a region anyway). topoPos maps a gate to its
+// index in the circuit's current topological order (-1 when it has
+// none) and nets is a NumIDs-sized scratch buffer (both hoisted by the
+// caller across the candidate scan).
+func analyzeRegion(c *netlist.Circuit, f atpg.Fault, opt regionOptions, budget int, topoPos []int32, nets []uint64) *region {
 	g := c.Gate(f.Net)
 	if g.Type.IsSource() || g.Type == netlist.Output || g.DontTouch {
 		return nil
 	}
-	fwd, regionSet, support := growRegion(c, f.Net, opt)
-	if fwd == nil || len(support) == 0 || len(support) > opt.MaxSupport {
+	regionSet, backSupport := growBackward(c, f.Net, opt)
+	if regionSet == nil {
+		return nil
+	}
+	// Most candidates fail on their activation set, which the backward
+	// region already fixes: reject those before the far costlier
+	// forward growth and trim loop.
+	if kb := backwardKeyBits(c, f, regionSet, backSupport, opt, topoPos, nets); kb <= 0 || kb > budget {
+		return nil
+	}
+	return analyzeGrown(c, f, opt, regionSet, topoPos, nets)
+}
+
+// analyzeGrown is analyzeRegion after the backward region is chosen:
+// it grows the forward shadow into regionSet, settles the boundary and
+// costs the transformation.
+func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet map[netlist.GateID]bool, topoPos []int32, nets []uint64) *region {
+	fwd, support := growForward(c, f.Net, opt, regionSet)
+	if len(support) == 0 || len(support) > opt.MaxSupport {
 		return nil
 	}
 
@@ -107,12 +128,15 @@ func analyzeRegion(c *netlist.Circuit, f atpg.Fault, opt regionOptions, order []
 			return nil
 		}
 		size = 1 << uint(n)
+		// The region's gates in topological order, at a cost in the
+		// region's size rather than the circuit's.
 		regionOrder = regionOrder[:0]
-		for _, id := range order {
-			if regionSet[id] {
+		for id := range regionSet {
+			if topoPos[id] >= 0 {
 				regionOrder = append(regionOrder, id)
 			}
 		}
+		slices.SortFunc(regionOrder, func(a, b netlist.GateID) int { return cmp.Compare(topoPos[a], topoPos[b]) })
 		boundary = boundary[:0]
 		for _, id := range regionOrder {
 			if !fwd[id] {
@@ -292,14 +316,38 @@ func analyzeRegion(c *netlist.Circuit, f atpg.Fault, opt regionOptions, order []
 	return r
 }
 
-// growRegion builds the fault's region adaptively: the backward cone
-// (bounded depth) plus a forward shadow grown breadth-first, admitting
-// a sink gate only while the region's input cut stays within
-// MaxSupport. Growth therefore stops exactly where the fault's shadow
-// meets wide, unrelated logic — the re-synthesis boundary a commercial
-// tool would also settle on. The fault net itself must be admissible
-// or the candidate is rejected (nil return).
-func growRegion(c *netlist.Circuit, root netlist.GateID, opt regionOptions) (fwd, regionSet map[netlist.GateID]bool, support []netlist.GateID) {
+// growBackward and growForward build the fault's region adaptively:
+// the backward cone (bounded depth) plus a forward shadow grown
+// breadth-first, admitting a sink gate only while the region's input
+// cut stays within MaxSupport. Growth therefore stops exactly where the
+// fault's shadow meets wide, unrelated logic — the re-synthesis
+// boundary a commercial tool would also settle on.
+//
+// growBackward returns the backward half — the deepest bounded cone of
+// root whose input cut fits MaxSupport — and that cut in ascending ID
+// order. It returns nil when no depth fits, so the candidate is
+// rejected.
+func growBackward(c *netlist.Circuit, root netlist.GateID, opt regionOptions) (regionSet map[netlist.GateID]bool, support []netlist.GateID) {
+	for db := opt.BackDepth; db >= 1; db-- {
+		backCone, _ := c.BoundedCone(root, db)
+		regionSet = make(map[netlist.GateID]bool, len(backCone)+8)
+		for id := range backCone {
+			if !c.Gate(id).DontTouch {
+				regionSet[id] = true
+			}
+		}
+		regionSet[root] = true
+		if support = recomputeSupport(c, regionSet); len(support) <= opt.MaxSupport {
+			return regionSet, support
+		}
+	}
+	return nil, nil
+}
+
+// growForward adds root's forward shadow to the backward region in
+// place and returns the shadow (root included) and the region's input
+// cut in ascending ID order.
+func growForward(c *netlist.Circuit, root netlist.GateID, opt regionOptions, regionSet map[netlist.GateID]bool) (fwd map[netlist.GateID]bool, support []netlist.GateID) {
 	supportSet := make(map[netlist.GateID]bool)
 	recount := func() int {
 		for k := range supportSet {
@@ -313,23 +361,6 @@ func growRegion(c *netlist.Circuit, root netlist.GateID, opt regionOptions) (fwd
 			}
 		}
 		return len(supportSet)
-	}
-	// Backward cone: deepest depth whose input cut still fits.
-	for db := opt.BackDepth; ; db-- {
-		if db < 1 {
-			return nil, nil, nil
-		}
-		backCone, _ := c.BoundedCone(root, db)
-		regionSet = make(map[netlist.GateID]bool, len(backCone)+8)
-		for id := range backCone {
-			if !c.Gate(id).DontTouch {
-				regionSet[id] = true
-			}
-		}
-		regionSet[root] = true
-		if recount() <= opt.MaxSupport {
-			break
-		}
 	}
 	fwd = map[netlist.GateID]bool{root: true}
 	type item struct {
@@ -361,13 +392,65 @@ func growRegion(c *netlist.Circuit, root netlist.GateID, opt regionOptions) (fwd
 			queue = append(queue, item{s, it.d + 1})
 		}
 	}
-	support = make([]netlist.GateID, 0, len(supportSet))
-	recount()
-	for id := range supportSet {
-		support = append(support, id)
+	return fwd, recomputeSupport(c, regionSet)
+}
+
+// backwardKeyBits returns the key bits of the fault's activation cover
+// computed over the backward region alone, or -1 when the activation
+// set is empty or larger than MaxActOnSet. The fault net is a function
+// of the backward cut only, and the forward shadow and the trim loop
+// only add cut inputs it ignores. Over the final cut the activation set
+// is the backward one extended by every value of the extra inputs: at
+// least as many minterms and the same prime implicants, hence the same
+// key bits (MergeMinterms returns all primes). So analyzeGrown returns
+// nil whenever this is -1 or 0, and otherwise a region with exactly
+// this many key bits or nil.
+func backwardKeyBits(c *netlist.Circuit, f atpg.Fault, regionSet map[netlist.GateID]bool, support []netlist.GateID, opt regionOptions, topoPos []int32, nets []uint64) int {
+	n := len(support)
+	if n == 0 {
+		// A constant fault net is never active, or always active and
+		// covered by a cube without a single key bit.
+		return 0
 	}
-	sort.Slice(support, func(i, j int) bool { return support[i] < support[j] })
-	return fwd, regionSet, support
+	order := make([]netlist.GateID, 0, len(regionSet))
+	for id := range regionSet {
+		if topoPos[id] >= 0 {
+			order = append(order, id)
+		}
+	}
+	slices.SortFunc(order, func(a, b netlist.GateID) int { return cmp.Compare(topoPos[a], topoPos[b]) })
+	var vWord uint64
+	if f.StuckAt {
+		vWord = ^uint64(0)
+	}
+	size := 1 << uint(n)
+	mask := lowMask(size)
+	forced := make([]uint64, n)
+	var act []uint32
+	for ch := 0; ch < (size+63)/64; ch++ {
+		sim.ExhaustiveWords(forced, n, ch)
+		for i, s := range support {
+			nets[s] = forced[i]
+		}
+		for _, id := range order {
+			sim.EvalGateWord(c, id, nets)
+		}
+		w := (nets[f.Net] ^ vWord) & mask
+		if len(act)+popcount(w) > opt.MaxActOnSet {
+			return -1
+		}
+		for ; w != 0; w &= w - 1 {
+			act = append(act, uint32(ch*64+bits.TrailingZeros64(w)))
+		}
+	}
+	if len(act) == 0 {
+		return -1
+	}
+	keyBits := 0
+	for _, cu := range atpg.MergeMinterms(act, n) {
+		keyBits += cu.Bits()
+	}
+	return keyBits
 }
 
 // ejectForward removes gate e and all its forward-shadow descendants
