@@ -170,8 +170,10 @@ func BenchmarkPatternEngine(b *testing.B) {
 
 // BenchmarkProximity isolates the Sec. IV-A proximity attack kernel on
 // b14 x0.2 split at M4: "post" is the Table I/II pass with key
-// post-processing, "raw" the footnote-6 pass without it. regCCR_% is a
-// deterministic check that the assignment itself did not move.
+// post-processing, "raw" the footnote-6 pass without it, and "pair"
+// both from one greedy search, as a Table I/II cell runs them.
+// regCCR_% is a deterministic check that the (post-processed)
+// assignment itself did not move.
 func BenchmarkProximity(b *testing.B) {
 	orig, err := bmarks.Load("b14", 0.2)
 	if err != nil {
@@ -183,13 +185,24 @@ func BenchmarkProximity(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name string
-		post bool
-	}{{"post", true}, {"raw", false}} {
+		run  func() (attack.Assignment, error)
+	}{
+		{"post", func() (attack.Assignment, error) {
+			return attack.Proximity(art.View, attack.ProximityOptions{Seed: 7, KeyPostProcess: true})
+		}},
+		{"raw", func() (attack.Assignment, error) {
+			return attack.Proximity(art.View, attack.ProximityOptions{Seed: 7})
+		}},
+		{"pair", func() (attack.Assignment, error) {
+			post, _, err := attack.ProximityPair(art.View, attack.ProximityOptions{Seed: 7})
+			return post, err
+		}},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var asg attack.Assignment
 			for i := 0; i < b.N; i++ {
-				asg, err = attack.Proximity(art.View, attack.ProximityOptions{Seed: 7, KeyPostProcess: mode.post})
+				asg, err = mode.run()
 				if err != nil {
 					b.Fatal(err)
 				}

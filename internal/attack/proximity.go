@@ -17,6 +17,7 @@ package attack
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/cellib"
@@ -68,10 +69,47 @@ func (o ProximityOptions) withDefaults() ProximityOptions {
 // Proximity runs the proximity attack on a FEOL view and returns the
 // attacker's assignment. The view's Secret is never consulted.
 func Proximity(view *split.FEOLView, opt ProximityOptions) (Assignment, error) {
+	p, err := greedyProximity(view, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.finish(p.asg, opt.KeyPostProcess), nil
+}
+
+// ProximityPair runs the greedy search once and returns both
+// assignments the Table I/II cells need: post equals Proximity with
+// KeyPostProcess set and raw equals it unset (footnote 6), whatever
+// opt.KeyPostProcess says. The two variants draw the same random
+// numbers up to the end of the greedy loop, postProcessKeyPins runs
+// only after it, and repairCycles draws none, so finishing a clone of
+// the greedy assignment each way is bit-identical to two calls.
+func ProximityPair(view *split.FEOLView, opt ProximityOptions) (post, raw Assignment, err error) {
+	p, err := greedyProximity(view, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	raw = p.finish(maps.Clone(p.asg), false)
+	return p.finish(p.asg, true), raw, nil
+}
+
+// proximityPass is what the greedy search leaves for the finish step:
+// its assignment and the generator in its post-loop state.
+type proximityPass struct {
+	view *split.FEOLView
+	ties []split.DriverStub
+	rng  *xrand
+	asg  Assignment
+}
+
+// greedyProximity is Wang et al.'s greedy search: rank every sink pin's
+// candidate drivers, then assign the most confident pins first under
+// the load and acyclicity constraints, falling back to a random TIE
+// cell when every candidate is refused.
+func greedyProximity(view *split.FEOLView, opt ProximityOptions) (*proximityPass, error) {
 	opt = opt.withDefaults()
 	c := view.Circuit
 	if len(view.CutPins) == 0 {
-		return Assignment{}, nil
+		return &proximityPass{view: view, asg: Assignment{}}, nil
 	}
 	if len(view.DriverStubs) == 0 {
 		return nil, fmt.Errorf("attack: no driver stubs to match")
@@ -139,11 +177,22 @@ func Proximity(view *split.FEOLView, opt ProximityOptions) (Assignment, error) {
 		}
 	}
 
-	if opt.KeyPostProcess {
-		postProcessKeyPins(view, ties, asg, rng)
+	return &proximityPass{view: view, ties: ties, rng: rng, asg: asg}, nil
+}
+
+// finish completes one variant of the attack on asg, which must be p's
+// assignment or a clone of it: the key-aware post-processing if post
+// is set, then the cycle repair. A view with no cut pins has nothing
+// to finish.
+func (p *proximityPass) finish(asg Assignment, post bool) Assignment {
+	if len(p.view.CutPins) == 0 {
+		return asg
 	}
-	repairCycles(c, view, ties, asg)
-	return asg, nil
+	if post {
+		postProcessKeyPins(p.view, p.ties, asg, p.rng)
+	}
+	repairCycles(p.view.Circuit, p.view, p.ties, asg)
+	return asg
 }
 
 // postProcessKeyPins applies the paper's Sec. IV-A customization: any

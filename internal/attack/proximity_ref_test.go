@@ -337,14 +337,51 @@ func checkMatchesReference(t testing.TB, view *split.FEOLView, opt ProximityOpti
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("%+v: error mismatch: got %v, reference %v", opt, gerr, werr)
 	}
+	if msg := diffAssignment(got, want); msg != "" {
+		t.Fatalf("%+v: %s (against the reference)", opt, msg)
+	}
+}
+
+// checkPairMatches fails t unless ProximityPair returns exactly what
+// Proximity returns with KeyPostProcess set and unset, in two maps that
+// do not alias each other.
+func checkPairMatches(t testing.TB, view *split.FEOLView, opt ProximityOptions) {
+	t.Helper()
+	postOpt, rawOpt := opt, opt
+	postOpt.KeyPostProcess, rawOpt.KeyPostProcess = true, false
+	post, raw, err := ProximityPair(view, opt)
+	wantPost, perr := Proximity(view, postOpt)
+	wantRaw, rerr := Proximity(view, rawOpt)
+	if (err == nil) != (perr == nil) || (err == nil) != (rerr == nil) {
+		t.Fatalf("%+v: error mismatch: pair %v, single calls %v / %v", opt, err, perr, rerr)
+	}
+	if err != nil {
+		return
+	}
+	if msg := diffAssignment(post, wantPost); msg != "" {
+		t.Fatalf("%+v: post-processed pair result: %s", opt, msg)
+	}
+	if msg := diffAssignment(raw, wantRaw); msg != "" {
+		t.Fatalf("%+v: raw pair result: %s", opt, msg)
+	}
+	clear(raw)
+	if msg := diffAssignment(post, wantPost); msg != "" {
+		t.Fatalf("%+v: clearing the raw result changed the post-processed one: %s", opt, msg)
+	}
+}
+
+// diffAssignment describes the first difference between got and want,
+// or returns "" when they are equal.
+func diffAssignment(got, want Assignment) string {
 	if len(got) != len(want) {
-		t.Fatalf("%+v: %d pins assigned, reference assigns %d", opt, len(got), len(want))
+		return fmt.Sprintf("%d pins assigned, want %d", len(got), len(want))
 	}
 	for ref, d := range want {
 		if g, ok := got[ref]; !ok || g != d {
-			t.Fatalf("%+v: pin %v -> %d (present %v), reference %d", opt, ref, g, ok, d)
+			return fmt.Sprintf("pin %v -> %d (present %v), want %d", ref, g, ok, d)
 		}
 	}
+	return ""
 }
 
 // proximityOptionGrid is the option set the differential test covers,
@@ -393,15 +430,32 @@ func TestProximityMatchesReference(t *testing.T) {
 				}
 				for _, opt := range proximityOptionGrid(7) {
 					checkMatchesReference(t, view, opt)
+					checkPairMatches(t, view, opt)
 				}
 			})
 		}
 	}
 }
 
-// FuzzProximityDifferential checks Proximity against proximityRef on
-// fuzzer-chosen circuits, split layers and option combinations. It
-// locks with RandomLock, which is far cheaper than ATPG locking, so the
+// TestProximityPairEmptyView: a view with no cut pins yields two empty
+// assignments that are distinct maps.
+func TestProximityPairEmptyView(t *testing.T) {
+	post, raw, err := ProximityPair(&split.FEOLView{}, ProximityOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post == nil || raw == nil || len(post) != 0 || len(raw) != 0 {
+		t.Fatalf("want two empty assignments, got %v and %v", post, raw)
+	}
+	raw[split.PinRef{Gate: 1}] = 2
+	if len(post) != 0 {
+		t.Fatal("the two empty assignments are one map")
+	}
+}
+
+// FuzzProximityDifferential checks Proximity against proximityRef, and
+// ProximityPair against two Proximity calls, on fuzzer-chosen circuits,
+// split layers and option combinations. It locks with RandomLock, which is far cheaper than ATPG locking, so the
 // fuzzer spends its time in the attack. The candidate limit spans
 // 0–255, which on these small views often exceeds the stub count.
 func FuzzProximityDifferential(f *testing.F) {
@@ -420,7 +474,7 @@ func FuzzProximityDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		view := splitView(t, lk, seed, 4+2*int(layer%2))
-		checkMatchesReference(t, view, ProximityOptions{
+		opt := ProximityOptions{
 			Seed:                seed >> 3,
 			KeyPostProcess:      flags&0x01 != 0,
 			NoDirectionHints:    flags&0x02 != 0,
@@ -428,6 +482,8 @@ func FuzzProximityDifferential(f *testing.F) {
 			NoAcyclicConstraint: flags&0x08 != 0,
 			CandidateLimit:      int(limit),
 			CycleBudget:         int(budget % 8192),
-		})
+		}
+		checkMatchesReference(t, view, opt)
+		checkPairMatches(t, view, opt)
 	})
 }

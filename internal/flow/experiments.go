@@ -361,14 +361,14 @@ func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions
 	}
 	res := SplitResult{SplitLayer: splitLayer, Runtime: art.Runtime}
 
-	asg, err := attack.Proximity(art.View, attack.ProximityOptions{
-		Seed:           opt.Seed + 7,
-		KeyPostProcess: true,
-	})
+	// One greedy search yields both the key-aware attack and the raw
+	// one behind footnote 6.
+	asg, rawAsg, err := attack.ProximityPair(art.View, attack.ProximityOptions{Seed: opt.Seed + 7})
 	if err != nil {
 		return SplitResult{}, err
 	}
 	res.CCR = metrics.ComputeCCR(art.View, art.Secret, asg)
+	res.LogicalNoPost = metrics.ComputeCCR(art.View, art.Secret, rawAsg).KeyLogical
 	stop, release := engine.WatchContext(ctx)
 	defer release()
 	d, err := metrics.FunctionalOpt(orig, art.View, asg, sim.CompareOptions{
@@ -385,13 +385,6 @@ func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions
 		return SplitResult{}, err
 	}
 	res.HD, res.OER = d.HD, d.OER
-
-	// Footnote 6: the raw attack without key post-processing.
-	rawAsg, err := attack.Proximity(art.View, attack.ProximityOptions{Seed: opt.Seed + 7})
-	if err != nil {
-		return SplitResult{}, err
-	}
-	res.LogicalNoPost = metrics.ComputeCCR(art.View, art.Secret, rawAsg).KeyLogical
 	return res, nil
 }
 

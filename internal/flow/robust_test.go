@@ -90,12 +90,22 @@ func TestRunITCRetry(t *testing.T) {
 func TestRunITCJobTimeout(t *testing.T) {
 	defer faultpoint.Reset()
 	// The deadline applies to every job, so it must be generous enough
-	// for the un-stalled sibling to finish and the stall long enough to
-	// blow it with margin.
-	faultpoint.Set("flow.itc.run@b14/M4", func() { time.Sleep(2500 * time.Millisecond) })
+	// for the un-stalled sibling to finish under the host's current
+	// load (the race detector and parallel test packages slow it
+	// several-fold). Time the sibling alone, allow it three times that
+	// plus a second, and stall the other cell a second past the
+	// deadline.
+	solo := robustITCOpts()
+	solo.SplitLayers = []int{6}
+	start := time.Now()
+	if _, err := RunITC(context.Background(), solo); err != nil {
+		t.Fatal(err)
+	}
+	timeout := 3*time.Since(start) + time.Second
+	faultpoint.Set("flow.itc.run@b14/M4", func() { time.Sleep(timeout + time.Second) })
 
 	opt := robustITCOpts()
-	opt.JobTimeout = time.Second
+	opt.JobTimeout = timeout
 	rows, err := RunITC(context.Background(), opt)
 	if err == nil {
 		t.Fatal("blown deadline did not surface an error")
