@@ -493,11 +493,10 @@ func BenchmarkSATAttack(b *testing.B) {
 // BenchmarkAIGMiter isolates the structural-hashing layer on the
 // BenchmarkLEC configuration (0.1-scale b14, 64-bit key, prefilter
 // disabled): one iteration runs the locked-vs-original check through
-// the strashed AND-inverter graph and once through the PR 2 legacy
-// encoder, reporting the miter problem-clause counts side by side plus
-// the AIG statistics (nodes, strash hits, sweep merges). The AIG path
-// collapses the correct-key miter structurally, so its clause count
-// must stay (far) below the legacy encoding.
+// the strashed AND-inverter graph and reports the miter problem-clause
+// count plus the AIG statistics (nodes, strash hits, sweep merges).
+// Strashing collapses the correct-key miter, so it must need no
+// problem clauses at all.
 func BenchmarkAIGMiter(b *testing.B) {
 	orig, err := bmarks.Load("b14", benchSATScale)
 	if err != nil {
@@ -516,19 +515,10 @@ func BenchmarkAIGMiter(b *testing.B) {
 		if !res.Equivalent {
 			b.Fatal("locked circuit must be equivalent under the correct key")
 		}
-		legacy, err := lec.Check(orig, lk.Circuit, lec.Options{PrefilterPatterns: -1, LegacyEncoder: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !legacy.Equivalent {
-			b.Fatal("legacy path disagrees on the correct key")
-		}
-		if res.Stats.ProblemClauses >= legacy.Stats.ProblemClauses {
-			b.Fatalf("AIG miter (%d clauses) not smaller than legacy (%d)",
-				res.Stats.ProblemClauses, legacy.Stats.ProblemClauses)
+		if res.Stats.ProblemClauses != 0 {
+			b.Fatalf("correct-key miter needed %d problem clauses, want 0", res.Stats.ProblemClauses)
 		}
 		b.ReportMetric(float64(res.Stats.ProblemClauses), "miterClauses")
-		b.ReportMetric(float64(legacy.Stats.ProblemClauses), "legacyClauses")
 		b.ReportMetric(float64(res.Stats.AIGNodes), "aigNodes")
 		b.ReportMetric(float64(res.Stats.StrashHits), "strashHits")
 		b.ReportMetric(float64(res.Stats.SweepMerges), "sweepMerges")

@@ -1,57 +1,25 @@
-// Package atpg provides the test-generation substrate of the Fig. 3
-// synthesis stage: the stuck-at fault model, bit-parallel fault
-// simulation, and — the piece the paper obtains from Atalanta-M —
-// exhaustive enumeration of the failing patterns of a fault, expressed
-// as a compact cube cover over a bounded support.
-//
-// A stuck-at-v fault at net n makes the circuit behave as if n were
-// constant v. Relative to a support cut through n's fanin cone, the
-// fault's failing (activation) patterns are exactly the support
-// assignments under which n computes ¬v. The locking scheme removes the
-// cone, ties n to v, and restores ¬v with a key-driven comparator over
-// those patterns.
+// Package atpg provides the fault model and cube merging behind the
+// Fig. 3 synthesis stage. A stuck-at-v fault at net n makes the circuit
+// behave as if n were constant v. Relative to a support cut through
+// n's fanin cone, the fault's failing (activation) patterns are exactly
+// the support assignments under which n computes ¬v — the patterns the
+// paper obtains from Atalanta-M. Locking enumerates them over a region
+// around n (internal/locking), and MergeMinterms turns them into the
+// compact cube cover that the keyed comparator recognizes: the locking
+// scheme removes the region, ties n to v, and restores ¬v wherever the
+// comparator matches.
 package atpg
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // Fault is a single stuck-at fault on the net driven by Net.
 type Fault struct {
 	Net     netlist.GateID
 	StuckAt bool // the stuck value v
-}
-
-// String renders the fault in conventional notation.
-func (f Fault) String() string {
-	v := 0
-	if f.StuckAt {
-		v = 1
-	}
-	return fmt.Sprintf("net%d/sa%d", f.Net, v)
-}
-
-// EnumerateFaults lists both stuck-at faults on the output net of every
-// live combinational gate (inputs, outputs, TIE cells and flip-flops
-// excluded — the locking scheme only targets internal logic).
-func EnumerateFaults(c *netlist.Circuit) []Fault {
-	var fs []Fault
-	for i := 0; i < c.NumIDs(); i++ {
-		id := netlist.GateID(i)
-		if !c.Alive(id) {
-			continue
-		}
-		switch c.Gate(id).Type {
-		case netlist.Input, netlist.Output, netlist.DFF, netlist.TieHi, netlist.TieLo:
-			continue
-		}
-		fs = append(fs, Fault{id, false}, Fault{id, true})
-	}
-	return fs
 }
 
 // Cube is a partial assignment over an ordered support: bit i of Care
@@ -68,102 +36,6 @@ func (cu Cube) Bits() int { return bits.OnesCount32(cu.Care) }
 
 // Contains reports whether minterm m lies inside the cube.
 func (cu Cube) Contains(m uint32) bool { return m&cu.Care == cu.Value&cu.Care }
-
-// PatternSet is the complete set of failing patterns of a fault,
-// relative to the given support cut, expressed as a disjoint-free exact
-// cube cover (union of cubes = activation set).
-type PatternSet struct {
-	Fault   Fault
-	Support []netlist.GateID
-	Cubes   []Cube
-	// OnCount is the number of activation minterms (assignments where
-	// the net computes the complement of the stuck value).
-	OnCount int
-	// Cone is the set of gates between the support cut and the net.
-	Cone map[netlist.GateID]bool
-}
-
-// KeyBits returns the total comparator reference bits across all cubes.
-func (ps *PatternSet) KeyBits() int {
-	n := 0
-	for _, cu := range ps.Cubes {
-		n += cu.Bits()
-	}
-	return n
-}
-
-// Options bounds the enumeration effort.
-type Options struct {
-	// MaxDepth is the cone depth behind the faulty net (default 6).
-	MaxDepth int
-	// MaxSupport rejects faults whose support cut exceeds this width
-	// (default 12, hard limit 16).
-	MaxSupport int
-	// MaxOnSet rejects faults with more activation minterms than this
-	// (default 128); larger on-sets would need uneconomically large
-	// restore circuitry.
-	MaxOnSet int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = 6
-	}
-	if o.MaxSupport <= 0 {
-		o.MaxSupport = 12
-	}
-	if o.MaxSupport > 16 {
-		o.MaxSupport = 16
-	}
-	if o.MaxOnSet <= 0 {
-		o.MaxOnSet = 128
-	}
-	return o
-}
-
-// ErrRejected is returned when a fault fails the enumeration bounds.
-type ErrRejected struct{ Reason string }
-
-func (e *ErrRejected) Error() string { return "atpg: fault rejected: " + e.Reason }
-
-// FailingPatterns enumerates the failing patterns of the fault under
-// the given bounds. It returns ErrRejected when the fault is
-// unsuitable (support too wide, on-set too large or empty).
-func FailingPatterns(c *netlist.Circuit, f Fault, opt Options) (*PatternSet, error) {
-	opt = opt.withDefaults()
-	g := c.Gate(f.Net)
-	if g.Type.IsSource() || g.Type == netlist.Output {
-		return nil, &ErrRejected{"fault site is not internal logic"}
-	}
-	cone, support := c.BoundedCone(f.Net, opt.MaxDepth)
-	if len(support) > opt.MaxSupport {
-		return nil, &ErrRejected{fmt.Sprintf("support %d exceeds %d", len(support), opt.MaxSupport)}
-	}
-	tt, err := sim.TruthTable(c, f.Net, support)
-	if err != nil {
-		return nil, err
-	}
-	var minterms []uint32
-	for m, val := range tt {
-		if val != f.StuckAt { // net computes ¬v: activation pattern
-			minterms = append(minterms, uint32(m))
-		}
-	}
-	if len(minterms) == 0 {
-		return nil, &ErrRejected{"net is constant at the stuck value (redundant fault)"}
-	}
-	if len(minterms) > opt.MaxOnSet {
-		return nil, &ErrRejected{fmt.Sprintf("on-set %d exceeds %d", len(minterms), opt.MaxOnSet)}
-	}
-	cubes := MergeMinterms(minterms, len(support))
-	return &PatternSet{
-		Fault:   f,
-		Support: support,
-		Cubes:   cubes,
-		OnCount: len(minterms),
-		Cone:    cone,
-	}, nil
-}
 
 // MergeMinterms performs Quine–McCluskey-style cube merging on a
 // minterm list over n variables. The result is an exact cover: the
@@ -256,8 +128,8 @@ func cubeLess(a, b Cube) bool {
 }
 
 // CoverExact verifies that the cube list covers exactly the given
-// minterm set over n variables (used by tests and the LEC-style reject
-// loop).
+// minterm set over n variables; tests use it as the oracle for
+// MergeMinterms.
 func CoverExact(cubes []Cube, minterms []uint32, n int) bool {
 	want := make(map[uint32]bool, len(minterms))
 	for _, m := range minterms {

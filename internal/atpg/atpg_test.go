@@ -3,124 +3,7 @@ package atpg
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/netlist"
 )
-
-func c17(t *testing.T) *netlist.Circuit {
-	t.Helper()
-	src := `
-INPUT(I1)
-INPUT(I2)
-INPUT(I3)
-INPUT(I4)
-INPUT(I5)
-OUTPUT(U12)
-OUTPUT(U13)
-U8 = NAND(I1, I3)
-U9 = NAND(I3, I4)
-U10 = NAND(I2, U9)
-U11 = NAND(U9, I5)
-U12 = NAND(U8, U10)
-U13 = NAND(U10, U11)
-`
-	c, err := netlist.ParseBenchString(src, "c17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestEnumerateFaults(t *testing.T) {
-	c := c17(t)
-	fs := EnumerateFaults(c)
-	// 6 internal NAND gates × 2 polarities.
-	if len(fs) != 12 {
-		t.Fatalf("fault count = %d, want 12", len(fs))
-	}
-	for _, f := range fs {
-		if c.Gate(f.Net).Type != netlist.Nand {
-			t.Errorf("fault on non-logic gate %v", c.Gate(f.Net).Type)
-		}
-	}
-}
-
-func TestFailingPatternsNANDStuck(t *testing.T) {
-	c := c17(t)
-	u8 := c.GateByName("U8")
-	// U8 = NAND(I1, I3): it computes 0 only when I1=I3=1.
-	// Stuck-at-1 fault: activation set = {I1=1, I3=1}, one minterm.
-	ps, err := FailingPatterns(c, Fault{u8, true}, Options{MaxDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.OnCount != 1 {
-		t.Fatalf("sa1 on-count = %d, want 1", ps.OnCount)
-	}
-	if len(ps.Cubes) != 1 || ps.Cubes[0].Bits() != 2 {
-		t.Fatalf("sa1 cubes = %+v, want single 2-literal cube", ps.Cubes)
-	}
-	if ps.Cubes[0].Value != 3 { // both supports high
-		t.Fatalf("cube value = %b, want 11", ps.Cubes[0].Value)
-	}
-	// Stuck-at-0: activation set = complement, 3 minterms.
-	ps0, err := FailingPatterns(c, Fault{u8, false}, Options{MaxDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps0.OnCount != 3 {
-		t.Fatalf("sa0 on-count = %d, want 3", ps0.OnCount)
-	}
-	// Merged cover of {00,01,10} over 2 vars is 2 cubes (¬a + ¬b as
-	// 0-, -0) and must cover exactly.
-	var minterms []uint32
-	for m := uint32(0); m < 4; m++ {
-		if m != 3 {
-			minterms = append(minterms, m)
-		}
-	}
-	if !CoverExact(ps0.Cubes, minterms, 2) {
-		t.Fatalf("sa0 cover wrong: %+v", ps0.Cubes)
-	}
-}
-
-func TestFailingPatternsRejections(t *testing.T) {
-	c := c17(t)
-	// Fault on an input gate: rejected.
-	if _, err := FailingPatterns(c, Fault{c.GateByName("I1"), true}, Options{}); err == nil {
-		t.Fatal("fault on primary input accepted")
-	}
-	// Tight support bound: rejected.
-	u12 := c.GateByName("U12")
-	if _, err := FailingPatterns(c, Fault{u12, false}, Options{MaxDepth: 8, MaxSupport: 2}); err == nil {
-		t.Fatal("support bound not enforced")
-	}
-	// Tiny on-set bound: rejected.
-	if _, err := FailingPatterns(c, Fault{u12, false}, Options{MaxDepth: 8, MaxOnSet: 1}); err == nil {
-		t.Fatal("on-set bound not enforced")
-	}
-}
-
-func TestRedundantConstantNetRejected(t *testing.T) {
-	c := netlist.New("const")
-	a := c.MustAdd("a", netlist.Input)
-	na := c.MustAdd("na", netlist.Not, a)
-	// z = AND(a, ¬a) is constant 0: stuck-at-0 on z is redundant.
-	z := c.MustAdd("z", netlist.And, a, na)
-	c.MustAdd("o", netlist.Output, z)
-	_, err := FailingPatterns(c, Fault{z, false}, Options{MaxDepth: 4})
-	if _, ok := err.(*ErrRejected); !ok {
-		t.Fatalf("redundant fault not rejected: %v", err)
-	}
-	// Stuck-at-1 has the full on-set (all 2 minterms of support {a}).
-	ps, err := FailingPatterns(c, Fault{z, true}, Options{MaxDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.OnCount != 2 {
-		t.Fatalf("on-count = %d, want 2", ps.OnCount)
-	}
-}
 
 func TestMergeMintermsFullSpace(t *testing.T) {
 	// All 8 minterms over 3 vars merge to the universal cube.
@@ -169,122 +52,6 @@ func TestMergeReducesKeyBits(t *testing.T) {
 	}
 }
 
-// FaultSimOpt must produce identical detection maps for every worker
-// count and for both sharding strategies (fault-sharded when the fault
-// list is large relative to the pool, pattern-sharded otherwise).
-func TestFaultSimWorkerCountInvariance(t *testing.T) {
-	c := c17(t)
-	fs := EnumerateFaults(c)
-	ref, err := FaultSimOpt(c, fs, FaultSimOptions{Patterns: 2048, Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 5, 16} {
-		res, err := FaultSimOpt(c, fs, FaultSimOptions{Patterns: 2048, Seed: 3, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Coverage != ref.Coverage || res.Patterns != ref.Patterns {
-			t.Fatalf("workers=%d: coverage %v/%d, want %v/%d",
-				workers, res.Coverage, res.Patterns, ref.Coverage, ref.Patterns)
-		}
-		for i := range ref.Detected {
-			if res.Detected[i] != ref.Detected[i] {
-				t.Fatalf("workers=%d: fault %v detection differs", workers, fs[i])
-			}
-		}
-	}
-	// Force the pattern-sharded path with enough pattern words to span
-	// several engine batches (the default grain is 64 words), so the
-	// cross-worker OR merge of private detection maps really runs
-	// multi-worker: fewer faults than 2× workers, 2^15 patterns = 512
-	// words = 8 batches.
-	few := fs[:2]
-	refFew, err := FaultSimOpt(c, few, FaultSimOptions{Patterns: 1 << 15, Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resFew, err := FaultSimOpt(c, few, FaultSimOptions{Patterns: 1 << 15, Seed: 3, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range refFew.Detected {
-		if resFew.Detected[i] != refFew.Detected[i] {
-			t.Fatalf("pattern-sharded: fault %v detection differs", few[i])
-		}
-	}
-}
-
-// Detection maps must also be bit-identical at every simulation width,
-// including pattern counts that leave a partial trailing wide word.
-func TestFaultSimWidthInvariance(t *testing.T) {
-	c := c17(t)
-	fs := EnumerateFaults(c)
-	for _, patterns := range []int{640, 2048} {
-		ref, err := FaultSimOpt(c, fs, FaultSimOptions{Patterns: patterns, Seed: 3, Width: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{0, 4, 8} {
-			for _, workers := range []int{1, 4} {
-				res, err := FaultSimOpt(c, fs, FaultSimOptions{
-					Patterns: patterns, Seed: 3, Width: w, Workers: workers,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Coverage != ref.Coverage {
-					t.Fatalf("width=%d workers=%d: coverage %v, want %v", w, workers, res.Coverage, ref.Coverage)
-				}
-				for i := range ref.Detected {
-					if res.Detected[i] != ref.Detected[i] {
-						t.Fatalf("width=%d workers=%d: fault %v detection differs", w, workers, fs[i])
-					}
-				}
-			}
-		}
-	}
-	if _, err := FaultSimOpt(c, fs, FaultSimOptions{Patterns: 64, Width: 5}); err == nil {
-		t.Fatal("expected an error for width 5")
-	}
-}
-
-func TestFaultSimDetectsAllC17Faults(t *testing.T) {
-	// c17 is fully testable: every stuck-at fault is detectable, and
-	// random patterns over 5 inputs quickly achieve full coverage.
-	c := c17(t)
-	fs := EnumerateFaults(c)
-	res, err := FaultSim(c, fs, 512, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Coverage != 1.0 {
-		t.Fatalf("c17 coverage = %v, want 1.0", res.Coverage)
-	}
-}
-
-func TestFaultSimMissesRedundantFault(t *testing.T) {
-	// z = AND(a, NOT(a)) is constant 0; o = OR(z, b). Stuck-at-0 on z
-	// is undetectable.
-	c := netlist.New("red")
-	a := c.MustAdd("a", netlist.Input)
-	b := c.MustAdd("b", netlist.Input)
-	na := c.MustAdd("na", netlist.Not, a)
-	z := c.MustAdd("z", netlist.And, a, na)
-	o := c.MustAdd("orz", netlist.Or, z, b)
-	c.MustAdd("out", netlist.Output, o)
-	res, err := FaultSim(c, []Fault{{z, false}, {z, true}}, 512, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Detected[0] {
-		t.Error("redundant sa0 reported detected")
-	}
-	if !res.Detected[1] {
-		t.Error("testable sa1 not detected")
-	}
-}
-
 func TestCubeContains(t *testing.T) {
 	cu := Cube{Value: 0b101, Care: 0b111}
 	if !cu.Contains(0b101) || cu.Contains(0b100) {
@@ -294,7 +61,7 @@ func TestCubeContains(t *testing.T) {
 	if !cu.Contains(0b101) || !cu.Contains(0b001) || cu.Contains(0b010) {
 		t.Fatal("Contains broken for partial-care cube")
 	}
-	if PopCountCube(cu, 3) != 2 {
-		t.Fatal("PopCountCube wrong")
+	if cu.Bits() != 2 {
+		t.Fatalf("partial-care cube has %d bits, want 2", cu.Bits())
 	}
 }

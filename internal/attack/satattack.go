@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/aig"
-	"repro/internal/lec"
 	"repro/internal/locking"
 	"repro/internal/netlist"
 	"repro/internal/sat"
@@ -28,9 +27,11 @@ type SATResult struct {
 	// encoding (both keyed copies plus the miter).
 	BaseClauses int
 	// AddedClauses is the number of problem clauses added across all
-	// iterations (cofactor-cone constraints and retired batch blockers).
-	// The incremental encoding keeps this far below re-encoding the
-	// circuit per iteration; the regression tests assert the bound.
+	// iterations (cofactor-cone constraints and retired batch blockers),
+	// counted as they are installed: clauses that solver inprocessing
+	// later deletes still count. The incremental encoding keeps this
+	// far below re-encoding the circuit per iteration; the regression
+	// tests assert the bound.
 	AddedClauses int
 	// AIGNodes is the AND-node count of the shared strashed graph both
 	// keyed copies are encoded from (key TIE cells modeled as leaves).
@@ -265,7 +266,7 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 		va := emA.LitVar(ol)
 		vb := emB.LitVar(ol)
 		d := s.NewVar()
-		lec.XorClauses(s, d, va, vb)
+		xorClauses(s, d, va, vb)
 		diffs = append(diffs, d)
 	}
 	miter := append(append([]int{}, diffs...), -active)
@@ -288,6 +289,10 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 		KeyDepNodes:     keyDepNodes,
 		AIGRewriteSaved: rewriteSaved,
 	}
+	// Every problem clause installed from here on is query growth:
+	// batch blockers and cofactor constraints.
+	added := &clauseCounter{Interface: s}
+	s = added
 	dis := make([][]bool, 0, batch)
 	for res.Iterations < maxIter {
 		// Mine a batch of distinct distinguishing inputs. Distinctness
@@ -382,7 +387,7 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 			res.Iterations++
 		}
 	}
-	res.AddedClauses = s.NumProblemClauses() - res.BaseClauses
+	res.AddedClauses = added.n
 	if !res.Converged {
 		return res, nil
 	}
@@ -542,4 +547,29 @@ func (e *aigCof) constrain(s sat.Interface, kv []int, obs []bool) error {
 		}
 	}
 	return nil
+}
+
+// xorClauses adds the 4-clause Tseitin definition t ↔ a ⊕ b to s.
+// Literals may be negative.
+func xorClauses(s sat.Interface, t, a, b int) {
+	s.AddClause(-t, a, b)
+	s.AddClause(-t, -a, -b)
+	s.AddClause(t, -a, b)
+	s.AddClause(t, a, -b)
+}
+
+// clauseCounter is a solver that counts the problem clauses each
+// AddClause call installs. Units and clauses already satisfied at
+// level 0 install none; a clause that revives eliminated variables
+// also counts the clauses restored with them. Later inprocessing
+// deletions are not subtracted.
+type clauseCounter struct {
+	sat.Interface
+	n int
+}
+
+func (c *clauseCounter) AddClause(lits ...int) {
+	before := c.NumProblemClauses()
+	c.Interface.AddClause(lits...)
+	c.n += c.NumProblemClauses() - before
 }

@@ -462,38 +462,47 @@ func splitSimWorkers(simWorkers int, parallel bool, jobs int) int {
 func RunISCAS(ctx context.Context, opt ISCASOptions) ([]ISCASRow, error) {
 	opt = opt.withDefaults()
 	opt.SimWorkers = splitSimWorkers(opt.SimWorkers, opt.Parallel, len(opt.Benchmarks))
-	rows := make([]ISCASRow, len(opt.Benchmarks))
-	var firstErr error
-	var mu sync.Mutex
+	return fanOut(ctx, opt.Benchmarks, opt.Parallel, func(bench string) (ISCASRow, error) {
+		return runOneISCAS(ctx, bench, opt)
+	})
+}
+
+// fanOut runs one row per benchmark, concurrently when parallel. A
+// failed row stays zero. The error is the failure of the lowest-index
+// benchmark, prefixed with its name, or ctx's error when none failed;
+// cancelling ctx stops issuing new benchmarks.
+func fanOut[R any](ctx context.Context, benchmarks []string, parallel bool, run func(bench string) (R, error)) ([]R, error) {
+	rows := make([]R, len(benchmarks))
+	errs := make([]error, len(benchmarks))
 	work := func(bi int) {
 		if ctx.Err() != nil {
 			return
 		}
-		row, err := runOneISCAS(ctx, opt.Benchmarks[bi], opt)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", opt.Benchmarks[bi], err)
+		row, err := run(benchmarks[bi])
+		if err != nil {
+			errs[bi] = fmt.Errorf("%s: %w", benchmarks[bi], err)
 			return
 		}
 		rows[bi] = row
 	}
-	if opt.Parallel {
+	if parallel {
 		var wg sync.WaitGroup
-		for bi := range opt.Benchmarks {
+		for bi := range benchmarks {
 			wg.Add(1)
 			go func(bi int) { defer wg.Done(); work(bi) }(bi)
 		}
 		wg.Wait()
 	} else {
-		for bi := range opt.Benchmarks {
+		for bi := range benchmarks {
 			work(bi)
 		}
 	}
-	if err := ctx.Err(); err != nil && firstErr == nil {
-		firstErr = err
+	for _, err := range errs {
+		if err != nil {
+			return rows, err
+		}
 	}
-	return rows, firstErr
+	return rows, ctx.Err()
 }
 
 func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions) (ISCASRow, error) {
@@ -616,38 +625,9 @@ func (o Fig5Options) withDefaults() Fig5Options {
 // stops issuing new benchmarks and interrupts running flows.
 func RunFig5(ctx context.Context, opt Fig5Options) ([]Fig5Row, error) {
 	opt = opt.withDefaults()
-	rows := make([]Fig5Row, len(opt.Benchmarks))
-	var firstErr error
-	var mu sync.Mutex
-	work := func(bi int) {
-		if ctx.Err() != nil {
-			return
-		}
-		row, err := runOneFig5(ctx, opt.Benchmarks[bi], opt)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", opt.Benchmarks[bi], err)
-			return
-		}
-		rows[bi] = row
-	}
-	if opt.Parallel {
-		var wg sync.WaitGroup
-		for bi := range opt.Benchmarks {
-			wg.Add(1)
-			go func(bi int) { defer wg.Done(); work(bi) }(bi)
-		}
-		wg.Wait()
-	} else {
-		for bi := range opt.Benchmarks {
-			work(bi)
-		}
-	}
-	if err := ctx.Err(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return rows, firstErr
+	return fanOut(ctx, opt.Benchmarks, opt.Parallel, func(bench string) (Fig5Row, error) {
+		return runOneFig5(ctx, bench, opt)
+	})
 }
 
 func runOneFig5(ctx context.Context, bench string, opt Fig5Options) (Fig5Row, error) {

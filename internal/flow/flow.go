@@ -59,10 +59,6 @@ type Config struct {
 	// prefilter, large-design equivalence runs, HD/OER tables — are
 	// bit-identical at every width, so this is a pure speed knob.
 	SimWidth int
-	// LECLegacyEncoder routes the Fig. 3 LEC step through the pre-AIG
-	// Tseitin encoder instead of the strashed AND-inverter graph
-	// (benchmark baseline; the AIG path is the default).
-	LECLegacyEncoder bool
 	// SolverWorkers > 1 backs the Fig. 3 LEC step with a portfolio of
 	// that many diverging SAT solver instances. The portfolio's
 	// time-sliced schedule is deterministic, so every experiment stays
@@ -227,7 +223,6 @@ func verifyEquivalence(ctx context.Context, orig, locked *netlist.Circuit, cfg C
 			Seed:              cfg.Seed,
 			PrefilterPatterns: cfg.LECPrefilterPatterns,
 			SimWidth:          cfg.SimWidth,
-			LegacyEncoder:     cfg.LECLegacyEncoder,
 			PortfolioWorkers:  cfg.SolverWorkers,
 			Solver:            cfg.LECSolver,
 			Stop:              stop,

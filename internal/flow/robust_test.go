@@ -212,3 +212,30 @@ func TestRunITCCancelledFlow(t *testing.T) {
 		t.Errorf("interrupted cell M%d recorded as failed: %v", sl, cerr)
 	}
 }
+
+// TestFanOutFailuresLeaveZeroRows: when several Table III or Fig. 5
+// benchmarks fail under Parallel, every failed row stays zero and the
+// error names the lowest-index failure, whichever finished first.
+func TestFanOutFailuresLeaveZeroRows(t *testing.T) {
+	benches := []string{"nosuch1", "nosuch2"}
+	for i := 0; i < 10; i++ {
+		iscas, err := RunISCAS(context.Background(), ISCASOptions{Benchmarks: benches, Parallel: true})
+		if err == nil || !strings.HasPrefix(err.Error(), "nosuch1: ") {
+			t.Fatalf("RunISCAS error %v, want the nosuch1 failure", err)
+		}
+		for bi, row := range iscas {
+			if !reflect.DeepEqual(row, ISCASRow{}) {
+				t.Fatalf("RunISCAS row %d of a failed benchmark is %+v, want zero", bi, row)
+			}
+		}
+		fig5, err := RunFig5(context.Background(), Fig5Options{Benchmarks: benches, Parallel: true})
+		if err == nil || !strings.HasPrefix(err.Error(), "nosuch1: ") {
+			t.Fatalf("RunFig5 error %v, want the nosuch1 failure", err)
+		}
+		for bi, row := range fig5 {
+			if row != (Fig5Row{}) {
+				t.Fatalf("RunFig5 row %d of a failed benchmark is %+v, want zero", bi, row)
+			}
+		}
+	}
+}

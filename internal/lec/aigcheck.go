@@ -10,13 +10,22 @@ import (
 	"repro/internal/sat"
 )
 
+// sweepWords is the number of 64-pattern words used to bucket internal
+// nodes by simulation signature during SAT sweeping.
+const sweepWords = 4
+
+// sweepBudget caps the conflicts spent on a single sweep probe.
+// Signature collisions (e.g. near-constant nodes) would otherwise turn
+// failed probes into unbounded model searches; a merge that cannot be
+// proven within the budget is simply skipped.
+const sweepBudget = 400
+
 // checkAIG decides equivalence through the AND-inverter-graph layer:
 // both circuits are rewritten into one shared strashed graph (leaves
 // shared by name), so identical cones are already the same literal
 // when the check starts; the remaining candidate equivalences are
-// bucketed by complement-canonical simulation signatures — XNOR-
-// complement equivalences, invisible to the variable-signature sweeper
-// of the plain encoder, land in the same bucket here — and proven with
+// bucketed by complement-canonical simulation signatures — so XNOR-
+// complement equivalences land in the same bucket — and proven with
 // bounded-effort SAT probes whose merges substitute nodes before any
 // further CNF is emitted. Only cones that survive sweeping reach the
 // Tseitin-on-AIG miter.

@@ -141,25 +141,23 @@ func TestPortfolioCheck(t *testing.T) {
 	bad := a.Clone()
 	bad.Gate(bad.GateByName("U13")).Type = netlist.And
 	for _, workers := range []int{2, 4} {
-		for _, legacy := range []bool{false, true} {
-			opt := Options{PrefilterPatterns: -1, PortfolioWorkers: workers, LegacyEncoder: legacy}
-			res, err := Check(a, b, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Equivalent {
-				t.Fatalf("workers=%d legacy=%v: equivalent pair rejected", workers, legacy)
-			}
-			res, err = Check(a, bad, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Equivalent {
-				t.Fatalf("workers=%d legacy=%v: corrupted clone reported equivalent", workers, legacy)
-			}
-			if res.Counterexample == nil {
-				t.Fatalf("workers=%d legacy=%v: SAT path must produce a counterexample", workers, legacy)
-			}
+		opt := Options{PrefilterPatterns: -1, PortfolioWorkers: workers}
+		res, err := Check(a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Equivalent {
+			t.Fatalf("workers=%d: equivalent pair rejected", workers)
+		}
+		res, err = Check(a, bad, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Equivalent {
+			t.Fatalf("workers=%d: corrupted clone reported equivalent", workers)
+		}
+		if res.Counterexample == nil {
+			t.Fatalf("workers=%d: SAT path must produce a counterexample", workers)
 		}
 	}
 }

@@ -35,17 +35,15 @@ func metamorphicSubjects(t *testing.T) []*netlist.Circuit {
 }
 
 // TestMetamorphicSelfEquivalence: every circuit is LEC-equivalent to
-// its own clone, on both the AIG and the legacy path.
+// its own clone.
 func TestMetamorphicSelfEquivalence(t *testing.T) {
 	for i, c := range metamorphicSubjects(t) {
-		for _, opt := range []Options{{PrefilterPatterns: -1}, {PrefilterPatterns: -1, LegacyEncoder: true}} {
-			res, err := Check(c, c.Clone(), opt)
-			if err != nil {
-				t.Fatalf("subject %d (legacy=%v): %v", i, opt.LegacyEncoder, err)
-			}
-			if !res.Equivalent {
-				t.Fatalf("subject %d (legacy=%v): circuit not equivalent to its clone", i, opt.LegacyEncoder)
-			}
+		res, err := Check(c, c.Clone(), Options{PrefilterPatterns: -1})
+		if err != nil {
+			t.Fatalf("subject %d: %v", i, err)
+		}
+		if !res.Equivalent {
+			t.Fatalf("subject %d: circuit not equivalent to its clone", i)
 		}
 	}
 }

@@ -153,6 +153,24 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 			return nil
 		}
 
+		// Two compiled passes over the region: the good circuit, and
+		// the faulty one, which re-evaluates the forward shadow with
+		// the fault net held at v.
+		good, err := sim.CompileCone(c, regionOrder)
+		if err != nil {
+			return nil
+		}
+		shadow := make([]netlist.GateID, 0, len(fwd))
+		for _, id := range regionOrder {
+			if id != f.Net && fwd[id] {
+				shadow = append(shadow, id)
+			}
+		}
+		faulty, err := sim.CompileCone(c, shadow)
+		if err != nil {
+			return nil
+		}
+
 		words := (size + 63) / 64
 		goodTT = make([][]uint64, len(boundary))
 		faultyTT = make([][]uint64, len(boundary))
@@ -167,19 +185,13 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 			for i, s := range support {
 				nets[s] = forced[i]
 			}
-			for _, id := range regionOrder {
-				sim.EvalGateWord(c, id, nets)
-			}
+			good.Eval(nets)
 			actTT[ch] = nets[f.Net] ^ vWord
 			for bi, b := range boundary {
 				goodTT[bi][ch] = nets[b]
 			}
 			nets[f.Net] = vWord
-			for _, id := range regionOrder {
-				if id != f.Net && fwd[id] {
-					sim.EvalGateWord(c, id, nets)
-				}
-			}
+			faulty.Eval(nets)
 			for bi, b := range boundary {
 				switch {
 				case b == f.Net:
@@ -419,6 +431,10 @@ func backwardKeyBits(c *netlist.Circuit, f atpg.Fault, regionSet map[netlist.Gat
 		}
 	}
 	slices.SortFunc(order, func(a, b netlist.GateID) int { return cmp.Compare(topoPos[a], topoPos[b]) })
+	cone, err := sim.CompileCone(c, order)
+	if err != nil {
+		return -1
+	}
 	var vWord uint64
 	if f.StuckAt {
 		vWord = ^uint64(0)
@@ -432,9 +448,7 @@ func backwardKeyBits(c *netlist.Circuit, f atpg.Fault, regionSet map[netlist.Gat
 		for i, s := range support {
 			nets[s] = forced[i]
 		}
-		for _, id := range order {
-			sim.EvalGateWord(c, id, nets)
-		}
+		cone.Eval(nets)
 		w := (nets[f.Net] ^ vWord) & mask
 		if len(act)+popcount(w) > opt.MaxActOnSet {
 			return -1

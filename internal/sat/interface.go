@@ -1,7 +1,7 @@
 package sat
 
 // Interface is the incremental-solver surface shared by a single Solver
-// and a Portfolio. The LEC encoders, the AIG emitter, and the SAT
+// and a Portfolio. The LEC checker, the AIG emitter, and the SAT
 // attack are written against it, so a portfolio of diverging solver
 // instances is a drop-in replacement for one solver wherever the model
 // (not the search order) is what matters.

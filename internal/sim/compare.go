@@ -314,153 +314,3 @@ func ActivityOpt(c *netlist.Circuit, opt ActivityOptions) ([]float64, error) {
 	}
 	return act, nil
 }
-
-// TruthTable evaluates the value of net target under all 2^n
-// assignments of the given support signals, overriding their simulated
-// values. The support size must be at most 16; the result has one bool
-// per assignment (minterm index encodes support values, bit i =
-// support[i]). All other sources are held at zero, which is sound
-// because target must depend only on the support (callers pass the
-// frontier of a bounded cone).
-func TruthTable(c *netlist.Circuit, target netlist.GateID, support []netlist.GateID) ([]bool, error) {
-	if len(support) > 16 {
-		return nil, fmt.Errorf("sim: truth table over %d supports", len(support))
-	}
-	e, err := NewEvaluator(c)
-	if err != nil {
-		return nil, err
-	}
-	n := len(support)
-	size := 1 << n
-	res := make([]bool, size)
-	in := make([]uint64, len(c.Inputs()))
-	st := make([]uint64, len(c.DFFs()))
-	nets := e.NewNetBuffer()
-	// Evaluate in 64-pattern chunks; support values are forced by
-	// overwriting the net buffer entries in topological order. Since
-	// support signals may be internal nets, we re-run evaluation with a
-	// hook: copy forced words after sources but before dependent gates.
-	// The simplest sound approach re-evaluates the full circuit with a
-	// modified evaluator; we instead evaluate cone-locally below.
-	cone := dependentCone(c, target, support)
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	// Base evaluation once (non-forced sources at zero); per chunk only
-	// the forced supports and the cone gates change.
-	e.Eval(in, st, nets)
-	forced := make([]uint64, n)
-	chunks := (size + 63) / 64
-	for ch := 0; ch < chunks; ch++ {
-		ExhaustiveWords(forced, n, ch)
-		for i, s := range support {
-			nets[s] = forced[i]
-		}
-		// Re-evaluate only gates strictly inside the cone.
-		for _, id := range order {
-			if !cone[id] || containsGate(support, id) {
-				continue
-			}
-			evalOne(c, id, nets)
-		}
-		v := nets[target]
-		for b := 0; b < 64 && ch*64+b < size; b++ {
-			res[ch*64+b] = v>>uint(b)&1 == 1
-		}
-	}
-	return res, nil
-}
-
-// dependentCone returns the gates between the support frontier and the
-// target (target included, support excluded). The traversal is an
-// iterative worklist: deep ITC'99 cones would overflow the goroutine
-// stack under recursion.
-func dependentCone(c *netlist.Circuit, target netlist.GateID, support []netlist.GateID) map[netlist.GateID]bool {
-	stop := make(map[netlist.GateID]bool, len(support))
-	for _, s := range support {
-		stop[s] = true
-	}
-	cone := make(map[netlist.GateID]bool)
-	work := []netlist.GateID{target}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		if cone[id] || stop[id] {
-			continue
-		}
-		cone[id] = true
-		if c.Gate(id).Type == netlist.DFF {
-			continue
-		}
-		work = append(work, c.Gate(id).Fanin...)
-	}
-	return cone
-}
-
-func containsGate(ids []netlist.GateID, id netlist.GateID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-// EvalGateWord recomputes a single gate's 64-pattern word from the net
-// buffer in place (sources keep their buffer value). Exposed for
-// region-local evaluation in the ATPG and locking packages.
-func EvalGateWord(c *netlist.Circuit, id netlist.GateID, nets []uint64) {
-	evalOne(c, id, nets)
-}
-
-// evalOne recomputes a single gate's word from the net buffer.
-func evalOne(c *netlist.Circuit, id netlist.GateID, nets []uint64) {
-	g := c.Gate(id)
-	var v uint64
-	switch g.Type {
-	case netlist.Input, netlist.DFF:
-		return // sources keep their buffer value
-	case netlist.TieHi:
-		v = ^uint64(0)
-	case netlist.TieLo:
-		v = 0
-	case netlist.Buf, netlist.Output:
-		v = nets[g.Fanin[0]]
-	case netlist.Not:
-		v = ^nets[g.Fanin[0]]
-	case netlist.And:
-		v = ^uint64(0)
-		for _, f := range g.Fanin {
-			v &= nets[f]
-		}
-	case netlist.Nand:
-		v = ^uint64(0)
-		for _, f := range g.Fanin {
-			v &= nets[f]
-		}
-		v = ^v
-	case netlist.Or:
-		for _, f := range g.Fanin {
-			v |= nets[f]
-		}
-	case netlist.Nor:
-		for _, f := range g.Fanin {
-			v |= nets[f]
-		}
-		v = ^v
-	case netlist.Xor:
-		for _, f := range g.Fanin {
-			v ^= nets[f]
-		}
-	case netlist.Xnor:
-		for _, f := range g.Fanin {
-			v ^= nets[f]
-		}
-		v = ^v
-	case netlist.Mux:
-		s := nets[g.Fanin[0]]
-		v = (^s & nets[g.Fanin[1]]) | (s & nets[g.Fanin[2]])
-	}
-	nets[id] = v
-}

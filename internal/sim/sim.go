@@ -27,8 +27,13 @@ type Evaluator struct {
 	c      *netlist.Circuit
 	nIn    int
 	nState int
-	// ops is the evaluation plan in topological order; fanins is the
-	// flat operand pool that the wide (≥3-input) ops index into.
+	plan
+}
+
+// plan is a compiled gate list: ops in evaluation order plus the flat
+// operand pool that the Mux and wide (≥3-input) ops index into.
+// Evaluator and Cone both run theirs through evalPlan.
+type plan struct {
 	ops    []evalOp
 	fanins []int32
 }
@@ -79,52 +84,89 @@ func NewEvaluator(c *netlist.Circuit) (*Evaluator, error) {
 		c:      c,
 		nIn:    len(c.Inputs()),
 		nState: len(c.DFFs()),
-		ops:    make([]evalOp, 0, len(order)),
+		plan:   plan{ops: make([]evalOp, 0, len(order))},
 	}
-	inPos := make(map[netlist.GateID]int32, e.nIn)
+	// Input and flip-flop IDs are disjoint, so one map holds both
+	// position vectors.
+	pos := make(map[netlist.GateID]int32, e.nIn+e.nState)
 	for i, id := range c.Inputs() {
-		inPos[id] = int32(i)
+		pos[id] = int32(i)
 	}
-	statePos := make(map[netlist.GateID]int32, e.nState)
 	for i, id := range c.DFFs() {
-		statePos[id] = int32(i)
+		pos[id] = int32(i)
 	}
 	for _, id := range order {
-		g := c.Gate(id)
-		op := evalOp{out: int32(id)}
-		switch g.Type {
-		case netlist.Input:
-			op.op, op.a = opInput, inPos[id]
-		case netlist.DFF:
-			op.op, op.a = opState, statePos[id]
-		case netlist.TieHi:
-			op.op = opTieHi
-		case netlist.TieLo:
-			op.op = opTieLo
-		case netlist.Buf, netlist.Output:
-			op.op, op.a = opBuf, int32(g.Fanin[0])
-		case netlist.Not:
-			op.op, op.a = opNot, int32(g.Fanin[0])
-		case netlist.Mux:
-			op.op, op.a = opMux, int32(len(e.fanins))
-			for _, f := range g.Fanin {
-				e.fanins = append(e.fanins, int32(f))
-			}
-		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor:
-			op = compileNary(e, g, op)
-		default:
-			return nil, fmt.Errorf("sim: gate %d has unknown type %v", id, g.Type)
+		if err := e.compileGate(c, id, pos); err != nil {
+			return nil, err
 		}
-		e.ops = append(e.ops, op)
 	}
 	return e, nil
+}
+
+// Cone is a compiled plan for a subset of one circuit's gates. It
+// re-evaluates part of a net buffer in place, for example after the
+// caller has forced some nets to chosen values.
+type Cone struct{ plan }
+
+// CompileCone compiles the gates ids, which must be in topological
+// order, for Cone.Eval. Sources (inputs, flip-flops and TIE cells) are
+// skipped, so they keep their buffer value.
+func CompileCone(c *netlist.Circuit, ids []netlist.GateID) (*Cone, error) {
+	k := &Cone{plan{ops: make([]evalOp, 0, len(ids))}}
+	for _, id := range ids {
+		if c.Gate(id).Type.IsSource() {
+			continue
+		}
+		if err := k.compileGate(c, id, nil); err != nil {
+			return nil, err
+		}
+	}
+	return k, nil
+}
+
+// Eval recomputes the cone's gates, in order, from the 64-pattern net
+// buffer nets (one word per net ID) and writes them back into it.
+func (k *Cone) Eval(nets []uint64) {
+	evalPlan(&k.plan, nil, nil, lanesOf[[1]uint64](nets))
+}
+
+// compileGate appends the op that evaluates gate id. pos gives the
+// input or flip-flop position of source gates.
+func (p *plan) compileGate(c *netlist.Circuit, id netlist.GateID, pos map[netlist.GateID]int32) error {
+	g := c.Gate(id)
+	op := evalOp{out: int32(id)}
+	switch g.Type {
+	case netlist.Input:
+		op.op, op.a = opInput, pos[id]
+	case netlist.DFF:
+		op.op, op.a = opState, pos[id]
+	case netlist.TieHi:
+		op.op = opTieHi
+	case netlist.TieLo:
+		op.op = opTieLo
+	case netlist.Buf, netlist.Output:
+		op.op, op.a = opBuf, int32(g.Fanin[0])
+	case netlist.Not:
+		op.op, op.a = opNot, int32(g.Fanin[0])
+	case netlist.Mux:
+		op.op, op.a = opMux, int32(len(p.fanins))
+		for _, f := range g.Fanin {
+			p.fanins = append(p.fanins, int32(f))
+		}
+	case netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor:
+		op = p.compileNary(g, op)
+	default:
+		return fmt.Errorf("sim: gate %d has unknown type %v", id, g.Type)
+	}
+	p.ops = append(p.ops, op)
+	return nil
 }
 
 // compileNary lowers an associative gate to its specialized opcode:
 // degenerate arities collapse to constants or inverters (matching the
 // identity element of the generic fold), 2-input gates inline both
 // fanins, and wider gates fall back to the fanin pool.
-func compileNary(e *Evaluator, g *netlist.Gate, op evalOp) evalOp {
+func (p *plan) compileNary(g *netlist.Gate, op evalOp) evalOp {
 	var two, n opcode
 	inverted := false
 	switch g.Type {
@@ -166,9 +208,9 @@ func compileNary(e *Evaluator, g *netlist.Gate, op evalOp) evalOp {
 	case 2:
 		op.op, op.a, op.b = two, int32(g.Fanin[0]), int32(g.Fanin[1])
 	default:
-		op.op, op.a, op.b = n, int32(len(e.fanins)), int32(len(g.Fanin))
+		op.op, op.a, op.b = n, int32(len(p.fanins)), int32(len(g.Fanin))
 		for _, f := range g.Fanin {
-			e.fanins = append(e.fanins, int32(f))
+			p.fanins = append(p.fanins, int32(f))
 		}
 	}
 	return op
@@ -193,7 +235,7 @@ func (e *Evaluator) NewNetBuffer() []uint64 { return make([]uint64, e.c.NumIDs()
 // value of every net. Eval is the width-1 instantiation of the wide
 // kernel; see EvalWide.
 func (e *Evaluator) Eval(in, state, nets []uint64) {
-	evalPlan(e, lanesOf[[1]uint64](in), lanesOf[[1]uint64](state), lanesOf[[1]uint64](nets))
+	evalPlan(&e.plan, lanesOf[[1]uint64](in), lanesOf[[1]uint64](state), lanesOf[[1]uint64](nets))
 }
 
 // OutputWords extracts the primary output values from a net buffer, in

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 	"testing"
 	"testing/quick"
@@ -314,42 +315,153 @@ func TestExhaustiveWordsCoverAllPatterns(t *testing.T) {
 	}
 }
 
-func TestTruthTableOnPIs(t *testing.T) {
-	c := c17(t)
-	u12 := c.GateByName("U12")
-	sup := c.Support(u12)
-	tt, err := TruthTable(c, u12, sup)
+// coneOrder returns the gates of cone in topological order.
+func coneOrder(t *testing.T, c *netlist.Circuit, cone map[netlist.GateID]bool) []netlist.GateID {
+	t.Helper()
+	order, err := c.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tt) != 1<<len(sup) {
-		t.Fatalf("table size %d", len(tt))
+	var ids []netlist.GateID
+	for _, id := range order {
+		if cone[id] {
+			ids = append(ids, id)
+		}
 	}
-	// Validate a few entries against the reference model. Support is
-	// sorted by ID = declaration order I1..I4 (I5 not in U12's cone).
-	for m := 0; m < len(tt); m++ {
+	return ids
+}
+
+func TestConeOnPIs(t *testing.T) {
+	c := c17(t)
+	u12 := c.GateByName("U12")
+	sup := c.Support(u12)
+	// The cone includes the primary inputs, which it must leave at
+	// their forced values.
+	k, err := CompileCone(c, coneOrder(t, c, c.TransitiveFanin(u12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced := make([]uint64, len(sup))
+	ExhaustiveWords(forced, len(sup), 0)
+	nets := make([]uint64, c.NumIDs())
+	for i, s := range sup {
+		nets[s] = forced[i]
+	}
+	k.Eval(nets)
+	// Support is sorted by ID = declaration order I1..I4 (I5 not in
+	// U12's cone).
+	for m := 0; m < 1<<len(sup); m++ {
 		get := func(i int) bool { return m>>uint(i)&1 == 1 }
 		o1, _ := refC17(get(0), get(1), get(2), get(3), false)
-		if tt[m] != o1 {
-			t.Fatalf("minterm %d: table=%v ref=%v", m, tt[m], o1)
+		if got := nets[u12]>>uint(m)&1 == 1; got != o1 {
+			t.Fatalf("minterm %d: cone=%v ref=%v", m, got, o1)
 		}
 	}
 }
 
-func TestTruthTableOnInternalFrontier(t *testing.T) {
+func TestConeOnInternalFrontier(t *testing.T) {
 	c := c17(t)
 	u12 := c.GateByName("U12")
 	// Depth-1 cone: frontier is {U8, U10}; U12 = NAND(U8, U10).
-	_, frontier := c.BoundedCone(u12, 1)
-	tt, err := TruthTable(c, u12, frontier)
+	cone, frontier := c.BoundedCone(u12, 1)
+	k, err := CompileCone(c, coneOrder(t, c, cone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []bool{true, true, true, false} // NAND truth table
-	// Frontier order is ascending ID: U8 (earlier) then U10.
-	for m, w := range want {
-		if tt[m] != w {
-			t.Fatalf("minterm %d: got %v want %v (table %v)", m, tt[m], w, tt)
+	forced := make([]uint64, len(frontier))
+	ExhaustiveWords(forced, len(frontier), 0)
+	nets := make([]uint64, c.NumIDs())
+	for i, s := range frontier {
+		nets[s] = forced[i]
+	}
+	k.Eval(nets)
+	// Frontier order is ascending ID: U8 (earlier) then U10, so the
+	// four minterms read the NAND truth table.
+	if got := nets[u12] & 0xf; got != 0b0111 {
+		t.Fatalf("U12 over the frontier = %04b, want 0111", got)
+	}
+}
+
+// TestConeGateSemantics pins every gate a cone compiles against
+// hand-computed words: And…Xnor at 0 to 3 fanins (degenerate arities
+// fold to the identity element or its complement), Not, Buf, Mux, and
+// the sources, which a cone leaves at their buffer value.
+func TestConeGateSemantics(t *testing.T) {
+	const (
+		av   = 0xaaaaaaaaaaaaaaaa
+		bv   = 0xcccccccccccccccc
+		sv   = 0xf0f0f0f0f0f0f0f0
+		ones = ^uint64(0)
+		junk = 0x0123456789abcdef
+	)
+	c := netlist.New("cone")
+	a := c.MustAdd("a", netlist.Input)
+	b := c.MustAdd("b", netlist.Input)
+	s := c.MustAdd("s", netlist.Input)
+	q := c.MustAdd("q", netlist.DFF, a)
+	hi := c.MustAdd("hi", netlist.TieHi)
+	lo := c.MustAdd("lo", netlist.TieLo)
+	cases := []struct {
+		ty    netlist.GateType
+		fanin []netlist.GateID
+		want  uint64
+	}{
+		{netlist.And, nil, ones},
+		{netlist.Nand, nil, 0},
+		{netlist.Or, nil, 0},
+		{netlist.Nor, nil, ones},
+		{netlist.Xor, nil, 0},
+		{netlist.Xnor, nil, ones},
+		{netlist.And, []netlist.GateID{a}, av},
+		{netlist.Nand, []netlist.GateID{a}, 0x5555555555555555},
+		{netlist.Or, []netlist.GateID{a}, av},
+		{netlist.Nor, []netlist.GateID{a}, 0x5555555555555555},
+		{netlist.Xor, []netlist.GateID{a}, av},
+		{netlist.Xnor, []netlist.GateID{a}, 0x5555555555555555},
+		{netlist.And, []netlist.GateID{a, b}, 0x8888888888888888},
+		{netlist.Nand, []netlist.GateID{a, b}, 0x7777777777777777},
+		{netlist.Or, []netlist.GateID{a, b}, 0xeeeeeeeeeeeeeeee},
+		{netlist.Nor, []netlist.GateID{a, b}, 0x1111111111111111},
+		{netlist.Xor, []netlist.GateID{a, b}, 0x6666666666666666},
+		{netlist.Xnor, []netlist.GateID{a, b}, 0x9999999999999999},
+		{netlist.And, []netlist.GateID{a, b, s}, 0x8080808080808080},
+		{netlist.Nand, []netlist.GateID{a, b, s}, 0x7f7f7f7f7f7f7f7f},
+		{netlist.Or, []netlist.GateID{a, b, s}, 0xfefefefefefefefe},
+		{netlist.Nor, []netlist.GateID{a, b, s}, 0x0101010101010101},
+		{netlist.Xor, []netlist.GateID{a, b, s}, 0x9696969696969696},
+		{netlist.Xnor, []netlist.GateID{a, b, s}, 0x6969696969696969},
+		{netlist.Not, []netlist.GateID{a}, 0x5555555555555555},
+		{netlist.Buf, []netlist.GateID{b}, bv},
+		{netlist.Mux, []netlist.GateID{s, a, b}, 0xcacacacacacacaca},
+	}
+	ids := []netlist.GateID{a, b, s, q, hi, lo}
+	for i, tc := range cases {
+		// AddGate enforces the netlist arity rules; the degenerate
+		// arities are set on the gate afterwards.
+		fan := tc.fanin
+		if len(fan) < 2 && tc.ty != netlist.Not && tc.ty != netlist.Buf {
+			fan = []netlist.GateID{a, b}
+		}
+		id := c.MustAdd(fmt.Sprintf("g%d", i), tc.ty, fan...)
+		c.Gate(id).Fanin = tc.fanin
+		ids = append(ids, id)
+	}
+	k, err := CompileCone(c, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := make([]uint64, c.NumIDs())
+	nets[a], nets[b], nets[s] = av, bv, sv
+	nets[q], nets[hi], nets[lo] = junk, junk, junk
+	k.Eval(nets)
+	for _, src := range []netlist.GateID{q, hi, lo} {
+		if nets[src] != junk {
+			t.Errorf("source %s: got %016x, want its buffer value %016x", c.Gate(src).Name, nets[src], uint64(junk))
+		}
+	}
+	for i, tc := range cases {
+		if got := nets[ids[6+i]]; got != tc.want {
+			t.Errorf("%v with %d fanins: got %016x want %016x", tc.ty, len(tc.fanin), got, tc.want)
 		}
 	}
 }

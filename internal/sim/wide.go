@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"unsafe"
-
-	"repro/internal/netlist"
 )
 
 // MaxWidth is the largest supported simulation width, in 64-pattern
@@ -68,13 +66,13 @@ func lanesOf[W lanes](buf []uint64) []W {
 	return unsafe.Slice((*W)(unsafe.Pointer(&buf[0])), len(buf)/w)
 }
 
-// evalPlan runs the compiled plan over W-word net values. It is the
-// single source of truth for gate semantics at every width; Eval and
-// EvalWide are thin dispatchers over its instantiations.
-func evalPlan[W lanes](e *Evaluator, in, state, nets []W) {
-	fan := e.fanins
-	for i := range e.ops {
-		op := &e.ops[i]
+// evalPlan runs a compiled plan over W-word net values. It is the
+// single source of truth for gate semantics at every width; Eval,
+// EvalWide and Cone.Eval are thin dispatchers over its instantiations.
+func evalPlan[W lanes](p *plan, in, state, nets []W) {
+	fan := p.fanins
+	for i := range p.ops {
+		op := &p.ops[i]
 		var v W
 		switch op.op {
 		case opInput:
@@ -206,11 +204,11 @@ func (e *Evaluator) NewWideNetBuffer(w int) []uint64 {
 func (e *Evaluator) EvalWide(w int, in, state, nets []uint64) {
 	switch w {
 	case 1:
-		evalPlan(e, lanesOf[[1]uint64](in), lanesOf[[1]uint64](state), lanesOf[[1]uint64](nets))
+		evalPlan(&e.plan, lanesOf[[1]uint64](in), lanesOf[[1]uint64](state), lanesOf[[1]uint64](nets))
 	case 4:
-		evalPlan(e, lanesOf[[4]uint64](in), lanesOf[[4]uint64](state), lanesOf[[4]uint64](nets))
+		evalPlan(&e.plan, lanesOf[[4]uint64](in), lanesOf[[4]uint64](state), lanesOf[[4]uint64](nets))
 	case 8:
-		evalPlan(e, lanesOf[[8]uint64](in), lanesOf[[8]uint64](state), lanesOf[[8]uint64](nets))
+		evalPlan(&e.plan, lanesOf[[8]uint64](in), lanesOf[[8]uint64](state), lanesOf[[8]uint64](nets))
 	default:
 		panic(fmt.Sprintf("sim: unsupported width %d", w))
 	}
@@ -245,88 +243,6 @@ func (e *Evaluator) NextStateWordsWide(w int, nets, dst []uint64) []uint64 {
 		copy(dst[i*w:(i+1)*w], nets[d*w:])
 	}
 	return dst
-}
-
-// EvalConeWide recomputes the stride-w lanes of the given gates, in
-// order, from a wide net buffer. Sources (inputs, flip-flops, ties)
-// keep their buffer value. Callers pass a topologically sorted fanout
-// cone; the width dispatch happens once per cone, so the per-gate inner
-// loops stay width-specialized. Used by fault simulation, where each
-// fault re-evaluates its cone against a forced net value.
-func EvalConeWide(c *netlist.Circuit, cone []netlist.GateID, w int, nets []uint64) {
-	switch w {
-	case 1:
-		evalCone(c, cone, lanesOf[[1]uint64](nets))
-	case 4:
-		evalCone(c, cone, lanesOf[[4]uint64](nets))
-	case 8:
-		evalCone(c, cone, lanesOf[[8]uint64](nets))
-	default:
-		panic(fmt.Sprintf("sim: unsupported width %d", w))
-	}
-}
-
-func evalCone[W lanes](c *netlist.Circuit, cone []netlist.GateID, nets []W) {
-	for _, id := range cone {
-		g := c.Gate(id)
-		var v W
-		switch g.Type {
-		case netlist.Input, netlist.DFF, netlist.TieHi, netlist.TieLo:
-			continue // sources and constants keep their buffer value
-		case netlist.Buf, netlist.Output:
-			v = nets[g.Fanin[0]]
-		case netlist.Not:
-			x := nets[g.Fanin[0]]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^x[k]
-			}
-		case netlist.And, netlist.Nand:
-			for k := 0; k < len(v); k++ {
-				v[k] = ^uint64(0)
-			}
-			for _, f := range g.Fanin {
-				x := nets[f]
-				for k := 0; k < len(v); k++ {
-					v[k] &= x[k]
-				}
-			}
-			if g.Type == netlist.Nand {
-				for k := 0; k < len(v); k++ {
-					v[k] = ^v[k]
-				}
-			}
-		case netlist.Or, netlist.Nor:
-			for _, f := range g.Fanin {
-				x := nets[f]
-				for k := 0; k < len(v); k++ {
-					v[k] |= x[k]
-				}
-			}
-			if g.Type == netlist.Nor {
-				for k := 0; k < len(v); k++ {
-					v[k] = ^v[k]
-				}
-			}
-		case netlist.Xor, netlist.Xnor:
-			for _, f := range g.Fanin {
-				x := nets[f]
-				for k := 0; k < len(v); k++ {
-					v[k] ^= x[k]
-				}
-			}
-			if g.Type == netlist.Xnor {
-				for k := 0; k < len(v); k++ {
-					v[k] = ^v[k]
-				}
-			}
-		case netlist.Mux:
-			s, d0, d1 := nets[g.Fanin[0]], nets[g.Fanin[1]], nets[g.Fanin[2]]
-			for k := 0; k < len(v); k++ {
-				v[k] = (^s[k] & d0[k]) | (s[k] & d1[k])
-			}
-		}
-		nets[id] = v
-	}
 }
 
 // WideRand generates w parallel splitmix64 stimulus streams, one per

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -29,28 +30,28 @@ func randCircuit(tb testing.TB, seed uint64, nGates int) *netlist.Circuit {
 		ids = append(ids, q)
 	}
 	ids = append(ids, c.MustAdd("th", netlist.TieHi), c.MustAdd("tl", netlist.TieLo))
-	types := []netlist.GateType{
-		netlist.And, netlist.Nand, netlist.Or, netlist.Nor,
-		netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf, netlist.Mux,
+	// Fanin count per type; 0 draws 2..4 fanins, which covers both the
+	// inlined 2-input opcodes and the N-ary fanin-pool fallback.
+	types := []struct {
+		ty    netlist.GateType
+		fanin int
+	}{
+		{netlist.And, 0}, {netlist.Nand, 0}, {netlist.Or, 0}, {netlist.Nor, 0},
+		{netlist.Xor, 0}, {netlist.Xnor, 0}, {netlist.Not, 1}, {netlist.Buf, 1},
+		{netlist.Mux, 3},
 	}
 	pick := func() netlist.GateID { return ids[rng.Intn(len(ids))] }
 	for i := 0; i < nGates; i++ {
 		ty := types[rng.Intn(len(types))]
-		var fan []netlist.GateID
-		switch ty {
-		case netlist.Not, netlist.Buf:
-			fan = []netlist.GateID{pick()}
-		case netlist.Mux:
-			fan = []netlist.GateID{pick(), pick(), pick()}
-		default:
-			// 2..4 fanins covers both the inlined 2-input opcodes and
-			// the N-ary fanin-pool fallback.
-			n := 2 + rng.Intn(3)
-			for k := 0; k < n; k++ {
-				fan = append(fan, pick())
-			}
+		n := ty.fanin
+		if n == 0 {
+			n = 2 + rng.Intn(3)
 		}
-		ids = append(ids, c.MustAdd(fmt.Sprintf("g%d", i), ty, fan...))
+		var fan []netlist.GateID
+		for k := 0; k < n; k++ {
+			fan = append(fan, pick())
+		}
+		ids = append(ids, c.MustAdd(fmt.Sprintf("g%d", i), ty.ty, fan...))
 	}
 	for i, q := range dffs {
 		if err := c.SetFanin(q, 0, ids[len(ids)-1-i]); err != nil {
@@ -233,24 +234,29 @@ func TestActivityStopPropagatesError(t *testing.T) {
 	}
 }
 
-func TestTruthTableDeepChain(t *testing.T) {
-	// A 100001-deep inverter chain: the recursive dependentCone this
-	// replaced would push one stack frame per gate.
+func TestConeDeepChain(t *testing.T) {
+	// A 100001-deep inverter chain compiles into one flat plan: no
+	// recursion anywhere on the cone's path.
 	c := netlist.New("deep")
 	in := c.MustAdd("i", netlist.Input)
 	prev := in
 	const depth = 100001
+	chain := make([]netlist.GateID, 0, depth)
 	for i := 0; i < depth; i++ {
 		prev = c.MustAdd(fmt.Sprintf("n%d", i), netlist.Not, prev)
+		chain = append(chain, prev)
 	}
 	c.MustAdd("o", netlist.Output, prev)
-	tt, err := TruthTable(c, prev, []netlist.GateID{in})
+	k, err := CompileCone(c, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nets := make([]uint64, c.NumIDs())
+	nets[in] = 0b10 // pattern 0: in=0, pattern 1: in=1
+	k.Eval(nets)
 	// Odd depth: the chain computes NOT(in).
-	if !tt[0] || tt[1] {
-		t.Fatalf("got tt=%v, want [true false]", tt)
+	if got := nets[prev] & 0b11; got != 0b01 {
+		t.Fatalf("chain output = %02b, want 01", got)
 	}
 }
 
@@ -265,9 +271,54 @@ func TestAutoWidth(t *testing.T) {
 	}
 }
 
+// checkConeKeepsEvalBuffer asserts that re-evaluating topologically
+// ordered cones over a full Eval buffer changes no net: every gate's
+// word already agrees with its fanins, and sources keep their value.
+func checkConeKeepsEvalBuffer(tb testing.TB, c *netlist.Circuit, seed uint64) {
+	tb.Helper()
+	e, err := NewEvaluator(c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	order, err := c.TopoOrder()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := NewRand(seed)
+	in := make([]uint64, len(c.Inputs()))
+	st := make([]uint64, len(c.DFFs()))
+	rng.Fill(in)
+	rng.Fill(st)
+	nets := e.NewNetBuffer()
+	e.Eval(in, st, nets)
+	want := slices.Clone(nets)
+	for trial := 0; trial < 4; trial++ {
+		// Trial 0 takes the whole order; the others a random subset of
+		// it, which is still topologically ordered.
+		var ids []netlist.GateID
+		for _, id := range order {
+			if trial == 0 || rng.Word()&1 == 1 {
+				ids = append(ids, id)
+			}
+		}
+		k, err := CompileCone(c, ids)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		k.Eval(nets)
+		for id := range want {
+			if nets[id] != want[id] {
+				tb.Fatalf("trial %d: net %d (%v) changed from %016x to %016x",
+					trial, id, c.Gate(netlist.GateID(id)).Type, want[id], nets[id])
+			}
+		}
+	}
+}
+
 // FuzzSimWide cross-checks the width-specialized kernels against the
 // 64-bit reference on fuzzer-shaped circuits: every net of every lane
-// must be bit-identical at each supported width.
+// must be bit-identical at each supported width, and compiled cones
+// must agree with the full plan.
 func FuzzSimWide(f *testing.F) {
 	f.Add(uint64(1), uint8(10))
 	f.Add(uint64(42), uint8(100))
@@ -277,5 +328,6 @@ func FuzzSimWide(f *testing.F) {
 		for _, w := range Widths {
 			checkWideMatchesSerial(t, c, w, 9, seed^0xa5a5)
 		}
+		checkConeKeepsEvalBuffer(t, c, seed^0x5a5a)
 	})
 }
