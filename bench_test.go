@@ -761,3 +761,42 @@ func BenchmarkLockingAblation(b *testing.B) {
 		b.ReportMetric(float64(rep.RemovedGates), "gatesRemoved")
 	}
 }
+
+// BenchmarkATPGLock times the ATPG lock splitlockd's daemon-mix jobs
+// pay in Job.Prepare: c880, c1355, c1908 and c3540 at full size and b14
+// x0.1, each locked with a 64- and a 128-bit key (lock seed 4001, the
+// seed-1 M4 derivation). One op is all ten locks. The counters are
+// summed over the ten reports and are deterministic per source tree.
+func BenchmarkATPGLock(b *testing.B) {
+	var designs []*netlist.Circuit
+	for _, d := range []struct {
+		name  string
+		scale float64
+	}{{"c880", 1}, {"c1355", 1}, {"c1908", 1}, {"c3540", 1}, {"b14", 0.1}} {
+		orig, err := bmarks.Load(d.name, d.scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		designs = append(designs, orig)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var applied, removed, padded int
+	for i := 0; i < b.N; i++ {
+		applied, removed, padded = 0, 0, 0
+		for _, orig := range designs {
+			for _, kb := range []int{64, 128} {
+				_, rep, err := locking.ATPGLock(orig, locking.ATPGLockOptions{KeyBits: kb, Seed: 4001})
+				if err != nil {
+					b.Fatal(err)
+				}
+				applied += rep.FaultsApplied
+				removed += rep.RemovedGates
+				padded += rep.PaddedKeyBits
+			}
+		}
+	}
+	b.ReportMetric(float64(applied), "faultsApplied")
+	b.ReportMetric(float64(removed), "removedGates")
+	b.ReportMetric(float64(padded), "paddedKeyBits")
+}

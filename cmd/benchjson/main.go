@@ -9,7 +9,8 @@
 //	go run ./cmd/benchjson -diff old new [-time-tol pct] [-metric-tol pct]
 //
 // The default pattern covers the paper-table benchmarks, the proximity
-// attack kernel and the SAT solver / LEC / SAT-attack benchmarks.
+// attack kernel, the SAT solver / LEC / SAT-attack benchmarks and the
+// ATPG lock.
 // -short restricts the run to the fast solver-core benchmarks (the CI
 // perf smoke), and -guard asserts a custom metric of a named benchmark
 // against a bound — "name:metric<=value" (at most),
@@ -269,7 +270,7 @@ func runDiff(timeTol, metricTol float64, args []string) {
 }
 
 func main() {
-	bench := flag.String("bench", "BenchmarkTable|BenchmarkFig5|BenchmarkCompare1M|BenchmarkProximity|BenchmarkSATSolver|BenchmarkLEC|BenchmarkSATAttack|BenchmarkAIGMiter|BenchmarkPortfolioMiter|BenchmarkPortfolioUNSAT", "benchmark regexp passed to go test -bench")
+	bench := flag.String("bench", "BenchmarkTable|BenchmarkFig5|BenchmarkCompare1M|BenchmarkProximity|BenchmarkSATSolver|BenchmarkLEC|BenchmarkSATAttack|BenchmarkAIGMiter|BenchmarkPortfolioMiter|BenchmarkPortfolioUNSAT|BenchmarkATPGLock", "benchmark regexp passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "value passed to go test -benchtime")
 	pkg := flag.String("pkg", ".", "package to benchmark")
 	out := flag.String("out", ".", "directory for BENCH_<n>.json files")

@@ -11,7 +11,9 @@
 package atpg
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"repro/internal/netlist"
 )
@@ -41,68 +43,69 @@ func (cu Cube) Contains(m uint32) bool { return m&cu.Care == cu.Value&cu.Care }
 // minterm list over n variables. The result is an exact cover: the
 // union of the returned cubes equals the input set. (Primes that
 // participated in a merge are dropped; the merged cube covers them.)
+//
+// Each round keeps its cubes sorted and deduplicated, so a cube's merge
+// partners — the same cube with one care bit flipped from 0 to 1 — are
+// found by binary search: O(L·n·log L) per round instead of comparing
+// all L² pairs. A round packs each cube into one word, Care above
+// Value, which orders the words exactly as compareCubes orders cubes.
 func MergeMinterms(minterms []uint32, n int) []Cube {
 	fullCare := uint32(1<<uint(n)) - 1
 	if n == 0 {
 		fullCare = 0
 	}
-	cur := make(map[Cube]bool, len(minterms))
-	for _, m := range minterms {
-		cur[Cube{Value: m & fullCare, Care: fullCare}] = true
+	cur := make([]uint64, len(minterms))
+	for i, m := range minterms {
+		cur[i] = packCube(Cube{Value: m & fullCare, Care: fullCare})
 	}
+	var next []uint64
 	var result []Cube
+	var used []bool
 	for len(cur) > 0 {
-		merged := make(map[Cube]bool)
-		used := make(map[Cube]bool)
-		list := make([]Cube, 0, len(cur))
-		for cu := range cur {
-			list = append(list, cu)
-		}
-		// Deterministic order for reproducibility.
-		sortCubes(list)
-		for i := 0; i < len(list); i++ {
-			for j := i + 1; j < len(list); j++ {
-				a, b := list[i], list[j]
-				if a.Care != b.Care {
-					continue
+		slices.Sort(cur)
+		cur = slices.Compact(cur)
+		used = append(used[:0], make([]bool, len(cur))...)
+		next = next[:0]
+		for i, k := range cur {
+			a := unpackCube(k)
+			// A cube's Value lies inside its Care, so the care bits at
+			// 0 are Care &^ Value; the partner sets one of them and
+			// sorts after a.
+			for zeros := a.Care &^ a.Value; zeros != 0; zeros &= zeros - 1 {
+				bit := zeros & -zeros
+				if j, ok := slices.BinarySearch(cur[i+1:], k|uint64(bit)); ok {
+					next = append(next, k&^(uint64(bit)<<32))
+					used[i] = true
+					used[i+1+j] = true
 				}
-				diff := (a.Value ^ b.Value) & a.Care
-				if bits.OnesCount32(diff) != 1 {
-					continue
-				}
-				nc := Cube{Value: a.Value &^ diff, Care: a.Care &^ diff}
-				merged[nc] = true
-				used[a] = true
-				used[b] = true
 			}
 		}
-		for _, cu := range list {
-			if !used[cu] {
-				result = append(result, cu)
+		for i, k := range cur {
+			if !used[i] {
+				result = append(result, unpackCube(k))
 			}
 		}
-		cur = merged
+		cur, next = next, cur
 	}
 	// Drop cubes subsumed by larger ones (same cover, fewer key bits).
 	return pruneSubsumed(result)
 }
 
+func packCube(cu Cube) uint64  { return uint64(cu.Care)<<32 | uint64(cu.Value) }
+func unpackCube(k uint64) Cube { return Cube{Value: uint32(k), Care: uint32(k >> 32)} }
+
 func pruneSubsumed(cubes []Cube) []Cube {
-	sortCubes(cubes)
+	slices.SortFunc(cubes, compareCubes)
 	var out []Cube
 	for i, a := range cubes {
 		sub := false
-		for j, b := range cubes {
-			if i == j {
-				continue
-			}
-			// b subsumes a when b's constraints are a subset of a's
-			// and agree on values.
+		// b subsumes a when b's constraints are a subset of a's and
+		// agree on values. A subset Care is numerically no larger, and
+		// the cubes are distinct, so only earlier cubes can subsume.
+		for _, b := range cubes[:i] {
 			if b.Care&^a.Care == 0 && (a.Value^b.Value)&b.Care == 0 {
-				if b.Care != a.Care || j < i {
-					sub = true
-					break
-				}
+				sub = true
+				break
 			}
 		}
 		if !sub {
@@ -112,19 +115,12 @@ func pruneSubsumed(cubes []Cube) []Cube {
 	return out
 }
 
-func sortCubes(cs []Cube) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cubeLess(cs[j], cs[j-1]); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
+// compareCubes orders cubes by Care, then Value.
+func compareCubes(a, b Cube) int {
+	if c := cmp.Compare(a.Care, b.Care); c != 0 {
+		return c
 	}
-}
-
-func cubeLess(a, b Cube) bool {
-	if a.Care != b.Care {
-		return a.Care < b.Care
-	}
-	return a.Value < b.Value
+	return cmp.Compare(a.Value, b.Value)
 }
 
 // CoverExact verifies that the cube list covers exactly the given

@@ -138,23 +138,34 @@ func Run(ctx context.Context, orig *netlist.Circuit, cfg Config) (*Artifacts, er
 
 	// --- Synthesis stage ---
 	cfg.progress("lock", fmt.Sprintf("locking %s (%d gates, %d key bits)", orig.Name, orig.NumGates(), cfg.KeyBits))
+	lk, rep, err := lockDesign(orig, cfg.KeyBits, cfg.Seed, cfg.UseATPGLock)
+	if err != nil {
+		return nil, err
+	}
+	return runLocked(ctx, orig, lk, rep, cfg, start)
+}
+
+// lockDesign is the flow's lock step: the paper's cost-driven ATPG
+// scheme, or plain random locking (which has no report).
+func lockDesign(orig *netlist.Circuit, keyBits int, seed uint64, useATPG bool) (*locking.Locked, *locking.ATPGLockReport, error) {
 	var lk *locking.Locked
 	var rep *locking.ATPGLockReport
 	var err error
-	if cfg.UseATPGLock {
-		lk, rep, err = locking.ATPGLock(orig, locking.ATPGLockOptions{
-			KeyBits: cfg.KeyBits,
-			Seed:    cfg.Seed,
-		})
+	if useATPG {
+		lk, rep, err = locking.ATPGLock(orig, locking.ATPGLockOptions{KeyBits: keyBits, Seed: seed})
 	} else {
-		lk, err = locking.RandomLock(orig, locking.RandomLockOptions{
-			KeyBits: cfg.KeyBits,
-			Seed:    cfg.Seed,
-		})
+		lk, err = locking.RandomLock(orig, locking.RandomLockOptions{KeyBits: keyBits, Seed: seed})
 	}
 	if err != nil {
-		return nil, fmt.Errorf("flow: locking: %w", err)
+		return nil, nil, fmt.Errorf("flow: locking: %w", err)
 	}
+	return lk, rep, nil
+}
+
+// runLocked is Run after the lock step: LEC of lk against orig, then
+// the layout stage. cfg must already carry its defaults; start is when
+// the flow began, for Artifacts.Runtime.
+func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, rep *locking.ATPGLockReport, cfg Config, start time.Time) (*Artifacts, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

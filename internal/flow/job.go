@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/aig"
 	"repro/internal/attack"
@@ -190,6 +191,7 @@ type Job struct {
 	Spec JobSpec
 	orig *netlist.Circuit
 	lk   *locking.Locked
+	rep  *locking.ATPGLockReport // nil for random locking
 	fp   aig.Fingerprint
 }
 
@@ -202,10 +204,11 @@ func NewJob(spec JobSpec) (*Job, error) {
 }
 
 // Prepare loads the benchmark, locks it, and computes the canonical
-// strashed-graph fingerprint — the cheap, deterministic prefix every
+// strashed-graph fingerprint — the deterministic prefix every
 // lock/verify/attack job shares. The daemon runs Prepare before
-// consulting the result cache: jobs whose fingerprints (and
-// result-affecting options) match skip the sweep/SAT/layout work
+// consulting the result cache, unless it remembers the fingerprint of
+// an earlier job with the same PrepareKey: jobs whose fingerprints
+// (and result-affecting options) match skip the sweep/SAT/layout work
 // entirely. Prepare is idempotent and a no-op for table jobs.
 func (j *Job) Prepare(ctx context.Context) error {
 	if j.Spec.Kind == JobTable || j.orig != nil {
@@ -218,20 +221,9 @@ func (j *Job) Prepare(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	var lk *locking.Locked
-	if j.Spec.RandomLock {
-		lk, err = locking.RandomLock(orig, locking.RandomLockOptions{
-			KeyBits: j.Spec.KeyBits,
-			Seed:    j.lockSeed(),
-		})
-	} else {
-		lk, _, err = locking.ATPGLock(orig, locking.ATPGLockOptions{
-			KeyBits: j.Spec.KeyBits,
-			Seed:    j.lockSeed(),
-		})
-	}
+	lk, rep, err := lockDesign(orig, j.Spec.KeyBits, j.lockSeed(), !j.Spec.RandomLock)
 	if err != nil {
-		return fmt.Errorf("flow: locking: %w", err)
+		return err
 	}
 	// Fingerprint both sides of the verification problem over one
 	// shared strashed graph (key TIE cells as free leaves, exactly the
@@ -251,8 +243,19 @@ func (j *Job) Prepare(ctx context.Context) error {
 		return fmt.Errorf("flow: fingerprint: %w", err)
 	}
 	roots := append(obsLits(orig, mo), obsLits(lk.Circuit, ml)...)
-	j.orig, j.lk, j.fp = orig, lk, bld.Fingerprint(roots...)
+	j.orig, j.lk, j.rep, j.fp = orig, lk, rep, bld.Fingerprint(roots...)
 	return nil
+}
+
+// PrepareKey names what Prepare computes: jobs with equal keys load and
+// lock the same design and so get the same Fingerprint. It is "" for
+// table jobs, which Prepare skips.
+func (j *Job) PrepareKey() string {
+	if j.Spec.Kind == JobTable {
+		return ""
+	}
+	s := j.Spec
+	return fmt.Sprintf("%s|x%v|k%d|ls%d|r%t", s.Bench, s.Scale, s.KeyBits, j.lockSeed(), s.RandomLock)
 }
 
 // lockSeed matches the seed derivation of the table sweep's per-cell
@@ -284,12 +287,17 @@ func (j *Job) Fingerprint() aig.Fingerprint { return j.fp }
 // uncacheable jobs. Table jobs are uncacheable (they checkpoint through
 // manifests instead). The key combines the structural fingerprint with
 // every result-affecting option.
-func (j *Job) CacheKey() string {
-	if j.Spec.Kind == JobTable || j.fp.IsZero() {
+func (j *Job) CacheKey() string { return j.CacheKeyFor(j.fp) }
+
+// CacheKeyFor is CacheKey for a job whose fingerprint is fp, known
+// without running Prepare (from an earlier job with the same
+// PrepareKey). It is "" when fp is zero.
+func (j *Job) CacheKeyFor(fp aig.Fingerprint) string {
+	if j.Spec.Kind == JobTable || fp.IsZero() {
 		return ""
 	}
 	s := j.Spec
-	return fmt.Sprintf("%s|%s|l%d|seed%d|p%d|mi%d|sw%d", s.Kind, j.fp, s.SplitLayer, s.Seed, s.Patterns, s.MaxIter, s.SolverWorkers)
+	return fmt.Sprintf("%s|%s|l%d|seed%d|p%d|mi%d|sw%d", s.Kind, fp, s.SplitLayer, s.Seed, s.Patterns, s.MaxIter, s.SolverWorkers)
 }
 
 // LockJobResult summarizes a lock job: the full Fig. 3 flow ran and the
@@ -394,7 +402,10 @@ func (j *Job) runLock(ctx context.Context, rt JobRuntime) (any, error) {
 		return nil, err
 	}
 	defer releaseSolver()
-	art, err := Run(ctx, j.orig, Config{
+	// Prepare already ran the flow's lock step with the flow's seed;
+	// run the rest of the flow on that design.
+	rt.emit("lock", "locked %s in prepare (%d gates, %d key bits)", j.Spec.Bench, j.orig.NumGates(), len(j.lk.KeyBits))
+	cfg := Config{
 		KeyBits:       j.Spec.KeyBits,
 		SplitLayer:    j.Spec.SplitLayer,
 		Seed:          j.lockSeed(),
@@ -403,7 +414,8 @@ func (j *Job) runLock(ctx context.Context, rt JobRuntime) (any, error) {
 		SolverWorkers: j.Spec.SolverWorkers,
 		LECSolver:     solver,
 		Progress:      func(stage, msg string) { rt.emit(stage, "%s", msg) },
-	})
+	}.withDefaults()
+	art, err := runLocked(ctx, j.orig, j.lk, j.rep, cfg, time.Now())
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bmarks"
 	"repro/internal/faultpoint"
 	"repro/internal/runmanifest"
 	"repro/internal/sat"
@@ -141,6 +142,80 @@ func TestJobLockSmoke(t *testing.T) {
 		if !seen {
 			t.Errorf("no %q stage event", s)
 		}
+	}
+}
+
+// TestLockJobMatchesFlowRun: a lock job runs the flow on the design
+// Prepare locked, and its payload is byte-identical to the summary of a
+// fresh Run that locks the design itself, for both locking schemes.
+func TestLockJobMatchesFlowRun(t *testing.T) {
+	for _, random := range []bool{false, true} {
+		spec := JobSpec{Kind: JobLock, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, SplitLayer: 6, RandomLock: random}
+		got, j := runJob(t, spec, JobRuntime{})
+		orig, err := bmarks.Load("c432", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := Run(context.Background(), orig, Config{
+			KeyBits:     16,
+			SplitLayer:  6,
+			Seed:        2 + 6*1000,
+			UseATPGLock: !random,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (art.LockReport == nil) != random || (j.rep == nil) != random {
+			t.Fatalf("random=%v: lock report presence differs from the scheme", random)
+		}
+		want, err := json.Marshal(&LockJobResult{
+			Bench:       "c432",
+			Gates:       orig.NumGates(),
+			LockedGates: art.Locked.Circuit.NumGates(),
+			KeyBits:     len(art.Locked.KeyBits),
+			SplitLayer:  6,
+			Scheme:      art.Locked.Scheme,
+			LECStats:    art.LECStats,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("random=%v: lock job payload differs from flow.Run:\n%s\n%s", random, got, want)
+		}
+	}
+}
+
+// TestJobPrepareKey: jobs that lock the same design share a prepare key
+// whatever their kind; anything that changes the lock changes the key.
+func TestJobPrepareKey(t *testing.T) {
+	base := JobSpec{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2}
+	key := mustJob(t, base).PrepareKey()
+	same := []JobSpec{
+		{Kind: JobLock, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, SplitLayer: 4},
+		{Kind: JobAttack, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, MaxIter: 9, Patterns: 64, SolverWorkers: 2},
+		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 1002, SplitLayer: 3},
+	}
+	for _, s := range same {
+		if got := mustJob(t, s).PrepareKey(); got != key {
+			t.Errorf("%+v: prepare key %q, want %q", s, got, key)
+		}
+	}
+	differ := []JobSpec{
+		{Kind: JobVerify, Bench: "c880", Scale: 1, KeyBits: 16, Seed: 2},
+		{Kind: JobVerify, Bench: "c432", Scale: 0.5, KeyBits: 16, Seed: 2},
+		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 17, Seed: 2},
+		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 3},
+		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, SplitLayer: 6},
+		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, RandomLock: true},
+	}
+	for _, s := range differ {
+		if got := mustJob(t, s).PrepareKey(); got == key {
+			t.Errorf("%+v shares prepare key %q with %+v", s, key, base)
+		}
+	}
+	if got := mustJob(t, JobSpec{Kind: JobTable}).PrepareKey(); got != "" {
+		t.Errorf("table job prepare key %q, want empty", got)
 	}
 }
 

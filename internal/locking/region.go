@@ -112,6 +112,7 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 		boundary    []netlist.GateID
 		goodTT      [][]uint64
 		faultyTT    [][]uint64
+		actTT       []uint64 // activation set: where f.Net computes ¬v, one bit per minterm
 		act         []uint32
 		n, size     int
 	)
@@ -178,7 +179,7 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 			goodTT[i] = make([]uint64, words)
 			faultyTT[i] = make([]uint64, words)
 		}
-		actTT := make([]uint64, words) // where n computes ¬v
+		actTT = make([]uint64, words)
 		forced := make([]uint64, n)
 		for ch := 0; ch < words; ch++ {
 			sim.ExhaustiveWords(forced, n, ch)
@@ -248,11 +249,6 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 	if r.keyBits == 0 {
 		return nil // fault always active: nothing secret to compare
 	}
-	actSet := make(map[uint32]bool, len(act))
-	for _, m := range act {
-		actSet[m] = true
-	}
-
 	anyDiff := false
 	addedArea := 0.0
 	for bi := range boundary {
@@ -274,7 +270,7 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 		var cond []atpg.Cube
 		if len(diff) > 0 {
 			anyDiff = true
-			cond = expandAgainstDC(atpg.MergeMinterms(diff, n), diff, actSet, n)
+			cond = expandAgainstDC(atpg.MergeMinterms(diff, n), diff, actTT, n)
 		}
 		r.cond = append(r.cond, cond)
 		addedArea += sopAreaFromOn(on, n)
@@ -518,19 +514,19 @@ func lowMask(size int) uint64 {
 // long as the cube stays within onSet ∪ dcSet (the classic ESPRESSO
 // expand step with ¬activation as don't-cares). The result still
 // agrees with the diff on the activation set but is typically far
-// smaller — often a single literal.
-func expandAgainstDC(cover []atpg.Cube, onMinterms []uint32, dc map[uint32]bool, n int) []atpg.Cube {
-	onSet := make(map[uint32]bool, len(onMinterms))
+// smaller — often a single literal. act is the activation set as a
+// bitset over the 2^n minterms.
+func expandAgainstDC(cover []atpg.Cube, onMinterms []uint32, act []uint64, n int) []atpg.Cube {
+	onSet := make([]uint64, (1<<uint(n)+63)/64)
 	for _, m := range onMinterms {
-		onSet[m] = true
+		onSet[m/64] |= 1 << (m % 64)
 	}
-	// allowed reports whether every minterm of the cube is in on ∪
-	// ¬act-complement... i.e. on ∪ (everything outside dc)? No: the
-	// don't-care set is the complement of the activation set, so a
-	// cube is allowed when each of its minterms is either a diff
-	// minterm or outside the activation set.
+	free := make([]int, 0, n)
+	// allowed reports whether each minterm of the cube is either a diff
+	// minterm or outside the activation set (the don't-care set is the
+	// activation set's complement).
 	allowed := func(cu atpg.Cube) bool {
-		free := []int{}
+		free = free[:0]
 		for j := 0; j < n; j++ {
 			if cu.Care>>uint(j)&1 == 0 {
 				free = append(free, j)
@@ -546,7 +542,7 @@ func expandAgainstDC(cover []atpg.Cube, onMinterms []uint32, dc map[uint32]bool,
 					m |= 1 << uint(j)
 				}
 			}
-			if !onSet[m] && dc[m] {
+			if !inSet(onSet, m) && inSet(act, m) {
 				return false // an activation minterm that must not flip
 			}
 		}
@@ -576,6 +572,9 @@ func expandAgainstDC(cover []atpg.Cube, onMinterms []uint32, dc map[uint32]bool,
 	}
 	return uniq
 }
+
+// inSet reports whether minterm m is in the bitset s.
+func inSet(s []uint64, m uint32) bool { return s[m/64]>>(m%64)&1 == 1 }
 
 // sopAreaFromOn prices a plain SOP of the on-set or its complement,
 // whichever is smaller, without running QM on huge sets.

@@ -9,8 +9,10 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/aig"
 	"repro/internal/flow"
 	"repro/internal/runmanifest"
 	"repro/internal/sat"
@@ -111,6 +113,10 @@ type Manager struct {
 	opt   ManagerOptions
 	pool  *sat.Pool
 	cache *Cache
+	memo  *fpMemo
+	// prepares counts Job.Prepare runs, so tests can tell a repeated
+	// spec that skipped preparation from one that paid for it.
+	prepares atomic.Int64
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -142,6 +148,7 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 		opt:     opt,
 		pool:    sat.NewPool(opt.SolverSlots),
 		cache:   NewCache(opt.CacheEntries),
+		memo:    newFPMemo(fpMemoEntries),
 		jobs:    make(map[string]*jobState),
 		cellSem: make(chan struct{}, opt.MaxCells),
 	}
@@ -408,8 +415,9 @@ func (m *Manager) openCellsManifest(id string, spec flow.JobSpec) (*runmanifest.
 	return runmanifest.New(path, fp), nil
 }
 
-// runJob executes one job end to end: mark running, prepare, consult
-// the cache (or compute), and record the terminal status.
+// runJob executes one job end to end: mark running, find the job's
+// fingerprint (from the memo, or by preparing), consult the cache (or
+// compute), and record the terminal status.
 func (m *Manager) runJob(id string) {
 	m.mu.Lock()
 	js, ok := m.jobs[id]
@@ -456,15 +464,28 @@ func (m *Manager) runJob(id string) {
 		}
 		rt.Manifest = mf
 	}
-	// Prepare before the cache lookup: the cache key IS the canonical
-	// strashed-graph fingerprint, so preparation (load + lock + strash)
-	// is the part of the pipeline every job pays and everything after
-	// it is what a hit skips.
-	if err := job.Prepare(ctx); err != nil {
-		m.finishJob(id, nil, CacheNone, err)
-		return
+	// The cache key is the canonical strashed-graph fingerprint, which
+	// only Prepare (load + lock + strash) computes. The memo remembers
+	// it per prepare key, so a repeated spec forms its key without
+	// preparing, and a hit skips the whole pipeline. A memo miss
+	// prepares before the lookup; a memo hit whose result was evicted
+	// prepares inside the computation instead.
+	pk := job.PrepareKey()
+	fp, ok := m.memo.get(pk)
+	if !ok {
+		if err := m.prepare(ctx, job); err != nil {
+			m.finishJob(id, nil, CacheNone, err)
+			return
+		}
+		fp = job.Fingerprint()
+		if pk != "" {
+			m.memo.put(pk, fp)
+		}
 	}
-	data, outcome, err := m.cache.Do(ctx, job.CacheKey(), func() (json.RawMessage, error) {
+	data, outcome, err := m.cache.Do(ctx, job.CacheKeyFor(fp), func() (json.RawMessage, error) {
+		if err := m.prepare(ctx, job); err != nil {
+			return nil, err
+		}
 		res, err := job.Run(ctx, rt)
 		if err != nil {
 			return nil, err
@@ -472,6 +493,16 @@ func (m *Manager) runJob(id string) {
 		return json.Marshal(res)
 	})
 	m.finishJob(id, data, outcome, err)
+}
+
+// prepare runs job.Prepare once per job, counting the runs that do
+// work.
+func (m *Manager) prepare(ctx context.Context, job *flow.Job) error {
+	if job.Spec.Kind == flow.JobTable || !job.Fingerprint().IsZero() {
+		return nil
+	}
+	m.prepares.Add(1)
+	return job.Prepare(ctx)
 }
 
 // finishJob records a job's terminal state: done with its result,
@@ -542,4 +573,44 @@ func (m *Manager) Drain(timeout time.Duration) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.persistLocked()
+}
+
+// fpMemoEntries bounds the fingerprint memo. An entry is a short key
+// and a 16-byte fingerprint, so a full memo is a few hundred kilobytes.
+const fpMemoEntries = 4096
+
+// fpMemo maps job prepare keys to the fingerprints Prepare computed for
+// them, evicting the oldest entry beyond its bound. It holds no
+// circuits, so concurrent jobs never share a prepared design. Safe for
+// concurrent use.
+type fpMemo struct {
+	mu    sync.Mutex
+	max   int
+	fps   map[string]aig.Fingerprint
+	order []string // keys, oldest first
+}
+
+func newFPMemo(max int) *fpMemo {
+	return &fpMemo{max: max, fps: make(map[string]aig.Fingerprint)}
+}
+
+func (m *fpMemo) get(key string) (aig.Fingerprint, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fp, ok := m.fps[key]
+	return fp, ok
+}
+
+func (m *fpMemo) put(key string, fp aig.Fingerprint) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.fps[key]; ok {
+		return
+	}
+	m.fps[key] = fp
+	m.order = append(m.order, key)
+	for len(m.order) > m.max {
+		delete(m.fps, m.order[0])
+		m.order = m.order[1:]
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aig"
 	"repro/internal/faultpoint"
 	"repro/internal/flow"
 )
@@ -84,10 +85,128 @@ func TestManagerCacheHitOnRepeatedJob(t *testing.T) {
 	if !res.Equivalent {
 		t.Fatal("cached verify reported non-equivalent")
 	}
-	// "Measurably faster": the hit still pays for Prepare (load + lock +
-	// strash) but skips LEC; it must land well under a second.
+	// "Measurably faster": the fingerprint memo supplies the cache key,
+	// so the hit skips Prepare (load + lock + strash) as well as LEC.
 	if hitTime > 10*time.Second {
 		t.Fatalf("cache hit took %v", hitTime)
+	}
+}
+
+func lockSpec() flow.JobSpec {
+	return flow.JobSpec{Kind: flow.JobLock, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2}
+}
+
+func submitWait(t *testing.T, m *Manager, spec flow.JobSpec) JobRecord {
+	t.Helper()
+	r, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = waitDone(t, m, r.ID)
+	if r.Status != StatusDone {
+		t.Fatalf("%s job %s: %s", spec.Kind, r.Status, r.Error)
+	}
+	return r
+}
+
+// TestManagerRepeatSkipsPrepare: a repeated spec forms its cache key
+// from the fingerprint memo, so its hit loads and locks nothing. A job
+// that shares the prepare key but misses the cache prepares inside its
+// computation, and so does a repeat whose result was evicted; both
+// payloads match their cold runs.
+func TestManagerRepeatSkipsPrepare(t *testing.T) {
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1, CacheEntries: 1})
+	r1 := submitWait(t, m, lockSpec())
+	if r1.Cache != string(CacheMiss) || m.prepares.Load() != 1 {
+		t.Fatalf("cold lock job: cache %q after %d prepares, want a miss after 1", r1.Cache, m.prepares.Load())
+	}
+	r2 := submitWait(t, m, lockSpec())
+	if r2.Cache != string(CacheHit) || m.prepares.Load() != 1 {
+		t.Fatalf("repeated lock job: cache %q after %d prepares, want a hit after 1", r2.Cache, m.prepares.Load())
+	}
+	if string(r1.Result) != string(r2.Result) {
+		t.Fatalf("hit payload differs from the cold run:\n%s\n%s", r1.Result, r2.Result)
+	}
+
+	// Same design, different job: the memo names the fingerprint, the
+	// cache has no result, so the computation prepares.
+	rv := submitWait(t, m, verifySpec())
+	if rv.Cache != string(CacheMiss) || m.prepares.Load() != 2 {
+		t.Fatalf("verify job on the locked design: cache %q after %d prepares, want a miss after 2", rv.Cache, m.prepares.Load())
+	}
+	// The one-entry cache evicted the lock result; the memo still
+	// names its fingerprint.
+	r3 := submitWait(t, m, lockSpec())
+	if r3.Cache != string(CacheMiss) || m.prepares.Load() != 3 {
+		t.Fatalf("evicted lock job: cache %q after %d prepares, want a miss after 3", r3.Cache, m.prepares.Load())
+	}
+	if string(r1.Result) != string(r3.Result) {
+		t.Fatalf("recomputed payload differs from the cold run:\n%s\n%s", r1.Result, r3.Result)
+	}
+}
+
+// TestFPMemoBound: more distinct specs than the memo's bound keep it at
+// its bound, dropping the oldest first.
+func TestFPMemoBound(t *testing.T) {
+	memo := newFPMemo(fpMemoEntries)
+	var keys []string
+	for i := 0; i < fpMemoEntries+50; i++ {
+		job, err := flow.NewJob(flow.JobSpec{Kind: flow.JobVerify, Bench: "c432", Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, job.PrepareKey())
+		memo.put(keys[i], aig.Fingerprint{uint64(i + 1), 1})
+		memo.put(keys[i], aig.Fingerprint{7, 7}) // a repeat neither grows nor overwrites
+	}
+	if got := len(memo.fps); got != fpMemoEntries || len(memo.order) != fpMemoEntries {
+		t.Fatalf("memo holds %d entries, want its bound %d", got, fpMemoEntries)
+	}
+	if _, ok := memo.get(keys[49]); ok {
+		t.Fatal("the oldest entries were not evicted")
+	}
+	last := len(keys) - 1
+	if fp, ok := memo.get(keys[last]); !ok || fp != (aig.Fingerprint{uint64(last + 1), 1}) {
+		t.Fatalf("newest entry: %v, %v", fp, ok)
+	}
+}
+
+// TestManagerSharedPrepareKeyConcurrent: a lock job and a verify job
+// that share a prepare key run at once, each preparing its own design
+// (the memo holds fingerprints, never circuits), and each payload is
+// byte-identical to its solo run. Run under -race.
+func TestManagerSharedPrepareKeyConcurrent(t *testing.T) {
+	solo := map[flow.JobKind]string{}
+	for _, spec := range []flow.JobSpec{lockSpec(), verifySpec()} {
+		m := newTestManager(t, ManagerOptions{MaxJobs: 1})
+		solo[spec.Kind] = string(submitWait(t, m, spec).Result)
+	}
+
+	m := newTestManager(t, ManagerOptions{MaxJobs: 2, SolverSlots: 2})
+	// A verify job at another depth puts the design's fingerprint in
+	// the memo, so both jobs below prepare inside their computations.
+	warm := verifySpec()
+	warm.Patterns = 64
+	submitWait(t, m, warm)
+	var ids []string
+	for _, spec := range []flow.JobSpec{lockSpec(), verifySpec()} {
+		r, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, r.ID)
+	}
+	for _, id := range ids {
+		r := waitDone(t, m, id)
+		if r.Status != StatusDone || r.Cache != string(CacheMiss) {
+			t.Fatalf("%s job: %s, cache %q: %s", r.Spec.Kind, r.Status, r.Cache, r.Error)
+		}
+		if string(r.Result) != solo[r.Spec.Kind] {
+			t.Fatalf("%s payload differs from its solo run:\n%s\n%s", r.Spec.Kind, r.Result, solo[r.Spec.Kind])
+		}
+	}
+	if got := m.prepares.Load(); got != 3 {
+		t.Fatalf("%d prepares, want 3 (one per computed job)", got)
 	}
 }
 
