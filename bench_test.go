@@ -218,8 +218,10 @@ func BenchmarkProximity(b *testing.B) {
 // one HD/OER comparison at the paper's 1M-pattern depth between b14 and
 // a wrong-key locked copy (same boundary, nonzero HD), at each
 // supported simulation width. The reported stats are bit-identical
-// across widths; only the wall clock moves. The x0.1 variants profile
-// the solver-benchmark scale, the full-size ones the paper's Table II
+// across widths; only the wall clock moves. planOps is the number of
+// ops in the two compiled observed-cone plans, the deterministic work
+// one pass of w×64 patterns evaluates. The x0.1 variants profile the
+// solver-benchmark scale, the full-size ones the paper's Table II
 // configuration.
 func BenchmarkCompare1M(b *testing.B) {
 	for _, cfg := range []struct {
@@ -256,6 +258,7 @@ func BenchmarkCompare1M(b *testing.B) {
 					}
 					b.ReportMetric(d.HD*100, "HD_%")
 					b.ReportMetric(d.OER*100, "OER_%")
+					b.ReportMetric(float64(d.PlanOps), "planOps")
 				}
 			})
 		}

@@ -139,6 +139,7 @@ var workMetrics = map[string]bool{
 	"oracleEvals":  true,
 	"aigNodes":     true,
 	"miterClauses": true,
+	"planOps":      true,
 }
 
 // baseName strips the -GOMAXPROCS suffix so result sets recorded on

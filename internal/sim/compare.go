@@ -20,6 +20,11 @@ type DiffStats struct {
 	// OER is the fraction of patterns for which at least one
 	// observable output differs.
 	OER float64
+	// PlanOps is the number of ops in the two compiled plans: the
+	// gates of each circuit's observed cone, sources included. It is a
+	// deterministic work counter; one pass of w×64 patterns evaluates
+	// this many ops.
+	PlanOps int
 }
 
 // CompareOptions tunes Compare.
@@ -54,15 +59,21 @@ type CompareOptions struct {
 // Compare simulates circuits a and b under identical random stimulus
 // and reports HD and OER. Inputs and flip-flops are matched by name;
 // circuits whose boundaries differ are rejected.
+//
+// Each circuit is compiled over only what Compare observes: the
+// transitive fanin of its primary outputs, plus of its flip-flop D pins
+// when ObserveState is set. Gates outside those cones cannot change a
+// counted bit, so they are never simulated.
 func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 	if opt.Patterns <= 0 {
 		opt.Patterns = 65536
 	}
-	ea, err := NewEvaluator(a)
+	aFFs, bFFs := a.DFFs(), b.DFFs()
+	pa, err := compileObserved(a, aFFs, opt.ObserveState)
 	if err != nil {
 		return DiffStats{}, fmt.Errorf("sim: compiling %s: %w", a.Name, err)
 	}
-	eb, err := NewEvaluator(b)
+	pb, err := compileObserved(b, bFFs, opt.ObserveState)
 	if err != nil {
 		return DiffStats{}, fmt.Errorf("sim: compiling %s: %w", b.Name, err)
 	}
@@ -70,7 +81,7 @@ func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 	if err != nil {
 		return DiffStats{}, err
 	}
-	stMap, err := matchByName(a, b, a.DFFs(), b.DFFs(), "flip-flop")
+	stMap, err := matchByName(a, b, aFFs, bFFs, "flip-flop")
 	if err != nil {
 		return DiffStats{}, err
 	}
@@ -80,11 +91,20 @@ func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 
 	words := (opt.Patterns + 63) / 64
 	totalPatterns := words * 64
-	obsBits := len(a.Outputs())
-	if opt.ObserveState {
-		obsBits += len(a.DFFs())
+	// Each observable pairs a slot of a's net buffer with the slot of
+	// b's that it is compared against: outputs by position, next
+	// states by flip-flop name.
+	type slotPair struct{ a, b int32 }
+	obs := make([]slotPair, 0, len(pa.outs)+len(pa.next))
+	for i := range pa.outs {
+		obs = append(obs, slotPair{pa.outs[i], pb.outs[i]})
 	}
-	if obsBits == 0 {
+	if opt.ObserveState {
+		for i, j := range stMap {
+			obs = append(obs, slotPair{pa.next[i], pb.next[j]})
+		}
+	}
+	if len(obs) == 0 {
 		return DiffStats{}, fmt.Errorf("sim: circuits have no observables")
 	}
 	w, err := resolveWidth(opt.Width, words)
@@ -97,13 +117,12 @@ func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 
 	// Each pattern word consumes this many stimulus words, so lane k of
 	// wide item t jumps the stream to word (t*w+k)*stride.
-	stride := uint64(len(a.Inputs()) + len(a.DFFs()))
+	stride := uint64(len(a.Inputs()) + len(aFFs))
 
 	type cmpState struct {
-		inA, inB, stA, stB   []uint64
-		netsA, netsB         []uint64
-		outA, outB, nsA, nsB []uint64
-		hdBits, errPatterns  int
+		inA, inB, stA, stB  []uint64
+		netsA, netsB        []uint64
+		hdBits, errPatterns int
 	}
 	states, err := engine.Run(items,
 		engine.Options{Workers: opt.Workers, Grain: engine.GrainForWidth(w), Stop: opt.Stop},
@@ -111,10 +130,10 @@ func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 			return &cmpState{
 				inA:   make([]uint64, len(a.Inputs())*w),
 				inB:   make([]uint64, len(b.Inputs())*w),
-				stA:   make([]uint64, len(a.DFFs())*w),
-				stB:   make([]uint64, len(b.DFFs())*w),
-				netsA: ea.NewWideNetBuffer(w),
-				netsB: eb.NewWideNetBuffer(w),
+				stA:   make([]uint64, len(aFFs)*w),
+				stB:   make([]uint64, len(stMap)*w),
+				netsA: make([]uint64, len(pa.ops)*w),
+				netsB: make([]uint64, len(pb.ops)*w),
 			}
 		},
 		func(s *cmpState, batch engine.Batch) {
@@ -133,27 +152,15 @@ func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 				for i, j := range stMap {
 					copy(s.stB[j*w:(j+1)*w], s.stA[i*w:])
 				}
-				ea.EvalWide(w, s.inA, s.stA, s.netsA)
-				eb.EvalWide(w, s.inB, s.stB, s.netsB)
-				s.outA = ea.OutputWordsWide(w, s.netsA, s.outA)
-				s.outB = eb.OutputWordsWide(w, s.netsB, s.outB)
+				evalWide(w, &pa.plan, s.inA, s.stA, s.netsA)
+				evalWide(w, &pb.plan, s.inB, s.stB, s.netsB)
 				var anyDiff [MaxWidth]uint64
-				for i := 0; i < len(s.outA); i += w {
+				for _, o := range obs {
+					x, y := s.netsA[int(o.a)*w:], s.netsB[int(o.b)*w:]
 					for k := 0; k < lanes; k++ {
-						d := s.outA[i+k] ^ s.outB[i+k]
+						d := x[k] ^ y[k]
 						s.hdBits += bits.OnesCount64(d)
 						anyDiff[k] |= d
-					}
-				}
-				if opt.ObserveState {
-					s.nsA = ea.NextStateWordsWide(w, s.netsA, s.nsA)
-					s.nsB = eb.NextStateWordsWide(w, s.netsB, s.nsB)
-					for i, j := range stMap {
-						for k := 0; k < lanes; k++ {
-							d := s.nsA[i*w+k] ^ s.nsB[j*w+k]
-							s.hdBits += bits.OnesCount64(d)
-							anyDiff[k] |= d
-						}
 					}
 				}
 				for k := 0; k < lanes; k++ {
@@ -172,8 +179,9 @@ func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 	}
 	return DiffStats{
 		Patterns: totalPatterns,
-		HD:       float64(hdBits) / float64(totalPatterns*obsBits),
+		HD:       float64(hdBits) / float64(totalPatterns*len(obs)),
 		OER:      float64(errPatterns) / float64(totalPatterns),
+		PlanOps:  len(pa.ops) + len(pb.ops),
 	}, nil
 }
 
@@ -257,7 +265,7 @@ func ActivityOpt(c *netlist.Circuit, opt ActivityOptions) ([]float64, error) {
 		return nil, err
 	}
 	items := (words + w - 1) / w
-	stride := uint64(len(c.Inputs()) + len(c.DFFs()))
+	stride := uint64(len(c.Inputs()) + e.NumState())
 
 	type actState struct {
 		in, st, nets []uint64
@@ -268,7 +276,7 @@ func ActivityOpt(c *netlist.Circuit, opt ActivityOptions) ([]float64, error) {
 		func(int) *actState {
 			return &actState{
 				in:   make([]uint64, len(c.Inputs())*w),
-				st:   make([]uint64, len(c.DFFs())*w),
+				st:   make([]uint64, e.NumState()*w),
 				nets: e.NewWideNetBuffer(w),
 				ones: make([]int, c.NumIDs()),
 			}
@@ -297,8 +305,8 @@ func ActivityOpt(c *netlist.Circuit, opt ActivityOptions) ([]float64, error) {
 		return nil, err
 	}
 
-	ones := make([]int, c.NumIDs())
-	for _, s := range states {
+	ones := states[0].ones
+	for _, s := range states[1:] {
 		for i, n := range s.ones {
 			ones[i] += n
 		}

@@ -5,10 +5,19 @@
 //
 // Simulation is word-parallel: every net carries W machine words of 64
 // patterns each (W ∈ {1, 4, 8}), stored as a flat []uint64 with stride
-// W so the compiled inner loops auto-vectorize. Width never changes
-// results — lane k of a wide word carries exactly the 64-pattern word
-// the serial stream would have produced at position base+k (see
-// WideRand) — it only changes how many patterns one pass evaluates.
+// W. Width never changes results — lane k of a wide word carries
+// exactly the 64-pattern word the serial stream would have produced at
+// position base+k (see WideRand) — it only changes how many patterns
+// one pass evaluates.
+//
+// Every simulation runs a compiled plan (see plan) through one
+// interpreter, evalPlan, which dispatches once per run of same-opcode
+// gates and writes each gate's lanes in place. Evaluator compiles the
+// whole circuit, because its callers read arbitrary nets. Compare
+// compiles only the transitive fanin of what it observes, into a dense
+// net buffer. Both order their gates by logic level and then opcode,
+// which makes the runs long. Cone compiles a caller-chosen gate subset
+// in the caller's order.
 package sim
 
 import (
@@ -17,60 +26,18 @@ import (
 	"repro/internal/netlist"
 )
 
-// Evaluator is a compiled simulator for one circuit: the topological
-// order is flattened into a dense op list with specialized opcodes
+// Evaluator is a compiled simulator for one circuit: the whole circuit
+// is flattened into a levelized plan with specialized opcodes
 // (dedicated 2-input and 1-input paths instead of a generic fanin
 // loop), so the inner Eval loop performs no map lookups and never
-// touches the circuit graph. It is safe for concurrent use as long as
-// each goroutine supplies its own net buffer.
+// touches the circuit graph. Every net gets a value, indexed by its
+// gate ID. It is safe for concurrent use as long as each goroutine
+// supplies its own net buffer.
 type Evaluator struct {
 	c      *netlist.Circuit
 	nIn    int
 	nState int
 	plan
-}
-
-// plan is a compiled gate list: ops in evaluation order plus the flat
-// operand pool that the Mux and wide (≥3-input) ops index into.
-// Evaluator and Cone both run theirs through evalPlan.
-type plan struct {
-	ops    []evalOp
-	fanins []int32
-}
-
-// opcode selects the specialized evaluation path for one compiled gate.
-// The dominant 2-input case stores both fanins inline in the op; only
-// Mux and ≥3-input gates go through the fanin pool.
-type opcode uint8
-
-const (
-	opInput opcode = iota // a = primary-input position
-	opState               // a = flip-flop position
-	opTieHi
-	opTieLo
-	opBuf   // a = fanin net
-	opNot   // a = fanin net
-	opAnd2  // a, b = fanin nets
-	opNand2 // a, b = fanin nets
-	opOr2   // a, b = fanin nets
-	opNor2  // a, b = fanin nets
-	opXor2  // a, b = fanin nets
-	opXnor2 // a, b = fanin nets
-	opMux   // a = fanin-pool offset of {sel, d0, d1}
-	opAndN  // a = fanin-pool offset, b = fanin count
-	opNandN
-	opOrN
-	opNorN
-	opXorN
-	opXnorN
-)
-
-// evalOp is one compiled gate evaluation. The meaning of a and b
-// depends on the opcode; see the opcode constants.
-type evalOp struct {
-	op   opcode
-	out  int32
-	a, b int32
 }
 
 // NewEvaluator compiles the circuit for simulation. The circuit must
@@ -80,27 +47,12 @@ func NewEvaluator(c *netlist.Circuit) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Evaluator{
-		c:      c,
-		nIn:    len(c.Inputs()),
-		nState: len(c.DFFs()),
-		plan:   plan{ops: make([]evalOp, 0, len(order))},
+	dffs := c.DFFs()
+	p, err := compileCircuit(c, order, dffs, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	// Input and flip-flop IDs are disjoint, so one map holds both
-	// position vectors.
-	pos := make(map[netlist.GateID]int32, e.nIn+e.nState)
-	for i, id := range c.Inputs() {
-		pos[id] = int32(i)
-	}
-	for i, id := range c.DFFs() {
-		pos[id] = int32(i)
-	}
-	for _, id := range order {
-		if err := e.compileGate(c, id, pos); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
+	return &Evaluator{c: c, nIn: len(c.Inputs()), nState: len(dffs), plan: p}, nil
 }
 
 // Cone is a compiled plan for a subset of one circuit's gates. It
@@ -110,110 +62,34 @@ type Cone struct{ plan }
 
 // CompileCone compiles the gates ids, which must be in topological
 // order, for Cone.Eval. Sources (inputs, flip-flops and TIE cells) are
-// skipped, so they keep their buffer value.
+// skipped, so they keep their buffer value; so does every net outside
+// ids. The cone keeps the order it is given, cut into runs wherever
+// the opcode changes: levelizing would need a gate-to-level lookup,
+// and locking compiles thousands of small cones that are each
+// evaluated only a few times, so the compile must stay a single pass
+// linear in len(ids).
 func CompileCone(c *netlist.Circuit, ids []netlist.GateID) (*Cone, error) {
-	k := &Cone{plan{ops: make([]evalOp, 0, len(ids))}}
+	k := &Cone{plan{ops: make([]evalOp, 0, len(ids)), runs: make([]opRun, 0, len(ids))}}
 	for _, id := range ids {
-		if c.Gate(id).Type.IsSource() {
+		g := c.Gate(id)
+		if g.Type.IsSource() {
 			continue
 		}
-		if err := k.compileGate(c, id, nil); err != nil {
-			return nil, err
+		code := opcodeOf(g)
+		if code == opInvalid {
+			return nil, fmt.Errorf("sim: gate %d has unknown type %v", id, g.Type)
 		}
+		k.ops = append(k.ops, k.operands(g, code, evalOp{out: int32(id)}, nil))
+		k.runs = appendOp(k.runs, code, len(k.ops))
 	}
 	return k, nil
 }
 
-// Eval recomputes the cone's gates, in order, from the 64-pattern net
-// buffer nets (one word per net ID) and writes them back into it.
+// Eval recomputes the cone's gates, in the order CompileCone was
+// given, from the 64-pattern net buffer nets (one word per net ID) and
+// writes them back into it.
 func (k *Cone) Eval(nets []uint64) {
 	evalPlan(&k.plan, nil, nil, lanesOf[[1]uint64](nets))
-}
-
-// compileGate appends the op that evaluates gate id. pos gives the
-// input or flip-flop position of source gates.
-func (p *plan) compileGate(c *netlist.Circuit, id netlist.GateID, pos map[netlist.GateID]int32) error {
-	g := c.Gate(id)
-	op := evalOp{out: int32(id)}
-	switch g.Type {
-	case netlist.Input:
-		op.op, op.a = opInput, pos[id]
-	case netlist.DFF:
-		op.op, op.a = opState, pos[id]
-	case netlist.TieHi:
-		op.op = opTieHi
-	case netlist.TieLo:
-		op.op = opTieLo
-	case netlist.Buf, netlist.Output:
-		op.op, op.a = opBuf, int32(g.Fanin[0])
-	case netlist.Not:
-		op.op, op.a = opNot, int32(g.Fanin[0])
-	case netlist.Mux:
-		op.op, op.a = opMux, int32(len(p.fanins))
-		for _, f := range g.Fanin {
-			p.fanins = append(p.fanins, int32(f))
-		}
-	case netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor:
-		op = p.compileNary(g, op)
-	default:
-		return fmt.Errorf("sim: gate %d has unknown type %v", id, g.Type)
-	}
-	p.ops = append(p.ops, op)
-	return nil
-}
-
-// compileNary lowers an associative gate to its specialized opcode:
-// degenerate arities collapse to constants or inverters (matching the
-// identity element of the generic fold), 2-input gates inline both
-// fanins, and wider gates fall back to the fanin pool.
-func (p *plan) compileNary(g *netlist.Gate, op evalOp) evalOp {
-	var two, n opcode
-	inverted := false
-	switch g.Type {
-	case netlist.And:
-		two, n = opAnd2, opAndN
-	case netlist.Nand:
-		two, n, inverted = opNand2, opNandN, true
-	case netlist.Or:
-		two, n = opOr2, opOrN
-	case netlist.Nor:
-		two, n, inverted = opNor2, opNorN, true
-	case netlist.Xor:
-		two, n = opXor2, opXorN
-	case netlist.Xnor:
-		two, n, inverted = opXnor2, opXnorN, true
-	}
-	switch len(g.Fanin) {
-	case 0:
-		// Fold identity: And()=1, Or()=Xor()=0; inversions flip it.
-		hi := g.Type == netlist.And
-		if inverted {
-			hi = !hi
-		}
-		if g.Type == netlist.Nand {
-			hi = false
-		}
-		if hi {
-			op.op = opTieHi
-		} else {
-			op.op = opTieLo
-		}
-	case 1:
-		if inverted {
-			op.op = opNot
-		} else {
-			op.op = opBuf
-		}
-		op.a = int32(g.Fanin[0])
-	case 2:
-		op.op, op.a, op.b = two, int32(g.Fanin[0]), int32(g.Fanin[1])
-	default:
-		op.op, op.a, op.b = n, int32(len(p.fanins)), int32(len(g.Fanin))
-		for _, f := range g.Fanin {
-			p.fanins = append(p.fanins, int32(f))
-		}
-	}
-	return op
 }
 
 // Circuit returns the circuit this evaluator was compiled from.

@@ -10,9 +10,8 @@ import (
 const MaxWidth = 8
 
 // Widths lists the supported simulation widths. Each width has its own
-// compiled kernel instantiation whose inner loops have a constant trip
-// count, so the gc backend unrolls (and, where profitable, vectorizes)
-// them.
+// compiled kernel instantiation whose lane loops have a constant trip
+// count.
 var Widths = []int{1, 4, 8}
 
 // ValidWidth reports whether w is a supported simulation width.
@@ -68,126 +67,209 @@ func lanesOf[W lanes](buf []uint64) []W {
 
 // evalPlan runs a compiled plan over W-word net values. It is the
 // single source of truth for gate semantics at every width; Eval,
-// EvalWide and Cone.Eval are thin dispatchers over its instantiations.
+// EvalWide, Cone.Eval and Compare are thin dispatchers over its
+// instantiations. It switches once per run of same-opcode ops; the run
+// loops below write each op's lanes in place through pointers into
+// nets. Inverting opcodes share their base op's loop with an all-ones
+// mask XORed into the result.
 func evalPlan[W lanes](p *plan, in, state, nets []W) {
-	fan := p.fanins
-	for i := range p.ops {
-		op := &p.ops[i]
-		var v W
-		switch op.op {
+	const ones = ^uint64(0)
+	var start int32
+	for _, r := range p.runs {
+		run := p.ops[start:r.end()]
+		start = r.end()
+		switch r.op() {
 		case opInput:
-			v = in[op.a]
+			loadRun(run, in, nets)
 		case opState:
 			if state != nil {
-				v = state[op.a]
+				loadRun(run, state, nets)
+			} else {
+				constRun(run, nets, 0)
 			}
 		case opTieHi:
-			for k := 0; k < len(v); k++ {
-				v[k] = ^uint64(0)
-			}
+			constRun(run, nets, ones)
 		case opTieLo:
-			// zero value
+			constRun(run, nets, 0)
 		case opBuf:
-			v = nets[op.a]
+			bufRun(run, nets, 0)
 		case opNot:
-			x := nets[op.a]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^x[k]
-			}
+			bufRun(run, nets, ones)
 		case opAnd2:
-			x, y := nets[op.a], nets[op.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = x[k] & y[k]
-			}
+			and2Run(run, nets, 0)
 		case opNand2:
-			x, y := nets[op.a], nets[op.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^(x[k] & y[k])
-			}
+			and2Run(run, nets, ones)
 		case opOr2:
-			x, y := nets[op.a], nets[op.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = x[k] | y[k]
-			}
+			or2Run(run, nets, 0)
 		case opNor2:
-			x, y := nets[op.a], nets[op.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^(x[k] | y[k])
-			}
+			or2Run(run, nets, ones)
 		case opXor2:
-			x, y := nets[op.a], nets[op.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = x[k] ^ y[k]
-			}
+			xor2Run(run, nets, 0)
 		case opXnor2:
-			x, y := nets[op.a], nets[op.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^(x[k] ^ y[k])
-			}
+			xor2Run(run, nets, ones)
 		case opMux:
-			s, d0, d1 := nets[fan[op.a]], nets[fan[op.a+1]], nets[fan[op.a+2]]
-			for k := 0; k < len(v); k++ {
-				v[k] = (^s[k] & d0[k]) | (s[k] & d1[k])
-			}
+			muxRun(run, p.fanins, nets)
 		case opAndN:
-			for k := 0; k < len(v); k++ {
-				v[k] = ^uint64(0)
-			}
-			for _, f := range fan[op.a : op.a+op.b] {
-				x := nets[f]
-				for k := 0; k < len(v); k++ {
-					v[k] &= x[k]
-				}
-			}
+			andNRun(run, p.fanins, nets, 0)
 		case opNandN:
-			for k := 0; k < len(v); k++ {
-				v[k] = ^uint64(0)
-			}
-			for _, f := range fan[op.a : op.a+op.b] {
-				x := nets[f]
-				for k := 0; k < len(v); k++ {
-					v[k] &= x[k]
-				}
-			}
-			for k := 0; k < len(v); k++ {
-				v[k] = ^v[k]
-			}
+			andNRun(run, p.fanins, nets, ones)
 		case opOrN:
-			for _, f := range fan[op.a : op.a+op.b] {
-				x := nets[f]
-				for k := 0; k < len(v); k++ {
-					v[k] |= x[k]
-				}
-			}
+			orNRun(run, p.fanins, nets, 0)
 		case opNorN:
-			for _, f := range fan[op.a : op.a+op.b] {
-				x := nets[f]
-				for k := 0; k < len(v); k++ {
-					v[k] |= x[k]
-				}
-			}
-			for k := 0; k < len(v); k++ {
-				v[k] = ^v[k]
-			}
+			orNRun(run, p.fanins, nets, ones)
 		case opXorN:
-			for _, f := range fan[op.a : op.a+op.b] {
-				x := nets[f]
-				for k := 0; k < len(v); k++ {
-					v[k] ^= x[k]
-				}
-			}
+			xorNRun(run, p.fanins, nets, 0)
 		case opXnorN:
-			for _, f := range fan[op.a : op.a+op.b] {
-				x := nets[f]
-				for k := 0; k < len(v); k++ {
-					v[k] ^= x[k]
-				}
-			}
-			for k := 0; k < len(v); k++ {
-				v[k] = ^v[k]
+			xorNRun(run, p.fanins, nets, ones)
+		}
+	}
+}
+
+// The run loops are kept out of line on purpose: inlined into
+// evalPlan's switch, their lane counters spill to the stack, which
+// costs as much as the logic they count.
+
+// loadRun copies each op's boundary value, src[a], into its net.
+//
+//go:noinline
+func loadRun[W lanes](run []evalOp, src, nets []W) {
+	for i := range run {
+		nets[run[i].out] = src[run[i].a]
+	}
+}
+
+// constRun sets every lane of each op's net to v.
+//
+//go:noinline
+func constRun[W lanes](run []evalOp, nets []W, v uint64) {
+	for i := range run {
+		z := &nets[run[i].out]
+		for k := 0; k < len(*z); k++ {
+			(*z)[k] = v
+		}
+	}
+}
+
+// bufRun computes z = a ^ inv.
+//
+//go:noinline
+func bufRun[W lanes](run []evalOp, nets []W, inv uint64) {
+	for i := range run {
+		x, z := &nets[run[i].a], &nets[run[i].out]
+		for k := 0; k < len(*z); k++ {
+			(*z)[k] = (*x)[k] ^ inv
+		}
+	}
+}
+
+// and2Run computes z = (a & b) ^ inv.
+//
+//go:noinline
+func and2Run[W lanes](run []evalOp, nets []W, inv uint64) {
+	for i := range run {
+		x, y, z := &nets[run[i].a], &nets[run[i].b], &nets[run[i].out]
+		for k := 0; k < len(*z); k++ {
+			(*z)[k] = ((*x)[k] & (*y)[k]) ^ inv
+		}
+	}
+}
+
+// or2Run computes z = (a | b) ^ inv.
+//
+//go:noinline
+func or2Run[W lanes](run []evalOp, nets []W, inv uint64) {
+	for i := range run {
+		x, y, z := &nets[run[i].a], &nets[run[i].b], &nets[run[i].out]
+		for k := 0; k < len(*z); k++ {
+			(*z)[k] = ((*x)[k] | (*y)[k]) ^ inv
+		}
+	}
+}
+
+// xor2Run computes z = a ^ b ^ inv.
+//
+//go:noinline
+func xor2Run[W lanes](run []evalOp, nets []W, inv uint64) {
+	for i := range run {
+		x, y, z := &nets[run[i].a], &nets[run[i].b], &nets[run[i].out]
+		for k := 0; k < len(*z); k++ {
+			(*z)[k] = (*x)[k] ^ (*y)[k] ^ inv
+		}
+	}
+}
+
+// muxRun computes z = sel ? d1 : d0 from the operands {sel, d0, d1}
+// at fan[a].
+//
+//go:noinline
+func muxRun[W lanes](run []evalOp, fan []int32, nets []W) {
+	for i := range run {
+		f := fan[run[i].a : run[i].a+3]
+		s, d0, d1, z := &nets[f[0]], &nets[f[1]], &nets[f[2]], &nets[run[i].out]
+		for k := 0; k < len(*z); k++ {
+			(*z)[k] = (^(*s)[k] & (*d0)[k]) | ((*s)[k] & (*d1)[k])
+		}
+	}
+}
+
+// andNRun computes z = AND(fan[a:a+b]) ^ inv; the compiler emits N-ary
+// ops only for three or more operands.
+//
+//go:noinline
+func andNRun[W lanes](run []evalOp, fan []int32, nets []W, inv uint64) {
+	for i := range run {
+		f := fan[run[i].a : run[i].a+run[i].b]
+		z := &nets[run[i].out]
+		*z = nets[f[0]]
+		for _, g := range f[1:] {
+			x := &nets[g]
+			for k := 0; k < len(*z); k++ {
+				(*z)[k] &= (*x)[k]
 			}
 		}
-		nets[op.out] = v
+		for k := 0; k < len(*z); k++ {
+			(*z)[k] ^= inv
+		}
+	}
+}
+
+// orNRun computes z = OR(fan[a:a+b]) ^ inv.
+//
+//go:noinline
+func orNRun[W lanes](run []evalOp, fan []int32, nets []W, inv uint64) {
+	for i := range run {
+		f := fan[run[i].a : run[i].a+run[i].b]
+		z := &nets[run[i].out]
+		*z = nets[f[0]]
+		for _, g := range f[1:] {
+			x := &nets[g]
+			for k := 0; k < len(*z); k++ {
+				(*z)[k] |= (*x)[k]
+			}
+		}
+		for k := 0; k < len(*z); k++ {
+			(*z)[k] ^= inv
+		}
+	}
+}
+
+// xorNRun computes z = XOR(fan[a:a+b]) ^ inv.
+//
+//go:noinline
+func xorNRun[W lanes](run []evalOp, fan []int32, nets []W, inv uint64) {
+	for i := range run {
+		f := fan[run[i].a : run[i].a+run[i].b]
+		z := &nets[run[i].out]
+		*z = nets[f[0]]
+		for _, g := range f[1:] {
+			x := &nets[g]
+			for k := 0; k < len(*z); k++ {
+				(*z)[k] ^= (*x)[k]
+			}
+		}
+		for k := 0; k < len(*z); k++ {
+			(*z)[k] ^= inv
+		}
 	}
 }
 
@@ -202,47 +284,22 @@ func (e *Evaluator) NewWideNetBuffer(w int) []uint64 {
 // when there are none), nets receives w words per net and must have
 // length NumIDs*w. w must be a supported width (see Widths).
 func (e *Evaluator) EvalWide(w int, in, state, nets []uint64) {
+	evalWide(w, &e.plan, in, state, nets)
+}
+
+// evalWide runs p over stride-w buffers through the width's kernel
+// instantiation.
+func evalWide(w int, p *plan, in, state, nets []uint64) {
 	switch w {
 	case 1:
-		evalPlan(&e.plan, lanesOf[[1]uint64](in), lanesOf[[1]uint64](state), lanesOf[[1]uint64](nets))
+		evalPlan(p, lanesOf[[1]uint64](in), lanesOf[[1]uint64](state), lanesOf[[1]uint64](nets))
 	case 4:
-		evalPlan(&e.plan, lanesOf[[4]uint64](in), lanesOf[[4]uint64](state), lanesOf[[4]uint64](nets))
+		evalPlan(p, lanesOf[[4]uint64](in), lanesOf[[4]uint64](state), lanesOf[[4]uint64](nets))
 	case 8:
-		evalPlan(&e.plan, lanesOf[[8]uint64](in), lanesOf[[8]uint64](state), lanesOf[[8]uint64](nets))
+		evalPlan(p, lanesOf[[8]uint64](in), lanesOf[[8]uint64](state), lanesOf[[8]uint64](nets))
 	default:
 		panic(fmt.Sprintf("sim: unsupported width %d", w))
 	}
-}
-
-// OutputWordsWide extracts the primary output lanes from a stride-w net
-// buffer, in Outputs() order: output i's lane k lands at dst[i*w+k].
-func (e *Evaluator) OutputWordsWide(w int, nets, dst []uint64) []uint64 {
-	outs := e.c.Outputs()
-	n := len(outs) * w
-	if cap(dst) < n {
-		dst = make([]uint64, n)
-	}
-	dst = dst[:n]
-	for i, o := range outs {
-		copy(dst[i*w:(i+1)*w], nets[int(o)*w:])
-	}
-	return dst
-}
-
-// NextStateWordsWide extracts the flip-flop next-state lanes (the D
-// pins) from a stride-w net buffer, in DFFs() order.
-func (e *Evaluator) NextStateWordsWide(w int, nets, dst []uint64) []uint64 {
-	ffs := e.c.DFFs()
-	n := len(ffs) * w
-	if cap(dst) < n {
-		dst = make([]uint64, n)
-	}
-	dst = dst[:n]
-	for i, ff := range ffs {
-		d := int(e.c.Gate(ff).Fanin[0])
-		copy(dst[i*w:(i+1)*w], nets[d*w:])
-	}
-	return dst
 }
 
 // WideRand generates w parallel splitmix64 stimulus streams, one per

@@ -329,5 +329,157 @@ func FuzzSimWide(f *testing.F) {
 			checkWideMatchesSerial(t, c, w, 9, seed^0xa5a5)
 		}
 		checkConeKeepsEvalBuffer(t, c, seed^0x5a5a)
+		checkPlanMatchesGateReference(t, c, seed^0x3c3c)
 	})
+}
+
+// refEval is a per-gate reference interpreter that shares nothing with
+// the plan compiler or the kernel: it walks the circuit's topological
+// order and evaluates each gate straight from its netlist type, one
+// 64-pattern word per net.
+func refEval(tb testing.TB, c *netlist.Circuit, in, st []uint64) []uint64 {
+	tb.Helper()
+	order, err := c.TopoOrder()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src := map[netlist.GateID]uint64{}
+	for i, id := range c.Inputs() {
+		src[id] = in[i]
+	}
+	for i, id := range c.DFFs() {
+		src[id] = st[i]
+	}
+	nets := make([]uint64, c.NumIDs())
+	for _, id := range order {
+		g := c.Gate(id)
+		var v uint64
+		switch g.Type {
+		case netlist.Input, netlist.DFF:
+			v = src[id]
+		case netlist.TieHi:
+			v = ^uint64(0)
+		case netlist.TieLo:
+			v = 0
+		case netlist.Buf, netlist.Output:
+			v = nets[g.Fanin[0]]
+		case netlist.Not:
+			v = ^nets[g.Fanin[0]]
+		case netlist.Mux:
+			s, d0, d1 := nets[g.Fanin[0]], nets[g.Fanin[1]], nets[g.Fanin[2]]
+			v = (^s & d0) | (s & d1)
+		case netlist.And, netlist.Nand:
+			v = ^uint64(0)
+			for _, f := range g.Fanin {
+				v &= nets[f]
+			}
+			if g.Type == netlist.Nand {
+				v = ^v
+			}
+		case netlist.Or, netlist.Nor:
+			for _, f := range g.Fanin {
+				v |= nets[f]
+			}
+			if g.Type == netlist.Nor {
+				v = ^v
+			}
+		case netlist.Xor, netlist.Xnor:
+			for _, f := range g.Fanin {
+				v ^= nets[f]
+			}
+			if g.Type == netlist.Xnor {
+				v = ^v
+			}
+		default:
+			tb.Fatalf("refEval: gate %d has type %v", id, g.Type)
+		}
+		nets[id] = v
+	}
+	return nets
+}
+
+// checkPlanMatchesGateReference asserts that the compiled kernel agrees
+// with refEval on every live net, at every width and through
+// Cone.Eval. Net buffers start out as garbage, so an op that runs
+// before one of its fanins reads a wrong value and fails the check.
+func checkPlanMatchesGateReference(tb testing.TB, c *netlist.Circuit, seed uint64) {
+	tb.Helper()
+	e, err := NewEvaluator(c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	order, err := c.TopoOrder()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const words = 9
+	stride := uint64(len(c.Inputs()) + len(c.DFFs()))
+	ref := make([][]uint64, words)
+	for wd := range ref {
+		rng := NewRandAt(seed, uint64(wd)*stride)
+		in := make([]uint64, len(c.Inputs()))
+		st := make([]uint64, len(c.DFFs()))
+		rng.Fill(in)
+		rng.Fill(st)
+		ref[wd] = refEval(tb, c, in, st)
+	}
+	junk := NewRand(seed ^ 0xfeed)
+	for _, w := range Widths {
+		inW := make([]uint64, len(c.Inputs())*w)
+		stW := make([]uint64, len(c.DFFs())*w)
+		netsW := e.NewWideNetBuffer(w)
+		for base := 0; base < words; base += w {
+			rng := NewWideRandAt(seed, uint64(base), stride, w)
+			rng.FillWide(inW)
+			rng.FillWide(stW)
+			junk.Fill(netsW)
+			e.EvalWide(w, inW, stW, netsW)
+			for k := 0; k < w && base+k < words; k++ {
+				for _, id := range order {
+					if got, want := netsW[int(id)*w+k], ref[base+k][id]; got != want {
+						tb.Fatalf("width %d word %d net %d (%v): got %016x want %016x",
+							w, base+k, id, c.Gate(id).Type, got, want)
+					}
+				}
+			}
+		}
+	}
+	// Cones over the whole order and over random subsets of it: the
+	// cone's own nets start as garbage, every other net holds its
+	// reference value, and Eval must restore the reference everywhere.
+	for trial := 0; trial < 4; trial++ {
+		var ids []netlist.GateID
+		for _, id := range order {
+			if trial == 0 || junk.Word()&1 == 1 {
+				ids = append(ids, id)
+			}
+		}
+		k, err := CompileCone(c, ids)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for wd := range ref {
+			nets := slices.Clone(ref[wd])
+			for _, id := range ids {
+				if !c.Gate(id).Type.IsSource() {
+					nets[id] = junk.Word()
+				}
+			}
+			k.Eval(nets)
+			for _, id := range order {
+				if nets[id] != ref[wd][id] {
+					tb.Fatalf("cone trial %d word %d net %d (%v): got %016x want %016x",
+						trial, wd, id, c.Gate(id).Type, nets[id], ref[wd][id])
+				}
+			}
+		}
+	}
+}
+
+func TestPlanMatchesGateReference(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42, 99} {
+		for _, n := range []int{1, 20, 300} {
+			checkPlanMatchesGateReference(t, randCircuit(t, seed, n), seed*5+3)
+		}
+	}
 }
