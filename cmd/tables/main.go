@@ -27,8 +27,8 @@
 // SIGTERM cancels cleanly (exit 130, manifest flushed), and -resume
 // picks the sweep back up, recomputing only the missing cells — the
 // resumed table is byte-identical to an uninterrupted run. -jobtimeout
-// bounds each job, -retries retries transient failures, and -merge
-// unions shard manifests from a split sweep.
+// bounds each job, and -merge unions shard manifests from a split
+// sweep.
 //
 // The Table I/II sweep can also be distributed across OS processes:
 // -workers N leases cells to N locally spawned worker processes, and
@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -79,7 +78,6 @@ func main() {
 		satWork    = flag.Int("satworkers", 2, "SAT portfolio members per LEC solve, time-sliced in a deterministic schedule: results are bit-identical for every value (0/1 = single solver)")
 		benchSel   = flag.String("benchmarks", "", "comma-separated benchmark subset (default: the full suite of the selected table); e.g. -benchmarks b14 for a single full-scale run")
 		jobTimeout = flag.Duration("jobtimeout", 0, "per-cell deadline for Table I/II jobs; a blown deadline is recorded on that cell and the others keep running (0 = none)")
-		retries    = flag.Int("retries", 0, "extra attempts for a failed Table I/II job (doubling backoff; timeouts and interrupts are not retried)")
 		manifestP  = flag.String("manifest", "", "checkpoint file for the Table I/II sweep: every completed cell is flushed there atomically")
 		resume     = flag.Bool("resume", false, "load -manifest and skip cells it already holds (the file must match this configuration)")
 		mergeSel   = flag.String("merge", "", "comma-separated shard manifests to union into -manifest, then exit")
@@ -106,7 +104,7 @@ func main() {
 		// Worker processes speak the dispatch protocol on stdout; nothing
 		// else may be printed there, so this branch exits before any of
 		// the table rendering below can run.
-		if err := runWorker(*workerID, *hbInterval, *jobTimeout, *retries); err != nil {
+		if err := runWorker(*workerID, *hbInterval, *jobTimeout); err != nil {
 			fmt.Fprintf(os.Stderr, "tables worker %d: %v\n", *workerID, err)
 			os.Exit(1)
 		}
@@ -193,18 +191,17 @@ func main() {
 			Seed: *seed, Parallel: *parallel, SimWorkers: *simWork,
 			SimWidth:      *simWidth,
 			SolverWorkers: *satWork,
-			JobTimeout:    *jobTimeout, Retries: *retries,
-			Manifest: manifest,
+			JobTimeout:    *jobTimeout,
+			Manifest:      manifest,
 		}
 		if distributed {
-			coord, fleet, err := newCoordinator(coordinatorConfig{
+			coord, err := newCoordinator(coordinatorConfig{
 				workers:     *workers,
 				connect:     splitList(*connectSel),
 				leaseT:      *leaseT,
 				hbInterval:  *hbInterval,
 				crashBudget: *crashBudget,
 				jobTimeout:  *jobTimeout,
-				retries:     *retries,
 			})
 			if err != nil {
 				fail(err)
@@ -222,10 +219,9 @@ func main() {
 				}
 				return res, err
 			}
-			// Cells beyond the fleet size would only queue at the
-			// coordinator; match the sweep's width to the fleet.
+			// Hand every cell to the coordinator at once; its queue
+			// bounds execution to the fleet.
 			itcOpt.Parallel = true
-			itcOpt.Parallelism = fleet
 		}
 		rows, err := flow.RunITC(ctx, itcOpt)
 		interrupted(manifest)
@@ -349,17 +345,17 @@ func mergeShards(out string, shardPaths []string) error {
 }
 
 // runWorker serves one dispatch worker on stdin/stdout until the
-// coordinator sends quit or closes the pipe. jobTimeout and retries are
-// worker-local knobs; everything that affects a cell's result arrives
-// in the leased CellSpec, so the printed table is independent of which
+// coordinator sends quit or closes the pipe. jobTimeout is a
+// worker-local knob; everything that affects a cell's result arrives in
+// the leased CellSpec, so the printed table is independent of which
 // worker computed which cell.
-func runWorker(id int, hbInterval, jobTimeout time.Duration, retries int) error {
+func runWorker(id int, hbInterval, jobTimeout time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return dispatch.ServeWorker(ctx, os.Stdin, os.Stdout, dispatch.WorkerOptions{
 		ID:                id,
 		HeartbeatInterval: hbInterval,
-		Run:               flow.DispatchCellFunc(flow.ITCOptions{JobTimeout: jobTimeout, Retries: retries}),
+		Run:               flow.DispatchCellFunc(flow.ITCOptions{JobTimeout: jobTimeout}),
 	})
 }
 
@@ -371,19 +367,17 @@ type coordinatorConfig struct {
 	hbInterval  time.Duration
 	crashBudget int
 	jobTimeout  time.Duration
-	retries     int
 }
 
 // newCoordinator builds the worker fleet: cfg.workers local processes
 // re-executing this binary in -worker mode, plus one remote-worker slot
-// per -connect daemon. It returns the fleet size so the sweep's
-// parallelism can match it.
-func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, int, error) {
+// per -connect daemon.
+func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, error) {
 	var spawners []dispatch.SpawnFunc
 	if cfg.workers > 0 {
 		exe, err := os.Executable()
 		if err != nil {
-			return nil, 0, fmt.Errorf("cannot locate own binary to spawn workers: %w", err)
+			return nil, fmt.Errorf("cannot locate own binary to spawn workers: %w", err)
 		}
 		// Workers inherit this process's environment (REPRO_FAULTPOINTS
 		// included — per-worker fault sites key off the -workerid that
@@ -391,7 +385,6 @@ func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, int, error) {
 		argv := []string{exe, "-worker",
 			"-hbinterval", cfg.hbInterval.String(),
 			"-jobtimeout", cfg.jobTimeout.String(),
-			"-retries", strconv.Itoa(cfg.retries),
 		}
 		for i := 0; i < cfg.workers; i++ {
 			spawners = append(spawners, dispatch.ProcSpawner(argv, nil))
@@ -404,7 +397,7 @@ func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, int, error) {
 		}
 		spawners = append(spawners, dispatch.RemoteSpawner(url, nil))
 	}
-	coord, err := dispatch.New(dispatch.Options{
+	return dispatch.New(dispatch.Options{
 		Spawners:     spawners,
 		LeaseTimeout: cfg.leaseT,
 		CrashBudget:  cfg.crashBudget,
@@ -412,10 +405,6 @@ func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, int, error) {
 			fmt.Fprintf(os.Stderr, "tables: "+format+"\n", args...)
 		},
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return coord, len(spawners), nil
 }
 
 // printFaultpoints lists every Describe'd fault site linked into this

@@ -32,9 +32,10 @@ type RewriteOptions struct {
 	// Passes bounds the reconstruction passes (0 = 1). A pass that
 	// fails to shrink the AND count ends the loop early.
 	Passes int
-	// CutsPerNode caps the non-trivial cuts kept per node (0 = 8).
-	CutsPerNode int
 }
+
+// cutsPerNode caps the non-trivial cuts kept per node.
+const cutsPerNode = 8
 
 // RewriteStats reports what a Rewrite run did.
 type RewriteStats struct {
@@ -85,17 +86,13 @@ func Rewrite(g *Graph, roots []Lit, opt RewriteOptions) (*Graph, []Lit, RewriteS
 	if passes <= 0 {
 		passes = 1
 	}
-	cutCap := opt.CutsPerNode
-	if cutCap <= 0 {
-		cutCap = 8
-	}
 	st := RewriteStats{NodesBefore: g.NumAnds()}
 	rw := newRewriter()
 	cur, curRoots := g, roots
 	var total []Lit
 	for p := 0; p < passes; p++ {
 		before := cur.NumAnds()
-		h, m := rw.pass(cur, curRoots, cutCap, &st)
+		h, m := rw.pass(cur, curRoots, &st)
 		if total == nil {
 			total = m
 		} else {
@@ -680,7 +677,7 @@ func (rw *rewriter) mffcSize(g *Graph, n int, c *cut) int {
 // pass runs one reconstruction pass over g and extracts the cones of
 // the roots; it returns the new graph and the old-node -> new-literal
 // map.
-func (rw *rewriter) pass(g *Graph, roots []Lit, cutCap int, st *RewriteStats) (*Graph, []Lit) {
+func (rw *rewriter) pass(g *Graph, roots []Lit, st *RewriteStats) (*Graph, []Lit) {
 	h := New()
 	m := make([]Lit, g.NumNodes())
 	for i := range m {
@@ -748,8 +745,8 @@ func (rw *rewriter) pass(g *Graph, roots []Lit, cutCap int, st *RewriteStats) (*
 			}
 		}
 		sort.SliceStable(cand, func(i, j int) bool { return cand[i].n < cand[j].n })
-		if len(cand) > cutCap {
-			cand = cand[:cutCap]
+		if len(cand) > cutsPerNode {
+			cand = cand[:cutsPerNode]
 		}
 		st.Cuts += len(cand)
 

@@ -373,7 +373,7 @@ func (c *Coordinator) requeueDeath(t *task, cause string, now time.Time) {
 	if delay > c.opt.MaxBackoff {
 		delay = c.opt.MaxBackoff
 	}
-	delay += Jitter(t.spec.Seed, t.spec.Key(), t.deaths, delay)
+	delay += jitter(t.spec.Seed, t.spec.Key(), t.deaths, delay)
 	t.notBefore = now.Add(delay)
 	c.queue = append(c.queue, t)
 	c.logf("dispatch: requeued %s (death %d/%d, backoff %v)", t.spec.Key(), t.deaths, c.opt.CrashBudget, delay.Round(time.Millisecond))
@@ -617,13 +617,12 @@ func (c *Coordinator) nextWake(now time.Time) time.Duration {
 	return d
 }
 
-// Jitter derives a deterministic delay in [0, d/2) from a cell's
+// jitter derives a deterministic delay in [0, d/2) from a cell's
 // identity and attempt number: doubling backoff alone synchronizes
 // retries across parallel cells (they all failed together, they all
 // return together), while seed-derived jitter de-phases them without
-// sacrificing reproducibility. Exported for reuse by the flow layer's
-// in-process retry backoff.
-func Jitter(seed uint64, salt string, attempt int, d time.Duration) time.Duration {
+// sacrificing reproducibility.
+func jitter(seed uint64, salt string, attempt int, d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}

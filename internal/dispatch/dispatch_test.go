@@ -359,27 +359,27 @@ func TestCloseFailsInFlight(t *testing.T) {
 	}
 }
 
-// Jitter is a pure function of (seed, salt, attempt, window): identical
+// jitter is a pure function of (seed, salt, attempt, window): identical
 // inputs reproduce identical backoff, different cells de-phase.
 func TestJitterDeterministic(t *testing.T) {
 	d := 400 * time.Millisecond
-	a := Jitter(42, "b14/M4", 1, d)
-	b := Jitter(42, "b14/M4", 1, d)
+	a := jitter(42, "b14/M4", 1, d)
+	b := jitter(42, "b14/M4", 1, d)
 	if a != b {
-		t.Fatalf("Jitter not deterministic: %v vs %v", a, b)
+		t.Fatalf("jitter not deterministic: %v vs %v", a, b)
 	}
 	if a < 0 || a > d/2 {
-		t.Fatalf("Jitter %v outside [0, %v]", a, d/2)
+		t.Fatalf("jitter %v outside [0, %v]", a, d/2)
 	}
 	distinct := map[time.Duration]bool{}
 	for attempt := 1; attempt <= 8; attempt++ {
-		distinct[Jitter(42, "b14/M4", attempt, d)] = true
+		distinct[jitter(42, "b14/M4", attempt, d)] = true
 	}
 	if len(distinct) < 4 {
 		t.Fatalf("jitter barely varies across attempts: %d distinct of 8", len(distinct))
 	}
-	if Jitter(42, "b14/M4", 1, d) == Jitter(42, "b17/M4", 1, d) &&
-		Jitter(42, "b14/M4", 2, d) == Jitter(42, "b17/M4", 2, d) {
+	if jitter(42, "b14/M4", 1, d) == jitter(42, "b17/M4", 1, d) &&
+		jitter(42, "b14/M4", 2, d) == jitter(42, "b17/M4", 2, d) {
 		t.Fatal("different cells share the same jitter sequence")
 	}
 }

@@ -27,7 +27,7 @@ import (
 // ProtocolVersion gates coordinator/worker pairing; a worker whose hello
 // carries a different version is rejected rather than silently
 // misinterpreted.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // MsgType discriminates protocol messages.
 type MsgType string
@@ -88,10 +88,6 @@ type CellSpec struct {
 	// SolverWorkers is the per-cell SAT portfolio width (deterministic
 	// time-sliced mode; 0/1 = single solver).
 	SolverWorkers int `json:"solver_workers,omitempty"`
-	// Retries is the worker-local retry budget for transient in-process
-	// failures (the coordinator's crash budget is separate and covers
-	// worker deaths).
-	Retries int `json:"retries,omitempty"`
 }
 
 // Key names the cell as it appears in manifests and error reports

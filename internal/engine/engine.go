@@ -5,6 +5,11 @@
 // keep one net buffer and one stimulus generator per worker instead of
 // per item.
 //
+// It is also the one scheduler of the experiment grids: flow runs every
+// Table I/II cell and every Table III / Fig. 5 row through Run with
+// Grain 1, so cells are claimed in grid order by a pool whose width the
+// caller derives (1 for a serial run, on the calling goroutine).
+//
 // Determinism contract: batch boundaries depend only on the item count
 // and the grain — never on the worker count — so a kernel that derives
 // its stimulus from Batch.Start (see sim.NewRandAt) produces results

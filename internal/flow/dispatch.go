@@ -25,7 +25,6 @@ func CellSpecFor(bench string, layer int, opt ITCOptions) dispatch.CellSpec {
 		SimWidth:      opt.SimWidth,
 		SimWorkers:    opt.SimWorkers,
 		SolverWorkers: opt.SolverWorkers,
-		Retries:       opt.Retries,
 	}
 }
 
@@ -33,9 +32,8 @@ func CellSpecFor(bench string, layer int, opt ITCOptions) dispatch.CellSpec {
 // CellFunc that computes the spec'd cell via RunITCCell and marshals
 // the SplitResult exactly as the run manifest would — so a payload that
 // travelled through a worker process checkpoint-flushes byte-identical
-// to one computed in-process. base carries worker-local knobs that are
-// not part of a cell's identity (JobTimeout; a Retries default used
-// when the spec leaves it zero).
+// to one computed in-process. base carries the worker-local JobTimeout,
+// which is not part of a cell's identity.
 func DispatchCellFunc(base ITCOptions) dispatch.CellFunc {
 	return func(ctx context.Context, spec dispatch.CellSpec) (json.RawMessage, error) {
 		opt := base
@@ -46,9 +44,6 @@ func DispatchCellFunc(base ITCOptions) dispatch.CellFunc {
 		opt.SimWidth = spec.SimWidth
 		opt.SimWorkers = spec.SimWorkers
 		opt.SolverWorkers = spec.SolverWorkers
-		if spec.Retries > 0 {
-			opt.Retries = spec.Retries
-		}
 		res, err := RunITCCell(ctx, spec.Bench, spec.Layer, opt)
 		if err != nil {
 			return nil, err

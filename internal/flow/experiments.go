@@ -12,7 +12,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/bmarks"
 	"repro/internal/defense"
-	"repro/internal/dispatch"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
 	"repro/internal/metrics"
@@ -93,15 +92,11 @@ type ITCOptions struct {
 	// JobTimeout bounds each benchmark×layer job; a job that exceeds it
 	// is cancelled and recorded on its row's Errors map, and the other
 	// cells keep running. 0 means no per-job deadline. Jobs that finish
-	// under the deadline are bit-identical to an unbounded run.
+	// under the deadline are bit-identical to an unbounded run. A failed
+	// cell is not retried in-process: it is a deterministic function of
+	// its spec, so only the dispatch coordinator's reassignment (which
+	// covers worker deaths) ever runs a cell again.
 	JobTimeout time.Duration
-	// Retries re-runs a failed job up to this many extra times with
-	// doubling backoff before recording the error. Parent-context
-	// cancellation and deadline expiry are never retried.
-	Retries int
-	// RetryBackoff is the delay before the first retry (doubling after
-	// each attempt; default 250ms).
-	RetryBackoff time.Duration
 	// Manifest, when non-nil, checkpoints every completed cell (and is
 	// consulted first, so cells already present are not recomputed).
 	// Each completed cell is flushed to disk immediately, making the
@@ -117,12 +112,10 @@ type ITCOptions struct {
 	// and error plumbing but delegates each missing cell here (the
 	// dispatch coordinator plugs in at this seam to run cells in worker
 	// processes). The runner must be deterministic in (bench, layer) for
-	// fixed options — RunITC checkpoints whatever it returns.
+	// fixed options — RunITC checkpoints whatever it returns. Under
+	// Parallel every missing cell is handed to the runner at once: the
+	// coordinator's queue already bounds execution to its fleet.
 	CellRunner func(ctx context.Context, bench string, layer int) (SplitResult, error) `json:"-"`
-	// Parallelism caps concurrent cells under Parallel (0 = GOMAXPROCS).
-	// With a CellRunner backed by a worker fleet it should equal the
-	// fleet size: cells beyond it would only queue at the coordinator.
-	Parallelism int
 }
 
 func (o ITCOptions) withDefaults() ITCOptions {
@@ -181,10 +174,21 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 	if opt.CellRunner == nil {
 		opt.SimWorkers = splitSimWorkers(opt.SimWorkers, opt.Parallel, len(jobs))
 	}
+	// Cells are claimed in row/layer order: one at a time unless
+	// Parallel; all at once when a CellRunner queues them at the
+	// coordinator; otherwise one per core.
+	width := 1
+	if opt.Parallel {
+		width = runtime.GOMAXPROCS(0)
+		if opt.CellRunner != nil {
+			width = len(jobs)
+		}
+	}
 	var mu sync.Mutex
 	var manifestErr error
 	done := 0
-	run := func(j job) {
+	forEachCell(len(jobs), width, func(i int) {
+		j := jobs[i]
 		if ctx.Err() != nil {
 			return
 		}
@@ -194,7 +198,7 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 		if opt.CellRunner != nil {
 			res, err = opt.CellRunner(ctx, bench, j.layer)
 		} else {
-			res, err = runITCJob(ctx, bench, j.layer, opt)
+			res, err = runOneITCIsolated(ctx, bench, j.layer, opt)
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -231,29 +235,7 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 			}
 		}
 		faultpoint.Hit(fpCellDone)
-	}
-	if opt.Parallel {
-		width := opt.Parallelism
-		if width <= 0 {
-			width = runtime.GOMAXPROCS(0)
-		}
-		sem := make(chan struct{}, width)
-		var wg sync.WaitGroup
-		for _, j := range jobs {
-			wg.Add(1)
-			go func(j job) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				run(j)
-			}(j)
-		}
-		wg.Wait()
-	} else {
-		for _, j := range jobs {
-			run(j)
-		}
-	}
+	})
 	// Assemble the failure report in deterministic row/layer order.
 	var errs []error
 	for bi := range rows {
@@ -273,41 +255,11 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 }
 
 // RunITCCell computes one benchmark×layer cell under the in-process
-// robustness policy — panic isolation, the per-job deadline, and
-// jittered-backoff retries. It is the worker-side entry point of the
-// dispatch layer: a `tables -worker` process calls this once per lease.
+// robustness policy — panic isolation and the per-job deadline. It is
+// the worker-side entry point of the dispatch layer: a `tables -worker`
+// process calls this once per lease.
 func RunITCCell(ctx context.Context, bench string, layer int, opt ITCOptions) (SplitResult, error) {
-	return runITCJob(ctx, bench, layer, opt.withDefaults())
-}
-
-// runITCJob wraps one cell with the robustness policy: panic isolation,
-// an optional per-job deadline, and bounded-backoff retries for
-// transient failures. Cancellation of the parent context is returned
-// as-is and never retried.
-func runITCJob(ctx context.Context, bench string, layer int, opt ITCOptions) (SplitResult, error) {
-	backoff := opt.RetryBackoff
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
-	}
-	var res SplitResult
-	var err error
-	for attempt := 0; ; attempt++ {
-		res, err = runOneITCIsolated(ctx, bench, layer, opt)
-		if err == nil || attempt >= opt.Retries || ctx.Err() != nil {
-			return res, err
-		}
-		// Parallel cells tend to fail together (a shared resource spike),
-		// so bare doubling would retry them together too. The jitter is
-		// derived from the run seed and the cell key: de-phased across
-		// cells, yet byte-reproducible from run to run.
-		delay := backoff + dispatch.Jitter(opt.Seed, ITCCellKey(bench, layer), attempt+1, backoff)
-		select {
-		case <-ctx.Done():
-			return res, err
-		case <-time.After(delay):
-		}
-		backoff *= 2
-	}
+	return runOneITCIsolated(ctx, bench, layer, opt.withDefaults())
 }
 
 // runOneITCIsolated runs one cell under its own deadline and converts a
@@ -406,10 +358,7 @@ type ISCASOptions struct {
 	KeyBits    int
 	Patterns   int
 	Seed       uint64
-	// LiftFraction is the lifted-connection budget for [12]/[13]
-	// (default 0.5).
-	LiftFraction float64
-	Parallel     bool
+	Parallel   bool
 	// SimWorkers caps the per-job pattern-simulation worker pool
 	// (0 = GOMAXPROCS, 1 = serial).
 	SimWorkers int
@@ -430,11 +379,12 @@ func (o ISCASOptions) withDefaults() ISCASOptions {
 	if o.Patterns <= 0 {
 		o.Patterns = 1 << 15
 	}
-	if o.LiftFraction <= 0 {
-		o.LiftFraction = 0.5
-	}
 	return o
 }
+
+// liftFraction is the lifted-connection budget of the prior-art
+// defenses [12] and [13] in Table III.
+const liftFraction = 0.5
 
 // SchemeNames lists the Table III columns in published order.
 func SchemeNames() []string { return []string{"perturb22", "lift12", "restore13", "proposed"} }
@@ -467,14 +417,18 @@ func RunISCAS(ctx context.Context, opt ISCASOptions) ([]ISCASRow, error) {
 	})
 }
 
-// fanOut runs one row per benchmark, concurrently when parallel. A
+// fanOut runs one row per benchmark, one per core when parallel. A
 // failed row stays zero. The error is the failure of the lowest-index
 // benchmark, prefixed with its name, or ctx's error when none failed;
 // cancelling ctx stops issuing new benchmarks.
 func fanOut[R any](ctx context.Context, benchmarks []string, parallel bool, run func(bench string) (R, error)) ([]R, error) {
 	rows := make([]R, len(benchmarks))
 	errs := make([]error, len(benchmarks))
-	work := func(bi int) {
+	width := 1
+	if parallel {
+		width = runtime.GOMAXPROCS(0)
+	}
+	forEachCell(len(benchmarks), width, func(bi int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -484,25 +438,23 @@ func fanOut[R any](ctx context.Context, benchmarks []string, parallel bool, run 
 			return
 		}
 		rows[bi] = row
-	}
-	if parallel {
-		var wg sync.WaitGroup
-		for bi := range benchmarks {
-			wg.Add(1)
-			go func(bi int) { defer wg.Done(); work(bi) }(bi)
-		}
-		wg.Wait()
-	} else {
-		for bi := range benchmarks {
-			work(bi)
-		}
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return rows, err
 		}
 	}
 	return rows, ctx.Err()
+}
+
+// forEachCell runs cell(0), …, cell(n-1) on engine.Run, one cell per
+// batch, claimed in index order by up to width workers; width 1 runs
+// them in order on the calling goroutine. Cells check ctx themselves,
+// so Run gets no Stop flag and cannot return ErrStopped.
+func forEachCell(n, width int, cell func(i int)) {
+	_, _ = engine.Run(n, engine.Options{Workers: width, Grain: 1},
+		func(int) struct{} { return struct{}{} },
+		func(_ struct{}, b engine.Batch) { cell(b.Start) })
 }
 
 func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions) (ISCASRow, error) {
@@ -524,8 +476,8 @@ func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions) (ISCASRow,
 	}
 	priors := map[string]*route.Result{
 		"perturb22": defense.PerturbRouting(lay, routes, 0.9, 5, opt.Seed+2),
-		"lift12":    defense.LiftWires(lay, routes, opt.LiftFraction, opt.Seed+3),
-		"restore13": defense.BEOLRestore(lay, routes, opt.LiftFraction, opt.Seed+4),
+		"lift12":    defense.LiftWires(lay, routes, liftFraction, opt.Seed+3),
+		"restore13": defense.BEOLRestore(lay, routes, liftFraction, opt.Seed+4),
 	}
 	for name, r := range priors {
 		view, secret, err := split.Split(lay, r)

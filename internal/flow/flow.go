@@ -40,8 +40,6 @@ type Config struct {
 	SplitLayer int
 	// Seed makes the whole flow reproducible.
 	Seed uint64
-	// Utilization is the placement density target.
-	Utilization float64
 	// UseATPGLock selects the cost-driven fault-injection scheme
 	// (true, the paper's choice) or plain random locking.
 	UseATPGLock bool
@@ -50,10 +48,6 @@ type Config struct {
 	// construction is exact; LEC is the Fig. 3 safety net). 0 means
 	// 4000 gates.
 	LECGateLimit int
-	// LECPrefilterPatterns is passed through to the checker: the number
-	// of random patterns simulated before the SAT miter runs (0 = the
-	// checker default, negative disables the prefilter and forces SAT).
-	LECPrefilterPatterns int
 	// SimWidth is the simulation width in 64-pattern words per net (1,
 	// 4 or 8; 0 auto-selects per run). Simulation results — the LEC
 	// prefilter, large-design equivalence runs, HD/OER tables — are
@@ -66,8 +60,6 @@ type Config struct {
 	// and the tables do not change with -satworkers. 0 or 1 keeps the
 	// single solver.
 	SolverWorkers int
-	// PlacePasses overrides placement improvement passes (0 = default).
-	PlacePasses int
 	// Progress, when non-nil, receives a notification as the flow
 	// crosses each stage boundary ("lock", "lec", "place", "route",
 	// "split"). The daemon's job runner streams these to clients; the
@@ -93,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SplitLayer == 0 {
 		c.SplitLayer = 4
-	}
-	if c.Utilization <= 0 {
-		c.Utilization = 0.7
 	}
 	if c.LECGateLimit <= 0 {
 		c.LECGateLimit = 4000
@@ -180,12 +169,7 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 
 	// --- Layout stage ---
 	cfg.progress("place", "placing locked netlist")
-	lay, err := place.Place(lk.Circuit, place.Options{
-		Seed:          cfg.Seed + 1,
-		Utilization:   cfg.Utilization,
-		RandomizeTies: true,
-		Passes:        cfg.PlacePasses,
-	})
+	lay, err := place.Place(lk.Circuit, place.Options{Seed: cfg.Seed + 1, RandomizeTies: true})
 	if err != nil {
 		return nil, fmt.Errorf("flow: placement: %w", err)
 	}
@@ -231,12 +215,11 @@ func verifyEquivalence(ctx context.Context, orig, locked *netlist.Circuit, cfg C
 	defer release()
 	if orig.NumGates() <= cfg.LECGateLimit {
 		res, err := lec.Check(orig, locked, lec.Options{
-			Seed:              cfg.Seed,
-			PrefilterPatterns: cfg.LECPrefilterPatterns,
-			SimWidth:          cfg.SimWidth,
-			PortfolioWorkers:  cfg.SolverWorkers,
-			Solver:            cfg.LECSolver,
-			Stop:              stop,
+			Seed:             cfg.Seed,
+			SimWidth:         cfg.SimWidth,
+			PortfolioWorkers: cfg.SolverWorkers,
+			Solver:           cfg.LECSolver,
+			Stop:             stop,
 		})
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -293,12 +276,7 @@ func MeasurePPA(art *Artifacts, variant LayoutVariant) (metrics.PPA, error) {
 	default:
 		return metrics.PPA{}, fmt.Errorf("flow: unknown variant %q", variant)
 	}
-	lay, err := place.Place(c, place.Options{
-		Seed:          cfg.Seed + 1,
-		Utilization:   cfg.Utilization,
-		RandomizeTies: variant != VariantBaseline,
-		Passes:        cfg.PlacePasses,
-	})
+	lay, err := place.Place(c, place.Options{Seed: cfg.Seed + 1, RandomizeTies: variant != VariantBaseline})
 	if err != nil {
 		return metrics.PPA{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -55,34 +56,6 @@ func TestRunITCPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestRunITCRetry: a transient failure (here: a panic on the first
-// attempt only) must be retried and succeed without surfacing an error.
-func TestRunITCRetry(t *testing.T) {
-	defer faultpoint.Reset()
-	var calls atomic.Int32
-	faultpoint.Set("flow.itc.run@b14/M4", func() {
-		if calls.Add(1) == 1 {
-			panic("transient fault")
-		}
-	})
-
-	opt := robustITCOpts()
-	opt.Retries = 1
-	opt.RetryBackoff = time.Millisecond
-	rows, err := RunITC(context.Background(), opt)
-	if err != nil {
-		t.Fatalf("retry did not recover the transient failure: %v", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("cell ran %d times, want 2 (fail + retry)", got)
-	}
-	for _, sl := range []int{4, 6} {
-		if _, ok := rows[0].Results[sl]; !ok {
-			t.Errorf("missing cell M%d after retry", sl)
-		}
-	}
-}
-
 // TestRunITCJobTimeout: a job exceeding JobTimeout must be recorded on
 // its cell — with an error naming the deadline — while the sibling
 // cell finishes untouched. The stalled job is cancelled at the next
@@ -102,7 +75,11 @@ func TestRunITCJobTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	timeout := 3*time.Since(start) + time.Second
-	faultpoint.Set("flow.itc.run@b14/M4", func() { time.Sleep(timeout + time.Second) })
+	var runs atomic.Int32
+	faultpoint.Set("flow.itc.run@b14/M4", func() {
+		runs.Add(1)
+		time.Sleep(timeout + time.Second)
+	})
 
 	opt := robustITCOpts()
 	opt.JobTimeout = timeout
@@ -119,6 +96,41 @@ func TestRunITCJobTimeout(t *testing.T) {
 	}
 	if _, ok := rows[0].Results[6]; !ok {
 		t.Error("sibling cell b14/M6 was poisoned by the timeout")
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("stalled cell ran %d times, want 1 (a deterministic cell is never retried in-process)", got)
+	}
+}
+
+// TestRunITCCellRunnerAllInFlight: with a CellRunner, RunITC hands every
+// cell to the runner at once — the coordinator's queue, not the core
+// count, bounds execution — so a runner that waits for all four cells
+// to arrive is not starved on a one-core host.
+func TestRunITCCellRunnerAllInFlight(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const cells = 4
+	var entered atomic.Int32
+	all := make(chan struct{})
+	opt := ITCOptions{Benchmarks: []string{"b14", "b15"}, Parallel: true}
+	opt.CellRunner = func(ctx context.Context, bench string, layer int) (SplitResult, error) {
+		if entered.Add(1) == cells {
+			close(all)
+		}
+		select {
+		case <-all:
+			return SplitResult{SplitLayer: layer}, nil
+		case <-time.After(5 * time.Second):
+			return SplitResult{}, errors.New("cell waited 5s for its siblings to enter the runner")
+		}
+	}
+	rows, err := RunITC(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if len(row.Results) != 2 {
+			t.Errorf("%s: %d cells, want 2", row.Benchmark, len(row.Results))
+		}
 	}
 }
 

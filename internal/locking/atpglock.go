@@ -20,16 +20,6 @@ type ATPGLockOptions struct {
 	// so the final key is exactly KeyBits wide (the |K| = k
 	// constraint).
 	KeyBits int
-	// Modules is the number of partitions (default KeyBits/8, at
-	// least 4).
-	Modules int
-	// MaxDepth bounds the fault's backward cone, ForwardDepth its
-	// forward (shadow) cone; MaxSupport bounds the region input cut
-	// and MaxOnSet the per-boundary failing-pattern count.
-	MaxDepth, ForwardDepth, MaxSupport, MaxOnSet int
-	// MaxCandidatesPerModule caps fault candidates examined per module
-	// (default 48).
-	MaxCandidatesPerModule int
 	// Seed drives partitioning, candidate order and key generation.
 	Seed uint64
 }
@@ -38,39 +28,30 @@ func (o ATPGLockOptions) withDefaults() ATPGLockOptions {
 	if o.KeyBits <= 0 {
 		o.KeyBits = 128
 	}
-	if o.Modules <= 0 {
-		o.Modules = o.KeyBits / 2
-		if o.Modules < 4 {
-			o.Modules = 4
-		}
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = 2
-	}
-	if o.ForwardDepth <= 0 {
-		o.ForwardDepth = 10
-	}
-	if o.MaxSupport <= 0 {
-		o.MaxSupport = 11
-	}
-	if o.MaxOnSet <= 0 {
-		o.MaxOnSet = 48
-	}
-	if o.MaxCandidatesPerModule <= 0 {
-		o.MaxCandidatesPerModule = 48
-	}
 	return o
 }
 
-// regionOptionsFor derives the region-analysis bounds from the lock
-// options.
-func regionOptionsFor(opt ATPGLockOptions) regionOptions {
+// Fault-region bounds of the cost-driven selection.
+const (
+	// maxDepth bounds the fault's backward cone, forwardDepth its
+	// forward (shadow) cone.
+	maxDepth, forwardDepth = 2, 10
+	// maxSupport bounds the region input cut.
+	maxSupport = 11
+	// maxOnSet bounds the per-boundary failing-pattern count.
+	maxOnSet = 48
+	// maxCandidatesPerModule caps fault candidates examined per module.
+	maxCandidatesPerModule = 48
+)
+
+// lockRegionOptions is the region-analysis view of the bounds above.
+func lockRegionOptions() regionOptions {
 	return regionOptions{
-		BackDepth:   opt.MaxDepth,
-		FwdDepth:    opt.ForwardDepth,
-		MaxSupport:  opt.MaxSupport,
-		MaxActOnSet: opt.MaxOnSet,
-		MaxSOP:      opt.MaxOnSet,
+		BackDepth:   maxDepth,
+		FwdDepth:    forwardDepth,
+		MaxSupport:  maxSupport,
+		MaxActOnSet: maxOnSet,
+		MaxSOP:      maxOnSet,
 	}
 }
 
@@ -99,13 +80,14 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 	rng := sim.NewRand(opt.Seed ^ 0xa7f6)
 	rep := &ATPGLockReport{}
 
-	mods, err := partition.RandomBalanced(c, opt.Modules, rng.Word())
+	// One partition per two key bits, at least 4.
+	mods, err := partition.RandomBalanced(c, max(opt.KeyBits/2, 4), rng.Word())
 	if err != nil {
 		return nil, nil, err
 	}
 	lk := &Locked{Circuit: c, Scheme: "atpg-region"}
 	budget := opt.KeyBits
-	ropt := regionOptionsFor(opt)
+	ropt := lockRegionOptions()
 
 	// Several selection rounds over the modules: each round picks at
 	// most one fault per module (the paper's per-module selection);
@@ -126,7 +108,7 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 			if err != nil {
 				return nil, nil, err
 			}
-			best := bestRegion(c, mod, ropt, opt.MaxCandidatesPerModule, budget, probs, rng, rep)
+			best := bestRegion(c, mod, ropt, maxCandidatesPerModule, budget, probs, rng, rep)
 			if best == nil {
 				continue
 			}

@@ -41,7 +41,7 @@ func TestBackwardKeyBitsMatchesFullAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	circuits := []*netlist.Circuit{b14, genCircuit(t, 300, 5), genCircuit(t, 600, 11)}
-	ropt := regionOptionsFor(ATPGLockOptions{}.withDefaults())
+	ropt := lockRegionOptions()
 	var kept, rejected int
 	for _, c := range circuits {
 		order, topoPos, nets := analysisScratch(t, c)
@@ -122,7 +122,7 @@ func cubeLiterals(c *netlist.Circuit, r *region) []string {
 func TestRegionActivationNANDStuck(t *testing.T) {
 	c := c17(t)
 	u8 := c.GateByName("U8")
-	ropt := regionOptionsFor(ATPGLockOptions{}.withDefaults())
+	ropt := lockRegionOptions()
 	_, topoPos, nets := analysisScratch(t, c)
 	for _, tc := range []struct {
 		sa   bool
@@ -152,7 +152,7 @@ func TestRegionActivationNANDStuck(t *testing.T) {
 // MaxSupport and activation sets above MaxActOnSet are rejected.
 func TestRegionRejections(t *testing.T) {
 	c := c17(t)
-	ropt := regionOptionsFor(ATPGLockOptions{}.withDefaults())
+	ropt := lockRegionOptions()
 	_, topoPos, nets := analysisScratch(t, c)
 	analyze := func(name string, sa bool, opt regionOptions) *region {
 		return analyzeRegion(c, atpg.Fault{Net: c.GateByName(name), StuckAt: sa}, opt, 64, topoPos, nets)
@@ -184,7 +184,7 @@ func TestRedundantConstantNetRejected(t *testing.T) {
 	na := c.MustAdd("na", netlist.Not, a)
 	z := c.MustAdd("z", netlist.And, a, na)
 	c.MustAdd("o", netlist.Output, z)
-	ropt := regionOptionsFor(ATPGLockOptions{}.withDefaults())
+	ropt := lockRegionOptions()
 	_, topoPos, nets := analysisScratch(t, c)
 	for _, tc := range []struct {
 		sa     bool

@@ -97,13 +97,6 @@ type Options struct {
 	// context/deadline cancellation threads through this one, which
 	// nothing in the solver stack ever writes.
 	ExternalStop *atomic.Bool
-	// NoPreprocess disables the solve-entry clause-database
-	// simplification (subsumption, self-subsumption and bounded
-	// variable elimination, see simplify.go). On by default.
-	NoPreprocess bool
-	// NoVivify disables learnt-clause vivification at restart
-	// boundaries (see simplify.go). On by default.
-	NoVivify bool
 }
 
 // watcher is one entry of a long-clause (≥4 literals) watch list. The

@@ -75,7 +75,7 @@ type elimRec struct {
 // clause set grew enough since the last run to pay for the setup.
 // Must be called at decision level zero.
 func (s *Solver) maybeSimplify() {
-	if s.opts.NoPreprocess || s.unsat || s.decisionLevel() != 0 {
+	if s.unsat || s.decisionLevel() != 0 {
 		return
 	}
 	if s.numProblem < simpMinClauses || s.numProblem < s.lastSimp+s.lastSimp/simpGrowth {
@@ -638,7 +638,7 @@ func (s *Solver) extLitTrue(l uint32) bool {
 // level zero only — at assumption levels the strengthening would
 // depend on the assumptions and could not be kept.
 func (s *Solver) maybeVivify() {
-	if s.opts.NoVivify || s.unsat || s.decisionLevel() != 0 {
+	if s.unsat || s.decisionLevel() != 0 {
 		return
 	}
 	if s.Stats.Conflicts-s.lastViv < vivifyInterval {
