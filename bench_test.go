@@ -40,57 +40,40 @@ const (
 	benchSATScale = 0.1
 )
 
-// engineModes drives each table benchmark with the pattern-simulation
-// engine off (1 worker, the seed repo's serial inner loop) and on (the
-// full pool). Results are bit-identical between the two; only the wall
-// clock differs on a multi-core host.
-var engineModes = []struct {
-	name    string
-	workers int
-}{
-	{"engine=on", 0},
-	{"engine=off", 1},
-}
-
 // BenchmarkTableI regenerates Table I: CCR for ITC'99 benchmarks split
 // at M4 and M6 — key-net logical CCR pinned near 50%, physical CCR
 // near 0, regular-net CCR higher at M6 than at M4.
 func BenchmarkTableI(b *testing.B) {
-	for _, mode := range engineModes {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := flow.RunITC(context.Background(), flow.ITCOptions{
-					Benchmarks: []string{"b14", "b15"},
-					Scale:      benchScale,
-					KeyBits:    benchKeyBits,
-					Patterns:   benchPatterns,
-					Seed:       1,
-					Parallel:   true,
-					SimWorkers: mode.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var kl4, kp4, rg4, kl6, rg6 float64
-				for _, r := range rows {
-					kl4 += r.Results[4].CCR.KeyLogical
-					kp4 += r.Results[4].CCR.KeyPhysical
-					rg4 += r.Results[4].CCR.Regular
-					kl6 += r.Results[6].CCR.KeyLogical
-					rg6 += r.Results[6].CCR.Regular
-					b.Logf("Table I row %s: M4 key log/phys %.0f/%.0f%% reg %.0f%% | M6 key log %.0f%% reg %.0f%%",
-						r.Benchmark,
-						r.Results[4].CCR.KeyLogical*100, r.Results[4].CCR.KeyPhysical*100, r.Results[4].CCR.Regular*100,
-						r.Results[6].CCR.KeyLogical*100, r.Results[6].CCR.Regular*100)
-				}
-				n := float64(len(rows))
-				b.ReportMetric(kl4/n*100, "keyLogM4_%")
-				b.ReportMetric(kp4/n*100, "keyPhysM4_%")
-				b.ReportMetric(rg4/n*100, "regM4_%")
-				b.ReportMetric(kl6/n*100, "keyLogM6_%")
-				b.ReportMetric(rg6/n*100, "regM6_%")
-			}
+	for i := 0; i < b.N; i++ {
+		rows, err := flow.RunITC(context.Background(), flow.ITCOptions{
+			Benchmarks: []string{"b14", "b15"},
+			Scale:      benchScale,
+			KeyBits:    benchKeyBits,
+			Patterns:   benchPatterns,
+			Seed:       1,
+			Parallel:   true,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var kl4, kp4, rg4, kl6, rg6 float64
+		for _, r := range rows {
+			kl4 += r.Results[4].CCR.KeyLogical
+			kp4 += r.Results[4].CCR.KeyPhysical
+			rg4 += r.Results[4].CCR.Regular
+			kl6 += r.Results[6].CCR.KeyLogical
+			rg6 += r.Results[6].CCR.Regular
+			b.Logf("Table I row %s: M4 key log/phys %.0f/%.0f%% reg %.0f%% | M6 key log %.0f%% reg %.0f%%",
+				r.Benchmark,
+				r.Results[4].CCR.KeyLogical*100, r.Results[4].CCR.KeyPhysical*100, r.Results[4].CCR.Regular*100,
+				r.Results[6].CCR.KeyLogical*100, r.Results[6].CCR.Regular*100)
+		}
+		n := float64(len(rows))
+		b.ReportMetric(kl4/n*100, "keyLogM4_%")
+		b.ReportMetric(kp4/n*100, "keyPhysM4_%")
+		b.ReportMetric(rg4/n*100, "regM4_%")
+		b.ReportMetric(kl6/n*100, "keyLogM6_%")
+		b.ReportMetric(rg6/n*100, "regM6_%")
 	}
 }
 
@@ -98,45 +81,41 @@ func BenchmarkTableI(b *testing.B) {
 // attack-recovered netlists (paper: OER 100%, HD ≈53% at M4, dropping
 // at M6).
 func BenchmarkTableII(b *testing.B) {
-	for _, mode := range engineModes {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := flow.RunITC(context.Background(), flow.ITCOptions{
-					Benchmarks: []string{"b14", "b20"},
-					Scale:      benchScale,
-					KeyBits:    benchKeyBits,
-					Patterns:   benchPatterns,
-					Seed:       2,
-					Parallel:   true,
-					SimWorkers: mode.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var hd4, oer4, hd6, oer6 float64
-				for _, r := range rows {
-					hd4 += r.Results[4].HD
-					oer4 += r.Results[4].OER
-					hd6 += r.Results[6].HD
-					oer6 += r.Results[6].OER
-					b.Logf("Table II row %s: M4 HD %.0f%% OER %.0f%% | M6 HD %.0f%% OER %.0f%%",
-						r.Benchmark, r.Results[4].HD*100, r.Results[4].OER*100,
-						r.Results[6].HD*100, r.Results[6].OER*100)
-				}
-				n := float64(len(rows))
-				b.ReportMetric(hd4/n*100, "HD_M4_%")
-				b.ReportMetric(oer4/n*100, "OER_M4_%")
-				b.ReportMetric(hd6/n*100, "HD_M6_%")
-				b.ReportMetric(oer6/n*100, "OER_M6_%")
-			}
+	for i := 0; i < b.N; i++ {
+		rows, err := flow.RunITC(context.Background(), flow.ITCOptions{
+			Benchmarks: []string{"b14", "b20"},
+			Scale:      benchScale,
+			KeyBits:    benchKeyBits,
+			Patterns:   benchPatterns,
+			Seed:       2,
+			Parallel:   true,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var hd4, oer4, hd6, oer6 float64
+		for _, r := range rows {
+			hd4 += r.Results[4].HD
+			oer4 += r.Results[4].OER
+			hd6 += r.Results[6].HD
+			oer6 += r.Results[6].OER
+			b.Logf("Table II row %s: M4 HD %.0f%% OER %.0f%% | M6 HD %.0f%% OER %.0f%%",
+				r.Benchmark, r.Results[4].HD*100, r.Results[4].OER*100,
+				r.Results[6].HD*100, r.Results[6].OER*100)
+		}
+		n := float64(len(rows))
+		b.ReportMetric(hd4/n*100, "HD_M4_%")
+		b.ReportMetric(oer4/n*100, "OER_M4_%")
+		b.ReportMetric(hd6/n*100, "HD_M6_%")
+		b.ReportMetric(oer6/n*100, "OER_M6_%")
 	}
 }
 
 // BenchmarkPatternEngine isolates the shared pattern-simulation engine:
-// one HD/OER comparison at Table II depth, serial versus the full
-// worker pool. The reported stats are bit-identical; on a multi-core
-// host the engine=on variant scales with GOMAXPROCS.
+// one HD/OER comparison at Table II depth, serial (engine=off, the seed
+// repo's inner loop) versus the full worker pool (engine=on). The
+// reported stats are bit-identical; on a multi-core host the engine=on
+// variant scales with GOMAXPROCS.
 func BenchmarkPatternEngine(b *testing.B) {
 	orig, err := bmarks.Load("b14", 0.2)
 	if err != nil {
@@ -149,6 +128,13 @@ func BenchmarkPatternEngine(b *testing.B) {
 	asg, err := attack.Proximity(art.View, attack.ProximityOptions{Seed: 7, KeyPostProcess: true})
 	if err != nil {
 		b.Fatal(err)
+	}
+	engineModes := []struct {
+		name    string
+		workers int
+	}{
+		{"engine=on", 0},
+		{"engine=off", 1},
 	}
 	for _, mode := range engineModes {
 		b.Run(mode.name, func(b *testing.B) {

@@ -15,12 +15,14 @@
 //
 //	tables -table 1 -scale 1.0 -patterns 1048576 -benchmarks b14
 //
-// is practical on a laptop: the AIG rewriting and SAT inprocessing
-// passes keep the LEC and attack queries tractable at 1.0 scale, and
-// -benchmarks restricts the suite so a single circuit can be studied
-// at full size. The -satworkers portfolio is time-sliced on one
-// goroutine in a deterministic schedule, so the printed tables are
-// byte-identical for every worker count.
+// is practical on a laptop, and -benchmarks restricts the suite so a
+// single circuit can be studied at full size. At 1.0 scale every
+// ITC'99 design is over the flow's 4000-gate LEC limit, so the Fig. 3
+// equivalence step runs as 65,536-pattern random simulation, not as a
+// SAT proof; the ROADMAP's cone-local LEC item tracks the proof. The
+// -satworkers portfolio is time-sliced on one goroutine in a
+// deterministic schedule, so the printed tables are byte-identical for
+// every worker count.
 //
 // Long sweeps are crash-safe: -manifest checkpoints every completed
 // benchmark×layer cell to an atomically updated JSON file, SIGINT or
@@ -58,7 +60,6 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/flow"
 	"repro/internal/runmanifest"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -73,8 +74,6 @@ func main() {
 		runs       = flag.Int("runs", 2000, "ideal-attack runs (paper: 1M)")
 		seed       = flag.Uint64("seed", 1, "experiment seed")
 		parallel   = flag.Bool("parallel", true, "run benchmarks concurrently")
-		simWork    = flag.Int("simworkers", 0, "pattern-simulation workers per job (0 = GOMAXPROCS, 1 = serial; results are identical)")
-		simWidth   = flag.Int("simwidth", 0, "simulation width in 64-pattern words per net (1, 4 or 8; 0 = auto): tables are byte-identical at every width")
 		satWork    = flag.Int("satworkers", 2, "SAT portfolio members per LEC solve, time-sliced in a deterministic schedule: results are bit-identical for every value (0/1 = single solver)")
 		benchSel   = flag.String("benchmarks", "", "comma-separated benchmark subset (default: the full suite of the selected table); e.g. -benchmarks b14 for a single full-scale run")
 		jobTimeout = flag.Duration("jobtimeout", 0, "per-cell deadline for Table I/II jobs; a blown deadline is recorded on that cell and the others keep running (0 = none)")
@@ -133,9 +132,6 @@ func main() {
 	if err := bmarks.Validate(benches); err != nil {
 		fail(err)
 	}
-	if *simWidth != 0 && !sim.ValidWidth(*simWidth) {
-		fail(fmt.Errorf("-simwidth %d unsupported (want 0, 1, 4 or 8)", *simWidth))
-	}
 
 	if *mergeSel != "" {
 		if *manifestP == "" {
@@ -188,8 +184,7 @@ func main() {
 		itcOpt := flow.ITCOptions{
 			Benchmarks: benches,
 			Scale:      *scale, KeyBits: *keyBits, Patterns: *patterns,
-			Seed: *seed, Parallel: *parallel, SimWorkers: *simWork,
-			SimWidth:      *simWidth,
+			Seed: *seed, Parallel: *parallel,
 			SolverWorkers: *satWork,
 			JobTimeout:    *jobTimeout,
 			Manifest:      manifest,
@@ -246,7 +241,7 @@ func main() {
 		rows, err := flow.RunISCAS(ctx, flow.ISCASOptions{
 			Benchmarks: benches,
 			KeyBits:    *keyBits, Patterns: *patterns, Seed: *seed, Parallel: *parallel,
-			SimWorkers: *simWork, SimWidth: *simWidth, SolverWorkers: *satWork,
+			SolverWorkers: *satWork,
 		})
 		interrupted(nil)
 		if err != nil {

@@ -27,7 +27,7 @@ import (
 // ProtocolVersion gates coordinator/worker pairing; a worker whose hello
 // carries a different version is rejected rather than silently
 // misinterpreted.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // MsgType discriminates protocol messages.
 type MsgType string
@@ -70,8 +70,10 @@ type Message struct {
 // CellSpec fully describes one benchmark×layer cell of the Table I/II
 // sweep: everything a worker needs to compute the cell without sharing
 // flags or files with the coordinator. Results are deterministic
-// functions of (Bench, Layer, Scale, KeyBits, Patterns, Seed) — the
-// remaining fields are speed knobs that never change the payload.
+// functions of (Bench, Layer, Scale, KeyBits, Patterns, Seed) —
+// SolverWorkers is a speed knob that never changes the payload. The
+// simulation width and worker count are not part of the spec: a worker
+// picks the width automatically and simulates on its own GOMAXPROCS.
 type CellSpec struct {
 	Bench    string  `json:"bench"`
 	Layer    int     `json:"layer"`
@@ -79,12 +81,6 @@ type CellSpec struct {
 	KeyBits  int     `json:"keybits"`
 	Patterns int     `json:"patterns"`
 	Seed     uint64  `json:"seed"`
-	// SimWidth is the wide-simulation word width (0 = auto).
-	SimWidth int `json:"sim_width,omitempty"`
-	// SimWorkers caps the worker-process simulation pool (0 =
-	// GOMAXPROCS). The coordinator divides the host's cores across its
-	// local workers here.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// SolverWorkers is the per-cell SAT portfolio width (deterministic
 	// time-sliced mode; 0/1 = single solver).
 	SolverWorkers int `json:"solver_workers,omitempty"`

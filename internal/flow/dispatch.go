@@ -9,7 +9,7 @@ import (
 )
 
 // CellSpecFor builds the wire-level spec for one benchmark×layer cell
-// of an ITC run: the result-affecting fields plus the speed knobs a
+// of an ITC run: the result-affecting fields plus the solver width a
 // worker should honor. The coordinator and the worker must agree on
 // these through the spec alone — workers share no flags or files with
 // the coordinator.
@@ -22,8 +22,6 @@ func CellSpecFor(bench string, layer int, opt ITCOptions) dispatch.CellSpec {
 		KeyBits:       opt.KeyBits,
 		Patterns:      opt.Patterns,
 		Seed:          opt.Seed,
-		SimWidth:      opt.SimWidth,
-		SimWorkers:    opt.SimWorkers,
 		SolverWorkers: opt.SolverWorkers,
 	}
 }
@@ -41,8 +39,6 @@ func DispatchCellFunc(base ITCOptions) dispatch.CellFunc {
 		opt.KeyBits = spec.KeyBits
 		opt.Patterns = spec.Patterns
 		opt.Seed = spec.Seed
-		opt.SimWidth = spec.SimWidth
-		opt.SimWorkers = spec.SimWorkers
 		opt.SolverWorkers = spec.SolverWorkers
 		res, err := RunITCCell(ctx, spec.Bench, spec.Layer, opt)
 		if err != nil {

@@ -76,16 +76,9 @@ type ITCOptions struct {
 	// SplitLayers defaults to {4, 6}.
 	SplitLayers []int
 	// Parallel runs benchmark×layer jobs concurrently (the paper's
-	// flow exploits a 128-core host the same way).
+	// flow exploits a 128-core host the same way); in-process cells
+	// split the cores between their HD/OER simulations (cellSimPool).
 	Parallel bool
-	// SimWorkers caps the per-job pattern-simulation worker pool for
-	// the HD/OER runs (0 = GOMAXPROCS, 1 = serial). Results are
-	// bit-identical for every setting.
-	SimWorkers int
-	// SimWidth is the simulation width in 64-pattern words per net (1,
-	// 4 or 8; 0 auto-selects per run). Tables are byte-identical at
-	// every width.
-	SimWidth int
 	// SolverWorkers is passed to every job's flow.Config: LEC SAT
 	// queries run on that many portfolio members (0/1 = single solver).
 	SolverWorkers int
@@ -171,9 +164,7 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 			jobs = append(jobs, job{bi, sl})
 		}
 	}
-	if opt.CellRunner == nil {
-		opt.SimWorkers = splitSimWorkers(opt.SimWorkers, opt.Parallel, len(jobs))
-	}
+	simWorkers := cellSimPool(opt.Parallel, len(jobs))
 	// Cells are claimed in row/layer order: one at a time unless
 	// Parallel; all at once when a CellRunner queues them at the
 	// coordinator; otherwise one per core.
@@ -198,7 +189,7 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 		if opt.CellRunner != nil {
 			res, err = opt.CellRunner(ctx, bench, j.layer)
 		} else {
-			res, err = runOneITCIsolated(ctx, bench, j.layer, opt)
+			res, err = runOneITCIsolated(ctx, bench, j.layer, opt, simWorkers)
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -257,16 +248,18 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 // RunITCCell computes one benchmark×layer cell under the in-process
 // robustness policy — panic isolation and the per-job deadline. It is
 // the worker-side entry point of the dispatch layer: a `tables -worker`
-// process calls this once per lease.
+// process calls this once per lease, and the cell's simulation uses
+// the whole process (GOMAXPROCS workers).
 func RunITCCell(ctx context.Context, bench string, layer int, opt ITCOptions) (SplitResult, error) {
-	return runOneITCIsolated(ctx, bench, layer, opt.withDefaults())
+	return runOneITCIsolated(ctx, bench, layer, opt.withDefaults(), 0)
 }
 
 // runOneITCIsolated runs one cell under its own deadline and converts a
 // panic anywhere inside the job — including one recovered from an
 // engine worker goroutine — into an error carrying the panicking
-// goroutine's stack.
-func runOneITCIsolated(ctx context.Context, bench string, layer int, opt ITCOptions) (res SplitResult, err error) {
+// goroutine's stack. simWorkers sizes the HD/OER simulation pool
+// (0 = GOMAXPROCS); results do not depend on it.
+func runOneITCIsolated(ctx context.Context, bench string, layer int, opt ITCOptions, simWorkers int) (res SplitResult, err error) {
 	jobCtx := ctx
 	if opt.JobTimeout > 0 {
 		var cancel context.CancelFunc
@@ -283,14 +276,14 @@ func runOneITCIsolated(ctx context.Context, bench string, layer int, opt ITCOpti
 			res = SplitResult{}
 		}
 	}()
-	res, err = runOneITC(jobCtx, bench, layer, opt)
+	res, err = runOneITC(jobCtx, bench, layer, opt, simWorkers)
 	if err != nil && jobCtx.Err() != nil && ctx.Err() == nil {
 		err = fmt.Errorf("job exceeded -jobtimeout %v: %w", opt.JobTimeout, err)
 	}
 	return res, err
 }
 
-func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions) (SplitResult, error) {
+func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions, simWorkers int) (SplitResult, error) {
 	faultpoint.Hit(fpITCRun)
 	faultpoint.Hit(fpITCRun + "@" + ITCCellKey(bench, splitLayer))
 	if err := ctx.Err(); err != nil {
@@ -305,7 +298,6 @@ func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions
 		SplitLayer:    splitLayer,
 		Seed:          opt.Seed + uint64(splitLayer)*1000,
 		UseATPGLock:   true,
-		SimWidth:      opt.SimWidth,
 		SolverWorkers: opt.SolverWorkers,
 	})
 	if err != nil {
@@ -326,8 +318,7 @@ func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions
 	d, err := metrics.FunctionalOpt(orig, art.View, asg, sim.CompareOptions{
 		Patterns: opt.Patterns,
 		Seed:     opt.Seed + 8,
-		Workers:  opt.SimWorkers,
-		Width:    opt.SimWidth,
+		Workers:  simWorkers,
 		Stop:     stop,
 	})
 	if err != nil {
@@ -359,11 +350,6 @@ type ISCASOptions struct {
 	Patterns   int
 	Seed       uint64
 	Parallel   bool
-	// SimWorkers caps the per-job pattern-simulation worker pool
-	// (0 = GOMAXPROCS, 1 = serial).
-	SimWorkers int
-	// SimWidth is the simulation width (1, 4 or 8; 0 auto-selects).
-	SimWidth int
 	// SolverWorkers is passed to every job's flow.Config (portfolio
 	// LEC; 0/1 = single solver).
 	SolverWorkers int
@@ -389,21 +375,17 @@ const liftFraction = 0.5
 // SchemeNames lists the Table III columns in published order.
 func SchemeNames() []string { return []string{"perturb22", "lift12", "restore13", "proposed"} }
 
-// splitSimWorkers resolves the per-job simulation pool so that
-// job-level and pattern-level parallelism compose instead of multiply:
-// with jobs running concurrently, the default pool is GOMAXPROCS
-// divided across the jobs (at least 1), keeping the total worker and
-// net-buffer count at ~GOMAXPROCS rather than GOMAXPROCS². An explicit
-// SimWorkers setting is passed through untouched.
-func splitSimWorkers(simWorkers int, parallel bool, jobs int) int {
-	if simWorkers != 0 || !parallel || jobs <= 0 {
-		return simWorkers
+// cellSimPool sizes each job's simulation pool so that job-level
+// and pattern-level parallelism compose instead of multiply: with jobs
+// running concurrently, GOMAXPROCS is divided across the jobs (at
+// least 1), keeping the total worker and net-buffer count at
+// ~GOMAXPROCS rather than GOMAXPROCS². Serial jobs get 0, the whole
+// pool. Results are bit-identical for every pool size.
+func cellSimPool(parallel bool, jobs int) int {
+	if !parallel || jobs <= 0 {
+		return 0
 	}
-	w := runtime.GOMAXPROCS(0) / jobs
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(runtime.GOMAXPROCS(0)/jobs, 1)
 }
 
 // RunISCAS regenerates Table III: the three prior-art defenses and the
@@ -411,9 +393,9 @@ func splitSimWorkers(simWorkers int, parallel bool, jobs int) int {
 // ctx stops issuing new benchmarks and interrupts running ones.
 func RunISCAS(ctx context.Context, opt ISCASOptions) ([]ISCASRow, error) {
 	opt = opt.withDefaults()
-	opt.SimWorkers = splitSimWorkers(opt.SimWorkers, opt.Parallel, len(opt.Benchmarks))
+	simWorkers := cellSimPool(opt.Parallel, len(opt.Benchmarks))
 	return fanOut(ctx, opt.Benchmarks, opt.Parallel, func(bench string) (ISCASRow, error) {
-		return runOneISCAS(ctx, bench, opt)
+		return runOneISCAS(ctx, bench, opt, simWorkers)
 	})
 }
 
@@ -457,7 +439,7 @@ func forEachCell(n, width int, cell func(i int)) {
 		func(_ struct{}, b engine.Batch) { cell(b.Start) })
 }
 
-func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions) (ISCASRow, error) {
+func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions, simWorkers int) (ISCASRow, error) {
 	row := ISCASRow{Benchmark: bench, Schemes: make(map[string]SchemeResult)}
 	stop, release := engine.WatchContext(ctx)
 	defer release()
@@ -492,8 +474,7 @@ func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions) (ISCASRow,
 		d, err := metrics.FunctionalOpt(orig, view, asg, sim.CompareOptions{
 			Patterns: opt.Patterns,
 			Seed:     opt.Seed + 6,
-			Workers:  opt.SimWorkers,
-			Width:    opt.SimWidth,
+			Workers:  simWorkers,
 			Stop:     stop,
 		})
 		if err != nil {
@@ -509,7 +490,7 @@ func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions) (ISCASRow,
 	// Proposed: the full SplitLock flow; CCR reports the key-nets'
 	// physical CCR (Table III note).
 	art, err := Run(ctx, orig, Config{KeyBits: opt.KeyBits, SplitLayer: 4, Seed: opt.Seed + 9,
-		UseATPGLock: true, SimWidth: opt.SimWidth, SolverWorkers: opt.SolverWorkers})
+		UseATPGLock: true, SolverWorkers: opt.SolverWorkers})
 	if err != nil {
 		return row, err
 	}
@@ -521,8 +502,7 @@ func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions) (ISCASRow,
 	d, err := metrics.FunctionalOpt(orig, art.View, asg, sim.CompareOptions{
 		Patterns: opt.Patterns,
 		Seed:     opt.Seed + 6,
-		Workers:  opt.SimWorkers,
-		Width:    opt.SimWidth,
+		Workers:  simWorkers,
 		Stop:     stop,
 	})
 	if err != nil {
@@ -784,10 +764,4 @@ func ComputeQuartiles(xs []float64) Quartiles {
 		return s[lo]*(1-frac) + s[hi]*frac
 	}
 	return Quartiles{Min: s[0], Q1: at(0.25), Median: at(0.5), Q3: at(0.75), Max: s[len(s)-1]}
-}
-
-// ActivityForPPA re-exports sim.Activity for callers assembling custom
-// PPA studies.
-func ActivityForPPA(c *netlist.Circuit, patterns int, seed uint64) ([]float64, error) {
-	return sim.Activity(c, patterns, seed)
 }

@@ -48,11 +48,6 @@ type Config struct {
 	// construction is exact; LEC is the Fig. 3 safety net). 0 means
 	// 4000 gates.
 	LECGateLimit int
-	// SimWidth is the simulation width in 64-pattern words per net (1,
-	// 4 or 8; 0 auto-selects per run). Simulation results — the LEC
-	// prefilter, large-design equivalence runs, HD/OER tables — are
-	// bit-identical at every width, so this is a pure speed knob.
-	SimWidth int
 	// SolverWorkers > 1 backs the Fig. 3 LEC step with a portfolio of
 	// that many diverging SAT solver instances. The portfolio's
 	// time-sliced schedule is deterministic, so every experiment stays
@@ -216,7 +211,6 @@ func verifyEquivalence(ctx context.Context, orig, locked *netlist.Circuit, cfg C
 	if orig.NumGates() <= cfg.LECGateLimit {
 		res, err := lec.Check(orig, locked, lec.Options{
 			Seed:             cfg.Seed,
-			SimWidth:         cfg.SimWidth,
 			PortfolioWorkers: cfg.SolverWorkers,
 			Solver:           cfg.LECSolver,
 			Stop:             stop,
@@ -233,7 +227,7 @@ func verifyEquivalence(ctx context.Context, orig, locked *netlist.Circuit, cfg C
 		return &res.Stats, nil
 	}
 	eq, err := sim.EquivalentOpt(orig, locked, sim.CompareOptions{
-		Patterns: 1 << 16, Seed: cfg.Seed, Width: cfg.SimWidth, Stop: stop,
+		Patterns: 1 << 16, Seed: cfg.Seed, Stop: stop,
 	})
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -288,7 +282,7 @@ func MeasurePPA(art *Artifacts, variant LayoutVariant) (metrics.PPA, error) {
 		return metrics.PPA{}, err
 	}
 	act, err := sim.ActivityOpt(c, sim.ActivityOptions{
-		Patterns: 2048, Seed: cfg.Seed + 2, Width: cfg.SimWidth,
+		Patterns: 2048, Seed: cfg.Seed + 2,
 	})
 	if err != nil {
 		return metrics.PPA{}, err

@@ -168,34 +168,6 @@ func TestRunITCAnnotatesFailedJobs(t *testing.T) {
 	}
 }
 
-// The simulation worker pool must not change any reported metric.
-func TestRunITCSimWorkerInvariance(t *testing.T) {
-	run := func(workers int) []ITCRow {
-		rows, err := RunITC(context.Background(), ITCOptions{
-			Benchmarks: []string{"b14"},
-			Scale:      0.02,
-			KeyBits:    32,
-			Patterns:   1 << 12,
-			Seed:       6,
-			SimWorkers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	ref := run(1)
-	for _, workers := range []int{2, 4} {
-		rows := run(workers)
-		for _, sl := range []int{4, 6} {
-			a, b := ref[0].Results[sl], rows[0].Results[sl]
-			if a.HD != b.HD || a.OER != b.OER || a.CCR != b.CCR {
-				t.Fatalf("workers=%d M%d: %+v differs from serial %+v", workers, sl, b, a)
-			}
-		}
-	}
-}
-
 func TestRunIdealAttackSmall(t *testing.T) {
 	res, err := RunIdealAttack(context.Background(), "b14", 0.02, 32, 50, 256, 5)
 	if err != nil {

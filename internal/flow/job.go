@@ -68,12 +68,6 @@ type JobSpec struct {
 	// daemon clamps it to its solver pool's size before the job is
 	// prepared, so the cache key names the width the job runs with.
 	SolverWorkers int `json:"solver_workers,omitempty"`
-	// SimWidth is the simulation width in 64-pattern words per net (1,
-	// 4 or 8; 0 auto-selects per run). Results are bit-identical at
-	// every width, so it is excluded from cache keys and table
-	// fingerprints: a cached or checkpointed result satisfies the same
-	// job at any width.
-	SimWidth int `json:"sim_width,omitempty"`
 	// RandomLock selects plain random locking instead of the paper's
 	// cost-driven ATPG scheme.
 	RandomLock bool `json:"random_lock,omitempty"`
@@ -126,9 +120,6 @@ func (s JobSpec) Validate() error {
 	}
 	if s.KeyBits < 0 || s.KeyBits > 4096 {
 		return fmt.Errorf("flow: keybits %d out of range", s.KeyBits)
-	}
-	if s.SimWidth != 0 && !sim.ValidWidth(s.SimWidth) {
-		return fmt.Errorf("flow: sim_width %d unsupported (want 0, 1, 4 or 8)", s.SimWidth)
 	}
 	return nil
 }
@@ -410,7 +401,6 @@ func (j *Job) runLock(ctx context.Context, rt JobRuntime) (any, error) {
 		SplitLayer:    j.Spec.SplitLayer,
 		Seed:          j.lockSeed(),
 		UseATPGLock:   !j.Spec.RandomLock,
-		SimWidth:      j.Spec.SimWidth,
 		SolverWorkers: j.Spec.SolverWorkers,
 		LECSolver:     solver,
 		Progress:      func(stage, msg string) { rt.emit(stage, "%s", msg) },
@@ -442,7 +432,6 @@ func (j *Job) runVerify(ctx context.Context, rt JobRuntime) (any, error) {
 	res, err := lec.Check(j.orig, j.lk.Circuit, lec.Options{
 		Seed:              j.Spec.Seed,
 		PrefilterPatterns: j.Spec.Patterns,
-		SimWidth:          j.Spec.SimWidth,
 		Solver:            solver,
 		Stop:              stop,
 	})
@@ -509,7 +498,6 @@ func (j *Job) runAttack(ctx context.Context, rt JobRuntime) (any, error) {
 	eq, err := sim.EquivalentOpt(j.orig, recovered, sim.CompareOptions{
 		Patterns: patterns,
 		Seed:     j.Spec.Seed + 3,
-		Width:    j.Spec.SimWidth,
 		Stop:     stop,
 	})
 	if err != nil {
@@ -540,7 +528,6 @@ func (j *Job) runTable(ctx context.Context, rt JobRuntime) (any, error) {
 		Seed:          j.Spec.Seed,
 		SplitLayers:   j.Spec.SplitLayers,
 		Parallel:      !j.Spec.NoParallel,
-		SimWidth:      j.Spec.SimWidth,
 		SolverWorkers: j.Spec.SolverWorkers,
 		Manifest:      rt.Manifest,
 		Progress: func(key string, done, total int) {

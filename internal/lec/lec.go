@@ -75,10 +75,6 @@ type Options struct {
 	// before invoking SAT. 0 uses a default of 8192; negative disables
 	// the prefilter.
 	PrefilterPatterns int
-	// SimWidth is the prefilter's simulation width in 64-pattern words
-	// per net (1, 4 or 8; 0 auto-selects). The verdict is identical at
-	// every width.
-	SimWidth int
 	// Seed drives the prefilter stimulus.
 	Seed uint64
 	// NoRewrite disables the AIG cut-rewriting pass that runs between
@@ -153,7 +149,7 @@ func Check(a, b *netlist.Circuit, opt Options) (Result, error) {
 	}
 	if patterns > 0 {
 		eq, err := sim.EquivalentOpt(a, b, sim.CompareOptions{
-			Patterns: patterns, Seed: opt.Seed, Width: opt.SimWidth, Stop: opt.Stop,
+			Patterns: patterns, Seed: opt.Seed, Stop: opt.Stop,
 		})
 		if err != nil {
 			if opt.Stop != nil && opt.Stop.Load() {

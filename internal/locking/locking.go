@@ -91,15 +91,6 @@ type Locked struct {
 	Scheme string
 }
 
-// Ties returns the TIE cell IDs in key-bit order.
-func (l *Locked) Ties() []netlist.GateID {
-	ids := make([]netlist.GateID, len(l.KeyBits))
-	for i, kb := range l.KeyBits {
-		ids[i] = kb.Tie
-	}
-	return ids
-}
-
 // ApplyKey returns a copy of the locked circuit with the TIE cells set
 // to the given key (correct or hypothesized). The result has the same
 // structure; only TIE polarities change. Used to evaluate wrong-key

@@ -636,13 +636,6 @@ func complementMinterms(on []uint32, n int) []uint32 {
 	return off
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // applyRegion performs the transformation on the circuit: one keyed
 // activation comparator, per-boundary faulty SOP ⊕ (match ∧ cond),
 // rewiring of outside sinks, and deletion of the removed set. New key

@@ -12,7 +12,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 )
 
 // GateType enumerates the supported cell functions.
@@ -201,17 +200,6 @@ func (c *Circuit) DFFs() []GateID {
 	return ffs
 }
 
-// Ties returns the IDs of all TIE cells in ID order.
-func (c *Circuit) Ties() []GateID {
-	var ties []GateID
-	for i := range c.gates {
-		if !c.gates[i].dead && c.gates[i].Type.IsTie() {
-			ties = append(ties, GateID(i))
-		}
-	}
-	return ties
-}
-
 // AddGate appends a gate and returns its ID. Fanin IDs must already
 // exist. The name must be unique; an empty name is auto-generated.
 func (c *Circuit) AddGate(name string, t GateType, fanin ...GateID) (GateID, error) {
@@ -341,17 +329,4 @@ func (c *Circuit) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// GateNames returns the sorted names of all live gates; primarily for
-// deterministic diagnostics.
-func (c *Circuit) GateNames() []string {
-	names := make([]string, 0, len(c.gates))
-	for i := range c.gates {
-		if !c.gates[i].dead {
-			names = append(names, c.gates[i].Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -163,40 +163,6 @@ func (c *Circuit) Support(root GateID) []GateID {
 	return sup
 }
 
-// BoundedFanoutCone returns the combinational gates reachable forward
-// from root within the given depth (root included). Output pseudo-gates
-// and flip-flops terminate the traversal and are not included.
-func (c *Circuit) BoundedFanoutCone(root GateID, depth int) map[GateID]bool {
-	c.ensureFanouts()
-	cone := make(map[GateID]bool)
-	type item struct {
-		id GateID
-		d  int
-	}
-	stack := []item{{root, 0}}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cone[it.id] {
-			continue
-		}
-		cone[it.id] = true
-		if it.d >= depth {
-			continue
-		}
-		for _, s := range c.fanouts[it.id] {
-			g := &c.gates[s]
-			if g.dead || g.Type == DFF || g.Type == Output {
-				continue
-			}
-			if !cone[s] {
-				stack = append(stack, item{s, it.d + 1})
-			}
-		}
-	}
-	return cone
-}
-
 // BoundedCone returns the set of gates reachable backwards from root
 // within the given depth, together with the frontier signals (gates
 // outside the cone, or sources, that feed it). The frontier is the

@@ -417,10 +417,3 @@ func clamp(v, lo, hi int) int {
 	}
 	return v
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

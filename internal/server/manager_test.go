@@ -263,46 +263,6 @@ func TestManagerPoolFullWidth(t *testing.T) {
 	}
 }
 
-// TestManagerSimWidthNeutral: sim_width is a pure speed knob — results
-// are bit-identical at every width, so it is deliberately excluded from
-// the cache key. A job resubmitted at a different width must hit the
-// cache with a byte-identical payload, and invalid widths are rejected
-// at admission.
-func TestManagerSimWidthNeutral(t *testing.T) {
-	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
-	s1 := verifySpec()
-	s1.SimWidth = 1
-	r1, err := m.Submit(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 = waitDone(t, m, r1.ID)
-	if r1.Status != StatusDone {
-		t.Fatalf("width-1 job %s: %s", r1.Status, r1.Error)
-	}
-	s8 := verifySpec()
-	s8.SimWidth = 8
-	r8, err := m.Submit(s8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8 = waitDone(t, m, r8.ID)
-	if r8.Status != StatusDone {
-		t.Fatalf("width-8 job %s: %s", r8.Status, r8.Error)
-	}
-	if r8.Cache != string(CacheHit) {
-		t.Fatalf("width-8 resubmit cache outcome %q, want hit (sim_width must not enter the cache key)", r8.Cache)
-	}
-	if string(r1.Result) != string(r8.Result) {
-		t.Fatalf("results differ across sim_width:\n%s\n%s", r1.Result, r8.Result)
-	}
-	bad := verifySpec()
-	bad.SimWidth = 3
-	if _, err := m.Submit(bad); err == nil {
-		t.Fatal("expected Submit to reject sim_width 3")
-	}
-}
-
 // TestManagerAdmission: with one runner busy and the queue at its
 // limit, Submit rejects with ErrQueueFull instead of accepting
 // unbounded work.
