@@ -17,7 +17,8 @@
 //
 // is practical on a laptop, and -benchmarks restricts the suite so a
 // single circuit can be studied at full size. At 1.0 scale every
-// ITC'99 design is over the flow's 4000-gate LEC limit, so the Fig. 3
+// ITC'99 design is over the flow's fixed 4000-gate LEC limit (a
+// constant, with no flag), so the Fig. 3
 // equivalence step runs as 65,536-pattern random simulation, not as a
 // SAT proof; the ROADMAP's cone-local LEC item tracks the proof. The
 // -satworkers portfolio is time-sliced on one goroutine in a

@@ -11,7 +11,9 @@
 // The graph is append-only and topologically stored: a node's fanins
 // always precede it, so simulation, CNF emission, and cofactoring are
 // single forward passes. Bit-parallel 64-pattern simulation shards
-// pattern words over internal/engine.
+// pattern words over internal/engine. Rewrite (rewrite.go) shrinks a
+// graph by one pass of DAG-aware cut rewriting; LEC and the SAT attack
+// run it once on every graph they build.
 package aig
 
 import (

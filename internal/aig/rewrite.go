@@ -27,20 +27,11 @@ import "sort"
 // Everything is deterministic: cuts, classes, and candidate choices are
 // evaluated in fixed index order and no map is ever iterated.
 
-// RewriteOptions configures Rewrite.
-type RewriteOptions struct {
-	// Passes bounds the reconstruction passes (0 = 1). A pass that
-	// fails to shrink the AND count ends the loop early.
-	Passes int
-}
-
 // cutsPerNode caps the non-trivial cuts kept per node.
 const cutsPerNode = 8
 
 // RewriteStats reports what a Rewrite run did.
 type RewriteStats struct {
-	// Passes is the number of reconstruction passes executed.
-	Passes int
 	// Cuts is the number of (non-trivial) cuts enumerated.
 	Cuts int
 	// Classes is the number of distinct cut functions synthesized.
@@ -76,54 +67,18 @@ func (lm LitMap) Remap(m []Lit) {
 	}
 }
 
-// Rewrite reduces the graph by cut rewriting and returns the new graph
-// plus a node map (old node index -> new literal). The map is valid for
-// every leaf and every node inside the cone of the given roots; other
-// nodes map to Invalid. Leaves are recreated in the same index order,
-// so leaf-indexed caller state survives unchanged.
-func Rewrite(g *Graph, roots []Lit, opt RewriteOptions) (*Graph, []Lit, RewriteStats) {
-	passes := opt.Passes
-	if passes <= 0 {
-		passes = 1
-	}
+// Rewrite reduces the graph by one pass of cut rewriting and returns
+// the new graph plus a node map (old node index -> new literal). The
+// map is valid for every leaf and every node inside the cone of the
+// given roots; other nodes map to Invalid. Leaves are recreated in the
+// same index order, so leaf-indexed caller state survives unchanged.
+func Rewrite(g *Graph, roots []Lit) (*Graph, []Lit, RewriteStats) {
 	st := RewriteStats{NodesBefore: g.NumAnds()}
 	rw := newRewriter()
-	cur, curRoots := g, roots
-	var total []Lit
-	for p := 0; p < passes; p++ {
-		before := cur.NumAnds()
-		h, m := rw.pass(cur, curRoots, &st)
-		if total == nil {
-			total = m
-		} else {
-			for i := range total {
-				total[i] = MapLit(m, total[i])
-			}
-		}
-		next := make([]Lit, 0, len(curRoots))
-		for _, r := range curRoots {
-			next = append(next, MapLit(m, r))
-		}
-		cur, curRoots = h, next
-		st.Passes++
-		if cur.NumAnds() >= before {
-			break
-		}
-	}
-	if total == nil {
-		total = identityMap(g)
-	}
+	h, m := rw.pass(g, roots, &st)
 	st.Classes = len(rw.synthCache)
-	st.NodesAfter = cur.NumAnds()
-	return cur, total, st
-}
-
-func identityMap(g *Graph) []Lit {
-	m := make([]Lit, g.NumNodes())
-	for i := range m {
-		m[i] = MakeLit(i, false)
-	}
-	return m
+	st.NodesAfter = h.NumAnds()
+	return h, m, st
 }
 
 // lookupAnd returns the literal And(a, b) would return without creating
@@ -843,8 +798,8 @@ func (rw *rewriter) pass(g *Graph, roots []Lit, st *RewriteStats) (*Graph, []Lit
 // the builder's graph and leaf registry are swapped to the rewritten
 // graph. The returned node map translates old literals (see MapLit /
 // LitMap.Remap for LitMaps the caller still holds).
-func (b *Builder) Rewrite(roots []Lit, opt RewriteOptions) ([]Lit, RewriteStats) {
-	ng, m, st := Rewrite(b.g, roots, opt)
+func (b *Builder) Rewrite(roots []Lit) ([]Lit, RewriteStats) {
+	ng, m, st := Rewrite(b.g, roots)
 	b.g = ng
 	for name, l := range b.leafByName {
 		b.leafByName[name] = MapLit(m, l)

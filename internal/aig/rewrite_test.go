@@ -8,12 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// diffRewrite cross-checks one circuit through the rewriting pass:
-// every live net of the rewritten graph must simulate bit-identically
-// to sim.Evaluator, and the rewritten-graph -> netlist round trip must
-// reproduce the observables. Roots are every live net, so the rewrite
-// must preserve every net function, not just the outputs.
-func diffRewrite(t *testing.T, c *netlist.Circuit, rng *sim.Rand, opt RewriteOptions) {
+// diffRewrite cross-checks one circuit through two rewriting passes in
+// sequence, the second over the first's output through the composed
+// node map: every live net of the rewritten graph must simulate
+// bit-identically to sim.Evaluator, and the rewritten-graph -> netlist
+// round trip must reproduce the observables. Roots are every live net,
+// so the rewrite must preserve every net function, not just the
+// outputs.
+func diffRewrite(t *testing.T, c *netlist.Circuit, rng *sim.Rand) {
 	t.Helper()
 	ev, err := sim.NewEvaluator(c)
 	if err != nil {
@@ -30,16 +32,21 @@ func diffRewrite(t *testing.T, c *netlist.Circuit, rng *sim.Rand, opt RewriteOpt
 			roots = append(roots, m[gid])
 		}
 	}
-	before := bld.Graph().NumAnds()
-	rm, st := bld.Rewrite(roots, opt)
-	m.Remap(rm)
+	for pass := 0; pass < 2; pass++ {
+		before := bld.Graph().NumAnds()
+		rm, st := bld.Rewrite(roots)
+		m.Remap(rm)
+		for i := range roots {
+			roots[i] = MapLit(rm, roots[i])
+		}
+		if st.NodesBefore != before {
+			t.Fatalf("pass %d: stats NodesBefore = %d, want %d", pass, st.NodesBefore, before)
+		}
+		if st.NodesAfter != bld.Graph().NumAnds() {
+			t.Fatalf("pass %d: stats NodesAfter = %d, graph has %d", pass, st.NodesAfter, bld.Graph().NumAnds())
+		}
+	}
 	g := bld.Graph()
-	if st.NodesBefore != before {
-		t.Fatalf("stats NodesBefore = %d, want %d", st.NodesBefore, before)
-	}
-	if st.NodesAfter != g.NumAnds() {
-		t.Fatalf("stats NodesAfter = %d, graph has %d", st.NodesAfter, g.NumAnds())
-	}
 
 	in := make([]uint64, len(c.Inputs()))
 	stw := make([]uint64, len(c.DFFs()))
@@ -114,8 +121,7 @@ func TestRewriteRandomCircuits(t *testing.T) {
 	rng := sim.NewRand(0x4e77)
 	for trial := 0; trial < trials; trial++ {
 		c := randCircuit(rng, fmt.Sprintf("rw%d", trial))
-		opt := RewriteOptions{Passes: 1 + trial%3}
-		diffRewrite(t, c, rng, opt)
+		diffRewrite(t, c, rng)
 	}
 }
 
@@ -128,7 +134,7 @@ func FuzzRewriteDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		rng := sim.NewRand(seed)
 		c := randCircuit(rng, "rwfuzz")
-		diffRewrite(t, c, rng, RewriteOptions{Passes: 2})
+		diffRewrite(t, c, rng)
 	})
 }
 
@@ -142,7 +148,7 @@ func TestRewriteFactorsSharedLiteral(t *testing.T) {
 	if g.NumAnds() != 3 {
 		t.Fatalf("setup: expected 3 AND nodes, have %d", g.NumAnds())
 	}
-	ng, m, st := Rewrite(g, []Lit{f}, RewriteOptions{})
+	ng, m, st := Rewrite(g, []Lit{f})
 	if ng.NumAnds() >= 3 {
 		t.Fatalf("rewrite kept %d AND nodes, want < 3 (stats %+v)", ng.NumAnds(), st)
 	}
@@ -169,7 +175,7 @@ func TestRewriteKeepsLeafOrder(t *testing.T) {
 		leaves = append(leaves, g.AddLeaf())
 	}
 	f := g.And(leaves[1], leaves[3])
-	ng, m, _ := Rewrite(g, []Lit{f}, RewriteOptions{})
+	ng, m, _ := Rewrite(g, []Lit{f})
 	if ng.NumLeaves() != 5 {
 		t.Fatalf("leaf count changed: %d", ng.NumLeaves())
 	}

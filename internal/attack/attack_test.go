@@ -442,9 +442,8 @@ func TestSATAttackATPGLocked(t *testing.T) {
 
 // TestSATAttackInvariantB14Scale: on 0.1-scale b14 — the benchmark
 // configuration behind BENCH_4/BENCH_5 — the AIG-encoded attack must
-// recover a functionally correct key for every locking family (random
-// EPIC-style, strongly-interfering SLL, and the paper's cost-driven
-// ATPG scheme), and on the BENCH_4 configuration (RLL, 64-bit key,
+// recover a functionally correct key for both locking families (random
+// EPIC-style and the paper's cost-driven ATPG scheme), and on the BENCH_4 configuration (RLL, 64-bit key,
 // seed 12) the incremental clause growth per query must not regress
 // past the 168 clauses/query recorded there.
 func TestSATAttackInvariantB14Scale(t *testing.T) {
@@ -459,15 +458,13 @@ func TestSATAttackInvariantB14Scale(t *testing.T) {
 		switch scheme {
 		case "rll":
 			return locking.RandomLock(orig, locking.RandomLockOptions{KeyBits: 64, Seed: 12})
-		case "sll":
-			return locking.SLLLock(orig, locking.SLLLockOptions{KeyBits: 32, Seed: 13})
 		case "atpg":
 			lk, _, err := locking.ATPGLock(orig, locking.ATPGLockOptions{KeyBits: 32, Seed: 14})
 			return lk, err
 		}
 		return nil, fmt.Errorf("unknown scheme %q", scheme)
 	}
-	for _, scheme := range []string{"rll", "sll", "atpg"} {
+	for _, scheme := range []string{"rll", "atpg"} {
 		t.Run(scheme, func(t *testing.T) {
 			lk, err := lock(scheme)
 			if err != nil {

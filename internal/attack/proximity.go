@@ -6,7 +6,10 @@
 //     paper's Theorem 1 proof enumerates — physical proximity, FEOL
 //     routing direction, driver load constraints, and combinational
 //     loop avoidance — plus the key-aware post-processing step the
-//     paper adds in Sec. IV-A.
+//     paper adds in Sec. IV-A. It has one configuration, the attacker
+//     the paper's security argument is made against: every hint is
+//     always on, and only the seed and the post-processing step are
+//     options.
 //   - Ideal: the "ideal proximity attack" of Sec. IV-A in which every
 //     regular net is assumed correctly inferred and only key-nets
 //     remain to be guessed.
@@ -34,37 +37,21 @@ type Assignment map[split.PinRef]netlist.GateID
 type ProximityOptions struct {
 	// Seed drives tie-breaking and the key post-processing step.
 	Seed uint64
-	// CandidateLimit is the number of nearest driver stubs considered
-	// per sink pin (default 16).
-	CandidateLimit int
-	// NoDirectionHints turns off the direction hints, which discount
-	// candidates lying along a stub's FEOL escape direction and pair
-	// stubs that both lack an escape.
-	NoDirectionHints bool
-	// NoLoadConstraint disables the driver load check.
-	NoLoadConstraint bool
-	// NoAcyclicConstraint disables combinational loop avoidance.
-	NoAcyclicConstraint bool
 	// KeyPostProcess re-connects key-gates that were matched to
 	// regular drivers to a random TIE cell instead (the paper's
 	// improvement to [7]: the attacker knows which gates are
 	// key-gates). Footnote 6 reports the attack without it.
 	KeyPostProcess bool
-	// CycleBudget caps the DFS node count per acyclicity query
-	// (default 4096); a post-pass repairs any cycle that slips
-	// through.
-	CycleBudget int
 }
 
-func (o ProximityOptions) withDefaults() ProximityOptions {
-	if o.CandidateLimit <= 0 {
-		o.CandidateLimit = 16
-	}
-	if o.CycleBudget <= 0 {
-		o.CycleBudget = 4096
-	}
-	return o
-}
+const (
+	// candidateLimit is the number of nearest driver stubs considered
+	// per sink pin.
+	candidateLimit = 16
+	// cycleBudget caps the DFS node count per acyclicity query; a
+	// post-pass repairs any cycle that slips through.
+	cycleBudget = 4096
+)
 
 // Proximity runs the proximity attack on a FEOL view and returns the
 // attacker's assignment. The view's Secret is never consulted.
@@ -106,7 +93,6 @@ type proximityPass struct {
 // the load and acyclicity constraints, falling back to a random TIE
 // cell when every candidate is refused.
 func greedyProximity(view *split.FEOLView, opt ProximityOptions) (*proximityPass, error) {
-	opt = opt.withDefaults()
 	c := view.Circuit
 	if len(view.CutPins) == 0 {
 		return &proximityPass{view: view, asg: Assignment{}}, nil
@@ -125,11 +111,11 @@ func greedyProximity(view *split.FEOLView, opt ProximityOptions) (*proximityPass
 		pin   split.CutPin
 		cands []candidate
 	}
-	k := min(opt.CandidateLimit, len(view.DriverStubs))
+	k := min(candidateLimit, len(view.DriverStubs))
 	pins := make([]scored, len(view.CutPins))
 	backing := make([]candidate, len(pins)*k)
 	for i, cp := range view.CutPins {
-		pins[i] = scored{pin: cp, cands: idx.nearest(cp, opt, backing[i*k:i*k:(i+1)*k])}
+		pins[i] = scored{pin: cp, cands: idx.nearest(cp, candidateLimit, backing[i*k:i*k:(i+1)*k])}
 	}
 	// Most confident first: smallest best-candidate score.
 	sort.SliceStable(pins, func(i, j int) bool {
@@ -146,7 +132,7 @@ func greedyProximity(view *split.FEOLView, opt ProximityOptions) (*proximityPass
 	for _, ds := range view.DriverStubs {
 		load[ds.Driver] = cellib.FanoutCap(c, ds.Driver)
 	}
-	chk := newCycleChecker(c, opt.CycleBudget)
+	chk := newCycleChecker(c, cycleBudget)
 
 	for _, sp := range pins {
 		sinkCell := c.Gate(sp.pin.Ref.Gate)
@@ -154,10 +140,10 @@ func greedyProximity(view *split.FEOLView, opt ProximityOptions) (*proximityPass
 		assigned := false
 		for _, cand := range sp.cands {
 			d := cand.driver
-			if !opt.NoLoadConstraint && !driverCanTake(c, d, load[d], pinCap) {
+			if !driverCanTake(c, d, load[d], pinCap) {
 				continue
 			}
-			if !opt.NoAcyclicConstraint && chk.createsCycle(sp.pin.Ref.Gate, d) {
+			if chk.createsCycle(sp.pin.Ref.Gate, d) {
 				continue
 			}
 			asg[sp.pin.Ref] = d
@@ -277,12 +263,11 @@ func (idx *stubIndex) key(p layout.Point) int {
 	return y*idx.tx + x
 }
 
-// nearest returns up to CandidateLimit driver stubs ranked by the
-// attack score: Manhattan distance discounted when the FEOL escape
-// directions agree with the geometry. The ranking is written into top,
-// which must have room for min(CandidateLimit, number of stubs).
-func (idx *stubIndex) nearest(cp split.CutPin, opt ProximityOptions, top []candidate) []candidate {
-	want := opt.CandidateLimit
+// nearest returns up to want driver stubs ranked by the attack score:
+// Manhattan distance discounted when the FEOL escape directions agree
+// with the geometry. The ranking is written into top, which must have
+// room for min(want, number of stubs).
+func (idx *stubIndex) nearest(cp split.CutPin, want int, top []candidate) []candidate {
 	found := idx.found[:0]
 	cx := (cp.Stub.X - idx.minX) / idx.tile
 	cy := (cp.Stub.Y - idx.minY) / idx.tile
@@ -300,7 +285,7 @@ func (idx *stubIndex) nearest(cp split.CutPin, opt ProximityOptions, top []candi
 				}
 			}
 		}
-		// Stop once the rings hold at least 3×CandidateLimit stubs,
+		// Stop once the rings hold at least 3×want stubs,
 		// but never before rings 0–2 are gathered.
 		if len(found) >= want*3 && r > 1 {
 			break
@@ -310,26 +295,23 @@ func (idx *stubIndex) nearest(cp split.CutPin, opt ProximityOptions, top []candi
 	top = top[:0]
 	for _, si := range found {
 		ds := idx.stubs[si]
-		d := float64(cp.Stub.Dist(ds.Stub))
-		score := d
-		if !opt.NoDirectionHints {
-			// A sink escape pointing at the driver stub, or a driver
-			// escape pointing at the sink stub, strengthens the match.
-			if cp.Dir != layout.DirNone && cp.Dir == layout.Toward(cp.Stub, ds.Stub) {
-				score *= 0.6
-			}
-			if ds.Dir != layout.DirNone && ds.Dir == layout.Toward(ds.Stub, cp.Stub) {
-				score *= 0.6
-			}
-			// Stacked-via signature matching: a pin with no FEOL escape
-			// was wired as a new net through the BEOL; its partner stub
-			// shows the same signature. (Kerckhoff: the attacker knows
-			// the scheme.) Against randomized TIE cells this changes
-			// nothing — all TIE stubs share the signature — but it
-			// recovers naive layouts (Fig. 2(a)/(b)).
-			if cp.Dir == layout.DirNone && ds.Dir == layout.DirNone {
-				score *= 0.5
-			}
+		score := float64(cp.Stub.Dist(ds.Stub))
+		// A sink escape pointing at the driver stub, or a driver
+		// escape pointing at the sink stub, strengthens the match.
+		if cp.Dir != layout.DirNone && cp.Dir == layout.Toward(cp.Stub, ds.Stub) {
+			score *= 0.6
+		}
+		if ds.Dir != layout.DirNone && ds.Dir == layout.Toward(ds.Stub, cp.Stub) {
+			score *= 0.6
+		}
+		// Stacked-via signature matching: a pin with no FEOL escape
+		// was wired as a new net through the BEOL; its partner stub
+		// shows the same signature. (Kerckhoff: the attacker knows
+		// the scheme.) Against randomized TIE cells this changes
+		// nothing — all TIE stubs share the signature — but it
+		// recovers naive layouts (Fig. 2(a)/(b)).
+		if cp.Dir == layout.DirNone && ds.Dir == layout.DirNone {
+			score *= 0.5
 		}
 		// Keep the want best in order: insert after every equal
 		// candidate, and drop the worst once the buffer is full. This

@@ -20,7 +20,6 @@ import (
 // acyclicity query, a full stable sort of every gathered candidate,
 // and TieStubs recomputed wherever it is needed.
 func proximityRef(view *split.FEOLView, opt ProximityOptions) (Assignment, error) {
-	opt = opt.withDefaults()
 	c := view.Circuit
 	if len(view.CutPins) == 0 {
 		return Assignment{}, nil
@@ -38,7 +37,7 @@ func proximityRef(view *split.FEOLView, opt ProximityOptions) (Assignment, error
 	}
 	pins := make([]scored, len(view.CutPins))
 	for i, cp := range view.CutPins {
-		pins[i] = scored{pin: cp, cands: nearestRef(idx, cp, opt)}
+		pins[i] = scored{pin: cp, cands: nearestRef(idx, cp, candidateLimit)}
 	}
 	sort.SliceStable(pins, func(i, j int) bool {
 		si, sj := bestScore(pins[i].cands), bestScore(pins[j].cands)
@@ -53,7 +52,7 @@ func proximityRef(view *split.FEOLView, opt ProximityOptions) (Assignment, error
 	for _, ds := range view.DriverStubs {
 		load[ds.Driver] = cellib.FanoutCap(c, ds.Driver)
 	}
-	chk := &refCycleChecker{c: c, budget: opt.CycleBudget, extra: make(map[netlist.GateID][]netlist.GateID)}
+	chk := newRefCycleChecker(c, cycleBudget)
 
 	for _, sp := range pins {
 		sinkCell := c.Gate(sp.pin.Ref.Gate)
@@ -61,10 +60,10 @@ func proximityRef(view *split.FEOLView, opt ProximityOptions) (Assignment, error
 		assigned := false
 		for _, cand := range sp.cands {
 			d := cand.driver
-			if !opt.NoLoadConstraint && !driverCanTake(c, d, load[d], pinCap) {
+			if !driverCanTake(c, d, load[d], pinCap) {
 				continue
 			}
-			if !opt.NoAcyclicConstraint && chk.createsCycle(sp.pin.Ref.Gate, d) {
+			if chk.createsCycle(sp.pin.Ref.Gate, d) {
 				continue
 			}
 			asg[sp.pin.Ref] = d
@@ -97,8 +96,7 @@ func proximityRef(view *split.FEOLView, opt ProximityOptions) (Assignment, error
 	return asg, nil
 }
 
-func nearestRef(idx *stubIndex, cp split.CutPin, opt ProximityOptions) []candidate {
-	want := opt.CandidateLimit
+func nearestRef(idx *stubIndex, cp split.CutPin, want int) []candidate {
 	var found []int
 	cx := (cp.Stub.X - idx.minX) / idx.tile
 	cy := (cp.Stub.Y - idx.minY) / idx.tile
@@ -124,16 +122,14 @@ func nearestRef(idx *stubIndex, cp split.CutPin, opt ProximityOptions) []candida
 	for _, si := range found {
 		ds := idx.stubs[si]
 		score := float64(cp.Stub.Dist(ds.Stub))
-		if !opt.NoDirectionHints {
-			if cp.Dir != layout.DirNone && cp.Dir == layout.Toward(cp.Stub, ds.Stub) {
-				score *= 0.6
-			}
-			if ds.Dir != layout.DirNone && ds.Dir == layout.Toward(ds.Stub, cp.Stub) {
-				score *= 0.6
-			}
-			if cp.Dir == layout.DirNone && ds.Dir == layout.DirNone {
-				score *= 0.5
-			}
+		if cp.Dir != layout.DirNone && cp.Dir == layout.Toward(cp.Stub, ds.Stub) {
+			score *= 0.6
+		}
+		if ds.Dir != layout.DirNone && ds.Dir == layout.Toward(ds.Stub, cp.Stub) {
+			score *= 0.6
+		}
+		if cp.Dir == layout.DirNone && ds.Dir == layout.DirNone {
+			score *= 0.5
 		}
 		cands = append(cands, candidate{driver: ds.Driver, score: score})
 	}
@@ -153,6 +149,10 @@ type refCycleChecker struct {
 	c      *netlist.Circuit
 	budget int
 	extra  map[netlist.GateID][]netlist.GateID
+}
+
+func newRefCycleChecker(c *netlist.Circuit, budget int) *refCycleChecker {
+	return &refCycleChecker{c: c, budget: budget, extra: make(map[netlist.GateID][]netlist.GateID)}
 }
 
 func (cc *refCycleChecker) createsCycle(g, d netlist.GateID) bool {
@@ -384,25 +384,14 @@ func diffAssignment(got, want Assignment) string {
 	return ""
 }
 
-// proximityOptionGrid is the option set the differential test covers,
-// with post-processing on and off: each candidate limit at the default
-// cycle budget (4096), each smaller budget at the default limit (budgets
-// 1 and 8 force the budget-exhaustion exit), and each constraint
-// switched off on its own.
-func proximityOptionGrid(seed uint64) []ProximityOptions {
+// proximityOptionGrid is the option set the differential test covers:
+// post-processing on and off under each seed.
+func proximityOptionGrid() []ProximityOptions {
 	var grid []ProximityOptions
 	for _, post := range []bool{true, false} {
-		for _, limit := range []int{1, 16, 64} {
-			grid = append(grid, ProximityOptions{Seed: seed, KeyPostProcess: post, CandidateLimit: limit, CycleBudget: 4096})
+		for _, seed := range []uint64{7, 8, 9} {
+			grid = append(grid, ProximityOptions{Seed: seed, KeyPostProcess: post})
 		}
-		for _, budget := range []int{1, 8, 64} {
-			grid = append(grid, ProximityOptions{Seed: seed, KeyPostProcess: post, CycleBudget: budget})
-		}
-		grid = append(grid,
-			ProximityOptions{Seed: seed, KeyPostProcess: post, NoDirectionHints: true},
-			ProximityOptions{Seed: seed, KeyPostProcess: post, NoLoadConstraint: true},
-			ProximityOptions{Seed: seed, KeyPostProcess: post, NoAcyclicConstraint: true},
-		)
 	}
 	return grid
 }
@@ -428,7 +417,7 @@ func TestProximityMatchesReference(t *testing.T) {
 				if len(view.CutPins) == 0 {
 					t.Fatal("view has no cut pins to attack")
 				}
-				for _, opt := range proximityOptionGrid(7) {
+				for _, opt := range proximityOptionGrid() {
 					checkMatchesReference(t, view, opt)
 					checkPairMatches(t, view, opt)
 				}
@@ -455,16 +444,16 @@ func TestProximityPairEmptyView(t *testing.T) {
 
 // FuzzProximityDifferential checks Proximity against proximityRef, and
 // ProximityPair against two Proximity calls, on fuzzer-chosen circuits,
-// split layers and option combinations. It locks with RandomLock, which is far cheaper than ATPG locking, so the
-// fuzzer spends its time in the attack. The candidate limit spans
-// 0–255, which on these small views often exceeds the stub count.
+// split layers, seeds and post-processing settings. It locks with
+// RandomLock, which is far cheaper than ATPG locking, so the fuzzer
+// spends its time in the attack.
 func FuzzProximityDifferential(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(0x01), uint8(16), uint16(4096))
-	f.Add(uint64(2), uint8(6), uint8(0x00), uint8(1), uint16(1))
-	f.Add(uint64(3), uint8(4), uint8(0x0e), uint8(64), uint16(8))
-	f.Add(uint64(9), uint8(6), uint8(0x05), uint8(3), uint16(64))
-	f.Add(uint64(4), uint8(4), uint8(0x01), uint8(255), uint16(8))
-	f.Fuzz(func(t *testing.T, seed uint64, layer, flags, limit uint8, budget uint16) {
+	f.Add(uint64(1), uint8(4), true)
+	f.Add(uint64(2), uint8(6), false)
+	f.Add(uint64(3), uint8(4), false)
+	f.Add(uint64(9), uint8(6), true)
+	f.Add(uint64(4), uint8(4), true)
+	f.Fuzz(func(t *testing.T, seed uint64, layer uint8, post bool) {
 		orig, err := bmarks.Generate(bmarks.Spec{Name: "f", Inputs: 16, Outputs: 8, Gates: 100 + int(seed%4)*100, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
@@ -474,16 +463,88 @@ func FuzzProximityDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		view := splitView(t, lk, seed, 4+2*int(layer%2))
-		opt := ProximityOptions{
-			Seed:                seed >> 3,
-			KeyPostProcess:      flags&0x01 != 0,
-			NoDirectionHints:    flags&0x02 != 0,
-			NoLoadConstraint:    flags&0x04 != 0,
-			NoAcyclicConstraint: flags&0x08 != 0,
-			CandidateLimit:      int(limit),
-			CycleBudget:         int(budget % 8192),
-		}
+		opt := ProximityOptions{Seed: seed >> 3, KeyPostProcess: post}
 		checkMatchesReference(t, view, opt)
 		checkPairMatches(t, view, opt)
 	})
+}
+
+// TestNearestMatchesReference pins the bounded-insertion ranking against
+// a full stable sort at candidate limits below, at and above the
+// attack's own (16).
+func TestNearestMatchesReference(t *testing.T) {
+	for _, layer := range []int{4, 6} {
+		view := referenceView(t, layer)
+		idx := newStubIndex(view.DriverStubs)
+		for _, want := range []int{1, candidateLimit, 64} {
+			top := make([]candidate, min(want, len(view.DriverStubs)))
+			for _, cp := range view.CutPins {
+				got := idx.nearest(cp, want, top)
+				ref := nearestRef(idx, cp, want)
+				if len(got) != len(ref) {
+					t.Fatalf("M%d limit %d pin %v: %d candidates, reference %d", layer, want, cp.Ref, len(got), len(ref))
+				}
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("M%d limit %d pin %v: candidate %d = %+v, reference %+v", layer, want, cp.Ref, i, got[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCycleCheckerMatchesReference replays a greedy assignment through
+// the epoch-marked cycleChecker and the map-based reference side by
+// side: every query must agree, and an accepted edge is noted in both.
+// Budgets 1 and 8 force the budget-exhaustion exit; 64 finds loops.
+func TestCycleCheckerMatchesReference(t *testing.T) {
+	for _, layer := range []int{4, 6} {
+		view := referenceView(t, layer)
+		idx := newStubIndex(view.DriverStubs)
+		for _, budget := range []int{1, 8, 64} {
+			chk := newCycleChecker(view.Circuit, budget)
+			ref := newRefCycleChecker(view.Circuit, budget)
+			queries, loops := 0, 0
+			for _, cp := range view.CutPins {
+				g := cp.Ref.Gate
+				for _, cand := range nearestRef(idx, cp, candidateLimit) {
+					d := cand.driver
+					got, want := chk.createsCycle(g, d), ref.createsCycle(g, d)
+					queries++
+					if got != want {
+						t.Fatalf("M%d budget %d: createsCycle(%d, %d) = %v, reference %v", layer, budget, g, d, got, want)
+					}
+					if got {
+						loops++
+						continue
+					}
+					chk.note(d, g)
+					ref.extra[d] = append(ref.extra[d], g)
+					break
+				}
+			}
+			if budget == 64 && loops == 0 {
+				t.Fatalf("M%d: no query of %d found a loop; the replay checks nothing", layer, queries)
+			}
+		}
+	}
+}
+
+// referenceView is the b14 view the unit-level reference tests share.
+func referenceView(t *testing.T, layer int) *split.FEOLView {
+	t.Helper()
+	scale := 0.05
+	if testing.Short() {
+		scale = 0.02
+	}
+	orig, err := bmarks.Load("b14", scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := atpgView(t, orig, 32, 5, layer)
+	if len(view.CutPins) == 0 {
+		t.Fatal("view has no cut pins")
+	}
+	return view
 }

@@ -62,9 +62,6 @@ type SATAttackOptions struct {
 	// trips, which wins when the oracle is a physical chip rather than
 	// an in-process simulation.
 	BatchSize int
-	// NoRewrite disables the AIG cut-rewriting pass that shrinks the
-	// observable cones before the one-time shared encoding.
-	NoRewrite bool
 	// Solver, when non-nil, is the SAT backend for the whole attack
 	// (default: one plain solver). It must be fresh (no variables or
 	// clauses): the attack encodes its incremental miter into it and
@@ -150,13 +147,9 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 	// keyed encodings and every per-query cofactor cone — before any
 	// CNF exists. Key leaves survive by construction (leaves are never
 	// rewritten away), so the leaf-role bookkeeping below is unaffected.
-	rewriteSaved := 0
-	if !opt.NoRewrite {
-		rm, rst := bld.Rewrite(obsLits, aig.RewriteOptions{})
-		for i := range obsLits {
-			obsLits[i] = aig.MapLit(rm, obsLits[i])
-		}
-		rewriteSaved = rst.Saved()
+	rm, rst := bld.Rewrite(obsLits)
+	for i := range obsLits {
+		obsLits[i] = aig.MapLit(rm, obsLits[i])
 	}
 	g := bld.Graph()
 
@@ -287,7 +280,7 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 		AIGNodes:        g.NumAnds(),
 		AIGStrashHits:   g.Stats.StrashHits,
 		KeyDepNodes:     keyDepNodes,
-		AIGRewriteSaved: rewriteSaved,
+		AIGRewriteSaved: rst.Saved(),
 	}
 	// Every problem clause installed from here on is query growth:
 	// batch blockers and cofactor constraints.

@@ -18,7 +18,10 @@ import (
 // is in scope — a per-cell variant ("<site>@<bench>/M<layer>"), so a
 // REPRO_FAULTPOINTS spec can target one worker of a fleet or one cell of
 // a grid. The behavioral sites (drop/corrupt) fire on the `panic`
-// action via faultpoint.Fired.
+// action via faultpoint.Fired. The sites fire in every process that
+// serves cells: `tables -worker` processes (ServeWorker) and splitlockd
+// daemons answering POST /v1/cells (ServeCell), where the worker is
+// anonymous, so only the plain and per-cell names fire.
 var (
 	fpCellStart = faultpoint.Describe("dispatch.worker.cell.start",
 		"worker: before computing an assigned cell (also #<id>, @<cell>); stall here to hold a lease open")
@@ -37,7 +40,7 @@ var (
 // relies on any worker, on any attempt, producing identical bytes.
 type CellFunc func(ctx context.Context, spec CellSpec) (json.RawMessage, error)
 
-// WorkerOptions configures ServeWorker.
+// WorkerOptions configures ServeWorker and ServeCell.
 type WorkerOptions struct {
 	// ID is the coordinator-assigned worker identity (used in hello and
 	// in per-worker fault-site names); 0 is anonymous.
@@ -57,14 +60,8 @@ type WorkerOptions struct {
 // available; only protocol-level problems (unwritable out) end the
 // loop with an error.
 func ServeWorker(ctx context.Context, in io.Reader, out io.Writer, opt WorkerOptions) error {
-	if opt.Run == nil {
-		return fmt.Errorf("dispatch: ServeWorker needs a CellFunc")
-	}
-	if opt.HeartbeatInterval <= 0 {
-		opt.HeartbeatInterval = 500 * time.Millisecond
-	}
-	w := &workerConn{out: out, opt: opt}
-	if err := w.send(Message{Type: MsgHello, Worker: opt.ID, Version: ProtocolVersion}); err != nil {
+	w, err := startWorker(out, opt)
+	if err != nil {
 		return err
 	}
 	sc := bufio.NewScanner(in)
@@ -100,6 +97,35 @@ func ServeWorker(ctx context.Context, in io.Reader, out io.Writer, opt WorkerOpt
 		return fmt.Errorf("dispatch: reading coordinator: %w", err)
 	}
 	return ctx.Err()
+}
+
+// ServeCell runs the worker half of the protocol for one cell leased out
+// of band, as a remote worker's response stream does: hello, heartbeats
+// while the cell computes, then exactly one res or err line. The lease
+// is the coordinator's business (its client stamps the lease ID onto
+// the lines), so the lines carry none. A cancelled ctx ends the stream
+// with no result line, which the coordinator counts as a dead worker.
+func ServeCell(ctx context.Context, out io.Writer, spec CellSpec, opt WorkerOptions) error {
+	w, err := startWorker(out, opt)
+	if err != nil {
+		return err
+	}
+	return w.runCell(ctx, 0, spec)
+}
+
+// startWorker fills opt's defaults and sends the hello line.
+func startWorker(out io.Writer, opt WorkerOptions) (*workerConn, error) {
+	if opt.Run == nil {
+		return nil, fmt.Errorf("dispatch: a worker needs a CellFunc")
+	}
+	if opt.HeartbeatInterval <= 0 {
+		opt.HeartbeatInterval = 500 * time.Millisecond
+	}
+	w := &workerConn{out: out, opt: opt}
+	if err := w.send(Message{Type: MsgHello, Worker: opt.ID, Version: ProtocolVersion}); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // workerConn serializes protocol writes: the heartbeat goroutine and the

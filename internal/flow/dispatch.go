@@ -26,6 +26,16 @@ func CellSpecFor(bench string, layer int, opt ITCOptions) dispatch.CellSpec {
 	}
 }
 
+// ValidateCellSpec rejects a dispatched cell spec with a
+// client-presentable error: the design checks of JobSpec.Validate plus
+// a positive split layer.
+func ValidateCellSpec(spec dispatch.CellSpec) error {
+	if spec.Layer <= 0 {
+		return fmt.Errorf("flow: cell layer %d must be positive", spec.Layer)
+	}
+	return validateDesign([]string{spec.Bench}, spec.Scale, spec.KeyBits)
+}
+
 // DispatchCellFunc returns the worker side of the dispatch seam: a
 // CellFunc that computes the spec'd cell via RunITCCell and marshals
 // the SplitResult exactly as the run manifest would — so a payload that

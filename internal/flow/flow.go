@@ -4,7 +4,8 @@
 // Synthesis stage: hierarchical partitioning → stuck-at fault /
 // failing-pattern enumeration → cost-driven re-synthesis of the
 // fault-injected circuit → restore circuitry insertion (key-gates +
-// TIE cells, dont_touch) → LEC against the original (reject loop).
+// TIE cells, dont_touch) → LEC against the original (reject loop;
+// designs over lecGateLimit gates are checked by random simulation).
 //
 // Layout stage: randomize-and-fix TIE cells → placement with TIE cells
 // detached → routing with key-nets lifted above the split layer through
@@ -43,11 +44,6 @@ type Config struct {
 	// UseATPGLock selects the cost-driven fault-injection scheme
 	// (true, the paper's choice) or plain random locking.
 	UseATPGLock bool
-	// LECGateLimit bounds the size at which full SAT-based LEC runs;
-	// larger designs are verified with heavy random simulation (the
-	// construction is exact; LEC is the Fig. 3 safety net). 0 means
-	// 4000 gates.
-	LECGateLimit int
 	// SolverWorkers > 1 backs the Fig. 3 LEC step with a portfolio of
 	// that many diverging SAT solver instances. The portfolio's
 	// time-sliced schedule is deterministic, so every experiment stays
@@ -55,24 +51,12 @@ type Config struct {
 	// and the tables do not change with -satworkers. 0 or 1 keeps the
 	// single solver.
 	SolverWorkers int
-	// Progress, when non-nil, receives a notification as the flow
-	// crosses each stage boundary ("lock", "lec", "place", "route",
-	// "split"). The daemon's job runner streams these to clients; the
-	// hook must not block for long (it runs on the flow goroutine) and
-	// must not influence results.
-	Progress func(stage, message string) `json:"-"`
-	// LECSolver, when non-nil, is injected as the Fig. 3 LEC step's SAT
-	// backend (overriding the SolverWorkers construction). It must be
-	// fresh; the check owns it. The daemon routes its pool-leased
-	// portfolios through here.
-	LECSolver sat.Interface `json:"-"`
 }
 
-func (c Config) progress(stage, msg string) {
-	if c.Progress != nil {
-		c.Progress(stage, msg)
-	}
-}
+// lecGateLimit bounds the size at which full SAT-based LEC runs; larger
+// designs are verified with heavy random simulation (the construction
+// is exact; LEC is the Fig. 3 safety net).
+const lecGateLimit = 4000
 
 func (c Config) withDefaults() Config {
 	if c.KeyBits <= 0 {
@@ -80,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SplitLayer == 0 {
 		c.SplitLayer = 4
-	}
-	if c.LECGateLimit <= 0 {
-		c.LECGateLimit = 4000
 	}
 	return c
 }
@@ -100,7 +81,7 @@ type Artifacts struct {
 	Secret     *split.Secret
 	// LECStats reports the structural-hashing work of the Fig. 3 LEC
 	// step (AIG nodes, strash hits, sweep merges, miter clauses); nil
-	// when the design exceeded LECGateLimit and was verified by
+	// when the design exceeded lecGateLimit and was verified by
 	// simulation instead.
 	LECStats *lec.Stats
 	// Runtime is the wall-clock time of the full flow.
@@ -121,12 +102,11 @@ func Run(ctx context.Context, orig *netlist.Circuit, cfg Config) (*Artifacts, er
 	}
 
 	// --- Synthesis stage ---
-	cfg.progress("lock", fmt.Sprintf("locking %s (%d gates, %d key bits)", orig.Name, orig.NumGates(), cfg.KeyBits))
 	lk, rep, err := lockDesign(orig, cfg.KeyBits, cfg.Seed, cfg.UseATPGLock)
 	if err != nil {
 		return nil, err
 	}
-	return runLocked(ctx, orig, lk, rep, cfg, start)
+	return runLocked(ctx, orig, lk, rep, cfg, start, nil, func(stage, msg string) {})
 }
 
 // lockDesign is the flow's lock step: the paper's cost-driven ATPG
@@ -148,13 +128,18 @@ func lockDesign(orig *netlist.Circuit, keyBits int, seed uint64, useATPG bool) (
 
 // runLocked is Run after the lock step: LEC of lk against orig, then
 // the layout stage. cfg must already carry its defaults; start is when
-// the flow began, for Artifacts.Runtime.
-func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, rep *locking.ATPGLockReport, cfg Config, start time.Time) (*Artifacts, error) {
+// the flow began, for Artifacts.Runtime. solver, when non-nil, is the
+// LEC step's SAT backend (see verifyEquivalence). progress is called
+// as the flow crosses each stage boundary ("lec", "place", "route",
+// "split"); it runs on the flow goroutine, so it must not block for
+// long, and it must not influence results.
+func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, rep *locking.ATPGLockReport, cfg Config, start time.Time,
+	solver sat.Interface, progress func(stage, msg string)) (*Artifacts, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg.progress("lec", fmt.Sprintf("verifying locked netlist (%d gates)", lk.Circuit.NumGates()))
-	lecStats, err := verifyEquivalence(ctx, orig, lk.Circuit, cfg)
+	progress("lec", fmt.Sprintf("verifying locked netlist (%d gates)", lk.Circuit.NumGates()))
+	lecStats, err := verifyEquivalence(ctx, orig, lk.Circuit, cfg, solver)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +148,7 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 	}
 
 	// --- Layout stage ---
-	cfg.progress("place", "placing locked netlist")
+	progress("place", "placing locked netlist")
 	lay, err := place.Place(lk.Circuit, place.Options{Seed: cfg.Seed + 1, RandomizeTies: true})
 	if err != nil {
 		return nil, fmt.Errorf("flow: placement: %w", err)
@@ -171,7 +156,7 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg.progress("route", fmt.Sprintf("routing with key-nets lifted above M%d", cfg.SplitLayer))
+	progress("route", fmt.Sprintf("routing with key-nets lifted above M%d", cfg.SplitLayer))
 	routes, err := route.RouteAll(lay, route.Options{
 		SplitLayer:  cfg.SplitLayer,
 		LiftKeyNets: true,
@@ -179,7 +164,7 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 	if err != nil {
 		return nil, fmt.Errorf("flow: routing: %w", err)
 	}
-	cfg.progress("split", "splitting into FEOL and BEOL views")
+	progress("split", "splitting into FEOL and BEOL views")
 	view, secret, err := split.Split(lay, routes)
 	if err != nil {
 		return nil, fmt.Errorf("flow: split: %w", err)
@@ -204,15 +189,18 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 // SAT path it returns the checker's structural statistics. The context
 // is bridged into the checker's stop flag, so cancellation reaches
 // down to individual solver conflict-loop iterations and simulation
-// batches — the two places a flow can spend minutes.
-func verifyEquivalence(ctx context.Context, orig, locked *netlist.Circuit, cfg Config) (*lec.Stats, error) {
+// batches — the two places a flow can spend minutes. solver, when
+// non-nil, is the SAT backend of the check (overriding the
+// cfg.SolverWorkers construction); it must be fresh, and the check owns
+// it. The daemon routes its pool-leased portfolios through here.
+func verifyEquivalence(ctx context.Context, orig, locked *netlist.Circuit, cfg Config, solver sat.Interface) (*lec.Stats, error) {
 	stop, release := engine.WatchContext(ctx)
 	defer release()
-	if orig.NumGates() <= cfg.LECGateLimit {
+	if orig.NumGates() <= lecGateLimit {
 		res, err := lec.Check(orig, locked, lec.Options{
 			Seed:             cfg.Seed,
 			PortfolioWorkers: cfg.SolverWorkers,
-			Solver:           cfg.LECSolver,
+			Solver:           solver,
 			Stop:             stop,
 		})
 		if err != nil {

@@ -96,30 +96,35 @@ func (s JobSpec) withDefaults() JobSpec {
 
 // Validate rejects malformed specs with a client-presentable error.
 func (s JobSpec) Validate() error {
+	var benches []string
 	switch s.Kind {
 	case JobLock, JobVerify, JobAttack:
 		if s.Bench == "" {
 			return fmt.Errorf("flow: job kind %q requires \"bench\"", s.Kind)
 		}
-		if err := bmarks.Validate([]string{s.Bench}); err != nil {
-			return fmt.Errorf("flow: %w", err)
-		}
+		benches = []string{s.Bench}
 	case JobTable:
-		if len(s.Benchmarks) > 0 {
-			if err := bmarks.Validate(s.Benchmarks); err != nil {
-				return fmt.Errorf("flow: %w", err)
-			}
-		}
+		benches = s.Benchmarks
 	case "":
 		return fmt.Errorf("flow: job spec is missing \"kind\"")
 	default:
 		return fmt.Errorf("flow: unknown job kind %q", s.Kind)
 	}
-	if s.Scale < 0 || s.Scale > 1 {
-		return fmt.Errorf("flow: scale %v out of range (0, 1]", s.Scale)
+	return validateDesign(benches, s.Scale, s.KeyBits)
+}
+
+// validateDesign is the design check every daemon entry point applies
+// before any compute starts: known benchmarks, scale in [0, 1] and
+// keybits in [0, 4096] (0 selects the default for both).
+func validateDesign(benches []string, scale float64, keyBits int) error {
+	if err := bmarks.Validate(benches); err != nil {
+		return fmt.Errorf("flow: %w", err)
 	}
-	if s.KeyBits < 0 || s.KeyBits > 4096 {
-		return fmt.Errorf("flow: keybits %d out of range", s.KeyBits)
+	if scale < 0 || scale > 1 {
+		return fmt.Errorf("flow: scale %v out of range [0, 1]", scale)
+	}
+	if keyBits < 0 || keyBits > 4096 {
+		return fmt.Errorf("flow: keybits %d out of range [0, 4096]", keyBits)
 	}
 	return nil
 }
@@ -402,10 +407,9 @@ func (j *Job) runLock(ctx context.Context, rt JobRuntime) (any, error) {
 		Seed:          j.lockSeed(),
 		UseATPGLock:   !j.Spec.RandomLock,
 		SolverWorkers: j.Spec.SolverWorkers,
-		LECSolver:     solver,
-		Progress:      func(stage, msg string) { rt.emit(stage, "%s", msg) },
 	}.withDefaults()
-	art, err := runLocked(ctx, j.orig, j.lk, j.rep, cfg, time.Now())
+	art, err := runLocked(ctx, j.orig, j.lk, j.rep, cfg, time.Now(), solver,
+		func(stage, msg string) { rt.emit(stage, "%s", msg) })
 	if err != nil {
 		return nil, err
 	}

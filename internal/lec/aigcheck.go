@@ -39,7 +39,6 @@ func checkAIG(a, b *netlist.Circuit, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	g := bld.Graph()
 
 	// Observable pairs: outputs by position, next-state by DFF name.
 	type pair struct{ la, lb aig.Lit }
@@ -67,20 +66,18 @@ func checkAIG(a, b *netlist.Circuit, opt Options) (Result, error) {
 	// the rewrite's node map; structural pair collapses (la == lb) can
 	// only increase, never revert, because the rewrite preserves every
 	// root function.
-	if !opt.NoRewrite {
-		rwRoots := make([]aig.Lit, 0, 2*len(pairs))
-		for _, p := range pairs {
-			rwRoots = append(rwRoots, p.la, p.lb)
-		}
-		rm, rst := bld.Rewrite(rwRoots, aig.RewriteOptions{})
-		g = bld.Graph()
-		for i := range pairs {
-			pairs[i].la = aig.MapLit(rm, pairs[i].la)
-			pairs[i].lb = aig.MapLit(rm, pairs[i].lb)
-		}
-		res.Stats.RewriteSaved = rst.Saved()
-		res.Stats.Rewrites = rst.Rewrites
+	rwRoots := make([]aig.Lit, 0, 2*len(pairs))
+	for _, p := range pairs {
+		rwRoots = append(rwRoots, p.la, p.lb)
 	}
+	rm, rst := bld.Rewrite(rwRoots)
+	g := bld.Graph()
+	for i := range pairs {
+		pairs[i].la = aig.MapLit(rm, pairs[i].la)
+		pairs[i].lb = aig.MapLit(rm, pairs[i].lb)
+	}
+	res.Stats.RewriteSaved = rst.Saved()
+	res.Stats.Rewrites = rst.Rewrites
 
 	s := newMiterSolver(opt)
 	sw := newSweeper(g, s, bld, opt.Seed)

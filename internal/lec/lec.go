@@ -4,7 +4,8 @@
 // under the correct key; non-equivalent locking attempts are rejected).
 //
 // The checker rewrites both circuits into one shared strashed
-// AND-inverter graph (internal/aig), sweeps the unresolved cones with
+// AND-inverter graph (internal/aig), shrinks it with one pass of cut
+// rewriting (always on), sweeps the unresolved cones with
 // complement-canonical simulation signatures and bounded SAT probes,
 // and decides the surviving observable pairs over a Tseitin-on-AIG
 // miter with the internal CDCL solver. A bit-parallel
@@ -77,12 +78,6 @@ type Options struct {
 	PrefilterPatterns int
 	// Seed drives the prefilter stimulus.
 	Seed uint64
-	// NoRewrite disables the AIG cut-rewriting pass that runs between
-	// graph construction and sweeping/CNF emission. The
-	// pass is on by default: it shrinks the miter cones (and therefore
-	// the CNF) before any solving happens, at a small deterministic
-	// reconstruction cost.
-	NoRewrite bool
 	// PortfolioWorkers > 1 backs the check with a sat.Portfolio of
 	// that many diverging solver instances, time-sliced in its
 	// staircase schedule: verdicts, counterexamples and stats are

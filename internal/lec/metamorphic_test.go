@@ -7,6 +7,7 @@ import (
 	"repro/internal/aig"
 	"repro/internal/bmarks"
 	"repro/internal/netlist"
+	"repro/internal/sat"
 	"repro/internal/sim"
 )
 
@@ -135,13 +136,7 @@ func TestXnorComplementMergeRegression(t *testing.T) {
 		}
 		return c
 	}
-	a := mk(`
-INPUT(x)
-INPUT(y)
-OUTPUT(o)
-t = XOR(x, y)
-o = NOT(t)
-`, "notxor")
+	a := mk(notXorBench, "notxor")
 
 	t.Run("structural", func(t *testing.T) {
 		b := mk(`
@@ -167,16 +162,7 @@ o = XNOR(x, y)
 	})
 
 	t.Run("restructured", func(t *testing.T) {
-		b := mk(`
-INPUT(x)
-INPUT(y)
-OUTPUT(o)
-nx = NOT(x)
-ny = NOT(y)
-both = AND(x, y)
-neither = AND(nx, ny)
-o = OR(both, neither)
-`, "xnor_sop")
+		b := mk(xnorSOPBench, "xnor_sop")
 		res, err := Check(a, b, Options{PrefilterPatterns: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -185,24 +171,66 @@ o = OR(both, neither)
 			t.Fatal("sum-of-products XNOR not equivalent to NOT(XOR)")
 		}
 		// The two cones differ structurally as written; the cut
-		// rewriter normalizes both onto one structure (or, with the
-		// rewrite disabled, the complement-canonical sweep proves the
-		// merge) so the output pair must never need SAT.
+		// rewriter normalizes both onto one structure or the
+		// complement-canonical sweep proves the merge, so the output
+		// pair must never need SAT.
 		if res.Stats.SweepMerges == 0 && res.Stats.Rewrites == 0 {
 			t.Error("neither the rewriter nor the sweeper merged the complement forms")
 		}
 		if res.Stats.SATPairs != 0 {
 			t.Errorf("output pair fell through to the miter: %+v", res.Stats)
 		}
-		noRW, err := Check(a, b, Options{PrefilterPatterns: -1, NoRewrite: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !noRW.Equivalent {
-			t.Fatal("NoRewrite path disagrees")
-		}
-		if noRW.Stats.SweepMerges == 0 {
-			t.Error("complement merge did not happen in the sweeper with rewriting off")
-		}
 	})
+}
+
+// notXorBench and xnorSOPBench are one function, XNOR(x, y), written as
+// two structurally different cones.
+const (
+	notXorBench = `
+INPUT(x)
+INPUT(y)
+OUTPUT(o)
+t = XOR(x, y)
+o = NOT(t)
+`
+	xnorSOPBench = `
+INPUT(x)
+INPUT(y)
+OUTPUT(o)
+nx = NOT(x)
+ny = NOT(y)
+both = AND(x, y)
+neither = AND(nx, ny)
+o = OR(both, neither)
+`
+)
+
+// TestSweeperMergesComplementForms sweeps the two XNOR forms on the
+// shared graph as strashing leaves it, before any cut rewriting: the
+// complement-canonical signatures must bucket them together and the
+// probe must merge them, so the sweeper alone resolves the pair.
+func TestSweeperMergesComplementForms(t *testing.T) {
+	a := mustParse(t, notXorBench, "notxor")
+	b := mustParse(t, xnorSOPBench, "xnor_sop")
+	bld := aig.NewBuilder()
+	ma, err := bld.Add(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := bld.Add(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	la, lb := ma[a.Outputs()[0]], mb[b.Outputs()[0]]
+	if la == lb {
+		t.Fatal("strashing already merged the two forms; the sweep has nothing to prove")
+	}
+	sw := newSweeper(bld.Graph(), sat.New(), bld, 1)
+	sw.sweep([]aig.Lit{la, lb})
+	if sw.merges == 0 {
+		t.Error("the sweeper merged nothing")
+	}
+	if sw.find(la) != sw.find(lb) {
+		t.Errorf("outputs still differ after sweeping: %v vs %v", sw.find(la), sw.find(lb))
+	}
 }

@@ -13,6 +13,8 @@
 //
 // Both mark TIE cells and restore logic DontTouch, mirroring the
 // set_dont_touch / set_dont_touch_network commands of the Fig. 3 flow.
+// The flow locks with ATPGLock; RandomLock is its -random-lock
+// alternative and the cheap lock of the attack tests.
 package locking
 
 import (

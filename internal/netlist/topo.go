@@ -124,31 +124,6 @@ func (c *Circuit) TransitiveFanin(root GateID) map[GateID]bool {
 	return cone
 }
 
-// TransitiveFanout returns the set of gates in the combinational fanout
-// cone of root (root included), stopping at DFF data pins and outputs.
-func (c *Circuit) TransitiveFanout(root GateID) map[GateID]bool {
-	c.ensureFanouts()
-	cone := make(map[GateID]bool)
-	stack := []GateID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cone[id] {
-			continue
-		}
-		cone[id] = true
-		for _, s := range c.fanouts[id] {
-			if c.gates[s].dead || c.gates[s].Type == DFF {
-				continue
-			}
-			if !cone[s] {
-				stack = append(stack, s)
-			}
-		}
-	}
-	return cone
-}
-
 // Support returns the combinational sources (inputs, TIE cells, DFF
 // outputs) that root transitively depends on, in ascending ID order.
 func (c *Circuit) Support(root GateID) []GateID {

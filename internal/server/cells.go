@@ -4,15 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/flow"
 )
-
-// cellHeartbeatInterval paces the hb lines of a /v1/cells stream. The
-// coordinator's lease timeout should be a comfortable multiple.
-const cellHeartbeatInterval = 500 * time.Millisecond
 
 // RunCell computes one dispatched table cell, gated by the daemon's
 // cell-slot semaphore so a coordinator fleet cannot oversubscribe the
@@ -50,9 +45,9 @@ func (m *Manager) CellsRunning() int { return len(m.cellSem) }
 
 // cells serves the remote-worker leg of the dispatch protocol: the
 // request body is one CellSpec, and the response streams the
-// worker→coordinator half as NDJSON — hello, heartbeats while the cell
-// queues and computes, then exactly one res or err line. Lease IDs are
-// the coordinator's business; the client stamps them onto these lines.
+// worker→coordinator half as NDJSON through dispatch.ServeCell — hello,
+// heartbeats while the cell queues and computes, then exactly one res
+// or err line. A spec JobSpec.Validate would reject as a job gets a 400.
 // A daemon at capacity keeps heartbeating until a slot frees; a
 // draining daemon answers 503 before the stream starts, which the
 // coordinator treats as a rejection (requeue elsewhere, no crash-budget
@@ -65,8 +60,8 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad cell spec: %v", err)
 		return
 	}
-	if spec.Bench == "" || spec.Layer == 0 {
-		writeError(w, http.StatusBadRequest, "cell spec needs bench and layer")
+	if err := flow.ValidateCellSpec(spec); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if s.mgr.Draining() {
@@ -77,55 +72,35 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	send := func(m dispatch.Message) bool {
-		if err := enc.Encode(m); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	if !send(dispatch.Message{Type: dispatch.MsgHello, Version: dispatch.ProtocolVersion}) {
-		return
-	}
 
-	type outcome struct {
-		payload json.RawMessage
-		err     error
-	}
-	res := make(chan outcome, 1)
-	go func() {
-		payload, err := s.mgr.RunCell(r.Context(), spec)
-		res <- outcome{payload, err}
-	}()
-	tick := time.NewTicker(cellHeartbeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case o := <-res:
-			if o.err != nil {
-				// Context/drain errors end the stream with no result line:
-				// the coordinator must count this daemon as dead, not the
-				// cell as cleanly failed.
-				if r.Context().Err() != nil || s.mgr.rootCtx.Err() != nil {
-					return
-				}
-				send(dispatch.Message{Type: dispatch.MsgError, Error: o.err.Error()})
-				return
-			}
-			send(dispatch.Message{Type: dispatch.MsgResult, Payload: o.payload})
-			return
-		case <-tick.C:
-			if !send(dispatch.Message{Type: dispatch.MsgHeartbeat}) {
-				return
-			}
-		case <-r.Context().Done():
-			return
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	run := func(ctx context.Context, spec dispatch.CellSpec) (json.RawMessage, error) {
+		payload, err := s.mgr.RunCell(ctx, spec)
+		if err != nil && s.mgr.Draining() {
+			// The drain, not the cell, ended the compute: cancelling
+			// ends the stream with no result line, so the coordinator
+			// counts this daemon as a dead worker rather than the cell
+			// as cleanly failed.
+			cancel()
 		}
+		return payload, err
 	}
+	// The only errors are a cancelled stream and a failed write, both of
+	// which mean the coordinator's side is gone: nobody is left to tell.
+	_ = dispatch.ServeCell(ctx, lineFlusher{w}, spec, dispatch.WorkerOptions{Run: run})
+}
+
+// lineFlusher flushes each protocol line as it is written, so the
+// coordinator sees every heartbeat while the cell computes.
+type lineFlusher struct{ w http.ResponseWriter }
+
+func (f lineFlusher) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	if fl, ok := f.w.(http.Flusher); ok {
+		fl.Flush()
+	}
+	return n, err
 }
 
 // Draining reports whether Drain has begun.

@@ -97,11 +97,62 @@ func TestCellsEndpointRejectsWhenDraining(t *testing.T) {
 	}
 }
 
+// TestCellsEndpointDrainEndsStreamWithoutResult: a daemon drained while
+// a cell waits for a slot ends the stream after hello and heartbeats
+// with neither a res nor an err line, so the coordinator counts it as a
+// dead worker instead of recording the cell as cleanly failed.
+func TestCellsEndpointDrainEndsStreamWithoutResult(t *testing.T) {
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1, MaxCells: 1})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+	m.cellSem <- struct{}{} // hold the only cell slot
+	body, _ := json.Marshal(testCellSpec())
+	resp, err := http.Post(ts.URL+"/v1/cells", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/cells = %s", resp.Status)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	var types []string
+	for sc.Scan() {
+		var msg dispatch.Message
+		if err := json.Unmarshal(sc.Bytes(), &msg); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Bytes(), err)
+		}
+		types = append(types, string(msg.Type))
+		if msg.Type == dispatch.MsgHeartbeat && !m.Draining() {
+			// The cell is queued behind the held slot: drain now.
+			if err := m.Drain(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(types) < 2 || types[0] != "hello" || types[1] != "hb" {
+		t.Fatalf("stream shape = %v, want hello, hb, ...", types)
+	}
+	for _, typ := range types {
+		if typ == string(dispatch.MsgResult) || typ == string(dispatch.MsgError) {
+			t.Fatalf("drained stream carried a %q line: %v", typ, types)
+		}
+	}
+}
+
+// TestCellsEndpointRejectsBadSpec: a cell spec that does not parse, or
+// that POST /v1/jobs would reject as a job (out-of-range scale or key
+// size, unknown benchmark), gets a 400 before any stream starts.
 func TestCellsEndpointRejectsBadSpec(t *testing.T) {
 	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
-	for _, body := range []string{`{`, `{"bogus":1}`, `{}`} {
+	for _, body := range []string{
+		`{`, `{"bogus":1}`, `{}`,
+		`{"bench":"b14","layer":4,"scale":1.5}`,
+		`{"bench":"b14","layer":4,"scale":0.03,"keybits":5000}`,
+		`{"bench":"nope","layer":4,"scale":0.03}`,
+	} {
 		resp, err := http.Post(ts.URL+"/v1/cells", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
