@@ -26,9 +26,12 @@
 // queue (-queue, 503 beyond it); all jobs share one solver pool
 // (-solverslots), and a job waits until its whole portfolio width —
 // clamped to the pool size — is free, so its payload never depends on
-// load. SIGINT/SIGTERM drains gracefully: running table jobs
-// checkpoint their finished cells and are requeued on the next start,
-// resuming byte-identically.
+// load. SIGINT/SIGTERM drains gracefully: admission stops, running
+// table jobs checkpoint their finished cells and are requeued on the
+// next start, resuming byte-identically, and running /v1/cells cells
+// are cancelled, so their streams end without a result line (the
+// coordinator counts the daemon as a dead worker and reassigns the
+// cell). Only then does the HTTP server shut down.
 package main
 
 import (
@@ -36,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -58,34 +62,42 @@ func main() {
 		maxCells     = flag.Int("maxcells", 0, "max concurrently running dispatched table cells (0 = same as -jobs)")
 	)
 	flag.Parse()
-	if err := run(*addr, server.ManagerOptions{
-		StateDir:     *state,
-		MaxJobs:      *jobs,
-		QueueLimit:   *queue,
-		SolverSlots:  *solverSlots,
-		CacheEntries: *cacheEntries,
-		JobTimeout:   *jobTimeout,
-		MaxCells:     *maxCells,
-	}, *drainTimeout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ln, err := net.Listen("tcp", *addr)
+	if err == nil {
+		err = run(ctx, ln, server.ManagerOptions{
+			StateDir:     *state,
+			MaxJobs:      *jobs,
+			QueueLimit:   *queue,
+			SolverSlots:  *solverSlots,
+			CacheEntries: *cacheEntries,
+			JobTimeout:   *jobTimeout,
+			MaxCells:     *maxCells,
+		}, *drainTimeout)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "splitlockd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, opt server.ManagerOptions, drainTimeout time.Duration) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+// run serves the daemon on ln until ctx is done, then drains: the
+// manager stops admission and cancels running jobs and cells first, so
+// open cell streams end without a result, and only then does the HTTP
+// server wait for the remaining handlers to return.
+func run(ctx context.Context, ln net.Listener, opt server.ManagerOptions, drainTimeout time.Duration) error {
 	mgr, err := server.NewManager(opt)
 	if err != nil {
+		ln.Close()
 		return err
 	}
-	srv := &http.Server{Addr: addr, Handler: server.NewServer(mgr)}
+	srv := &http.Server{Handler: server.NewServer(mgr)}
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "splitlockd: listening on %s (state %q, %d jobs, %d queue)\n",
-			addr, opt.StateDir, opt.MaxJobs, opt.QueueLimit)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+			ln.Addr(), opt.StateDir, opt.MaxJobs, opt.QueueLimit)
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()
@@ -97,11 +109,12 @@ func run(addr string, opt server.ManagerOptions, drainTimeout time.Duration) err
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(os.Stderr, "splitlockd: draining (running jobs checkpoint and resume on restart)")
+	drainErr := mgr.Drain(drainTimeout)
 	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	_ = srv.Shutdown(shutCtx)
-	if err := mgr.Drain(drainTimeout); err != nil {
-		return err
+	if drainErr != nil {
+		return drainErr
 	}
 	fmt.Fprintln(os.Stderr, "splitlockd: drained cleanly")
 	return nil

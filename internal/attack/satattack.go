@@ -63,8 +63,8 @@ type SATAttackOptions struct {
 	// an in-process simulation.
 	BatchSize int
 	// Solver, when non-nil, is the SAT backend for the whole attack
-	// (default: one plain solver). It must be fresh (no variables or
-	// clauses): the attack encodes its incremental miter into it and
+	// (default: a one-member portfolio). It must be fresh (no variables
+	// or clauses): the attack encodes its incremental miter into it and
 	// owns it for the run. This is the portfolio and pool seam — a
 	// daemon injects a portfolio sized to its admission grant.
 	Solver sat.Interface
@@ -115,9 +115,9 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 		simW++
 	}
 	c := lk.Circuit
-	var s sat.Interface = sat.New()
-	if opt.Solver != nil {
-		s = opt.Solver
+	s := opt.Solver
+	if s == nil {
+		s = sat.NewPortfolio(sat.PortfolioOptions{})
 	}
 
 	// One shared strashed graph: key TIE cells become leaves, so cones

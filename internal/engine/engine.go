@@ -93,23 +93,15 @@ func AsPanicError(v any) (*PanicError, bool) {
 // WatchContext bridges a context to the atomic stop flag convention
 // used across engine and sat: the returned flag is set when ctx is
 // done. The returned release function must be called (typically
-// deferred) to free the watcher goroutine; the flag remains valid — and
-// set, if ctx was done — after release.
+// deferred) to deregister the watch; the flag remains valid — and set,
+// if ctx was done — after release.
 func WatchContext(ctx context.Context) (*atomic.Bool, func()) {
 	var flag atomic.Bool
-	if ctx == nil || ctx.Done() == nil {
+	if ctx == nil {
 		return &flag, func() {}
 	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			flag.Store(true)
-		case <-stop:
-		}
-	}()
-	var once sync.Once
-	return &flag, func() { once.Do(func() { close(stop) }) }
+	stop := context.AfterFunc(ctx, func() { flag.Store(true) })
+	return &flag, func() { stop() }
 }
 
 // Options tunes a batch run.

@@ -378,9 +378,6 @@ func (j *Job) newSolver(ctx context.Context, rt JobRuntime, stop *atomic.Bool) (
 	}
 	popt := sat.PortfolioOptions{Workers: want, Seed: j.Spec.Seed, Stop: stop}
 	if rt.Pool == nil {
-		if want == 1 {
-			return sat.NewWithOptions(sat.Options{ExternalStop: stop}), func() {}, nil
-		}
 		return sat.NewPortfolio(popt), func() {}, nil
 	}
 	lease, err := rt.Pool.Acquire(ctx, want)

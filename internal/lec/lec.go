@@ -86,16 +86,17 @@ type Options struct {
 	// case). This pays on the hard miters that survive the zero-clause
 	// structural path — re-synthesized or wrong-key circuits — and is
 	// wasted mirroring work on miters that collapse structurally. 0 or
-	// 1 uses the single solver.
+	// 1 builds a one-member portfolio, which answers exactly like a
+	// single solver.
 	PortfolioWorkers int
 	// Deprecated: ignored; every portfolio is deterministic.
 	PortfolioDeterministic bool
 	// Stop, when non-nil and set, cancels the check — prefilter
 	// simulation, sweeping, and miter solving all observe it — and
 	// Check returns ErrCancelled. A check that completes before the
-	// flag is observed returns its verdict unchanged, so
-	// deterministic-mode results stay bit-identical when a deadline
-	// never fires.
+	// flag is observed returns its verdict unchanged, so results stay
+	// bit-identical when a deadline never fires. Check never writes
+	// the flag; the caller lowers it to check again.
 	Stop *atomic.Bool
 	// Solver, when non-nil, is the SAT backend for this check and
 	// overrides the PortfolioWorkers construction. It must be fresh (no variables or clauses): the
@@ -106,20 +107,18 @@ type Options struct {
 	Solver sat.Interface
 }
 
-// newMiterSolver returns the SAT backend for one check: the single
-// deterministic solver, or a portfolio seeded from the checker seed.
+// newMiterSolver returns the SAT backend for one check: a portfolio of
+// opt.PortfolioWorkers members (one when <= 1) seeded from the checker
+// seed.
 func newMiterSolver(opt Options) sat.Interface {
 	if opt.Solver != nil {
 		return opt.Solver
 	}
-	if opt.PortfolioWorkers > 1 {
-		return sat.NewPortfolio(sat.PortfolioOptions{
-			Workers: opt.PortfolioWorkers,
-			Seed:    opt.Seed,
-			Stop:    opt.Stop,
-		})
-	}
-	return sat.NewWithOptions(sat.Options{ExternalStop: opt.Stop})
+	return sat.NewPortfolio(sat.PortfolioOptions{
+		Workers: opt.PortfolioWorkers,
+		Seed:    opt.Seed,
+		Stop:    opt.Stop,
+	})
 }
 
 // unknownErr maps a solver Unknown to the right error: ErrCancelled

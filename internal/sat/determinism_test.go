@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -124,25 +125,28 @@ func TestDeterministicSolveLimited(t *testing.T) {
 	}
 }
 
-// TestDeterministicInterrupt: the shared stop flag must end a
-// deterministic solve between (or inside) slices, leaving the
-// portfolio reusable.
+// TestDeterministicInterrupt: the stop flag must end a deterministic
+// solve between (or inside) slices, leaving the portfolio reusable
+// once the flag is lowered.
 func TestDeterministicInterrupt(t *testing.T) {
-	p := buildDet(2, func(s Interface) { pigeonholeIface(s, 10, 9) })
+	var stop atomic.Bool
+	p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 11, Stop: &stop})
+	pigeonholeIface(p, 10, 9)
 	done := make(chan Status, 1)
 	go func() { done <- p.Solve() }()
 	time.Sleep(2 * time.Millisecond)
-	p.Interrupt()
+	stop.Store(true)
 	select {
 	case st := <-done:
 		if st != Unknown && st != Unsat {
-			t.Fatalf("interrupted deterministic solve: %v", st)
+			t.Fatalf("stopped deterministic solve: %v", st)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("deterministic interrupt not honored within 30s")
+		t.Fatal("deterministic stop not honored within 30s")
 	}
+	stop.Store(false)
 	if st := p.SolveLimited(10); st != Unknown {
-		t.Fatalf("budgeted re-solve after interrupt: %v", st)
+		t.Fatalf("budgeted re-solve after stop: %v", st)
 	}
 }
 

@@ -1,11 +1,12 @@
 package sat
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// cnfFromBytes decodes fuzz input into a small CNF (and an interrupt
+// cnfFromBytes decodes fuzz input into a small CNF (and a stop-flag
 // delay) so the whole instance stays brute-forceable: the first byte
 // sets the variable count (2..13) and the delay, each following pair of
 // bytes becomes one literal, and a zero byte ends the current clause.
@@ -40,11 +41,11 @@ func cnfFromBytes(data []byte) (numVars int, cnf [][]int, delay time.Duration) {
 	return numVars, cnf, delay
 }
 
-// FuzzSolverInterrupt races Interrupt against a solve on a random small
-// instance and asserts the cancellation contract: no panics, the
-// interrupted status is one of {Sat, Unsat, Unknown} and consistent
-// with brute force when definitive, and an uninterrupted re-solve of
-// the same solver agrees exactly with brute force (including the
+// FuzzSolverInterrupt races the stop flag against a solve on a random
+// small instance and asserts the cancellation contract: no panics, the
+// stopped status is one of {Sat, Unsat, Unknown} and consistent with
+// brute force when definitive, and a re-solve of the same solver after
+// the flag is lowered agrees exactly with brute force (including the
 // model). Run with `go test -fuzz FuzzSolverInterrupt ./internal/sat`.
 func FuzzSolverInterrupt(f *testing.F) {
 	f.Add([]byte{7, 1, 0, 2, 1, 0, 3, 0, 1, 1, 2, 0})
@@ -52,7 +53,8 @@ func FuzzSolverInterrupt(f *testing.F) {
 	f.Add([]byte{0x35, 1, 0, 1, 1, 2, 0, 2, 1, 3, 0, 3, 1, 4, 0, 4, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		numVars, cnf, delay := cnfFromBytes(data)
-		s := New()
+		var stop atomic.Bool
+		s := NewWithOptions(Options{Stop: &stop})
 		for i := 0; i < numVars; i++ {
 			s.NewVar()
 		}
@@ -66,29 +68,30 @@ func FuzzSolverInterrupt(f *testing.F) {
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		s.Interrupt()
+		stop.Store(true)
 		st := <-done
+		stop.Store(false)
 		switch st {
 		case Sat:
 			if !want {
-				t.Fatalf("interrupted solve returned Sat on UNSAT cnf %v", cnf)
+				t.Fatalf("stopped solve returned Sat on UNSAT cnf %v", cnf)
 			}
 			verifyModel(t, s, cnf, 0)
 		case Unsat:
 			if want {
-				t.Fatalf("interrupted solve returned Unsat on SAT cnf %v", cnf)
+				t.Fatalf("stopped solve returned Unsat on SAT cnf %v", cnf)
 			}
 		case Unknown:
-			// Always admissible for an interrupted call.
+			// Always admissible for a stopped call.
 		default:
-			t.Fatalf("interrupted solve returned invalid status %d", int(st))
+			t.Fatalf("stopped solve returned invalid status %d", int(st))
 		}
 
-		// The solver must be fully reusable after the interrupt: the
-		// uninterrupted re-solve decides exactly like a fresh solver.
+		// The solver must be fully reusable after the stop: the re-solve
+		// under the lowered flag decides exactly like a fresh solver.
 		got := s.Solve()
 		if (got == Sat) != want {
-			t.Fatalf("re-solve after interrupt: solver=%v brute=%v cnf=%v", got, want, cnf)
+			t.Fatalf("re-solve after stop: solver=%v brute=%v cnf=%v", got, want, cnf)
 		}
 		if got == Sat {
 			verifyModel(t, s, cnf, 0)

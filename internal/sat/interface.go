@@ -23,19 +23,9 @@ type Interface interface {
 	NumClauses() int
 	// NumProblemClauses returns the live problem clause count.
 	NumProblemClauses() int
-	// Interrupt asks an in-flight solve to return Unknown early.
-	Interrupt()
 }
-
-// SolveFunc is the solving entry point shared by Solver and Portfolio:
-// both s.Solve and p.Solve satisfy it, so callers that only need to
-// decide an already-built instance can accept either without knowing
-// which backend is behind it.
-type SolveFunc func(assumptions ...int) Status
 
 var (
 	_ Interface = (*Solver)(nil)
 	_ Interface = (*Portfolio)(nil)
-	_ SolveFunc = (*Solver)(nil).Solve
-	_ SolveFunc = (*Portfolio)(nil).Solve
 )

@@ -6,26 +6,29 @@ import (
 	"time"
 )
 
-// TestInterruptReturnsUnknown interrupts a hard solve from another
-// goroutine and checks the contract: the result is Unknown (or Unsat
-// if the solver won the race), and the solver is left reusable.
+// TestInterruptReturnsUnknown raises the stop flag of a hard solve
+// from another goroutine and checks the contract: the result is
+// Unknown (or Unsat if the solver won the race), and once the flag is
+// lowered the solver is reusable.
 func TestInterruptReturnsUnknown(t *testing.T) {
-	s := New()
+	var stop atomic.Bool
+	s := NewWithOptions(Options{Stop: &stop})
 	pigeonhole(s, 10, 9) // far beyond the test-time budget of one solve
 	done := make(chan Status, 1)
 	go func() { done <- s.Solve() }()
 	time.Sleep(5 * time.Millisecond)
-	s.Interrupt()
+	stop.Store(true)
 	select {
 	case st := <-done:
 		if st != Unknown && st != Unsat {
-			t.Fatalf("interrupted solve: got %v", st)
+			t.Fatalf("stopped solve: got %v", st)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("interrupt not honored within 10s")
+		t.Fatal("stop not honored within 10s")
 	}
-	// Interrupted solver must be reusable: a fresh easy sub-problem
+	// Stopped solver must be reusable: a fresh easy sub-problem
 	// decides instantly and correctly.
+	stop.Store(false)
 	a := s.NewVar()
 	s.AddClause(a)
 	if st := s.Solve(-a); st != Unsat {
@@ -33,11 +36,11 @@ func TestInterruptReturnsUnknown(t *testing.T) {
 	}
 }
 
-// TestInterruptedResolveMatchesFresh is the satellite regression: an
-// interrupted solver, re-solved without interruption, must return the
-// same answer (and satisfy the same clauses) as a fresh solver on the
-// same instance. Exercised on both a SAT and an UNSAT instance, for
-// Solve and for SolveLimited.
+// TestInterruptedResolveMatchesFresh: a solver stopped mid-solve,
+// re-solved after the flag is lowered, must return the same answer
+// (and satisfy the same clauses) as a fresh solver on the same
+// instance. Exercised on both a SAT and an UNSAT instance, for Solve
+// and for SolveLimited.
 func TestInterruptedResolveMatchesFresh(t *testing.T) {
 	build := []struct {
 		name string
@@ -50,13 +53,14 @@ func TestInterruptedResolveMatchesFresh(t *testing.T) {
 	for _, tc := range build {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, limited := range []bool{false, true} {
-				s := New()
-				tc.add(s)
 				var stop atomic.Bool
+				s := NewWithOptions(Options{Stop: &stop})
+				tc.add(s)
+				raised := make(chan struct{})
 				go func() {
 					time.Sleep(time.Millisecond)
-					s.Interrupt()
 					stop.Store(true)
+					close(raised)
 				}()
 				var st Status
 				if limited {
@@ -64,14 +68,13 @@ func TestInterruptedResolveMatchesFresh(t *testing.T) {
 				} else {
 					st = s.Solve()
 				}
-				for !stop.Load() { // don't let the interrupt leak into the re-solve
-					time.Sleep(time.Millisecond)
-				}
+				<-raised // lower the flag only after it went up
+				stop.Store(false)
 				if st == Sat && tc.want == Unsat || st == Unsat && tc.want == Sat {
-					t.Fatalf("limited=%v: interrupted solve returned wrong definitive answer %v", limited, st)
+					t.Fatalf("limited=%v: stopped solve returned wrong definitive answer %v", limited, st)
 				}
 				if got := s.Solve(); got != tc.want {
-					t.Fatalf("limited=%v: re-solve after interrupt: got %v, fresh solver gets %v", limited, got, tc.want)
+					t.Fatalf("limited=%v: re-solve after stop: got %v, fresh solver gets %v", limited, got, tc.want)
 				}
 			}
 		})
@@ -96,17 +99,5 @@ func TestSolveLimitedRespectsStop(t *testing.T) {
 	stop.Store(false)
 	if st := s.SolveLimited(1 << 40); st != Unsat {
 		t.Fatalf("after clearing stop: got %v, want Unsat", st)
-	}
-}
-
-// TestInterruptWhileIdleIsDiscarded: an Interrupt that lands between
-// solves must not poison the next call.
-func TestInterruptWhileIdleIsDiscarded(t *testing.T) {
-	s := New()
-	a := s.NewVar()
-	s.AddClause(a)
-	s.Interrupt()
-	if st := s.Solve(); st != Sat {
-		t.Fatalf("solve after idle interrupt: %v", st)
 	}
 }

@@ -14,11 +14,12 @@ type PortfolioOptions struct {
 	Seed uint64
 	// Stop, when non-nil and set, cancels an in-flight solve (returning
 	// Unknown) from outside the portfolio — e.g. from a context watcher.
-	// Unlike Interrupt, it survives solve-entry reset: the portfolio
-	// never writes it, so a deadline that fires between solves still
-	// cancels the next one. A solve that completes before the flag is
-	// observed returns its result unchanged, which keeps answers
-	// bit-identical when the deadline never fires.
+	// Every member gets it as its Options.Stop. The portfolio never
+	// writes it, so a deadline that fires between solves still cancels
+	// the next one, and the caller lowers it to solve again. A solve
+	// that completes before the flag is observed returns its result
+	// unchanged, which keeps answers bit-identical when the deadline
+	// never fires.
 	Stop *atomic.Bool
 }
 
@@ -42,11 +43,10 @@ type PortfolioOptions struct {
 // replacement for a Solver.
 //
 // A Portfolio is not safe for concurrent use by multiple goroutines;
-// only Interrupt may be called from another goroutine.
+// only its Stop flag may be raised from another goroutine.
 type Portfolio struct {
 	members []*Solver
-	stop    *atomic.Bool // Interrupt flag shared by every member
-	ext     *atomic.Bool // caller cancellation (PortfolioOptions.Stop), never written here
+	stop    *atomic.Bool // caller cancellation (PortfolioOptions.Stop), never written here
 	winner  int          // member whose model Value reads
 	used    []int64      // per-member conflicts granted in the current solve
 }
@@ -55,17 +55,13 @@ type Portfolio struct {
 // members.
 func NewPortfolio(opt PortfolioOptions) *Portfolio {
 	n := max(opt.Workers, 1)
-	stop := new(atomic.Bool)
 	p := &Portfolio{
 		members: make([]*Solver, n),
-		stop:    stop,
-		ext:     opt.Stop,
+		stop:    opt.Stop,
 		used:    make([]int64, n),
 	}
 	for i := range p.members {
-		mo := memberOptions(i, opt.Seed, stop)
-		mo.ExternalStop = opt.Stop
-		p.members[i] = NewWithOptions(mo)
+		p.members[i] = NewWithOptions(memberOptions(i, opt.Seed, opt.Stop))
 	}
 	if n > 1 {
 		for _, m := range p.members {
@@ -152,14 +148,7 @@ func (p *Portfolio) SolveLimited(budget int64, assumptions ...int) Status {
 }
 
 func (p *Portfolio) solve(budget int64, assumptions []int) Status {
-	p.stop.Store(false) // discard any interrupt aimed at a previous solve
 	p.winner = 0
-	if p.ext != nil && p.ext.Load() {
-		// Caller cancellation is level-triggered, not edge-triggered:
-		// once the flag is up, every subsequent solve is refused until
-		// the caller lowers it.
-		return Unknown
-	}
 	if len(p.members) == 1 || (budget >= 0 && budget <= sliceUnit) {
 		// Single member, or a bounded probe that fits in one scheduling
 		// slice (the LEC sweeper's SolveLimited calls): member 0 answers
@@ -214,7 +203,7 @@ func (p *Portfolio) solveStaircase(budget int64, assumptions []int) Status {
 				p.winner = i
 				return st
 			}
-			if p.stop.Load() || (p.ext != nil && p.ext.Load()) {
+			if p.stop != nil && p.stop.Load() {
 				return Unknown
 			}
 			progress = true
@@ -246,15 +235,6 @@ func (p *Portfolio) Stats() Stats {
 // Workers()); benchmarks use it to separate the winner's search from
 // the portfolio total.
 func (p *Portfolio) MemberStats(i int) Stats { return p.members[i].Stats }
-
-// Interrupt asks an in-flight portfolio solve to stop by flipping the
-// shared stop flag every member checks in its conflict loop. Unlike
-// per-member Interrupt requests (which a member's solve entry would
-// discard if the interrupt won the race against the member starting),
-// the stop flag is never cleared by the members, so the request cannot
-// be lost mid-round; it is reset at the next portfolio solve's entry,
-// mirroring Solver.Interrupt's in-flight-only semantics.
-func (p *Portfolio) Interrupt() { p.stop.Store(true) }
 
 // NumVars reports the shared variable count (identical in all members).
 func (p *Portfolio) NumVars() int { return p.members[0].NumVars() }

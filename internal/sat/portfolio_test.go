@@ -1,6 +1,8 @@
 package sat
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -141,27 +143,28 @@ func TestPortfolioSolveLimited(t *testing.T) {
 	}
 }
 
-// TestPortfolioInterrupt: interrupting an in-flight portfolio solve
-// must stop every member through the shared stop flag — including any
-// member the interrupt beat to its solve entry — and leave the
-// portfolio reusable. The request must not be lost even though the
-// members' own interrupt flags are reset at solve entry.
+// TestPortfolioInterrupt: raising the stop flag of an in-flight
+// portfolio solve must stop every member — including any member the
+// flag beat to its solve entry — and leave the portfolio reusable once
+// the flag is lowered.
 func TestPortfolioInterrupt(t *testing.T) {
-	p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 1})
+	var stop atomic.Bool
+	p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 1, Stop: &stop})
 	pigeonholeIface(p, 10, 9)
 	done := make(chan Status, 1)
 	go func() { done <- p.Solve() }()
 	time.Sleep(2 * time.Millisecond)
-	p.Interrupt()
+	stop.Store(true)
 	select {
 	case st := <-done:
 		if st != Unknown && st != Unsat {
-			t.Fatalf("interrupted portfolio solve: %v", st)
+			t.Fatalf("stopped portfolio solve: %v", st)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("portfolio interrupt not honored within 30s (PHP(10,9) would run far longer)")
+		t.Fatal("portfolio stop not honored within 30s (PHP(10,9) would run far longer)")
 	}
 	// Reusable afterwards: a bounded re-solve runs normally.
+	stop.Store(false)
 	if st := p.SolveLimited(10); st != Unknown {
 		t.Fatalf("budgeted re-solve on PHP(10,9): %v", st)
 	}
@@ -273,5 +276,124 @@ func verifyPortfolioModel(t *testing.T, p *Portfolio, cnf [][]int, trial int) {
 		if !ok {
 			t.Fatalf("trial %d: portfolio model does not satisfy clause %v", trial, cl)
 		}
+	}
+}
+
+// TestSingleMemberPortfolioMatchesSolver pins the equivalence the
+// callers rely on when they always build a Portfolio: with one member
+// it answers exactly like a plain Solver on the same stop flag —
+// status, full model, Stats and clause counts — across incremental
+// adds, assumption rounds, a SolveLimited round and a solve under a
+// raised flag, on random small CNFs checked against brute force.
+func TestSingleMemberPortfolioMatchesSolver(t *testing.T) {
+	rng := uint64(0x1badcafe)
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	trials := 120
+	if testing.Short() {
+		trials = 30
+	}
+	for trial := 0; trial < trials; trial++ {
+		// Random 3-SAT near the satisfiability threshold (clause/var
+		// ratio ~4.3), so solves hit conflicts and small budgets run out.
+		numVars := 8 + next(9) // 8..16
+		numClauses := 4*numVars + next(numVars/2+1)
+		cnf := make([][]int, 0, numClauses)
+		for i := 0; i < numClauses; i++ {
+			cl := make([]int, 3)
+			for j := range cl {
+				cl[j] = 1 + next(numVars)
+				if next(2) == 1 {
+					cl[j] = -cl[j]
+				}
+			}
+			cnf = append(cnf, cl)
+		}
+		randAssume := func() []int {
+			var assume []int
+			seen := map[int]bool{}
+			for n := 1 + next(4); len(assume) < n; {
+				v := 1 + next(numVars)
+				if seen[v] {
+					continue
+				}
+				seen[v] = true
+				if next(2) == 1 {
+					v = -v
+				}
+				assume = append(assume, v)
+			}
+			return assume
+		}
+
+		var stop atomic.Bool
+		p := NewPortfolio(PortfolioOptions{Workers: 1, Stop: &stop})
+		s := NewWithOptions(Options{Stop: &stop})
+		for i := 0; i < numVars; i++ {
+			if pv, sv := p.NewVar(), s.NewVar(); pv != sv {
+				t.Fatalf("trial %d: NewVar portfolio=%d solver=%d", trial, pv, sv)
+			}
+		}
+		added := 0
+		add := func(n int) {
+			for _, cl := range cnf[added : added+n] {
+				p.AddClause(cl...)
+				s.AddClause(cl...)
+			}
+			added += n
+		}
+		same := func(step string, ps, ss Status) {
+			t.Helper()
+			if ps != ss {
+				t.Fatalf("trial %d %s: status portfolio=%v solver=%v", trial, step, ps, ss)
+			}
+			if ps == Sat {
+				for v := 1; v <= numVars; v++ {
+					if p.Value(v) != s.Value(v) {
+						t.Fatalf("trial %d %s: model differs at var %d", trial, step, v)
+					}
+				}
+			}
+			if p.Stats() != s.Stats {
+				t.Fatalf("trial %d %s: stats differ:\n%+v\n%+v", trial, step, p.Stats(), s.Stats)
+			}
+			if p.NumClauses() != s.NumClauses() || p.NumProblemClauses() != s.NumProblemClauses() {
+				t.Fatalf("trial %d %s: clauses portfolio=%d/%d solver=%d/%d", trial, step,
+					p.NumClauses(), p.NumProblemClauses(), s.NumClauses(), s.NumProblemClauses())
+			}
+		}
+
+		add(next(len(cnf) + 1))
+		same("first", p.Solve(), s.Solve())
+		add(len(cnf) - added)
+		st := p.Solve()
+		same("full", st, s.Solve())
+		if (st == Sat) != brute(numVars, cnf) {
+			t.Fatalf("trial %d: %v disagrees with brute force on cnf %v", trial, st, cnf)
+		}
+		for round := 0; round < 2; round++ {
+			assume := randAssume()
+			st := p.Solve(assume...)
+			same(fmt.Sprintf("assume %v", assume), st, s.Solve(assume...))
+			if (st == Sat) != bruteAssume(numVars, cnf, assume) {
+				t.Fatalf("trial %d assume %v: %v disagrees with brute force", trial, assume, st)
+			}
+		}
+		assume := randAssume()
+		budget := int64(next(2))
+		same(fmt.Sprintf("limited %d %v", budget, assume), p.SolveLimited(budget, assume...), s.SolveLimited(budget, assume...))
+
+		stop.Store(true)
+		st = p.Solve()
+		same("stopped", st, s.Solve())
+		if st != Unknown {
+			t.Fatalf("trial %d: solve under a raised flag returned %v", trial, st)
+		}
+		stop.Store(false)
+		same("after stop", p.Solve(), s.Solve())
 	}
 }

@@ -15,11 +15,12 @@
 // integers allocated by NewVar, a literal is +v or -v. All operations
 // are deterministic: the same sequence of AddClause/Solve calls on the
 // same Options yields the same statuses and models on every run.
-// Cooperative cancellation (Interrupt, Options.Stop) ends a solve
-// early with Unknown and leaves the solver reusable. The Portfolio
-// layer (portfolio.go) time-slices diverging members on one goroutine
-// with clause sharing between them (sharing.go) and keeps the same
-// bit-exact reproducibility.
+// Cancellation has one input, the caller-owned Options.Stop flag: while
+// it is up every solve returns Unknown and leaves the solver reusable.
+// The Portfolio layer (portfolio.go) time-slices diverging members on
+// one goroutine with clause sharing between them (sharing.go) and keeps
+// the same bit-exact reproducibility; NewPortfolio is the constructor
+// callers use, and its one-member form answers exactly like a Solver.
 package sat
 
 import (
@@ -86,17 +87,15 @@ type Options struct {
 	// (0 = the default 128). Portfolio members use different units so
 	// their restart schedules interleave.
 	LubyUnit int
-	// Stop, when non-nil, is an external cancellation flag checked in
-	// the conflict loop alongside Interrupt. The solver never clears
-	// it, so one flag can stop a whole fleet of solvers; the Portfolio
-	// owns such a flag so its Interrupt reaches whichever member runs.
+	// Stop, when non-nil, is the caller's cancellation flag, checked
+	// at solve entry and in the conflict loop. It is level-triggered
+	// and the solver never writes it: while it is up every solve
+	// returns Unknown, and the caller lowers it to solve again. A
+	// stopped solve leaves the solver at decision level zero with every
+	// clause, learnt ones included, intact, so a re-solve answers like
+	// a fresh solver on the same instance. One flag can stop a whole
+	// fleet of solvers.
 	Stop *atomic.Bool
-	// ExternalStop is a second stop flag with identical semantics,
-	// reserved for the caller above the portfolio layer: the Portfolio
-	// owns Stop for its Interrupt (and resets it at solve entry), so
-	// context/deadline cancellation threads through this one, which
-	// nothing in the solver stack ever writes.
-	ExternalStop *atomic.Bool
 }
 
 // watcher is one entry of a long-clause (≥4 literals) watch list. The
@@ -170,9 +169,7 @@ type Solver struct {
 	opts     Options
 	rng      uint64 // xorshift state; 0 = randomness disabled
 	lubyUnit int64
-	intr     atomic.Bool  // Interrupt() request, consumed by solve
-	stop     *atomic.Bool // fleet cancellation (Options.Stop)
-	ext      *atomic.Bool // caller cancellation (Options.ExternalStop)
+	stop     *atomic.Bool // caller cancellation (Options.Stop)
 
 	// Clause sharing (sharing.go), wired by the Portfolio: shareOut is
 	// this solver's export log, shareIn the peers' logs with this
@@ -280,7 +277,6 @@ func NewWithOptions(opt Options) *Solver {
 		rng:      opt.Seed,
 		lubyUnit: unit,
 		stop:     opt.Stop,
-		ext:      opt.ExternalStop,
 	}
 }
 
@@ -295,21 +291,9 @@ func (s *Solver) nextRand() uint64 {
 	return x
 }
 
-// Interrupt asks an in-flight Solve or SolveLimited call to return
-// Unknown at its next conflict-loop check, leaving the solver at
-// decision level zero with all clauses (including learnt ones) intact,
-// so it can be re-solved and will then answer exactly like a fresh
-// solver on the same instance. It is safe to call from any goroutine.
-// The request is consumed when the solve returns; a request that lands
-// while no solve is running is discarded at the next solve's entry.
-// For race-free fleet cancellation use Options.Stop, which the solver
-// checks but never clears.
-func (s *Solver) Interrupt() { s.intr.Store(true) }
-
 // interrupted reports whether this solve must stop now.
 func (s *Solver) interrupted() bool {
-	return s.intr.Load() || (s.stop != nil && s.stop.Load()) ||
-		(s.ext != nil && s.ext.Load())
+	return s.stop != nil && s.stop.Load()
 }
 
 // NumVars returns the number of allocated variables.
@@ -950,13 +934,13 @@ func luby(i int64) int64 {
 // Solve runs the CDCL loop under the given DIMACS assumption literals.
 // Assumptions are applied as temporary decisions below the search; the
 // instance itself is unchanged afterwards. Results are deterministic
-// for a given Options configuration unless the call is interrupted.
+// for a given Options configuration unless the solve is stopped.
 func (s *Solver) Solve(assumptions ...int) Status {
 	return s.solve(-1, assumptions)
 }
 
 // SolveLimited is Solve with a conflict budget: it returns Unknown when
-// the budget is exhausted (or the call is interrupted) before a result
+// the budget is exhausted (or the solve is stopped) before a result
 // is reached; the instance and learnt clauses are kept either way. SAT
 // sweeping uses it for bounded-effort equivalence probes; budget < 0
 // means unlimited.
@@ -965,7 +949,9 @@ func (s *Solver) SolveLimited(budget int64, assumptions ...int) Status {
 }
 
 func (s *Solver) solve(budget int64, assumptions []int) Status {
-	s.intr.Store(false) // discard any interrupt aimed at a previous call
+	if s.interrupted() {
+		return Unknown
+	}
 	if s.unsat {
 		return Unsat
 	}
@@ -1029,10 +1015,9 @@ func (s *Solver) solve(budget int64, assumptions []int) Status {
 	total := int64(0)
 	for {
 		// Cooperative cancellation: one flag load per loop iteration
-		// (conflict or decision), consumed on exit so the solver stays
-		// reusable.
+		// (conflict or decision); backtracking to level 0 keeps the
+		// solver reusable.
 		if s.interrupted() {
-			s.intr.Store(false)
 			s.cancelUntil(0)
 			return Unknown
 		}

@@ -102,38 +102,37 @@ func TestStopDuringVivify(t *testing.T) {
 	}
 }
 
-// TestExternalStopSolver: Options.ExternalStop cancels like Stop and is
-// never cleared by the solver.
-func TestExternalStopSolver(t *testing.T) {
-	var ext atomic.Bool
-	s := NewWithOptions(Options{ExternalStop: &ext})
+// TestStopFlagSolver: a raised Options.Stop cancels the solve, the
+// solver never clears it, and lowering it re-enables the solver.
+func TestStopFlagSolver(t *testing.T) {
+	var stop atomic.Bool
+	s := NewWithOptions(Options{Stop: &stop})
 	pigeonhole8x7(s)
-	ext.Store(true)
+	stop.Store(true)
 	if got := s.Solve(); got != Unknown {
-		t.Fatalf("solve under external stop: %v, want Unknown", got)
+		t.Fatalf("solve under stop: %v, want Unknown", got)
 	}
-	if !ext.Load() {
-		t.Fatal("solver cleared the external stop flag")
+	if !stop.Load() {
+		t.Fatal("solver cleared the stop flag")
 	}
-	ext.Store(false)
+	stop.Store(false)
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("re-solve: %v, want Unsat", got)
 	}
 }
 
-// TestPortfolioExternalStop: PortfolioOptions.Stop survives the
-// portfolio's solve-entry reset of its internal interrupt flag and
-// clears for re-solve.
-func TestPortfolioExternalStop(t *testing.T) {
+// TestPortfolioStopFlag: a raised PortfolioOptions.Stop cancels every
+// solve until the caller lowers it; the portfolio never clears it.
+func TestPortfolioStopFlag(t *testing.T) {
 	var ext atomic.Bool
 	p := NewPortfolio(PortfolioOptions{Workers: 2, Seed: 7, Stop: &ext})
 	pigeonholeIface(p, 8, 7)
 	ext.Store(true)
 	if got := p.Solve(); got != Unknown {
-		t.Fatalf("solve under external stop: %v, want Unknown", got)
+		t.Fatalf("solve under stop: %v, want Unknown", got)
 	}
 	if !ext.Load() {
-		t.Fatal("portfolio cleared the external stop flag")
+		t.Fatal("portfolio cleared the stop flag")
 	}
 	ext.Store(false)
 	if got := p.Solve(); got != Unsat {
@@ -142,9 +141,9 @@ func TestPortfolioExternalStop(t *testing.T) {
 }
 
 // TestPortfolioReuseAfterMidSolveStop: the shared-pool contract. A
-// portfolio whose ExternalStop fired *mid-solve* (not between solves)
+// portfolio whose Stop flag fired *mid-solve* (not between solves)
 // must be reusable for the next job once the caller lowers the flag —
-// mirroring the single-solver Interrupt re-solve guarantee. The flag
+// mirroring the single-solver re-solve guarantee. The flag
 // is raised from inside member preprocessing via a fault point, so the
 // cancellation deterministically lands while search state (trail,
 // learnts, pending simplification) is live.
@@ -158,7 +157,7 @@ func TestPortfolioReuseAfterMidSolveStop(t *testing.T) {
 		t.Fatalf("mid-solve stop returned %v, want Unknown", got)
 	}
 	if !ext.Load() {
-		t.Fatal("portfolio cleared the external stop flag")
+		t.Fatal("portfolio cleared the stop flag")
 	}
 	faultpoint.Reset()
 	ext.Store(false)
