@@ -1,5 +1,6 @@
-// Command splitlockd serves the lock/verify/attack/table pipeline as a
-// long-running daemon instead of one-shot CLI invocations:
+// Command splitlockd serves the lock/verify/attack pipeline, and Table
+// I/II cells, as a long-running daemon instead of one-shot CLI
+// invocations:
 //
 //	splitlockd -addr :8080 -state /var/lib/splitlockd
 //
@@ -13,10 +14,12 @@
 //	GET  /v1/healthz          liveness + counters
 //
 // The /v1/cells endpoint makes the daemon a remote worker for a
-// `tables -connect host:port` coordinator: cells are admitted under
-// their own concurrency bound (-maxcells) and stream heartbeats while
-// queued and while computing, so the coordinator's lease stays alive
-// exactly as long as the daemon is.
+// `tables -connect host:port` coordinator, the one way to run a Table
+// I/II sweep on daemons: cells are admitted under their own
+// concurrency bound (-maxcells) and stream heartbeats while queued and
+// while computing, so the coordinator's lease stays alive exactly as
+// long as the daemon is. The coordinator checkpoints finished cells in
+// its own -manifest and resumes with -resume.
 //
 // Lock, verify and attack jobs are cached by the canonical
 // strashed-graph fingerprint of the locked circuit, so resubmitting an
@@ -27,8 +30,9 @@
 // (-solverslots), and a job waits until its whole portfolio width —
 // clamped to the pool size — is free, so its payload never depends on
 // load. SIGINT/SIGTERM drains gracefully: admission stops, running
-// table jobs checkpoint their finished cells and are requeued on the
-// next start, resuming byte-identically, and running /v1/cells cells
+// jobs are cancelled (a paper-scale lock stops between modules),
+// journaled as interrupted and requeued on the next start, where they
+// run again to a byte-identical payload, and running /v1/cells cells
 // are cancelled, so their streams end without a result line (the
 // coordinator counts the daemon as a dead worker and reassigns the
 // cell). Only then does the HTTP server shut down.
@@ -52,13 +56,13 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
-		state        = flag.String("state", "", "state directory for the job journal and table checkpoints (empty = in-memory, no restart resume)")
+		state        = flag.String("state", "", "state directory for the job journal (empty = in-memory, no requeue on restart)")
 		jobs         = flag.Int("jobs", 2, "max concurrently running jobs")
 		queue        = flag.Int("queue", 64, "max queued jobs before submissions get 503")
 		solverSlots  = flag.Int("solverslots", 0, "shared solver pool slots (0 = GOMAXPROCS)")
 		cacheEntries = flag.Int("cache", 128, "result cache entries")
 		jobTimeout   = flag.Duration("jobtimeout", 0, "per-job deadline (0 = none)")
-		drainTimeout = flag.Duration("draintimeout", 30*time.Second, "max wait for running jobs to checkpoint on shutdown")
+		drainTimeout = flag.Duration("draintimeout", 30*time.Second, "max wait for running jobs and cells to stop on shutdown")
 		maxCells     = flag.Int("maxcells", 0, "max concurrently running dispatched table cells (0 = same as -jobs)")
 	)
 	flag.Parse()
@@ -108,7 +112,7 @@ func run(ctx context.Context, ln net.Listener, opt server.ManagerOptions, drainT
 		return err
 	case <-ctx.Done():
 	}
-	fmt.Fprintln(os.Stderr, "splitlockd: draining (running jobs checkpoint and resume on restart)")
+	fmt.Fprintln(os.Stderr, "splitlockd: draining (running jobs are requeued on restart)")
 	drainErr := mgr.Drain(drainTimeout)
 	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()

@@ -87,7 +87,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "distribute the Table I/II sweep across this many local worker processes")
 		connectSel  = flag.String("connect", "", "comma-separated splitlockd addresses (host:port or URL) to lease Table I/II cells to as remote workers")
 		leaseT      = flag.Duration("leasetimeout", 15*time.Second, "expire a cell lease whose worker has not heartbeat for this long; the cell is reassigned")
-		hbInterval  = flag.Duration("hbinterval", 500*time.Millisecond, "worker heartbeat interval (coordinator and -worker)")
 		crashBudget = flag.Int("crashbudget", 3, "quarantine a cell after it kills this many workers (recorded on its row; the sweep continues)")
 		faultSel    = flag.String("faultpoints", "", "'list' prints every REPRO_FAULTPOINTS site compiled into this binary, then exits")
 	)
@@ -104,7 +103,7 @@ func main() {
 		// Worker processes speak the dispatch protocol on stdout; nothing
 		// else may be printed there, so this branch exits before any of
 		// the table rendering below can run.
-		if err := runWorker(*workerID, *hbInterval, *jobTimeout); err != nil {
+		if err := runWorker(*workerID, *jobTimeout); err != nil {
 			fmt.Fprintf(os.Stderr, "tables worker %d: %v\n", *workerID, err)
 			os.Exit(1)
 		}
@@ -195,7 +194,6 @@ func main() {
 				workers:     *workers,
 				connect:     splitList(*connectSel),
 				leaseT:      *leaseT,
-				hbInterval:  *hbInterval,
 				crashBudget: *crashBudget,
 				jobTimeout:  *jobTimeout,
 			})
@@ -345,13 +343,12 @@ func mergeShards(out string, shardPaths []string) error {
 // worker-local knob; everything that affects a cell's result arrives in
 // the leased CellSpec, so the printed table is independent of which
 // worker computed which cell.
-func runWorker(id int, hbInterval, jobTimeout time.Duration) error {
+func runWorker(id int, jobTimeout time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return dispatch.ServeWorker(ctx, os.Stdin, os.Stdout, dispatch.WorkerOptions{
-		ID:                id,
-		HeartbeatInterval: hbInterval,
-		Run:               flow.DispatchCellFunc(flow.ITCOptions{JobTimeout: jobTimeout}),
+		ID:  id,
+		Run: flow.DispatchCellFunc(flow.ITCOptions{JobTimeout: jobTimeout}),
 	})
 }
 
@@ -360,7 +357,6 @@ type coordinatorConfig struct {
 	workers     int
 	connect     []string
 	leaseT      time.Duration
-	hbInterval  time.Duration
 	crashBudget int
 	jobTimeout  time.Duration
 }
@@ -378,10 +374,7 @@ func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, error) {
 		// Workers inherit this process's environment (REPRO_FAULTPOINTS
 		// included — per-worker fault sites key off the -workerid that
 		// ProcSpawner appends).
-		argv := []string{exe, "-worker",
-			"-hbinterval", cfg.hbInterval.String(),
-			"-jobtimeout", cfg.jobTimeout.String(),
-		}
+		argv := []string{exe, "-worker", "-jobtimeout", cfg.jobTimeout.String()}
 		for i := 0; i < cfg.workers; i++ {
 			spawners = append(spawners, dispatch.ProcSpawner(argv, nil))
 		}

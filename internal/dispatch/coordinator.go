@@ -82,18 +82,6 @@ type Options struct {
 	// CrashBudget is the per-cell worker-death budget: the deaths'th
 	// death quarantines the cell (default 3).
 	CrashBudget int
-	// BackoffBase is the reassignment delay after a cell's first worker
-	// death, doubling per death, plus a deterministic seed-derived jitter
-	// (default 250ms).
-	BackoffBase time.Duration
-	// MaxBackoff caps the doubling (default 15s).
-	MaxBackoff time.Duration
-	// MaxStrikes retires a slot after this many consecutive failures
-	// (spawn errors or deaths with no completed cell in between); a
-	// retired slot is never respawned (default 8). With every slot
-	// retired, pending cells fail with ErrNoWorkers instead of waiting
-	// forever.
-	MaxStrikes int
 	// Logf, when non-nil, receives dispatch lifecycle events (spawns,
 	// expirations, reassignments, quarantines).
 	Logf func(format string, args ...any)
@@ -106,17 +94,24 @@ func (o Options) withDefaults() Options {
 	if o.CrashBudget <= 0 {
 		o.CrashBudget = 3
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 250 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 15 * time.Second
-	}
-	if o.MaxStrikes <= 0 {
-		o.MaxStrikes = 8
-	}
 	return o
 }
+
+// Reassignment and retirement policy.
+const (
+	// backoffBase is the reassignment delay after a cell's first worker
+	// death, doubling per death, plus a deterministic seed-derived
+	// jitter; a slot's respawn delay doubles from it after its second
+	// strike.
+	backoffBase = 250 * time.Millisecond
+	// maxBackoff caps the doubling.
+	maxBackoff = 15 * time.Second
+	// maxStrikes retires a slot after this many consecutive failures
+	// (spawn errors or deaths with no completed cell in between); a
+	// retired slot is never respawned. With every slot retired, pending
+	// cells fail with ErrNoWorkers instead of waiting forever.
+	maxStrikes = 8
+)
 
 // task is one cell making its way through the dispatch layer.
 type task struct {
@@ -185,6 +180,11 @@ type Coordinator struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// The reassignment and retirement policy: backoffBase, maxBackoff
+	// and maxStrikes outside tests.
+	backoffBase, maxBackoff time.Duration
+	maxStrikes              int
+
 	submit  chan *task
 	events  chan wEvent
 	spawned chan spawnResult
@@ -201,20 +201,29 @@ type Coordinator struct {
 // New starts a coordinator over the given worker slots. Close must be
 // called to reap workers.
 func New(opt Options) (*Coordinator, error) {
+	return newCoordinator(opt, backoffBase, maxBackoff, maxStrikes)
+}
+
+// newCoordinator is New with the reassignment and retirement policy as
+// arguments, so tests can shorten it.
+func newCoordinator(opt Options, base, ceiling time.Duration, strikes int) (*Coordinator, error) {
 	opt = opt.withDefaults()
 	if len(opt.Spawners) == 0 {
 		return nil, errors.New("dispatch: coordinator needs at least one worker spawner")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		opt:     opt,
-		ctx:     ctx,
-		cancel:  cancel,
-		submit:  make(chan *task),
-		events:  make(chan wEvent, 64),
-		spawned: make(chan spawnResult),
-		done:    make(chan struct{}),
-		leases:  make(map[uint64]*lease),
+		opt:         opt,
+		ctx:         ctx,
+		cancel:      cancel,
+		backoffBase: base,
+		maxBackoff:  ceiling,
+		maxStrikes:  strikes,
+		submit:      make(chan *task),
+		events:      make(chan wEvent, 64),
+		spawned:     make(chan spawnResult),
+		done:        make(chan struct{}),
+		leases:      make(map[uint64]*lease),
 	}
 	for _, sp := range opt.Spawners {
 		c.slots = append(c.slots, &slotState{spawn: sp})
@@ -326,7 +335,7 @@ func (c *Coordinator) detachLease(l *lease) {
 }
 
 // killSlot hard-stops a slot's worker and schedules its respawn. The
-// death is a strike; the slot retires past MaxStrikes.
+// death is a strike; the slot retires past maxStrikes.
 func (c *Coordinator) killSlot(s *slotState, now time.Time) {
 	if s.w != nil {
 		s.w.Kill()
@@ -339,7 +348,7 @@ func (c *Coordinator) killSlot(s *slotState, now time.Time) {
 // retires) it.
 func (s *slotState) strike(c *Coordinator, now time.Time) {
 	s.strikes++
-	if s.strikes >= c.opt.MaxStrikes {
+	if s.strikes >= c.maxStrikes {
 		if !s.retired {
 			s.retired = true
 			c.logf("dispatch: retiring worker slot after %d consecutive failures", s.strikes)
@@ -350,10 +359,7 @@ func (s *slotState) strike(c *Coordinator, now time.Time) {
 	// repeat offenders so a crash-looping spawn does not spin.
 	delay := time.Duration(0)
 	if s.strikes > 1 {
-		delay = c.opt.BackoffBase << (s.strikes - 2)
-		if delay > c.opt.MaxBackoff {
-			delay = c.opt.MaxBackoff
-		}
+		delay = min(c.backoffBase<<(s.strikes-2), c.maxBackoff)
 	}
 	s.respawnAt = now.Add(delay)
 }
@@ -369,10 +375,7 @@ func (c *Coordinator) requeueDeath(t *task, cause string, now time.Time) {
 		t.resolve(nil, &QuarantineError{Cell: t.spec.Key(), Deaths: t.deaths, Cause: cause})
 		return
 	}
-	delay := c.opt.BackoffBase << (t.deaths - 1)
-	if delay > c.opt.MaxBackoff {
-		delay = c.opt.MaxBackoff
-	}
+	delay := min(c.backoffBase<<(t.deaths-1), c.maxBackoff)
 	delay += jitter(t.spec.Seed, t.spec.Key(), t.deaths, delay)
 	t.notBefore = now.Add(delay)
 	c.queue = append(c.queue, t)

@@ -187,12 +187,11 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	// respawned worker gets id 2, where the site is unarmed.
 	faultpoint.Set("dispatch.worker.cell.start#1", func() { time.Sleep(time.Minute) })
 	lb := &logBuf{}
-	c, err := New(Options{
+	c, err := newCoordinator(Options{
 		Spawners:     spawners(1, echoCell),
 		LeaseTimeout: 150 * time.Millisecond,
-		BackoffBase:  10 * time.Millisecond,
 		Logf:         lb.logf,
-	})
+	}, 10*time.Millisecond, maxBackoff, maxStrikes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +216,12 @@ func TestQuarantineAfterCrashBudget(t *testing.T) {
 	defer faultpoint.Reset()
 	faultpoint.Set("dispatch.worker.cell.start@bad/M1", func() { time.Sleep(time.Minute) })
 	lb := &logBuf{}
-	c, err := New(Options{
+	c, err := newCoordinator(Options{
 		Spawners:     spawners(1, echoCell),
 		LeaseTimeout: 100 * time.Millisecond,
-		BackoffBase:  5 * time.Millisecond,
 		CrashBudget:  2,
 		Logf:         lb.logf,
-	})
+	}, 5*time.Millisecond, maxBackoff, maxStrikes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +249,10 @@ func TestCorruptPayloadPoisonsWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	lb := &logBuf{}
-	c, err := New(Options{
-		Spawners:    spawners(1, echoCell),
-		BackoffBase: 5 * time.Millisecond,
-		Logf:        lb.logf,
-	})
+	c, err := newCoordinator(Options{
+		Spawners: spawners(1, echoCell),
+		Logf:     lb.logf,
+	}, 5*time.Millisecond, maxBackoff, maxStrikes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +280,11 @@ func TestDropResultExpiresLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	lb := &logBuf{}
-	c, err := New(Options{
+	c, err := newCoordinator(Options{
 		Spawners:     spawners(1, echoCell),
 		LeaseTimeout: 150 * time.Millisecond,
-		BackoffBase:  5 * time.Millisecond,
 		Logf:         lb.logf,
-	})
+	}, 5*time.Millisecond, maxBackoff, maxStrikes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +309,9 @@ func TestAllSlotsRetiredFailsPending(t *testing.T) {
 	broken := func(ctx context.Context, id int) (Worker, error) {
 		return nil, fmt.Errorf("no such binary")
 	}
-	c, err := New(Options{
-		Spawners:    []SpawnFunc{broken},
-		BackoffBase: time.Millisecond,
-		MaxStrikes:  3,
-	})
+	c, err := newCoordinator(Options{
+		Spawners: []SpawnFunc{broken},
+	}, time.Millisecond, maxBackoff, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

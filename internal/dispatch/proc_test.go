@@ -67,12 +67,11 @@ func TestProcWorkerCrashMidCell(t *testing.T) {
 		t.Skip("subprocess test")
 	}
 	lb := &logBuf{}
-	c, err := New(Options{
+	c, err := newCoordinator(Options{
 		Spawners:     procSpawners(2, "dispatch.worker.result#1:exit=137"),
 		LeaseTimeout: 2 * time.Second,
-		BackoffBase:  10 * time.Millisecond,
 		Logf:         lb.logf,
-	})
+	}, 10*time.Millisecond, maxBackoff, maxStrikes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +107,11 @@ func TestProcWorkerStalledHeartbeat(t *testing.T) {
 		t.Skip("subprocess test")
 	}
 	lb := &logBuf{}
-	c, err := New(Options{
+	c, err := newCoordinator(Options{
 		Spawners:     procSpawners(1, "dispatch.worker.cell.start#1:stall=120s"),
 		LeaseTimeout: 1 * time.Second,
-		BackoffBase:  10 * time.Millisecond,
 		Logf:         lb.logf,
-	})
+	}, 10*time.Millisecond, maxBackoff, maxStrikes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func ValidateCellSpec(spec dispatch.CellSpec) error {
 	if spec.Layer <= 0 {
 		return fmt.Errorf("flow: cell layer %d must be positive", spec.Layer)
 	}
-	return validateDesign([]string{spec.Bench}, spec.Scale, spec.KeyBits)
+	return validateDesign(spec.Bench, spec.Scale, spec.KeyBits)
 }
 
 // DispatchCellFunc returns the worker side of the dispatch seam: a

@@ -98,7 +98,8 @@ type ITCOptions struct {
 	// Progress, when non-nil, is called after each cell completes or
 	// fails, with the cell key and the running counts (calls are
 	// serialized under the run's result lock). It must not influence
-	// results — the daemon streams it to job event listeners.
+	// results. Its caller is perfbench's paper-b14 workload, which
+	// times each cell's completion with it.
 	Progress func(key string, done, total int) `json:"-"`
 	// CellRunner, when non-nil, replaces the in-process cell
 	// computation: RunITC keeps its manifest-skip, checkpoint, progress

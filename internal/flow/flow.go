@@ -89,9 +89,10 @@ type Artifacts struct {
 }
 
 // Run executes the complete secure flow on a design. Cancelling ctx
-// stops the flow at the next stage boundary — and, inside the LEC
-// stage, at solver/simulation granularity — returning the context's
-// error. A run that completes before cancellation is unaffected, so
+// stops the flow at the next stage boundary — and, inside the lock
+// step at module granularity and inside the LEC stage at
+// solver/simulation granularity — returning the context's error. A
+// run that completes before cancellation is unaffected, so
 // deterministic results stay bit-identical under deadlines that never
 // fire.
 func Run(ctx context.Context, orig *netlist.Circuit, cfg Config) (*Artifacts, error) {
@@ -102,7 +103,7 @@ func Run(ctx context.Context, orig *netlist.Circuit, cfg Config) (*Artifacts, er
 	}
 
 	// --- Synthesis stage ---
-	lk, rep, err := lockDesign(orig, cfg.KeyBits, cfg.Seed, cfg.UseATPGLock)
+	lk, rep, err := lockDesign(ctx, orig, cfg.KeyBits, cfg.Seed, cfg.UseATPGLock)
 	if err != nil {
 		return nil, err
 	}
@@ -110,17 +111,24 @@ func Run(ctx context.Context, orig *netlist.Circuit, cfg Config) (*Artifacts, er
 }
 
 // lockDesign is the flow's lock step: the paper's cost-driven ATPG
-// scheme, or plain random locking (which has no report).
-func lockDesign(orig *netlist.Circuit, keyBits int, seed uint64, useATPG bool) (*locking.Locked, *locking.ATPGLockReport, error) {
+// scheme, or plain random locking (which has no report). Cancelling ctx
+// stops the ATPG scheme before its next module, and lockDesign then
+// returns ctx's error.
+func lockDesign(ctx context.Context, orig *netlist.Circuit, keyBits int, seed uint64, useATPG bool) (*locking.Locked, *locking.ATPGLockReport, error) {
 	var lk *locking.Locked
 	var rep *locking.ATPGLockReport
 	var err error
 	if useATPG {
-		lk, rep, err = locking.ATPGLock(orig, locking.ATPGLockOptions{KeyBits: keyBits, Seed: seed})
+		stop, release := engine.WatchContext(ctx)
+		defer release()
+		lk, rep, err = locking.ATPGLock(orig, locking.ATPGLockOptions{KeyBits: keyBits, Seed: seed, Stop: stop})
 	} else {
 		lk, err = locking.RandomLock(orig, locking.RandomLockOptions{KeyBits: keyBits, Seed: seed})
 	}
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, nil, cerr
+		}
 		return nil, nil, fmt.Errorf("flow: locking: %w", err)
 	}
 	return lk, rep, nil

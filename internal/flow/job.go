@@ -13,7 +13,6 @@ import (
 	"repro/internal/lec"
 	"repro/internal/locking"
 	"repro/internal/netlist"
-	"repro/internal/runmanifest"
 	"repro/internal/sat"
 	"repro/internal/sim"
 )
@@ -32,10 +31,6 @@ const (
 	// JobAttack runs the oracle-guided SAT attack against the locked
 	// netlist (demonstrating Sec. II-C: with an oracle the lock falls).
 	JobAttack JobKind = "attack"
-	// JobTable runs the Table I/II benchmark×layer sweep; it is the
-	// long-running kind that checkpoints cells through a manifest and
-	// resumes after a daemon restart.
-	JobTable JobKind = "table"
 )
 
 // JobSpec is the wire-format description of one job (the POST /v1/jobs
@@ -43,24 +38,19 @@ const (
 // deterministic functions of the spec, never of wall clock.
 type JobSpec struct {
 	Kind JobKind `json:"kind"`
-	// Bench is the benchmark name for lock/verify/attack jobs.
+	// Bench is the benchmark name.
 	Bench string `json:"bench,omitempty"`
-	// Benchmarks is the benchmark subset for table jobs (default: the
-	// full ITC'99 set).
-	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Scale shrinks the synthetic benchmarks (default 0.1).
 	Scale float64 `json:"scale,omitempty"`
 	// KeyBits is the key size (default 128).
 	KeyBits int `json:"keybits,omitempty"`
 	// SplitLayer is the first BEOL layer for lock jobs (default 4).
 	SplitLayer int `json:"split_layer,omitempty"`
-	// SplitLayers is the layer axis for table jobs (default {4, 6}).
-	SplitLayers []int `json:"split_layers,omitempty"`
 	// Seed drives everything (default 1).
 	Seed uint64 `json:"seed,omitempty"`
 	// Patterns is the simulation depth: LEC prefilter patterns for
-	// verify, success-check and HD/OER depth for attack/table (0 =
-	// engine defaults).
+	// verify, the recovered-key success check for attack (0 = engine
+	// defaults).
 	Patterns int `json:"patterns,omitempty"`
 	// MaxIter caps SAT-attack distinguishing-input queries (default 256).
 	MaxIter int `json:"max_iter,omitempty"`
@@ -71,8 +61,6 @@ type JobSpec struct {
 	// RandomLock selects plain random locking instead of the paper's
 	// cost-driven ATPG scheme.
 	RandomLock bool `json:"random_lock,omitempty"`
-	// NoParallel serializes a table job's benchmark×layer cells.
-	NoParallel bool `json:"no_parallel,omitempty"`
 }
 
 func (s JobSpec) withDefaults() JobSpec {
@@ -85,9 +73,6 @@ func (s JobSpec) withDefaults() JobSpec {
 	if s.SplitLayer == 0 {
 		s.SplitLayer = 4
 	}
-	if len(s.SplitLayers) == 0 {
-		s.SplitLayers = []int{4, 6}
-	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
@@ -96,28 +81,24 @@ func (s JobSpec) withDefaults() JobSpec {
 
 // Validate rejects malformed specs with a client-presentable error.
 func (s JobSpec) Validate() error {
-	var benches []string
 	switch s.Kind {
 	case JobLock, JobVerify, JobAttack:
 		if s.Bench == "" {
 			return fmt.Errorf("flow: job kind %q requires \"bench\"", s.Kind)
 		}
-		benches = []string{s.Bench}
-	case JobTable:
-		benches = s.Benchmarks
 	case "":
 		return fmt.Errorf("flow: job spec is missing \"kind\"")
 	default:
 		return fmt.Errorf("flow: unknown job kind %q", s.Kind)
 	}
-	return validateDesign(benches, s.Scale, s.KeyBits)
+	return validateDesign(s.Bench, s.Scale, s.KeyBits)
 }
 
 // validateDesign is the design check every daemon entry point applies
-// before any compute starts: known benchmarks, scale in [0, 1] and
+// before any compute starts: a known benchmark, scale in [0, 1] and
 // keybits in [0, 4096] (0 selects the default for both).
-func validateDesign(benches []string, scale float64, keyBits int) error {
-	if err := bmarks.Validate(benches); err != nil {
+func validateDesign(bench string, scale float64, keyBits int) error {
+	if err := bmarks.Validate([]string{bench}); err != nil {
 		return fmt.Errorf("flow: %w", err)
 	}
 	if scale < 0 || scale > 1 {
@@ -129,47 +110,21 @@ func validateDesign(benches []string, scale float64, keyBits int) error {
 	return nil
 }
 
-// TableFingerprint is the manifest fingerprint a table job checkpoints
-// under; a restarted daemon resumes the job only against a manifest
-// with a compatible fingerprint.
-func (s JobSpec) TableFingerprint() runmanifest.Fingerprint {
-	d := s.withDefaults()
-	benches := d.Benchmarks
-	if len(benches) == 0 {
-		benches = bmarks.ITC99Names()
-	}
-	patterns := d.Patterns
-	if patterns <= 0 {
-		patterns = 1 << 16
-	}
-	return runmanifest.Fingerprint{
-		Experiment:  "splitlockd-table",
-		Scale:       d.Scale,
-		KeyBits:     d.KeyBits,
-		Patterns:    patterns,
-		Seed:        d.Seed,
-		SplitLayers: append([]int(nil), d.SplitLayers...),
-		Benchmarks:  append([]string(nil), benches...),
-	}
-}
-
 // JobEvent is one progress notification streamed to job watchers.
 type JobEvent struct {
 	Stage   string `json:"stage"`
 	Message string `json:"message"`
 }
 
-// JobRuntime carries the daemon-owned resources a job runs against.
-// All fields are optional: a nil Pool builds spec-sized solvers
-// locally, a nil Manifest disables table checkpointing, a nil Emit
-// discards progress events.
+// JobRuntime carries the daemon-owned resources a job runs against:
+// the daemon's manager and perfbench's traced jobs pass both. Either
+// field may be nil: a nil Pool builds spec-sized solvers locally, a nil
+// Emit discards progress events.
 type JobRuntime struct {
 	// Pool rations solver members across concurrent jobs; the job
 	// acquires a lease for its solving phase and sizes its portfolio to
 	// the grant.
 	Pool *sat.Pool
-	// Manifest checkpoints table-job cells for crash/drain resume.
-	Manifest *runmanifest.Manifest
 	// Emit receives progress events (called from the job goroutine).
 	Emit func(JobEvent)
 }
@@ -205,9 +160,10 @@ func NewJob(spec JobSpec) (*Job, error) {
 // consulting the result cache, unless it remembers the fingerprint of
 // an earlier job with the same PrepareKey: jobs whose fingerprints
 // (and result-affecting options) match skip the sweep/SAT/layout work
-// entirely. Prepare is idempotent and a no-op for table jobs.
+// entirely. Prepare is idempotent. Cancelling ctx stops it inside the
+// lock step too, and it then returns ctx's error.
 func (j *Job) Prepare(ctx context.Context) error {
-	if j.Spec.Kind == JobTable || j.orig != nil {
+	if j.orig != nil {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -217,7 +173,7 @@ func (j *Job) Prepare(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	lk, rep, err := lockDesign(orig, j.Spec.KeyBits, j.lockSeed(), !j.Spec.RandomLock)
+	lk, rep, err := lockDesign(ctx, orig, j.Spec.KeyBits, j.lockSeed(), !j.Spec.RandomLock)
 	if err != nil {
 		return err
 	}
@@ -244,12 +200,8 @@ func (j *Job) Prepare(ctx context.Context) error {
 }
 
 // PrepareKey names what Prepare computes: jobs with equal keys load and
-// lock the same design and so get the same Fingerprint. It is "" for
-// table jobs, which Prepare skips.
+// lock the same design and so get the same Fingerprint.
 func (j *Job) PrepareKey() string {
-	if j.Spec.Kind == JobTable {
-		return ""
-	}
 	s := j.Spec
 	return fmt.Sprintf("%s|x%v|k%d|ls%d|r%t", s.Bench, s.Scale, s.KeyBits, j.lockSeed(), s.RandomLock)
 }
@@ -276,20 +228,20 @@ func obsLits(c *netlist.Circuit, m aig.LitMap) []aig.Lit {
 }
 
 // Fingerprint returns the canonical strash fingerprint (zero until
-// Prepare; always zero for table jobs).
+// Prepare).
 func (j *Job) Fingerprint() aig.Fingerprint { return j.fp }
 
-// CacheKey is the content address of the job's result, or "" for
-// uncacheable jobs. Table jobs are uncacheable (they checkpoint through
-// manifests instead). The key combines the structural fingerprint with
-// every result-affecting option.
+// CacheKey is the content address of a prepared job's result: the
+// structural fingerprint combined with every result-affecting option.
+// The daemon forms its keys with CacheKeyFor; CacheKey serves callers
+// that prepared the job themselves, such as perfbench's traced jobs.
 func (j *Job) CacheKey() string { return j.CacheKeyFor(j.fp) }
 
 // CacheKeyFor is CacheKey for a job whose fingerprint is fp, known
 // without running Prepare (from an earlier job with the same
 // PrepareKey). It is "" when fp is zero.
 func (j *Job) CacheKeyFor(fp aig.Fingerprint) string {
-	if j.Spec.Kind == JobTable || fp.IsZero() {
+	if fp.IsZero() {
 		return ""
 	}
 	s := j.Spec
@@ -333,22 +285,9 @@ type AttackJobResult struct {
 	Success bool `json:"success"`
 }
 
-// TableJobRow is one benchmark's cells in a table job result, with map
-// keys rendered as strings so the JSON payload is deterministic.
-type TableJobRow struct {
-	Benchmark string                 `json:"benchmark"`
-	Cells     map[string]SplitResult `json:"cells"`
-	Errors    map[string]string      `json:"errors,omitempty"`
-}
-
-// TableJobResult is the Table I/II sweep payload.
-type TableJobResult struct {
-	Rows []TableJobRow `json:"rows"`
-}
-
 // Run executes the job and returns its JSON-marshalable result. The
 // result deliberately excludes wall-clock fields so an identical job
-// served from cache (or a table job resumed from a manifest) is
+// served from cache (or requeued after a daemon drain) is
 // byte-identical to a cold uninterrupted run. Cancelling ctx stops the
 // job at the next stage/solver/simulation step.
 func (j *Job) Run(ctx context.Context, rt JobRuntime) (any, error) {
@@ -362,8 +301,6 @@ func (j *Job) Run(ctx context.Context, rt JobRuntime) (any, error) {
 		return j.runVerify(ctx, rt)
 	case JobAttack:
 		return j.runAttack(ctx, rt)
-	case JobTable:
-		return j.runTable(ctx, rt)
 	}
 	return nil, fmt.Errorf("flow: unknown job kind %q", j.Spec.Kind)
 }
@@ -508,49 +445,5 @@ func (j *Job) runAttack(ctx context.Context, rt JobRuntime) (any, error) {
 		return nil, err
 	}
 	out.Success = eq
-	return out, nil
-}
-
-func (j *Job) runTable(ctx context.Context, rt JobRuntime) (any, error) {
-	resumed := 0
-	if rt.Manifest != nil {
-		resumed = rt.Manifest.Len()
-	}
-	if resumed > 0 {
-		// Goes to the event stream, never into the result payload: a
-		// resumed table must stay byte-identical to an uninterrupted run.
-		rt.emit("table", "resuming with %d checkpointed cells", resumed)
-	}
-	rows, err := RunITC(ctx, ITCOptions{
-		Benchmarks:    j.Spec.Benchmarks,
-		Scale:         j.Spec.Scale,
-		KeyBits:       j.Spec.KeyBits,
-		Patterns:      j.Spec.Patterns,
-		Seed:          j.Spec.Seed,
-		SplitLayers:   j.Spec.SplitLayers,
-		Parallel:      !j.Spec.NoParallel,
-		SolverWorkers: j.Spec.SolverWorkers,
-		Manifest:      rt.Manifest,
-		Progress: func(key string, done, total int) {
-			rt.emit("table", "cell %s done (%d/%d)", key, done, total)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &TableJobResult{Rows: make([]TableJobRow, len(rows))}
-	for i, row := range rows {
-		r := TableJobRow{Benchmark: row.Benchmark, Cells: make(map[string]SplitResult)}
-		for sl, res := range row.Results {
-			r.Cells[fmt.Sprintf("M%d", sl)] = res
-		}
-		for sl, cerr := range row.Errors {
-			if r.Errors == nil {
-				r.Errors = make(map[string]string)
-			}
-			r.Errors[fmt.Sprintf("M%d", sl)] = cerr.Error()
-		}
-		out.Rows[i] = r
-	}
 	return out, nil
 }

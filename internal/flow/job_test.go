@@ -3,12 +3,11 @@ package flow
 import (
 	"context"
 	"encoding/json"
-	"path/filepath"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/bmarks"
-	"repro/internal/faultpoint"
-	"repro/internal/runmanifest"
 	"repro/internal/sat"
 )
 
@@ -41,7 +40,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{Kind: "frobnicate"},
 		{Kind: JobVerify},
 		{Kind: JobVerify, Bench: "nosuchbench"},
-		{Kind: JobTable, Benchmarks: []string{"nosuchbench"}},
+		{Kind: "table", Bench: "b14"},
 		{Kind: JobVerify, Bench: "c432", Scale: 2},
 	}
 	for _, spec := range bad {
@@ -51,9 +50,6 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 	if _, err := NewJob(JobSpec{Kind: JobVerify, Bench: "c432"}); err != nil {
 		t.Errorf("minimal verify spec rejected: %v", err)
-	}
-	if _, err := NewJob(JobSpec{Kind: JobTable}); err != nil {
-		t.Errorf("minimal table spec rejected: %v", err)
 	}
 }
 
@@ -214,9 +210,6 @@ func TestJobPrepareKey(t *testing.T) {
 			t.Errorf("%+v shares prepare key %q with %+v", s, key, base)
 		}
 	}
-	if got := mustJob(t, JobSpec{Kind: JobTable}).PrepareKey(); got != "" {
-		t.Errorf("table job prepare key %q, want empty", got)
-	}
 }
 
 // TestJobAttackSmoke: the attack kind recovers a working key for a
@@ -252,33 +245,32 @@ func TestJobAttackNotConverged(t *testing.T) {
 	}
 }
 
-// TestJobTableResumeByteIdentical: a table job resumed from a fully
-// checkpointed manifest recomputes nothing and returns a byte-identical
-// payload.
-func TestJobTableResumeByteIdentical(t *testing.T) {
-	defer faultpoint.Reset()
-	spec := JobSpec{
-		Kind: JobTable, Benchmarks: []string{"b14"}, Scale: 0.02,
-		KeyBits: 32, Patterns: 1 << 10, Seed: 4, SplitLayers: []int{4},
+// TestPrepareCancelsLock: cancelling a paper-scale Prepare (b14 ×1.0,
+// 128 key bits) while it locks returns context.Canceled well before an
+// uncancelled Prepare, which the test times itself, would have
+// finished: the ATPG lock observes the context between modules.
+func TestPrepareCancelsLock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale lock")
 	}
-	path := filepath.Join(t.TempDir(), "cells.json")
-	m := runmanifest.New(path, spec.TableFingerprint())
-	cold, _ := runJob(t, spec, JobRuntime{Manifest: m})
+	spec := JobSpec{Kind: JobLock, Bench: "b14", Scale: 1, KeyBits: 128, Seed: 4}
+	start := time.Now()
+	if err := mustJob(t, spec).Prepare(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
 
-	m2, err := runmanifest.Load(path)
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(full/10, cancel)
+	start = time.Now()
+	err := mustJob(t, spec).Prepare(ctx)
+	took := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Prepare returned %v, want context.Canceled", err)
 	}
-	if err := m2.Fingerprint().CompatibleWith(spec.TableFingerprint()); err != nil {
-		t.Fatal(err)
+	if took > full/2 {
+		t.Fatalf("cancelled Prepare took %v; uncancelled it takes %v", took, full)
 	}
-	cells := 0
-	faultpoint.Set("flow.itc.run", func() { cells++ })
-	resumed, _ := runJob(t, spec, JobRuntime{Manifest: m2})
-	if cells != 0 {
-		t.Fatalf("resumed table job recomputed %d cells", cells)
-	}
-	if string(cold) != string(resumed) {
-		t.Fatalf("resumed table differs from cold run:\n%s\n%s", cold, resumed)
-	}
+	t.Logf("uncancelled %v, cancelled at %v, returned after %v", full, full/10, took)
 }

@@ -1,8 +1,10 @@
 package locking
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/atpg"
 	"repro/internal/cellib"
@@ -22,7 +24,16 @@ type ATPGLockOptions struct {
 	KeyBits int
 	// Seed drives partitioning, candidate order and key generation.
 	Seed uint64
+	// Stop, when non-nil and set, cancels the lock: it is checked once
+	// per module, and ATPGLock then returns ErrCancelled and no Locked.
+	// A lock that completes before the flag is observed is unchanged.
+	// ATPGLock never writes the flag.
+	Stop *atomic.Bool
 }
+
+// ErrCancelled is returned when a lock was cut short by
+// ATPGLockOptions.Stop.
+var ErrCancelled = errors.New("locking: lock cancelled")
 
 func (o ATPGLockOptions) withDefaults() ATPGLockOptions {
 	if o.KeyBits <= 0 {
@@ -96,6 +107,9 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 	for round := 0; round < 4 && budget > 0; round++ {
 		applied := 0
 		for _, mod := range mods {
+			if opt.Stop != nil && opt.Stop.Load() {
+				return nil, nil, ErrCancelled
+			}
 			if budget <= 0 {
 				break
 			}

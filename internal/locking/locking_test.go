@@ -1,6 +1,8 @@
 package locking
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bmarks"
@@ -223,5 +225,33 @@ func TestATPGLockDeterministic(t *testing.T) {
 	}
 	if a.Circuit.BenchString() != b.Circuit.BenchString() {
 		t.Fatal("same seed produced different locked netlists")
+	}
+}
+
+// TestATPGLockStop: a raised Stop flag returns ErrCancelled before any
+// module is locked, and a flag that stays lowered changes nothing.
+func TestATPGLockStop(t *testing.T) {
+	orig := genCircuit(t, 400, 38)
+	var stop atomic.Bool
+	stop.Store(true)
+	lk, rep, err := ATPGLock(orig, ATPGLockOptions{KeyBits: 32, Seed: 12, Stop: &stop})
+	if !errors.Is(err, ErrCancelled) || lk != nil || rep != nil {
+		t.Fatalf("raised flag: lock %v, report %v, err %v; want only ErrCancelled", lk != nil, rep, err)
+	}
+	if !stop.Load() {
+		t.Fatal("ATPGLock lowered the caller's flag")
+	}
+
+	stop.Store(false)
+	a, _, err := ATPGLock(orig, ATPGLockOptions{KeyBits: 32, Seed: 12, Stop: &stop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := ATPGLock(orig, ATPGLockOptions{KeyBits: 32, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Key.String() != b.Key.String() || a.Circuit.BenchString() != b.Circuit.BenchString() {
+		t.Fatal("a lowered flag changed the locked netlist")
 	}
 }

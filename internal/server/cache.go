@@ -1,11 +1,12 @@
 // Package server implements splitlockd's daemon core: a job manager
 // with admission control, a content-addressed result cache with
 // singleflight coalescing, a shared solver pool, and the HTTP/JSON API
-// that exposes lock/verify/attack/table jobs as long-running work with
-// streamed progress events. The batch CLIs (cmd/splitlock, cmd/tables)
-// and the daemon (cmd/splitlockd) share the same internal/flow job
-// entry points, so a job submitted over HTTP returns byte-identical
-// results to the same configuration run from the command line.
+// that exposes lock/verify/attack jobs as long-running work with
+// streamed progress events. Table I/II sweeps run on a daemon one
+// benchmark×layer cell at a time: a `tables -connect` coordinator
+// leases cells to POST /v1/cells, which computes them through the same
+// internal/flow entry point as a single-process run, so the sweep's
+// manifest and printed tables are byte-identical to a local run.
 package server
 
 import (
@@ -28,7 +29,8 @@ const (
 	// waited for that leader's result instead of duplicating the work
 	// (singleflight).
 	CacheCoalesced CacheOutcome = "coalesced"
-	// CacheNone: the job was not cacheable (table jobs).
+	// CacheNone: no outcome — the job failed or was interrupted, or
+	// its key was "" and the cache was bypassed.
 	CacheNone CacheOutcome = ""
 )
 
@@ -45,7 +47,8 @@ type cacheEntry struct {
 // computation, and completed results are served to later calls
 // byte-identically. Keys are the flow job cache keys (strashed-graph
 // fingerprint plus result-affecting options), so "identical job" means
-// identical problem, not identical request text.
+// identical problem, not identical request text. The manager wraps
+// every job in it; perfbench's traced daemon-mix replay does the same.
 type Cache struct {
 	mu      sync.Mutex
 	max     int

@@ -46,16 +46,15 @@ type JobRecord struct {
 	Status JobStatus       `json:"status"`
 	Result json.RawMessage `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
-	// Cache records how the result was obtained: "miss", "hit",
-	// "coalesced", or empty for uncacheable kinds.
+	// Cache records how the result was obtained: "miss", "hit" or
+	// "coalesced"; it is empty on a job that did not finish.
 	Cache string `json:"cache,omitempty"`
 }
 
 // ManagerOptions configures a Manager.
 type ManagerOptions struct {
-	// StateDir holds the jobs journal and per-table-job cell manifests;
-	// it is created if missing. Empty runs the manager in memory (no
-	// restart resume).
+	// StateDir holds the jobs journal; it is created if missing. Empty
+	// runs the manager in memory (no requeue on restart).
 	StateDir string
 	// MaxJobs bounds concurrently running jobs (default 2).
 	MaxJobs int
@@ -386,35 +385,6 @@ func (m *Manager) runner() {
 	}
 }
 
-// cellsManifestPath is where a table job checkpoints its cells.
-func (m *Manager) cellsManifestPath(id string) string {
-	if m.opt.StateDir == "" {
-		return ""
-	}
-	return filepath.Join(m.opt.StateDir, id+".cells.json")
-}
-
-// openCellsManifest loads a table job's cell manifest (resuming a
-// drained run's checkpoints) or creates a fresh one.
-func (m *Manager) openCellsManifest(id string, spec flow.JobSpec) (*runmanifest.Manifest, error) {
-	path := m.cellsManifestPath(id)
-	if path == "" {
-		return nil, nil
-	}
-	fp := spec.TableFingerprint()
-	if _, err := os.Stat(path); err == nil {
-		mf, err := runmanifest.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := mf.Fingerprint().CompatibleWith(fp); err != nil {
-			return nil, fmt.Errorf("cell manifest fingerprint mismatch: %w", err)
-		}
-		return mf, nil
-	}
-	return runmanifest.New(path, fp), nil
-}
-
 // runJob executes one job end to end: mark running, find the job's
 // fingerprint (from the memo, or by preparing), consult the cache (or
 // compute), and record the terminal status.
@@ -456,14 +426,6 @@ func (m *Manager) runJob(id string) {
 		Pool: m.pool,
 		Emit: func(ev flow.JobEvent) { m.emit(id, ev) },
 	}
-	if spec.Kind == flow.JobTable {
-		mf, err := m.openCellsManifest(id, spec)
-		if err != nil {
-			m.finishJob(id, nil, CacheNone, err)
-			return
-		}
-		rt.Manifest = mf
-	}
 	// The cache key is the canonical strashed-graph fingerprint, which
 	// only Prepare (load + lock + strash) computes. The memo remembers
 	// it per prepare key, so a repeated spec forms its key without
@@ -478,9 +440,7 @@ func (m *Manager) runJob(id string) {
 			return
 		}
 		fp = job.Fingerprint()
-		if pk != "" {
-			m.memo.put(pk, fp)
-		}
+		m.memo.put(pk, fp)
 	}
 	data, outcome, err := m.cache.Do(ctx, job.CacheKeyFor(fp), func() (json.RawMessage, error) {
 		if err := m.prepare(ctx, job); err != nil {
@@ -498,7 +458,7 @@ func (m *Manager) runJob(id string) {
 // prepare runs job.Prepare once per job, counting the runs that do
 // work.
 func (m *Manager) prepare(ctx context.Context, job *flow.Job) error {
-	if job.Spec.Kind == flow.JobTable || !job.Fingerprint().IsZero() {
+	if !job.Fingerprint().IsZero() {
 		return nil
 	}
 	m.prepares.Add(1)
@@ -544,9 +504,9 @@ func (m *Manager) finishJob(id string, data json.RawMessage, outcome CacheOutcom
 }
 
 // Drain stops admission, cancels running jobs, and waits up to timeout
-// for the runners to checkpoint and exit. In-flight jobs are recorded
-// as interrupted and resume (table jobs from their cell manifests) when
-// the next daemon starts.
+// for the runners to exit. In-flight jobs are recorded as interrupted
+// and are requeued, to run again from the start, when the next daemon
+// starts.
 func (m *Manager) Drain(timeout time.Duration) error {
 	m.mu.Lock()
 	m.draining = true

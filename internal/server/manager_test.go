@@ -1,17 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/aig"
-	"repro/internal/faultpoint"
 	"repro/internal/flow"
+	"repro/internal/runmanifest"
 )
 
 func newTestManager(t *testing.T, opt ManagerOptions) *Manager {
@@ -263,27 +264,51 @@ func TestManagerPoolFullWidth(t *testing.T) {
 	}
 }
 
+// holdSolverPool takes every slot of m's solver pool, so any job that
+// reaches its solving phase waits there until the returned release.
+func holdSolverPool(t *testing.T, m *Manager) func() {
+	t.Helper()
+	hold, err := m.pool.Acquire(context.Background(), m.pool.Total())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hold.Release
+}
+
+// waitPrepared waits until a job with spec's prepare key has recorded
+// its fingerprint in m's memo: it has prepared and moved on to its
+// solving phase.
+func waitPrepared(t *testing.T, m *Manager, spec flow.JobSpec) {
+	t.Helper()
+	job, err := flow.NewJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(120 * time.Second)
+	for {
+		if _, ok := m.memo.get(job.PrepareKey()); ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s job never finished preparing", spec.Kind)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestManagerAdmission: with one runner busy and the queue at its
 // limit, Submit rejects with ErrQueueFull instead of accepting
 // unbounded work.
 func TestManagerAdmission(t *testing.T) {
-	defer faultpoint.Reset()
-	m := newTestManager(t, ManagerOptions{MaxJobs: 1, QueueLimit: 1})
-	reached := make(chan struct{})
-	proceed := make(chan struct{})
-	faultpoint.Set("flow.itc.run", func() {
-		close(reached)
-		<-proceed
-	})
-	blocker := flow.JobSpec{
-		Kind: flow.JobTable, Benchmarks: []string{"b14"}, Scale: 0.02,
-		KeyBits: 32, Patterns: 1 << 10, Seed: 4, SplitLayers: []int{4}, NoParallel: true,
-	}
-	b, err := m.Submit(blocker)
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1, QueueLimit: 1, SolverSlots: 1})
+	release := holdSolverPool(t, m)
+	b, err := m.Submit(verifySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-reached // the single runner is now wedged inside the table job
+	// The single runner is now wedged: the verify job waits for the
+	// solver slot the test holds.
+	waitPrepared(t, m, verifySpec())
 
 	q, err := m.Submit(verifySpec())
 	if err != nil {
@@ -296,7 +321,7 @@ func TestManagerAdmission(t *testing.T) {
 	if queued != 1 || running != 1 {
 		t.Fatalf("stats queued=%d running=%d, want 1/1", queued, running)
 	}
-	close(proceed)
+	release()
 	if rec := waitDone(t, m, b.ID); rec.Status != StatusDone {
 		t.Fatalf("blocker finished %s: %s", rec.Status, rec.Error)
 	}
@@ -305,77 +330,80 @@ func TestManagerAdmission(t *testing.T) {
 	}
 }
 
-// TestManagerDrainResumeByteIdentical is the tentpole's crash-safety
-// story end to end: a table job interrupted by a drain checkpoints its
-// finished cells, a restarted manager requeues it automatically,
-// recomputes only the unfinished cells, and the final payload is
-// byte-identical to an uninterrupted control run.
+// TestManagerDrainResumeByteIdentical is the daemon's crash-safety
+// story end to end: a lock job interrupted by a drain is recorded as
+// interrupted, a restarted manager requeues it automatically, and the
+// final payload is byte-identical to an uninterrupted control run. The
+// restarted manager also loads table-job records an older daemon
+// journaled: a finished one keeps its stored result, an unfinished one
+// is requeued and fails as an unknown kind, and the daemon keeps
+// serving.
 func TestManagerDrainResumeByteIdentical(t *testing.T) {
-	defer faultpoint.Reset()
-	spec := flow.JobSpec{
-		Kind: flow.JobTable, Benchmarks: []string{"b14"}, Scale: 0.02,
-		KeyBits: 32, Patterns: 1 << 10, Seed: 4, SplitLayers: []int{4, 6}, NoParallel: true,
-	}
+	spec := lockSpec()
 
 	// Control: uninterrupted run.
 	ctl := newTestManager(t, ManagerOptions{MaxJobs: 1})
-	cr, err := ctl.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr = waitDone(t, ctl, cr.ID)
-	if cr.Status != StatusDone {
-		t.Fatalf("control job %s: %s", cr.Status, cr.Error)
-	}
-	if cr.Cache != "" {
-		t.Fatalf("table job reported cache outcome %q, want uncacheable", cr.Cache)
-	}
+	cr := submitWait(t, ctl, spec)
 
-	// Interrupted run: drain after the first cell checkpoints.
+	// Interrupted run: drain while the job waits for its solver slot.
 	state := t.TempDir()
-	m1, err := NewManager(ManagerOptions{StateDir: state, MaxJobs: 1})
+	m1, err := NewManager(ManagerOptions{StateDir: state, MaxJobs: 1, SolverSlots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reached := make(chan struct{})
-	faultpoint.Set("flow.itc.cell.done", faultpoint.After(1, func() {
-		close(reached)
-		<-m1.rootCtx.Done() // hold the job until the drain's cancel lands
-	}))
+	release := holdSolverPool(t, m1)
 	ir, err := m1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-reached
+	waitPrepared(t, m1, spec)
 	if err := m1.Drain(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	faultpoint.Reset()
+	release()
 	rec, _ := m1.Get(ir.ID)
-	if rec.Status != StatusInterrupted {
-		t.Fatalf("drained job status %s (%s), want interrupted", rec.Status, rec.Error)
-	}
-	if _, err := os.Stat(filepath.Join(state, ir.ID+".cells.json")); err != nil {
-		t.Fatalf("no cell checkpoint written: %v", err)
+	if rec.Status != StatusInterrupted || rec.Result != nil {
+		t.Fatalf("drained job status %s (%s), result %s; want interrupted with no result", rec.Status, rec.Error, rec.Result)
 	}
 
-	// Restart: the job is requeued and resumed from its checkpoints.
-	cells := 0
-	faultpoint.Set("flow.itc.run", func() { cells++ })
-	m2, err := NewManager(ManagerOptions{StateDir: state, MaxJobs: 1})
+	// Table-job records as an older daemon journaled them.
+	journal, err := runmanifest.Load(filepath.Join(state, "jobs.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = m2.Drain(30 * time.Second) })
+	tableSpec := json.RawMessage(`{"kind":"table","benchmarks":["b14"],"scale":0.02,"keybits":32,"split_layers":[4]}`)
+	oldResult := json.RawMessage(`{"rows":[{"benchmark":"b14","cells":{}}]}`)
+	for id, old := range map[string]map[string]any{
+		"job-000002": {"id": "job-000002", "spec": tableSpec, "status": "done", "result": oldResult},
+		"job-000003": {"id": "job-000003", "spec": tableSpec, "status": "interrupted", "error": "interrupted by daemon drain"},
+	} {
+		if err := journal.Put(id, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := journal.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart: the lock job is requeued and runs to the same payload.
+	m2 := newTestManager(t, ManagerOptions{StateDir: state, MaxJobs: 1})
 	rr := waitDone(t, m2, ir.ID)
 	if rr.Status != StatusDone {
-		t.Fatalf("resumed job %s: %s", rr.Status, rr.Error)
-	}
-	if cells != 1 {
-		t.Fatalf("resumed run recomputed %d cells, want 1 (only the interrupted M6)", cells)
+		t.Fatalf("requeued job %s: %s", rr.Status, rr.Error)
 	}
 	if string(rr.Result) != string(cr.Result) {
-		t.Fatalf("resumed result differs from uninterrupted control:\n%s\n%s", rr.Result, cr.Result)
+		t.Fatalf("requeued result differs from uninterrupted control:\n%s\n%s", rr.Result, cr.Result)
+	}
+	done, _ := m2.Get("job-000002")
+	var stored bytes.Buffer
+	if err := json.Compact(&stored, done.Result); err != nil || done.Status != StatusDone || stored.String() != string(oldResult) {
+		t.Fatalf("finished table record: status %s, result %s; want its stored result", done.Status, done.Result)
+	}
+	if old := waitDone(t, m2, "job-000003"); old.Status != StatusFailed || !strings.Contains(old.Error, `unknown job kind "table"`) {
+		t.Fatalf("unfinished table record: status %s, error %q; want failed as an unknown kind", old.Status, old.Error)
+	}
+	if r := submitWait(t, m2, verifySpec()); r.ID != "job-000004" {
+		t.Fatalf("new job after the old records got ID %s, want job-000004", r.ID)
 	}
 }
 

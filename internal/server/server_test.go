@@ -61,6 +61,17 @@ func TestServerHTTP(t *testing.T) {
 	if resp, _ := postJob(t, ts, `{"kind":"verify","bench":"c432","racing":true}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("racing field: %d", resp.StatusCode)
 	}
+	// A spec has no table kind and no sweep settings: those are 400s.
+	for _, body := range []string{
+		`{"kind":"table"}`,
+		`{"kind":"verify","bench":"c432","benchmarks":["b14"]}`,
+		`{"kind":"verify","bench":"c432","split_layers":[4,6]}`,
+		`{"kind":"verify","bench":"c432","no_parallel":true}`,
+	} {
+		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %d, want 400", body, resp.StatusCode)
+		}
+	}
 	// Unknown job is a 404.
 	if resp := getJSON(t, ts, "/v1/jobs/job-999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", resp.StatusCode)
