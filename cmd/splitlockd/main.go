@@ -31,11 +31,13 @@
 // clamped to the pool size — is free, so its payload never depends on
 // load. SIGINT/SIGTERM drains gracefully: admission stops, running
 // jobs are cancelled (a paper-scale lock stops between modules),
-// journaled as interrupted and requeued on the next start, where they
-// run again to a byte-identical payload, and running /v1/cells cells
-// are cancelled, so their streams end without a result line (the
-// coordinator counts the daemon as a dead worker and reassigns the
-// cell). Only then does the HTTP server shut down.
+// journaled as interrupted (each job has its own file under
+// -state/jobs/, replaced only when its record changes) and requeued on
+// the next start, where they run again to a byte-identical payload,
+// and running /v1/cells cells are cancelled, so their streams end
+// without a result line (the coordinator counts the daemon as a dead
+// worker and reassigns the cell). Only then does the HTTP server shut
+// down.
 package main
 
 import (
@@ -56,7 +58,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
-		state        = flag.String("state", "", "state directory for the job journal (empty = in-memory, no requeue on restart)")
+		state        = flag.String("state", "", "state directory for the job journal, one jobs/<id>.json file per job (empty = in-memory, no requeue on restart)")
 		jobs         = flag.Int("jobs", 2, "max concurrently running jobs")
 		queue        = flag.Int("queue", 64, "max queued jobs before submissions get 503")
 		solverSlots  = flag.Int("solverslots", 0, "shared solver pool slots (0 = GOMAXPROCS)")

@@ -30,8 +30,7 @@
 // SIGTERM cancels cleanly (exit 130, manifest flushed), and -resume
 // picks the sweep back up, recomputing only the missing cells — the
 // resumed table is byte-identical to an uninterrupted run. -jobtimeout
-// bounds each job, and -merge unions shard manifests from a split
-// sweep.
+// bounds each job.
 //
 // The Table I/II sweep can also be distributed across OS processes:
 // -workers N leases cells to N locally spawned worker processes, and
@@ -80,7 +79,6 @@ func main() {
 		jobTimeout = flag.Duration("jobtimeout", 0, "per-cell deadline for Table I/II jobs; a blown deadline is recorded on that cell and the others keep running (0 = none)")
 		manifestP  = flag.String("manifest", "", "checkpoint file for the Table I/II sweep: every completed cell is flushed there atomically")
 		resume     = flag.Bool("resume", false, "load -manifest and skip cells it already holds (the file must match this configuration)")
-		mergeSel   = flag.String("merge", "", "comma-separated shard manifests to union into -manifest, then exit")
 
 		workerMode  = flag.Bool("worker", false, "serve the dispatch worker protocol on stdin/stdout (spawned by a -workers coordinator; not for interactive use)")
 		workerID    = flag.Int("workerid", 0, "worker identity under -worker (assigned by the coordinator)")
@@ -131,16 +129,6 @@ func main() {
 	// hours, and "unknown benchmark" must not surface after that.
 	if err := bmarks.Validate(benches); err != nil {
 		fail(err)
-	}
-
-	if *mergeSel != "" {
-		if *manifestP == "" {
-			fail(errors.New("-merge needs -manifest as the output path"))
-		}
-		if err := mergeShards(*manifestP, splitList(*mergeSel)); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -311,31 +299,6 @@ func openManifest(path string, resume bool, fp runmanifest.Fingerprint) (*runman
 	}
 	fmt.Printf("resuming from %s: %d cells already complete\n", path, m.Len())
 	return m, nil
-}
-
-// mergeShards unions shard manifests (disjoint -benchmarks runs of one
-// sweep) into a single manifest at out, ready for a final -resume run.
-func mergeShards(out string, shardPaths []string) error {
-	if len(shardPaths) == 0 {
-		return errors.New("-merge lists no shard manifests")
-	}
-	shards := make([]*runmanifest.Manifest, len(shardPaths))
-	for i, p := range shardPaths {
-		m, err := runmanifest.Load(p)
-		if err != nil {
-			return err
-		}
-		shards[i] = m
-	}
-	merged := runmanifest.New(out, shards[0].Fingerprint())
-	if err := merged.Merge(shards...); err != nil {
-		return err
-	}
-	if err := merged.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("merged %d shards (%d cells) into %s\n", len(shards), merged.Len(), out)
-	return nil
 }
 
 // runWorker serves one dispatch worker on stdin/stdout until the

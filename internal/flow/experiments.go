@@ -45,8 +45,7 @@ type SplitResult struct {
 	HD, OER float64
 	// Runtime is the flow wall-clock time. It is excluded from the run
 	// manifest: checkpointed cells must hold only deterministic fields,
-	// both so resumed tables are byte-identical and so Merge can detect
-	// genuinely conflicting shards by payload comparison.
+	// so resumed tables are byte-identical.
 	Runtime time.Duration `json:"-"`
 }
 

@@ -237,13 +237,10 @@ func (j *Job) Fingerprint() aig.Fingerprint { return j.fp }
 // that prepared the job themselves, such as perfbench's traced jobs.
 func (j *Job) CacheKey() string { return j.CacheKeyFor(j.fp) }
 
-// CacheKeyFor is CacheKey for a job whose fingerprint is fp, known
-// without running Prepare (from an earlier job with the same
-// PrepareKey). It is "" when fp is zero.
+// CacheKeyFor is CacheKey for a job whose fingerprint is fp: the one
+// Prepare computed for this job or for an earlier job with the same
+// PrepareKey, so a repeated spec forms its key without preparing.
 func (j *Job) CacheKeyFor(fp aig.Fingerprint) string {
-	if fp.IsZero() {
-		return ""
-	}
 	s := j.Spec
 	return fmt.Sprintf("%s|%s|l%d|seed%d|p%d|mi%d|sw%d", s.Kind, fp, s.SplitLayer, s.Seed, s.Patterns, s.MaxIter, s.SolverWorkers)
 }

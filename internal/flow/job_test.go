@@ -60,8 +60,8 @@ func TestJobVerifyDeterministic(t *testing.T) {
 	spec := JobSpec{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2}
 	d1, j1 := runJob(t, spec, JobRuntime{})
 	d2, j2 := runJob(t, spec, JobRuntime{})
-	if j1.CacheKey() == "" {
-		t.Fatal("deterministic verify job has no cache key")
+	if j1.Fingerprint().IsZero() {
+		t.Fatal("prepared verify job has no fingerprint")
 	}
 	if j1.CacheKey() != j2.CacheKey() {
 		t.Fatalf("cache keys differ: %q vs %q", j1.CacheKey(), j2.CacheKey())

@@ -6,12 +6,6 @@
 // job and flushes with an atomic write-temp-then-rename, so the file on
 // disk is always a consistent snapshot — a crash between flushes loses
 // at most the cells completed since the last one, never the file.
-//
-// Manifests are also the seam for sharded table runs: shards over
-// disjoint benchmark subsets write separate manifest files, and Merge
-// unions them into one (the fingerprints must agree on everything but
-// the benchmark axis), which a final -resume run turns into the full
-// table without recomputing anything.
 package runmanifest
 
 import (
@@ -34,8 +28,7 @@ var fpPreRename = faultpoint.Describe("runmanifest.flush.pre-rename",
 
 // Fingerprint identifies the experiment configuration a manifest's
 // cells were computed under. All fields except Benchmarks must match
-// exactly for cells to be reusable; Benchmarks is the shard axis —
-// shards of one logical run differ only there, and Merge unions it.
+// exactly for cells to be reusable.
 type Fingerprint struct {
 	// Experiment names the harness ("itc" for the Table I/II sweep).
 	Experiment string  `json:"experiment"`
@@ -46,8 +39,9 @@ type Fingerprint struct {
 	// SplitLayers is the layer axis of the sweep (sorted).
 	SplitLayers []int `json:"split_layers,omitempty"`
 	// Benchmarks is the benchmark subset this manifest's run covers
-	// (sorted). It does not gate cell reuse: a cell's benchmark is part
-	// of its key, so manifests from different subsets merge cleanly.
+	// (sorted). It does not gate cell reuse: a cell's key names its
+	// benchmark, so a resume may cover a different subset and reuses
+	// exactly the cells it shares.
 	Benchmarks []string `json:"benchmarks,omitempty"`
 }
 
@@ -84,18 +78,14 @@ func (f Fingerprint) CompatibleWith(g Fingerprint) error {
 	return nil
 }
 
-// Manifest is the completed-cell record of one (possibly sharded)
-// experiment run. It is safe for concurrent use.
+// Manifest is the completed-cell record of one experiment run. It is
+// safe for concurrent use.
 type Manifest struct {
 	mu    sync.Mutex
 	fp    Fingerprint
 	cells map[string]json.RawMessage
 	notes map[string]string
-	// origin records, per cell key, the manifest file a merged cell came
-	// from, so payload conflicts can name both offenders. Cells recorded
-	// by Put originate from this manifest itself.
-	origin map[string]string
-	path   string // "" for in-memory manifests
+	path  string // "" for in-memory manifests
 }
 
 // manifestFile is the on-disk JSON shape. Notes is omitted when empty
@@ -178,18 +168,6 @@ func (m *Manifest) Len() int {
 	return len(m.cells)
 }
 
-// Keys returns the completed cell keys in sorted order.
-func (m *Manifest) Keys() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]string, 0, len(m.cells))
-	for k := range m.cells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Put records the payload of a completed cell (it does not flush).
 func (m *Manifest) Put(key string, v any) error {
 	data, err := json.Marshal(v)
@@ -217,26 +195,6 @@ func (m *Manifest) PutNote(key, note string) {
 	m.notes[key] = note
 }
 
-// Note returns the annotation for key, if any.
-func (m *Manifest) Note(key string) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	note, ok := m.notes[key]
-	return note, ok
-}
-
-// NoteKeys returns the annotated keys in sorted order.
-func (m *Manifest) NoteKeys() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]string, 0, len(m.notes))
-	for k := range m.notes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Get unmarshals the payload of cell key into v, reporting whether the
 // cell is present. A present-but-unparsable payload returns an error;
 // callers resuming a run should treat that cell as not completed.
@@ -253,10 +211,8 @@ func (m *Manifest) Get(key string, v any) (bool, error) {
 	return true, nil
 }
 
-// Flush atomically persists the manifest: the JSON is written to
-// path+".tmp", synced, and renamed over path, so a crash at any moment
-// leaves either the previous complete file or the new complete file —
-// never a torn one. Flush on an in-memory manifest is a no-op.
+// Flush atomically persists the manifest with WriteFile. Flush on an
+// in-memory manifest is a no-op.
 func (m *Manifest) Flush() error {
 	if m.path == "" {
 		return nil
@@ -272,7 +228,16 @@ func (m *Manifest) Flush() error {
 	if err != nil {
 		return fmt.Errorf("runmanifest: %w", err)
 	}
-	tmp := m.path + ".tmp"
+	return WriteFile(m.path, data)
+}
+
+// WriteFile atomically replaces path with data: the bytes are written
+// to path+".tmp", synced, and renamed over path, so a crash at any
+// moment leaves either the previous complete file or the new complete
+// file — never a torn one. A crash before the rename orphans the temp
+// file; whoever reopens path next should remove it.
+func WriteFile(path string, data []byte) error {
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("runmanifest: %w", err)
@@ -288,78 +253,9 @@ func (m *Manifest) Flush() error {
 	// to prove that Load detects a damaged manifest instead of resuming
 	// from garbage.
 	faultpoint.Hit(fpPreRename)
-	if err := os.Rename(tmp, m.path); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("runmanifest: %w", err)
 	}
 	return nil
-}
-
-// Merge unions the cells of the shard manifests into m. Every shard's
-// fingerprint must be compatible with m's (equal up to the benchmark
-// axis); m's benchmark set becomes the union. A cell present in two
-// inputs with different payloads is an error naming both shard files —
-// cells are deterministic functions of the fingerprint, so a payload
-// conflict means the shards did not come from the same configuration,
-// and the fix starts with knowing which two files disagree. Notes are
-// unioned first-wins.
-func (m *Manifest) Merge(shards ...*Manifest) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	benches := make(map[string]bool)
-	for _, b := range m.fp.Benchmarks {
-		benches[b] = true
-	}
-	if m.origin == nil {
-		m.origin = make(map[string]string)
-	}
-	for _, sh := range shards {
-		sh.mu.Lock()
-		fp, cells, notes := sh.fp, sh.cells, sh.notes
-		sh.mu.Unlock()
-		if err := m.fp.CompatibleWith(fp); err != nil {
-			return fmt.Errorf("runmanifest: shard %s is incompatible: %w", describePath(sh.path), err)
-		}
-		for _, b := range fp.Benchmarks {
-			benches[b] = true
-		}
-		for k, v := range cells {
-			if prev, ok := m.cells[k]; ok {
-				if string(prev) != string(v) {
-					from, ok := m.origin[k]
-					if !ok {
-						from = describePath(m.path)
-					}
-					return fmt.Errorf("runmanifest: cell %s differs between shards %s and %s (same key, different payload — the shards were not run under one configuration)",
-						k, from, describePath(sh.path))
-				}
-				continue
-			}
-			m.cells[k] = v
-			m.origin[k] = describePath(sh.path)
-		}
-		for k, v := range notes {
-			if _, ok := m.notes[k]; !ok {
-				if m.notes == nil {
-					m.notes = make(map[string]string)
-				}
-				m.notes[k] = v
-			}
-		}
-	}
-	m.fp.Benchmarks = m.fp.Benchmarks[:0]
-	for b := range benches {
-		m.fp.Benchmarks = append(m.fp.Benchmarks, b)
-	}
-	sort.Strings(m.fp.Benchmarks)
-	return nil
-}
-
-// describePath names a manifest in an error message; in-memory
-// manifests have no file to point at.
-func describePath(path string) string {
-	if path == "" {
-		return "<in-memory manifest>"
-	}
-	return path
 }

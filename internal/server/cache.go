@@ -2,11 +2,14 @@
 // with admission control, a content-addressed result cache with
 // singleflight coalescing, a shared solver pool, and the HTTP/JSON API
 // that exposes lock/verify/attack jobs as long-running work with
-// streamed progress events. Table I/II sweeps run on a daemon one
-// benchmark×layer cell at a time: a `tables -connect` coordinator
-// leases cells to POST /v1/cells, which computes them through the same
-// internal/flow entry point as a single-process run, so the sweep's
-// manifest and printed tables are byte-identical to a local run.
+// streamed progress events. With a state directory, each job's record
+// is journaled in its own file, replaced only when that record
+// changes, so a restarted daemon requeues unfinished jobs. Table I/II
+// sweeps run on a daemon one benchmark×layer cell at a time: a
+// `tables -connect` coordinator leases cells to POST /v1/cells, which
+// computes them through the same internal/flow entry point as a
+// single-process run, so the sweep's manifest and printed tables are
+// byte-identical to a local run.
 package server
 
 import (
@@ -29,8 +32,7 @@ const (
 	// waited for that leader's result instead of duplicating the work
 	// (singleflight).
 	CacheCoalesced CacheOutcome = "coalesced"
-	// CacheNone: no outcome — the job failed or was interrupted, or
-	// its key was "" and the cache was bypassed.
+	// CacheNone: no outcome — the job failed or was interrupted.
 	CacheNone CacheOutcome = ""
 )
 
@@ -77,14 +79,10 @@ func (c *Cache) Len() int {
 // computation of the same key if there is one, and otherwise computing
 // it via compute. A failed leader does not poison the key: one of the
 // waiters is promoted to compute in its place (the retry loop), so a
-// transient failure never turns into a cached error. key "" bypasses
-// the cache entirely. ctx cancels only this caller's wait (and its own
-// compute run); it does not cancel a leader other callers wait on.
+// transient failure never turns into a cached error. ctx cancels only
+// this caller's wait (and its own compute run); it does not cancel a
+// leader other callers wait on.
 func (c *Cache) Do(ctx context.Context, key string, compute func() (json.RawMessage, error)) (json.RawMessage, CacheOutcome, error) {
-	if key == "" {
-		data, err := compute()
-		return data, CacheNone, err
-	}
 	waited := false
 	for {
 		c.mu.Lock()

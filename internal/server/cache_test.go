@@ -144,22 +144,6 @@ func TestCacheLeaderFailurePromotes(t *testing.T) {
 	}
 }
 
-// TestCacheEmptyKeyBypasses: key "" always computes and never stores.
-func TestCacheEmptyKeyBypasses(t *testing.T) {
-	c := NewCache(8)
-	for i := 0; i < 3; i++ {
-		d, out, err := c.Do(context.Background(), "", func() (json.RawMessage, error) {
-			return json.RawMessage(fmt.Sprintf("%d", i)), nil
-		})
-		if err != nil || out != CacheNone || string(d) != fmt.Sprintf("%d", i) {
-			t.Fatalf("iteration %d: %q, %q, %v", i, d, out, err)
-		}
-	}
-	if c.Len() != 0 {
-		t.Fatalf("empty-key calls stored %d entries", c.Len())
-	}
-}
-
 // TestCacheEvictionBound: completed entries are evicted FIFO beyond max.
 func TestCacheEvictionBound(t *testing.T) {
 	c := NewCache(4)

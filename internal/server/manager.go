@@ -53,8 +53,9 @@ type JobRecord struct {
 
 // ManagerOptions configures a Manager.
 type ManagerOptions struct {
-	// StateDir holds the jobs journal; it is created if missing. Empty
-	// runs the manager in memory (no requeue on restart).
+	// StateDir holds the jobs journal, one file per job under jobs/;
+	// it is created if missing. Empty runs the manager in memory (no
+	// requeue on restart).
 	StateDir string
 	// MaxJobs bounds concurrently running jobs (default 2).
 	MaxJobs int
@@ -123,19 +124,16 @@ type Manager struct {
 	queue    []string // job IDs awaiting a runner, FIFO
 	seq      int
 	draining bool
-	journal  *runmanifest.Manifest
-	cellSem  chan struct{} // counting semaphore for dispatched cells
+	// journal is the directory holding one <id>.json record per job
+	// ("" in memory). A job's file is replaced only when its record
+	// changes, so a state change costs one small write however many
+	// jobs the daemon has seen.
+	journal string
+	cellSem chan struct{} // counting semaphore for dispatched cells
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 	wg         sync.WaitGroup
-}
-
-// jobsJournalFP is the fingerprint of the jobs journal manifest; only
-// the experiment name matters (the journal is not an experiment run,
-// but reusing runmanifest buys atomic flushes and stale-temp hygiene).
-func jobsJournalFP() runmanifest.Fingerprint {
-	return runmanifest.Fingerprint{Experiment: "splitlockd-jobs"}
 }
 
 // NewManager loads (or initializes) the state directory, requeues jobs
@@ -154,21 +152,12 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 	m.cond = sync.NewCond(&m.mu)
 	m.rootCtx, m.rootCancel = context.WithCancel(context.Background())
 	if opt.StateDir != "" {
-		if err := os.MkdirAll(opt.StateDir, 0o755); err != nil {
+		m.journal = filepath.Join(opt.StateDir, "jobs")
+		if err := os.MkdirAll(m.journal, 0o755); err != nil {
 			return nil, fmt.Errorf("server: state dir: %w", err)
 		}
-		path := filepath.Join(opt.StateDir, "jobs.json")
-		if _, err := os.Stat(path); err == nil {
-			j, err := runmanifest.Load(path)
-			if err != nil {
-				return nil, fmt.Errorf("server: jobs journal: %w", err)
-			}
-			if err := j.Fingerprint().CompatibleWith(jobsJournalFP()); err != nil {
-				return nil, fmt.Errorf("server: jobs journal is not a splitlockd journal: %w", err)
-			}
-			m.journal = j
-		} else {
-			m.journal = runmanifest.New(path, jobsJournalFP())
+		if err := m.migrateJournal(filepath.Join(opt.StateDir, "jobs.json")); err != nil {
+			return nil, err
 		}
 		if err := m.restore(); err != nil {
 			return nil, err
@@ -181,15 +170,59 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 	return m, nil
 }
 
+// migrateJournal converts a single-file jobs.json journal, as older
+// daemons wrote it, into per-job files and removes it. The old file is
+// a run manifest whose cells map job IDs to records; the temp file of
+// a flush a crash cut short is removed with it.
+func (m *Manager) migrateJournal(path string) error {
+	os.Remove(path + ".tmp")
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	var old struct {
+		Cells map[string]JobRecord `json:"cells"`
+	}
+	if err == nil {
+		err = json.Unmarshal(data, &old)
+	}
+	if err != nil {
+		return fmt.Errorf("server: jobs journal %s: %w", path, err)
+	}
+	for _, rec := range old.Cells {
+		if err := m.writeRecord(rec); err != nil {
+			return err
+		}
+	}
+	return os.Remove(path)
+}
+
 // restore rebuilds the in-memory job table from the journal and
 // requeues unfinished jobs in ID order, so a restarted daemon picks up
-// exactly where the drained one stopped.
+// exactly where the drained one stopped. It removes the temp files of
+// writes a crash cut short (the record they would have replaced is
+// still in place) and rewrites only the records it requeues.
 func (m *Manager) restore() error {
-	keys := m.journal.Keys() // sorted; IDs are zero-padded
-	for _, id := range keys {
+	entries, err := os.ReadDir(m.journal) // sorted; IDs are zero-padded
+	if err != nil {
+		return fmt.Errorf("server: jobs journal: %w", err)
+	}
+	for _, e := range entries {
+		path := filepath.Join(m.journal, e.Name())
+		if filepath.Ext(path) == ".tmp" {
+			os.Remove(path)
+			continue
+		}
+		if filepath.Ext(path) != ".json" {
+			continue
+		}
 		var rec JobRecord
-		if ok, err := m.journal.Get(id, &rec); err != nil || !ok {
-			return fmt.Errorf("server: jobs journal entry %s: %w", id, err)
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &rec)
+		}
+		if err != nil {
+			return fmt.Errorf("server: jobs journal entry %s: %w", path, err)
 		}
 		var n int
 		if _, err := fmt.Sscanf(rec.ID, "job-%d", &n); err == nil && n > m.seq {
@@ -202,28 +235,30 @@ func (m *Manager) restore() error {
 			// admission limit — the job was already accepted once).
 			js.rec.Status = StatusQueued
 			js.rec.Error = ""
+			if err := m.writeRecord(js.rec); err != nil {
+				return err
+			}
 			m.queue = append(m.queue, rec.ID)
 		default:
 			close(js.done)
 		}
 		m.jobs[rec.ID] = js
 	}
-	// Re-persist any status rewrites (interrupted → queued).
-	return m.persistLocked()
+	return nil
 }
 
-// persistLocked writes every job record to the journal and flushes.
-// Callers hold m.mu (or are in single-threaded setup).
-func (m *Manager) persistLocked() error {
-	if m.journal == nil {
+// writeRecord atomically replaces the journal file of one job. Callers
+// hold m.mu (or are in single-threaded setup), which orders the writes
+// of one job's successive states.
+func (m *Manager) writeRecord(rec JobRecord) error {
+	if m.journal == "" {
 		return nil
 	}
-	for id, js := range m.jobs {
-		if err := m.journal.Put(id, js.rec); err != nil {
-			return err
-		}
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("server: job %s: %w", rec.ID, err)
 	}
-	return m.journal.Flush()
+	return runmanifest.WriteFile(filepath.Join(m.journal, rec.ID+".json"), data)
 }
 
 // Submit validates and admits a job. The returned record is a snapshot.
@@ -248,7 +283,7 @@ func (m *Manager) Submit(spec flow.JobSpec) (JobRecord, error) {
 	}
 	m.jobs[id] = js
 	m.queue = append(m.queue, id)
-	if err := m.persistLocked(); err != nil {
+	if err := m.writeRecord(js.rec); err != nil {
 		delete(m.jobs, id)
 		m.queue = m.queue[:len(m.queue)-1]
 		return JobRecord{}, err
@@ -403,7 +438,7 @@ func (m *Manager) runJob(id string) {
 	ctx, cancel := context.WithCancel(m.rootCtx)
 	js.rec.Status = StatusRunning
 	js.cancel = cancel
-	perr := m.persistLocked()
+	perr := m.writeRecord(js.rec)
 	m.mu.Unlock()
 	defer cancel()
 	if perr != nil {
@@ -493,14 +528,16 @@ func (m *Manager) finishJob(id string, data json.RawMessage, outcome CacheOutcom
 	if status == StatusDone && js.rec.Cache != "" {
 		cacheNote = " (cache " + js.rec.Cache + ")"
 	}
-	perr := m.persistLocked()
+	// A failed write leaves the job's previous record ("running") on
+	// disk, so a restart requeues it; this daemon still serves the
+	// finished record from memory.
+	_ = m.writeRecord(js.rec)
 	m.mu.Unlock()
 	m.emit(id, flow.JobEvent{Stage: "status", Message: string(status) + cacheNote})
 	m.mu.Lock()
 	js.closeSubsLocked()
 	close(js.done)
 	m.mu.Unlock()
-	_ = perr // the record is still served from memory; the restart path re-persists
 }
 
 // Drain stops admission, cancels running jobs, and waits up to timeout
@@ -525,14 +562,12 @@ func (m *Manager) Drain(timeout time.Duration) error {
 	}
 	select {
 	case <-done:
+		// Every job's last state is already journaled: queued ones as
+		// queued, cancelled ones as interrupted.
+		return nil
 	case <-time.After(timeout):
 		return fmt.Errorf("server: drain timed out after %v", timeout)
 	}
-	// Jobs still queued keep StatusQueued in the journal and are
-	// requeued on restart; nothing else to rewrite here.
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.persistLocked()
 }
 
 // fpMemoEntries bounds the fingerprint memo. An entry is a short key

@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -334,10 +337,10 @@ func TestManagerAdmission(t *testing.T) {
 // story end to end: a lock job interrupted by a drain is recorded as
 // interrupted, a restarted manager requeues it automatically, and the
 // final payload is byte-identical to an uninterrupted control run. The
-// restarted manager also loads table-job records an older daemon
-// journaled: a finished one keeps its stored result, an unfinished one
-// is requeued and fails as an unknown kind, and the daemon keeps
-// serving.
+// restarted manager also migrates a single-file jobs.json journal as
+// older daemons wrote it, holding table-job records: a finished one
+// keeps its stored result, an unfinished one is requeued and fails as
+// an unknown kind, and the daemon keeps serving.
 func TestManagerDrainResumeByteIdentical(t *testing.T) {
 	spec := lockSpec()
 
@@ -366,11 +369,9 @@ func TestManagerDrainResumeByteIdentical(t *testing.T) {
 		t.Fatalf("drained job status %s (%s), result %s; want interrupted with no result", rec.Status, rec.Error, rec.Result)
 	}
 
-	// Table-job records as an older daemon journaled them.
-	journal, err := runmanifest.Load(filepath.Join(state, "jobs.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Table-job records in the single-file journal of an older daemon.
+	oldPath := filepath.Join(state, "jobs.json")
+	journal := runmanifest.New(oldPath, runmanifest.Fingerprint{Experiment: "splitlockd-jobs"})
 	tableSpec := json.RawMessage(`{"kind":"table","benchmarks":["b14"],"scale":0.02,"keybits":32,"split_layers":[4]}`)
 	oldResult := json.RawMessage(`{"rows":[{"benchmark":"b14","cells":{}}]}`)
 	for id, old := range map[string]map[string]any{
@@ -404,6 +405,62 @@ func TestManagerDrainResumeByteIdentical(t *testing.T) {
 	}
 	if r := submitWait(t, m2, verifySpec()); r.ID != "job-000004" {
 		t.Fatalf("new job after the old records got ID %s, want job-000004", r.ID)
+	}
+	if _, err := os.Stat(oldPath); !os.IsNotExist(err) {
+		t.Fatalf("old journal still present after migration: %v", err)
+	}
+	for _, id := range []string{"job-000002", "job-000003"} {
+		if _, err := os.Stat(filepath.Join(state, "jobs", id+".json")); err != nil {
+			t.Fatalf("migrated record %s: %v", id, err)
+		}
+	}
+}
+
+// TestJournalWritesOnlyChangedJob: a state change replaces only the
+// changed job's journal file, so the cost of journaling a job does not
+// grow with the daemon's history; a restarted manager serves every
+// record unchanged.
+func TestJournalWritesOnlyChangedJob(t *testing.T) {
+	const k = 3
+	state := t.TempDir()
+	m1, err := NewManager(ManagerOptions{StateDir: state, MaxJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m1.Drain(30 * time.Second)
+	jobFile := func(i int) string {
+		return filepath.Join(state, "jobs", fmt.Sprintf("job-%06d.json", i))
+	}
+	var before []os.FileInfo
+	for i := 1; i <= k; i++ {
+		submitWait(t, m1, verifySpec())
+		fi, err := os.Stat(jobFile(i))
+		if err != nil {
+			t.Fatalf("job %d has no journal file: %v", i, err)
+		}
+		before = append(before, fi)
+	}
+	submitWait(t, m1, verifySpec())
+	for i, fi := range before {
+		now, err := os.Stat(jobFile(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(fi, now) {
+			t.Fatalf("running job %d replaced job %d's journal file", k+1, i+1)
+		}
+	}
+	want := m1.List()
+	if len(want) != k+1 {
+		t.Fatalf("first manager holds %d records, want %d", len(want), k+1)
+	}
+	if err := m1.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := newTestManager(t, ManagerOptions{StateDir: state, MaxJobs: 1})
+	if got := m2.List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restarted manager serves\n%+v\nwant\n%+v", got, want)
 	}
 }
 
