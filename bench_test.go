@@ -789,3 +789,32 @@ func BenchmarkATPGLock(b *testing.B) {
 	b.ReportMetric(float64(removed), "removedGates")
 	b.ReportMetric(float64(padded), "paddedKeyBits")
 }
+
+// BenchmarkATPGLockPaper times the ATPG lock at the paper's scale: b14
+// x1.0 with a 128-bit key at lock seeds 4001 and 6001, the locks of
+// paper-b14's M4 and M6 cells. One op is both locks; the counters are
+// summed over the two reports and are deterministic per source tree.
+func BenchmarkATPGLockPaper(b *testing.B) {
+	orig, err := bmarks.Load("b14", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var applied, removed, padded int
+	for i := 0; i < b.N; i++ {
+		applied, removed, padded = 0, 0, 0
+		for _, seed := range []uint64{4001, 6001} {
+			_, rep, err := locking.ATPGLock(orig, locking.ATPGLockOptions{KeyBits: 128, Seed: seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			applied += rep.FaultsApplied
+			removed += rep.RemovedGates
+			padded += rep.PaddedKeyBits
+		}
+	}
+	b.ReportMetric(float64(applied), "faultsApplied")
+	b.ReportMetric(float64(removed), "removedGates")
+	b.ReportMetric(float64(padded), "paddedKeyBits")
+}

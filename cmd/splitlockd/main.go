@@ -32,7 +32,8 @@
 // load. SIGINT/SIGTERM drains gracefully: admission stops, running
 // jobs are cancelled (a paper-scale lock stops between modules),
 // journaled as interrupted (each job has its own file under
-// -state/jobs/, replaced only when its record changes) and requeued on
+// -state/jobs/, replaced only when its record changes; the newest 256
+// finished records are kept, older ones evicted) and requeued on
 // the next start, where they run again to a byte-identical payload,
 // and running /v1/cells cells are cancelled, so their streams end
 // without a result line (the coordinator counts the daemon as a dead

@@ -1,9 +1,10 @@
 package locking
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/atpg"
@@ -81,10 +82,17 @@ type ATPGLockReport struct {
 // ATPGLock locks the circuit with the fault-injection / re-synthesis /
 // restore scheme of Sec. III-A. Per module the most cost-effective
 // fault region is selected (maximizing removed minus added area under
-// the key budget), applied on a trial copy, verified equivalent (the
-// Fig. 3 LEC reject loop, realized here as a structural validity check
-// plus simulation; the flow package re-verifies with full LEC), and
+// the key budget), applied as a trial, verified equivalent (the Fig. 3
+// LEC reject loop, realized here as a structural validity check plus
+// simulation; the flow package re-verifies with full LEC), and
 // committed.
+//
+// The lock works on one copy of the circuit and one per-lock state
+// that is rebuilt only when a fault is committed: the region
+// analysis's topological positions and scratch, the compiled activity
+// simulator and the compiled equivalence reference. A trial edits the
+// copy in place under a netlist checkpoint; a rejected trial is rolled
+// back, a kept one committed, so no trial clones the circuit.
 func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockReport, error) {
 	opt = opt.withDefaults()
 	c := orig.Clone()
@@ -98,7 +106,18 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 	}
 	lk := &Locked{Circuit: c, Scheme: "atpg-region"}
 	budget := opt.KeyBits
-	ropt := lockRegionOptions()
+	an, err := newAnalyzer(c, lockRegionOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	ref, err := sim.NewReference(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	area := cellib.Area(c)
+	// eval is the activity simulator of the committed circuit, compiled
+	// on first use after each commit.
+	var eval *sim.Evaluator
 
 	// Several selection rounds over the modules: each round picks at
 	// most one fault per module (the paper's per-module selection);
@@ -118,11 +137,16 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 			// failing-pattern sets and large redundant shadows —
 			// exactly the cost-effective faults the paper's selection
 			// converges on.
-			probs, err := sim.Activity(c, 1024, rng.Word())
+			if eval == nil {
+				if eval, err = sim.NewEvaluator(c); err != nil {
+					return nil, nil, err
+				}
+			}
+			probs, err := eval.Activity(mod.Gates, sim.ActivityOptions{Patterns: 1024, Seed: rng.Word()})
 			if err != nil {
 				return nil, nil, err
 			}
-			best := bestRegion(c, mod, ropt, maxCandidatesPerModule, budget, probs, rng, rep)
+			best := bestRegion(an, mod, maxCandidatesPerModule, budget, probs, rep)
 			if best == nil {
 				continue
 			}
@@ -135,28 +159,33 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 				rep.FaultsRejected++
 				continue
 			}
-			// Apply on a trial copy; reject on any validity or
-			// equivalence failure (the Fig. 3 reject loop).
-			trial := c.Clone()
-			trialKeys := append([]KeyBit(nil), lk.KeyBits...)
-			trialLK := &Locked{Circuit: trial, KeyBits: trialKeys, Scheme: lk.Scheme}
-			bits, remArea, addArea, err := applyRegion(trial, trialLK, best, rng)
+			// Apply as a trial; reject on any validity or equivalence
+			// failure (the Fig. 3 reject loop).
+			c.Checkpoint()
+			keys := len(lk.KeyBits)
+			bits, remArea, addArea, areaAfter, err := an.applyRegion(lk, best, rng, area)
+			if err == nil {
+				err = c.Validate()
+			}
+			var next *sim.Reference
+			if err == nil {
+				var eq bool
+				eq, next, err = ref.Equivalent(c, 1<<12, rng.Word())
+				if err == nil && !eq {
+					err = errNotEquivalent
+				}
+			}
 			if err != nil {
+				c.Rollback()
+				lk.KeyBits = lk.KeyBits[:keys]
 				rep.FaultsRejected++
 				continue
 			}
-			if err := trial.Validate(); err != nil {
-				rep.FaultsRejected++
-				continue
+			c.Commit()
+			if err := an.reset(); err != nil {
+				return nil, nil, err
 			}
-			eq, err := sim.Equivalent(c, trial, 1<<12, rng.Word())
-			if err != nil || !eq {
-				rep.FaultsRejected++
-				continue
-			}
-			c = trial
-			lk.Circuit = c
-			lk.KeyBits = trialLK.KeyBits
+			ref, area, eval = next, areaAfter, nil
 			budget -= bits
 			applied++
 			rep.FaultsApplied++
@@ -189,40 +218,36 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 	return lk, rep, nil
 }
 
+// errNotEquivalent rejects a trial whose simulation differs from the
+// committed circuit's.
+var errNotEquivalent = errors.New("locking: trial not equivalent")
+
 // bestRegion scans a module for the most cost-effective fault region.
 // Candidates are visited in ascending switching activity (activity
 // 2p(1−p) is smallest for skewed nets, whose activation sets are
-// small).
-func bestRegion(c *netlist.Circuit, mod partition.Module, ropt regionOptions, maxTries, budget int, probs []float64, rng *sim.Rand, rep *ATPGLockReport) *region {
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil
-	}
-	topoPos := make([]int32, c.NumIDs())
-	for i := range topoPos {
-		topoPos[i] = -1
-	}
-	for i, id := range order {
-		topoPos[id] = int32(i)
-	}
-	nets := make([]uint64, c.NumIDs())
+// small); probs[k] is the activity of mod.Gates[k]. The region it
+// returns is kept in an and stays valid until the next bestRegion call.
+func bestRegion(an *analyzer, mod partition.Module, maxTries, budget int, probs []float64, rep *ATPGLockReport) *region {
+	c := an.c
 	var best *region
 	tries := 0
-	ranked := append([]netlist.GateID(nil), mod.Gates...)
-	sort.SliceStable(ranked, func(i, j int) bool {
-		pi, pj := 1.0, 1.0
-		if int(ranked[i]) < len(probs) {
-			pi = probs[ranked[i]]
+	type rankedGate struct {
+		p  float64
+		id netlist.GateID
+	}
+	byActivity := make([]rankedGate, len(mod.Gates))
+	for k, id := range mod.Gates {
+		byActivity[k] = rankedGate{probs[k], id}
+	}
+	// A module lists each gate once, so (activity, ID) orders it totally.
+	slices.SortFunc(byActivity, func(x, y rankedGate) int {
+		if x.p != y.p {
+			return cmp.Compare(x.p, y.p)
 		}
-		if int(ranked[j]) < len(probs) {
-			pj = probs[ranked[j]]
-		}
-		if pi != pj {
-			return pi < pj
-		}
-		return ranked[i] < ranked[j]
+		return cmp.Compare(x.id, y.id)
 	})
-	for _, id := range ranked {
+	for _, rg := range byActivity {
+		id := rg.id
 		if tries >= maxTries {
 			break
 		}
@@ -235,13 +260,14 @@ func bestRegion(c *netlist.Circuit, mod partition.Module, ropt regionOptions, ma
 			}
 			tries++
 			rep.FaultsTried++
-			r := analyzeRegion(c, atpg.Fault{Net: id, StuckAt: sa}, ropt, budget, topoPos, nets)
+			r := an.analyze(atpg.Fault{Net: id, StuckAt: sa}, budget)
 			if r == nil || r.keyBits == 0 || r.keyBits > budget {
 				rep.FaultsRejected++
 				continue
 			}
 			if best == nil || r.gain > best.gain {
 				best = r
+				an.keep()
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"math/bits"
 
@@ -69,36 +68,169 @@ type regionOptions struct {
 	MaxActOnSet, MaxSOP int
 }
 
-// analyzeRegion evaluates one fault candidate; it returns nil when the
+// idSet is a set of gate IDs kept in an epoch-stamped dense array:
+// clearing it is one counter step, and members lists what was added
+// since, so walking the set costs its size, not the circuit's. A
+// member's mark is epoch; epoch+1 marks an ID that was deleted but is
+// still listed, so members may hold deleted IDs (filter with has) but
+// never an ID twice.
+type idSet struct {
+	mark    []uint32
+	epoch   uint32
+	members []netlist.GateID
+}
+
+// clear empties the set and sizes it for IDs below n.
+func (s *idSet) clear(n int) {
+	if len(s.mark) < n {
+		s.mark = append(s.mark, make([]uint32, n-len(s.mark))...)
+	}
+	s.epoch += 2
+	if s.epoch == 0 {
+		clear(s.mark)
+		s.epoch = 2
+	}
+	s.members = s.members[:0]
+}
+
+func (s *idSet) has(id netlist.GateID) bool { return s.mark[id] == s.epoch }
+
+// add inserts id and reports whether it was absent.
+func (s *idSet) add(id netlist.GateID) bool {
+	switch s.mark[id] {
+	case s.epoch:
+		return false
+	case s.epoch + 1:
+	default:
+		s.members = append(s.members, id)
+	}
+	s.mark[id] = s.epoch
+	return true
+}
+
+func (s *idSet) del(id netlist.GateID) {
+	if s.mark[id] == s.epoch {
+		s.mark[id] = s.epoch + 1
+	}
+}
+
+// analyzer is the region analysis of one lock: the circuit's
+// topological positions, which stay put until a fault is committed
+// (reset), plus dense sets, compiled cones and buffers reused from one
+// candidate to the next, so a candidate allocates nothing once the
+// buffers have grown.
+type analyzer struct {
+	c   *netlist.Circuit
+	opt regionOptions
+	// topoPos maps a gate to its index in the circuit's topological
+	// order (-1 when it has none); nets is a NumIDs-sized net buffer.
+	topoPos []int32
+	nets    []uint64
+
+	// region is the candidate's region, fwd its forward shadow (root
+	// included), support the region's input cut in ascending ID order.
+	region, fwd idSet
+	support     []netlist.GateID
+	// cone, seen and removed are scratch sets: the bounded backward
+	// cone, the support dedup, and the removed set.
+	cone, seen, removed idSet
+	// refs[id] counts the region's fanin pins that read net id, valid
+	// where refMark[id] == refEpoch; growForward keeps the input cut's
+	// size with it.
+	refs     []int32
+	refMark  []uint32
+	refEpoch uint32
+
+	stack    []coneItem
+	order    []netlist.GateID // region in topological order
+	boundary []netlist.GateID
+	shadow   []netlist.GateID
+	evict    []netlist.GateID
+	ids      []netlist.GateID // ejectForward's stack
+	sinks    []netlist.GateID // applyRegion's copy of a fanout list
+	forced   []uint64
+	// good and faulty are the compiled region cones.
+	good, faulty sim.Cone
+	// goodTT and faultyTT hold one truth table per boundary, words
+	// apart; actTT is the activation set.
+	goodTT, faultyTT, actTT []uint64
+	act, diff, forbid, off  []uint32
+	merger                  atpg.Merger
+
+	// cand receives each analysis; spare holds the caller's best
+	// region while cand is overwritten (see keep).
+	cand, spare *region
+}
+
+// coneItem is a gate on a depth-bounded walk.
+type coneItem struct {
+	id netlist.GateID
+	d  int
+}
+
+// newAnalyzer returns the region analysis of c's current netlist.
+func newAnalyzer(c *netlist.Circuit, opt regionOptions) (*analyzer, error) {
+	a := &analyzer{c: c, opt: opt, cand: new(region), spare: new(region)}
+	return a, a.reset()
+}
+
+// reset re-reads the circuit after a committed edit: its topological
+// order and its size.
+func (a *analyzer) reset() error {
+	order, err := a.c.TopoOrder()
+	if err != nil {
+		return err
+	}
+	n := a.c.NumIDs()
+	a.topoPos = slices.Grow(a.topoPos[:0], n)[:n]
+	for i := range a.topoPos {
+		a.topoPos[i] = -1
+	}
+	for i, id := range order {
+		a.topoPos[id] = int32(i)
+	}
+	a.nets = slices.Grow(a.nets[:0], n)[:n]
+	if len(a.refs) < n {
+		a.refs = append(a.refs, make([]int32, n-len(a.refs))...)
+		a.refMark = append(a.refMark, make([]uint32, n-len(a.refMark))...)
+	}
+	return nil
+}
+
+// keep hands the last analysis over to the caller, who holds it as its
+// best region: the next analysis writes to the other buffer. A kept
+// region is overwritten only by an analysis that runs after another
+// region was kept.
+func (a *analyzer) keep() { a.cand, a.spare = a.spare, a.cand }
+
+// analyze evaluates one fault candidate; it returns nil when the
 // candidate violates a bound or needs more than budget key bits (the
-// caller rejects such a region anyway). topoPos maps a gate to its
-// index in the circuit's current topological order (-1 when it has
-// none) and nets is a NumIDs-sized scratch buffer (both hoisted by the
-// caller across the candidate scan).
-func analyzeRegion(c *netlist.Circuit, f atpg.Fault, opt regionOptions, budget int, topoPos []int32, nets []uint64) *region {
-	g := c.Gate(f.Net)
+// caller rejects such a region anyway). The region it returns is
+// overwritten by the next analysis unless the caller keeps it.
+func (a *analyzer) analyze(f atpg.Fault, budget int) *region {
+	g := a.c.Gate(f.Net)
 	if g.Type.IsSource() || g.Type == netlist.Output || g.DontTouch {
 		return nil
 	}
-	regionSet, backSupport := growBackward(c, f.Net, opt)
-	if regionSet == nil {
+	if !a.growBackward(f.Net) {
 		return nil
 	}
 	// Most candidates fail on their activation set, which the backward
 	// region already fixes: reject those before the far costlier
 	// forward growth and trim loop.
-	if kb := backwardKeyBits(c, f, regionSet, backSupport, opt, topoPos, nets); kb <= 0 || kb > budget {
+	if kb := a.backwardKeyBits(f); kb <= 0 || kb > budget {
 		return nil
 	}
-	return analyzeGrown(c, f, opt, regionSet, topoPos, nets)
+	return a.analyzeGrown(f)
 }
 
-// analyzeGrown is analyzeRegion after the backward region is chosen:
-// it grows the forward shadow into regionSet, settles the boundary and
+// analyzeGrown is analyze after the backward region is chosen: it
+// grows the forward shadow into the region, settles the boundary and
 // costs the transformation.
-func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet map[netlist.GateID]bool, topoPos []int32, nets []uint64) *region {
-	fwd, support := growForward(c, f.Net, opt, regionSet)
-	if len(support) == 0 || len(support) > opt.MaxSupport {
+func (a *analyzer) analyzeGrown(f atpg.Fault) *region {
+	c, opt := a.c, a.opt
+	a.growForward(f.Net)
+	if len(a.support) == 0 || len(a.support) > opt.MaxSupport {
 		return nil
 	}
 
@@ -107,173 +239,162 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 	// (with their in-region descendants) and the region re-evaluated.
 	// This settles on the same boundary a cost-driven synthesis run
 	// would: simple re-expressible logic in, dense logic out.
-	var (
-		regionOrder []netlist.GateID
-		boundary    []netlist.GateID
-		goodTT      [][]uint64
-		faultyTT    [][]uint64
-		actTT       []uint64 // activation set: where f.Net computes ¬v, one bit per minterm
-		act         []uint32
-		n, size     int
-	)
+	var n, size, words int
 	var vWord uint64
 	if f.StuckAt {
 		vWord = ^uint64(0)
 	}
+	a.sortRegion()
 	for iter := 0; ; iter++ {
-		if iter > 8 || len(fwd) == 0 || !fwd[f.Net] {
+		if iter > 8 || !a.fwd.has(f.Net) {
 			return nil
 		}
-		n = len(support)
+		n = len(a.support)
 		if n == 0 || n > opt.MaxSupport {
 			return nil
 		}
 		size = 1 << uint(n)
-		// The region's gates in topological order, at a cost in the
-		// region's size rather than the circuit's.
-		regionOrder = regionOrder[:0]
-		for id := range regionSet {
-			if topoPos[id] >= 0 {
-				regionOrder = append(regionOrder, id)
-			}
-		}
-		slices.SortFunc(regionOrder, func(a, b netlist.GateID) int { return cmp.Compare(topoPos[a], topoPos[b]) })
-		boundary = boundary[:0]
-		for _, id := range regionOrder {
-			if !fwd[id] {
+		// The region's gates in topological order: the trim loop only
+		// ejects gates, so the previous order, filtered, is still sorted.
+		a.order = slices.DeleteFunc(a.order, func(id netlist.GateID) bool { return !a.region.has(id) })
+		a.boundary = a.boundary[:0]
+		for _, id := range a.order {
+			if !a.fwd.has(id) {
 				continue
 			}
 			for _, s := range c.Fanouts(id) {
-				if !regionSet[s] {
-					boundary = append(boundary, id)
+				if !a.region.has(s) {
+					a.boundary = append(a.boundary, id)
 					break
 				}
 			}
 		}
-		if len(boundary) == 0 {
+		if len(a.boundary) == 0 {
 			return nil
 		}
 
 		// Two compiled passes over the region: the good circuit, and
 		// the faulty one, which re-evaluates the forward shadow with
 		// the fault net held at v.
-		good, err := sim.CompileCone(c, regionOrder)
-		if err != nil {
+		good, faulty := &a.good, &a.faulty
+		if good.Recompile(c, a.order) != nil {
 			return nil
 		}
-		shadow := make([]netlist.GateID, 0, len(fwd))
-		for _, id := range regionOrder {
-			if id != f.Net && fwd[id] {
-				shadow = append(shadow, id)
+		a.shadow = a.shadow[:0]
+		for _, id := range a.order {
+			if id != f.Net && a.fwd.has(id) {
+				a.shadow = append(a.shadow, id)
 			}
 		}
-		faulty, err := sim.CompileCone(c, shadow)
-		if err != nil {
+		if faulty.Recompile(c, a.shadow) != nil {
 			return nil
 		}
 
-		words := (size + 63) / 64
-		goodTT = make([][]uint64, len(boundary))
-		faultyTT = make([][]uint64, len(boundary))
-		for i := range boundary {
-			goodTT[i] = make([]uint64, words)
-			faultyTT[i] = make([]uint64, words)
-		}
-		actTT = make([]uint64, words)
-		forced := make([]uint64, n)
+		words = (size + 63) / 64
+		nb := len(a.boundary)
+		a.goodTT = slices.Grow(a.goodTT[:0], nb*words)[:nb*words]
+		a.faultyTT = slices.Grow(a.faultyTT[:0], nb*words)[:nb*words]
+		a.actTT = slices.Grow(a.actTT[:0], words)[:words]
+		a.forced = slices.Grow(a.forced[:0], n)[:n]
+		nets := a.nets
 		for ch := 0; ch < words; ch++ {
-			sim.ExhaustiveWords(forced, n, ch)
-			for i, s := range support {
-				nets[s] = forced[i]
+			sim.ExhaustiveWords(a.forced, n, ch)
+			for i, s := range a.support {
+				nets[s] = a.forced[i]
 			}
 			good.Eval(nets)
-			actTT[ch] = nets[f.Net] ^ vWord
-			for bi, b := range boundary {
-				goodTT[bi][ch] = nets[b]
+			a.actTT[ch] = nets[f.Net] ^ vWord
+			for bi, b := range a.boundary {
+				a.goodTT[bi*words+ch] = nets[b]
 			}
 			nets[f.Net] = vWord
 			faulty.Eval(nets)
-			for bi, b := range boundary {
+			for bi, b := range a.boundary {
 				switch {
 				case b == f.Net:
-					faultyTT[bi][ch] = vWord
-				case fwd[b]:
-					faultyTT[bi][ch] = nets[b]
+					a.faultyTT[bi*words+ch] = vWord
+				case a.fwd.has(b):
+					a.faultyTT[bi*words+ch] = nets[b]
 				default:
-					faultyTT[bi][ch] = goodTT[bi][ch]
+					a.faultyTT[bi*words+ch] = a.goodTT[bi*words+ch]
 				}
 			}
 		}
 
 		// Identify boundaries too dense to rebuild.
-		var evict []netlist.GateID
+		a.evict = a.evict[:0]
 		mask := lowMask(size)
-		for bi, b := range boundary {
+		for bi, b := range a.boundary {
+			tt := a.faultyTT[bi*words : (bi+1)*words]
 			ones := 0
-			for ch := range faultyTT[bi] {
-				w := faultyTT[bi][ch]
-				if ch == len(faultyTT[bi])-1 {
+			for ch, w := range tt {
+				if ch == len(tt)-1 {
 					w &= mask
 				}
 				ones += popcount(w)
 			}
 			if min(ones, size-ones) > opt.MaxSOP && b != f.Net {
-				evict = append(evict, b)
+				a.evict = append(a.evict, b)
 			}
 		}
-		if len(evict) == 0 {
+		if len(a.evict) == 0 {
 			// Region settled: extract the activation cover.
-			act = act[:0]
-			for m := 0; m < size; m++ {
-				if actTT[m/64]>>uint(m%64)&1 == 1 {
-					act = append(act, uint32(m))
-				}
-			}
+			a.act = appendOnes(a.act[:0], a.actTT, size, false)
 			break
 		}
 		// Eject the dense boundaries and everything downstream of them
 		// inside the forward shadow, then recompute the support.
-		for _, e := range evict {
-			ejectForward(c, e, fwd, regionSet)
+		for _, e := range a.evict {
+			a.ejectForward(e)
 		}
-		support = recomputeSupport(c, regionSet)
+		a.recomputeSupport()
 	}
-	if len(act) == 0 || len(act) > opt.MaxActOnSet {
+	if len(a.act) == 0 || len(a.act) > opt.MaxActOnSet {
 		return nil
 	}
-	r := &region{fault: f, support: support, boundary: boundary}
-	r.actCubes = atpg.MergeMinterms(act, n)
+	r := a.cand
+	r.fault = f
+	r.support = append(r.support[:0], a.support...)
+	r.boundary = append(r.boundary[:0], a.boundary...)
+	r.actCubes = append(r.actCubes[:0], a.merger.Merge(a.act, n)...)
+	r.keyBits = 0
 	for _, cu := range r.actCubes {
 		r.keyBits += cu.Bits()
 	}
 	if r.keyBits == 0 {
 		return nil // fault always active: nothing secret to compare
 	}
+	r.faultyOn = resize(r.faultyOn, len(a.boundary))
+	r.cond = resize(r.cond, len(a.boundary))
 	anyDiff := false
 	addedArea := 0.0
-	for bi := range boundary {
-		var on, diff []uint32
-		for m := 0; m < size; m++ {
-			w, bit := m/64, uint(m%64)
-			fv := faultyTT[bi][w]>>bit&1 == 1
-			if fv {
-				on = append(on, uint32(m))
+	for bi := range a.boundary {
+		faultyTT := a.faultyTT[bi*words : (bi+1)*words]
+		goodTT := a.goodTT[bi*words : (bi+1)*words]
+		on := appendOnes(r.faultyOn[bi][:0], faultyTT, size, false)
+		a.diff = a.diff[:0]
+		mask := lowMask(size)
+		for ch := range faultyTT {
+			w := faultyTT[ch] ^ goodTT[ch]
+			if ch == words-1 {
+				w &= mask
 			}
-			if fv != (goodTT[bi][w]>>bit&1 == 1) {
-				diff = append(diff, uint32(m))
+			for ; w != 0; w &= w - 1 {
+				a.diff = append(a.diff, uint32(ch*64+bits.TrailingZeros64(w)))
 			}
 		}
-		if min(len(on), size-len(on)) > opt.MaxSOP || len(diff) > opt.MaxActOnSet*4 {
+		r.faultyOn[bi] = on
+		if min(len(on), size-len(on)) > opt.MaxSOP || len(a.diff) > opt.MaxActOnSet*4 {
 			return nil
 		}
-		r.faultyOn = append(r.faultyOn, on)
-		var cond []atpg.Cube
-		if len(diff) > 0 {
+		cond := r.cond[bi][:0]
+		if len(a.diff) > 0 {
 			anyDiff = true
-			cond = expandAgainstDC(atpg.MergeMinterms(diff, n), diff, actTT, n)
+			a.forbid = subtractSorted(a.forbid[:0], a.act, a.diff)
+			cond = expandAgainstDC(cond, a.merger.Merge(a.diff, n), a.forbid, n)
 		}
-		r.cond = append(r.cond, cond)
-		addedArea += sopAreaFromOn(on, n)
+		r.cond[bi] = cond
+		addedArea += a.sopArea(on, faultyTT, n)
 		addedArea += condArea(cond)
 		if len(cond) > 0 {
 			addedArea += cellib.ForGate(netlist.And, 2).Area
@@ -292,29 +413,32 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 
 	// Removed set: the whole forward shadow plus backward-cone gates
 	// whose sinks all stay inside the removed set.
-	removedSet := make(map[netlist.GateID]bool, len(regionSet))
-	for id := range fwd {
-		removedSet[id] = true
+	a.removed.clear(c.NumIDs())
+	for _, id := range a.order {
+		if a.fwd.has(id) {
+			a.removed.add(id)
+		}
 	}
-	for i := len(regionOrder) - 1; i >= 0; i-- {
-		id := regionOrder[i]
-		if removedSet[id] || c.Gate(id).DontTouch {
+	for i := len(a.order) - 1; i >= 0; i-- {
+		id := a.order[i]
+		if a.removed.has(id) || c.Gate(id).DontTouch {
 			continue
 		}
 		ok := true
 		for _, s := range c.Fanouts(id) {
-			if !removedSet[s] {
+			if !a.removed.has(s) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			removedSet[id] = true
+			a.removed.add(id)
 		}
 	}
 	removedArea := 0.0
-	for _, id := range regionOrder {
-		if removedSet[id] {
+	r.removed = r.removed[:0]
+	for _, id := range a.order {
+		if a.removed.has(id) {
 			r.removed = append(r.removed, id)
 			gg := c.Gate(id)
 			removedArea += cellib.ForGate(gg.Type, len(gg.Fanin)).Area
@@ -324,6 +448,60 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 	return r
 }
 
+// resize returns s with length n, keeping the inner slices of its
+// backing array for reuse.
+func resize[T any](s [][]T, n int) [][]T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([][]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// appendOnes appends the minterms below size whose bit in the truth
+// table tt is one (zero when zeros is set), in ascending order.
+func appendOnes(dst []uint32, tt []uint64, size int, zeros bool) []uint32 {
+	mask := lowMask(size)
+	for ch, w := range tt {
+		if zeros {
+			w = ^w
+		}
+		if ch == len(tt)-1 {
+			w &= mask
+		}
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, uint32(ch*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
+// subtractSorted appends the elements of the ascending list a that are
+// not in the ascending list b.
+func subtractSorted(dst, a, b []uint32) []uint32 {
+	j := 0
+	for _, m := range a {
+		for j < len(b) && b[j] < m {
+			j++
+		}
+		if j == len(b) || b[j] != m {
+			dst = append(dst, m)
+		}
+	}
+	return dst
+}
+
+// sortRegion lists the region's gates in topological order, at a cost
+// in the region's size rather than the circuit's.
+func (a *analyzer) sortRegion() {
+	a.order = a.order[:0]
+	for _, id := range a.region.members {
+		if a.region.has(id) && a.topoPos[id] >= 0 {
+			a.order = append(a.order, id)
+		}
+	}
+	slices.SortFunc(a.order, func(x, y netlist.GateID) int { return cmp.Compare(a.topoPos[x], a.topoPos[y]) })
+}
+
 // growBackward and growForward build the fault's region adaptively:
 // the backward cone (bounded depth) plus a forward shadow grown
 // breadth-first, admitting a sink gate only while the region's input
@@ -331,76 +509,127 @@ func analyzeGrown(c *netlist.Circuit, f atpg.Fault, opt regionOptions, regionSet
 // fault's shadow meets wide, unrelated logic — the re-synthesis
 // boundary a commercial tool would also settle on.
 //
-// growBackward returns the backward half — the deepest bounded cone of
-// root whose input cut fits MaxSupport — and that cut in ascending ID
-// order. It returns nil when no depth fits, so the candidate is
-// rejected.
-func growBackward(c *netlist.Circuit, root netlist.GateID, opt regionOptions) (regionSet map[netlist.GateID]bool, support []netlist.GateID) {
-	for db := opt.BackDepth; db >= 1; db-- {
-		backCone, _ := c.BoundedCone(root, db)
-		regionSet = make(map[netlist.GateID]bool, len(backCone)+8)
-		for id := range backCone {
-			if !c.Gate(id).DontTouch {
-				regionSet[id] = true
+// growBackward sets the region to the backward half — the deepest
+// bounded cone of root whose input cut fits MaxSupport — and the
+// support to that cut. It reports false when no depth fits, so the
+// candidate is rejected.
+func (a *analyzer) growBackward(root netlist.GateID) bool {
+	c := a.c
+	n := c.NumIDs()
+	for db := a.opt.BackDepth; db >= 1; db-- {
+		// The cone is netlist.BoundedCone's: the same depth-first walk,
+		// so the same gates at every depth.
+		a.cone.clear(n)
+		a.stack = append(a.stack[:0], coneItem{root, 0})
+		for len(a.stack) > 0 {
+			it := a.stack[len(a.stack)-1]
+			a.stack = a.stack[:len(a.stack)-1]
+			if a.cone.has(it.id) {
+				continue
+			}
+			g := c.Gate(it.id)
+			if g.Type.IsSource() || it.d >= db {
+				continue
+			}
+			a.cone.add(it.id)
+			for _, f := range g.Fanin {
+				a.stack = append(a.stack, coneItem{f, it.d + 1})
 			}
 		}
-		regionSet[root] = true
-		if support = recomputeSupport(c, regionSet); len(support) <= opt.MaxSupport {
-			return regionSet, support
+		a.region.clear(n)
+		for _, id := range a.cone.members {
+			if !c.Gate(id).DontTouch {
+				a.region.add(id)
+			}
+		}
+		a.region.add(root)
+		if a.recomputeSupport(); len(a.support) <= a.opt.MaxSupport {
+			return true
 		}
 	}
-	return nil, nil
+	return false
 }
 
-// growForward adds root's forward shadow to the backward region in
-// place and returns the shadow (root included) and the region's input
-// cut in ascending ID order.
-func growForward(c *netlist.Circuit, root netlist.GateID, opt regionOptions, regionSet map[netlist.GateID]bool) (fwd map[netlist.GateID]bool, support []netlist.GateID) {
-	supportSet := make(map[netlist.GateID]bool)
-	recount := func() int {
-		for k := range supportSet {
-			delete(supportSet, k)
-		}
-		for id := range regionSet {
-			for _, fin := range c.Gate(id).Fanin {
-				if !regionSet[fin] {
-					supportSet[fin] = true
-				}
-			}
-		}
-		return len(supportSet)
+// growForward adds root's forward shadow to the backward region, sets
+// fwd to the shadow (root included) and the support to the region's
+// input cut. It counts the cut with per-net pin references, so
+// admitting or rejecting a sink costs the sink's fanin, not a recount
+// of the region.
+func (a *analyzer) growForward(root netlist.GateID) {
+	c := a.c
+	a.refEpoch++
+	if a.refEpoch == 0 {
+		clear(a.refMark)
+		a.refEpoch = 1
 	}
-	fwd = map[netlist.GateID]bool{root: true}
-	type item struct {
-		id netlist.GateID
-		d  int
+	ref := func(id netlist.GateID) int32 {
+		if a.refMark[id] != a.refEpoch {
+			return 0
+		}
+		return a.refs[id]
 	}
-	queue := []item{{root, 0}}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if it.d >= opt.FwdDepth {
+	bump := func(id netlist.GateID, d int32) {
+		if a.refMark[id] != a.refEpoch {
+			a.refMark[id], a.refs[id] = a.refEpoch, 0
+		}
+		a.refs[id] += d
+	}
+	// cut is the number of distinct non-member nets the region reads.
+	cut := 0
+	for _, id := range a.region.members {
+		if !a.region.has(id) {
 			continue
 		}
-		// Deterministic sink order.
-		sinks := append([]netlist.GateID(nil), c.Fanouts(it.id)...)
-		sort.Slice(sinks, func(i, j int) bool { return sinks[i] < sinks[j] })
-		for _, s := range sinks {
-			sg := c.Gate(s)
-			if regionSet[s] || sg.DontTouch || sg.Type == netlist.Output || sg.Type == netlist.DFF {
-				continue
+		for _, fin := range c.Gate(id).Fanin {
+			if ref(fin) == 0 && !a.region.has(fin) {
+				cut++
 			}
-			regionSet[s] = true
-			if recount() > opt.MaxSupport {
-				delete(regionSet, s)
-				recount()
-				continue
-			}
-			fwd[s] = true
-			queue = append(queue, item{s, it.d + 1})
+			bump(fin, 1)
 		}
 	}
-	return fwd, recomputeSupport(c, regionSet)
+	a.fwd.clear(c.NumIDs())
+	a.fwd.add(root)
+	a.stack = append(a.stack[:0], coneItem{root, 0})
+	for head := 0; head < len(a.stack); head++ {
+		it := a.stack[head]
+		if it.d >= a.opt.FwdDepth {
+			continue
+		}
+		// Fanout lists are in ascending ID order: a deterministic sink
+		// order.
+		for _, s := range c.Fanouts(it.id) {
+			sg := c.Gate(s)
+			if a.region.has(s) || sg.DontTouch || sg.Type == netlist.Output || sg.Type == netlist.DFF {
+				continue
+			}
+			a.region.add(s)
+			if ref(s) > 0 {
+				cut-- // s was a cut net; now it is inside
+			}
+			for _, fin := range sg.Fanin {
+				if ref(fin) == 0 && !a.region.has(fin) {
+					cut++
+				}
+				bump(fin, 1)
+			}
+			if cut > a.opt.MaxSupport {
+				for _, fin := range sg.Fanin {
+					bump(fin, -1)
+					if ref(fin) == 0 && !a.region.has(fin) {
+						cut--
+					}
+				}
+				a.region.del(s)
+				if ref(s) > 0 {
+					cut++
+				}
+				continue
+			}
+			a.fwd.add(s)
+			a.stack = append(a.stack, coneItem{s, it.d + 1})
+		}
+	}
+	a.recomputeSupport()
 }
 
 // backwardKeyBits returns the key bits of the fault's activation cover
@@ -413,22 +642,16 @@ func growForward(c *netlist.Circuit, root netlist.GateID, opt regionOptions, reg
 // key bits (MergeMinterms returns all primes). So analyzeGrown returns
 // nil whenever this is -1 or 0, and otherwise a region with exactly
 // this many key bits or nil.
-func backwardKeyBits(c *netlist.Circuit, f atpg.Fault, regionSet map[netlist.GateID]bool, support []netlist.GateID, opt regionOptions, topoPos []int32, nets []uint64) int {
-	n := len(support)
+func (a *analyzer) backwardKeyBits(f atpg.Fault) int {
+	n := len(a.support)
 	if n == 0 {
 		// A constant fault net is never active, or always active and
 		// covered by a cube without a single key bit.
 		return 0
 	}
-	order := make([]netlist.GateID, 0, len(regionSet))
-	for id := range regionSet {
-		if topoPos[id] >= 0 {
-			order = append(order, id)
-		}
-	}
-	slices.SortFunc(order, func(a, b netlist.GateID) int { return cmp.Compare(topoPos[a], topoPos[b]) })
-	cone, err := sim.CompileCone(c, order)
-	if err != nil {
+	a.sortRegion()
+	cone := &a.good
+	if cone.Recompile(a.c, a.order) != nil {
 		return -1
 	}
 	var vWord uint64
@@ -437,27 +660,27 @@ func backwardKeyBits(c *netlist.Circuit, f atpg.Fault, regionSet map[netlist.Gat
 	}
 	size := 1 << uint(n)
 	mask := lowMask(size)
-	forced := make([]uint64, n)
-	var act []uint32
+	a.forced = slices.Grow(a.forced[:0], n)[:n]
+	a.act = a.act[:0]
 	for ch := 0; ch < (size+63)/64; ch++ {
-		sim.ExhaustiveWords(forced, n, ch)
-		for i, s := range support {
-			nets[s] = forced[i]
+		sim.ExhaustiveWords(a.forced, n, ch)
+		for i, s := range a.support {
+			a.nets[s] = a.forced[i]
 		}
-		cone.Eval(nets)
-		w := (nets[f.Net] ^ vWord) & mask
-		if len(act)+popcount(w) > opt.MaxActOnSet {
+		cone.Eval(a.nets)
+		w := (a.nets[f.Net] ^ vWord) & mask
+		if len(a.act)+popcount(w) > a.opt.MaxActOnSet {
 			return -1
 		}
 		for ; w != 0; w &= w - 1 {
-			act = append(act, uint32(ch*64+bits.TrailingZeros64(w)))
+			a.act = append(a.act, uint32(ch*64+bits.TrailingZeros64(w)))
 		}
 	}
-	if len(act) == 0 {
+	if len(a.act) == 0 {
 		return -1
 	}
 	keyBits := 0
-	for _, cu := range atpg.MergeMinterms(act, n) {
+	for _, cu := range a.merger.Merge(a.act, n) {
 		keyBits += cu.Bits()
 	}
 	return keyBits
@@ -465,39 +688,40 @@ func backwardKeyBits(c *netlist.Circuit, f atpg.Fault, regionSet map[netlist.Gat
 
 // ejectForward removes gate e and all its forward-shadow descendants
 // from the region.
-func ejectForward(c *netlist.Circuit, e netlist.GateID, fwd, regionSet map[netlist.GateID]bool) {
-	stack := []netlist.GateID{e}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !fwd[id] {
+func (a *analyzer) ejectForward(e netlist.GateID) {
+	a.ids = append(a.ids[:0], e)
+	for len(a.ids) > 0 {
+		id := a.ids[len(a.ids)-1]
+		a.ids = a.ids[:len(a.ids)-1]
+		if !a.fwd.has(id) {
 			continue
 		}
-		delete(fwd, id)
-		delete(regionSet, id)
-		for _, s := range c.Fanouts(id) {
-			if fwd[s] {
-				stack = append(stack, s)
+		a.fwd.del(id)
+		a.region.del(id)
+		for _, s := range a.c.Fanouts(id) {
+			if a.fwd.has(s) {
+				a.ids = append(a.ids, s)
 			}
 		}
 	}
 }
 
-// recomputeSupport returns the region's external input cut in
-// ascending ID order.
-func recomputeSupport(c *netlist.Circuit, regionSet map[netlist.GateID]bool) []netlist.GateID {
-	seen := make(map[netlist.GateID]bool)
-	var support []netlist.GateID
-	for id := range regionSet {
-		for _, fin := range c.Gate(id).Fanin {
-			if !regionSet[fin] && !seen[fin] {
-				seen[fin] = true
-				support = append(support, fin)
+// recomputeSupport sets the support to the region's external input cut
+// in ascending ID order.
+func (a *analyzer) recomputeSupport() {
+	a.seen.clear(a.c.NumIDs())
+	a.support = a.support[:0]
+	for _, id := range a.region.members {
+		if !a.region.has(id) {
+			continue
+		}
+		for _, fin := range a.c.Gate(id).Fanin {
+			if !a.region.has(fin) && a.seen.add(fin) {
+				a.support = append(a.support, fin)
 			}
 		}
 	}
-	sort.Slice(support, func(i, j int) bool { return support[i] < support[j] })
-	return support
+	slices.Sort(a.support)
 }
 
 func popcount(w uint64) int { return bits.OnesCount64(w) }
@@ -512,43 +736,25 @@ func lowMask(size int) uint64 {
 
 // expandAgainstDC widens each cover cube by dropping care literals as
 // long as the cube stays within onSet ∪ dcSet (the classic ESPRESSO
-// expand step with ¬activation as don't-cares). The result still
-// agrees with the diff on the activation set but is typically far
-// smaller — often a single literal. act is the activation set as a
-// bitset over the 2^n minterms.
-func expandAgainstDC(cover []atpg.Cube, onMinterms []uint32, act []uint64, n int) []atpg.Cube {
-	onSet := make([]uint64, (1<<uint(n)+63)/64)
-	for _, m := range onMinterms {
-		onSet[m/64] |= 1 << (m % 64)
-	}
-	free := make([]int, 0, n)
-	// allowed reports whether each minterm of the cube is either a diff
-	// minterm or outside the activation set (the don't-care set is the
-	// activation set's complement).
+// expand step with ¬activation as don't-cares), appending the result
+// to dst. The result still agrees with the diff on the activation set
+// but is typically far smaller — often a single literal. The only
+// minterms a cube must not take in are the forbidden ones: activation
+// minterms outside the diff, at most MaxActOnSet of them, so each trial
+// cube is tested against that list instead of enumerated.
+func expandAgainstDC(dst, cover []atpg.Cube, forbidden []uint32, n int) []atpg.Cube {
 	allowed := func(cu atpg.Cube) bool {
-		free = free[:0]
-		for j := 0; j < n; j++ {
-			if cu.Care>>uint(j)&1 == 0 {
-				free = append(free, j)
-			}
+		if n-cu.Bits() > 16 {
+			return false // too wide to have enumerated; keep the cube as is
 		}
-		if len(free) > 16 {
-			return false // enumeration too wide; keep the cube as is
-		}
-		for k := 0; k < 1<<uint(len(free)); k++ {
-			m := cu.Value & cu.Care
-			for fi, j := range free {
-				if k>>uint(fi)&1 == 1 {
-					m |= 1 << uint(j)
-				}
-			}
-			if !inSet(onSet, m) && inSet(act, m) {
-				return false // an activation minterm that must not flip
+		for _, m := range forbidden {
+			if cu.Contains(m) {
+				return false
 			}
 		}
 		return true
 	}
-	out := make([]atpg.Cube, 0, len(cover))
+	start := len(dst)
 	for _, cu := range cover {
 		for j := 0; j < n; j++ {
 			if cu.Care>>uint(j)&1 == 0 {
@@ -559,26 +765,18 @@ func expandAgainstDC(cover []atpg.Cube, onMinterms []uint32, act []uint64, n int
 				cu = trial
 			}
 		}
-		out = append(out, cu)
-	}
-	// Drop duplicates introduced by expansion.
-	seen := make(map[atpg.Cube]bool, len(out))
-	uniq := out[:0]
-	for _, cu := range out {
-		if !seen[cu] {
-			seen[cu] = true
-			uniq = append(uniq, cu)
+		// Drop duplicates introduced by expansion.
+		if !slices.Contains(dst[start:], cu) {
+			dst = append(dst, cu)
 		}
 	}
-	return uniq
+	return dst
 }
 
-// inSet reports whether minterm m is in the bitset s.
-func inSet(s []uint64, m uint32) bool { return s[m/64]>>(m%64)&1 == 1 }
-
-// sopAreaFromOn prices a plain SOP of the on-set or its complement,
-// whichever is smaller, without running QM on huge sets.
-func sopAreaFromOn(on []uint32, n int) float64 {
+// sopArea prices a plain SOP of the on-set or its complement,
+// whichever is smaller, without running QM on huge sets. tt is the
+// on-set's truth table over n variables.
+func (a *analyzer) sopArea(on []uint32, tt []uint64, n int) float64 {
 	size := 1 << uint(n)
 	if len(on) == 0 || len(on) == size {
 		return cellib.ForGate(netlist.TieLo, 0).Area
@@ -586,25 +784,26 @@ func sopAreaFromOn(on []uint32, n int) float64 {
 	minterms := on
 	invert := false
 	if size-len(on) < len(on) {
-		minterms = complementMinterms(on, n)
+		a.off = appendOnes(a.off[:0], tt, size, true)
+		minterms = a.off
 		invert = true
 	}
-	cubes := atpg.MergeMinterms(minterms, n)
-	a := 0.0
+	cubes := a.merger.Merge(minterms, n)
+	area := 0.0
 	for _, cu := range cubes {
 		b := cu.Bits()
 		if b > 1 {
-			a += cellib.ForGate(netlist.And, b).Area
+			area += cellib.ForGate(netlist.And, b).Area
 		}
-		a += float64(b) / 4 * cellib.ForGate(netlist.Not, 1).Area
+		area += float64(b) / 4 * cellib.ForGate(netlist.Not, 1).Area
 	}
 	if len(cubes) > 1 {
-		a += cellib.ForGate(netlist.Or, len(cubes)).Area
+		area += cellib.ForGate(netlist.Or, len(cubes)).Area
 	}
 	if invert {
-		a += cellib.ForGate(netlist.Not, 1).Area
+		area += cellib.ForGate(netlist.Not, 1).Area
 	}
-	return a
+	return area
 }
 
 func condArea(cond []atpg.Cube) float64 {
@@ -639,32 +838,40 @@ func complementMinterms(on []uint32, n int) []uint32 {
 // applyRegion performs the transformation on the circuit: one keyed
 // activation comparator, per-boundary faulty SOP ⊕ (match ∧ cond),
 // rewiring of outside sinks, and deletion of the removed set. New key
-// bits are appended to lk. The returned areas are measured (post
-// SweepDead), not estimated.
-func applyRegion(c *netlist.Circuit, lk *Locked, r *region, rng *sim.Rand) (bits int, removedArea, addedArea float64, err error) {
+// bits are appended to lk. It edits the circuit in place: ATPGLock
+// runs it under a netlist checkpoint and rolls the edit back when the
+// trial is rejected, whether here, by Validate or by the equivalence
+// check. areaBefore is the circuit's cellib.Area; the returned areas
+// are measured against it (post SweepDead), not estimated, and
+// areaAfter is the edited circuit's cellib.Area.
+func (a *analyzer) applyRegion(lk *Locked, r *region, rng *sim.Rand, areaBefore float64) (bits int, removedArea, addedArea, areaAfter float64, err error) {
+	c := a.c
 	n := len(r.support)
 	baseIdx := len(lk.KeyBits)
-	inRemoved := make(map[netlist.GateID]bool, len(r.removed))
+	inRemoved := &a.removed
+	inRemoved.clear(c.NumIDs())
 	for _, id := range r.removed {
-		inRemoved[id] = true
+		inRemoved.add(id)
 	}
-	areaBefore := cellib.Area(c)
 
-	// Shared inverters for negative literals.
-	invOf := make(map[netlist.GateID]netlist.GateID)
+	// Shared inverters for negative literals, by support position.
+	invOf := make([]netlist.GateID, n)
+	for i := range invOf {
+		invOf[i] = netlist.InvalidGate
+	}
 	literal := func(si int, positive bool) (netlist.GateID, error) {
 		s := r.support[si]
 		if positive {
 			return s, nil
 		}
-		if inv, ok := invOf[s]; ok {
+		if inv := invOf[si]; inv != netlist.InvalidGate {
 			return inv, nil
 		}
 		inv, aerr := c.AddGate("", netlist.Not, s)
 		if aerr != nil {
 			return netlist.InvalidGate, aerr
 		}
-		invOf[s] = inv
+		invOf[si] = inv
 		return inv, nil
 	}
 	sop := func(cubes []atpg.Cube, invert bool) (netlist.GateID, error) {
@@ -719,7 +926,7 @@ func applyRegion(c *netlist.Circuit, lk *Locked, r *region, rng *sim.Rand) (bits
 	// The keyed activation comparator (one per fault).
 	match, err := buildComparator(c, lk, r.support, r.actCubes, rng)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 
 	size := 1 << uint(n)
@@ -739,20 +946,20 @@ func applyRegion(c *netlist.Circuit, lk *Locked, r *region, rng *sim.Rand) (bits
 			}
 		}
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, 0, 0, err
 		}
 		newNet := faultyNet
 		if len(r.cond[bi]) > 0 {
 			condNet, cerr := sop(r.cond[bi], false)
 			if cerr != nil {
-				return 0, 0, 0, cerr
+				return 0, 0, 0, 0, cerr
 			}
 			restore := match
 			// cond ≡ TRUE (a single all-dontcare cube) needs no AND.
 			if !(len(r.cond[bi]) == 1 && r.cond[bi][0].Care == 0) {
 				restore, err = c.AddGate("", netlist.And, match, condNet)
 				if err != nil {
-					return 0, 0, 0, err
+					return 0, 0, 0, 0, err
 				}
 				c.Gate(restore).DontTouch = true
 			}
@@ -767,12 +974,14 @@ func applyRegion(c *netlist.Circuit, lk *Locked, r *region, rng *sim.Rand) (bits
 				newNet, err = c.AddGate("", netlist.Xor, faultyNet, restore)
 			}
 			if err != nil {
-				return 0, 0, 0, err
+				return 0, 0, 0, 0, err
 			}
 			c.Gate(newNet).DontTouch = true
 		}
-		for _, s := range append([]netlist.GateID(nil), c.Fanouts(b)...) {
-			if inRemoved[s] {
+		// Rewiring patches b's fanout list, so walk a copy.
+		a.sinks = append(a.sinks[:0], c.Fanouts(b)...)
+		for _, s := range a.sinks {
+			if inRemoved.has(s) {
 				continue
 			}
 			c.ReplaceFanin(s, b, newNet)
@@ -782,8 +991,8 @@ func applyRegion(c *netlist.Circuit, lk *Locked, r *region, rng *sim.Rand) (bits
 		c.Kill(id)
 	}
 	c.SweepDead()
-	areaAfter := cellib.Area(c)
-	return len(lk.KeyBits) - baseIdx, max0(areaBefore - areaAfter), max0(areaAfter - areaBefore), nil
+	areaAfter = cellib.Area(c)
+	return len(lk.KeyBits) - baseIdx, max0(areaBefore - areaAfter), max0(areaAfter - areaBefore), areaAfter, nil
 }
 
 func max0(v float64) float64 {

@@ -11,22 +11,14 @@ import (
 	"repro/internal/netlist"
 )
 
-// analysisScratch returns c's topological order plus the topoPos and
-// net-buffer arguments that region analysis takes.
-func analysisScratch(t *testing.T, c *netlist.Circuit) (order []netlist.GateID, topoPos []int32, nets []uint64) {
+// testAnalyzer returns the region analysis of c under opt.
+func testAnalyzer(t *testing.T, c *netlist.Circuit, opt regionOptions) *analyzer {
 	t.Helper()
-	order, err := c.TopoOrder()
+	a, err := newAnalyzer(c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topoPos = make([]int32, c.NumIDs())
-	for i := range topoPos {
-		topoPos[i] = -1
-	}
-	for i, id := range order {
-		topoPos[id] = int32(i)
-	}
-	return order, topoPos, make([]uint64, c.NumIDs())
+	return a
 }
 
 // TestBackwardKeyBitsMatchesFullAnalysis pins the pre-check that lets
@@ -44,7 +36,11 @@ func TestBackwardKeyBitsMatchesFullAnalysis(t *testing.T) {
 	ropt := lockRegionOptions()
 	var kept, rejected int
 	for _, c := range circuits {
-		order, topoPos, nets := analysisScratch(t, c)
+		a := testAnalyzer(t, c, ropt)
+		order, err := c.TopoOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, id := range order {
 			g := c.Gate(id)
 			if g.Type.IsSource() || g.Type == netlist.Output || g.DontTouch {
@@ -52,12 +48,11 @@ func TestBackwardKeyBitsMatchesFullAnalysis(t *testing.T) {
 			}
 			for _, sa := range []bool{false, true} {
 				f := atpg.Fault{Net: id, StuckAt: sa}
-				regionSet, backSupport := growBackward(c, id, ropt)
-				if regionSet == nil {
+				if !a.growBackward(id) {
 					continue
 				}
-				kb := backwardKeyBits(c, f, regionSet, backSupport, ropt, topoPos, nets)
-				r := analyzeGrown(c, f, ropt, regionSet, topoPos, nets)
+				kb := a.backwardKeyBits(f)
+				r := a.analyzeGrown(f)
 				if r == nil {
 					if kb <= 0 {
 						rejected++
@@ -122,8 +117,7 @@ func cubeLiterals(c *netlist.Circuit, r *region) []string {
 func TestRegionActivationNANDStuck(t *testing.T) {
 	c := c17(t)
 	u8 := c.GateByName("U8")
-	ropt := lockRegionOptions()
-	_, topoPos, nets := analysisScratch(t, c)
+	a := testAnalyzer(t, c, lockRegionOptions())
 	for _, tc := range []struct {
 		sa   bool
 		want []string
@@ -133,7 +127,7 @@ func TestRegionActivationNANDStuck(t *testing.T) {
 		// sa0 fails on the three other minterms: ¬I1 + ¬I3.
 		{false, []string{"I1=0", "I3=0"}},
 	} {
-		r := analyzeRegion(c, atpg.Fault{Net: u8, StuckAt: tc.sa}, ropt, 64, topoPos, nets)
+		r := a.analyze(atpg.Fault{Net: u8, StuckAt: tc.sa}, 64)
 		if r == nil {
 			t.Fatalf("sa%v: region rejected", tc.sa)
 		}
@@ -153,9 +147,8 @@ func TestRegionActivationNANDStuck(t *testing.T) {
 func TestRegionRejections(t *testing.T) {
 	c := c17(t)
 	ropt := lockRegionOptions()
-	_, topoPos, nets := analysisScratch(t, c)
 	analyze := func(name string, sa bool, opt regionOptions) *region {
-		return analyzeRegion(c, atpg.Fault{Net: c.GateByName(name), StuckAt: sa}, opt, 64, topoPos, nets)
+		return testAnalyzer(t, c, opt).analyze(atpg.Fault{Net: c.GateByName(name), StuckAt: sa}, 64)
 	}
 	if analyze("I1", true, ropt) != nil {
 		t.Fatal("fault on a primary input accepted")
@@ -184,21 +177,19 @@ func TestRedundantConstantNetRejected(t *testing.T) {
 	na := c.MustAdd("na", netlist.Not, a)
 	z := c.MustAdd("z", netlist.And, a, na)
 	c.MustAdd("o", netlist.Output, z)
-	ropt := lockRegionOptions()
-	_, topoPos, nets := analysisScratch(t, c)
+	an := testAnalyzer(t, c, lockRegionOptions())
 	for _, tc := range []struct {
 		sa     bool
 		keyBit int
 	}{{false, -1}, {true, 0}} {
 		f := atpg.Fault{Net: z, StuckAt: tc.sa}
-		regionSet, support := growBackward(c, z, ropt)
-		if regionSet == nil {
+		if !an.growBackward(z) {
 			t.Fatalf("sa%v: no backward region", tc.sa)
 		}
-		if kb := backwardKeyBits(c, f, regionSet, support, ropt, topoPos, nets); kb != tc.keyBit {
+		if kb := an.backwardKeyBits(f); kb != tc.keyBit {
 			t.Errorf("sa%v: backward key bits %d, want %d", tc.sa, kb, tc.keyBit)
 		}
-		if analyzeRegion(c, f, ropt, 64, topoPos, nets) != nil {
+		if an.analyze(f, 64) != nil {
 			t.Errorf("sa%v: redundant fault accepted", tc.sa)
 		}
 	}

@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Clone returns a deep copy of the circuit. Gate IDs are preserved.
 func (c *Circuit) Clone() *Circuit {
@@ -28,12 +31,9 @@ func (c *Circuit) ReplaceFanin(id, old, new GateID) int {
 	n := 0
 	for i, f := range c.gates[id].Fanin {
 		if f == old {
-			c.gates[id].Fanin[i] = new
+			c.setPin(id, i, new)
 			n++
 		}
-	}
-	if n > 0 {
-		c.invalidate()
 	}
 	return n
 }
@@ -43,9 +43,27 @@ func (c *Circuit) SetFanin(id GateID, pin int, driver GateID) error {
 	if pin < 0 || pin >= len(c.gates[id].Fanin) {
 		return fmt.Errorf("netlist: gate %q has no pin %d", c.gates[id].Name, pin)
 	}
-	c.gates[id].Fanin[pin] = driver
-	c.invalidate()
+	c.setPin(id, pin, driver)
 	return nil
+}
+
+// setPin points one pin of gate id at driver. Under a checkpoint it
+// logs the edit and moves id from the old driver's fanout list to the
+// new one's; otherwise it invalidates the derived structures.
+func (c *Circuit) setPin(id GateID, pin int, driver GateID) {
+	g := &c.gates[id]
+	old := g.Fanin[pin]
+	g.Fanin[pin] = driver
+	if !c.undo.open {
+		c.invalidate()
+		return
+	}
+	c.undo.log(undoEntry{kind: undoPin, id: id, pos: int32(pin), old: old})
+	if c.fanoutsValid && !g.dead {
+		c.fanouts[old] = removeSink(c.fanouts[old], id)
+		c.fanouts[driver] = insertSink(c.fanouts[driver], id)
+	}
+	c.topoValid = false
 }
 
 // RewireNet redirects every sink of the net driven by old to read from
@@ -69,13 +87,26 @@ func (c *Circuit) Kill(id GateID) {
 	}
 	g.dead = true
 	delete(c.byName, g.Name)
+	pos := -1
 	switch g.Type {
 	case Input:
+		pos = slices.Index(c.inputs, id)
 		c.inputs = removeID(c.inputs, id)
 	case Output:
+		pos = slices.Index(c.outputs, id)
 		c.outputs = removeID(c.outputs, id)
 	}
-	c.invalidate()
+	if !c.undo.open {
+		c.invalidate()
+		return
+	}
+	c.undo.log(undoEntry{kind: undoKill, id: id, pos: int32(pos)})
+	if c.fanoutsValid {
+		for _, f := range g.Fanin {
+			c.fanouts[f] = removeSink(c.fanouts[f], id)
+		}
+	}
+	c.topoValid = false
 }
 
 func removeID(ids []GateID, id GateID) []GateID {
@@ -128,6 +159,9 @@ func (c *Circuit) SweepDead() int {
 // Compact rebuilds the circuit without dead slots and returns the
 // old-ID to new-ID mapping (dead gates map to InvalidGate).
 func (c *Circuit) Compact() []GateID {
+	if c.undo.open {
+		panic("netlist: Compact under an open checkpoint")
+	}
 	remap := make([]GateID, len(c.gates))
 	gates := make([]Gate, 0, c.NumGates())
 	for i := range c.gates {

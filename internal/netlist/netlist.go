@@ -138,6 +138,10 @@ type Circuit struct {
 
 	topo      []GateID
 	topoValid bool
+
+	// undo is the edit log of the open checkpoint, if any (see
+	// Checkpoint).
+	undo undoLog
 }
 
 // New returns an empty circuit with the given name.
@@ -232,6 +236,19 @@ func (c *Circuit) AddGate(name string, t GateType, fanin ...GateID) (GateID, err
 	case Output:
 		c.outputs = append(c.outputs, id)
 	}
+	if c.undo.open {
+		c.undo.log(undoEntry{kind: undoAdd, id: id})
+		if c.fanoutsValid {
+			// The new gate has the highest ID, so it goes last in each
+			// fanin's list, once per pin.
+			c.fanouts = append(c.fanouts, nil)
+			for _, f := range fanin {
+				c.fanouts[f] = append(c.fanouts[f], id)
+			}
+		}
+		c.topoValid = false
+		return id, nil
+	}
 	c.invalidate()
 	return id, nil
 }
@@ -259,15 +276,19 @@ func (c *Circuit) Rename(id GateID, name string) error {
 	if _, dup := c.byName[name]; dup {
 		return fmt.Errorf("netlist: duplicate gate name %q", name)
 	}
+	if c.undo.open {
+		panic("netlist: Rename under an open checkpoint")
+	}
 	delete(c.byName, c.gates[id].Name)
 	c.gates[id].Name = name
 	c.byName[name] = id
 	return nil
 }
 
-// Fanouts returns the sink gate IDs of the net driven by id. A sink
-// appears once per pin it connects to. The result is owned by the
-// circuit and invalidated by structural edits.
+// Fanouts returns the sink gate IDs of the net driven by id, in
+// ascending ID order. A sink appears once per pin it connects to. The
+// result is owned by the circuit and invalidated by structural edits
+// (under a Checkpoint, edits patch it in place instead).
 func (c *Circuit) Fanouts(id GateID) []GateID {
 	c.ensureFanouts()
 	return c.fanouts[id]

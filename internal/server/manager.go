@@ -118,10 +118,13 @@ type Manager struct {
 	// spec that skipped preparation from one that paid for it.
 	prepares atomic.Int64
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	jobs     map[string]*jobState
-	queue    []string // job IDs awaiting a runner, FIFO
+	mu    sync.Mutex
+	cond  *sync.Cond
+	jobs  map[string]*jobState
+	queue []string // job IDs awaiting a runner, FIFO
+	// finished lists the done and failed jobs, oldest first; beyond
+	// retainedJobs the oldest are evicted (see evictFinished).
+	finished []string
 	seq      int
 	draining bool
 	// journal is the directory holding one <id>.json record per job
@@ -241,9 +244,11 @@ func (m *Manager) restore() error {
 			m.queue = append(m.queue, rec.ID)
 		default:
 			close(js.done)
+			m.finished = append(m.finished, rec.ID)
 		}
 		m.jobs[rec.ID] = js
 	}
+	m.evictFinished()
 	return nil
 }
 
@@ -532,6 +537,10 @@ func (m *Manager) finishJob(id string, data json.RawMessage, outcome CacheOutcom
 	// disk, so a restart requeues it; this daemon still serves the
 	// finished record from memory.
 	_ = m.writeRecord(js.rec)
+	if status != StatusInterrupted {
+		m.finished = append(m.finished, id)
+		m.evictFinished()
+	}
 	m.mu.Unlock()
 	m.emit(id, flow.JobEvent{Stage: "status", Message: string(status) + cacheNote})
 	m.mu.Lock()
@@ -567,6 +576,28 @@ func (m *Manager) Drain(timeout time.Duration) error {
 		return nil
 	case <-time.After(timeout):
 		return fmt.Errorf("server: drain timed out after %v", timeout)
+	}
+}
+
+// retainedJobs bounds the finished (done or failed) job records the
+// daemon keeps, in memory and in the journal. A record is about half a
+// kilobyte, so GET /v1/jobs stays near 150 kB. Eviction drops only the
+// record: results live in the cache, keyed by fingerprint, so a repeat
+// of an evicted job's spec is still a cache hit.
+const retainedJobs = 256
+
+// evictFinished drops the oldest finished jobs beyond retainedJobs,
+// with their journal files. A file that cannot be removed is reloaded
+// by the next daemon, which evicts it again. Caller holds m.mu (or is
+// in single-threaded setup).
+func (m *Manager) evictFinished() {
+	for len(m.finished) > retainedJobs {
+		id := m.finished[0]
+		m.finished = m.finished[1:]
+		delete(m.jobs, id)
+		if m.journal != "" {
+			_ = os.Remove(filepath.Join(m.journal, id+".json"))
+		}
 	}
 }
 

@@ -527,3 +527,66 @@ func TestManagerEvents(t *testing.T) {
 		t.Fatal("post-terminal live channel not closed")
 	}
 }
+
+// TestManagerEvictsOldFinishedJobs runs more jobs than retainedJobs:
+// the daemon keeps only the newest finished records, in memory and in
+// the journal, a repeat of an evicted job's spec is still a cache hit,
+// and a restarted daemon serves the retained records byte for byte.
+func TestManagerEvictsOldFinishedJobs(t *testing.T) {
+	state := t.TempDir()
+	m1, err := NewManager(ManagerOptions{StateDir: state, MaxJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m1.Drain(30 * time.Second)
+	first := submitWait(t, m1, lockSpec())
+	for i := 0; i < retainedJobs+8; i++ {
+		submitWait(t, m1, verifySpec())
+	}
+	if _, ok := m1.Get(first.ID); ok {
+		t.Fatalf("job %s survived %d newer finished jobs", first.ID, retainedJobs+8)
+	}
+	again := submitWait(t, m1, lockSpec())
+	if again.Cache != string(CacheHit) || !bytes.Equal(again.Result, first.Result) {
+		t.Fatalf("repeat of an evicted spec: cache %q, same payload %v", again.Cache, bytes.Equal(again.Result, first.Result))
+	}
+	recs := m1.List()
+	if len(recs) != retainedJobs || recs[len(recs)-1].ID != again.ID {
+		t.Fatalf("daemon holds %d records ending %s, want the newest %d ending %s", len(recs), recs[len(recs)-1].ID, retainedJobs, again.ID)
+	}
+	files, err := filepath.Glob(filepath.Join(state, "jobs", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != retainedJobs {
+		t.Fatalf("journal holds %d files, want %d", len(files), retainedJobs)
+	}
+	want, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// A journal written before records were evicted holds older ones
+	// too: the restarted daemon evicts them on load.
+	old, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(state, "jobs", first.ID+".json"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := newTestManager(t, ManagerOptions{StateDir: state, MaxJobs: 1})
+	if _, err := os.Stat(filepath.Join(state, "jobs", first.ID+".json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("restart kept the journal file of evicted job %s (stat: %v)", first.ID, err)
+	}
+	got, err := json.Marshal(m2.List())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("restarted daemon serves %d bytes of records, want the %d retained ones", len(got), len(want))
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -65,28 +66,60 @@ type CompareOptions struct {
 // when ObserveState is set. Gates outside those cones cannot change a
 // counted bit, so they are never simulated.
 func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
+	pa, err := prepareSide(a, opt.ObserveState)
+	if err != nil {
+		return DiffStats{}, err
+	}
+	pb, err := prepareSide(b, opt.ObserveState)
+	if err != nil {
+		return DiffStats{}, err
+	}
+	return compareSides(pa, pb, opt)
+}
+
+// side is one circuit as Compare needs it: its observed plan, plus the
+// names of its inputs and flip-flops, by which the other circuit's are
+// matched. It holds no reference to the circuit, so it stays valid
+// when the circuit is edited afterwards.
+type side struct {
+	*observedPlan
+	name        string
+	inputs, ffs []string
+}
+
+// prepareSide compiles c's observed plan and records its boundary
+// names.
+func prepareSide(c *netlist.Circuit, observeState bool) (*side, error) {
+	dffs := c.DFFs()
+	p, err := compileObserved(c, dffs, observeState)
+	if err != nil {
+		return nil, fmt.Errorf("sim: compiling %s: %w", c.Name, err)
+	}
+	names := func(ids []netlist.GateID) []string {
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			out[i] = c.Gate(id).Name
+		}
+		return out
+	}
+	return &side{observedPlan: p, name: c.Name, inputs: names(c.Inputs()), ffs: names(dffs)}, nil
+}
+
+// compareSides is Compare on two prepared circuits.
+func compareSides(pa, pb *side, opt CompareOptions) (DiffStats, error) {
 	if opt.Patterns <= 0 {
 		opt.Patterns = 65536
 	}
-	aFFs, bFFs := a.DFFs(), b.DFFs()
-	pa, err := compileObserved(a, aFFs, opt.ObserveState)
-	if err != nil {
-		return DiffStats{}, fmt.Errorf("sim: compiling %s: %w", a.Name, err)
-	}
-	pb, err := compileObserved(b, bFFs, opt.ObserveState)
-	if err != nil {
-		return DiffStats{}, fmt.Errorf("sim: compiling %s: %w", b.Name, err)
-	}
-	inMap, err := matchByName(a, b, a.Inputs(), b.Inputs(), "input")
+	inMap, err := matchByName(pa.inputs, pb.inputs, pb.name, "input")
 	if err != nil {
 		return DiffStats{}, err
 	}
-	stMap, err := matchByName(a, b, aFFs, bFFs, "flip-flop")
+	stMap, err := matchByName(pa.ffs, pb.ffs, pb.name, "flip-flop")
 	if err != nil {
 		return DiffStats{}, err
 	}
-	if len(a.Outputs()) != len(b.Outputs()) {
-		return DiffStats{}, fmt.Errorf("sim: output count mismatch: %d vs %d", len(a.Outputs()), len(b.Outputs()))
+	if len(pa.outs) != len(pb.outs) {
+		return DiffStats{}, fmt.Errorf("sim: output count mismatch: %d vs %d", len(pa.outs), len(pb.outs))
 	}
 
 	words := (opt.Patterns + 63) / 64
@@ -117,9 +150,10 @@ func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 
 	// Each pattern word consumes this many stimulus words, so lane k of
 	// wide item t jumps the stream to word (t*w+k)*stride.
-	stride := uint64(len(a.Inputs()) + len(aFFs))
+	stride := uint64(len(pa.inputs) + len(pa.ffs))
 
 	type cmpState struct {
+		buf, bufB           []uint64
 		inA, inB, stA, stB  []uint64
 		netsA, netsB        []uint64
 		hdBits, errPatterns int
@@ -127,14 +161,13 @@ func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 	states, err := engine.Run(items,
 		engine.Options{Workers: opt.Workers, Grain: engine.GrainForWidth(w), Stop: opt.Stop},
 		func(int) *cmpState {
-			return &cmpState{
-				inA:   make([]uint64, len(a.Inputs())*w),
-				inB:   make([]uint64, len(b.Inputs())*w),
-				stA:   make([]uint64, len(aFFs)*w),
-				stB:   make([]uint64, len(stMap)*w),
-				netsA: make([]uint64, len(pa.ops)*w),
-				netsB: make([]uint64, len(pb.ops)*w),
+			s := &cmpState{
+				buf:  getScratch((len(pa.inputs) + len(pa.ffs) + len(pa.ops)) * w),
+				bufB: getScratch((len(pb.inputs) + len(stMap) + len(pb.ops)) * w),
 			}
+			s.inA, s.stA, s.netsA = carve(s.buf, len(pa.inputs)*w, len(pa.ffs)*w)
+			s.inB, s.stB, s.netsB = carve(s.bufB, len(pb.inputs)*w, len(stMap)*w)
+			return s
 		},
 		func(s *cmpState, batch engine.Batch) {
 			for t := batch.Start; t < batch.End; t++ {
@@ -168,6 +201,10 @@ func Compare(a, b *netlist.Circuit, opt CompareOptions) (DiffStats, error) {
 				}
 			}
 		})
+	for _, s := range states {
+		putScratch(s.buf)
+		putScratch(s.bufB)
+	}
 	if err != nil {
 		return DiffStats{}, err
 	}
@@ -203,24 +240,58 @@ func EquivalentOpt(a, b *netlist.Circuit, opt CompareOptions) (bool, error) {
 	return d.OER == 0, nil
 }
 
-// matchByName maps positions in as to positions in bs by gate name.
-func matchByName(a, b *netlist.Circuit, as, bs []netlist.GateID, kind string) ([]int, error) {
+// matchByName maps positions in as to positions in bs by name; bName
+// names the circuit bs belongs to.
+func matchByName(as, bs []string, bName, kind string) ([]int, error) {
 	if len(as) != len(bs) {
 		return nil, fmt.Errorf("sim: %s count mismatch: %d vs %d", kind, len(as), len(bs))
 	}
 	pos := make(map[string]int, len(bs))
-	for j, id := range bs {
-		pos[b.Gate(id).Name] = j
+	for j, name := range bs {
+		pos[name] = j
 	}
 	m := make([]int, len(as))
-	for i, id := range as {
-		j, ok := pos[a.Gate(id).Name]
+	for i, name := range as {
+		j, ok := pos[name]
 		if !ok {
-			return nil, fmt.Errorf("sim: %s %q missing in %s", kind, a.Gate(id).Name, b.Name)
+			return nil, fmt.Errorf("sim: %s %q missing in %s", kind, name, bName)
 		}
 		m[i] = j
 	}
 	return m, nil
+}
+
+// Reference is a circuit compiled once for repeated equivalence checks
+// against it. A caller that edits a circuit trial by trial, keeping an
+// edit only when it is equivalent, compiles the unedited circuit once
+// instead of once per trial, and gets each trial back compiled as the
+// next Reference in case it keeps the edit.
+type Reference struct{ s *side }
+
+// NewReference compiles c as an equivalence reference. Later edits to
+// c do not affect the Reference.
+func NewReference(c *netlist.Circuit) (*Reference, error) {
+	s, err := prepareSide(c, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Reference{s: s}, nil
+}
+
+// Equivalent is Equivalent(ref, b, patterns, seed), where ref is the
+// circuit the Reference was compiled from: the same stimulus, the same
+// observables and the same answer. It also returns b compiled as a
+// Reference (nil on error).
+func (r *Reference) Equivalent(b *netlist.Circuit, patterns int, seed uint64) (bool, *Reference, error) {
+	pb, err := prepareSide(b, true)
+	if err != nil {
+		return false, nil, err
+	}
+	d, err := compareSides(r.s, pb, CompareOptions{Patterns: patterns, Seed: seed, ObserveState: true})
+	if err != nil {
+		return false, nil, err
+	}
+	return d.OER == 0, &Reference{s: pb}, nil
 }
 
 // ActivityOptions tunes ActivityOpt.
@@ -256,30 +327,77 @@ func ActivityOpt(c *netlist.Circuit, opt ActivityOptions) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	ones, total, err := e.countOnes(nil, opt)
+	if err != nil {
+		return nil, err
+	}
+	act := make([]float64, c.NumIDs())
+	for i, n := range ones {
+		if c.Alive(netlist.GateID(i)) {
+			act[i] = activity(n, total)
+		}
+	}
+	return act, nil
+}
+
+// Activity estimates the switching activity of the gates ids of the
+// evaluator's circuit: act[k] is bit-identical to ActivityOpt's entry
+// for ids[k] (0 for a dead gate). It is for callers that estimate one
+// unchanged circuit under many seeds and read only a few gates: the
+// circuit is compiled once, not once per estimate, and only the gates
+// asked for are counted. The circuit must not have been edited since
+// NewEvaluator.
+func (e *Evaluator) Activity(ids []netlist.GateID, opt ActivityOptions) ([]float64, error) {
+	ones, total, err := e.countOnes(ids, opt)
+	if err != nil {
+		return nil, err
+	}
+	act := make([]float64, len(ids))
+	for k, id := range ids {
+		if e.c.Alive(id) {
+			act[k] = activity(ones[k], total)
+		}
+	}
+	return act, nil
+}
+
+// activity is 2·p·(1−p) for a net that was one in n of total patterns.
+func activity(n int, total float64) float64 {
+	p := float64(n) / total
+	return 2 * p * (1 - p)
+}
+
+// countOnes simulates the patterns of opt and counts, for each gate of
+// ids (each net ID when ids is nil), the patterns in which it is one.
+// It also returns the pattern count.
+func (e *Evaluator) countOnes(ids []netlist.GateID, opt ActivityOptions) (ones []int, total float64, err error) {
+	c := e.c
 	if opt.Patterns <= 0 {
 		opt.Patterns = 4096
 	}
 	words := (opt.Patterns + 63) / 64
 	w, err := resolveWidth(opt.Width, words)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	items := (words + w - 1) / w
 	stride := uint64(len(c.Inputs()) + e.NumState())
+	counted := len(ids)
+	if ids == nil {
+		counted = c.NumIDs()
+	}
 
 	type actState struct {
-		in, st, nets []uint64
-		ones         []int
+		buf, in, st, nets []uint64
+		ones              []int
 	}
 	states, err := engine.Run(items,
 		engine.Options{Workers: opt.Workers, Grain: engine.GrainForWidth(w), Stop: opt.Stop},
 		func(int) *actState {
-			return &actState{
-				in:   make([]uint64, len(c.Inputs())*w),
-				st:   make([]uint64, e.NumState()*w),
-				nets: e.NewWideNetBuffer(w),
-				ones: make([]int, c.NumIDs()),
-			}
+			s := &actState{ones: make([]int, counted)}
+			s.buf = getScratch((len(c.Inputs()) + e.NumState() + c.NumIDs()) * w)
+			s.in, s.st, s.nets = carve(s.buf, len(c.Inputs())*w, e.NumState()*w)
+			return s
 		},
 		func(s *actState, batch engine.Batch) {
 			for t := batch.Start; t < batch.End; t++ {
@@ -293,32 +411,57 @@ func ActivityOpt(c *netlist.Circuit, opt ActivityOptions) ([]float64, error) {
 				rng.FillWide(s.st)
 				e.EvalWide(w, s.in, s.st, s.nets)
 				for i := range s.ones {
+					at := i
+					if ids != nil {
+						at = int(ids[i])
+					}
 					n := 0
 					for k := 0; k < lanes; k++ {
-						n += bits.OnesCount64(s.nets[i*w+k])
+						n += bits.OnesCount64(s.nets[at*w+k])
 					}
 					s.ones[i] += n
 				}
 			}
 		})
+	for _, s := range states {
+		putScratch(s.buf)
+	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
-	ones := states[0].ones
+	ones = states[0].ones
 	for _, s := range states[1:] {
 		for i, n := range s.ones {
 			ones[i] += n
 		}
 	}
-	total := float64(words * 64)
-	act := make([]float64, c.NumIDs())
-	for i, n := range ones {
-		if !c.Alive(netlist.GateID(i)) {
-			continue
-		}
-		p := float64(n) / total
-		act[i] = 2 * p * (1 - p)
+	return ones, float64(words * 64), nil
+}
+
+// scratchPool recycles the per-worker word buffers of Compare and
+// activity runs, which callers such as ATPG locking start thousands of
+// times. A run writes the stimulus and every compiled gate's net before
+// reading them, so a recycled buffer needs no clearing; only the slots
+// of dead gates keep stale words, and no result depends on those.
+var scratchPool sync.Pool
+
+// getScratch returns a word buffer of length n, recycled when possible.
+func getScratch(n int) []uint64 {
+	if b, ok := scratchPool.Get().(*[]uint64); ok && cap(*b) >= n {
+		return (*b)[:n]
 	}
-	return act, nil
+	return make([]uint64, n)
+}
+
+// putScratch hands a getScratch buffer back for reuse.
+func putScratch(b []uint64) {
+	if b != nil {
+		scratchPool.Put(&b)
+	}
+}
+
+// carve splits buf into its first n1 words, the next n2 and the rest.
+func carve(buf []uint64, n1, n2 int) (x, y, z []uint64) {
+	return buf[:n1:n1], buf[n1 : n1+n2 : n1+n2], buf[n1+n2:]
 }

@@ -102,11 +102,18 @@ func fullCompare(tb testing.TB, a, b *netlist.Circuit, opt CompareOptions) DiffS
 	if err != nil {
 		tb.Fatal(err)
 	}
-	inMap, err := matchByName(a, b, a.Inputs(), b.Inputs(), "input")
+	names := func(c *netlist.Circuit, ids []netlist.GateID) []string {
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			out[i] = c.Gate(id).Name
+		}
+		return out
+	}
+	inMap, err := matchByName(names(a, a.Inputs()), names(b, b.Inputs()), b.Name, "input")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	stMap, err := matchByName(a, b, a.DFFs(), b.DFFs(), "flip-flop")
+	stMap, err := matchByName(names(a, a.DFFs()), names(b, b.DFFs()), b.Name, "flip-flop")
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -70,6 +70,17 @@ type Cone struct{ plan }
 // linear in len(ids).
 func CompileCone(c *netlist.Circuit, ids []netlist.GateID) (*Cone, error) {
 	k := &Cone{plan{ops: make([]evalOp, 0, len(ids)), runs: make([]opRun, 0, len(ids))}}
+	if err := k.Recompile(c, ids); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// Recompile makes k the cone CompileCone(c, ids) would return, reusing
+// k's storage, for callers that compile many cones one after another.
+// On error k is left empty.
+func (k *Cone) Recompile(c *netlist.Circuit, ids []netlist.GateID) error {
+	k.ops, k.runs, k.fanins = k.ops[:0], k.runs[:0], k.fanins[:0]
 	for _, id := range ids {
 		g := c.Gate(id)
 		if g.Type.IsSource() {
@@ -77,12 +88,13 @@ func CompileCone(c *netlist.Circuit, ids []netlist.GateID) (*Cone, error) {
 		}
 		code := opcodeOf(g)
 		if code == opInvalid {
-			return nil, fmt.Errorf("sim: gate %d has unknown type %v", id, g.Type)
+			k.ops, k.runs, k.fanins = k.ops[:0], k.runs[:0], k.fanins[:0]
+			return fmt.Errorf("sim: gate %d has unknown type %v", id, g.Type)
 		}
 		k.ops = append(k.ops, k.operands(g, code, evalOp{out: int32(id)}, nil))
 		k.runs = appendOp(k.runs, code, len(k.ops))
 	}
-	return k, nil
+	return nil
 }
 
 // Eval recomputes the cone's gates, in the order CompileCone was
