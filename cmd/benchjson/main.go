@@ -5,12 +5,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchjson [-bench regexp] [-benchtime 1x] [-pkg .] [-out dir] [-note text] [-short] [-guard name:metric<=value]...
+//	go run ./cmd/benchjson [-bench regexp] [-benchtime 1x] [-pkg '. ./internal/aig'] [-out dir] [-note text] [-short] [-guard name:metric<=value]...
 //	go run ./cmd/benchjson -diff old new [-time-tol pct] [-metric-tol pct]
 //
 // The default pattern covers the paper-table benchmarks, the proximity
 // attack kernel, the SAT solver / LEC / SAT-attack benchmarks and the
-// ATPG lock.
+// ATPG lock. -pkg lists the packages to benchmark, separated by
+// spaces; go test runs their benchmarks one package at a time, so the
+// timings do not overlap.
 // -short restricts the run to the fast solver-core benchmarks (the CI
 // perf smoke), and -guard asserts a custom metric of a named benchmark
 // against a bound — "name:metric<=value" (at most),
@@ -273,7 +275,7 @@ func runDiff(timeTol, metricTol float64, args []string) {
 func main() {
 	bench := flag.String("bench", "BenchmarkTable|BenchmarkFig5|BenchmarkCompare1M|BenchmarkProximity|BenchmarkSATSolver|BenchmarkLEC|BenchmarkSATAttack|BenchmarkAIGMiter|BenchmarkPortfolioMiter|BenchmarkPortfolioUNSAT|BenchmarkATPGLock", "benchmark regexp passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "value passed to go test -benchtime")
-	pkg := flag.String("pkg", ".", "package to benchmark")
+	pkg := flag.String("pkg", ".", "packages to benchmark, separated by spaces")
 	out := flag.String("out", ".", "directory for BENCH_<n>.json files")
 	note := flag.String("note", "", "free-form note recorded in every result")
 	short := flag.Bool("short", false, "run only the fast solver-core benchmarks (overrides -bench unless -bench was set explicitly)")
@@ -308,7 +310,8 @@ func main() {
 			pattern = "BenchmarkSATSolver"
 		}
 	}
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern, "-benchtime", *benchtime, *pkg)
+	args := append([]string{"test", "-run", "^$", "-bench", pattern, "-benchtime", *benchtime}, strings.Fields(*pkg)...)
+	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	outBytes, err := cmd.Output()
 	if err != nil {

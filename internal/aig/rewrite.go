@@ -1,6 +1,9 @@
 package aig
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // Local rewriting (ABC rewrite/refactor style)
 //
@@ -23,6 +26,14 @@ import "sort"
 // edges. Every canonicalized class is verified by 16-minterm truth
 // table simulation before it is ever instantiated, so an NPN transform
 // bug degrades to a missed optimization, never to wrong logic.
+//
+// The NPN canonical form of a truth table (the canonical table and the
+// transform reaching it) is a pure function of the table, so it is
+// computed once per process and memoized in a lock-free table shared by
+// every Rewrite (npnMemo). The library, its synthesis and the binding
+// verification stay per run: the library's node numbering follows the
+// run's synthesis order, and it fixes the order in which structures are
+// instantiated, hence the rewritten graph's node ids.
 //
 // Everything is deterministic: cuts, classes, and candidate choices are
 // evaluated in fixed index order and no map is ever iterated.
@@ -263,26 +274,101 @@ var perms4 = func() (ps [24][4]uint8) {
 	return
 }()
 
-// ttTransform permutes and complements tt's inputs and optionally its
-// output: the result r satisfies r(y) = outC ^ tt(x) with
-// x[v] = y[perm[v]] ^ inMask[v].
-func ttTransform(tt uint16, perm [4]uint8, inMask, outC uint32) uint16 {
-	var out uint16
-	for m := 0; m < 16; m++ {
-		src := uint32(0)
-		for v := 0; v < 4; v++ {
-			bit := uint32(m>>perm[v]) & 1
-			bit ^= (inMask >> v) & 1
-			src |= bit << v
-		}
-		if tt>>src&1 == 1 {
-			out |= 1 << m
+// npnPermNib[pi][k][n] holds the bits that nibble k of a truth table,
+// when it equals n, sets in the table permuted by perms4[pi]. Output
+// minterm m of the permuted table reads input minterm
+// src(m) = sum_v ((m >> perms4[pi][v]) & 1) << v, so a permuted table
+// is the OR of four nibble lookups (ttPermute).
+var npnPermNib = func() (t [24][4][16]uint16) {
+	for pi, p := range perms4 {
+		for m := 0; m < 16; m++ {
+			src := 0
+			for v := 0; v < 4; v++ {
+				src |= (m >> p[v] & 1) << v
+			}
+			for n := 0; n < 16; n++ {
+				if n>>(src&3)&1 == 1 {
+					t[pi][src>>2][n] |= 1 << m
+				}
+			}
 		}
 	}
-	if outC == 1 {
-		out = ^out
+	return
+}()
+
+// ttFlip complements the inputs of tt selected by mask: the result r
+// satisfies r(x) = tt(x ^ mask), one cofactor swap per flipped input.
+func ttFlip(tt uint16, mask uint32) uint16 {
+	for v := uint(0); v < 4; v++ {
+		if mask>>v&1 == 1 {
+			s := uint(1) << v
+			tt = (tt&varTT[v])>>s | (tt&^varTT[v])<<s
+		}
 	}
-	return out
+	return tt
+}
+
+// ttPermute permutes tt's inputs by perms4[pi]: the result r satisfies
+// r(y) = tt(x) with x[v] = y[perms4[pi][v]].
+func ttPermute(tt uint16, pi int) uint16 {
+	t := &npnPermNib[pi]
+	return t[0][tt&15] | t[1][tt>>4&15] | t[2][tt>>8&15] | t[3][tt>>12]
+}
+
+// npnMemo holds the NPN canonicalization of every 16-bit truth table
+// computed so far in this process, packed by npnSearch (0 = not yet
+// computed). The entry is a pure function of its index, so concurrent
+// rewriters may race to fill one and store the same word; it is never
+// invalidated.
+var npnMemo [1 << 16]atomic.Uint32
+
+// Packing of an npnMemo entry.
+const (
+	npnPermShift = 16 // 5 bits: index into perms4
+	npnMaskShift = 21 // 4 bits: input complement mask
+	npnOutShift  = 25 // 1 bit: output complement
+	npnValid     = 1 << 26
+)
+
+// npnCanon returns the NPN canonical form of tt, the smallest table
+// ttFlip/ttPermute/complement can turn it into, and the first transform
+// reaching it in (output phase, input mask, permutation) order:
+// best = outC ^ ttPermute(ttFlip(tt, mask), pi).
+func npnCanon(tt uint16) (best uint16, pi int, mask, outC uint32) {
+	e := npnMemo[tt].Load()
+	if e == 0 {
+		e = npnSearch(tt)
+		npnMemo[tt].Store(e)
+	}
+	return uint16(e), int(e >> npnPermShift & 31), e >> npnMaskShift & 15, e >> npnOutShift & 1
+}
+
+// npnSearch is the exhaustive search behind npnCanon (24 permutations x
+// 16 input masks x 2 output phases). The complemented phase's minimum
+// is the complement of the plain phase's maximum, so one scan over the
+// 384 plain transforms finds both; each keeps its first occurrence in
+// (mask, pi) order, and the plain phase wins ties because it is
+// scanned first.
+func npnSearch(tt uint16) uint32 {
+	lo, hi := ttPermute(tt, 0), ttPermute(tt, 0)
+	var loAt, hiAt uint32
+	for mask := uint32(0); mask < 16; mask++ {
+		f := ttFlip(tt, mask)
+		for pi := range perms4 {
+			t := ttPermute(f, pi)
+			at := uint32(pi)<<npnPermShift | mask<<npnMaskShift
+			if t < lo {
+				lo, loAt = t, at
+			}
+			if t > hi {
+				hi, hiAt = t, at
+			}
+		}
+	}
+	if ^hi < lo {
+		return uint32(^hi) | hiAt | 1<<npnOutShift | npnValid
+	}
+	return uint32(lo) | loAt | npnValid
 }
 
 // npnRec is the cached canonicalization of one raw truth table: the
@@ -475,30 +561,17 @@ func (rw *rewriter) evalLib(root Lit, tin [4]uint16) uint16 {
 	return v
 }
 
-// canon canonicalizes a raw cut function: exhaustive NPN search (24
-// permutations x 16 input masks x 2 output phases, deterministic
-// order), synthesis of the canonical class, and a truth-table
-// verification of the instantiation binding.
+// canon canonicalizes a raw cut function: the process-wide NPN
+// canonical form (npnCanon), synthesis of the canonical class in this
+// run's library, and a truth-table verification of the instantiation
+// binding.
 func (rw *rewriter) canon(tt uint16) npnRec {
 	if r, ok := rw.canonCache[tt]; ok {
 		return r
 	}
 	var rec npnRec
-	best := uint16(0)
-	first := true
-	var bPerm [4]uint8
-	var bMask, bOut uint32
-	for o := uint32(0); o < 2; o++ {
-		for mask := uint32(0); mask < 16; mask++ {
-			for pi := range perms4 {
-				t := ttTransform(tt, perms4[pi], mask, o)
-				if first || t < best {
-					best, bPerm, bMask, bOut = t, perms4[pi], mask, o
-					first = false
-				}
-			}
-		}
-	}
+	best, pi, bMask, bOut := npnCanon(tt)
+	bPerm := perms4[pi]
 	// ctt(y) = bOut ^ tt(x) with x[v] = y[bPerm[v]] ^ bMask[v], so the
 	// raw function is tt(x) = bOut ^ ctt(y) with y[j] = x[inv[j]] ^
 	// cfl[j] where inv[bPerm[v]] = v.

@@ -2,8 +2,12 @@ package aig
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/bmarks"
+	"repro/internal/locking"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -187,5 +191,285 @@ func TestRewriteKeepsLeafOrder(t *testing.T) {
 		if got := ng.LeafIndex(nl.Node()); got != i || nl.IsCompl() {
 			t.Fatalf("leaf %d mapped to leaf index %d (compl=%v)", i, got, nl.IsCompl())
 		}
+	}
+}
+
+// ttTransform is the per-minterm reference for the NPN transform:
+// the result r satisfies r(y) = outC ^ tt(x) with
+// x[v] = y[perm[v]] ^ inMask[v].
+func ttTransform(tt uint16, perm [4]uint8, inMask, outC uint32) uint16 {
+	var out uint16
+	for m := 0; m < 16; m++ {
+		src := uint32(0)
+		for v := 0; v < 4; v++ {
+			bit := uint32(m>>perm[v]) & 1
+			bit ^= (inMask >> v) & 1
+			src |= bit << v
+		}
+		if tt>>src&1 == 1 {
+			out |= 1 << m
+		}
+	}
+	if outC == 1 {
+		out = ^out
+	}
+	return out
+}
+
+// npnSearchRef is the exhaustive NPN search npnCanon must reproduce:
+// every transform in (output phase, input mask, permutation) order,
+// keeping the first strictly smallest table.
+func npnSearchRef(tt uint16) (best uint16, pi int, mask, outC uint32) {
+	first := true
+	for o := uint32(0); o < 2; o++ {
+		for m := uint32(0); m < 16; m++ {
+			for p := range perms4 {
+				t := ttTransform(tt, perms4[p], m, o)
+				if first || t < best {
+					best, pi, mask, outC = t, p, m, o
+					first = false
+				}
+			}
+		}
+	}
+	return
+}
+
+// clearNPNMemo forgets every memoized canonical form, so the next
+// Rewrite in this process starts cold.
+func clearNPNMemo() {
+	for i := range npnMemo {
+		npnMemo[i].Store(0)
+	}
+}
+
+// TestNPNCanonicalMatchesSearch: the memoized, bit-parallel canonical
+// form and its binding equal the exhaustive reference search for every
+// 16-bit truth table (a fixed stride of them under -short), both on a
+// fresh search and on a memo hit.
+func TestNPNCanonicalMatchesSearch(t *testing.T) {
+	clearNPNMemo()
+	stride := 1
+	if testing.Short() {
+		stride = 97
+	}
+	const chunks = 8
+	for k := 0; k < chunks; k++ {
+		t.Run(fmt.Sprintf("chunk%d", k), func(t *testing.T) {
+			t.Parallel()
+			for tt := k * stride; tt < 1<<16; tt += chunks * stride {
+				wb, wpi, wm, wo := npnSearchRef(uint16(tt))
+				for _, hit := range []bool{false, true} {
+					b, pi, m, o := npnCanon(uint16(tt))
+					if b != wb || pi != wpi || m != wm || o != wo {
+						t.Fatalf("tt %04x (memo hit %v): got (best %04x, perm %d, mask %x, outC %d), want (%04x, %d, %x, %d)",
+							tt, hit, b, pi, m, o, wb, wpi, wm, wo)
+					}
+				}
+				if got := ttTransform(uint16(tt), perms4[wpi], wm, wo); got != wb {
+					t.Fatalf("tt %04x: reference binding gives %04x, not its best %04x", tt, got, wb)
+				}
+			}
+		})
+	}
+}
+
+// TestNPNTransformMatchesReference: cofactor-swap input flips followed
+// by the nibble-table permutation equal the per-minterm transform.
+func TestNPNTransformMatchesReference(t *testing.T) {
+	rng := sim.NewRand(0x4e9e)
+	for i := 0; i < 200000; i++ {
+		tt := uint16(rng.Intn(1 << 16))
+		pi := rng.Intn(len(perms4))
+		mask := uint32(rng.Intn(16))
+		o := uint32(rng.Intn(2))
+		got := ttPermute(ttFlip(tt, mask), pi)
+		if o == 1 {
+			got = ^got
+		}
+		if want := ttTransform(tt, perms4[pi], mask, o); got != want {
+			t.Fatalf("tt %04x perm %v mask %x outC %d: got %04x, want %04x", tt, perms4[pi], mask, o, got, want)
+		}
+	}
+}
+
+// rewriteInput is one graph and root set to rewrite.
+type rewriteInput struct {
+	g     *Graph
+	roots []Lit
+}
+
+// rewriteResult is everything a Rewrite returns.
+type rewriteResult struct {
+	g  *Graph
+	m  []Lit
+	st RewriteStats
+}
+
+// sameGraph reports whether two graphs are node-for-node identical.
+func sameGraph(a, b *Graph) bool {
+	if a.NumNodes() != b.NumNodes() || a.NumLeaves() != b.NumLeaves() {
+		return false
+	}
+	for n := 1; n < a.NumNodes(); n++ {
+		if a.IsAnd(n) != b.IsAnd(n) {
+			return false
+		}
+		if !a.IsAnd(n) {
+			if a.LeafIndex(n) != b.LeafIndex(n) {
+				return false
+			}
+			continue
+		}
+		a0, a1 := a.Fanins(n)
+		b0, b1 := b.Fanins(n)
+		if a0 != b0 || a1 != b1 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRewriteConcurrentMatchesSerial: rewriters sharing the process-wide
+// NPN memo from a cold start, on different graphs at the same time,
+// produce exactly the graphs, node maps and stats of a serial run.
+func TestRewriteConcurrentMatchesSerial(t *testing.T) {
+	rng := sim.NewRand(0xc0c0)
+	var ins []rewriteInput
+	for i := 0; i < 24; i++ {
+		c := randCircuit(rng, fmt.Sprintf("cc%d", i))
+		g, m, err := FromCircuit(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var roots []Lit
+		for id := 0; id < c.NumIDs(); id++ {
+			if gid := netlist.GateID(id); c.Alive(gid) && m[gid] != Invalid {
+				roots = append(roots, m[gid])
+			}
+		}
+		ins = append(ins, rewriteInput{g, roots})
+	}
+	for _, name := range []string{"c432", "c880"} {
+		c, err := bmarks.Load(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, m, err := FromCircuit(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var roots []Lit
+		for _, id := range c.Outputs() {
+			roots = append(roots, m[id])
+		}
+		ins = append(ins, rewriteInput{g, roots})
+	}
+
+	run := func(in rewriteInput) rewriteResult {
+		h, m, st := Rewrite(in.g, in.roots)
+		return rewriteResult{h, m, st}
+	}
+	clearNPNMemo()
+	serial := make([]rewriteResult, len(ins))
+	for i, in := range ins {
+		serial[i] = run(in)
+	}
+
+	clearNPNMemo()
+	const workers = 4
+	conc := make([]rewriteResult, len(ins))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker walks the inputs in its own rotation, so the
+			// same truth tables are first met by different workers.
+			for k := range ins {
+				i := (k + w*len(ins)/workers) % len(ins)
+				if i%workers == w {
+					conc[i] = run(ins[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range ins {
+		s, c := serial[i], conc[i]
+		if s.st != c.st {
+			t.Fatalf("input %d: stats %+v concurrently, %+v serially", i, c.st, s.st)
+		}
+		if !slices.Equal(s.m, c.m) {
+			t.Fatalf("input %d: node maps differ", i)
+		}
+		if !sameGraph(s.g, c.g) {
+			t.Fatalf("input %d: rewritten graphs differ", i)
+		}
+	}
+}
+
+// BenchmarkRewrite runs one rewriting pass over BenchmarkLEC's miter
+// graph (0.1-scale b14 and its 64-bit random lock, seed 11, built into
+// one shared graph; roots are the observable pairs), with the NPN memo
+// cleared before every iteration (cold: each distinct cut function is
+// searched once per pass) and filled beforehand (warm: every search is
+// a memo hit). The work counters are the pass's stats.
+func BenchmarkRewrite(b *testing.B) {
+	orig, err := bmarks.Load("b14", 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lk, err := locking.RandomLock(orig, locking.RandomLockOptions{KeyBits: 64, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bld := NewBuilder()
+	ma, err := bld.Add(orig)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mb, err := bld.Add(lk.Circuit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var roots []Lit
+	for i, o := range orig.Outputs() {
+		roots = append(roots, ma[o], mb[lk.Circuit.Outputs()[i]])
+	}
+	ffB := make(map[string]netlist.GateID)
+	for _, id := range lk.Circuit.DFFs() {
+		ffB[lk.Circuit.Gate(id).Name] = id
+	}
+	for _, fa := range orig.DFFs() {
+		fb := ffB[orig.Gate(fa).Name]
+		roots = append(roots, ma[orig.Gate(fa).Fanin[0]], mb[lk.Circuit.Gate(fb).Fanin[0]])
+	}
+	g := bld.Graph()
+
+	for _, cold := range []bool{true, false} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			if !cold {
+				Rewrite(g, roots)
+			}
+			var st RewriteStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					clearNPNMemo()
+					b.StartTimer()
+				}
+				_, _, st = Rewrite(g, roots)
+			}
+			b.ReportMetric(float64(st.Cuts), "cuts")
+			b.ReportMetric(float64(st.Classes), "classes")
+			b.ReportMetric(float64(st.Rewrites), "rewrites")
+			b.ReportMetric(float64(st.NodesAfter), "nodesAfter")
+		})
 	}
 }

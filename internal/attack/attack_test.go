@@ -265,7 +265,7 @@ func TestSATAttackWithOracleSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := sim.Equivalent(orig, recovered, 16384, 82)
+	eq, err := sim.EquivalentOpt(orig, recovered, sim.CompareOptions{Patterns: 16384, Seed: 82})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestSATAttackClauseGrowthBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := sim.Equivalent(orig, recovered, 16384, 182)
+	eq, err := sim.EquivalentOpt(orig, recovered, sim.CompareOptions{Patterns: 16384, Seed: 182})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestSATAttackPortfolio(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq, err := sim.Equivalent(orig, recovered, 16384, 182)
+		eq, err := sim.EquivalentOpt(orig, recovered, sim.CompareOptions{Patterns: 16384, Seed: 182})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +395,7 @@ func TestSATAttackBatchSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq, err := sim.Equivalent(orig, recovered, 16384, 192)
+		eq, err := sim.EquivalentOpt(orig, recovered, sim.CompareOptions{Patterns: 16384, Seed: 192})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +431,7 @@ func TestSATAttackATPGLocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := sim.Equivalent(orig, recovered, 16384, 202)
+	eq, err := sim.EquivalentOpt(orig, recovered, sim.CompareOptions{Patterns: 16384, Seed: 202})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestSATAttackInvariantB14Scale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eq, err := sim.Equivalent(orig, recovered, 1<<16, 15)
+			eq, err := sim.EquivalentOpt(orig, recovered, sim.CompareOptions{Patterns: 1 << 16, Seed: 15})
 			if err != nil {
 				t.Fatal(err)
 			}

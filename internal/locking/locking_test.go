@@ -88,7 +88,7 @@ func TestRandomLockWrongKeyCorrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := sim.Equivalent(orig, cc, 4096, 10)
+	eq, err := sim.EquivalentOpt(orig, cc, sim.CompareOptions{Patterns: 4096, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestATPGLockWrongKeyCorrupts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq, err := sim.Equivalent(orig, wc, 8192, uint64(trial))
+		eq, err := sim.EquivalentOpt(orig, wc, sim.CompareOptions{Patterns: 8192, Seed: uint64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}

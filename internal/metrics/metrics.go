@@ -146,7 +146,7 @@ func (p PPA) Delta(base PPA) (area, power, delay float64) {
 }
 
 // EvaluatePPA measures a placed-and-routed design. Activity is the
-// per-net switching activity from sim.Activity (nil means a flat 0.2).
+// per-net switching activity from sim.ActivityOpt (nil means a flat 0.2).
 func EvaluatePPA(lay *layout.Layout, routes *route.Result, activity []float64) (PPA, error) {
 	c := lay.Circuit
 	pitch := lay.PitchUM()

@@ -141,7 +141,7 @@ func TestPPAEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	act, err := sim.Activity(orig, 2048, 10)
+	act, err := sim.ActivityOpt(orig, sim.ActivityOptions{Patterns: 2048, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,14 +222,10 @@ func compareSides(pa, pb *side, opt CompareOptions) (DiffStats, error) {
 	}, nil
 }
 
-// Equivalent reports whether a and b agreed on every simulated pattern;
-// it is a cheap necessary condition used as an LEC prefilter.
-func Equivalent(a, b *netlist.Circuit, patterns int, seed uint64) (bool, error) {
-	return EquivalentOpt(a, b, CompareOptions{Patterns: patterns, Seed: seed})
-}
-
-// EquivalentOpt is Equivalent with full CompareOptions (worker cap,
-// width, stop flag). ObserveState is forced on: equivalence must cover
+// EquivalentOpt reports whether a and b agreed on every simulated
+// pattern; it is a cheap necessary condition used as an LEC prefilter.
+// opt sets the stimulus (patterns, seed) and the worker cap, width and
+// stop flag. ObserveState is forced on: equivalence must cover
 // next-state functions.
 func EquivalentOpt(a, b *netlist.Circuit, opt CompareOptions) (bool, error) {
 	opt.ObserveState = true
@@ -278,8 +274,9 @@ func NewReference(c *netlist.Circuit) (*Reference, error) {
 	return &Reference{s: s}, nil
 }
 
-// Equivalent is Equivalent(ref, b, patterns, seed), where ref is the
-// circuit the Reference was compiled from: the same stimulus, the same
+// Equivalent is EquivalentOpt(ref, b, CompareOptions{Patterns:
+// patterns, Seed: seed}), where ref is the circuit the Reference was
+// compiled from: the same stimulus, the same
 // observables and the same answer. It also returns b compiled as a
 // Reference (nil on error).
 func (r *Reference) Equivalent(b *netlist.Circuit, patterns int, seed uint64) (bool, *Reference, error) {
@@ -311,17 +308,11 @@ type ActivityOptions struct {
 	Stop *atomic.Bool
 }
 
-// Activity estimates per-net switching activity (2·p·(1−p) with p the
-// signal probability) over random patterns. The result is indexed by
-// GateID and feeds the dynamic power model.
-func Activity(c *netlist.Circuit, patterns int, seed uint64) ([]float64, error) {
-	return ActivityOpt(c, ActivityOptions{Patterns: patterns, Seed: seed})
-}
-
-// ActivityOpt is Activity with worker, width and cancellation options.
-// Pattern words are sharded across the engine worker pool; the count
-// merge is exact, so results do not depend on the worker count or the
-// simulation width.
+// ActivityOpt estimates per-net switching activity (2·p·(1−p) with p
+// the signal probability) over random patterns. The result is indexed
+// by GateID and feeds the dynamic power model. Pattern words are
+// sharded across the engine worker pool; the count merge is exact, so
+// results do not depend on the worker count or the simulation width.
 func ActivityOpt(c *netlist.Circuit, opt ActivityOptions) ([]float64, error) {
 	e, err := NewEvaluator(c)
 	if err != nil {

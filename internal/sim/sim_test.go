@@ -166,7 +166,7 @@ func TestCompareDetectsDifference(t *testing.T) {
 	if d.OER == 0 || d.HD == 0 {
 		t.Fatalf("modified circuit reported identical: %+v", d)
 	}
-	eq, err := Equivalent(c, mod, 4096, 3)
+	eq, err := EquivalentOpt(c, mod, CompareOptions{Patterns: 4096, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestActivityMatchesManualSerial(t *testing.T) {
 	// Activity uses the default pool; recompute serially by hand and
 	// require exact agreement (counts merge exactly).
 	c := c17(t)
-	act, err := Activity(c, 4096, 21)
+	act, err := ActivityOpt(c, ActivityOptions{Patterns: 4096, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestConeGateSemantics(t *testing.T) {
 
 func TestActivityBounds(t *testing.T) {
 	c := c17(t)
-	act, err := Activity(c, 4096, 9)
+	act, err := ActivityOpt(c, ActivityOptions{Patterns: 4096, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
