@@ -10,18 +10,15 @@
 //
 // The graph is append-only and topologically stored: a node's fanins
 // always precede it, so simulation, CNF emission, and cofactoring are
-// single forward passes. Bit-parallel 64-pattern simulation shards
-// pattern words over internal/engine. Rewrite (rewrite.go) shrinks a
-// graph by one pass of DAG-aware cut rewriting; LEC and the SAT attack
-// run it once on every graph they build.
+// single forward passes. Eval, a plain per-node loop over one
+// 64-pattern word, is the graph's only simulator; Signatures runs it
+// once per word. (The width-generic multi-word kernel lives in
+// internal/sim.) Rewrite (rewrite.go) shrinks a graph by one pass of
+// DAG-aware cut rewriting; LEC and the SAT attack run it once on every
+// graph they build.
 package aig
 
-import (
-	"fmt"
-	"unsafe"
-
-	"repro/internal/engine"
-)
+import "fmt"
 
 // Lit is an edge reference to a node: the node index shifted left once,
 // with the low bit carrying the complement (inversion) flag.
@@ -258,125 +255,37 @@ func LitWord(buf []uint64, l Lit) uint64 {
 
 // Eval simulates 64 parallel patterns: leafWords holds one stimulus
 // word per leaf (in leaf-index order) and buf, of length NumNodes,
-// receives the value of every node. Eval is the width-1 instantiation
-// of the wide kernel; see EvalWide.
+// receives the value of every node.
 func (g *Graph) Eval(leafWords, buf []uint64) {
-	evalWide(g, lanesOf[[1]uint64](leafWords), lanesOf[[1]uint64](buf))
-}
-
-// EvalWide simulates w×64 parallel patterns in one forward pass. Both
-// buffers are flat with stride w (leaf/node i's lane k at index
-// i*w+k); buf must have length NumNodes*w. w must be 1, 4 or 8.
-func (g *Graph) EvalWide(w int, leafWords, buf []uint64) {
-	switch w {
-	case 1:
-		evalWide(g, lanesOf[[1]uint64](leafWords), lanesOf[[1]uint64](buf))
-	case 4:
-		evalWide(g, lanesOf[[4]uint64](leafWords), lanesOf[[4]uint64](buf))
-	case 8:
-		evalWide(g, lanesOf[[8]uint64](leafWords), lanesOf[[8]uint64](buf))
-	default:
-		panic(fmt.Sprintf("aig: unsupported width %d", w))
-	}
-}
-
-// lanes constrains the per-node word group the wide kernel is
-// instantiated over; each array length compiles to its own
-// constant-trip-count specialization (mirroring internal/sim).
-type lanes interface {
-	[1]uint64 | [4]uint64 | [8]uint64
-}
-
-// lanesOf reinterprets a flat stride-W buffer as W-word groups.
-func lanesOf[W lanes](buf []uint64) []W {
-	var z W
-	w := len(z)
-	if len(buf) == 0 {
-		return nil
-	}
-	if len(buf)%w != 0 {
-		panic(fmt.Sprintf("aig: buffer length %d not a multiple of width %d", len(buf), w))
-	}
-	return unsafe.Slice((*W)(unsafe.Pointer(&buf[0])), len(buf)/w)
-}
-
-func evalWide[W lanes](g *Graph, leafWords, buf []W) {
-	var zero W
-	buf[0] = zero
+	buf[0] = 0
 	for n := 1; n < len(g.nodes); n++ {
 		if li := g.leaf[n]; li >= 0 {
 			buf[n] = leafWords[li]
 			continue
 		}
 		nd := &g.nodes[n]
-		x, y := buf[nd.f0.Node()], buf[nd.f1.Node()]
-		var m0, m1 uint64
-		if nd.f0.IsCompl() {
-			m0 = ^uint64(0)
-		}
-		if nd.f1.IsCompl() {
-			m1 = ^uint64(0)
-		}
-		var v W
-		for k := 0; k < len(v); k++ {
-			v[k] = (x[k] ^ m0) & (y[k] ^ m1)
-		}
-		buf[n] = v
+		buf[n] = LitWord(buf, nd.f0) & LitWord(buf, nd.f1)
 	}
 }
 
-// Signatures bit-parallel simulates `words` 64-pattern words, sharding
-// the words across the engine worker pool; stim(leaf, word) supplies
-// the stimulus. The result is a flat array indexed [node*words+k] and
-// is bit-identical for any worker count. Internally the simulation
-// runs at the widest width the word count supports; the output layout
-// and values are unaffected. The error is non-nil only when opt.Stop
-// cut the run short; the signatures are then partial and must be
-// discarded.
-func (g *Graph) Signatures(words int, stim func(leaf, word int) uint64, opt engine.Options) ([]uint64, error) {
+// Signatures simulates `words` 64-pattern words, one Eval pass per
+// word; stim(leaf, word) supplies the stimulus. The result is a flat
+// array indexed [node*words+k].
+func (g *Graph) Signatures(words int, stim func(leaf, word int) uint64) []uint64 {
 	n := g.NumNodes()
 	sigs := make([]uint64, n*words)
-	w := 1
-	switch {
-	case words >= 8:
-		w = 8
-	case words >= 4:
-		w = 4
-	}
-	items := (words + w - 1) / w
-	if opt.Grain <= 0 {
-		opt.Grain = engine.GrainForWidth(w)
-	}
-	type state struct{ leafW, buf []uint64 }
-	_, err := engine.Run(items, opt, func(int) *state {
-		return &state{make([]uint64, g.NumLeaves()*w), make([]uint64, n*w)}
-	}, func(s *state, b engine.Batch) {
-		for t := b.Start; t < b.End; t++ {
-			base := t * w
-			ln := words - base
-			if ln > w {
-				ln = w
-			}
-			for i := 0; i < g.NumLeaves(); i++ {
-				for k := 0; k < ln; k++ {
-					s.leafW[i*w+k] = stim(i, base+k)
-				}
-				for k := ln; k < w; k++ {
-					s.leafW[i*w+k] = 0
-				}
-			}
-			g.EvalWide(w, s.leafW, s.buf)
-			for nd := 0; nd < n; nd++ {
-				for k := 0; k < ln; k++ {
-					sigs[nd*words+base+k] = s.buf[nd*w+k]
-				}
-			}
+	leafW := make([]uint64, g.NumLeaves())
+	buf := make([]uint64, n)
+	for k := 0; k < words; k++ {
+		for i := range leafW {
+			leafW[i] = stim(i, k)
 		}
-	})
-	if err != nil {
-		return nil, err
+		g.Eval(leafW, buf)
+		for nd, v := range buf {
+			sigs[nd*words+k] = v
+		}
 	}
-	return sigs, nil
+	return sigs
 }
 
 // Cone marks the transitive fanin of the given literals (including

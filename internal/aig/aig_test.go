@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -235,30 +234,37 @@ func TestTwoLevelRewrites(t *testing.T) {
 	}
 }
 
-// TestSignaturesWorkerInvariant: the engine-sharded signature run must
-// be bit-identical for any worker count.
-func TestSignaturesWorkerInvariant(t *testing.T) {
+// TestSignaturesMatchEval: word k of every node's signature must be
+// what Eval computes on stimulus word k.
+func TestSignaturesMatchEval(t *testing.T) {
 	rng := sim.NewRand(7)
-	c := randCircuit(rng, "sig")
-	bld := NewBuilder()
-	if _, err := bld.Add(c); err != nil {
-		t.Fatal(err)
-	}
-	g := bld.Graph()
 	stim := func(leaf, k int) uint64 {
 		return uint64(leaf+1)*0x9e3779b97f4a7c15 ^ uint64(k)*0xbf58476d1ce4e5b9
 	}
-	serial, err := g.Signatures(16, stim, engine.Options{Workers: 1, Grain: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := g.Signatures(16, stim, engine.Options{Workers: 8, Grain: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("signature word %d differs between worker counts", i)
+	for trial := 0; trial < 4; trial++ {
+		bld := NewBuilder()
+		if _, err := bld.Add(randCircuit(rng, fmt.Sprintf("sig%d", trial))); err != nil {
+			t.Fatal(err)
+		}
+		g := bld.Graph()
+		leafW := make([]uint64, g.NumLeaves())
+		buf := make([]uint64, g.NumNodes())
+		for _, words := range []int{1, 4, 5} {
+			sigs := g.Signatures(words, stim)
+			if len(sigs) != g.NumNodes()*words {
+				t.Fatalf("trial %d, %d words: %d signature words, want %d", trial, words, len(sigs), g.NumNodes()*words)
+			}
+			for k := 0; k < words; k++ {
+				for i := range leafW {
+					leafW[i] = stim(i, k)
+				}
+				g.Eval(leafW, buf)
+				for n, v := range buf {
+					if got := sigs[n*words+k]; got != v {
+						t.Fatalf("trial %d, %d words: node %d word %d = %#x, Eval gives %#x", trial, words, n, k, got, v)
+					}
+				}
+			}
 		}
 	}
 }

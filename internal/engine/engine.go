@@ -1,9 +1,10 @@
 // Package engine provides the shared parallel batch runner behind the
-// pattern-simulation hot paths (HD/OER comparison, switching-activity
-// estimation, fault grading, and key-recovery sweeps). It shards a work
-// range across a bounded worker pool with per-worker state, so callers
-// keep one net buffer and one stimulus generator per worker instead of
-// per item.
+// pattern-simulation hot paths (internal/sim's HD/OER comparison and
+// switching-activity estimation). It shards a work range across a
+// bounded worker pool with per-worker state, so callers keep one net
+// buffer and one stimulus generator per worker instead of per item.
+// Items are opaque to it: how many patterns an item covers, and so how
+// large a batch should be, is the caller's choice.
 //
 // It is also the one scheduler of the experiment grids: flow runs every
 // Table I/II cell and every Table III / Fig. 5 row through Run with
@@ -48,21 +49,6 @@ func (b Batch) Len() int { return b.End - b.Start }
 // default batch covers 4096 patterns — large enough to amortize worker
 // handoff, small enough to load-balance uneven kernels.
 const DefaultGrain = 64
-
-// GrainForWidth scales the default grain down by a simulation word
-// width: at width w one item covers w×64 patterns, so dividing keeps a
-// batch at the same ~4096-pattern cost regardless of width and the
-// sharding balanced. The result never drops below 1.
-func GrainForWidth(w int) int {
-	if w <= 1 {
-		return DefaultGrain
-	}
-	g := DefaultGrain / w
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
 
 // ErrStopped is returned by Run when Options.Stop was observed set
 // before all batches completed. The returned states are partial and

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/aig"
-	"repro/internal/engine"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 )
@@ -176,13 +175,11 @@ func (sw *sweeper) find(l aig.Lit) aig.Lit {
 
 // sweep buckets the cone of the given roots by complement-canonical
 // signature and probes candidate merges in topological order. A raised
-// stop flag abandons the pass (partial merges already proven stand).
+// stop flag abandons the pass before its next node (partial merges
+// already proven stand).
 func (sw *sweeper) sweep(roots []aig.Lit) {
 	need := sw.g.Cone(roots...)
-	sigs, err := sw.signatures()
-	if err != nil {
-		return // cancelled mid-simulation: skip sweeping entirely
-	}
+	sigs := sw.signatures()
 	type key [sweepWords]uint64
 	canon := func(n int) (key, bool) {
 		var k key
@@ -247,7 +244,7 @@ func (sw *sweeper) probe(n int, cand aig.Lit) {
 // signatures simulates sweepWords stimulus words over the graph with a
 // deterministic per-leaf stream (leaves are shared by name through the
 // builder, so both circuits see identical patterns by construction).
-func (sw *sweeper) signatures() ([]uint64, error) {
+func (sw *sweeper) signatures() []uint64 {
 	seed := sw.seed
 	return sw.g.Signatures(sweepWords, func(leaf, k int) uint64 {
 		x := seed ^ 0x9e3779b97f4a7c15
@@ -257,7 +254,7 @@ func (sw *sweeper) signatures() ([]uint64, error) {
 		x *= 0x2545f4914f6cdd1d
 		x ^= x >> 31
 		return x
-	}, engine.Options{Grain: 1, Stop: sw.stop})
+	})
 }
 
 // counterexample extracts input and flip-flop values for circuit a

@@ -1,6 +1,8 @@
 package lec
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/netlist"
@@ -135,6 +137,26 @@ func TestNonEquivalentDetected(t *testing.T) {
 // miters) and a corrupted clone (SAT miter with a counterexample). The
 // verdicts must match the single-solver path for every worker count;
 // only which counterexample is found may differ.
+// TestCheckCancelled: with the stop flag already raised, Check must
+// return ErrCancelled rather than a verdict, both when the stop hits the
+// simulation prefilter and when it hits the sweep and SAT path.
+func TestCheckCancelled(t *testing.T) {
+	a := mustParse(t, c17Src, "c17")
+	b := a.Clone()
+	b.Gate(b.GateByName("U13")).Type = netlist.And
+	for _, tc := range []struct {
+		name     string
+		patterns int
+	}{{"prefilter", 0}, {"sweep+SAT", -1}} {
+		var stop atomic.Bool
+		stop.Store(true)
+		res, err := Check(a, b, Options{PrefilterPatterns: tc.patterns, Stop: &stop})
+		if !errors.Is(err, ErrCancelled) {
+			t.Errorf("%s: got (%+v, %v), want ErrCancelled", tc.name, res, err)
+		}
+	}
+}
+
 func TestPortfolioCheck(t *testing.T) {
 	a := mustParse(t, c17Src, "c17")
 	b := mustParse(t, c17DeMorgan, "c17dm")

@@ -24,9 +24,6 @@ type Options struct {
 	// Utilization sizes the die (default 0.7, reduced automatically if
 	// the netlist does not fit).
 	Utilization float64
-	// Passes is the number of improvement sweeps over all movable
-	// cells (default 3).
-	Passes int
 	// Seed drives initial ordering, TIE randomization and improvement.
 	Seed uint64
 	// RandomizeTies places TIE cells uniformly at random and fixes
@@ -40,15 +37,21 @@ func (o Options) withDefaults() Options {
 	if o.Utilization <= 0 || o.Utilization > 1 {
 		o.Utilization = 0.7
 	}
-	if o.Passes <= 0 {
-		o.Passes = 3
-	}
 	return o
 }
+
+// passes is the number of improvement sweeps over all movable cells.
+const passes = 3
 
 // Place produces a legal placement of every live gate. Primary inputs
 // and outputs become boundary pads (left and right edges).
 func Place(c *netlist.Circuit, opt Options) (*layout.Layout, error) {
+	return place(c, opt, passes)
+}
+
+// place is Place with the number of improvement sweeps as a parameter,
+// so tests can vary it.
+func place(c *netlist.Circuit, opt Options, passes int) (*layout.Layout, error) {
 	opt = opt.withDefaults()
 	var core []netlist.GateID
 	var ins, outs []netlist.GateID
@@ -144,7 +147,7 @@ func Place(c *netlist.Circuit, opt Options) (*layout.Layout, error) {
 		}
 	}
 
-	improve(c, lay, movable, opt, rng)
+	improve(c, lay, movable, opt, passes, rng)
 	return lay, nil
 }
 
@@ -153,8 +156,8 @@ func Place(c *netlist.Circuit, opt Options) (*layout.Layout, error) {
 // when it reduces the summed HPWL of the touched nets. TIE-cell
 // connections are ignored ("detached") so randomized TIE cells exert no
 // pull.
-func improve(c *netlist.Circuit, lay *layout.Layout, movable []netlist.GateID, opt Options, rng *sim.Rand) {
-	for pass := 0; pass < opt.Passes; pass++ {
+func improve(c *netlist.Circuit, lay *layout.Layout, movable []netlist.GateID, opt Options, passes int, rng *sim.Rand) {
+	for pass := 0; pass < passes; pass++ {
 		perm := rng.Perm(len(movable))
 		for _, pi := range perm {
 			id := movable[pi]

@@ -52,11 +52,11 @@ func TestPlaceLegal(t *testing.T) {
 
 func TestPlaceImprovesWirelength(t *testing.T) {
 	c := testCircuit(t, 600, 3)
-	lay0, err := Place(c, Options{Seed: 4, Passes: 1})
+	lay0, err := place(c, Options{Seed: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay3, err := Place(c, Options{Seed: 4, Passes: 6})
+	lay3, err := place(c, Options{Seed: 4}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTieRandomizationDecorrelates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, err := Place(lk.Circuit, Options{Seed: 9, RandomizeTies: true, Passes: 4})
+	lay, err := place(lk.Circuit, Options{Seed: 9, RandomizeTies: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestNaiveTiePlacementCorrelates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, err := Place(lk.Circuit, Options{Seed: 19, RandomizeTies: false, Passes: 6})
+	lay, err := place(lk.Circuit, Options{Seed: 19, RandomizeTies: false}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,48 +32,37 @@ type Options struct {
 	// via stacked vias (the paper's defense). Disabled for the
 	// "prelift" reference layouts.
 	LiftKeyNets bool
-	// TileSize is the congestion tile edge in grid units (default 8).
-	TileSize int
-	// TileCapacity is the per-tile, per-layer-pair track capacity
-	// (default 24).
-	TileCapacity int
-	// EscapeFrac is the fraction of a broken net's length routed in
-	// the FEOL before it ascends above the split layer. Higher split
-	// layers leave more of the route (and therefore more hints) in the
-	// FEOL — the effect behind the paper's observation that regular-net
-	// CCR grows with the split layer. 0 derives it from SplitLayer
-	// (0.05 + 0.06 × SplitLayer, capped at 0.45).
-	EscapeFrac float64
-	// PromoteProb is the probability that a net is assigned one layer
-	// pair above its length class, as commercial routers do for timing
-	// and congestion balancing. Promoted short nets are the easily
-	// re-inferred part of the broken-net population (their stubs sit
-	// nearly on top of each other). Default 0.25.
-	PromoteProb float64
-	// Seed drives the promotion decisions.
-	Seed uint64
 }
 
 func (o Options) withDefaults() Options {
 	if o.SplitLayer == 0 {
 		o.SplitLayer = 4
 	}
-	if o.TileSize <= 0 {
-		o.TileSize = 8
-	}
-	if o.TileCapacity <= 0 {
-		o.TileCapacity = 24
-	}
-	if o.EscapeFrac <= 0 {
-		o.EscapeFrac = 0.05 + 0.06*float64(o.SplitLayer)
-		if o.EscapeFrac > 0.45 {
-			o.EscapeFrac = 0.45
-		}
-	}
-	if o.PromoteProb <= 0 {
-		o.PromoteProb = 0.25
-	}
 	return o
+}
+
+const (
+	// tileSize is the congestion tile edge in grid units.
+	tileSize = 8
+	// tileCapacity is the per-tile, per-layer-pair track capacity.
+	tileCapacity = 24
+	// promoteProb is the probability that a net is assigned one layer
+	// pair above its length class, as commercial routers do for timing
+	// and congestion balancing. Promoted short nets are the easily
+	// re-inferred part of the broken-net population (their stubs sit
+	// nearly on top of each other).
+	promoteProb = 0.25
+	// promoteSeed seeds the promotion decisions.
+	promoteSeed = 0x70f3
+)
+
+// escapeFrac is the fraction of a broken net's length routed in the
+// FEOL before it ascends above the split layer: 0.05 + 0.06 × split
+// layer, capped at 0.45. Higher split layers leave more of the route
+// (and therefore more hints) in the FEOL — the effect behind the
+// paper's observation that regular-net CCR grows with the split layer.
+func escapeFrac(splitLayer int) float64 {
+	return min(0.05+0.06*float64(splitLayer), 0.45)
 }
 
 // numPairs is the number of horizontal/vertical layer pairs:
@@ -154,6 +143,12 @@ func (r *Result) CutPins() []int {
 
 // RouteAll routes every live connection of the placed design.
 func RouteAll(lay *layout.Layout, opt Options) (*Result, error) {
+	return routeAll(lay, opt, tileCapacity)
+}
+
+// routeAll is RouteAll with the congestion tile capacity as a
+// parameter, so tests can force overflow handling.
+func routeAll(lay *layout.Layout, opt Options, capacity int) (*Result, error) {
 	opt = opt.withDefaults()
 	c := lay.Circuit
 	res := &Result{Opt: opt}
@@ -189,8 +184,8 @@ func RouteAll(lay *layout.Layout, opt Options) (*Result, error) {
 		return conns[i].length > conns[j].length
 	})
 
-	cong := newCongestion(lay, opt)
-	rng := sim.NewRand(opt.Seed ^ 0x70f3)
+	cong := newCongestion(lay, capacity)
+	rng := sim.NewRand(promoteSeed)
 	// Layer-pair thresholds scale with the die.
 	t1 := lay.W / 12
 	if t1 < 4 {
@@ -221,7 +216,7 @@ func RouteAll(lay *layout.Layout, opt Options) (*Result, error) {
 		}
 		// Timing/congestion-driven promotion: some nets ride one pair
 		// higher than their length class.
-		if pair < 2 && rng.Float64() < opt.PromoteProb {
+		if pair < 2 && rng.Float64() < promoteProb {
 			pair++
 		}
 		// Congestion: promote to higher pairs when the natural pair is
@@ -294,10 +289,10 @@ func routeRegular(driver, sink netlist.GateID, pin int, dp, sp layout.Point, pai
 		Detour: detour,
 		Vias:   vias,
 	}
-	// Escape routing: the first/last EscapeFrac of the route stays in
+	// Escape routing: the first/last escapeFrac of the route stays in
 	// the FEOL heading toward the other end; the ascent points (and
 	// their directions) are what an attacker sees after the split.
-	e := int(opt.EscapeFrac * float64(dp.Dist(sp)))
+	e := int(escapeFrac(opt.SplitLayer) * float64(dp.Dist(sp)))
 	pr.AscendAt = stepToward(dp, sp, e)
 	pr.DescendAt = stepToward(sp, dp, e)
 	pr.AscendDir = layout.Toward(dp, sp)
@@ -329,21 +324,20 @@ func stepToward(p, q layout.Point, n int) layout.Point {
 // congestion tracks per-tile, per-pair usage.
 type congestion struct {
 	tilesX, tilesY int
-	tileSize       int
 	capacity       int
 	use            [][]int16 // [pair][tile]
 }
 
-func newCongestion(lay *layout.Layout, opt Options) *congestion {
-	tx := (lay.W + opt.TileSize - 1) / opt.TileSize
-	ty := (lay.H + opt.TileSize - 1) / opt.TileSize
+func newCongestion(lay *layout.Layout, capacity int) *congestion {
+	tx := (lay.W + tileSize - 1) / tileSize
+	ty := (lay.H + tileSize - 1) / tileSize
 	if tx < 1 {
 		tx = 1
 	}
 	if ty < 1 {
 		ty = 1
 	}
-	cg := &congestion{tilesX: tx, tilesY: ty, tileSize: opt.TileSize, capacity: opt.TileCapacity}
+	cg := &congestion{tilesX: tx, tilesY: ty, capacity: capacity}
 	for p := 0; p < numPairs; p++ {
 		cg.use = append(cg.use, make([]int16, tx*ty))
 	}
@@ -351,8 +345,8 @@ func newCongestion(lay *layout.Layout, opt Options) *congestion {
 }
 
 func (cg *congestion) tileOf(p layout.Point) int {
-	x := clamp(p.X/cg.tileSize, 0, cg.tilesX-1)
-	y := clamp(p.Y/cg.tileSize, 0, cg.tilesY-1)
+	x := clamp(p.X/tileSize, 0, cg.tilesX-1)
+	y := clamp(p.Y/tileSize, 0, cg.tilesY-1)
 	return y*cg.tilesX + x
 }
 
@@ -372,17 +366,17 @@ func (cg *congestion) tilesOnPath(a, b layout.Point) []int {
 	addPoint(p)
 	for p.X != b.X {
 		if p.X < b.X {
-			p.X += min(cg.tileSize, b.X-p.X)
+			p.X += min(tileSize, b.X-p.X)
 		} else {
-			p.X -= min(cg.tileSize, p.X-b.X)
+			p.X -= min(tileSize, p.X-b.X)
 		}
 		addPoint(p)
 	}
 	for p.Y != b.Y {
 		if p.Y < b.Y {
-			p.Y += min(cg.tileSize, b.Y-p.Y)
+			p.Y += min(tileSize, b.Y-p.Y)
 		} else {
-			p.Y -= min(cg.tileSize, p.Y-b.Y)
+			p.Y -= min(tileSize, p.Y-b.Y)
 		}
 		addPoint(p)
 	}

@@ -185,7 +185,7 @@ func TestRouteDeterministic(t *testing.T) {
 func TestCongestionDetours(t *testing.T) {
 	// Tiny capacity forces overflow handling to kick in.
 	_, lay := placedLocked(t, 800, 32, 800)
-	res, err := RouteAll(lay, Options{SplitLayer: 4, LiftKeyNets: true, TileCapacity: 1})
+	res, err := routeAll(lay, Options{SplitLayer: 4, LiftKeyNets: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func compareSides(pa, pb *side, opt CompareOptions) (DiffStats, error) {
 		hdBits, errPatterns int
 	}
 	states, err := engine.Run(items,
-		engine.Options{Workers: opt.Workers, Grain: engine.GrainForWidth(w), Stop: opt.Stop},
+		engine.Options{Workers: opt.Workers, Grain: grainForWidth(w), Stop: opt.Stop},
 		func(int) *cmpState {
 			s := &cmpState{
 				buf:  getScratch((len(pa.inputs) + len(pa.ffs) + len(pa.ops)) * w),
@@ -234,6 +234,14 @@ func EquivalentOpt(a, b *netlist.Circuit, opt CompareOptions) (bool, error) {
 		return false, err
 	}
 	return d.OER == 0, nil
+}
+
+// grainForWidth scales engine.DefaultGrain down by a simulation word
+// width: at width w one engine item covers w×64 patterns, so dividing
+// keeps a batch at the same ~4096-pattern cost regardless of width and
+// the sharding balanced. The result never drops below 1.
+func grainForWidth(w int) int {
+	return max(engine.DefaultGrain/w, 1)
 }
 
 // matchByName maps positions in as to positions in bs by name; bName
@@ -383,7 +391,7 @@ func (e *Evaluator) countOnes(ids []netlist.GateID, opt ActivityOptions) (ones [
 		ones              []int
 	}
 	states, err := engine.Run(items,
-		engine.Options{Workers: opt.Workers, Grain: engine.GrainForWidth(w), Stop: opt.Stop},
+		engine.Options{Workers: opt.Workers, Grain: grainForWidth(w), Stop: opt.Stop},
 		func(int) *actState {
 			s := &actState{ones: make([]int, counted)}
 			s.buf = getScratch((len(c.Inputs()) + e.NumState() + c.NumIDs()) * w)
