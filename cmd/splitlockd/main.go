@@ -21,10 +21,10 @@
 // long as the daemon is. The coordinator checkpoints finished cells in
 // its own -manifest and resumes with -resume.
 //
-// Lock, verify and attack jobs are cached by the canonical
-// strashed-graph fingerprint of the locked circuit, so resubmitting an
-// identical problem returns the identical payload without re-solving;
-// concurrent identical submissions coalesce onto one computation.
+// Lock, verify and attack jobs are cached by their spec after defaults,
+// so resubmitting an identical spec returns the identical payload
+// without loading, locking or solving; concurrent identical
+// submissions coalesce onto one computation.
 // Admission control bounds concurrent jobs (-jobs) and the waiting
 // queue (-queue, 503 beyond it); all jobs share one solver pool
 // (-solverslots), and a job waits until its whole portfolio width —

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/aig"
 	"repro/internal/attack"
 	"repro/internal/bmarks"
 	"repro/internal/engine"
@@ -54,9 +53,9 @@ type JobSpec struct {
 	Patterns int `json:"patterns,omitempty"`
 	// MaxIter caps SAT-attack distinguishing-input queries (default 256).
 	MaxIter int `json:"max_iter,omitempty"`
-	// SolverWorkers is the portfolio width (0/1 = single solver). A
-	// daemon clamps it to its solver pool's size before the job is
-	// prepared, so the cache key names the width the job runs with.
+	// SolverWorkers is the portfolio width (default 1, a single
+	// solver). A daemon clamps it to its solver pool's size before it
+	// forms the cache key, so the key names the width the job runs with.
 	SolverWorkers int `json:"solver_workers,omitempty"`
 	// RandomLock selects plain random locking instead of the paper's
 	// cost-driven ATPG scheme.
@@ -75,6 +74,9 @@ func (s JobSpec) withDefaults() JobSpec {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
+	}
+	if s.SolverWorkers < 1 {
+		s.SolverWorkers = 1
 	}
 	return s
 }
@@ -135,15 +137,14 @@ func (rt JobRuntime) emit(stage, format string, args ...any) {
 	}
 }
 
-// Job is one prepared unit of daemon work: spec plus the loaded and
-// locked design and its strash fingerprint. Not safe for concurrent
-// use; the daemon runs each job on one goroutine.
+// Job is one unit of daemon work: spec plus, once prepared, the loaded
+// and locked design. Not safe for concurrent use; the daemon runs each
+// job on one goroutine.
 type Job struct {
 	Spec JobSpec
 	orig *netlist.Circuit
 	lk   *locking.Locked
 	rep  *locking.ATPGLockReport // nil for random locking
-	fp   aig.Fingerprint
 }
 
 // NewJob validates the spec and returns an unprepared job.
@@ -154,14 +155,11 @@ func NewJob(spec JobSpec) (*Job, error) {
 	return &Job{Spec: spec.withDefaults()}, nil
 }
 
-// Prepare loads the benchmark, locks it, and computes the canonical
-// strashed-graph fingerprint — the deterministic prefix every
-// lock/verify/attack job shares. The daemon runs Prepare before
-// consulting the result cache, unless it remembers the fingerprint of
-// an earlier job with the same PrepareKey: jobs whose fingerprints
-// (and result-affecting options) match skip the sweep/SAT/layout work
-// entirely. Prepare is idempotent. Cancelling ctx stops it inside the
-// lock step too, and it then returns ctx's error.
+// Prepare loads the benchmark and locks it — the deterministic prefix
+// every lock/verify/attack job shares. The daemon prepares only jobs
+// whose result it does not have cached. Prepare is idempotent.
+// Cancelling ctx stops it inside the lock step too, and it then returns
+// ctx's error.
 func (j *Job) Prepare(ctx context.Context) error {
 	if j.orig != nil {
 		return nil
@@ -177,33 +175,8 @@ func (j *Job) Prepare(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// Fingerprint both sides of the verification problem over one
-	// shared strashed graph (key TIE cells as free leaves, exactly the
-	// attack's view), rooted at the original's observables then the
-	// locked circuit's: the canonical content address of this
-	// (original, locked) pair.
-	bld := aig.NewBuilder()
-	for _, kb := range lk.KeyBits {
-		bld.ForceLeaf(lk.Circuit.Gate(kb.Tie).Name)
-	}
-	mo, err := bld.Add(orig)
-	if err != nil {
-		return fmt.Errorf("flow: fingerprint: %w", err)
-	}
-	ml, err := bld.Add(lk.Circuit)
-	if err != nil {
-		return fmt.Errorf("flow: fingerprint: %w", err)
-	}
-	roots := append(obsLits(orig, mo), obsLits(lk.Circuit, ml)...)
-	j.orig, j.lk, j.rep, j.fp = orig, lk, rep, bld.Fingerprint(roots...)
+	j.orig, j.lk, j.rep = orig, lk, rep
 	return nil
-}
-
-// PrepareKey names what Prepare computes: jobs with equal keys load and
-// lock the same design and so get the same Fingerprint.
-func (j *Job) PrepareKey() string {
-	s := j.Spec
-	return fmt.Sprintf("%s|x%v|k%d|ls%d|r%t", s.Bench, s.Scale, s.KeyBits, j.lockSeed(), s.RandomLock)
 }
 
 // lockSeed matches the seed derivation of the table sweep's per-cell
@@ -214,36 +187,10 @@ func (j *Job) lockSeed() uint64 {
 	return j.Spec.Seed + uint64(j.Spec.SplitLayer)*1000
 }
 
-// obsLits collects a circuit's observable literals: outputs in
-// declaration order, then next-state cones in flip-flop order.
-func obsLits(c *netlist.Circuit, m aig.LitMap) []aig.Lit {
-	var roots []aig.Lit
-	for _, o := range c.Outputs() {
-		roots = append(roots, m[o])
-	}
-	for _, ff := range c.DFFs() {
-		roots = append(roots, m[c.Gate(ff).Fanin[0]])
-	}
-	return roots
-}
-
-// Fingerprint returns the canonical strash fingerprint (zero until
-// Prepare).
-func (j *Job) Fingerprint() aig.Fingerprint { return j.fp }
-
-// CacheKey is the content address of a prepared job's result: the
-// structural fingerprint combined with every result-affecting option.
-// The daemon forms its keys with CacheKeyFor; CacheKey serves callers
-// that prepared the job themselves, such as perfbench's traced jobs.
-func (j *Job) CacheKey() string { return j.CacheKeyFor(j.fp) }
-
-// CacheKeyFor is CacheKey for a job whose fingerprint is fp: the one
-// Prepare computed for this job or for an earlier job with the same
-// PrepareKey, so a repeated spec forms its key without preparing.
-func (j *Job) CacheKeyFor(fp aig.Fingerprint) string {
-	s := j.Spec
-	return fmt.Sprintf("%s|%s|l%d|seed%d|p%d|mi%d|sw%d", s.Kind, fp, s.SplitLayer, s.Seed, s.Patterns, s.MaxIter, s.SolverWorkers)
-}
+// CacheKey names the job's result: every field of its normalized spec.
+// Results are deterministic functions of the spec, so jobs with equal
+// keys have byte-identical payloads. The key needs no Prepare.
+func (j *Job) CacheKey() string { return fmt.Sprintf("%+v", j.Spec) }
 
 // LockJobResult summarizes a lock job: the full Fig. 3 flow ran and the
 // locked design passed LEC, placement, routing, and splitting.
@@ -306,15 +253,11 @@ func (j *Job) Run(ctx context.Context, rt JobRuntime) (any, error) {
 // runtime has a pool. The returned release func must be called when the
 // job's solving is done.
 func (j *Job) newSolver(ctx context.Context, rt JobRuntime, stop *atomic.Bool) (sat.Interface, func(), error) {
-	want := j.Spec.SolverWorkers
-	if want < 1 {
-		want = 1
-	}
-	popt := sat.PortfolioOptions{Workers: want, Seed: j.Spec.Seed, Stop: stop}
+	popt := sat.PortfolioOptions{Workers: j.Spec.SolverWorkers, Seed: j.Spec.Seed, Stop: stop}
 	if rt.Pool == nil {
 		return sat.NewPortfolio(popt), func() {}, nil
 	}
-	lease, err := rt.Pool.Acquire(ctx, want)
+	lease, err := rt.Pool.Acquire(ctx, j.Spec.SolverWorkers)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -54,20 +54,14 @@ func TestJobSpecValidate(t *testing.T) {
 }
 
 // TestJobVerifyDeterministic: two separately prepared identical verify
-// jobs agree on fingerprint, cache key, and — byte for byte — result
-// payload. This is the determinism the daemon's cache depends on.
+// jobs agree on cache key and — byte for byte — result payload. This is
+// the determinism the daemon's cache depends on.
 func TestJobVerifyDeterministic(t *testing.T) {
 	spec := JobSpec{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2}
 	d1, j1 := runJob(t, spec, JobRuntime{})
 	d2, j2 := runJob(t, spec, JobRuntime{})
-	if j1.Fingerprint().IsZero() {
-		t.Fatal("prepared verify job has no fingerprint")
-	}
 	if j1.CacheKey() != j2.CacheKey() {
 		t.Fatalf("cache keys differ: %q vs %q", j1.CacheKey(), j2.CacheKey())
-	}
-	if j1.Fingerprint() != j2.Fingerprint() {
-		t.Fatalf("fingerprints differ: %s vs %s", j1.Fingerprint(), j2.Fingerprint())
 	}
 	if string(d1) != string(d2) {
 		t.Fatalf("results differ:\n%s\n%s", d1, d2)
@@ -78,15 +72,6 @@ func TestJobVerifyDeterministic(t *testing.T) {
 	}
 	if !res.Equivalent {
 		t.Fatal("locked c432 reported non-equivalent")
-	}
-
-	// A different seed locks differently: distinct fingerprint and key.
-	j3 := mustJob(t, JobSpec{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 3})
-	if err := j3.Prepare(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if j3.Fingerprint() == j1.Fingerprint() {
-		t.Fatal("different lock seeds produced the same fingerprint")
 	}
 }
 
@@ -182,33 +167,39 @@ func TestLockJobMatchesFlowRun(t *testing.T) {
 	}
 }
 
-// TestJobPrepareKey: jobs that lock the same design share a prepare key
-// whatever their kind; anything that changes the lock changes the key.
-func TestJobPrepareKey(t *testing.T) {
-	base := JobSpec{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2}
-	key := mustJob(t, base).PrepareKey()
-	same := []JobSpec{
-		{Kind: JobLock, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, SplitLayer: 4},
-		{Kind: JobAttack, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, MaxIter: 9, Patterns: 64, SolverWorkers: 2},
-		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 1002, SplitLayer: 3},
+// TestJobCacheKey: the cache key of an unprepared job is its normalized
+// spec. A spec that spells out every default shares the bare spec's key
+// (an omitted solver_workers is one solver), and changing any one field
+// changes the key.
+func TestJobCacheKey(t *testing.T) {
+	bare := JobSpec{Kind: JobAttack, Bench: "c432"}
+	key := mustJob(t, bare).CacheKey()
+	full := JobSpec{Kind: JobAttack, Bench: "c432", Scale: 0.1, KeyBits: 128, SplitLayer: 4, Seed: 1, SolverWorkers: 1}
+	if got := mustJob(t, full).CacheKey(); got != key {
+		t.Errorf("spelled-out defaults: key %q, want the bare spec's %q", got, key)
 	}
-	for _, s := range same {
-		if got := mustJob(t, s).PrepareKey(); got != key {
-			t.Errorf("%+v: prepare key %q, want %q", s, got, key)
+
+	changes := []func(*JobSpec){
+		func(s *JobSpec) { s.Kind = JobVerify },
+		func(s *JobSpec) { s.Bench = "c880" },
+		func(s *JobSpec) { s.Scale = 0.5 },
+		func(s *JobSpec) { s.KeyBits = 64 },
+		func(s *JobSpec) { s.SplitLayer = 6 },
+		func(s *JobSpec) { s.Seed = 2 },
+		func(s *JobSpec) { s.Patterns = 64 },
+		func(s *JobSpec) { s.MaxIter = 9 },
+		func(s *JobSpec) { s.SolverWorkers = 2 },
+		func(s *JobSpec) { s.RandomLock = true },
+	}
+	seen := map[string]int{key: -1}
+	for i, change := range changes {
+		s := full
+		change(&s)
+		got := mustJob(t, s).CacheKey()
+		if prev, dup := seen[got]; dup {
+			t.Errorf("change %d (%+v) shares key %q with change %d", i, s, got, prev)
 		}
-	}
-	differ := []JobSpec{
-		{Kind: JobVerify, Bench: "c880", Scale: 1, KeyBits: 16, Seed: 2},
-		{Kind: JobVerify, Bench: "c432", Scale: 0.5, KeyBits: 16, Seed: 2},
-		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 17, Seed: 2},
-		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 3},
-		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, SplitLayer: 6},
-		{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, RandomLock: true},
-	}
-	for _, s := range differ {
-		if got := mustJob(t, s).PrepareKey(); got == key {
-			t.Errorf("%+v shares prepare key %q with %+v", s, key, base)
-		}
+		seen[got] = i
 	}
 }
 

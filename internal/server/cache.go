@@ -1,5 +1,5 @@
 // Package server implements splitlockd's daemon core: a job manager
-// with admission control, a content-addressed result cache with
+// with admission control, a result cache keyed by job spec with
 // singleflight coalescing, a shared solver pool, and the HTTP/JSON API
 // that exposes lock/verify/attack jobs as long-running work with
 // streamed progress events. With a state directory, each job's record
@@ -44,13 +44,14 @@ type cacheEntry struct {
 	err  error
 }
 
-// Cache is a bounded content-addressed result cache with singleflight
-// semantics: concurrent Do calls for the same key coalesce onto one
-// computation, and completed results are served to later calls
-// byte-identically. Keys are the flow job cache keys (strashed-graph
-// fingerprint plus result-affecting options), so "identical job" means
-// identical problem, not identical request text. The manager wraps
-// every job in it; perfbench's traced daemon-mix replay does the same.
+// Cache is a bounded result cache with singleflight semantics:
+// concurrent Do calls for the same key coalesce onto one computation,
+// and completed results are served to later calls byte-identically.
+// Keys are the flow job cache keys (every field of the normalized job
+// spec), so "identical job" means identical spec after defaults, not
+// identical request text. The manager wraps every job in it, before
+// the job loads or locks anything; perfbench's traced daemon-mix
+// replay does the same.
 type Cache struct {
 	mu      sync.Mutex
 	max     int

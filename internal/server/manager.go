@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/aig"
 	"repro/internal/flow"
 	"repro/internal/runmanifest"
 	"repro/internal/sat"
@@ -113,10 +112,9 @@ type Manager struct {
 	opt   ManagerOptions
 	pool  *sat.Pool
 	cache *Cache
-	memo  *fpMemo
-	// prepares counts Job.Prepare runs, so tests can tell a repeated
-	// spec that skipped preparation from one that paid for it.
-	prepares atomic.Int64
+	// prepared counts jobs that finished Job.Prepare, so tests can tell
+	// a repeated spec that skipped preparation from one that paid for it.
+	prepared atomic.Int64
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -148,7 +146,6 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 		opt:     opt,
 		pool:    sat.NewPool(opt.SolverSlots),
 		cache:   NewCache(opt.CacheEntries),
-		memo:    newFPMemo(fpMemoEntries),
 		jobs:    make(map[string]*jobState),
 		cellSem: make(chan struct{}, opt.MaxCells),
 	}
@@ -425,9 +422,8 @@ func (m *Manager) runner() {
 	}
 }
 
-// runJob executes one job end to end: mark running, find the job's
-// fingerprint (from the memo, or by preparing), consult the cache (or
-// compute), and record the terminal status.
+// runJob executes one job end to end: mark running, consult the cache
+// (or prepare and compute), and record the terminal status.
 func (m *Manager) runJob(id string) {
 	m.mu.Lock()
 	js, ok := m.jobs[id]
@@ -437,8 +433,8 @@ func (m *Manager) runJob(id string) {
 	}
 	spec := js.rec.Spec
 	// A lease never holds more than the pool's total, so clamp the
-	// width before Prepare: the cache key must name the width the job
-	// runs with.
+	// width before the cache key is formed: the key must name the width
+	// the job runs with.
 	spec.SolverWorkers = min(spec.SolverWorkers, m.pool.Total())
 	ctx, cancel := context.WithCancel(m.rootCtx)
 	js.rec.Status = StatusRunning
@@ -466,26 +462,14 @@ func (m *Manager) runJob(id string) {
 		Pool: m.pool,
 		Emit: func(ev flow.JobEvent) { m.emit(id, ev) },
 	}
-	// The cache key is the canonical strashed-graph fingerprint, which
-	// only Prepare (load + lock + strash) computes. The memo remembers
-	// it per prepare key, so a repeated spec forms its key without
-	// preparing, and a hit skips the whole pipeline. A memo miss
-	// prepares before the lookup; a memo hit whose result was evicted
-	// prepares inside the computation instead.
-	pk := job.PrepareKey()
-	fp, ok := m.memo.get(pk)
-	if !ok {
-		if err := m.prepare(ctx, job); err != nil {
-			m.finishJob(id, nil, CacheNone, err)
-			return
-		}
-		fp = job.Fingerprint()
-		m.memo.put(pk, fp)
-	}
-	data, outcome, err := m.cache.Do(ctx, job.CacheKeyFor(fp), func() (json.RawMessage, error) {
-		if err := m.prepare(ctx, job); err != nil {
+	// The key is the spec itself, so a repeated spec is served before
+	// any load or lock, and an identical job already computing is
+	// joined before it locks.
+	data, outcome, err := m.cache.Do(ctx, job.CacheKey(), func() (json.RawMessage, error) {
+		if err := job.Prepare(ctx); err != nil {
 			return nil, err
 		}
+		m.prepared.Add(1)
 		res, err := job.Run(ctx, rt)
 		if err != nil {
 			return nil, err
@@ -493,16 +477,6 @@ func (m *Manager) runJob(id string) {
 		return json.Marshal(res)
 	})
 	m.finishJob(id, data, outcome, err)
-}
-
-// prepare runs job.Prepare once per job, counting the runs that do
-// work.
-func (m *Manager) prepare(ctx context.Context, job *flow.Job) error {
-	if !job.Fingerprint().IsZero() {
-		return nil
-	}
-	m.prepares.Add(1)
-	return job.Prepare(ctx)
 }
 
 // finishJob records a job's terminal state: done with its result,
@@ -582,8 +556,8 @@ func (m *Manager) Drain(timeout time.Duration) error {
 // retainedJobs bounds the finished (done or failed) job records the
 // daemon keeps, in memory and in the journal. A record is about half a
 // kilobyte, so GET /v1/jobs stays near 150 kB. Eviction drops only the
-// record: results live in the cache, keyed by fingerprint, so a repeat
-// of an evicted job's spec is still a cache hit.
+// record: results live in the cache, keyed by job spec, so a repeat of
+// an evicted job's spec is still a cache hit.
 const retainedJobs = 256
 
 // evictFinished drops the oldest finished jobs beyond retainedJobs,
@@ -598,45 +572,5 @@ func (m *Manager) evictFinished() {
 		if m.journal != "" {
 			_ = os.Remove(filepath.Join(m.journal, id+".json"))
 		}
-	}
-}
-
-// fpMemoEntries bounds the fingerprint memo. An entry is a short key
-// and a 16-byte fingerprint, so a full memo is a few hundred kilobytes.
-const fpMemoEntries = 4096
-
-// fpMemo maps job prepare keys to the fingerprints Prepare computed for
-// them, evicting the oldest entry beyond its bound. It holds no
-// circuits, so concurrent jobs never share a prepared design. Safe for
-// concurrent use.
-type fpMemo struct {
-	mu    sync.Mutex
-	max   int
-	fps   map[string]aig.Fingerprint
-	order []string // keys, oldest first
-}
-
-func newFPMemo(max int) *fpMemo {
-	return &fpMemo{max: max, fps: make(map[string]aig.Fingerprint)}
-}
-
-func (m *fpMemo) get(key string) (aig.Fingerprint, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fp, ok := m.fps[key]
-	return fp, ok
-}
-
-func (m *fpMemo) put(key string, fp aig.Fingerprint) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.fps[key]; ok {
-		return
-	}
-	m.fps[key] = fp
-	m.order = append(m.order, key)
-	for len(m.order) > m.max {
-		delete(m.fps, m.order[0])
-		m.order = m.order[1:]
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/aig"
 	"repro/internal/flow"
 	"repro/internal/runmanifest"
 )
@@ -89,8 +88,8 @@ func TestManagerCacheHitOnRepeatedJob(t *testing.T) {
 	if !res.Equivalent {
 		t.Fatal("cached verify reported non-equivalent")
 	}
-	// "Measurably faster": the fingerprint memo supplies the cache key,
-	// so the hit skips Prepare (load + lock + strash) as well as LEC.
+	// "Measurably faster": the spec is the cache key, so the hit skips
+	// Prepare (load + lock) as well as LEC.
 	if hitTime > 10*time.Second {
 		t.Fatalf("cache hit took %v", hitTime)
 	}
@@ -113,72 +112,80 @@ func submitWait(t *testing.T, m *Manager, spec flow.JobSpec) JobRecord {
 	return r
 }
 
-// TestManagerRepeatSkipsPrepare: a repeated spec forms its cache key
-// from the fingerprint memo, so its hit loads and locks nothing. A job
-// that shares the prepare key but misses the cache prepares inside its
-// computation, and so does a repeat whose result was evicted; both
-// payloads match their cold runs.
+// TestManagerRepeatSkipsPrepare: a repeated spec is its own cache key,
+// so its hit loads and locks nothing. A job on the same design that
+// misses the cache prepares inside its computation, and so does a
+// repeat whose result was evicted; both payloads match their cold runs.
 func TestManagerRepeatSkipsPrepare(t *testing.T) {
 	m := newTestManager(t, ManagerOptions{MaxJobs: 1, CacheEntries: 1})
 	r1 := submitWait(t, m, lockSpec())
-	if r1.Cache != string(CacheMiss) || m.prepares.Load() != 1 {
-		t.Fatalf("cold lock job: cache %q after %d prepares, want a miss after 1", r1.Cache, m.prepares.Load())
+	if r1.Cache != string(CacheMiss) || m.prepared.Load() != 1 {
+		t.Fatalf("cold lock job: cache %q after %d prepares, want a miss after 1", r1.Cache, m.prepared.Load())
 	}
 	r2 := submitWait(t, m, lockSpec())
-	if r2.Cache != string(CacheHit) || m.prepares.Load() != 1 {
-		t.Fatalf("repeated lock job: cache %q after %d prepares, want a hit after 1", r2.Cache, m.prepares.Load())
+	if r2.Cache != string(CacheHit) || m.prepared.Load() != 1 {
+		t.Fatalf("repeated lock job: cache %q after %d prepares, want a hit after 1", r2.Cache, m.prepared.Load())
 	}
 	if string(r1.Result) != string(r2.Result) {
 		t.Fatalf("hit payload differs from the cold run:\n%s\n%s", r1.Result, r2.Result)
 	}
 
-	// Same design, different job: the memo names the fingerprint, the
-	// cache has no result, so the computation prepares.
+	// Same design, different job: the cache has no result, so the
+	// computation prepares.
 	rv := submitWait(t, m, verifySpec())
-	if rv.Cache != string(CacheMiss) || m.prepares.Load() != 2 {
-		t.Fatalf("verify job on the locked design: cache %q after %d prepares, want a miss after 2", rv.Cache, m.prepares.Load())
+	if rv.Cache != string(CacheMiss) || m.prepared.Load() != 2 {
+		t.Fatalf("verify job on the locked design: cache %q after %d prepares, want a miss after 2", rv.Cache, m.prepared.Load())
 	}
-	// The one-entry cache evicted the lock result; the memo still
-	// names its fingerprint.
+	// The one-entry cache evicted the lock result.
 	r3 := submitWait(t, m, lockSpec())
-	if r3.Cache != string(CacheMiss) || m.prepares.Load() != 3 {
-		t.Fatalf("evicted lock job: cache %q after %d prepares, want a miss after 3", r3.Cache, m.prepares.Load())
+	if r3.Cache != string(CacheMiss) || m.prepared.Load() != 3 {
+		t.Fatalf("evicted lock job: cache %q after %d prepares, want a miss after 3", r3.Cache, m.prepared.Load())
 	}
 	if string(r1.Result) != string(r3.Result) {
 		t.Fatalf("recomputed payload differs from the cold run:\n%s\n%s", r1.Result, r3.Result)
 	}
 }
 
-// TestFPMemoBound: more distinct specs than the memo's bound keep it at
-// its bound, dropping the oldest first.
-func TestFPMemoBound(t *testing.T) {
-	memo := newFPMemo(fpMemoEntries)
-	var keys []string
-	for i := 0; i < fpMemoEntries+50; i++ {
-		job, err := flow.NewJob(flow.JobSpec{Kind: flow.JobVerify, Bench: "c432", Seed: uint64(i + 1)})
+// TestManagerCoalescedRepeatPreparesOnce: the same fresh lock spec
+// submitted twice back to back to two runners is computed once. The
+// second job joins the first's computation (or hits its result) before
+// it loads or locks anything, so the design is prepared once and both
+// payloads are byte-identical.
+func TestManagerCoalescedRepeatPreparesOnce(t *testing.T) {
+	m := newTestManager(t, ManagerOptions{MaxJobs: 2})
+	var ids []string
+	for i := 0; i < 2; i++ {
+		r, err := m.Submit(lockSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys = append(keys, job.PrepareKey())
-		memo.put(keys[i], aig.Fingerprint{uint64(i + 1), 1})
-		memo.put(keys[i], aig.Fingerprint{7, 7}) // a repeat neither grows nor overwrites
+		ids = append(ids, r.ID)
 	}
-	if got := len(memo.fps); got != fpMemoEntries || len(memo.order) != fpMemoEntries {
-		t.Fatalf("memo holds %d entries, want its bound %d", got, fpMemoEntries)
+	outcomes := map[string]int{}
+	var payloads []string
+	for _, id := range ids {
+		r := waitDone(t, m, id)
+		if r.Status != StatusDone {
+			t.Fatalf("lock job %s: %s", r.Status, r.Error)
+		}
+		outcomes[r.Cache]++
+		payloads = append(payloads, string(r.Result))
 	}
-	if _, ok := memo.get(keys[49]); ok {
-		t.Fatal("the oldest entries were not evicted")
+	if outcomes[string(CacheMiss)] != 1 || outcomes[string(CacheCoalesced)]+outcomes[string(CacheHit)] != 1 {
+		t.Fatalf("cache outcomes %v, want one miss and one coalesced or hit", outcomes)
 	}
-	last := len(keys) - 1
-	if fp, ok := memo.get(keys[last]); !ok || fp != (aig.Fingerprint{uint64(last + 1), 1}) {
-		t.Fatalf("newest entry: %v, %v", fp, ok)
+	if payloads[0] != payloads[1] {
+		t.Fatalf("repeat payload differs:\n%s\n%s", payloads[0], payloads[1])
+	}
+	if got := m.prepared.Load(); got != 1 {
+		t.Fatalf("%d prepares, want 1", got)
 	}
 }
 
-// TestManagerSharedPrepareKeyConcurrent: a lock job and a verify job
-// that share a prepare key run at once, each preparing its own design
-// (the memo holds fingerprints, never circuits), and each payload is
-// byte-identical to its solo run. Run under -race.
+// TestManagerSharedPrepareKeyConcurrent: a lock job and a verify job on
+// the same design run at once, each preparing its own design (nothing
+// shares circuits between jobs), and each payload is byte-identical to
+// its solo run. Run under -race.
 func TestManagerSharedPrepareKeyConcurrent(t *testing.T) {
 	solo := map[flow.JobKind]string{}
 	for _, spec := range []flow.JobSpec{lockSpec(), verifySpec()} {
@@ -187,11 +194,6 @@ func TestManagerSharedPrepareKeyConcurrent(t *testing.T) {
 	}
 
 	m := newTestManager(t, ManagerOptions{MaxJobs: 2, SolverSlots: 2})
-	// A verify job at another depth puts the design's fingerprint in
-	// the memo, so both jobs below prepare inside their computations.
-	warm := verifySpec()
-	warm.Patterns = 64
-	submitWait(t, m, warm)
 	var ids []string
 	for _, spec := range []flow.JobSpec{lockSpec(), verifySpec()} {
 		r, err := m.Submit(spec)
@@ -209,8 +211,8 @@ func TestManagerSharedPrepareKeyConcurrent(t *testing.T) {
 			t.Fatalf("%s payload differs from its solo run:\n%s\n%s", r.Spec.Kind, r.Result, solo[r.Spec.Kind])
 		}
 	}
-	if got := m.prepares.Load(); got != 3 {
-		t.Fatalf("%d prepares, want 3 (one per computed job)", got)
+	if got := m.prepared.Load(); got != 2 {
+		t.Fatalf("%d prepares, want 2 (one per computed job)", got)
 	}
 }
 
@@ -278,22 +280,14 @@ func holdSolverPool(t *testing.T, m *Manager) func() {
 	return hold.Release
 }
 
-// waitPrepared waits until a job with spec's prepare key has recorded
-// its fingerprint in m's memo: it has prepared and moved on to its
-// solving phase.
-func waitPrepared(t *testing.T, m *Manager, spec flow.JobSpec) {
+// waitPrepared waits until at least n of m's jobs have finished
+// Prepare, so a job held at the solver pool is past its lock step.
+func waitPrepared(t *testing.T, m *Manager, n int64) {
 	t.Helper()
-	job, err := flow.NewJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	deadline := time.Now().Add(120 * time.Second)
-	for {
-		if _, ok := m.memo.get(job.PrepareKey()); ok {
-			return
-		}
+	for m.prepared.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s job never finished preparing", spec.Kind)
+			t.Fatalf("%d of %d jobs prepared", m.prepared.Load(), n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -311,7 +305,7 @@ func TestManagerAdmission(t *testing.T) {
 	}
 	// The single runner is now wedged: the verify job waits for the
 	// solver slot the test holds.
-	waitPrepared(t, m, verifySpec())
+	waitPrepared(t, m, 1)
 
 	q, err := m.Submit(verifySpec())
 	if err != nil {
@@ -359,7 +353,7 @@ func TestManagerDrainResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitPrepared(t, m1, spec)
+	waitPrepared(t, m1, 1)
 	if err := m1.Drain(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
