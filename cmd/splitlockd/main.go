@@ -26,10 +26,9 @@
 // without loading, locking or solving; concurrent identical
 // submissions coalesce onto one computation.
 // Admission control bounds concurrent jobs (-jobs) and the waiting
-// queue (-queue, 503 beyond it); all jobs share one solver pool
-// (-solverslots), and a job waits until its whole portfolio width —
-// clamped to the pool size — is free, so its payload never depends on
-// load. SIGINT/SIGTERM drains gracefully: admission stops, running
+// queue (-queue, 503 beyond it). -solverslots caps the portfolio width
+// of each job and cell: a wider request is clamped, never queued, so
+// its payload never depends on load. SIGINT/SIGTERM drains gracefully: admission stops, running
 // jobs are cancelled (a paper-scale lock stops between modules),
 // journaled as interrupted (each job has its own file under
 // -state/jobs/, replaced only when its record changes; the newest 256
@@ -62,7 +61,7 @@ func main() {
 		state        = flag.String("state", "", "state directory for the job journal, one jobs/<id>.json file per job (empty = in-memory, no requeue on restart)")
 		jobs         = flag.Int("jobs", 2, "max concurrently running jobs")
 		queue        = flag.Int("queue", 64, "max queued jobs before submissions get 503")
-		solverSlots  = flag.Int("solverslots", 0, "shared solver pool slots (0 = GOMAXPROCS)")
+		solverSlots  = flag.Int("solverslots", 0, "max SAT portfolio members per job or cell; wider requests are clamped (0 = GOMAXPROCS)")
 		cacheEntries = flag.Int("cache", 128, "result cache entries")
 		jobTimeout   = flag.Duration("jobtimeout", 0, "per-job deadline (0 = none)")
 		drainTimeout = flag.Duration("draintimeout", 30*time.Second, "max wait for running jobs and cells to stop on shutdown")

@@ -368,46 +368,6 @@ func TestSATAttackPortfolio(t *testing.T) {
 	}
 }
 
-// TestSATAttackBatchSizes: every batch size must recover a correct key;
-// batching only changes how many distinguishing inputs are mined per
-// bit-parallel oracle evaluation. Sizes above 64 ride the wide
-// simulation kernel (one lane per 64 queries, up to sim.MaxWidth×64).
-func TestSATAttackBatchSizes(t *testing.T) {
-	orig, err := bmarks.Generate(bmarks.Spec{Name: "satb", Inputs: 10, Outputs: 5, Gates: 150, Seed: 190})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lk, err := locking.RandomLock(orig, locking.RandomLockOptions{KeyBits: 10, Seed: 191})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 4, 64, 128, 512} {
-		// Large batches mine up to BatchSize queries per oracle round,
-		// many redundant, so give them query-budget headroom.
-		res, err := SATAttackOpt(lk, orig, SATAttackOptions{MaxIter: 4 * 512, BatchSize: batch})
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		if !res.Converged {
-			t.Fatalf("batch %d: did not converge (%d iterations)", batch, res.Iterations)
-		}
-		recovered, err := lk.ApplyKey(res.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eq, err := sim.EquivalentOpt(orig, recovered, sim.CompareOptions{Patterns: 16384, Seed: 192})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eq {
-			t.Fatalf("batch %d: recovered key is not functionally correct", batch)
-		}
-		if batch > 1 && res.OracleEvals > res.Iterations {
-			t.Fatalf("batch %d: %d oracle evals for %d queries — batching not effective", batch, res.OracleEvals, res.Iterations)
-		}
-	}
-}
-
 // TestSATAttackATPGLocked: the incremental attack also handles the
 // paper's cost-driven ATPG locking scheme (denser restore logic than
 // random XOR insertion).

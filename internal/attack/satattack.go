@@ -18,8 +18,8 @@ type SATResult struct {
 	Iterations int
 	// Converged is true when no distinguishing input remained.
 	Converged bool
-	// OracleEvals is the number of bit-parallel oracle evaluations; each
-	// call answers up to 64 distinguishing-input queries at once.
+	// OracleEvals is the number of oracle evaluations, one per
+	// distinguishing-input query.
 	OracleEvals int
 	// SolveCalls is the number of SAT solver invocations.
 	SolveCalls int
@@ -27,9 +27,9 @@ type SATResult struct {
 	// encoding (both keyed copies plus the miter).
 	BaseClauses int
 	// AddedClauses is the number of problem clauses added across all
-	// iterations (cofactor-cone constraints and retired batch blockers),
-	// counted as they are installed: clauses that solver inprocessing
-	// later deletes still count. The incremental encoding keeps this
+	// iterations (cofactor-cone constraints), counted as they are
+	// installed: clauses that solver inprocessing later deletes still
+	// count. The incremental encoding keeps this
 	// far below re-encoding the circuit per iteration; the regression
 	// tests assert the bound.
 	AddedClauses int
@@ -52,21 +52,11 @@ type SATAttackOptions struct {
 	// MaxIter caps the number of distinguishing-input queries
 	// (default 256).
 	MaxIter int
-	// BatchSize is the number of distinguishing inputs mined per oracle
-	// round; one bit-parallel oracle Eval answers the whole batch
-	// (capped at 512 = sim.MaxWidth×64, the simulator's widest pass;
-	// query t rides lane t/64, bit t%64). The default of 1 minimizes
-	// total queries and wall clock — every input is mined with all
-	// previous constraints in place; larger batches trade extra
-	// (partially redundant) queries for up to 512× fewer oracle round
-	// trips, which wins when the oracle is a physical chip rather than
-	// an in-process simulation.
-	BatchSize int
 	// Solver, when non-nil, is the SAT backend for the whole attack
 	// (default: a one-member portfolio). It must be fresh (no variables
 	// or clauses): the attack encodes its incremental miter into it and
-	// owns it for the run. This is the portfolio and pool seam — a
-	// daemon injects a portfolio sized to its admission grant.
+	// owns it for the run. A daemon injects a portfolio capped at its
+	// width limit here.
 	Solver sat.Interface
 }
 
@@ -90,29 +80,15 @@ func SATAttack(lk *locking.Locked, oracle *netlist.Circuit, maxIter int) (*SATRe
 // keyed copies and the miter are Tseitin-encoded from it exactly once
 // (key-independent nodes — identical in both copies by construction —
 // are emitted once and shared), and each distinguishing input adds
-// only (a) a blocking clause over the shared input variables, retired
-// per batch through an activation literal, and (b) oracle-consistency
-// constraints encoded over the key-dependent cofactor cone of the AIG
-// under that input (constant nodes are folded away and XOR/MUX shapes
-// are emitted with their 4-clause definitions, so the growth per
-// iteration is proportional to the key cone, not the circuit).
+// only oracle-consistency constraints encoded over the key-dependent
+// cofactor cone of the AIG under that input (constant nodes are folded
+// away and XOR/MUX shapes are emitted with their 4-clause definitions,
+// so the growth per iteration is proportional to the key cone, not the
+// circuit).
 func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOptions) (*SATResult, error) {
 	maxIter := opt.MaxIter
 	if maxIter <= 0 {
 		maxIter = 256
-	}
-	batch := opt.BatchSize
-	if batch <= 0 {
-		batch = 1
-	}
-	if batch > sim.MaxWidth*64 {
-		batch = sim.MaxWidth * 64
-	}
-	// The narrowest simulation width whose lanes cover the batch; one
-	// wide Eval answers all of it.
-	simW := 1
-	for !sim.ValidWidth(simW) || simW*64 < batch {
-		simW++
 	}
 	c := lk.Circuit
 	s := opt.Solver
@@ -269,9 +245,10 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 	if err != nil {
 		return nil, err
 	}
-	oin := make([]uint64, len(oracle.Inputs())*simW)
-	ost := make([]uint64, len(oracle.DFFs())*simW)
-	nets := ev.NewWideNetBuffer(simW)
+	oin := make([]uint64, len(oracle.Inputs()))
+	ost := make([]uint64, len(oracle.DFFs()))
+	nets := ev.NewNetBuffer()
+	obs := make([]bool, 0, len(oracle.Outputs())+len(oracle.DFFs()))
 
 	cof := newAIGCof(g, leafDi, leafKey, obsLits)
 
@@ -283,102 +260,53 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 		AIGRewriteSaved: rst.Saved(),
 	}
 	// Every problem clause installed from here on is query growth:
-	// batch blockers and cofactor constraints.
+	// the cofactor constraints.
 	added := &clauseCounter{Interface: s}
 	s = added
-	dis := make([][]bool, 0, batch)
+	di := make([]bool, len(diVars))
 	for res.Iterations < maxIter {
-		// Mine a batch of distinct distinguishing inputs. Distinctness
-		// within the batch is enforced by blocking clauses gated on a
-		// per-batch activation literal, retired once the batch's real
-		// constraints are in place.
-		dis = dis[:0]
-		blockAct := 0
-		assume := []int{active}
-		for len(dis) < batch && res.Iterations+len(dis) < maxIter {
-			st := s.Solve(assume...)
-			res.SolveCalls++
-			if st != sat.Sat {
-				break
-			}
-			di := make([]bool, len(diVars))
-			for i, dv := range diVars {
-				di[i] = s.Value(dv.v)
-			}
-			dis = append(dis, di)
-			if len(dis) >= batch || res.Iterations+len(dis) >= maxIter {
-				break // no further mining this batch: skip the blocker
-			}
-			if blockAct == 0 {
-				blockAct = s.NewVar()
-				assume = append(assume, blockAct)
-			}
-			cl := make([]int, 0, len(diVars)+1)
-			cl = append(cl, -blockAct)
-			for i, dv := range diVars {
-				if di[i] {
-					cl = append(cl, -dv.v)
-				} else {
-					cl = append(cl, dv.v)
-				}
-			}
-			s.AddClause(cl...)
-		}
-		if blockAct != 0 {
-			s.AddClause(-blockAct) // retire the batch blockers
-		}
-		if len(dis) == 0 {
+		st := s.Solve(active)
+		res.SolveCalls++
+		if st != sat.Sat {
 			res.Converged = true
 			break
 		}
-
-		// One bit-parallel oracle evaluation answers the whole batch:
-		// distinguishing input t rides lane t/64, bit t%64 of every
-		// input's wide word.
-		for i := range oin {
-			oin[i] = 0
-		}
-		for i := range ost {
-			ost[i] = 0
-		}
-		for t, di := range dis {
-			lane, bit := t/64, uint(t%64)
-			for i, dv := range diVars {
-				if !di[i] {
-					continue
-				}
-				if dv.inPos >= 0 {
-					oin[dv.inPos*simW+lane] |= 1 << bit
-				}
-				if dv.stPos >= 0 {
-					ost[dv.stPos*simW+lane] |= 1 << bit
-				}
+		// The oracle answers the distinguishing input as pattern 0 of
+		// one evaluation.
+		for i, dv := range diVars {
+			di[i] = s.Value(dv.v)
+			var b uint64
+			if di[i] {
+				b = 1
+			}
+			if dv.inPos >= 0 {
+				oin[dv.inPos] = b
+			}
+			if dv.stPos >= 0 {
+				ost[dv.stPos] = b
 			}
 		}
-		ev.EvalWide(simW, oin, ost, nets)
+		ev.Eval(oin, ost, nets)
 		res.OracleEvals++
-
-		// Constrain both keyed copies to match the oracle on every
-		// input of the batch, over the key-dependent cone only. The
-		// cofactor pass is key-independent and runs once per input.
-		for t, di := range dis {
-			lane, bit := t/64, uint(t%64)
-			obs := make([]bool, 0, len(oracle.Outputs())+len(oracle.DFFs()))
-			for _, o := range oracle.Outputs() {
-				obs = append(obs, nets[int(o)*simW+lane]>>bit&1 == 1)
-			}
-			for _, ff := range oracle.DFFs() {
-				obs = append(obs, nets[int(oracle.Gate(ff).Fanin[0])*simW+lane]>>bit&1 == 1)
-			}
-			cof.cofactor(di)
-			if err := cof.constrain(s, k1, obs); err != nil {
-				return nil, err
-			}
-			if err := cof.constrain(s, k2, obs); err != nil {
-				return nil, err
-			}
-			res.Iterations++
+		obs = obs[:0]
+		for _, o := range oracle.Outputs() {
+			obs = append(obs, nets[o]&1 == 1)
 		}
+		for _, ff := range oracle.DFFs() {
+			obs = append(obs, nets[oracle.Gate(ff).Fanin[0]]&1 == 1)
+		}
+
+		// Constrain both keyed copies to match the oracle on the input,
+		// over the key-dependent cone only. The cofactor pass is
+		// key-independent and runs once.
+		cof.cofactor(di)
+		if err := cof.constrain(s, k1, obs); err != nil {
+			return nil, err
+		}
+		if err := cof.constrain(s, k2, obs); err != nil {
+			return nil, err
+		}
+		res.Iterations++
 	}
 	res.AddedClauses = added.n
 	if !res.Converged {

@@ -200,7 +200,7 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 // batches — the two places a flow can spend minutes. solver, when
 // non-nil, is the SAT backend of the check (overriding the
 // cfg.SolverWorkers construction); it must be fresh, and the check owns
-// it. The daemon routes its pool-leased portfolios through here.
+// it. The daemon routes its width-capped portfolios through here.
 func verifyEquivalence(ctx context.Context, orig, locked *netlist.Circuit, cfg Config, solver sat.Interface) (*lec.Stats, error) {
 	stop, release := engine.WatchContext(ctx)
 	defer release()

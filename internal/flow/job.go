@@ -54,8 +54,9 @@ type JobSpec struct {
 	// MaxIter caps SAT-attack distinguishing-input queries (default 256).
 	MaxIter int `json:"max_iter,omitempty"`
 	// SolverWorkers is the portfolio width (default 1, a single
-	// solver). A daemon clamps it to its solver pool's size before it
-	// forms the cache key, so the key names the width the job runs with.
+	// solver). A daemon clamps it to its width cap (-solverslots)
+	// before it forms the cache key, so the key names the width the job
+	// runs with.
 	SolverWorkers int `json:"solver_workers,omitempty"`
 	// RandomLock selects plain random locking instead of the paper's
 	// cost-driven ATPG scheme.
@@ -120,12 +121,10 @@ type JobEvent struct {
 
 // JobRuntime carries the daemon-owned resources a job runs against:
 // the daemon's manager and perfbench's traced jobs pass both. Either
-// field may be nil: a nil Pool builds spec-sized solvers locally, a nil
-// Emit discards progress events.
+// field may be nil: a nil Pool builds spec-sized solvers, a nil Emit
+// discards progress events.
 type JobRuntime struct {
-	// Pool rations solver members across concurrent jobs; the job
-	// acquires a lease for its solving phase and sizes its portfolio to
-	// the grant.
+	// Pool caps the job's portfolio width at Pool.Total() members.
 	Pool *sat.Pool
 	// Emit receives progress events (called from the job goroutine).
 	Emit func(JobEvent)
@@ -249,29 +248,20 @@ func (j *Job) Run(ctx context.Context, rt JobRuntime) (any, error) {
 	return nil, fmt.Errorf("flow: unknown job kind %q", j.Spec.Kind)
 }
 
-// newSolver builds the job's SAT backend, leasing pool slots when the
-// runtime has a pool. The returned release func must be called when the
-// job's solving is done.
-func (j *Job) newSolver(ctx context.Context, rt JobRuntime, stop *atomic.Bool) (sat.Interface, func(), error) {
-	popt := sat.PortfolioOptions{Workers: j.Spec.SolverWorkers, Seed: j.Spec.Seed, Stop: stop}
-	if rt.Pool == nil {
-		return sat.NewPortfolio(popt), func() {}, nil
+// newSolver builds the job's SAT backend: a portfolio of the spec's
+// width, capped at the runtime pool's total when there is a pool.
+func (j *Job) newSolver(rt JobRuntime, stop *atomic.Bool) sat.Interface {
+	workers := j.Spec.SolverWorkers
+	if rt.Pool != nil {
+		workers = min(workers, rt.Pool.Total())
 	}
-	lease, err := rt.Pool.Acquire(ctx, j.Spec.SolverWorkers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lease.NewPortfolio(popt), lease.Release, nil
+	return sat.NewPortfolio(sat.PortfolioOptions{Workers: workers, Seed: j.Spec.Seed, Stop: stop})
 }
 
 func (j *Job) runLock(ctx context.Context, rt JobRuntime) (any, error) {
 	stop, release := engine.WatchContext(ctx)
 	defer release()
-	solver, releaseSolver, err := j.newSolver(ctx, rt, stop)
-	if err != nil {
-		return nil, err
-	}
-	defer releaseSolver()
+	solver := j.newSolver(rt, stop)
 	// Prepare already ran the flow's lock step with the flow's seed;
 	// run the rest of the flow on that design.
 	rt.emit("lock", "locked %s in prepare (%d gates, %d key bits)", j.Spec.Bench, j.orig.NumGates(), len(j.lk.KeyBits))
@@ -301,11 +291,7 @@ func (j *Job) runLock(ctx context.Context, rt JobRuntime) (any, error) {
 func (j *Job) runVerify(ctx context.Context, rt JobRuntime) (any, error) {
 	stop, release := engine.WatchContext(ctx)
 	defer release()
-	solver, releaseSolver, err := j.newSolver(ctx, rt, stop)
-	if err != nil {
-		return nil, err
-	}
-	defer releaseSolver()
+	solver := j.newSolver(rt, stop)
 	rt.emit("lec", "checking %s against its locked netlist (%d gates)", j.Spec.Bench, j.lk.Circuit.NumGates())
 	res, err := lec.Check(j.orig, j.lk.Circuit, lec.Options{
 		Seed:              j.Spec.Seed,
@@ -333,11 +319,7 @@ func (j *Job) runVerify(ctx context.Context, rt JobRuntime) (any, error) {
 func (j *Job) runAttack(ctx context.Context, rt JobRuntime) (any, error) {
 	stop, release := engine.WatchContext(ctx)
 	defer release()
-	solver, releaseSolver, err := j.newSolver(ctx, rt, stop)
-	if err != nil {
-		return nil, err
-	}
-	defer releaseSolver()
+	solver := j.newSolver(rt, stop)
 	rt.emit("attack", "SAT attack on %s (%d key bits)", j.Spec.Bench, len(j.lk.KeyBits))
 	res, err := attack.SATAttackOpt(j.lk, j.orig, attack.SATAttackOptions{
 		MaxIter: j.Spec.MaxIter,

@@ -75,22 +75,24 @@ func TestJobVerifyDeterministic(t *testing.T) {
 	}
 }
 
-// TestJobVerifyPooled: a pool-backed verify job leases and releases its
-// solver slots and reaches the same verdict.
-func TestJobVerifyPooled(t *testing.T) {
-	pool := sat.NewPool(2)
-	spec := JobSpec{Kind: JobVerify, Bench: "c432", Scale: 1, KeyBits: 16, Seed: 2, SolverWorkers: 2}
+// TestJobPoolCapsWidth: a pool caps the job's portfolio at its total.
+// This b14 attack recovers a different key with one member than with
+// two, so a 2-member spec on a 1-member pool must return the 1-member
+// payload and differ from the uncapped run.
+func TestJobPoolCapsWidth(t *testing.T) {
+	spec := JobSpec{Kind: JobAttack, Bench: "b14", Scale: 0.1, KeyBits: 64, Seed: 3,
+		MaxIter: 256, Patterns: 2048, SolverWorkers: 2}
 	var events []JobEvent
-	d, _ := runJob(t, spec, JobRuntime{Pool: pool, Emit: func(e JobEvent) { events = append(events, e) }})
-	var res VerifyJobResult
-	if err := json.Unmarshal(d, &res); err != nil {
-		t.Fatal(err)
+	capped, _ := runJob(t, spec, JobRuntime{Pool: sat.NewPool(1), Emit: func(e JobEvent) { events = append(events, e) }})
+	wide, _ := runJob(t, spec, JobRuntime{})
+	narrow := spec
+	narrow.SolverWorkers = 1
+	single, _ := runJob(t, narrow, JobRuntime{})
+	if string(capped) != string(single) {
+		t.Fatalf("2-member job on a 1-member pool differs from the 1-member run:\n%s\n%s", capped, single)
 	}
-	if !res.Equivalent {
-		t.Fatal("pooled verify reported non-equivalent")
-	}
-	if pool.Free() != 2 {
-		t.Fatalf("job leaked pool slots: %d free, want 2", pool.Free())
+	if string(capped) == string(wide) {
+		t.Fatalf("1- and 2-member runs agree, so the cap is not observable:\n%s", wide)
 	}
 	if len(events) == 0 {
 		t.Fatal("no progress events emitted")

@@ -99,11 +99,9 @@ type Options struct {
 	// the flag; the caller lowers it to check again.
 	Stop *atomic.Bool
 	// Solver, when non-nil, is the SAT backend for this check and
-	// overrides the PortfolioWorkers construction. It must be fresh (no variables or clauses): the
-	// check owns it for its duration. This is the pool seam — a daemon
-	// acquires a slot lease and injects a portfolio sized to the
-	// admission grant instead of letting every concurrent check build a
-	// full-width one.
+	// overrides the PortfolioWorkers construction. It must be fresh (no
+	// variables or clauses): the check owns it for its duration. A
+	// daemon injects a portfolio capped at its width limit here.
 	Solver sat.Interface
 }
 

@@ -1,6 +1,6 @@
 // Package server implements splitlockd's daemon core: a job manager
 // with admission control, a result cache keyed by job spec with
-// singleflight coalescing, a shared solver pool, and the HTTP/JSON API
+// singleflight coalescing, a portfolio-width cap, and the HTTP/JSON API
 // that exposes lock/verify/attack jobs as long-running work with
 // streamed progress events. With a state directory, each job's record
 // is journaled in its own file, replaced only when that record

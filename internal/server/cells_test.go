@@ -76,6 +76,28 @@ func TestCellsEndpointStreamsProtocol(t *testing.T) {
 	}
 }
 
+// TestRunCellCapsSolverWidth: a cell's portfolio width is clamped to
+// the daemon's cap, as a job's is. A 1<<20-member request (about
+// 600 GB of solvers if built) returns the 2-member payload on a 2-slot
+// manager byte for byte.
+func TestRunCellCapsSolverWidth(t *testing.T) {
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1, SolverSlots: 2})
+	spec := testCellSpec()
+	spec.SolverWorkers = 2
+	want, err := flow.DispatchCellFunc(flow.ITCOptions{})(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.SolverWorkers = 1 << 20
+	got, err := m.RunCell(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("over-wide cell payload differs from the 2-member one:\n%s\n%s", got, want)
+	}
+}
+
 // TestCellsEndpointRejectsWhenDraining: a draining daemon answers 503
 // before the stream starts — the coordinator's rejection path, which
 // requeues the cell without charging its crash budget.

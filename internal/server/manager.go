@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/faultpoint"
 	"repro/internal/flow"
 	"repro/internal/runmanifest"
 	"repro/internal/sat"
@@ -30,6 +31,10 @@ const (
 	StatusFailed      JobStatus = "failed"
 	StatusInterrupted JobStatus = "interrupted"
 )
+
+// fpJobRun fires where a job that missed the cache starts computing.
+var fpJobRun = faultpoint.Describe("server.job.run",
+	"server: a job that missed the cache, before it loads and locks its design; stall= parks a runner")
 
 // ErrQueueFull is returned by Submit when the admission queue is at
 // capacity; the HTTP layer maps it to 503.
@@ -62,7 +67,8 @@ type ManagerOptions struct {
 	// fails with ErrQueueFull (default 64). Restart requeue ignores the
 	// limit — previously admitted jobs are never dropped.
 	QueueLimit int
-	// SolverSlots is the shared solver pool capacity (0 = GOMAXPROCS).
+	// SolverSlots caps the portfolio width of every job and cell
+	// (0 = GOMAXPROCS). Wider requests are clamped, never queued.
 	SolverSlots int
 	// CacheEntries bounds the result cache (0 = 128).
 	CacheEntries int
@@ -110,7 +116,7 @@ func (js *jobState) terminal() bool {
 // caching, and drain. It is safe for concurrent use.
 type Manager struct {
 	opt   ManagerOptions
-	pool  *sat.Pool
+	pool  *sat.Pool // the portfolio-width cap
 	cache *Cache
 	// prepared counts jobs that finished Job.Prepare, so tests can tell
 	// a repeated spec that skipped preparation from one that paid for it.
@@ -432,9 +438,9 @@ func (m *Manager) runJob(id string) {
 		return
 	}
 	spec := js.rec.Spec
-	// A lease never holds more than the pool's total, so clamp the
-	// width before the cache key is formed: the key must name the width
-	// the job runs with.
+	// A job never builds more members than the cap, so clamp the width
+	// before the cache key is formed: the key must name the width the
+	// job runs with.
 	spec.SolverWorkers = min(spec.SolverWorkers, m.pool.Total())
 	ctx, cancel := context.WithCancel(m.rootCtx)
 	js.rec.Status = StatusRunning
@@ -466,6 +472,7 @@ func (m *Manager) runJob(id string) {
 	// any load or lock, and an identical job already computing is
 	// joined before it locks.
 	data, outcome, err := m.cache.Do(ctx, job.CacheKey(), func() (json.RawMessage, error) {
+		faultpoint.Hit(fpJobRun)
 		if err := job.Prepare(ctx); err != nil {
 			return nil, err
 		}

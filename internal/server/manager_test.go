@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,9 +9,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/faultpoint"
 	"repro/internal/flow"
 	"repro/internal/runmanifest"
 )
@@ -216,96 +217,91 @@ func TestManagerSharedPrepareKeyConcurrent(t *testing.T) {
 	}
 }
 
-// TestManagerPoolFullWidth: a job never computes on a partial pool
-// grant. With one of two solver slots held, a 2-member attack job waits
-// for both and then returns the payload of an uncontended run (this b14
-// attack recovers a different key with 1 member, so a narrow grant
-// would show). A request wider than the pool is clamped before the
-// cache key is formed, so it hits the 2-member result.
-func TestManagerPoolFullWidth(t *testing.T) {
+// TestManagerPoolCapsWidth: a request wider than the width cap is
+// clamped before the cache key is formed, so an 8-member spec on a
+// 2-slot manager hits the 2-member result.
+func TestManagerPoolCapsWidth(t *testing.T) {
 	spec := flow.JobSpec{Kind: flow.JobAttack, Bench: "b14", Scale: 0.1, KeyBits: 64, Seed: 3,
 		MaxIter: 256, Patterns: 2048, SolverWorkers: 2}
-	ctrl := newTestManager(t, ManagerOptions{MaxJobs: 1, SolverSlots: 2})
-	rc, err := ctrl.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc = waitDone(t, ctrl, rc.ID); rc.Status != StatusDone {
-		t.Fatalf("uncontended job %s: %s", rc.Status, rc.Error)
-	}
-
 	m := newTestManager(t, ManagerOptions{MaxJobs: 1, SolverSlots: 2})
-	hold, err := m.pool.Acquire(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, _ := m.Done(r.ID)
-	select {
-	case <-done:
-		t.Fatal("job finished while only one of its two solver slots was free")
-	case <-time.After(time.Second):
-	}
-	hold.Release()
-	if r = waitDone(t, m, r.ID); r.Status != StatusDone {
-		t.Fatalf("contended job %s: %s", r.Status, r.Error)
-	}
-	if string(r.Result) != string(rc.Result) {
-		t.Fatalf("contended payload differs from the uncontended run:\n%s\n%s", r.Result, rc.Result)
-	}
-
+	r := submitWait(t, m, spec)
 	wide := spec
 	wide.SolverWorkers = 8
-	rw, err := m.Submit(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw = waitDone(t, m, rw.ID)
-	if rw.Status != StatusDone || rw.Cache != string(CacheHit) || string(rw.Result) != string(rc.Result) {
-		t.Fatalf("8-member request on a 2-slot pool: status %s, cache %q; want a hit on the 2-member payload", rw.Status, rw.Cache)
+	rw := submitWait(t, m, wide)
+	if rw.Cache != string(CacheHit) || string(rw.Result) != string(r.Result) {
+		t.Fatalf("8-member request on a 2-slot manager: cache %q; want a hit on the 2-member payload", rw.Cache)
 	}
 }
 
-// holdSolverPool takes every slot of m's solver pool, so any job that
-// reaches its solving phase waits there until the returned release.
-func holdSolverPool(t *testing.T, m *Manager) func() {
-	t.Helper()
-	hold, err := m.pool.Acquire(context.Background(), m.pool.Total())
+// TestManagerWideJobsOverlap: the width cap admits nothing, so two
+// 2-member jobs on a 2-slot manager run at once. A short verify job
+// submitted while a paper-scale lock job is past its LEC step finishes
+// while the lock job is still running.
+func TestManagerWideJobsOverlap(t *testing.T) {
+	m := newTestManager(t, ManagerOptions{MaxJobs: 2, SolverSlots: 2})
+	long, err := m.Submit(flow.JobSpec{Kind: flow.JobLock, Bench: "b14", Scale: 1, KeyBits: 128, Seed: 4, SolverWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hold.Release
-}
-
-// waitPrepared waits until at least n of m's jobs have finished
-// Prepare, so a job held at the solver pool is past its lock step.
-func waitPrepared(t *testing.T, m *Manager, n int64) {
-	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	for m.prepared.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d jobs prepared", m.prepared.Load(), n)
+	backlog, live, cancel, _ := m.Subscribe(long.ID)
+	defer cancel()
+	pastLEC := false
+	for _, ev := range backlog {
+		pastLEC = pastLEC || ev.Stage == "lec"
+	}
+	for !pastLEC {
+		ev, ok := <-live
+		if !ok {
+			t.Fatal("lock job ended before its lec event")
 		}
-		time.Sleep(5 * time.Millisecond)
+		pastLEC = ev.Stage == "lec"
 	}
+	short := verifySpec()
+	short.SolverWorkers = 2
+	if r := submitWait(t, m, short); r.Cache != string(CacheMiss) {
+		t.Fatalf("verify job cache %q, want miss", r.Cache)
+	}
+	if rec, _ := m.Get(long.ID); rec.Status != StatusRunning {
+		t.Fatalf("lock job %s: long job done before the short one finished", rec.Status)
+	}
+	if rec := waitDone(t, m, long.ID); rec.Status != StatusDone {
+		t.Fatalf("lock job %s: %s", rec.Status, rec.Error)
+	}
+}
+
+// parkJobRuns makes every job that misses the cache wait at the
+// server.job.run site, before it loads or locks, until release is
+// called. parked receives once per job that reaches the site. Call it
+// after newTestManager, so the release runs before the manager drains.
+func parkJobRuns(t *testing.T) (parked <-chan struct{}, release func()) {
+	t.Helper()
+	hits := make(chan struct{}, 16)
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	faultpoint.Set(fpJobRun, func() {
+		hits <- struct{}{}
+		<-gate
+	})
+	t.Cleanup(func() {
+		release()
+		faultpoint.Reset()
+	})
+	return hits, release
 }
 
 // TestManagerAdmission: with one runner busy and the queue at its
 // limit, Submit rejects with ErrQueueFull instead of accepting
 // unbounded work.
 func TestManagerAdmission(t *testing.T) {
-	m := newTestManager(t, ManagerOptions{MaxJobs: 1, QueueLimit: 1, SolverSlots: 1})
-	release := holdSolverPool(t, m)
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1, QueueLimit: 1})
+	parked, release := parkJobRuns(t)
 	b, err := m.Submit(verifySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The single runner is now wedged: the verify job waits for the
-	// solver slot the test holds.
-	waitPrepared(t, m, 1)
+	// The single runner is now wedged: the verify job is parked.
+	<-parked
 
 	q, err := m.Submit(verifySpec())
 	if err != nil {
@@ -342,22 +338,28 @@ func TestManagerDrainResumeByteIdentical(t *testing.T) {
 	ctl := newTestManager(t, ManagerOptions{MaxJobs: 1})
 	cr := submitWait(t, ctl, spec)
 
-	// Interrupted run: drain while the job waits for its solver slot.
+	// Interrupted run: drain while the job is parked before its lock
+	// step, and let it go once the drain has begun.
 	state := t.TempDir()
-	m1, err := NewManager(ManagerOptions{StateDir: state, MaxJobs: 1, SolverSlots: 1})
+	m1, err := NewManager(ManagerOptions{StateDir: state, MaxJobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := holdSolverPool(t, m1)
+	parked, release := parkJobRuns(t)
 	ir, err := m1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitPrepared(t, m1, 1)
-	if err := m1.Drain(60 * time.Second); err != nil {
-		t.Fatal(err)
+	<-parked
+	drained := make(chan error, 1)
+	go func() { drained <- m1.Drain(60 * time.Second) }()
+	for !m1.Draining() {
+		time.Sleep(time.Millisecond)
 	}
 	release()
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
 	rec, _ := m1.Get(ir.ID)
 	if rec.Status != StatusInterrupted || rec.Result != nil {
 		t.Fatalf("drained job status %s (%s), result %s; want interrupted with no result", rec.Status, rec.Error, rec.Result)

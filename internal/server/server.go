@@ -141,6 +141,9 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// healthz reports liveness and counters: jobs known, queued and
+// running, cached results, cells running, and solver_slots, the
+// portfolio-width cap every job and cell is clamped to.
 func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	jobs, queued, running, cached := s.mgr.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -151,6 +154,5 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 		"cached":       cached,
 		"cells":        s.mgr.CellsRunning(),
 		"solver_slots": s.mgr.pool.Total(),
-		"solver_free":  s.mgr.pool.Free(),
 	})
 }
