@@ -442,14 +442,26 @@ func BenchmarkLEC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := lec.Check(orig, lk.Circuit, lec.Options{PrefilterPatterns: -1})
+		// The same one-member portfolio Check builds by default, made
+		// here so its inprocessing work counters can be read.
+		s := sat.NewPortfolio(sat.PortfolioOptions{})
+		res, err := lec.Check(orig, lk.Circuit, lec.Options{PrefilterPatterns: -1, Solver: s})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !res.Equivalent {
 			b.Fatal("locked circuit must be equivalent under the correct key")
 		}
+		reportInprocessing(b, s.Stats())
 	}
+}
+
+// reportInprocessing reports the solver's inprocessing work counters:
+// candidate clause bodies scanned by (self-)subsumption and variable
+// elimination attempts.
+func reportInprocessing(b *testing.B, st sat.Stats) {
+	b.ReportMetric(float64(st.SubsumeChecks), "subsumeChecks")
+	b.ReportMetric(float64(st.BVETries), "bveTries")
 }
 
 // BenchmarkSATAttack measures the full oracle-guided SAT attack on a
@@ -466,7 +478,10 @@ func BenchmarkSATAttack(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := attack.SATAttack(lk, orig, 2048)
+		// The attack's default backend, made here so its inprocessing
+		// work counters can be read.
+		s := sat.NewPortfolio(sat.PortfolioOptions{})
+		res, err := attack.SATAttackOpt(lk, orig, attack.SATAttackOptions{MaxIter: 2048, Solver: s})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -476,6 +491,7 @@ func BenchmarkSATAttack(b *testing.B) {
 		b.ReportMetric(float64(res.Iterations), "queries")
 		b.ReportMetric(float64(res.AddedClauses)/float64(res.Iterations), "clauses/query")
 		b.ReportMetric(float64(res.OracleEvals), "oracleEvals")
+		reportInprocessing(b, s.Stats())
 	}
 }
 

@@ -1,7 +1,7 @@
 package aig
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -190,27 +190,29 @@ func ttCof(tt uint16, v uint) (c0, c1 uint16) {
 }
 
 // ttExpandTo re-expresses c's truth table over the leaf set of u (a
-// superset of c's leaves).
+// superset of c's leaves). c's table depends on its first c.n inputs
+// only, and leaf i of c is leaf pos[i] >= i of u with pos ascending, so
+// moving the inputs from the last down, each onto its position, always
+// swaps a live input with a don't-care one: one cofactor swap per
+// moved input.
 func ttExpandTo(c, u *cut) uint16 {
-	var pos [4]int
-	j := 0
-	for i := 0; i < int(c.n); i++ {
+	tt := c.tt
+	j := int(u.n) - 1
+	for i := int(c.n) - 1; i >= 0; i-- {
 		for u.leaves[j] != c.leaves[i] {
-			j++
+			j--
 		}
-		pos[i] = j
+		tt = ttSwap(tt, uint(i), uint(j))
 	}
-	var out uint16
-	for m := 0; m < 16; m++ {
-		src := 0
-		for i := 0; i < int(c.n); i++ {
-			src |= (m >> pos[i] & 1) << i
-		}
-		if c.tt>>src&1 == 1 {
-			out |= 1 << m
-		}
-	}
-	return out
+	return tt
+}
+
+// ttSwap exchanges inputs i <= j of tt: the minterms with x_i = 1,
+// x_j = 0 trade places with those with x_i = 0, x_j = 1.
+func ttSwap(tt uint16, i, j uint) uint16 {
+	shift := uint(1)<<j - uint(1)<<i
+	lo := varTT[i] &^ varTT[j]
+	return tt&^(lo|lo<<shift) | (tt&lo)<<shift | (tt>>shift)&lo
 }
 
 // mergeCuts unions two fanin cuts into a cut of the parent AND; ok is
@@ -393,10 +395,13 @@ type rewriter struct {
 	synthCache map[uint16]Lit
 	canonCache map[uint16]npnRec
 
-	// library cone walk scratch
+	// library cones: coneAt[n] locates root node n's sorted cone in
+	// cones once it is computed (the library only grows, so a node's
+	// cone never changes); the rest is walk and evaluation scratch.
+	coneAt  []coneSpan
+	cones   []int32
 	libMark []int32
 	libEp   int32
-	coneBuf []int32
 	libVal  []uint16
 	instLit []Lit
 
@@ -486,22 +491,30 @@ func (rw *rewriter) synthITE(v uint, c0, c1 uint16) Lit {
 	return lib.Mux(x, f0, f1)
 }
 
+// coneSpan is cones[off:end]; end == 0 means not computed yet.
+type coneSpan struct{ off, end int32 }
+
 // libCone returns the cone node ids of root within the library,
-// ascending (so fanins precede fanouts).
+// ascending (so fanins precede fanouts). Each root's cone is walked and
+// sorted once per Rewrite run.
 func (rw *rewriter) libCone(root Lit) []int32 {
 	if n := rw.lib.NumNodes(); len(rw.libMark) < n {
 		rw.libMark = append(rw.libMark, make([]int32, n-len(rw.libMark))...)
 		rw.libVal = append(rw.libVal, make([]uint16, n-len(rw.libVal))...)
 		rw.instLit = append(rw.instLit, make([]Lit, n-len(rw.instLit))...)
+		rw.coneAt = append(rw.coneAt, make([]coneSpan, n-len(rw.coneAt))...)
+	}
+	if sp := rw.coneAt[root.Node()]; sp.end > 0 {
+		return rw.cones[sp.off:sp.end:sp.end]
 	}
 	rw.libEp++
-	rw.coneBuf = rw.coneBuf[:0]
+	off := int32(len(rw.cones))
 	stack := append(rw.stack[:0], int32(root.Node()))
 	rw.libMark[root.Node()] = rw.libEp
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		rw.coneBuf = append(rw.coneBuf, n)
+		rw.cones = append(rw.cones, n)
 		if !rw.lib.IsAnd(int(n)) {
 			continue
 		}
@@ -514,8 +527,10 @@ func (rw *rewriter) libCone(root Lit) []int32 {
 		}
 	}
 	rw.stack = stack[:0]
-	sort.Slice(rw.coneBuf, func(i, j int) bool { return rw.coneBuf[i] < rw.coneBuf[j] })
-	return rw.coneBuf
+	end := int32(len(rw.cones))
+	slices.Sort(rw.cones[off:end])
+	rw.coneAt[root.Node()] = coneSpan{off: off, end: end}
+	return rw.cones[off:end:end]
 }
 
 // libConeAnds counts the AND nodes in root's library cone (the
@@ -772,7 +787,7 @@ func (rw *rewriter) pass(g *Graph, roots []Lit, st *RewriteStats) (*Graph, []Lit
 				}
 			}
 		}
-		sort.SliceStable(cand, func(i, j int) bool { return cand[i].n < cand[j].n })
+		slices.SortStableFunc(cand, func(a, b cut) int { return int(a.n) - int(b.n) })
 		if len(cand) > cutsPerNode {
 			cand = cand[:cutsPerNode]
 		}

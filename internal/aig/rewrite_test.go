@@ -274,6 +274,69 @@ func TestNPNCanonicalMatchesSearch(t *testing.T) {
 	}
 }
 
+// ttExpandToRef is the per-minterm expansion: output minterm m reads
+// c's table at the minterm of c's leaves' bits in m.
+func ttExpandToRef(c, u *cut) uint16 {
+	var pos [4]int
+	j := 0
+	for i := 0; i < int(c.n); i++ {
+		for u.leaves[j] != c.leaves[i] {
+			j++
+		}
+		pos[i] = j
+	}
+	var out uint16
+	for m := 0; m < 16; m++ {
+		src := 0
+		for i := 0; i < int(c.n); i++ {
+			src |= (m >> pos[i] & 1) << i
+		}
+		if c.tt>>src&1 == 1 {
+			out |= 1 << m
+		}
+	}
+	return out
+}
+
+// TestTTExpandMatchesReference: the cofactor-swap expansion equals the
+// per-minterm one for every leaf subset of every 4-leaf set over six
+// candidate leaves, on random tables padded like cut tables (don't-care
+// in the unused inputs).
+func TestTTExpandMatchesReference(t *testing.T) {
+	rng := sim.NewRand(0x77e4)
+	for um := 0; um < 1<<6; um++ {
+		var u cut
+		for l := int32(0); l < 6; l++ {
+			if um>>l&1 == 1 && u.n < 4 {
+				u.leaves[u.n] = l
+				u.n++
+			}
+		}
+		for cm := 0; cm < 1<<u.n; cm++ {
+			var c cut
+			for i := 0; i < int(u.n); i++ {
+				if cm>>i&1 == 1 {
+					c.leaves[c.n] = u.leaves[i]
+					c.n++
+				}
+			}
+			for trial := 0; trial < 16; trial++ {
+				// A random function of c's first c.n inputs, padded.
+				f := uint16(rng.Word())
+				c.tt = 0
+				for m := 0; m < 16; m++ {
+					if f>>(m&(1<<c.n-1))&1 == 1 {
+						c.tt |= 1 << m
+					}
+				}
+				if got, want := ttExpandTo(&c, &u), ttExpandToRef(&c, &u); got != want {
+					t.Fatalf("c %v/%d tt %04x into u %v/%d: got %04x, want %04x", c.leaves, c.n, c.tt, u.leaves, u.n, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestNPNTransformMatchesReference: cofactor-swap input flips followed
 // by the nibble-table permutation equal the per-minterm transform.
 func TestNPNTransformMatchesReference(t *testing.T) {

@@ -1,7 +1,9 @@
 package attack
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bmarks"
@@ -365,6 +367,28 @@ func TestSATAttackPortfolio(t *testing.T) {
 		}
 		t.Logf("workers=%d: %d queries, %d solve calls, %.1f clauses/query",
 			workers, res.Iterations, res.SolveCalls, perIter)
+	}
+}
+
+// TestSATAttackStoppedSolver: a solver whose stop flag is already up
+// answers Unknown, and the attack must report that as ErrSolverStopped,
+// not as convergence.
+func TestSATAttackStoppedSolver(t *testing.T) {
+	orig, err := bmarks.Generate(bmarks.Spec{Name: "satp", Inputs: 12, Outputs: 6, Gates: 300, Seed: 180})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, err := locking.RandomLock(orig, locking.RandomLockOptions{KeyBits: 16, Seed: 181})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	stop.Store(true)
+	res, err := SATAttackOpt(lk, orig, SATAttackOptions{
+		Solver: sat.NewPortfolio(sat.PortfolioOptions{Workers: 2, Stop: &stop}),
+	})
+	if !errors.Is(err, ErrSolverStopped) {
+		t.Fatalf("stopped solver: got result %+v, error %v; want ErrSolverStopped", res, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/aig"
@@ -46,6 +47,11 @@ type SATResult struct {
 	// pass run before encoding (AIGNodes reflects the rewritten graph).
 	AIGRewriteSaved int
 }
+
+// ErrSolverStopped reports a SAT attack whose solver answered Unknown:
+// the solver's stop flag was raised before a query was decided. Only an
+// Unsat miter means no distinguishing input is left.
+var ErrSolverStopped = errors.New("attack: SAT solver stopped before deciding")
 
 // SATAttackOptions tunes SATAttackOpt.
 type SATAttackOptions struct {
@@ -267,7 +273,10 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 	for res.Iterations < maxIter {
 		st := s.Solve(active)
 		res.SolveCalls++
-		if st != sat.Sat {
+		if st == sat.Unknown {
+			return nil, ErrSolverStopped
+		}
+		if st == sat.Unsat {
 			res.Converged = true
 			break
 		}
@@ -313,7 +322,10 @@ func SATAttackOpt(lk *locking.Locked, oracle *netlist.Circuit, opt SATAttackOpti
 		return res, nil
 	}
 	// Extract a consistent key.
-	if s.Solve(-active) != sat.Sat {
+	switch s.Solve(-active) {
+	case sat.Unknown:
+		return nil, ErrSolverStopped
+	case sat.Unsat:
 		return nil, fmt.Errorf("attack: SAT attack converged but no consistent key exists")
 	}
 	res.SolveCalls++

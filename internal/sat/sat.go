@@ -191,28 +191,32 @@ type Solver struct {
 	reduceImp []cref // candidate list for reduceDB (imported tier)
 
 	// Inprocessing state (simplify.go).
-	elim      []byte    // var -> eliminated by bounded variable elimination
-	frozen    []byte    // var -> has appeared in assumptions; never eliminate
-	elimValue []int8    // var -> extended model value of an eliminated var
-	elimSt    []elimRec // elimination stack (model-extension order)
-	elimLits  []uint32  // removed clauses, [len, lits...] per clause
-	numElim   int       // variables currently eliminated
-	lastSimp  int       // numProblem after the last simplify run
-	lastViv   int64     // Stats.Conflicts at the last vivification pass
-	simpCls   []cref    // scratch: live problem clauses
-	simpSig   []uint64  // scratch: clause signatures, parallel to simpCls
-	simpOcc   [][]int32 // scratch: literal -> indices into simpCls
-	simpUnits []uint32  // scratch: units deferred to after compaction
-	simpBuf   []uint32  // scratch: shortened-clause assembly
-	simpBuf2  []uint32  // scratch: subsumer literal copy
-	bvePos    []int32   // scratch: positive-occurrence clause indices
-	bveNeg    []int32   // scratch: negative-occurrence clause indices
-	bveRes    []uint32  // scratch: resolvent batch, [len, lits...] per clause
-	bveOne    []uint32  // scratch: single-resolvent assembly
-	litMark   []byte    // literal -> subsumption/resolution mark
-	vivBuf    []uint32  // scratch: clause under vivification
-	vivOut    []uint32  // scratch: vivified literal set
-	vivCand   []cref    // scratch: vivification candidates
+	elim       []byte     // var -> eliminated by bounded variable elimination
+	frozen     []byte     // var -> has appeared in assumptions; never eliminate
+	touched    []byte     // var -> a problem clause over it came or went since its last failed elimination try
+	elimAt     []elimSpan // var -> its removed clauses in elimLits, while eliminated
+	elimLits   []uint32   // removed clauses, [len, lits...] per clause, in elimination order
+	extMemo    []uint32   // var -> modelEpoch<<1 | extended value of an eliminated var
+	modelEpoch uint32     // stamps extMemo entries of the current model (1 .. 1<<31-1)
+	numElim    int        // variables currently eliminated
+	lastSimp   int        // numProblem after the last simplify run
+	lastViv    int64      // Stats.Conflicts at the last vivification pass
+	simpCls    []cref     // scratch: live problem clauses
+	simpSig    []uint64   // scratch: clause signatures, parallel to simpCls
+	simpOcc    [][]int32  // scratch: literal -> indices into simpCls
+	simpDirty  litLists   // scratch: literal -> indices of non-clean clauses
+	simpFlag   []uint8    // scratch: per-index subsumer bookkeeping, parallel to simpCls
+	simpUnits  []uint32   // scratch: units deferred to after compaction
+	simpBuf    []uint32   // scratch: shortened-clause assembly
+	simpBuf2   []uint32   // scratch: subsumer literal copy
+	bvePos     []int32    // scratch: positive-occurrence clause indices
+	bveNeg     []int32    // scratch: negative-occurrence clause indices
+	bveRes     []uint32   // scratch: resolvent batch, [len, lits...] per clause
+	bveOne     []uint32   // scratch: single-resolvent assembly
+	litMark    []byte     // literal -> subsumption/resolution mark
+	vivBuf     []uint32   // scratch: clause under vivification
+	vivOut     []uint32   // scratch: vivified literal set
+	vivCand    []cref     // scratch: vivification candidates
 
 	// Stats counts solver work for reporting.
 	Stats Stats
@@ -237,6 +241,11 @@ type Stats struct {
 	Reintroduced int64 // eliminated variables restored on later mention
 	Vivified     int64 // learnt clauses shortened or deleted by vivification
 	VivifiedLits int64 // literals removed by vivification
+	// SubsumeChecks counts candidate clause bodies scanned by
+	// subsumption and self-subsumption.
+	SubsumeChecks int64
+	// BVETries counts bounded-variable-elimination attempts.
+	BVETries int64
 }
 
 // add accumulates o into s (used by the portfolio aggregation).
@@ -257,6 +266,8 @@ func (s *Stats) add(o Stats) {
 	s.Reintroduced += o.Reintroduced
 	s.Vivified += o.Vivified
 	s.VivifiedLits += o.VivifiedLits
+	s.SubsumeChecks += o.SubsumeChecks
+	s.BVETries += o.BVETries
 }
 
 // New returns an empty solver with the deterministic default Options.
@@ -326,7 +337,9 @@ func (s *Solver) NewVar() int {
 	s.lbdStamp = append(s.lbdStamp, 0)
 	s.elim = append(s.elim, 0)
 	s.frozen = append(s.frozen, 0)
-	s.elimValue = append(s.elimValue, 0)
+	s.touched = append(s.touched, 1)
+	s.elimAt = append(s.elimAt, elimSpan{})
+	s.extMemo = append(s.extMemo, 0)
 	s.litMark = append(s.litMark, 0, 0)
 	s.wseg = append(s.wseg, litWatch{}, litWatch{})
 	v := int32(len(s.assign) - 1)
@@ -1097,9 +1110,13 @@ func (s *Solver) solve(budget int64, assumptions []int) Status {
 		}
 		if v < 0 {
 			// All live variables assigned: model found (not a
-			// decision). Extend it over the eliminated variables so
-			// Value answers for them too.
-			s.extendModel()
+			// decision). A new epoch voids the extended values of the
+			// last model; Value extends eliminated variables on demand.
+			s.modelEpoch++
+			if s.modelEpoch == 1<<31 {
+				clear(s.extMemo)
+				s.modelEpoch = 1
+			}
 			return Sat
 		}
 		s.Stats.Decisions++
@@ -1112,12 +1129,12 @@ func (s *Solver) solve(budget int64, assumptions []int) Status {
 	}
 }
 
-// Value returns the model value of variable v after a Sat result.
-// Eliminated variables answer from the extended model computed over
-// their removed clauses (see extendModel).
+// Value returns the model value of variable v after a Sat result,
+// until the next AddClause or solve. Eliminated variables answer from
+// the model extended over their removed clauses (see extValue).
 func (s *Solver) Value(v int) bool {
 	if s.assign[v-1] < 0 && s.elim[v-1] != 0 {
-		return s.elimValue[v-1] == 1
+		return s.extValue(int32(v - 1))
 	}
 	return s.assign[v-1] == 1
 }

@@ -12,14 +12,12 @@ import "repro/internal/faultpoint"
 //     SatELite-style bounded variable elimination (BVE). A variable is
 //     eliminated when its non-tautological resolvent set is no larger
 //     than the clause set it replaces; the removed clauses go to a side
-//     stack. Mentioning an eliminated variable again — in AddClause or
+//     store. Mentioning an eliminated variable again — in AddClause or
 //     as an assumption — restores its clauses, cascading through other
-//     eliminated variables they mention, and a Sat answer extends the
-//     model over the stack in reverse so Value stays correct for every
-//     variable ever allocated. Clause surgery never shrinks a clause in
-//     place (the arena walks stride by the header size); shortened
-//     clauses are re-allocated at the arena end and the original is
-//     tombstoned until the closing compaction reclaims it.
+//     eliminated variables they mention. Clause surgery never shrinks a
+//     clause in place (the arena walks stride by the header size);
+//     shortened clauses are re-allocated at the arena end and the
+//     original is tombstoned until the closing compaction reclaims it.
 //
 //   - vivify (restart boundaries, on a conflict-count schedule):
 //     learnt-clause distillation. Each candidate is detached from the
@@ -33,6 +31,53 @@ import "repro/internal/faultpoint"
 // Both passes run at decision level zero only and are deterministic:
 // candidate orders come from the arena layout and variable indices,
 // never from map iteration.
+//
+// A simplify round costs what changed since the last one, after
+// SatELite's touched sets (Eén & Biere, SAT 2005), and answers exactly
+// like a round that rescans everything:
+//
+//   - Clean clauses. A surviving problem clause ends a round clean (the
+//     arena header's clean bit) when it was processed as a subsumer,
+//     was not strengthened, and its scan was complete: some literal's
+//     occurrence list was short enough (≤ subMaxOcc) for the
+//     plain-subsumption scan, and so was every flipped list the
+//     self-subsumption scan reads. Every other survivor ends the round
+//     dirty, and a new allocation starts dirty. Subsumption and
+//     self-subsumption are relations between clause contents, so by
+//     induction over rounds no clean clause subsumes or strengthens
+//     another: a complete scan compares C with every clause present
+//     unchanged through the round, except — when C is already clean —
+//     the clean ones, which it cannot act on by the induction
+//     hypothesis. A clean subsumer therefore reads only the dirty
+//     lists, the occurrence lists of the non-clean clauses. A clean
+//     clause strengthened mid-round stays off them: both relations are
+//     closed under shrinking the candidate (what acts on D' ⊂ D acts on
+//     D), so clean subsumers still cannot act on it.
+//
+//   - Shortest list. A clause containing all of C's literals is on the
+//     list of each of them, so plain subsumption scans the shortest
+//     eligible list (dirty list for a clean C) instead of one list per
+//     literal. Deletions do not allocate, and no clause can be both
+//     subsumed and strengthened by the same C, so the scan order of
+//     plain subsumption is free; self-subsumption keeps the per-literal
+//     order with candidates ascending by index, so strengthened clauses
+//     are re-allocated in the same order as a full scan would.
+//
+//   - Touched variables. Whether eliminating v fails is a function of
+//     the problem clauses containing v. Allocating or dropping a
+//     problem clause touches its variables; a failed try untouches v,
+//     and BVE tries only touched variables. The deferred-unit early
+//     return untouches v too: the unit assigns v at level 0 when the
+//     round ends.
+//
+//   - Model extension on demand. Value extends an eliminated variable
+//     when it is asked for: the variable defaults to false and turns
+//     true when a removed clause containing it positively is not
+//     satisfied by its other literals; any eliminated variable those
+//     literals mention was eliminated later and is extended first,
+//     recursively. Each extended value is memoized for the current
+//     model (modelEpoch), so a Sat answer no longer walks every
+//     eliminated variable.
 
 const (
 	// simpMinClauses is the problem size below which simplification is
@@ -64,12 +109,16 @@ const (
 	vivifyMaxLits = 32
 )
 
-// elimRec records one eliminated variable and the slice of elimLits
-// ([len, lits...] per clause) holding the clauses removed with it.
-type elimRec struct {
-	v        int32
-	off, end int32
-}
+// elimSpan is the slice of elimLits ([len, lits...] per clause) holding
+// the clauses removed with one eliminated variable. elimLits only
+// grows, so a later elimination has a larger off.
+type elimSpan struct{ off, end int32 }
+
+// Per-index subsumer bookkeeping of one simplify round (simpFlag).
+const (
+	simpCovered = 1 // processed as a fully covered subsumer
+	simpChanged = 2 // strengthened this round
+)
 
 // maybeSimplify runs the solve-entry simplification when the problem
 // clause set grew enough since the last run to pay for the setup.
@@ -130,7 +179,8 @@ func (s *Solver) simplify() {
 	}
 
 	// Occurrence lists (literal -> clause indices) and per-clause
-	// variable signatures over the survivors.
+	// variable signatures over the survivors, then the dirty lists over
+	// the non-clean ones.
 	nLits := 2 * len(s.assign)
 	occ := s.simpOcc
 	if cap(occ) < nLits {
@@ -141,6 +191,7 @@ func (s *Solver) simplify() {
 		occ[l] = occ[l][:0]
 	}
 	sig := s.simpSig[:0]
+	flag := s.simpFlag[:0]
 	for i, c := range cls {
 		var sg uint64
 		if c >= 0 {
@@ -150,7 +201,9 @@ func (s *Solver) simplify() {
 			}
 		}
 		sig = append(sig, sg)
+		flag = append(flag, 0)
 	}
+	docc := s.buildDirtyLists(cls, nLits)
 
 	// Backward subsumption and self-subsumption. Interruption breaks out
 	// between clauses — a partially simplified database is still
@@ -166,10 +219,11 @@ func (s *Solver) simplify() {
 		if cls[i] < 0 || s.claSize(cls[i]) > bveMaxClause {
 			continue
 		}
-		units = s.subsumeWith(cls, sig, occ, i, units)
+		units = s.subsumeWith(cls, sig, occ, docc, flag, i, units)
 	}
 
-	// Bounded variable elimination, in variable-index order. The same
+	// Bounded variable elimination, in variable-index order, of the
+	// variables touched since their last failed try. The same
 	// interruption rule applies: each completed elimination is sound on
 	// its own.
 	elimBefore := s.numElim
@@ -182,10 +236,31 @@ func (s *Solver) simplify() {
 				continue
 			}
 			faultpoint.Hit("sat.bve")
+			if s.touched[v] == 0 {
+				continue
+			}
+			// A success drops v's clauses and touches v again, which is
+			// harmless: v is eliminated until a reintroduction re-adds
+			// (and so touches) its clauses.
+			s.touched[v] = 0
+			s.Stats.BVETries++
 			cls, sig, units = s.tryEliminate(cls, sig, occ, v, units)
 			if s.unsat {
 				break
 			}
+		}
+	}
+
+	// Mark the covered survivors clean for the next round; everything
+	// else (resolvents, strengthened and unprocessed clauses) is dirty.
+	for i, c := range cls {
+		if c < 0 {
+			continue
+		}
+		if i < len(flag) && flag[i] == simpCovered {
+			s.arena[c] |= claCleanFlag
+		} else {
+			s.arena[c] &^= claCleanFlag
 		}
 	}
 
@@ -210,7 +285,9 @@ func (s *Solver) simplify() {
 
 	s.simpCls = cls[:0]
 	s.simpSig = sig[:0]
+	s.simpFlag = flag[:0]
 	s.simpOcc = occ
+	s.simpDirty = docc
 	s.simpUnits = units[:0]
 
 	// Reclaim the tombstones and rebuild all watches, then apply the
@@ -233,8 +310,55 @@ func (s *Solver) simplify() {
 	}
 }
 
+// litLists maps each literal to a list of clause indices, stored flat:
+// list l is idx[at[l]:at[l+1]].
+type litLists struct{ at, idx []int32 }
+
+func (ll litLists) list(l uint32) []int32 { return ll.idx[ll.at[l]:ll.at[l+1]] }
+
+// buildDirtyLists returns the dirty lists of the round: for each
+// literal, the ascending indices of the non-clean clauses of cls
+// containing it. They are fixed for the round, so they are laid out
+// flat by a counting pass and a filling pass.
+func (s *Solver) buildDirtyLists(cls []cref, nLits int) litLists {
+	ll := s.simpDirty
+	ll.at = append(ll.at[:0], make([]int32, nLits+1)...)
+	for _, c := range cls {
+		if c >= 0 && !s.claClean(c) {
+			for _, l := range s.claLits(c) {
+				ll.at[l+1]++
+			}
+		}
+	}
+	for l := 0; l < nLits; l++ {
+		ll.at[l+1] += ll.at[l]
+	}
+	ll.idx = append(ll.idx[:0], make([]int32, ll.at[nLits])...)
+	// Fill with at[l] as list l's cursor, which leaves at[l] at the
+	// start of list l+1; shift the starts back into place after.
+	for i, c := range cls {
+		if c >= 0 && !s.claClean(c) {
+			for _, l := range s.claLits(c) {
+				ll.idx[ll.at[l]] = int32(i)
+				ll.at[l]++
+			}
+		}
+	}
+	copy(ll.at[1:], ll.at[:nLits])
+	ll.at[0] = 0
+	return ll
+}
+
+// touch marks the variables of lits for the next elimination round.
+func (s *Solver) touch(lits []uint32) {
+	for _, l := range lits {
+		s.touched[litVar(l)] = 1
+	}
+}
+
 // dropProblem tombstones problem clause cls[i].
 func (s *Solver) dropProblem(cls []cref, i int) {
+	s.touch(s.claLits(cls[i]))
 	s.claMarkDeleted(cls[i])
 	s.numProblem--
 	cls[i] = -1
@@ -262,77 +386,103 @@ func (s *Solver) replaceProblem(cls []cref, i int, out []uint32, units []uint32)
 // subsumeWith lets clause cls[i] subsume and strengthen its occurrence
 // neighborhood: any clause containing all of its literals dies, and a
 // clause containing all of them except one flipped literal loses that
-// flipped literal (self-subsumption — the resolvent subsumes it).
+// flipped literal (self-subsumption — the resolvent subsumes it). A
+// clean subsumer reads the dirty lists docc instead of occ; which lists
+// are read at all (≤ subMaxOcc) is decided on occ either way, and
+// flag[i] records whether that covered every candidate.
 // Occurrence lists are candidate generators only; the containment scan
 // over the candidate body is authoritative, so entries staled by
 // earlier strengthenings are harmless.
-func (s *Solver) subsumeWith(cls []cref, sig []uint64, occ [][]int32, i int, units []uint32) []uint32 {
+func (s *Solver) subsumeWith(cls []cref, sig []uint64, occ [][]int32, docc litLists, flag []uint8, i int, units []uint32) []uint32 {
 	// Copy the subsumer out of the arena: strengthening re-allocates
 	// clauses, which may move the arena backing array.
 	lits := append(s.simpBuf2[:0], s.claLits(cls[i])...)
 	s.simpBuf2 = lits
+	clean := s.claClean(cls[i])
+	cand := func(l uint32) []int32 {
+		if clean {
+			return docc.list(l)
+		}
+		return occ[l]
+	}
+	covered := true
+	var plain []int32
+	eligible := false
 	for _, l := range lits {
 		s.litMark[l] = 1
+		if len(occ[l]) <= subMaxOcc {
+			if list := cand(l); !eligible || len(list) < len(plain) {
+				plain, eligible = list, true
+			}
+		}
+		if len(occ[l^1]) > subMaxOcc {
+			covered = false
+		}
+	}
+	if covered && eligible && flag[i] == 0 {
+		flag[i] = simpCovered
 	}
 	sigC := sig[i]
 	n := len(lits)
-	for _, l := range lits {
-		// Plain subsumption: D ⊇ C through occ[l].
-		if list := occ[l]; len(list) <= subMaxOcc {
-			for _, ji := range list {
-				j := int(ji)
-				d := cls[j]
-				if j == i || d < 0 || sigC&^sig[j] != 0 || int(s.claSize(d)) < n {
-					continue
-				}
-				hits := 0
-				for _, m := range s.claLits(d) {
-					if s.litMark[m] != 0 {
-						hits++
-					}
-				}
-				if hits == n {
-					s.dropProblem(cls, j)
-					s.Stats.Subsumed++
-				}
+	// Plain subsumption: D ⊇ C is on the list of every literal of C.
+	for _, ji := range plain {
+		j := int(ji)
+		d := cls[j]
+		if j == i || d < 0 || sigC&^sig[j] != 0 || int(s.claSize(d)) < n {
+			continue
+		}
+		s.Stats.SubsumeChecks++
+		hits := 0
+		for _, m := range s.claLits(d) {
+			if s.litMark[m] != 0 {
+				hits++
 			}
 		}
-		// Self-subsumption: D ⊇ (C \ {l}) ∪ {¬l} loses ¬l.
-		if list := occ[l^1]; len(list) <= subMaxOcc {
-			for _, ji := range list {
-				j := int(ji)
-				d := cls[j]
-				if j == i || d < 0 || sigC&^sig[j] != 0 || int(s.claSize(d)) < n {
-					continue
-				}
-				hits, hasFlip := 0, false
-				for _, m := range s.claLits(d) {
-					if m == l^1 {
-						hasFlip = true
-					} else if s.litMark[m] != 0 {
-						hits++
-					}
-				}
-				if !hasFlip || hits != n-1 {
-					continue
-				}
-				out := s.simpBuf[:0]
-				for _, m := range s.claLits(d) {
-					if m != l^1 {
-						out = append(out, m)
-					}
-				}
-				s.simpBuf = out
-				units = s.replaceProblem(cls, j, out, units)
-				if cls[j] >= 0 {
-					var sg uint64
-					for _, m := range out {
-						sg |= 1 << (uint32(litVar(m)) & 63)
-					}
-					sig[j] = sg
-				}
-				s.Stats.Strengthened++
+		if hits == n {
+			s.dropProblem(cls, j)
+			s.Stats.Subsumed++
+		}
+	}
+	// Self-subsumption: D ⊇ (C \ {l}) ∪ {¬l} loses ¬l.
+	for _, l := range lits {
+		if len(occ[l^1]) > subMaxOcc {
+			continue
+		}
+		for _, ji := range cand(l ^ 1) {
+			j := int(ji)
+			d := cls[j]
+			if j == i || d < 0 || sigC&^sig[j] != 0 || int(s.claSize(d)) < n {
+				continue
 			}
+			s.Stats.SubsumeChecks++
+			hits, hasFlip := 0, false
+			for _, m := range s.claLits(d) {
+				if m == l^1 {
+					hasFlip = true
+				} else if s.litMark[m] != 0 {
+					hits++
+				}
+			}
+			if !hasFlip || hits != n-1 {
+				continue
+			}
+			out := s.simpBuf[:0]
+			for _, m := range s.claLits(d) {
+				if m != l^1 {
+					out = append(out, m)
+				}
+			}
+			s.simpBuf = out
+			units = s.replaceProblem(cls, j, out, units)
+			flag[j] = simpChanged
+			if cls[j] >= 0 {
+				var sg uint64
+				for _, m := range out {
+					sg |= 1 << (uint32(litVar(m)) & 63)
+				}
+				sig[j] = sg
+			}
+			s.Stats.Strengthened++
 		}
 	}
 	for _, l := range lits {
@@ -448,7 +598,7 @@ func (s *Solver) tryEliminate(cls []cref, sig []uint64, occ [][]int32, v int32, 
 		s.elimLits = append(s.elimLits, uint32(len(lits)))
 		s.elimLits = append(s.elimLits, lits...)
 	}
-	s.elimSt = append(s.elimSt, elimRec{v: v, off: off, end: int32(len(s.elimLits))})
+	s.elimAt[v] = elimSpan{off: off, end: int32(len(s.elimLits))}
 	s.elim[v] = 1
 	s.numElim++
 	s.Stats.ElimVars++
@@ -536,16 +686,8 @@ func (s *Solver) reintroduce(v int32) {
 		if s.assign[u] < 0 && s.heapPos[u] < 0 {
 			s.heapInsert(u)
 		}
-		idx := -1
-		for i := len(s.elimSt) - 1; i >= 0; i-- {
-			if s.elimSt[i].v == u {
-				idx = i
-				break
-			}
-		}
-		rec := s.elimSt[idx]
-		s.elimSt = append(s.elimSt[:idx], s.elimSt[idx+1:]...)
-		for off := rec.off; off < rec.end; {
+		sp := s.elimAt[u]
+		for off := sp.off; off < sp.end; {
 			nc := int32(s.elimLits[off])
 			lits := s.elimLits[off+1 : off+1+nc]
 			off += 1 + nc
@@ -586,51 +728,59 @@ func (s *Solver) addInternal(lits []uint32) {
 	}
 }
 
-// extendModel assigns every eliminated variable a value satisfying its
-// removed clauses, walking the elimination stack in reverse: a stored
-// clause mentions only variables that were live at elimination time, so
-// any eliminated variable it mentions was eliminated later and has
-// already been extended. The variable defaults to false and flips to
-// true when a stored clause containing it positively is not satisfied
-// by the other literals; resolution completeness guarantees the
-// negative-occurrence clauses are then satisfied by their own others.
-func (s *Solver) extendModel() {
-	for i := len(s.elimSt) - 1; i >= 0; i-- {
-		rec := s.elimSt[i]
-		posLit := uint32(rec.v) << 1
-		val := int8(0)
-		for off := rec.off; off < rec.end && val == 0; {
-			nc := int32(s.elimLits[off])
-			lits := s.elimLits[off+1 : off+1+nc]
-			off += 1 + nc
-			hasPos := false
-			satisfied := false
-			for _, l := range lits {
-				if litVar(l) == rec.v {
-					hasPos = hasPos || l == posLit
-					continue
-				}
-				if s.extLitTrue(l) {
-					satisfied = true
-					break
-				}
+// extValue returns the value of eliminated variable v in the model of
+// the last Sat answer, extended over its removed clauses. v defaults to
+// false and turns true when a removed clause containing it positively
+// is not satisfied by its other literals; resolution completeness
+// guarantees the negative-occurrence clauses are then satisfied by
+// their own others. A removed clause mentions only variables that were
+// live when v was eliminated, so any of them eliminated now was
+// eliminated later and is extended first, by recursion; the values are
+// those of a reverse walk over the elimination order, memoized for the
+// current model.
+func (s *Solver) extValue(v int32) bool {
+	if m := s.extMemo[v]; m>>1 == s.modelEpoch {
+		return m&1 == 1
+	}
+	sp := s.elimAt[v]
+	posLit := uint32(v) << 1
+	val := false
+	for off := sp.off; off < sp.end && !val; {
+		nc := int32(s.elimLits[off])
+		lits := s.elimLits[off+1 : off+1+nc]
+		off += 1 + nc
+		hasPos := false
+		satisfied := false
+		for _, l := range lits {
+			if litVar(l) == v {
+				hasPos = hasPos || l == posLit
+				continue
 			}
-			if hasPos && !satisfied {
-				val = 1
+			if s.extLitTrue(l) {
+				satisfied = true
+				break
 			}
 		}
-		s.elimValue[rec.v] = val
+		if hasPos && !satisfied {
+			val = true
+		}
 	}
+	m := s.modelEpoch << 1
+	if val {
+		m |= 1
+	}
+	s.extMemo[v] = m
+	return val
 }
 
-// extLitTrue evaluates a literal under the model extended so far.
+// extLitTrue evaluates a literal under the extended model: every live
+// variable is assigned after a Sat answer, every eliminated one is not.
 func (s *Solver) extLitTrue(l uint32) bool {
 	v := litVar(l)
-	t := s.assign[v]
-	if t < 0 {
-		t = s.elimValue[v]
+	if s.assign[v] < 0 {
+		return s.extValue(v) != litNeg(l)
 	}
-	return (t == 1) != litNeg(l)
+	return (s.assign[v] == 1) != litNeg(l)
 }
 
 // maybeVivify distills learnt clauses on a conflict-count schedule.
