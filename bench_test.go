@@ -456,6 +456,38 @@ func BenchmarkLEC(b *testing.B) {
 	}
 }
 
+// BenchmarkLECSAT measures a LEC check whose miter reaches the SAT
+// solver, which BenchmarkLEC's strashes away: the ATPG-locked c1908
+// (×1.0, 64 key bits, lock seed 4009) checked as daemon-mix's
+// "000 lock c1908 k64 sw1 s9" job checks it, with the job's one-member
+// portfolio (seed 9) and the flow's LEC seed. The pair, clause and
+// conflict counts are deterministic per tree.
+func BenchmarkLECSAT(b *testing.B) {
+	orig, err := bmarks.Load("c1908", 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lk, _, err := locking.ATPGLock(orig, locking.ATPGLockOptions{KeyBits: benchKeyBits, Seed: 4009})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sat.NewPortfolio(sat.PortfolioOptions{Seed: 9})
+		res, err := lec.Check(orig, lk.Circuit, lec.Options{Seed: 4009, Solver: s})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Equivalent {
+			b.Fatal("locked circuit must be equivalent under the correct key")
+		}
+		b.ReportMetric(float64(res.Stats.SATPairs), "satPairs")
+		b.ReportMetric(float64(res.Stats.ProblemClauses), "problemClauses")
+		b.ReportMetric(float64(s.Stats().Conflicts), "conflicts")
+		reportInprocessing(b, s.Stats())
+	}
+}
+
 // reportInprocessing reports the solver's inprocessing work counters:
 // candidate clause bodies scanned by (self-)subsumption and variable
 // elimination attempts.

@@ -15,8 +15,9 @@
 //
 // The /v1/cells endpoint makes the daemon a remote worker for a
 // `tables -connect host:port` coordinator, the one way to run a Table
-// I/II sweep on daemons: cells are admitted under their own
-// concurrency bound (-maxcells) and stream heartbeats while queued and
+// I/II sweep on daemons: a coordinator gives each daemon one worker
+// slot, cells are admitted under their own concurrency bound (as many
+// as -jobs, separately from jobs) and stream heartbeats while queued and
 // while computing, so the coordinator's lease stays alive exactly as
 // long as the daemon is. The coordinator checkpoints finished cells in
 // its own -manifest and resumes with -resume.
@@ -59,13 +60,12 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		state        = flag.String("state", "", "state directory for the job journal, one jobs/<id>.json file per job (empty = in-memory, no requeue on restart)")
-		jobs         = flag.Int("jobs", 2, "max concurrently running jobs")
+		jobs         = flag.Int("jobs", 2, "max concurrently running jobs, and separately max running /v1/cells cells")
 		queue        = flag.Int("queue", 64, "max queued jobs before submissions get 503")
 		solverSlots  = flag.Int("solverslots", 0, "max SAT portfolio members per job or cell; wider requests are clamped (0 = GOMAXPROCS)")
 		cacheEntries = flag.Int("cache", 128, "result cache entries")
 		jobTimeout   = flag.Duration("jobtimeout", 0, "per-job deadline (0 = none)")
 		drainTimeout = flag.Duration("draintimeout", 30*time.Second, "max wait for running jobs and cells to stop on shutdown")
-		maxCells     = flag.Int("maxcells", 0, "max concurrently running dispatched table cells (0 = same as -jobs)")
 	)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -79,7 +79,6 @@ func main() {
 			SolverSlots:  *solverSlots,
 			CacheEntries: *cacheEntries,
 			JobTimeout:   *jobTimeout,
-			MaxCells:     *maxCells,
 		}, *drainTimeout)
 	}
 	if err != nil {

@@ -33,19 +33,22 @@
 // bounds each job.
 //
 // The Table I/II sweep can also be distributed across OS processes:
-// -workers N leases cells to N locally spawned worker processes, and
-// -connect host:port,... additionally (or instead) leases them to
-// remote splitlockd daemons. Workers that crash, hang, or return
-// garbage have their lease expired and the cell reassigned with
-// backoff; a cell that keeps killing workers is quarantined after
-// -crashbudget deaths and recorded on its row without stopping the
-// sweep. The final table and manifest are byte-identical to a
+// -workers N leases cells to N local worker slots, each attempt of a
+// cell a fresh worker process, and -connect host:port,... additionally
+// (or instead) leases them to remote splitlockd daemons, one slot per
+// address. A worker that crashes, hangs, or returns garbage has its
+// lease expired and the cell reassigned with backoff; a cell that keeps
+// killing workers is quarantined after -crashbudget deaths and recorded
+// on its row without stopping the sweep; a cell a daemon refuses (a
+// 4xx answer, e.g. a -scale it will not run) fails with the daemon's
+// reason. The final table and manifest are byte-identical to a
 // single-process run at any worker count. -faultpoints list prints
 // the fault-injection sites compiled into this binary.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -80,8 +83,8 @@ func main() {
 		manifestP  = flag.String("manifest", "", "checkpoint file for the Table I/II sweep: every completed cell is flushed there atomically")
 		resume     = flag.Bool("resume", false, "load -manifest and skip cells it already holds (the file must match this configuration)")
 
-		workerMode  = flag.Bool("worker", false, "serve the dispatch worker protocol on stdin/stdout (spawned by a -workers coordinator; not for interactive use)")
-		workerID    = flag.Int("workerid", 0, "worker identity under -worker (assigned by the coordinator)")
+		workerMode  = flag.Bool("worker", false, "serve one dispatched cell: read its spec on stdin, stream the worker protocol to stdout (spawned by a -workers coordinator; not for interactive use)")
+		workerID    = flag.Int("workerid", 0, "worker identity of this attempt under -worker (assigned by the coordinator)")
 		workers     = flag.Int("workers", 0, "distribute the Table I/II sweep across this many local worker processes")
 		connectSel  = flag.String("connect", "", "comma-separated splitlockd addresses (host:port or URL) to lease Table I/II cells to as remote workers")
 		leaseT      = flag.Duration("leasetimeout", 15*time.Second, "expire a cell lease whose worker has not heartbeat for this long; the cell is reassigned")
@@ -301,15 +304,19 @@ func openManifest(path string, resume bool, fp runmanifest.Fingerprint) (*runman
 	return m, nil
 }
 
-// runWorker serves one dispatch worker on stdin/stdout until the
-// coordinator sends quit or closes the pipe. jobTimeout is a
-// worker-local knob; everything that affects a cell's result arrives in
-// the leased CellSpec, so the printed table is independent of which
-// worker computed which cell.
+// runWorker serves one attempt of one dispatched cell: it reads the
+// CellSpec as JSON on stdin and writes the protocol stream to stdout.
+// jobTimeout is a worker-local knob; everything that affects a cell's
+// result arrives in the CellSpec, so the printed table is independent
+// of which worker computed which cell.
 func runWorker(id int, jobTimeout time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return dispatch.ServeWorker(ctx, os.Stdin, os.Stdout, dispatch.WorkerOptions{
+	var spec dispatch.CellSpec
+	if err := json.NewDecoder(os.Stdin).Decode(&spec); err != nil {
+		return fmt.Errorf("reading the cell spec: %w", err)
+	}
+	return dispatch.ServeCell(ctx, os.Stdout, spec, dispatch.WorkerOptions{
 		ID:  id,
 		Run: flow.DispatchCellFunc(flow.ITCOptions{JobTimeout: jobTimeout}),
 	})
@@ -324,11 +331,11 @@ type coordinatorConfig struct {
 	jobTimeout  time.Duration
 }
 
-// newCoordinator builds the worker fleet: cfg.workers local processes
-// re-executing this binary in -worker mode, plus one remote-worker slot
-// per -connect daemon.
+// newCoordinator builds the worker slots: cfg.workers local slots, each
+// attempt a fresh process re-executing this binary in -worker mode,
+// plus one slot per -connect daemon.
 func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, error) {
-	var spawners []dispatch.SpawnFunc
+	var slots []dispatch.Slot
 	if cfg.workers > 0 {
 		exe, err := os.Executable()
 		if err != nil {
@@ -336,10 +343,10 @@ func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, error) {
 		}
 		// Workers inherit this process's environment (REPRO_FAULTPOINTS
 		// included — per-worker fault sites key off the -workerid that
-		// ProcSpawner appends).
-		argv := []string{exe, "-worker", "-jobtimeout", cfg.jobTimeout.String()}
+		// ProcTransport appends).
+		local := dispatch.ProcTransport([]string{exe, "-worker", "-jobtimeout", cfg.jobTimeout.String()}, nil)
 		for i := 0; i < cfg.workers; i++ {
-			spawners = append(spawners, dispatch.ProcSpawner(argv, nil))
+			slots = append(slots, dispatch.Slot{Name: "local", Open: local})
 		}
 	}
 	for _, target := range cfg.connect {
@@ -347,10 +354,10 @@ func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, error) {
 		if !strings.Contains(url, "://") {
 			url = "http://" + url
 		}
-		spawners = append(spawners, dispatch.RemoteSpawner(url, nil))
+		slots = append(slots, dispatch.Slot{Name: url, Open: dispatch.HTTPTransport(url)})
 	}
 	return dispatch.New(dispatch.Options{
-		Spawners:     spawners,
+		Slots:        slots,
 		LeaseTimeout: cfg.leaseT,
 		CrashBudget:  cfg.crashBudget,
 		Logf: func(format string, args ...any) {
@@ -369,8 +376,9 @@ func printFaultpoints() {
 	fmt.Println()
 	fmt.Println("actions: panic | exit=CODE | stall=DURATION; after=N fires on the")
 	fmt.Println("N'th hit. Dispatch worker sites are also hit as 'site#<workerid>'")
-	fmt.Println("(one specific worker; respawned replacements get fresh ids and are")
-	fmt.Println("never re-hit) and 'site@<bench>/M<layer>' (one specific cell).")
+	fmt.Println("(one attempt: every attempt of a cell runs under a fresh worker id,")
+	fmt.Println("so a retry is never re-hit) and 'site@<bench>/M<layer>' (one")
+	fmt.Println("specific cell).")
 	fmt.Println()
 	fmt.Println("sites compiled into this binary:")
 	for _, s := range faultpoint.Sites() {

@@ -1,21 +1,28 @@
 package dispatch
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
-// Coordinator-internal pseudo-message types (never on the wire).
+// Coordinator-internal pseudo-message types (never on the wire): how an
+// attempt ended without a res or err line.
 const (
-	// msgMalformed marks unparsable worker output: the transport killed
-	// the worker and the coordinator treats the attempt as poisoned.
+	// msgMalformed marks unparsable worker output: the attempt is
+	// poisoned.
 	msgMalformed MsgType = "malformed"
-	// msgRejected marks a pre-execution refusal (remote daemon busy or
-	// unreachable): the cell is requeued without charging its crash
-	// budget — the cell never ran, so it cannot have killed anything.
+	// msgEnded marks a stream that ended without a result: the worker
+	// died mid-cell.
+	msgEnded MsgType = "ended"
+	// msgRejected marks an attempt that never started (a worker process
+	// that would not start, a daemon busy or unreachable): the cell is
+	// requeued without charging its crash budget — the cell never ran,
+	// so it cannot have killed anything.
 	msgRejected MsgType = "rejected"
 )
 
@@ -47,34 +54,11 @@ func IsQuarantined(err error) bool {
 	return errors.As(err, &q)
 }
 
-// Worker is one live worker as the coordinator sees it: a way to send
-// assignments, a stream of its messages (closed when it dies), and a
-// hard stop. Implementations: process workers over stdin/stdout
-// (ProcSpawner), remote splitlockd workers over HTTP (RemoteSpawner),
-// and in-memory pipes in tests.
-type Worker interface {
-	// Assign sends a lease. An error means the worker is unusable.
-	Assign(Message) error
-	// Messages returns the worker's incoming stream; the channel closes
-	// when the worker dies (process exit, connection loss, Kill).
-	Messages() <-chan Message
-	// Kill hard-stops the worker. Idempotent.
-	Kill()
-	// String names the worker for logs.
-	String() string
-}
-
-// SpawnFunc creates (or re-creates) the worker for one slot. id is a
-// fleet-unique worker identity (it advances on every respawn, so fault
-// sites targeting "#2" hit the original worker 2 and never its
-// replacement).
-type SpawnFunc func(ctx context.Context, id int) (Worker, error)
-
 // Options configures a Coordinator.
 type Options struct {
-	// Spawners is one entry per worker slot; a slot's worker is respawned
-	// through its own SpawnFunc after every death.
-	Spawners []SpawnFunc
+	// Slots is one entry per worker slot; each runs one attempt at a
+	// time through its own transport.
+	Slots []Slot
 	// LeaseTimeout expires a lease whose worker has not heartbeat for
 	// this long (default 15s; workers beat every 500ms by default, so the
 	// default tolerates ~30 missed beats).
@@ -82,7 +66,7 @@ type Options struct {
 	// CrashBudget is the per-cell worker-death budget: the deaths'th
 	// death quarantines the cell (default 3).
 	CrashBudget int
-	// Logf, when non-nil, receives dispatch lifecycle events (spawns,
+	// Logf, when non-nil, receives dispatch lifecycle events (leases,
 	// expirations, reassignments, quarantines).
 	Logf func(format string, args ...any)
 }
@@ -101,15 +85,16 @@ func (o Options) withDefaults() Options {
 const (
 	// backoffBase is the reassignment delay after a cell's first worker
 	// death, doubling per death, plus a deterministic seed-derived
-	// jitter; a slot's respawn delay doubles from it after its second
-	// strike.
+	// jitter; a slot's delay before its next attempt doubles from it
+	// after its second strike.
 	backoffBase = 250 * time.Millisecond
 	// maxBackoff caps the doubling.
 	maxBackoff = 15 * time.Second
 	// maxStrikes retires a slot after this many consecutive failures
-	// (spawn errors or deaths with no completed cell in between); a
-	// retired slot is never respawned. With every slot retired, pending
-	// cells fail with ErrNoWorkers instead of waiting forever.
+	// (attempts that would not start, or died, with no completed cell in
+	// between); a retired slot runs no more attempts. With every slot
+	// retired, pending cells fail with ErrNoWorkers instead of waiting
+	// forever.
 	maxStrikes = 8
 )
 
@@ -136,45 +121,35 @@ func (t *task) resolve(payload json.RawMessage, err error) {
 	}
 }
 
-// lease is one outstanding assignment.
+// lease is one attempt in flight: a cell on a slot. Its ID, fresh per
+// attempt, is also the attempt's worker id.
 type lease struct {
-	id       uint64
+	id       int
 	t        *task
 	slot     int
 	deadline time.Time
+	stop     context.CancelFunc // ends the attempt: kills its worker
 }
 
-// slotState tracks one worker slot across respawns.
+// slotState tracks one worker slot across attempts.
 type slotState struct {
-	spawn     SpawnFunc
-	w         Worker
-	wid       int  // current worker identity (0 = none)
-	alive     bool // w is usable
-	spawning  bool
-	retired   bool
-	respawnAt time.Time
-	strikes   int // consecutive failures; reset on a completed cell
-	lease     *lease
+	Slot
+	retired bool
+	readyAt time.Time // strike delay: no attempt before this
+	strikes int       // consecutive failures; reset on a completed cell
+	lease   *lease
 }
 
-// wEvent is one worker-originated event entering the loop.
-type wEvent struct {
-	slot   int
-	wid    int // worker identity the event came from (stale ones are dropped)
-	msg    Message
-	closed bool
-}
-
-type spawnResult struct {
-	slot int
-	wid  int
-	w    Worker
-	err  error
+// event is one protocol line (or pseudo-message) from the stream of the
+// named lease.
+type event struct {
+	lease int
+	msg   Message
 }
 
 // Coordinator owns the lease table and the reassignment queue. All
-// state is confined to the loop goroutine; RunCell and worker pumps
-// communicate over channels.
+// state is confined to the loop goroutine; RunCell and the attempts'
+// stream readers communicate over channels.
 type Coordinator struct {
 	opt    Options
 	ctx    context.Context
@@ -185,21 +160,20 @@ type Coordinator struct {
 	backoffBase, maxBackoff time.Duration
 	maxStrikes              int
 
-	submit  chan *task
-	events  chan wEvent
-	spawned chan spawnResult
-	done    chan struct{}
+	submit   chan *task
+	events   chan event
+	done     chan struct{}
+	attempts sync.WaitGroup
 
 	// loop-confined state
 	slots     []*slotState
-	leases    map[uint64]*lease
+	leases    map[int]*lease
 	queue     []*task
-	nextLease uint64
-	nextWID   int
+	nextLease int
 }
 
 // New starts a coordinator over the given worker slots. Close must be
-// called to reap workers.
+// called to stop and reap the attempts in flight.
 func New(opt Options) (*Coordinator, error) {
 	return newCoordinator(opt, backoffBase, maxBackoff, maxStrikes)
 }
@@ -208,8 +182,8 @@ func New(opt Options) (*Coordinator, error) {
 // arguments, so tests can shorten it.
 func newCoordinator(opt Options, base, ceiling time.Duration, strikes int) (*Coordinator, error) {
 	opt = opt.withDefaults()
-	if len(opt.Spawners) == 0 {
-		return nil, errors.New("dispatch: coordinator needs at least one worker spawner")
+	if len(opt.Slots) == 0 {
+		return nil, errors.New("dispatch: coordinator needs at least one worker slot")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
@@ -220,13 +194,12 @@ func newCoordinator(opt Options, base, ceiling time.Duration, strikes int) (*Coo
 		maxBackoff:  ceiling,
 		maxStrikes:  strikes,
 		submit:      make(chan *task),
-		events:      make(chan wEvent, 64),
-		spawned:     make(chan spawnResult),
+		events:      make(chan event, 64),
 		done:        make(chan struct{}),
-		leases:      make(map[uint64]*lease),
+		leases:      make(map[int]*lease),
 	}
-	for _, sp := range opt.Spawners {
-		c.slots = append(c.slots, &slotState{spawn: sp})
+	for _, sl := range opt.Slots {
+		c.slots = append(c.slots, &slotState{Slot: sl})
 	}
 	go c.loop()
 	return c, nil
@@ -260,10 +233,11 @@ func (c *Coordinator) RunCell(ctx context.Context, spec CellSpec) (json.RawMessa
 }
 
 // Close shuts the coordinator down: pending cells fail with ErrClosed
-// and every worker is killed.
+// and every attempt in flight is killed and reaped.
 func (c *Coordinator) Close() {
 	c.cancel()
 	<-c.done
+	c.attempts.Wait()
 }
 
 // loop is the scheduler: it owns slots, leases, and the queue.
@@ -274,7 +248,6 @@ func (c *Coordinator) loop() {
 	for {
 		now := time.Now()
 		c.expireLeases(now)
-		c.spawnDue(now)
 		c.dispatch(now)
 		c.failIfStranded()
 		timer.Reset(c.nextWake(now))
@@ -283,8 +256,6 @@ func (c *Coordinator) loop() {
 			c.queue = append(c.queue, t)
 		case ev := <-c.events:
 			c.handleEvent(ev)
-		case sr := <-c.spawned:
-			c.handleSpawned(sr)
 		case <-timer.C:
 		case <-c.ctx.Done():
 			c.shutdown()
@@ -293,16 +264,11 @@ func (c *Coordinator) loop() {
 	}
 }
 
-// shutdown kills every worker and fails everything in flight.
+// shutdown fails everything in flight; cancelling c.ctx has already
+// stopped every attempt.
 func (c *Coordinator) shutdown() {
-	for _, s := range c.slots {
-		if s.w != nil {
-			s.w.Kill()
-		}
-		if s.lease != nil {
-			s.lease.t.resolve(nil, ErrClosed)
-			s.lease = nil
-		}
+	for _, l := range c.leases {
+		l.t.resolve(nil, ErrClosed)
 	}
 	for _, t := range c.queue {
 		t.resolve(nil, ErrClosed)
@@ -310,58 +276,201 @@ func (c *Coordinator) shutdown() {
 	c.queue = nil
 }
 
-// expireLeases kills workers whose heartbeats stopped and requeues
+// expireLeases kills attempts whose heartbeats stopped and requeues
 // their cells.
 func (c *Coordinator) expireLeases(now time.Time) {
 	for _, l := range c.leases {
 		if now.Before(l.deadline) {
 			continue
 		}
-		s := c.slots[l.slot]
-		cause := fmt.Sprintf("lease expired: no heartbeat from %s for %v", c.slotName(l.slot), c.opt.LeaseTimeout)
+		cause := fmt.Sprintf("lease expired: no heartbeat from %s for %v", c.workerName(l), c.opt.LeaseTimeout)
 		c.logf("dispatch: %s; killing worker and reassigning %s", cause, l.t.spec.Key())
-		c.detachLease(l)
-		c.killSlot(s, now)
-		c.requeueDeath(l.t, cause, now)
+		c.fail(l, now, cause, true)
 	}
 }
 
-// detachLease removes l from the lease table and its slot.
-func (c *Coordinator) detachLease(l *lease) {
+// dispatch starts an attempt of the first ready cell on every idle
+// slot.
+func (c *Coordinator) dispatch(now time.Time) {
+	for i, s := range c.slots {
+		if s.retired || s.lease != nil || now.Before(s.readyAt) {
+			continue
+		}
+		ti := -1
+		for qi, t := range c.queue {
+			if !now.Before(t.notBefore) {
+				ti = qi
+				break
+			}
+		}
+		if ti < 0 {
+			return
+		}
+		t := c.queue[ti]
+		c.queue = append(c.queue[:ti], c.queue[ti+1:]...)
+		c.nextLease++
+		actx, stop := context.WithCancel(c.ctx)
+		l := &lease{id: c.nextLease, t: t, slot: i, deadline: now.Add(c.opt.LeaseTimeout), stop: stop}
+		c.leases[l.id] = l
+		s.lease = l
+		c.logf("dispatch: leased %s to worker %d (%s, lease %d)", t.spec.Key(), l.id, s.Name, l.id)
+		c.attempts.Add(1)
+		go c.attempt(actx, l.id, s.Open, t.spec)
+	}
+}
+
+// attempt opens one attempt's stream and forwards its lines to the loop
+// until the res or err line, an unparsable line, or the end of the
+// stream. It is the only reader of protocol lines.
+func (c *Coordinator) attempt(ctx context.Context, id int, open Transport, spec CellSpec) {
+	defer c.attempts.Done()
+	send := func(m Message) {
+		select {
+		case c.events <- event{lease: id, msg: m}:
+		case <-c.ctx.Done():
+		}
+	}
+	rc, err := open(ctx, spec, id)
+	if err != nil {
+		var ce *cellError
+		if errors.As(err, &ce) {
+			send(Message{Type: MsgError, Error: ce.msg})
+		} else {
+			send(Message{Type: msgRejected, Error: err.Error()})
+		}
+		return
+	}
+	// Close may wait until the loop, having read the last event, stops
+	// the attempt: a worker still running after its last line is killed.
+	defer rc.Close()
+	sc := bufio.NewScanner(rc)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		m, err := decodeLine(line)
+		if err != nil {
+			send(Message{Type: msgMalformed, Error: err.Error()})
+			return
+		}
+		send(m)
+		if m.Type == MsgResult || m.Type == MsgError {
+			return
+		}
+	}
+	cause := "stream ended"
+	if err := sc.Err(); err != nil {
+		cause = err.Error()
+	}
+	send(Message{Type: msgEnded, Error: cause})
+}
+
+// workerName names a lease's worker for logs.
+func (c *Coordinator) workerName(l *lease) string {
+	return fmt.Sprintf("worker %d (%s)", l.id, c.slots[l.slot].Name)
+}
+
+// handleEvent processes one line of an attempt's stream.
+func (c *Coordinator) handleEvent(ev event) {
+	l, ok := c.leases[ev.lease]
+	if !ok {
+		return // stale: the lease already expired or completed
+	}
+	now := time.Now()
+	key := l.t.spec.Key()
+	switch ev.msg.Type {
+	case MsgHello:
+		if ev.msg.Version != ProtocolVersion {
+			c.reject(l, now, fmt.Sprintf("it speaks protocol %d, want %d", ev.msg.Version, ProtocolVersion))
+		}
+	case MsgHeartbeat:
+		l.deadline = now.Add(c.opt.LeaseTimeout)
+	case MsgResult:
+		if len(ev.msg.Payload) == 0 || !json.Valid(ev.msg.Payload) {
+			c.poison(l, now, fmt.Sprintf("poisoned payload for %s", key))
+			return
+		}
+		c.complete(l, ev.msg.Payload, nil)
+	case MsgError:
+		// A clean cell failure: the worker is healthy (it already spent
+		// its in-process retry budget); the error is the cell's outcome.
+		c.complete(l, nil, errors.New(ev.msg.Error))
+	case msgMalformed:
+		c.poison(l, now, fmt.Sprintf("unparsable worker output: %s", ev.msg.Error))
+	case msgEnded:
+		cause := fmt.Sprintf("worker died mid-cell (%s: %s)", key, ev.msg.Error)
+		c.logf("dispatch: %s on %s; reassigning", cause, c.workerName(l))
+		c.fail(l, now, cause, true)
+	case msgRejected:
+		c.reject(l, now, ev.msg.Error)
+	default:
+		c.poison(l, now, fmt.Sprintf("unexpected %q message", ev.msg.Type))
+	}
+}
+
+// detach ends a lease: it leaves the table and its slot, and its
+// attempt is stopped.
+func (c *Coordinator) detach(l *lease) *slotState {
+	l.stop()
 	delete(c.leases, l.id)
-	if s := c.slots[l.slot]; s.lease == l {
-		s.lease = nil
+	s := c.slots[l.slot]
+	s.lease = nil
+	return s
+}
+
+// complete resolves a lease's cell with the attempt's outcome; the slot
+// served, so its strikes reset.
+func (c *Coordinator) complete(l *lease, payload json.RawMessage, err error) {
+	c.detach(l).strikes = 0
+	l.t.resolve(payload, err)
+}
+
+// fail ends a lease whose attempt went wrong: the slot takes a strike,
+// and the cell is charged a death (charge) or requeued at the front
+// uncharged.
+func (c *Coordinator) fail(l *lease, now time.Time, cause string, charge bool) {
+	c.detach(l).strike(c, now)
+	if charge {
+		c.requeueDeath(l.t, cause, now)
+	} else {
+		c.queue = append([]*task{l.t}, c.queue...)
 	}
 }
 
-// killSlot hard-stops a slot's worker and schedules its respawn. The
-// death is a strike; the slot retires past maxStrikes.
-func (c *Coordinator) killSlot(s *slotState, now time.Time) {
-	if s.w != nil {
-		s.w.Kill()
-	}
-	s.w, s.alive, s.wid = nil, false, 0
-	s.strike(c, now)
+// poison handles an attempt that violated the protocol or returned
+// garbage: the cell is charged a death and requeued, the worker killed.
+func (c *Coordinator) poison(l *lease, now time.Time, cause string) {
+	c.logf("dispatch: %s from %s; killing and reassigning", cause, c.workerName(l))
+	c.fail(l, now, cause, true)
 }
 
-// strike records one consecutive failure on the slot and schedules (or
+// reject handles an attempt that could not serve the cell through no
+// fault of the cell (it never started, or the worker speaks another
+// protocol version): the cell is requeued uncharged, the slot backs
+// off.
+func (c *Coordinator) reject(l *lease, now time.Time, cause string) {
+	c.logf("dispatch: %s rejected %s (%s); requeueing, backing the slot off", c.workerName(l), l.t.spec.Key(), cause)
+	c.fail(l, now, cause, false)
+}
+
+// strike records one consecutive failure on the slot and delays (or
 // retires) it.
 func (s *slotState) strike(c *Coordinator, now time.Time) {
 	s.strikes++
 	if s.strikes >= c.maxStrikes {
-		if !s.retired {
-			s.retired = true
-			c.logf("dispatch: retiring worker slot after %d consecutive failures", s.strikes)
-		}
+		s.retired = true
+		c.logf("dispatch: retiring worker slot %s after %d consecutive failures", s.Name, s.strikes)
 		return
 	}
-	// Respawn promptly after a first failure, with doubling delay for
-	// repeat offenders so a crash-looping spawn does not spin.
+	// Try again promptly after a first failure, with doubling delay for
+	// repeat offenders so a crash-looping slot does not spin.
 	delay := time.Duration(0)
 	if s.strikes > 1 {
 		delay = min(c.backoffBase<<(s.strikes-2), c.maxBackoff)
 	}
-	s.respawnAt = now.Add(delay)
+	s.readyAt = now.Add(delay)
 }
 
 // requeueDeath charges one worker death to the cell and requeues it
@@ -382,203 +491,6 @@ func (c *Coordinator) requeueDeath(t *task, cause string, now time.Time) {
 	c.logf("dispatch: requeued %s (death %d/%d, backoff %v)", t.spec.Key(), t.deaths, c.opt.CrashBudget, delay.Round(time.Millisecond))
 }
 
-// requeueFront puts a cell back without charging its budget (the worker
-// was unusable before the cell ran).
-func (c *Coordinator) requeueFront(t *task) {
-	c.queue = append([]*task{t}, c.queue...)
-}
-
-// spawnDue launches workers for empty, unretired slots whose respawn
-// time has come.
-func (c *Coordinator) spawnDue(now time.Time) {
-	for i, s := range c.slots {
-		if s.retired || s.spawning || s.alive || now.Before(s.respawnAt) {
-			continue
-		}
-		s.spawning = true
-		c.nextWID++
-		wid := c.nextWID
-		slot := i
-		go func(sp SpawnFunc) {
-			w, err := sp(c.ctx, wid)
-			select {
-			case c.spawned <- spawnResult{slot: slot, wid: wid, w: w, err: err}:
-			case <-c.ctx.Done():
-				if w != nil {
-					w.Kill()
-				}
-			}
-		}(s.spawn)
-	}
-}
-
-func (c *Coordinator) handleSpawned(sr spawnResult) {
-	s := c.slots[sr.slot]
-	s.spawning = false
-	if sr.err != nil {
-		c.logf("dispatch: spawning worker %d failed: %v", sr.wid, sr.err)
-		s.strike(c, time.Now())
-		return
-	}
-	s.w, s.wid, s.alive = sr.w, sr.wid, true
-	c.logf("dispatch: worker %d up (%s)", sr.wid, sr.w)
-	go c.pump(sr.slot, sr.wid, sr.w)
-}
-
-// pump forwards one worker's messages into the loop and reports its
-// death.
-func (c *Coordinator) pump(slot, wid int, w Worker) {
-	for m := range w.Messages() {
-		select {
-		case c.events <- wEvent{slot: slot, wid: wid, msg: m}:
-		case <-c.ctx.Done():
-			return
-		}
-	}
-	select {
-	case c.events <- wEvent{slot: slot, wid: wid, closed: true}:
-	case <-c.ctx.Done():
-	}
-}
-
-// dispatch assigns ready cells to idle workers.
-func (c *Coordinator) dispatch(now time.Time) {
-	for _, s := range c.slots {
-		if !s.alive || s.lease != nil {
-			continue
-		}
-		ti := -1
-		for qi, t := range c.queue {
-			if !now.Before(t.notBefore) {
-				ti = qi
-				break
-			}
-		}
-		if ti < 0 {
-			return
-		}
-		t := c.queue[ti]
-		c.queue = append(c.queue[:ti], c.queue[ti+1:]...)
-		c.nextLease++
-		l := &lease{id: c.nextLease, t: t, slot: c.slotIndex(s), deadline: now.Add(c.opt.LeaseTimeout)}
-		if err := s.w.Assign(Message{Type: MsgAssign, ID: l.id, Cell: &t.spec}); err != nil {
-			// The worker died before the cell could start: not the cell's
-			// fault. Its pump will report the close; kill now to be sure.
-			c.logf("dispatch: assigning %s to worker %d failed (%v); requeueing", t.spec.Key(), s.wid, err)
-			c.killSlot(s, now)
-			c.requeueFront(t)
-			continue
-		}
-		c.leases[l.id] = l
-		s.lease = l
-		c.logf("dispatch: leased %s to worker %d (lease %d)", t.spec.Key(), s.wid, l.id)
-	}
-}
-
-func (c *Coordinator) slotIndex(s *slotState) int {
-	for i, x := range c.slots {
-		if x == s {
-			return i
-		}
-	}
-	return -1
-}
-
-func (c *Coordinator) slotName(slot int) string {
-	s := c.slots[slot]
-	if s.w != nil {
-		return fmt.Sprintf("worker %d (%s)", s.wid, s.w)
-	}
-	return fmt.Sprintf("worker %d", s.wid)
-}
-
-// handleEvent processes one worker message or death.
-func (c *Coordinator) handleEvent(ev wEvent) {
-	s := c.slots[ev.slot]
-	if ev.wid != s.wid {
-		return // stale: a previous incarnation of this slot
-	}
-	now := time.Now()
-	if ev.closed {
-		l := s.lease
-		s.lease = nil
-		s.w, s.alive, s.wid = nil, false, 0
-		s.strike(c, now)
-		if l != nil {
-			delete(c.leases, l.id)
-			cause := fmt.Sprintf("worker died mid-cell (%s)", l.t.spec.Key())
-			c.logf("dispatch: %s; reassigning", cause)
-			c.requeueDeath(l.t, cause, now)
-		} else {
-			c.logf("dispatch: idle worker died; respawning")
-		}
-		return
-	}
-	switch ev.msg.Type {
-	case MsgHello:
-		if ev.msg.Version != ProtocolVersion {
-			c.logf("dispatch: worker %d speaks protocol %d, want %d; killing", s.wid, ev.msg.Version, ProtocolVersion)
-			c.poisonSlot(s, now, "protocol version mismatch")
-		}
-	case MsgHeartbeat:
-		if l, ok := c.leases[ev.msg.ID]; ok && l.slot == ev.slot {
-			l.deadline = now.Add(c.opt.LeaseTimeout)
-		}
-	case MsgResult:
-		l, ok := c.leases[ev.msg.ID]
-		if !ok || l.slot != ev.slot {
-			return // late result for an expired lease: already reassigned
-		}
-		if len(ev.msg.Payload) == 0 || !json.Valid(ev.msg.Payload) {
-			c.poisonSlot(s, now, fmt.Sprintf("poisoned payload for %s", l.t.spec.Key()))
-			return
-		}
-		c.detachLease(l)
-		s.strikes = 0
-		l.t.resolve(ev.msg.Payload, nil)
-	case MsgError:
-		l, ok := c.leases[ev.msg.ID]
-		if !ok || l.slot != ev.slot {
-			return
-		}
-		// A clean cell failure: the worker is healthy (it already spent
-		// its in-process retry budget); the error is the cell's outcome.
-		c.detachLease(l)
-		s.strikes = 0
-		l.t.resolve(nil, errors.New(ev.msg.Error))
-	case msgMalformed:
-		c.poisonSlot(s, now, fmt.Sprintf("unparsable worker output: %s", ev.msg.Error))
-	case msgRejected:
-		if l, ok := c.leases[ev.msg.ID]; ok && l.slot == ev.slot {
-			c.detachLease(l)
-			c.requeueFront(l.t)
-		}
-		c.logf("dispatch: worker %d rejected work (%s); backing off", s.wid, ev.msg.Error)
-		if s.w != nil {
-			s.w.Kill()
-		}
-		s.w, s.alive, s.wid = nil, false, 0
-		s.strike(c, now)
-	default:
-		c.poisonSlot(s, now, fmt.Sprintf("unexpected %q message", ev.msg.Type))
-	}
-}
-
-// poisonSlot handles a worker that violated the protocol or returned
-// garbage: its lease (if any) is charged a death and requeued, and the
-// worker is killed and respawned.
-func (c *Coordinator) poisonSlot(s *slotState, now time.Time, cause string) {
-	l := s.lease
-	c.logf("dispatch: %s from worker %d; killing and respawning", cause, s.wid)
-	if l != nil {
-		c.detachLease(l)
-	}
-	c.killSlot(s, now)
-	if l != nil {
-		c.requeueDeath(l.t, cause, now)
-	}
-}
-
 // failIfStranded fails every queued cell once no slot can ever serve
 // again — graceful degradation beats a sweep that never returns.
 func (c *Coordinator) failIfStranded() {
@@ -594,7 +506,7 @@ func (c *Coordinator) failIfStranded() {
 }
 
 // nextWake computes how long the loop may sleep: until the earliest
-// lease deadline, backoff expiry, or respawn time.
+// lease deadline, backoff expiry, or slot strike delay.
 func (c *Coordinator) nextWake(now time.Time) time.Duration {
 	const idle = time.Hour
 	next := now.Add(idle)
@@ -609,8 +521,8 @@ func (c *Coordinator) nextWake(now time.Time) time.Duration {
 		}
 	}
 	for _, s := range c.slots {
-		if !s.retired && !s.spawning && !s.alive && s.respawnAt.Before(next) {
-			next = s.respawnAt
+		if !s.retired && s.lease == nil && s.readyAt.After(now) && s.readyAt.Before(next) {
+			next = s.readyAt
 		}
 	}
 	d := next.Sub(now)

@@ -1,12 +1,13 @@
 package dispatch
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,74 +17,22 @@ import (
 	"repro/internal/faultpoint"
 )
 
-// pipeWorker runs ServeWorker in-process over io.Pipe pairs: the real
-// worker code, the real line protocol, no subprocess. Kill severs both
-// pipes, which is as abrupt as SIGKILL from the coordinator's side.
-type pipeWorker struct {
-	in     *io.PipeWriter // coordinator → worker
-	out    *io.PipeReader // worker → coordinator
-	msgs   chan Message
-	cancel context.CancelFunc
-	killed atomic.Bool
-}
-
-func (p *pipeWorker) String() string { return "pipe" }
-
-func (p *pipeWorker) Assign(m Message) error {
-	line, err := encodeLine(m)
-	if err != nil {
-		return err
-	}
-	_, err = p.in.Write(append(line, '\n'))
-	return err
-}
-
-func (p *pipeWorker) Messages() <-chan Message { return p.msgs }
-
-func (p *pipeWorker) Kill() {
-	if p.killed.CompareAndSwap(false, true) {
-		p.cancel()
-		p.in.CloseWithError(io.ErrClosedPipe)
-		p.out.CloseWithError(io.ErrClosedPipe)
-	}
-}
-
-func (p *pipeWorker) read() {
-	defer close(p.msgs)
-	sc := bufio.NewScanner(p.out)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		m, err := decodeLine(line)
-		if err != nil {
-			p.msgs <- Message{Type: msgMalformed, Error: err.Error()}
-			p.Kill()
-			return
-		}
-		p.msgs <- m
-	}
-}
-
-// pipeSpawner spawns in-memory workers running fn.
-func pipeSpawner(fn CellFunc) SpawnFunc {
-	return func(ctx context.Context, id int) (Worker, error) {
-		workerIn, coordOut := io.Pipe()
-		coordIn, workerOut := io.Pipe()
-		wctx, cancel := context.WithCancel(ctx)
+// pipeTransport runs each attempt's ServeCell in-process over an
+// io.Pipe: the real worker code, the real line protocol, no subprocess.
+// Stopping the attempt severs the pipe, which is as abrupt as SIGKILL
+// from the coordinator's side.
+func pipeTransport(fn CellFunc) Transport {
+	return func(ctx context.Context, spec CellSpec, id int) (io.ReadCloser, error) {
+		r, w := io.Pipe()
+		context.AfterFunc(ctx, func() { r.CloseWithError(context.Canceled) })
 		go func() {
-			_ = ServeWorker(wctx, workerIn, workerOut, WorkerOptions{
+			w.CloseWithError(ServeCell(ctx, w, spec, WorkerOptions{
 				ID:                id,
 				HeartbeatInterval: 20 * time.Millisecond,
 				Run:               fn,
-			})
-			workerOut.Close()
+			}))
 		}()
-		p := &pipeWorker{in: coordOut, out: coordIn, msgs: make(chan Message, 8), cancel: cancel}
-		go p.read()
-		return p, nil
+		return r, nil
 	}
 }
 
@@ -119,16 +68,16 @@ func (b *logBuf) contains(sub string) bool {
 	return false
 }
 
-func spawners(n int, fn CellFunc) []SpawnFunc {
-	out := make([]SpawnFunc, n)
+func slots(n int, fn CellFunc) []Slot {
+	out := make([]Slot, n)
 	for i := range out {
-		out[i] = pipeSpawner(fn)
+		out[i] = Slot{Name: "pipe", Open: pipeTransport(fn)}
 	}
 	return out
 }
 
 func TestRunCellsAcrossWorkers(t *testing.T) {
-	c, err := New(Options{Spawners: spawners(2, echoCell)})
+	c, err := New(Options{Slots: slots(2, echoCell)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +103,10 @@ func TestRunCellsAcrossWorkers(t *testing.T) {
 }
 
 // A clean cell failure is the cell's outcome: no crash budget charged,
-// the worker keeps serving.
+// no worker killed, the slot keeps serving.
 func TestCellErrorIsNotACrash(t *testing.T) {
 	lb := &logBuf{}
-	c, err := New(Options{Spawners: spawners(1, echoCell), Logf: lb.logf})
+	c, err := New(Options{Slots: slots(1, echoCell), Logf: lb.logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +118,7 @@ func TestCellErrorIsNotACrash(t *testing.T) {
 	if IsQuarantined(err) {
 		t.Fatal("clean cell failure was reported as quarantine")
 	}
-	// Same worker must still serve.
+	// The same slot must still serve.
 	if _, err := c.RunCell(context.Background(), CellSpec{Bench: "b14", Layer: 2}); err != nil {
 		t.Fatalf("worker unusable after a clean cell failure: %v", err)
 	}
@@ -179,16 +128,16 @@ func TestCellErrorIsNotACrash(t *testing.T) {
 }
 
 // A worker that goes silent mid-cell (frozen before its first
-// heartbeat) has its lease expired; the cell is reassigned to the
-// replacement worker and still completes with identical bytes.
+// heartbeat) has its lease expired; the cell's next attempt completes
+// with identical bytes.
 func TestLeaseExpiryReassigns(t *testing.T) {
 	defer faultpoint.Reset()
 	// Freeze worker 1 at cell start: no heartbeats ever arrive. The
-	// respawned worker gets id 2, where the site is unarmed.
+	// next attempt gets worker id 2, where the site is unarmed.
 	faultpoint.Set("dispatch.worker.cell.start#1", func() { time.Sleep(time.Minute) })
 	lb := &logBuf{}
 	c, err := newCoordinator(Options{
-		Spawners:     spawners(1, echoCell),
+		Slots:        slots(1, echoCell),
 		LeaseTimeout: 150 * time.Millisecond,
 		Logf:         lb.logf,
 	}, 10*time.Millisecond, maxBackoff, maxStrikes)
@@ -217,7 +166,7 @@ func TestQuarantineAfterCrashBudget(t *testing.T) {
 	faultpoint.Set("dispatch.worker.cell.start@bad/M1", func() { time.Sleep(time.Minute) })
 	lb := &logBuf{}
 	c, err := newCoordinator(Options{
-		Spawners:     spawners(1, echoCell),
+		Slots:        slots(1, echoCell),
 		LeaseTimeout: 100 * time.Millisecond,
 		CrashBudget:  2,
 		Logf:         lb.logf,
@@ -241,17 +190,17 @@ func TestQuarantineAfterCrashBudget(t *testing.T) {
 }
 
 // A worker emitting torn JSON is poisoned: killed, the cell charged and
-// reassigned, and the replacement's clean result wins.
+// reassigned, and the next attempt's clean result wins.
 func TestCorruptPayloadPoisonsWorker(t *testing.T) {
 	defer faultpoint.Reset()
-	// Behavioral site: fires once (first result), replacement is clean.
+	// Behavioral site: fires once (first result), the retry is clean.
 	if err := faultpoint.Arm("dispatch.worker.corrupt-payload@b14/M2:after=1:panic"); err != nil {
 		t.Fatal(err)
 	}
 	lb := &logBuf{}
 	c, err := newCoordinator(Options{
-		Spawners: spawners(1, echoCell),
-		Logf:     lb.logf,
+		Slots: slots(1, echoCell),
+		Logf:  lb.logf,
 	}, 5*time.Millisecond, maxBackoff, maxStrikes)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +230,7 @@ func TestDropResultExpiresLease(t *testing.T) {
 	}
 	lb := &logBuf{}
 	c, err := newCoordinator(Options{
-		Spawners:     spawners(1, echoCell),
+		Slots:        slots(1, echoCell),
 		LeaseTimeout: 150 * time.Millisecond,
 		Logf:         lb.logf,
 	}, 5*time.Millisecond, maxBackoff, maxStrikes)
@@ -303,14 +252,14 @@ func TestDropResultExpiresLease(t *testing.T) {
 	}
 }
 
-// When every slot retires (spawner permanently broken), pending cells
+// When every slot retires (transport permanently broken), pending cells
 // fail with ErrNoWorkers instead of waiting forever.
 func TestAllSlotsRetiredFailsPending(t *testing.T) {
-	broken := func(ctx context.Context, id int) (Worker, error) {
+	broken := func(ctx context.Context, spec CellSpec, id int) (io.ReadCloser, error) {
 		return nil, fmt.Errorf("no such binary")
 	}
 	c, err := newCoordinator(Options{
-		Spawners: []SpawnFunc{broken},
+		Slots: []Slot{{Name: "broken", Open: broken}},
 	}, time.Millisecond, maxBackoff, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +278,7 @@ func TestCloseFailsInFlight(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	c, err := New(Options{Spawners: spawners(1, block)})
+	c, err := New(Options{Slots: slots(1, block)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,5 +324,70 @@ func TestJitterDeterministic(t *testing.T) {
 	if jitter(42, "b14/M4", 1, d) == jitter(42, "b17/M4", 1, d) &&
 		jitter(42, "b14/M4", 2, d) == jitter(42, "b17/M4", 2, d) {
 		t.Fatal("different cells share the same jitter sequence")
+	}
+}
+
+// A stream whose hello speaks another protocol version is the slot's
+// fault, not the cell's: the cell is requeued uncharged (at crash
+// budget 1 a charged death would quarantine it) and the slot takes a
+// strike. Here a daemon answers its first cell with a version-2 hello
+// and serves the retry properly.
+func TestVersionMismatchIsNotACellDeath(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var spec CellSpec
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if calls.Add(1) == 1 {
+			fmt.Fprintln(w, `{"t":"hello","v":2}`)
+			w.(http.Flusher).Flush()
+			<-r.Context().Done() // a worker of another version, still running
+			return
+		}
+		_ = ServeCell(r.Context(), w, spec, WorkerOptions{Run: echoCell})
+	}))
+	defer ts.Close()
+	lb := &logBuf{}
+	c, err := newCoordinator(Options{
+		Slots:       []Slot{{Name: ts.URL, Open: HTTPTransport(ts.URL)}},
+		CrashBudget: 1,
+		Logf:        lb.logf,
+	}, time.Millisecond, maxBackoff, maxStrikes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	spec := CellSpec{Bench: "b14", Layer: 4, Seed: 6}
+	got, err := c.RunCell(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("cell after a version mismatch: %v", err)
+	}
+	want, _ := json.Marshal(spec)
+	if string(got) != string(want) {
+		t.Fatalf("payload = %s, want %s", got, want)
+	}
+	if !lb.contains("speaks protocol 2") || lb.contains("death") {
+		t.Fatalf("mismatch not handled as a rejection; lines: %v", lb.lines)
+	}
+}
+
+// An address that serves no /v1/cells (404) is the slot's fault: every
+// attempt is rejected, the slot retires, and the cell fails with
+// ErrNoWorkers rather than with the 404 as its own error.
+func TestHTTPNotFoundRetiresSlot(t *testing.T) {
+	ts := httptest.NewServer(http.NotFoundHandler())
+	defer ts.Close()
+	c, err := newCoordinator(Options{
+		Slots: []Slot{{Name: ts.URL, Open: HTTPTransport(ts.URL)}},
+	}, time.Millisecond, maxBackoff, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.RunCell(context.Background(), CellSpec{Bench: "b14", Layer: 1})
+	if !errors.Is(err, ErrNoWorkers) {
+		t.Fatalf("cell on a 404 address returned %v, want ErrNoWorkers", err)
 	}
 }

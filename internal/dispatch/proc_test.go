@@ -13,9 +13,9 @@ import (
 
 // TestMain doubles as the worker binary: when re-exec'd with
 // DISPATCH_WORKER_MAIN=1, the test binary becomes a real `-worker`
-// process speaking the protocol on stdin/stdout — so the subprocess
-// tests exercise ProcSpawner against genuine OS processes that can be
-// killed for real.
+// process that reads one CellSpec on stdin and serves it on stdout — so
+// the subprocess tests exercise ProcTransport against genuine OS
+// processes that can be killed for real.
 func TestMain(m *testing.M) {
 	if os.Getenv("DISPATCH_WORKER_MAIN") == "1" {
 		workerMain()
@@ -31,7 +31,12 @@ func workerMain() {
 			id, _ = strconv.Atoi(os.Args[i+1])
 		}
 	}
-	err := ServeWorker(context.Background(), os.Stdin, os.Stdout, WorkerOptions{
+	var spec CellSpec
+	if err := json.NewDecoder(os.Stdin).Decode(&spec); err != nil {
+		fmt.Fprintln(os.Stderr, "worker:", err)
+		os.Exit(1)
+	}
+	err := ServeCell(context.Background(), os.Stdout, spec, WorkerOptions{
 		ID:                id,
 		HeartbeatInterval: 20 * time.Millisecond,
 		Run: func(ctx context.Context, spec CellSpec) (json.RawMessage, error) {
@@ -47,20 +52,20 @@ func workerMain() {
 	}
 }
 
-// procSpawners builds n subprocess slots re-exec'ing this test binary,
+// procSlots builds n subprocess slots re-exec'ing this test binary,
 // with faults injected into the children via REPRO_FAULTPOINTS.
-func procSpawners(n int, faults string) []SpawnFunc {
+func procSlots(n int, faults string) []Slot {
 	env := []string{"DISPATCH_WORKER_MAIN=1", "REPRO_FAULTPOINTS=" + faults}
-	out := make([]SpawnFunc, n)
+	out := make([]Slot, n)
 	for i := range out {
-		out[i] = ProcSpawner([]string{os.Args[0]}, env)
+		out[i] = Slot{Name: "local", Open: ProcTransport([]string{os.Args[0]}, env)}
 	}
 	return out
 }
 
-// A subprocess fleet completes a small grid; worker 1 is killed
-// (exit=137, the faultpoint stand-in for SIGKILL) just before sending
-// its first result, and its replacement finishes the cell with
+// Subprocess slots complete a small grid; worker 1 (the first attempt)
+// is killed (exit=137, the faultpoint stand-in for SIGKILL) just before
+// sending its result, and the cell's next attempt finishes it with
 // identical bytes.
 func TestProcWorkerCrashMidCell(t *testing.T) {
 	if testing.Short() {
@@ -68,7 +73,7 @@ func TestProcWorkerCrashMidCell(t *testing.T) {
 	}
 	lb := &logBuf{}
 	c, err := newCoordinator(Options{
-		Spawners:     procSpawners(2, "dispatch.worker.result#1:exit=137"),
+		Slots:        procSlots(2, "dispatch.worker.result#1:exit=137"),
 		LeaseTimeout: 2 * time.Second,
 		Logf:         lb.logf,
 	}, 10*time.Millisecond, maxBackoff, maxStrikes)
@@ -100,15 +105,15 @@ func TestProcWorkerCrashMidCell(t *testing.T) {
 }
 
 // A subprocess that freezes before its first heartbeat (stalled at cell
-// start) has its lease expired and is SIGKILLed for real; the
-// replacement completes the cell.
+// start) has its lease expired and is SIGKILLed for real; the next
+// attempt completes the cell.
 func TestProcWorkerStalledHeartbeat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
 	lb := &logBuf{}
 	c, err := newCoordinator(Options{
-		Spawners:     procSpawners(1, "dispatch.worker.cell.start#1:stall=120s"),
+		Slots:        procSlots(1, "dispatch.worker.cell.start#1:stall=120s"),
 		LeaseTimeout: 1 * time.Second,
 		Logf:         lb.logf,
 	}, 10*time.Millisecond, maxBackoff, maxStrikes)
@@ -131,12 +136,12 @@ func TestProcWorkerStalledHeartbeat(t *testing.T) {
 }
 
 // A clean cell failure in a subprocess travels back as the cell's error
-// and the worker process keeps serving.
+// and the slot keeps serving.
 func TestProcWorkerCellError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	c, err := New(Options{Spawners: procSpawners(1, "")})
+	c, err := New(Options{Slots: procSlots(1, "")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +152,6 @@ func TestProcWorkerCellError(t *testing.T) {
 		t.Fatalf("clean failure quarantined: %v", err)
 	}
 	if _, err := c.RunCell(context.Background(), CellSpec{Bench: "b14", Layer: 1}); err != nil {
-		t.Fatalf("worker unusable after clean failure: %v", err)
+		t.Fatalf("slot unusable after clean failure: %v", err)
 	}
 }

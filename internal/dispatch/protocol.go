@@ -1,22 +1,28 @@
 // Package dispatch shards the table harness's benchmark×layer cell grid
-// across OS processes. A coordinator owns the cell queue and hands cells
-// to workers under *leases*: an assignment carries a lease ID, the
-// worker heartbeats while it computes, and a lease whose heartbeats stop
-// arriving is expired — the worker is killed and the cell reassigned to
-// another worker with doubling-plus-jitter backoff. Robustness is the
-// design center, not an add-on: a worker that crashes (SIGKILL), hangs,
-// or returns a poisoned payload costs one entry of the cell's bounded
-// crash budget, and a cell that kills its budget's worth of workers is
-// quarantined (reported as that cell's error) while the rest of the
-// sweep proceeds. Cells are deterministic functions of their spec, so a
-// result is identical no matter which worker — or how many attempts —
-// produced it, and a distributed table is byte-identical to a
-// single-process run.
+// across OS processes and machines. A coordinator owns the cell queue
+// and runs each cell as one *attempt* on a worker slot under a lease:
+// the slot's transport opens a line stream for the attempt (a fresh
+// `tables -worker` process, or one POST /v1/cells to a splitlockd
+// daemon), the worker heartbeats on it while it computes, and a lease
+// whose heartbeats stop arriving is expired — the attempt is killed and
+// the cell reassigned with doubling-plus-jitter backoff. Robustness is
+// the design center, not an add-on: an attempt that crashes (SIGKILL),
+// hangs, or returns a poisoned payload costs one entry of the cell's
+// bounded crash budget, and a cell that kills its budget's worth of
+// workers is quarantined (reported as that cell's error) while the rest
+// of the sweep proceeds. Cells are deterministic functions of their
+// spec, so a result is identical no matter which worker — or how many
+// attempts — produced it, and a distributed table is byte-identical to
+// a single-process run.
 //
-// The wire protocol is line-oriented JSON, one Message per line. Local
-// workers speak it over stdin/stdout (`tables -worker`); remote workers
-// speak the same worker→coordinator half over a streaming HTTP response
-// from a splitlockd daemon (`tables -connect`).
+// The wire protocol is line-oriented JSON, one Message per line, worker
+// to coordinator only: hello, heartbeats while the cell runs, then
+// exactly one res or err line (ServeCell writes it). A local worker
+// reads its one CellSpec as JSON on stdin and writes the stream to
+// stdout; a daemon takes the CellSpec as the request body and streams
+// the lines back as the response. The coordinator reads every stream
+// with one scanner and knows the lease from the attempt, so the lines
+// carry none.
 package dispatch
 
 import (
@@ -24,43 +30,36 @@ import (
 	"fmt"
 )
 
-// ProtocolVersion gates coordinator/worker pairing; a worker whose hello
-// carries a different version is rejected rather than silently
-// misinterpreted.
+// ProtocolVersion gates coordinator/worker pairing; a stream whose hello
+// carries a different version is refused rather than silently
+// misinterpreted (the cell is requeued uncharged, the slot takes a
+// strike).
 const ProtocolVersion = 3
 
 // MsgType discriminates protocol messages.
 type MsgType string
 
-// Protocol message types. Coordinator→worker: MsgAssign, MsgQuit.
-// Worker→coordinator: MsgHello, MsgHeartbeat, MsgResult, MsgError.
+// Protocol message types, all sent by the worker.
 const (
 	// MsgHello is the worker's first line: protocol version + identity.
 	MsgHello MsgType = "hello"
-	// MsgAssign leases a cell to the worker (ID is the lease).
-	MsgAssign MsgType = "cell"
-	// MsgQuit asks the worker to exit after its current cell.
-	MsgQuit MsgType = "quit"
-	// MsgHeartbeat renews the lease named by ID.
+	// MsgHeartbeat renews the attempt's lease.
 	MsgHeartbeat MsgType = "hb"
-	// MsgResult completes the lease named by ID with a payload.
+	// MsgResult completes the attempt with a payload.
 	MsgResult MsgType = "res"
-	// MsgError completes the lease named by ID with a clean cell
-	// failure (the cell ran and failed; this is not a worker crash).
+	// MsgError completes the attempt with a clean cell failure (the
+	// cell ran and failed; this is not a worker crash).
 	MsgError MsgType = "err"
 )
 
 // Message is one protocol line.
 type Message struct {
 	Type MsgType `json:"t"`
-	// ID is the lease this message belongs to (assign/hb/res/err).
-	ID uint64 `json:"id,omitempty"`
-	// Worker is the worker's self-reported identity (hello).
+	// Worker is the worker's self-reported identity (hello; 0 for a
+	// daemon, which serves anonymously).
 	Worker int `json:"worker,omitempty"`
 	// Version is the protocol version (hello).
 	Version int `json:"v,omitempty"`
-	// Cell is the leased cell (assign).
-	Cell *CellSpec `json:"cell,omitempty"`
 	// Payload is the completed cell's JSON result (res).
 	Payload json.RawMessage `json:"payload,omitempty"`
 	// Error is the cell's failure message (err).
@@ -90,14 +89,9 @@ type CellSpec struct {
 // ("b14/M4").
 func (s CellSpec) Key() string { return fmt.Sprintf("%s/M%d", s.Bench, s.Layer) }
 
-// encodeLine marshals one protocol line (without the trailing newline).
-func encodeLine(m Message) ([]byte, error) {
-	return json.Marshal(m)
-}
-
 // decodeLine parses one protocol line. A line that does not parse as a
 // Message is a protocol violation the caller must treat as a poisoned
-// worker — corrupt output counts against the sender, it is never
+// attempt — corrupt output counts against the sender, it is never
 // silently coerced.
 func decodeLine(line []byte) (Message, error) {
 	var m Message

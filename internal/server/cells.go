@@ -10,8 +10,8 @@ import (
 )
 
 // RunCell computes one dispatched table cell, gated by the daemon's
-// cell-slot semaphore so a coordinator fleet cannot oversubscribe the
-// host. Its portfolio width is clamped to the daemon's cap as a job's
+// cell semaphore (MaxJobs wide) so coordinators cannot oversubscribe
+// the host. Its portfolio width is clamped to the daemon's cap as a job's
 // is; the width never changes a cell's payload. It blocks while
 // waiting for a slot (the HTTP layer heartbeats through the wait,
 // keeping the coordinator's lease alive); a draining daemon refuses

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -124,7 +126,7 @@ func TestCellsEndpointRejectsWhenDraining(t *testing.T) {
 // with neither a res nor an err line, so the coordinator counts it as a
 // dead worker instead of recording the cell as cleanly failed.
 func TestCellsEndpointDrainEndsStreamWithoutResult(t *testing.T) {
-	m := newTestManager(t, ManagerOptions{MaxJobs: 1, MaxCells: 1})
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
 	m.cellSem <- struct{}{} // hold the only cell slot
@@ -187,7 +189,7 @@ func TestCellsEndpointRejectsBadSpec(t *testing.T) {
 }
 
 // TestRemoteWorkerEndToEnd runs the full remote leg: a dispatch
-// coordinator whose only worker is this daemon (via RemoteSpawner),
+// coordinator whose only slot is this daemon (via HTTPTransport),
 // leasing a real cell over HTTP and getting back the byte-identical
 // payload.
 func TestRemoteWorkerEndToEnd(t *testing.T) {
@@ -199,7 +201,7 @@ func TestRemoteWorkerEndToEnd(t *testing.T) {
 	defer ts.Close()
 
 	c, err := dispatch.New(dispatch.Options{
-		Spawners:     []dispatch.SpawnFunc{dispatch.RemoteSpawner(ts.URL, nil)},
+		Slots:        []dispatch.Slot{{Name: ts.URL, Open: dispatch.HTTPTransport(ts.URL)}},
 		LeaseTimeout: 5 * time.Second,
 		Logf:         t.Logf,
 	})
@@ -219,5 +221,50 @@ func TestRemoteWorkerEndToEnd(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("remote payload differs from local:\nremote: %s\nlocal:  %s", got, want)
+	}
+}
+
+// TestRemoteRefusedCellFailsAtOnce: a cell the daemon refuses with a
+// 400 (scale 2 is out of range) is that cell's clean failure and
+// carries the daemon's reason. It is neither a rejection, which would
+// requeue it until the slot retires, nor a worker death, which at crash
+// budget 1 would quarantine it.
+func TestRemoteRefusedCellFailsAtOnce(t *testing.T) {
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+	var mu sync.Mutex
+	var logs []string
+	c, err := dispatch.New(dispatch.Options{
+		Slots:       []dispatch.Slot{{Name: ts.URL, Open: dispatch.HTTPTransport(ts.URL)}},
+		CrashBudget: 1,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	spec := testCellSpec()
+	spec.Scale = 2
+	_, err = c.RunCell(ctx, spec)
+	if err == nil || !strings.Contains(err.Error(), "scale") {
+		t.Fatalf("refused cell returned %v, want the daemon's scale error", err)
+	}
+	if dispatch.IsQuarantined(err) {
+		t.Fatalf("refused cell was charged a worker death: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "rejected") || strings.Contains(l, "requeue") || strings.Contains(l, "died") {
+			t.Fatalf("refused cell was retried: %q in %v", l, logs)
+		}
 	}
 }

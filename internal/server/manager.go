@@ -61,7 +61,10 @@ type ManagerOptions struct {
 	// it is created if missing. Empty runs the manager in memory (no
 	// requeue on restart).
 	StateDir string
-	// MaxJobs bounds concurrently running jobs (default 2).
+	// MaxJobs bounds concurrently running jobs, and separately
+	// concurrently running dispatched table cells (the POST /v1/cells
+	// remote-worker leg; cells beyond it queue, heartbeating while they
+	// wait). Default 2.
 	MaxJobs int
 	// QueueLimit bounds jobs waiting for a runner; Submit beyond it
 	// fails with ErrQueueFull (default 64). Restart requeue ignores the
@@ -75,10 +78,6 @@ type ManagerOptions struct {
 	// JobTimeout is the per-job deadline (0 = none). A job that blows
 	// it fails; drain interruption is not a timeout.
 	JobTimeout time.Duration
-	// MaxCells bounds concurrently running dispatched table cells (the
-	// POST /v1/cells remote-worker leg); requests beyond it queue,
-	// heartbeating while they wait. Default: MaxJobs.
-	MaxCells int
 }
 
 func (o ManagerOptions) withDefaults() ManagerOptions {
@@ -87,9 +86,6 @@ func (o ManagerOptions) withDefaults() ManagerOptions {
 	}
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 64
-	}
-	if o.MaxCells <= 0 {
-		o.MaxCells = o.MaxJobs
 	}
 	return o
 }
@@ -136,7 +132,7 @@ type Manager struct {
 	// changes, so a state change costs one small write however many
 	// jobs the daemon has seen.
 	journal string
-	cellSem chan struct{} // counting semaphore for dispatched cells
+	cellSem chan struct{} // counting semaphore for dispatched cells (MaxJobs)
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
@@ -153,7 +149,7 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 		pool:    sat.NewPool(opt.SolverSlots),
 		cache:   NewCache(opt.CacheEntries),
 		jobs:    make(map[string]*jobState),
-		cellSem: make(chan struct{}, opt.MaxCells),
+		cellSem: make(chan struct{}, opt.MaxJobs),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.rootCtx, m.rootCancel = context.WithCancel(context.Background())
