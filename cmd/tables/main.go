@@ -20,10 +20,9 @@
 // ITC'99 design is over the flow's fixed 4000-gate LEC limit (a
 // constant, with no flag), so the Fig. 3
 // equivalence step runs as 65,536-pattern random simulation, not as a
-// SAT proof; the ROADMAP's cone-local LEC item tracks the proof. The
-// -satworkers portfolio is time-sliced on one goroutine in a
-// deterministic schedule, so the printed tables are byte-identical for
-// every worker count.
+// SAT proof; the ROADMAP's cone-local LEC item tracks the proof. Below
+// that limit the LEC step runs one SAT solver: it only has to return a
+// verdict, and no table cell stores anything the solver computes.
 //
 // Long sweeps are crash-safe: -manifest checkpoints every completed
 // benchmark×layer cell to an atomically updated JSON file, SIGINT or
@@ -63,6 +62,7 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/flow"
 	"repro/internal/runmanifest"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -77,7 +77,6 @@ func main() {
 		runs       = flag.Int("runs", 2000, "ideal-attack runs (paper: 1M)")
 		seed       = flag.Uint64("seed", 1, "experiment seed")
 		parallel   = flag.Bool("parallel", true, "run benchmarks concurrently")
-		satWork    = flag.Int("satworkers", 2, "SAT portfolio members per LEC solve, time-sliced in a deterministic schedule: results are bit-identical for every value (0/1 = single solver)")
 		benchSel   = flag.String("benchmarks", "", "comma-separated benchmark subset (default: the full suite of the selected table); e.g. -benchmarks b14 for a single full-scale run")
 		jobTimeout = flag.Duration("jobtimeout", 0, "per-cell deadline for Table I/II jobs; a blown deadline is recorded on that cell and the others keep running (0 = none)")
 		manifestP  = flag.String("manifest", "", "checkpoint file for the Table I/II sweep: every completed cell is flushed there atomically")
@@ -128,10 +127,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Fail fast on a benchmark typo: at full scale a sweep runs for
-	// hours, and "unknown benchmark" must not surface after that.
+	// Fail fast on a benchmark typo or a pattern count the simulator
+	// refuses: at full scale a sweep runs for hours, and such errors
+	// must not surface after that.
 	if err := bmarks.Validate(benches); err != nil {
 		fail(err)
+	}
+	if *patterns > sim.MaxPatterns {
+		fail(fmt.Errorf("-patterns %d above the limit of %d", *patterns, sim.MaxPatterns))
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -176,9 +179,8 @@ func main() {
 			Benchmarks: benches,
 			Scale:      *scale, KeyBits: *keyBits, Patterns: *patterns,
 			Seed: *seed, Parallel: *parallel,
-			SolverWorkers: *satWork,
-			JobTimeout:    *jobTimeout,
-			Manifest:      manifest,
+			JobTimeout: *jobTimeout,
+			Manifest:   manifest,
 		}
 		if distributed {
 			coord, err := newCoordinator(coordinatorConfig{
@@ -231,7 +233,6 @@ func main() {
 		rows, err := flow.RunISCAS(ctx, flow.ISCASOptions{
 			Benchmarks: benches,
 			KeyBits:    *keyBits, Patterns: *patterns, Seed: *seed, Parallel: *parallel,
-			SolverWorkers: *satWork,
 		})
 		interrupted(nil)
 		if err != nil {

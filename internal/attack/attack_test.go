@@ -256,7 +256,7 @@ func TestSATAttackWithOracleSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SATAttack(lk, orig, 200)
+	res, err := SATAttackOpt(lk, orig, SATAttackOptions{MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSATAttackClauseGrowthBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SATAttack(lk, orig, 200)
+	res, err := SATAttackOpt(lk, orig, SATAttackOptions{MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestSATAttackATPGLocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SATAttack(lk, orig, 300)
+	res, err := SATAttackOpt(lk, orig, SATAttackOptions{MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestSATAttackInvariantB14Scale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := SATAttack(lk, orig, 2048)
+			res, err := SATAttackOpt(lk, orig, SATAttackOptions{MaxIter: 2048})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -497,14 +497,5 @@ func TestCycleRepairProperty(t *testing.T) {
 		if _, err := view.Recombine(asg); err != nil {
 			t.Fatalf("seed %d: repaired assignment still invalid: %v", s, err)
 		}
-	}
-}
-
-func TestGuessKeyPolarity(t *testing.T) {
-	_, _, view, secret := pipeline(t, 600, 16, 95, 4, true, true)
-	asg := Ideal(view, secret, 3)
-	pol := GuessKeyPolarity(view, asg)
-	if len(pol) != len(view.KeyPins()) {
-		t.Fatalf("polarity map covers %d pins, want %d", len(pol), len(view.KeyPins()))
 	}
 }

@@ -1,9 +1,6 @@
 package attack
 
-import (
-	"repro/internal/netlist"
-	"repro/internal/split"
-)
+import "repro/internal/split"
 
 // Ideal implements the "ideal proximity attack" of Sec. IV-A: the most
 // conservative analysis setup, in which the attacker is granted the
@@ -41,25 +38,4 @@ func RandomGuess(view *split.FEOLView, seed uint64) Assignment {
 	}
 	repairCycles(view.Circuit, view, view.TieStubs(), asg)
 	return asg
-}
-
-// GuessKeyPolarity extracts, for each key pin in the assignment, the
-// polarity of the TIE cell it was connected to; pins not connected to a
-// TIE cell yield no entry. Used by the brute-force probability
-// property tests (Theorem 1).
-func GuessKeyPolarity(view *split.FEOLView, asg Assignment) map[split.PinRef]bool {
-	out := make(map[split.PinRef]bool)
-	for _, cp := range view.KeyPins() {
-		d, ok := asg[cp.Ref]
-		if !ok {
-			continue
-		}
-		switch view.Circuit.Gate(d).Type {
-		case netlist.TieHi:
-			out[cp.Ref] = true
-		case netlist.TieLo:
-			out[cp.Ref] = false
-		}
-	}
-	return out
 }

@@ -66,7 +66,7 @@ type SATAttackOptions struct {
 	Solver sat.Interface
 }
 
-// SATAttack runs the oracle-guided key-extraction attack of
+// SATAttackOpt runs the oracle-guided key-extraction attack of
 // Subramanyan et al. [19] against a locked netlist. It exists to
 // demonstrate the paper's Sec. II-C point: the attack *requires* an
 // activated chip as an I/O oracle, and in the split manufacturing
@@ -75,12 +75,7 @@ type SATAttackOptions struct {
 // way. Given an oracle it recovers a correct key on small designs,
 // which is exactly what our tests assert.
 //
-// The oracle must be the original (unlocked) circuit.
-func SATAttack(lk *locking.Locked, oracle *netlist.Circuit, maxIter int) (*SATResult, error) {
-	return SATAttackOpt(lk, oracle, SATAttackOptions{MaxIter: maxIter})
-}
-
-// SATAttackOpt is SATAttack with explicit options. The attack runs on
+// The oracle must be the original (unlocked) circuit. The attack runs on
 // the strashed AND-inverter graph of the locked circuit with the key
 // TIE cells modeled as free leaves: the graph is built once, both
 // keyed copies and the miter are Tseitin-encoded from it exactly once

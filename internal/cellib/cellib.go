@@ -99,15 +99,6 @@ func ForGate(t netlist.GateType, fanin int) Cell {
 	return c
 }
 
-// WidthSites returns the cell footprint width in placement sites.
-func (c Cell) WidthSites() int {
-	w := int(math.Ceil(c.Area / RowHeight / SiteWidth))
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // GateDelay returns the loaded delay of the cell in ps given a total
 // output load in fF.
 func (c Cell) GateDelay(loadFF float64) float64 {

@@ -34,17 +34,6 @@ func TestTieCellsUnconstrained(t *testing.T) {
 	}
 }
 
-func TestWidthSitesPositive(t *testing.T) {
-	for _, tt := range []netlist.GateType{netlist.Nand, netlist.DFF, netlist.TieHi, netlist.Mux} {
-		if w := ForGate(tt, 2).WidthSites(); w < 1 {
-			t.Fatalf("%v width %d", tt, w)
-		}
-	}
-	if ForGate(netlist.DFF, 1).WidthSites() <= ForGate(netlist.TieHi, 0).WidthSites() {
-		t.Fatal("DFF not wider than a TIE cell")
-	}
-}
-
 func TestGateDelayMonotonic(t *testing.T) {
 	c := ForGate(netlist.Nand, 2)
 	if c.GateDelay(10) <= c.GateDelay(1) {

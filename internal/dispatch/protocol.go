@@ -69,8 +69,7 @@ type Message struct {
 // CellSpec fully describes one benchmark×layer cell of the Table I/II
 // sweep: everything a worker needs to compute the cell without sharing
 // flags or files with the coordinator. Results are deterministic
-// functions of (Bench, Layer, Scale, KeyBits, Patterns, Seed) —
-// SolverWorkers is a speed knob that never changes the payload. The
+// functions of (Bench, Layer, Scale, KeyBits, Patterns, Seed). The
 // simulation width and worker count are not part of the spec: a worker
 // picks the width automatically and simulates on its own GOMAXPROCS.
 type CellSpec struct {
@@ -80,8 +79,9 @@ type CellSpec struct {
 	KeyBits  int     `json:"keybits"`
 	Patterns int     `json:"patterns"`
 	Seed     uint64  `json:"seed"`
-	// SolverWorkers is the per-cell SAT portfolio width (deterministic
-	// time-sliced mode; 0/1 = single solver).
+	// SolverWorkers is ignored: a cell's LEC step always builds one
+	// SAT solver. Older coordinators still send it, and a daemon decodes
+	// specs with unknown fields rejected, so the field stays.
 	SolverWorkers int `json:"solver_workers,omitempty"`
 }
 

@@ -9,31 +9,29 @@ import (
 )
 
 // CellSpecFor builds the wire-level spec for one benchmark×layer cell
-// of an ITC run: the result-affecting fields plus the solver width a
-// worker should honor. The coordinator and the worker must agree on
-// these through the spec alone — workers share no flags or files with
-// the coordinator.
+// of an ITC run: the result-affecting fields. The coordinator and the
+// worker must agree on these through the spec alone — workers share no
+// flags or files with the coordinator.
 func CellSpecFor(bench string, layer int, opt ITCOptions) dispatch.CellSpec {
 	opt = opt.withDefaults()
 	return dispatch.CellSpec{
-		Bench:         bench,
-		Layer:         layer,
-		Scale:         opt.Scale,
-		KeyBits:       opt.KeyBits,
-		Patterns:      opt.Patterns,
-		Seed:          opt.Seed,
-		SolverWorkers: opt.SolverWorkers,
+		Bench:    bench,
+		Layer:    layer,
+		Scale:    opt.Scale,
+		KeyBits:  opt.KeyBits,
+		Patterns: opt.Patterns,
+		Seed:     opt.Seed,
 	}
 }
 
 // ValidateCellSpec rejects a dispatched cell spec with a
-// client-presentable error: the design checks of JobSpec.Validate plus
-// a positive split layer.
+// client-presentable error: the design and pattern checks of
+// JobSpec.Validate plus a positive split layer.
 func ValidateCellSpec(spec dispatch.CellSpec) error {
 	if spec.Layer <= 0 {
 		return fmt.Errorf("flow: cell layer %d must be positive", spec.Layer)
 	}
-	return validateDesign(spec.Bench, spec.Scale, spec.KeyBits)
+	return validateDesign(spec.Bench, spec.Scale, spec.KeyBits, spec.Patterns)
 }
 
 // DispatchCellFunc returns the worker side of the dispatch seam: a
@@ -49,7 +47,6 @@ func DispatchCellFunc(base ITCOptions) dispatch.CellFunc {
 		opt.KeyBits = spec.KeyBits
 		opt.Patterns = spec.Patterns
 		opt.Seed = spec.Seed
-		opt.SolverWorkers = spec.SolverWorkers
 		res, err := RunITCCell(ctx, spec.Bench, spec.Layer, opt)
 		if err != nil {
 			return nil, err

@@ -78,8 +78,9 @@ type ITCOptions struct {
 	// flow exploits a 128-core host the same way); in-process cells
 	// split the cores between their HD/OER simulations (cellSimPool).
 	Parallel bool
-	// SolverWorkers is passed to every job's flow.Config: LEC SAT
-	// queries run on that many portfolio members (0/1 = single solver).
+	// SolverWorkers is ignored: a cell's LEC step always builds one
+	// SAT solver, since no cell result depends on the portfolio width.
+	// It is kept so existing callers still compile.
 	SolverWorkers int
 	// JobTimeout bounds each benchmark×layer job; a job that exceeds it
 	// is cancelled and recorded on its row's Errors map, and the other
@@ -294,11 +295,10 @@ func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions
 		return SplitResult{}, err
 	}
 	art, err := Run(ctx, orig, Config{
-		KeyBits:       opt.KeyBits,
-		SplitLayer:    splitLayer,
-		Seed:          opt.Seed + uint64(splitLayer)*1000,
-		UseATPGLock:   true,
-		SolverWorkers: opt.SolverWorkers,
+		KeyBits:     opt.KeyBits,
+		SplitLayer:  splitLayer,
+		Seed:        opt.Seed + uint64(splitLayer)*1000,
+		UseATPGLock: true,
 	})
 	if err != nil {
 		return SplitResult{}, err
@@ -350,9 +350,6 @@ type ISCASOptions struct {
 	Patterns   int
 	Seed       uint64
 	Parallel   bool
-	// SolverWorkers is passed to every job's flow.Config (portfolio
-	// LEC; 0/1 = single solver).
-	SolverWorkers int
 }
 
 func (o ISCASOptions) withDefaults() ISCASOptions {
@@ -490,7 +487,7 @@ func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions, simWorkers
 	// Proposed: the full SplitLock flow; CCR reports the key-nets'
 	// physical CCR (Table III note).
 	art, err := Run(ctx, orig, Config{KeyBits: opt.KeyBits, SplitLayer: 4, Seed: opt.Seed + 9,
-		UseATPGLock: true, SolverWorkers: opt.SolverWorkers})
+		UseATPGLock: true})
 	if err != nil {
 		return row, err
 	}

@@ -44,13 +44,6 @@ type Config struct {
 	// UseATPGLock selects the cost-driven fault-injection scheme
 	// (true, the paper's choice) or plain random locking.
 	UseATPGLock bool
-	// SolverWorkers > 1 backs the Fig. 3 LEC step with a portfolio of
-	// that many diverging SAT solver instances. The portfolio's
-	// time-sliced schedule is deterministic, so every experiment stays
-	// bit-reproducible at any worker count — the verdict, the stats,
-	// and the tables do not change with -satworkers. 0 or 1 keeps the
-	// single solver.
-	SolverWorkers int
 }
 
 // lecGateLimit bounds the size at which full SAT-based LEC runs; larger
@@ -107,7 +100,7 @@ func Run(ctx context.Context, orig *netlist.Circuit, cfg Config) (*Artifacts, er
 	if err != nil {
 		return nil, err
 	}
-	return runLocked(ctx, orig, lk, rep, cfg, start, nil, func(stage, msg string) {})
+	return runLocked(ctx, orig, lk, rep, cfg, start, nil, JobRuntime{})
 }
 
 // lockDesign is the flow's lock step: the paper's cost-driven ATPG
@@ -137,16 +130,16 @@ func lockDesign(ctx context.Context, orig *netlist.Circuit, keyBits int, seed ui
 // runLocked is Run after the lock step: LEC of lk against orig, then
 // the layout stage. cfg must already carry its defaults; start is when
 // the flow began, for Artifacts.Runtime. solver, when non-nil, is the
-// LEC step's SAT backend (see verifyEquivalence). progress is called
-// as the flow crosses each stage boundary ("lec", "place", "route",
-// "split"); it runs on the flow goroutine, so it must not block for
-// long, and it must not influence results.
+// LEC step's SAT backend (see verifyEquivalence). rt receives a
+// progress event as the flow crosses each stage boundary ("lec",
+// "place", "route", "split"); its Emit runs on the flow goroutine, so
+// it must not block for long, and it must not influence results.
 func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, rep *locking.ATPGLockReport, cfg Config, start time.Time,
-	solver sat.Interface, progress func(stage, msg string)) (*Artifacts, error) {
+	solver sat.Interface, rt JobRuntime) (*Artifacts, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	progress("lec", fmt.Sprintf("verifying locked netlist (%d gates)", lk.Circuit.NumGates()))
+	rt.emit("lec", "verifying locked netlist (%d gates)", lk.Circuit.NumGates())
 	lecStats, err := verifyEquivalence(ctx, orig, lk.Circuit, cfg, solver)
 	if err != nil {
 		return nil, err
@@ -156,7 +149,7 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 	}
 
 	// --- Layout stage ---
-	progress("place", "placing locked netlist")
+	rt.emit("place", "placing locked netlist")
 	lay, err := place.Place(lk.Circuit, place.Options{Seed: cfg.Seed + 1, RandomizeTies: true})
 	if err != nil {
 		return nil, fmt.Errorf("flow: placement: %w", err)
@@ -164,7 +157,7 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	progress("route", fmt.Sprintf("routing with key-nets lifted above M%d", cfg.SplitLayer))
+	rt.emit("route", "routing with key-nets lifted above M%d", cfg.SplitLayer)
 	routes, err := route.RouteAll(lay, route.Options{
 		SplitLayer:  cfg.SplitLayer,
 		LiftKeyNets: true,
@@ -172,7 +165,7 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 	if err != nil {
 		return nil, fmt.Errorf("flow: routing: %w", err)
 	}
-	progress("split", "splitting into FEOL and BEOL views")
+	rt.emit("split", "splitting into FEOL and BEOL views")
 	view, secret, err := split.Split(lay, routes)
 	if err != nil {
 		return nil, fmt.Errorf("flow: split: %w", err)
@@ -197,19 +190,19 @@ func runLocked(ctx context.Context, orig *netlist.Circuit, lk *locking.Locked, r
 // SAT path it returns the checker's structural statistics. The context
 // is bridged into the checker's stop flag, so cancellation reaches
 // down to individual solver conflict-loop iterations and simulation
-// batches — the two places a flow can spend minutes. solver, when
-// non-nil, is the SAT backend of the check (overriding the
-// cfg.SolverWorkers construction); it must be fresh, and the check owns
-// it. The daemon routes its width-capped portfolios through here.
+// batches — the two places a flow can spend minutes. The check builds
+// one SAT solver: no table cell stores anything the solver computes,
+// and the verdict is the same at every portfolio width. solver, when
+// non-nil, replaces it; it must be fresh, and the check owns it. The
+// daemon's lock jobs route their width-capped portfolios through here.
 func verifyEquivalence(ctx context.Context, orig, locked *netlist.Circuit, cfg Config, solver sat.Interface) (*lec.Stats, error) {
 	stop, release := engine.WatchContext(ctx)
 	defer release()
 	if orig.NumGates() <= lecGateLimit {
 		res, err := lec.Check(orig, locked, lec.Options{
-			Seed:             cfg.Seed,
-			PortfolioWorkers: cfg.SolverWorkers,
-			Solver:           solver,
-			Stop:             stop,
+			Seed:   cfg.Seed,
+			Solver: solver,
+			Stop:   stop,
 		})
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {

@@ -49,7 +49,7 @@ type JobSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Patterns is the simulation depth: LEC prefilter patterns for
 	// verify, the recovered-key success check for attack (0 = engine
-	// defaults).
+	// defaults, at most sim.MaxPatterns).
 	Patterns int `json:"patterns,omitempty"`
 	// MaxIter caps SAT-attack distinguishing-input queries (default 256).
 	MaxIter int `json:"max_iter,omitempty"`
@@ -94,13 +94,14 @@ func (s JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("flow: unknown job kind %q", s.Kind)
 	}
-	return validateDesign(s.Bench, s.Scale, s.KeyBits)
+	return validateDesign(s.Bench, s.Scale, s.KeyBits, s.Patterns)
 }
 
 // validateDesign is the design check every daemon entry point applies
 // before any compute starts: a known benchmark, scale in [0, 1] and
-// keybits in [0, 4096] (0 selects the default for both).
-func validateDesign(bench string, scale float64, keyBits int) error {
+// keybits in [0, 4096] (0 selects the default for both), and at most
+// sim.MaxPatterns patterns.
+func validateDesign(bench string, scale float64, keyBits, patterns int) error {
 	if err := bmarks.Validate([]string{bench}); err != nil {
 		return fmt.Errorf("flow: %w", err)
 	}
@@ -109,6 +110,9 @@ func validateDesign(bench string, scale float64, keyBits int) error {
 	}
 	if keyBits < 0 || keyBits > 4096 {
 		return fmt.Errorf("flow: keybits %d out of range [0, 4096]", keyBits)
+	}
+	if patterns > sim.MaxPatterns {
+		return fmt.Errorf("flow: patterns %d above the limit of %d", patterns, sim.MaxPatterns)
 	}
 	return nil
 }
@@ -120,9 +124,9 @@ type JobEvent struct {
 }
 
 // JobRuntime carries the daemon-owned resources a job runs against:
-// the daemon's manager and perfbench's traced jobs pass both. Either
-// field may be nil: a nil Pool builds spec-sized solvers, a nil Emit
-// discards progress events.
+// the daemon's manager and perfbench's traced jobs pass both, and
+// flow.Run passes the zero JobRuntime. Either field may be nil: a nil
+// Pool builds spec-sized solvers, a nil Emit discards progress events.
 type JobRuntime struct {
 	// Pool caps the job's portfolio width at Pool.Total() members.
 	Pool *sat.Pool
@@ -266,14 +270,12 @@ func (j *Job) runLock(ctx context.Context, rt JobRuntime) (any, error) {
 	// run the rest of the flow on that design.
 	rt.emit("lock", "locked %s in prepare (%d gates, %d key bits)", j.Spec.Bench, j.orig.NumGates(), len(j.lk.KeyBits))
 	cfg := Config{
-		KeyBits:       j.Spec.KeyBits,
-		SplitLayer:    j.Spec.SplitLayer,
-		Seed:          j.lockSeed(),
-		UseATPGLock:   !j.Spec.RandomLock,
-		SolverWorkers: j.Spec.SolverWorkers,
+		KeyBits:     j.Spec.KeyBits,
+		SplitLayer:  j.Spec.SplitLayer,
+		Seed:        j.lockSeed(),
+		UseATPGLock: !j.Spec.RandomLock,
 	}.withDefaults()
-	art, err := runLocked(ctx, j.orig, j.lk, j.rep, cfg, time.Now(), solver,
-		func(stage, msg string) { rt.emit(stage, "%s", msg) })
+	art, err := runLocked(ctx, j.orig, j.lk, j.rep, cfg, time.Now(), solver, rt)
 	if err != nil {
 		return nil, err
 	}

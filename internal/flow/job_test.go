@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/bmarks"
 	"repro/internal/sat"
+	"repro/internal/sim"
 )
 
 func mustJob(t *testing.T, spec JobSpec) *Job {
@@ -42,6 +44,8 @@ func TestJobSpecValidate(t *testing.T) {
 		{Kind: JobVerify, Bench: "nosuchbench"},
 		{Kind: "table", Bench: "b14"},
 		{Kind: JobVerify, Bench: "c432", Scale: 2},
+		{Kind: JobVerify, Bench: "c432", Patterns: sim.MaxPatterns + 1},
+		{Kind: JobAttack, Bench: "c432", Patterns: math.MaxInt},
 	}
 	for _, spec := range bad {
 		if _, err := NewJob(spec); err == nil {

@@ -83,11 +83,10 @@ type Options struct {
 	// staircase schedule: verdicts, counterexamples and stats are
 	// bit-identical on every host, and identical across member counts
 	// for miters decided in the schedule's first rounds (the common
-	// case). This pays on the hard miters that survive the zero-clause
-	// structural path — re-synthesized or wrong-key circuits — and is
-	// wasted mirroring work on miters that collapse structurally. 0 or
-	// 1 builds a one-member portfolio, which answers exactly like a
-	// single solver.
+	// case). 0 or 1 builds a one-member portfolio, which answers
+	// exactly like a single solver; the flow's Fig. 3 step uses that.
+	// No measurement has shown a wider portfolio to pay: members run
+	// one after another on the calling goroutine.
 	PortfolioWorkers int
 	// Deprecated: ignored; every portfolio is deterministic.
 	PortfolioDeterministic bool

@@ -155,39 +155,3 @@ func (c *Circuit) SweepDead() int {
 	}
 	return removed
 }
-
-// Compact rebuilds the circuit without dead slots and returns the
-// old-ID to new-ID mapping (dead gates map to InvalidGate).
-func (c *Circuit) Compact() []GateID {
-	if c.undo.open {
-		panic("netlist: Compact under an open checkpoint")
-	}
-	remap := make([]GateID, len(c.gates))
-	gates := make([]Gate, 0, c.NumGates())
-	for i := range c.gates {
-		if c.gates[i].dead {
-			remap[i] = InvalidGate
-			continue
-		}
-		remap[i] = GateID(len(gates))
-		gates = append(gates, c.gates[i])
-	}
-	for i := range gates {
-		for p, f := range gates[i].Fanin {
-			gates[i].Fanin[p] = remap[f]
-		}
-	}
-	c.gates = gates
-	c.byName = make(map[string]GateID, len(gates))
-	for i := range gates {
-		c.byName[gates[i].Name] = GateID(i)
-	}
-	for i, id := range c.inputs {
-		c.inputs[i] = remap[id]
-	}
-	for i, id := range c.outputs {
-		c.outputs[i] = remap[id]
-	}
-	c.invalidate()
-	return remap
-}

@@ -169,7 +169,7 @@ func (c *Circuit) NumGates() int {
 func (c *Circuit) NumIDs() int { return len(c.gates) }
 
 // Gate returns the gate with the given ID. The pointer stays valid
-// until the next AddGate/Compact call.
+// until the next AddGate call.
 func (c *Circuit) Gate(id GateID) *Gate { return &c.gates[id] }
 
 // Alive reports whether id refers to a live gate.

@@ -15,8 +15,8 @@ import "slices"
 // held across such an edit may change under the caller. Direct writes
 // to a Gate's fields are not logged: they are allowed only on gates
 // added since the checkpoint (Rollback drops those), and Fanin writes
-// still need Invalidate. Rename and Compact panic under a checkpoint,
-// and so does a second Checkpoint.
+// still need Invalidate. Rename panics under a checkpoint, and so does
+// a second Checkpoint.
 func (c *Circuit) Checkpoint() {
 	if c.undo.open {
 		panic("netlist: checkpoint already open")

@@ -122,7 +122,6 @@ func TestCheckpointMisuse(t *testing.T) {
 		"commit":   c.Commit,
 		"rollback": c.Rollback,
 		"double":   func() { c.Checkpoint(); defer c.Rollback(); c.Checkpoint() },
-		"compact":  func() { c.Checkpoint(); defer c.Rollback(); c.Compact() },
 		"rename":   func() { c.Checkpoint(); defer c.Rollback(); _ = c.Rename(0, "x") },
 	} {
 		func() {

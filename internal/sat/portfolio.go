@@ -173,9 +173,7 @@ const sliceUnit = 2000
 // makes the result independent of the member count for every instance
 // decided before the schedule first reaches a member index ≥ the
 // smaller count — in particular, instances decided in rounds 0–1 (and
-// member 0–1 of round 2) report identically for any Workers ≥ 2,
-// which is what lets the experiment tables change -satworkers without
-// changing a digit.
+// member 0–1 of round 2) report identically for any Workers ≥ 2.
 //
 // A finite budget is per-member (budgets that fit inside the first
 // slice never reach here — solve routes them to member 0).

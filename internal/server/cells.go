@@ -11,8 +11,8 @@ import (
 
 // RunCell computes one dispatched table cell, gated by the daemon's
 // cell semaphore (MaxJobs wide) so coordinators cannot oversubscribe
-// the host. Its portfolio width is clamped to the daemon's cap as a job's
-// is; the width never changes a cell's payload. It blocks while
+// the host. A cell's LEC step builds one SAT solver, whatever
+// spec.SolverWorkers asks for. It blocks while
 // waiting for a slot (the HTTP layer heartbeats through the wait,
 // keeping the coordinator's lease alive); a draining daemon refuses
 // new cells so its coordinator reassigns them elsewhere.
@@ -39,7 +39,6 @@ func (m *Manager) RunCell(ctx context.Context, spec dispatch.CellSpec) (json.Raw
 	defer cancel()
 	stop := context.AfterFunc(m.rootCtx, cancel)
 	defer stop()
-	spec.SolverWorkers = min(spec.SolverWorkers, m.pool.Total())
 	return flow.DispatchCellFunc(flow.ITCOptions{JobTimeout: m.opt.JobTimeout})(cctx, spec)
 }
 

@@ -27,18 +27,11 @@ func testCellSpec() dispatch.CellSpec {
 	}
 }
 
-// TestCellsEndpointStreamsProtocol drives POST /v1/cells raw: the
-// response must open with a hello line and end with exactly one res
-// line whose payload matches an in-process computation of the same
-// cell byte for byte.
-func TestCellsEndpointStreamsProtocol(t *testing.T) {
-	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
-	ts := httptest.NewServer(NewServer(m))
-	defer ts.Close()
-
-	spec := testCellSpec()
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.URL+"/v1/cells", "application/json", strings.NewReader(string(body)))
+// postCell POSTs body to /v1/cells and returns the stream's line types
+// and its res payload; an err line fails the test.
+func postCell(t *testing.T, ts *httptest.Server, body string) (types []string, payload json.RawMessage) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/cells", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +41,6 @@ func TestCellsEndpointStreamsProtocol(t *testing.T) {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	var types []string
-	var payload json.RawMessage
 	for sc.Scan() {
 		var msg dispatch.Message
 		if err := json.Unmarshal(sc.Bytes(), &msg); err != nil {
@@ -66,6 +57,21 @@ func TestCellsEndpointStreamsProtocol(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return types, payload
+}
+
+// TestCellsEndpointStreamsProtocol drives POST /v1/cells raw: the
+// response must open with a hello line and end with exactly one res
+// line whose payload matches an in-process computation of the same
+// cell byte for byte.
+func TestCellsEndpointStreamsProtocol(t *testing.T) {
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+
+	spec := testCellSpec()
+	body, _ := json.Marshal(spec)
+	types, payload := postCell(t, ts, string(body))
 	if len(types) < 2 || types[0] != "hello" || types[len(types)-1] != "res" {
 		t.Fatalf("stream shape = %v, want hello ... res", types)
 	}
@@ -78,25 +84,22 @@ func TestCellsEndpointStreamsProtocol(t *testing.T) {
 	}
 }
 
-// TestRunCellCapsSolverWidth: a cell's portfolio width is clamped to
-// the daemon's cap, as a job's is. A 1<<20-member request (about
-// 600 GB of solvers if built) returns the 2-member payload on a 2-slot
-// manager byte for byte.
-func TestRunCellCapsSolverWidth(t *testing.T) {
-	m := newTestManager(t, ManagerOptions{MaxJobs: 1, SolverSlots: 2})
-	spec := testCellSpec()
-	spec.SolverWorkers = 2
-	want, err := flow.DispatchCellFunc(flow.ITCOptions{})(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.SolverWorkers = 1 << 20
-	got, err := m.RunCell(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("over-wide cell payload differs from the 2-member one:\n%s\n%s", got, want)
+// TestCellsEndpointIgnoresSolverWidth: a cell's LEC step builds one SAT
+// solver whatever the spec's solver_workers says. Older coordinators
+// still send the field, so it must decode, and a 1<<20-member request
+// (about 600 GB of solvers, were they built) returns the payload of a
+// request without it byte for byte.
+func TestCellsEndpointIgnoresSolverWidth(t *testing.T) {
+	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+
+	body, _ := json.Marshal(testCellSpec())
+	_, want := postCell(t, ts, string(body))
+	wide := strings.Replace(string(body), "}", `,"solver_workers":1048576}`, 1)
+	_, got := postCell(t, ts, wide)
+	if want == nil || string(got) != string(want) {
+		t.Fatalf("payload with solver_workers 1048576 differs from one without:\n%s\n%s", got, want)
 	}
 }
 
@@ -165,8 +168,9 @@ func TestCellsEndpointDrainEndsStreamWithoutResult(t *testing.T) {
 }
 
 // TestCellsEndpointRejectsBadSpec: a cell spec that does not parse, or
-// that POST /v1/jobs would reject as a job (out-of-range scale or key
-// size, unknown benchmark), gets a 400 before any stream starts.
+// that POST /v1/jobs would reject as a job (out-of-range scale, key
+// size or pattern count, unknown benchmark), gets a 400 before any
+// stream starts.
 func TestCellsEndpointRejectsBadSpec(t *testing.T) {
 	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
 	ts := httptest.NewServer(NewServer(m))
@@ -176,6 +180,7 @@ func TestCellsEndpointRejectsBadSpec(t *testing.T) {
 		`{"bench":"b14","layer":4,"scale":1.5}`,
 		`{"bench":"b14","layer":4,"scale":0.03,"keybits":5000}`,
 		`{"bench":"nope","layer":4,"scale":0.03}`,
+		`{"bench":"b14","layer":4,"scale":0.03,"patterns":9223372036854775807}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/cells", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -70,8 +70,9 @@ type ManagerOptions struct {
 	// fails with ErrQueueFull (default 64). Restart requeue ignores the
 	// limit — previously admitted jobs are never dropped.
 	QueueLimit int
-	// SolverSlots caps the portfolio width of every job and cell
-	// (0 = GOMAXPROCS). Wider requests are clamped, never queued.
+	// SolverSlots caps the portfolio width of every job (0 =
+	// GOMAXPROCS). Wider requests are clamped, never queued. A cell
+	// always runs one solver.
 	SolverSlots int
 	// CacheEntries bounds the result cache (0 = 128).
 	CacheEntries int

@@ -72,6 +72,12 @@ func TestServerHTTP(t *testing.T) {
 			t.Fatalf("%s: %d, want 400", body, resp.StatusCode)
 		}
 	}
+	// A pattern count above sim.MaxPatterns is refused before any
+	// compute: near math.MaxInt it used to round to an empty simulation
+	// that reported an attack's key as checked.
+	if resp, _ := postJob(t, ts, `{"kind":"attack","bench":"c432","scale":1,"keybits":16,"patterns":9223372036854775807}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing patterns: %d, want 400", resp.StatusCode)
+	}
 	// Unknown job is a 404.
 	if resp := getJSON(t, ts, "/v1/jobs/job-999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", resp.StatusCode)

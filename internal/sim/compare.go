@@ -10,6 +10,13 @@ import (
 	"repro/internal/netlist"
 )
 
+// MaxPatterns is the largest pattern count Compare, EquivalentOpt and
+// the activity estimators accept: 2^30, a thousand times the paper's
+// 1M. A larger count is an error, not a long run: the count is rounded
+// up to whole 64-pattern words, which near math.MaxInt overflows to a
+// run that simulates nothing.
+const MaxPatterns = 1 << 30
+
 // DiffStats reports the output difference between two circuits over a
 // random pattern run, as used by Table II of the paper.
 type DiffStats struct {
@@ -31,7 +38,7 @@ type DiffStats struct {
 // CompareOptions tunes Compare.
 type CompareOptions struct {
 	// Patterns is the number of random patterns (rounded up to a
-	// multiple of 64). Defaults to 65536.
+	// multiple of 64), at most MaxPatterns. Defaults to 65536.
 	Patterns int
 	// Seed selects the stimulus stream.
 	Seed uint64
@@ -109,6 +116,9 @@ func prepareSide(c *netlist.Circuit, observeState bool) (*side, error) {
 func compareSides(pa, pb *side, opt CompareOptions) (DiffStats, error) {
 	if opt.Patterns <= 0 {
 		opt.Patterns = 65536
+	}
+	if err := checkPatterns(opt.Patterns); err != nil {
+		return DiffStats{}, err
 	}
 	inMap, err := matchByName(pa.inputs, pb.inputs, pb.name, "input")
 	if err != nil {
@@ -236,6 +246,14 @@ func EquivalentOpt(a, b *netlist.Circuit, opt CompareOptions) (bool, error) {
 	return d.OER == 0, nil
 }
 
+// checkPatterns rejects a pattern count above MaxPatterns.
+func checkPatterns(n int) error {
+	if n > MaxPatterns {
+		return fmt.Errorf("sim: %d patterns exceed the limit of %d", n, MaxPatterns)
+	}
+	return nil
+}
+
 // grainForWidth scales engine.DefaultGrain down by a simulation word
 // width: at width w one engine item covers w×64 patterns, so dividing
 // keeps a batch at the same ~4096-pattern cost regardless of width and
@@ -302,7 +320,7 @@ func (r *Reference) Equivalent(b *netlist.Circuit, patterns int, seed uint64) (b
 // ActivityOptions tunes ActivityOpt.
 type ActivityOptions struct {
 	// Patterns is the number of random patterns (rounded up to a
-	// multiple of 64). Defaults to 4096.
+	// multiple of 64), at most MaxPatterns. Defaults to 4096.
 	Patterns int
 	// Seed selects the stimulus stream.
 	Seed uint64
@@ -373,6 +391,9 @@ func (e *Evaluator) countOnes(ids []netlist.GateID, opt ActivityOptions) (ones [
 	c := e.c
 	if opt.Patterns <= 0 {
 		opt.Patterns = 4096
+	}
+	if err := checkPatterns(opt.Patterns); err != nil {
+		return nil, 0, err
 	}
 	words := (opt.Patterns + 63) / 64
 	w, err := resolveWidth(opt.Width, words)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 	"testing"
@@ -249,5 +250,44 @@ func TestCompareRejectsUnobservedCycle(t *testing.T) {
 		if !strings.Contains(err.Error(), "combinational cycle") {
 			t.Fatalf("observe=%v: error %q does not name the cycle", observe, err)
 		}
+	}
+}
+
+// gate2 is a two-input circuit a, b → o whose one gate has type typ;
+// circuits of different types share their boundary.
+func gate2(typ netlist.GateType) *netlist.Circuit {
+	c := netlist.New(typ.String())
+	a := c.MustAdd("a", netlist.Input)
+	b := c.MustAdd("b", netlist.Input)
+	c.MustAdd("o", netlist.Output, c.MustAdd("g", typ, a, b))
+	return c
+}
+
+// TestPatternCountAboveLimitRejected: a pattern count above MaxPatterns
+// is an error for every simulation entry point. Near math.MaxInt the
+// count used to round up to zero words, so AND2 and OR2 compared
+// equivalent, with HD = OER = -0, without a single pattern simulated.
+func TestPatternCountAboveLimitRejected(t *testing.T) {
+	and2, or2 := gate2(netlist.And), gate2(netlist.Or)
+	for _, n := range []int{MaxPatterns + 1, math.MaxInt - 62, math.MaxInt} {
+		if eq, err := EquivalentOpt(and2, or2, CompareOptions{Patterns: n}); err == nil {
+			t.Errorf("EquivalentOpt with %d patterns = %v, want an error", n, eq)
+		}
+		if d, err := Compare(and2, or2, CompareOptions{Patterns: n}); err == nil {
+			t.Errorf("Compare with %d patterns = %+v, want an error", n, d)
+		}
+		ref, err := NewReference(and2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eq, _, err := ref.Equivalent(or2, n, 1); err == nil {
+			t.Errorf("Reference.Equivalent with %d patterns = %v, want an error", n, eq)
+		}
+		if _, err := ActivityOpt(and2, ActivityOptions{Patterns: n}); err == nil {
+			t.Errorf("ActivityOpt with %d patterns succeeded, want an error", n)
+		}
+	}
+	if eq, err := EquivalentOpt(and2, or2, CompareOptions{Patterns: 4096}); err != nil || eq {
+		t.Fatalf("AND2 vs OR2 at 4096 patterns = %v, %v; want false, nil", eq, err)
 	}
 }
