@@ -182,8 +182,9 @@ func main() {
 			JobTimeout: *jobTimeout,
 			Manifest:   manifest,
 		}
+		var coord *dispatch.Coordinator
 		if distributed {
-			coord, err := newCoordinator(coordinatorConfig{
+			coord, err = newCoordinator(coordinatorConfig{
 				workers:     *workers,
 				connect:     splitList(*connectSel),
 				leaseT:      *leaseT,
@@ -193,7 +194,6 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			defer coord.Close()
 			runner := flow.DispatchRunner(coord, itcOpt)
 			itcOpt.CellRunner = func(ctx context.Context, bench string, layer int) (flow.SplitResult, error) {
 				res, err := runner(ctx, bench, layer)
@@ -211,6 +211,11 @@ func main() {
 			itcOpt.Parallel = true
 		}
 		rows, err := flow.RunITC(ctx, itcOpt)
+		if coord != nil {
+			// Kill and reap the worker processes still in flight (an
+			// interrupted sweep leaves some) before any exit below.
+			coord.Close()
+		}
 		interrupted(manifest)
 		if *all || *table == "1" {
 			printTableI(rows)

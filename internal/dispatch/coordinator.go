@@ -6,24 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
+	"sync/atomic"
 	"time"
-)
-
-// Coordinator-internal pseudo-message types (never on the wire): how an
-// attempt ended without a res or err line.
-const (
-	// msgMalformed marks unparsable worker output: the attempt is
-	// poisoned.
-	msgMalformed MsgType = "malformed"
-	// msgEnded marks a stream that ended without a result: the worker
-	// died mid-cell.
-	msgEnded MsgType = "ended"
-	// msgRejected marks an attempt that never started (a worker process
-	// that would not start, a daemon busy or unreachable): the cell is
-	// requeued without charging its crash budget — the cell never ran,
-	// so it cannot have killed anything.
-	msgRejected MsgType = "rejected"
 )
 
 // ErrClosed is returned by RunCell once the coordinator is shut down.
@@ -100,11 +86,10 @@ const (
 
 // task is one cell making its way through the dispatch layer.
 type task struct {
-	spec      CellSpec
-	notBefore time.Time // reassignment backoff gate
-	deaths    int       // workers this cell has killed or poisoned
-	cause     string    // last death's description
-	res       chan taskResult
+	spec   CellSpec
+	ctx    context.Context // the RunCell caller's: once done, the cell is withdrawn
+	deaths int             // workers this cell has killed or poisoned
+	res    chan taskResult
 }
 
 type taskResult struct {
@@ -113,7 +98,7 @@ type taskResult struct {
 }
 
 // resolve delivers the task's outcome exactly once (the channel is
-// buffered; the loop never blocks on a caller).
+// buffered; a slot never blocks on a caller).
 func (t *task) resolve(payload json.RawMessage, err error) {
 	select {
 	case t.res <- taskResult{payload, err}:
@@ -121,38 +106,13 @@ func (t *task) resolve(payload json.RawMessage, err error) {
 	}
 }
 
-// lease is one attempt in flight: a cell on a slot. Its ID, fresh per
-// attempt, is also the attempt's worker id.
-type lease struct {
-	id       int
-	t        *task
-	slot     int
-	deadline time.Time
-	stop     context.CancelFunc // ends the attempt: kills its worker
-}
-
-// slotState tracks one worker slot across attempts.
-type slotState struct {
-	Slot
-	retired bool
-	readyAt time.Time // strike delay: no attempt before this
-	strikes int       // consecutive failures; reset on a completed cell
-	lease   *lease
-}
-
-// event is one protocol line (or pseudo-message) from the stream of the
-// named lease.
-type event struct {
-	lease int
-	msg   Message
-}
-
-// Coordinator owns the lease table and the reassignment queue. All
-// state is confined to the loop goroutine; RunCell and the attempts'
-// stream readers communicate over channels.
+// Coordinator runs one goroutine per worker slot over one ready queue.
+// A slot takes the next ready cell, runs one attempt of it, and settles
+// the cell by how the attempt ended; a cell in death backoff waits on
+// its own timer, outside the queue.
 type Coordinator struct {
 	opt    Options
-	ctx    context.Context
+	ctx    context.Context // parent of every attempt; cancelled by Close
 	cancel context.CancelFunc
 
 	// The reassignment and retirement policy: backoffBase, maxBackoff
@@ -160,16 +120,12 @@ type Coordinator struct {
 	backoffBase, maxBackoff time.Duration
 	maxStrikes              int
 
-	submit   chan *task
-	events   chan event
-	done     chan struct{}
-	attempts sync.WaitGroup
-
-	// loop-confined state
-	slots     []*slotState
-	leases    map[int]*lease
-	queue     []*task
-	nextLease int
+	mu     sync.Mutex
+	ready  *sync.Cond // signalled by every push, broadcast by Close
+	queue  []*task
+	live   int // slots not retired
+	lastID int // the worker id of the last attempt started
+	slots  sync.WaitGroup
 }
 
 // New starts a coordinator over the given worker slots. Close must be
@@ -193,15 +149,13 @@ func newCoordinator(opt Options, base, ceiling time.Duration, strikes int) (*Coo
 		backoffBase: base,
 		maxBackoff:  ceiling,
 		maxStrikes:  strikes,
-		submit:      make(chan *task),
-		events:      make(chan event, 64),
-		done:        make(chan struct{}),
-		leases:      make(map[int]*lease),
+		live:        len(opt.Slots),
 	}
-	for _, sl := range opt.Slots {
-		c.slots = append(c.slots, &slotState{Slot: sl})
+	c.ready = sync.NewCond(&c.mu)
+	for _, s := range opt.Slots {
+		c.slots.Add(1)
+		go c.serve(s)
 	}
-	go c.loop()
 	return c, nil
 }
 
@@ -213,22 +167,20 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 // RunCell dispatches one cell and blocks until a worker (any worker, on
 // any attempt) returns its payload, the cell fails cleanly or is
-// quarantined, or ctx/the coordinator is done. The payload is the
-// worker's JSON result, byte-identical to a local run's marshaled cell.
+// quarantined, or ctx/the coordinator is done. A done ctx withdraws the
+// cell: a queued cell is skipped and a running attempt is stopped,
+// charging neither the cell nor its slot. The payload is the worker's
+// JSON result, byte-identical to a local run's marshaled cell.
 func (c *Coordinator) RunCell(ctx context.Context, spec CellSpec) (json.RawMessage, error) {
-	t := &task{spec: spec, res: make(chan taskResult, 1)}
-	select {
-	case c.submit <- t:
-	case <-c.ctx.Done():
-		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	t := &task{spec: spec, ctx: ctx, res: make(chan taskResult, 1)}
+	c.push(t, false)
 	select {
 	case r := <-t.res:
 		return r.payload, r.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-c.ctx.Done():
+		return nil, ErrClosed
 	}
 }
 
@@ -236,268 +188,58 @@ func (c *Coordinator) RunCell(ctx context.Context, spec CellSpec) (json.RawMessa
 // and every attempt in flight is killed and reaped.
 func (c *Coordinator) Close() {
 	c.cancel()
-	<-c.done
-	c.attempts.Wait()
+	c.mu.Lock()
+	c.ready.Broadcast()
+	c.mu.Unlock()
+	c.slots.Wait()
 }
 
-// loop is the scheduler: it owns slots, leases, and the queue.
-func (c *Coordinator) loop() {
-	defer close(c.done)
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		now := time.Now()
-		c.expireLeases(now)
-		c.dispatch(now)
-		c.failIfStranded()
-		timer.Reset(c.nextWake(now))
-		select {
-		case t := <-c.submit:
-			c.queue = append(c.queue, t)
-		case ev := <-c.events:
-			c.handleEvent(ev)
-		case <-timer.C:
-		case <-c.ctx.Done():
-			c.shutdown()
-			return
-		}
-	}
-}
-
-// shutdown fails everything in flight; cancelling c.ctx has already
-// stopped every attempt.
-func (c *Coordinator) shutdown() {
-	for _, l := range c.leases {
-		l.t.resolve(nil, ErrClosed)
-	}
-	for _, t := range c.queue {
+// push makes t ready, at the front of the queue for an uncharged retry,
+// or fails it if no slot will ever serve it.
+func (c *Coordinator) push(t *task, front bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.ctx.Err() != nil:
 		t.resolve(nil, ErrClosed)
+	case c.live == 0:
+		t.resolve(nil, fmt.Errorf("%w (cell %s)", ErrNoWorkers, t.spec.Key()))
+	case front:
+		c.queue = append([]*task{t}, c.queue...)
+	default:
+		c.queue = append(c.queue, t)
 	}
-	c.queue = nil
+	c.ready.Signal()
 }
 
-// expireLeases kills attempts whose heartbeats stopped and requeues
-// their cells.
-func (c *Coordinator) expireLeases(now time.Time) {
-	for _, l := range c.leases {
-		if now.Before(l.deadline) {
-			continue
-		}
-		cause := fmt.Sprintf("lease expired: no heartbeat from %s for %v", c.workerName(l), c.opt.LeaseTimeout)
-		c.logf("dispatch: %s; killing worker and reassigning %s", cause, l.t.spec.Key())
-		c.fail(l, now, cause, true)
-	}
-}
-
-// dispatch starts an attempt of the first ready cell on every idle
-// slot.
-func (c *Coordinator) dispatch(now time.Time) {
-	for i, s := range c.slots {
-		if s.retired || s.lease != nil || now.Before(s.readyAt) {
-			continue
-		}
-		ti := -1
-		for qi, t := range c.queue {
-			if !now.Before(t.notBefore) {
-				ti = qi
-				break
+// next blocks until a cell is ready and returns it with a fresh worker
+// id for its attempt, dropping cells whose caller is gone; nil once the
+// coordinator is closed.
+func (c *Coordinator) next() (*task, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.ctx.Err() == nil {
+		for len(c.queue) > 0 {
+			t := c.queue[0]
+			c.queue = c.queue[1:]
+			if t.ctx.Err() == nil {
+				c.lastID++
+				return t, c.lastID
 			}
 		}
-		if ti < 0 {
-			return
-		}
-		t := c.queue[ti]
-		c.queue = append(c.queue[:ti], c.queue[ti+1:]...)
-		c.nextLease++
-		actx, stop := context.WithCancel(c.ctx)
-		l := &lease{id: c.nextLease, t: t, slot: i, deadline: now.Add(c.opt.LeaseTimeout), stop: stop}
-		c.leases[l.id] = l
-		s.lease = l
-		c.logf("dispatch: leased %s to worker %d (%s, lease %d)", t.spec.Key(), l.id, s.Name, l.id)
-		c.attempts.Add(1)
-		go c.attempt(actx, l.id, s.Open, t.spec)
+		c.ready.Wait()
 	}
+	return nil, 0
 }
 
-// attempt opens one attempt's stream and forwards its lines to the loop
-// until the res or err line, an unparsable line, or the end of the
-// stream. It is the only reader of protocol lines.
-func (c *Coordinator) attempt(ctx context.Context, id int, open Transport, spec CellSpec) {
-	defer c.attempts.Done()
-	send := func(m Message) {
-		select {
-		case c.events <- event{lease: id, msg: m}:
-		case <-c.ctx.Done():
-		}
-	}
-	rc, err := open(ctx, spec, id)
-	if err != nil {
-		var ce *cellError
-		if errors.As(err, &ce) {
-			send(Message{Type: MsgError, Error: ce.msg})
-		} else {
-			send(Message{Type: msgRejected, Error: err.Error()})
-		}
+// retire takes a slot out of service. The last slot to go fails every
+// queued cell, and every later push, with ErrNoWorkers — graceful
+// degradation beats a sweep that never returns.
+func (c *Coordinator) retire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.live--; c.live > 0 {
 		return
-	}
-	// Close may wait until the loop, having read the last event, stops
-	// the attempt: a worker still running after its last line is killed.
-	defer rc.Close()
-	sc := bufio.NewScanner(rc)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		m, err := decodeLine(line)
-		if err != nil {
-			send(Message{Type: msgMalformed, Error: err.Error()})
-			return
-		}
-		send(m)
-		if m.Type == MsgResult || m.Type == MsgError {
-			return
-		}
-	}
-	cause := "stream ended"
-	if err := sc.Err(); err != nil {
-		cause = err.Error()
-	}
-	send(Message{Type: msgEnded, Error: cause})
-}
-
-// workerName names a lease's worker for logs.
-func (c *Coordinator) workerName(l *lease) string {
-	return fmt.Sprintf("worker %d (%s)", l.id, c.slots[l.slot].Name)
-}
-
-// handleEvent processes one line of an attempt's stream.
-func (c *Coordinator) handleEvent(ev event) {
-	l, ok := c.leases[ev.lease]
-	if !ok {
-		return // stale: the lease already expired or completed
-	}
-	now := time.Now()
-	key := l.t.spec.Key()
-	switch ev.msg.Type {
-	case MsgHello:
-		if ev.msg.Version != ProtocolVersion {
-			c.reject(l, now, fmt.Sprintf("it speaks protocol %d, want %d", ev.msg.Version, ProtocolVersion))
-		}
-	case MsgHeartbeat:
-		l.deadline = now.Add(c.opt.LeaseTimeout)
-	case MsgResult:
-		if len(ev.msg.Payload) == 0 || !json.Valid(ev.msg.Payload) {
-			c.poison(l, now, fmt.Sprintf("poisoned payload for %s", key))
-			return
-		}
-		c.complete(l, ev.msg.Payload, nil)
-	case MsgError:
-		// A clean cell failure: the worker is healthy (it already spent
-		// its in-process retry budget); the error is the cell's outcome.
-		c.complete(l, nil, errors.New(ev.msg.Error))
-	case msgMalformed:
-		c.poison(l, now, fmt.Sprintf("unparsable worker output: %s", ev.msg.Error))
-	case msgEnded:
-		cause := fmt.Sprintf("worker died mid-cell (%s: %s)", key, ev.msg.Error)
-		c.logf("dispatch: %s on %s; reassigning", cause, c.workerName(l))
-		c.fail(l, now, cause, true)
-	case msgRejected:
-		c.reject(l, now, ev.msg.Error)
-	default:
-		c.poison(l, now, fmt.Sprintf("unexpected %q message", ev.msg.Type))
-	}
-}
-
-// detach ends a lease: it leaves the table and its slot, and its
-// attempt is stopped.
-func (c *Coordinator) detach(l *lease) *slotState {
-	l.stop()
-	delete(c.leases, l.id)
-	s := c.slots[l.slot]
-	s.lease = nil
-	return s
-}
-
-// complete resolves a lease's cell with the attempt's outcome; the slot
-// served, so its strikes reset.
-func (c *Coordinator) complete(l *lease, payload json.RawMessage, err error) {
-	c.detach(l).strikes = 0
-	l.t.resolve(payload, err)
-}
-
-// fail ends a lease whose attempt went wrong: the slot takes a strike,
-// and the cell is charged a death (charge) or requeued at the front
-// uncharged.
-func (c *Coordinator) fail(l *lease, now time.Time, cause string, charge bool) {
-	c.detach(l).strike(c, now)
-	if charge {
-		c.requeueDeath(l.t, cause, now)
-	} else {
-		c.queue = append([]*task{l.t}, c.queue...)
-	}
-}
-
-// poison handles an attempt that violated the protocol or returned
-// garbage: the cell is charged a death and requeued, the worker killed.
-func (c *Coordinator) poison(l *lease, now time.Time, cause string) {
-	c.logf("dispatch: %s from %s; killing and reassigning", cause, c.workerName(l))
-	c.fail(l, now, cause, true)
-}
-
-// reject handles an attempt that could not serve the cell through no
-// fault of the cell (it never started, or the worker speaks another
-// protocol version): the cell is requeued uncharged, the slot backs
-// off.
-func (c *Coordinator) reject(l *lease, now time.Time, cause string) {
-	c.logf("dispatch: %s rejected %s (%s); requeueing, backing the slot off", c.workerName(l), l.t.spec.Key(), cause)
-	c.fail(l, now, cause, false)
-}
-
-// strike records one consecutive failure on the slot and delays (or
-// retires) it.
-func (s *slotState) strike(c *Coordinator, now time.Time) {
-	s.strikes++
-	if s.strikes >= c.maxStrikes {
-		s.retired = true
-		c.logf("dispatch: retiring worker slot %s after %d consecutive failures", s.Name, s.strikes)
-		return
-	}
-	// Try again promptly after a first failure, with doubling delay for
-	// repeat offenders so a crash-looping slot does not spin.
-	delay := time.Duration(0)
-	if s.strikes > 1 {
-		delay = min(c.backoffBase<<(s.strikes-2), c.maxBackoff)
-	}
-	s.readyAt = now.Add(delay)
-}
-
-// requeueDeath charges one worker death to the cell and requeues it
-// under doubling-plus-jitter backoff, or quarantines it once the crash
-// budget is spent.
-func (c *Coordinator) requeueDeath(t *task, cause string, now time.Time) {
-	t.deaths++
-	t.cause = cause
-	if t.deaths >= c.opt.CrashBudget {
-		c.logf("dispatch: quarantining %s after %d worker deaths (last: %s)", t.spec.Key(), t.deaths, cause)
-		t.resolve(nil, &QuarantineError{Cell: t.spec.Key(), Deaths: t.deaths, Cause: cause})
-		return
-	}
-	delay := min(c.backoffBase<<(t.deaths-1), c.maxBackoff)
-	delay += jitter(t.spec.Seed, t.spec.Key(), t.deaths, delay)
-	t.notBefore = now.Add(delay)
-	c.queue = append(c.queue, t)
-	c.logf("dispatch: requeued %s (death %d/%d, backoff %v)", t.spec.Key(), t.deaths, c.opt.CrashBudget, delay.Round(time.Millisecond))
-}
-
-// failIfStranded fails every queued cell once no slot can ever serve
-// again — graceful degradation beats a sweep that never returns.
-func (c *Coordinator) failIfStranded() {
-	for _, s := range c.slots {
-		if !s.retired {
-			return
-		}
 	}
 	for _, t := range c.queue {
 		t.resolve(nil, fmt.Errorf("%w (cell %s)", ErrNoWorkers, t.spec.Key()))
@@ -505,31 +247,155 @@ func (c *Coordinator) failIfStranded() {
 	c.queue = nil
 }
 
-// nextWake computes how long the loop may sleep: until the earliest
-// lease deadline, backoff expiry, or slot strike delay.
-func (c *Coordinator) nextWake(now time.Time) time.Duration {
-	const idle = time.Hour
-	next := now.Add(idle)
-	for _, l := range c.leases {
-		if l.deadline.Before(next) {
-			next = l.deadline
+// serve is one worker slot: it runs one attempt at a time until the
+// coordinator closes or the slot retires. Each failed attempt is a
+// strike; maxStrikes in a row retire the slot.
+func (c *Coordinator) serve(s Slot) {
+	defer c.slots.Done()
+	strikes := 0
+	for {
+		t, id := c.next()
+		if t == nil {
+			return
+		}
+		c.logf("dispatch: leased %s to worker %d (%s, lease %d)", t.spec.Key(), id, s.Name, id)
+		if !c.attempt(s, t, id) {
+			strikes = 0
+			continue
+		}
+		if strikes++; strikes >= c.maxStrikes {
+			c.logf("dispatch: retiring worker slot %s after %d consecutive failures", s.Name, strikes)
+			c.retire()
+			return
+		}
+		// Try again promptly after a first failure, with doubling delay
+		// for repeat offenders so a crash-looping slot does not spin.
+		if strikes > 1 {
+			select {
+			case <-time.After(min(c.backoffBase<<(strikes-2), c.maxBackoff)):
+			case <-c.ctx.Done():
+			}
 		}
 	}
-	for _, t := range c.queue {
-		if t.notBefore.After(now) && t.notBefore.Before(next) {
-			next = t.notBefore
+}
+
+// rejected ends an attempt that could not serve its cell through no
+// fault of the cell: a transport that would not start, a daemon busy or
+// unreachable, a worker of another protocol version. The cell goes back
+// to the front of the queue uncharged — it never ran, so it cannot have
+// killed anything.
+type rejected string
+
+func (r rejected) Error() string { return string(r) }
+
+// attempt runs one attempt of t on slot s, settles the cell (resolved,
+// requeued or quarantined) and reports whether the attempt failed: a
+// strike against the slot. The lease is a timer that every heartbeat
+// renews. When it fires, the caller withdraws or the coordinator
+// closes, the attempt's context is cancelled, which kills the worker
+// process or aborts the request; a withdrawn or closed attempt is no
+// strike.
+func (c *Coordinator) attempt(s Slot, t *task, id int) (failed bool) {
+	ctx, stop := context.WithCancel(c.ctx)
+	defer stop()
+	var expired atomic.Bool
+	lease := time.AfterFunc(c.opt.LeaseTimeout, func() { expired.Store(true); stop() })
+	defer lease.Stop()
+	defer context.AfterFunc(t.ctx, stop)()
+
+	var m Message
+	var ce *cellError
+	rc, err := s.Open(ctx, t.spec, id)
+	switch {
+	case err == nil:
+		m, err = read(rc, t.spec.Key(), func() { lease.Reset(c.opt.LeaseTimeout) })
+		stop() // a worker still running after its last line is killed, then reaped
+		rc.Close()
+	case errors.As(err, &ce):
+		m, err = Message{Type: MsgError, Error: ce.msg}, nil
+	default:
+		err = rejected(err.Error())
+	}
+
+	worker, key := fmt.Sprintf("worker %d (%s)", id, s.Name), t.spec.Key()
+	switch {
+	case err == nil && m.Type == MsgResult:
+		t.resolve(m.Payload, nil)
+	case err == nil:
+		// A clean cell failure: the worker is healthy (it already spent
+		// its in-process retry budget); the error is the cell's outcome.
+		t.resolve(nil, errors.New(m.Error))
+	case c.ctx.Err() != nil:
+		t.resolve(nil, ErrClosed)
+	case t.ctx.Err() != nil:
+		// Withdrawn: RunCell has already returned.
+	case expired.Load():
+		cause := fmt.Sprintf("lease expired: no heartbeat from %s for %v", worker, c.opt.LeaseTimeout)
+		c.logf("dispatch: %s; killing worker and reassigning %s", cause, key)
+		c.requeueDeath(t, cause)
+		return true
+	case errors.As(err, new(rejected)):
+		c.logf("dispatch: %s rejected %s (%s); requeueing, backing the slot off", worker, key, err)
+		c.push(t, true)
+		return true
+	default:
+		c.logf("dispatch: %s on %s; reassigning", err, worker)
+		c.requeueDeath(t, err.Error())
+		return true
+	}
+	return false
+}
+
+// read scans one attempt's stream up to its res or err line, which it
+// returns, calling heartbeat on every hb line. Any other end is an
+// error: rejected for a worker of another protocol version, else the
+// death the cell is charged (garbage on the stream, or a worker that
+// died mid-cell).
+func read(r io.Reader, key string, heartbeat func()) (Message, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		m, err := decodeLine(line)
+		switch {
+		case err != nil:
+			return m, fmt.Errorf("unparsable worker output: %s", err)
+		case m.Type == MsgHello && m.Version != ProtocolVersion:
+			return m, rejected(fmt.Sprintf("it speaks protocol %d, want %d", m.Version, ProtocolVersion))
+		case m.Type == MsgHeartbeat:
+			heartbeat()
+		case m.Type == MsgResult && (len(m.Payload) == 0 || !json.Valid(m.Payload)):
+			return m, errors.New("poisoned payload for " + key)
+		case m.Type == MsgResult || m.Type == MsgError:
+			return m, nil
+		case m.Type != MsgHello:
+			return m, fmt.Errorf("unexpected %q message", m.Type)
 		}
 	}
-	for _, s := range c.slots {
-		if !s.retired && s.lease == nil && s.readyAt.After(now) && s.readyAt.Before(next) {
-			next = s.readyAt
-		}
+	cause := "stream ended"
+	if err := sc.Err(); err != nil {
+		cause = err.Error()
 	}
-	d := next.Sub(now)
-	if d < 5*time.Millisecond {
-		d = 5 * time.Millisecond
+	return Message{}, fmt.Errorf("worker died mid-cell (%s: %s)", key, cause)
+}
+
+// requeueDeath charges one worker death to the cell and pushes it back
+// after a doubling-plus-jitter backoff, or quarantines it once the
+// crash budget is spent.
+func (c *Coordinator) requeueDeath(t *task, cause string) {
+	t.deaths++
+	if t.deaths >= c.opt.CrashBudget {
+		c.logf("dispatch: quarantining %s after %d worker deaths (last: %s)", t.spec.Key(), t.deaths, cause)
+		t.resolve(nil, &QuarantineError{Cell: t.spec.Key(), Deaths: t.deaths, Cause: cause})
+		return
 	}
-	return d
+	delay := min(c.backoffBase<<(t.deaths-1), c.maxBackoff)
+	delay += jitter(t.spec.Seed, t.spec.Key(), t.deaths, delay)
+	c.logf("dispatch: requeued %s (death %d/%d, backoff %v)", t.spec.Key(), t.deaths, c.opt.CrashBudget, delay.Round(time.Millisecond))
+	time.AfterFunc(delay, func() { c.push(t, false) })
 }
 
 // jitter derives a deterministic delay in [0, d/2) from a cell's

@@ -391,3 +391,162 @@ func TestHTTPNotFoundRetiresSlot(t *testing.T) {
 		t.Fatalf("cell on a 404 address returned %v, want ErrNoWorkers", err)
 	}
 }
+
+// A cancelled RunCell withdraws its cell: the running attempt is
+// stopped (its CellFunc sees its context done) with no death charged,
+// a queued cell whose caller is gone never starts, and the slot keeps
+// serving.
+func TestCancelledRunCellWithdrawsCell(t *testing.T) {
+	started, stopped := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var ran []string
+	fn := func(ctx context.Context, spec CellSpec) (json.RawMessage, error) {
+		mu.Lock()
+		ran = append(ran, spec.Key())
+		mu.Unlock()
+		if spec.Bench == "block" {
+			close(started)
+			<-ctx.Done()
+			close(stopped)
+			return nil, ctx.Err()
+		}
+		return echoCell(ctx, spec)
+	}
+	lb := &logBuf{}
+	c, err := New(Options{Slots: slots(1, fn), Logf: lb.logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RunCell(ctx, CellSpec{Bench: "block", Layer: 1})
+		done <- err
+	}()
+	<-started
+	// Queued behind the blocked cell with its caller already gone.
+	gone, goneCancel := context.WithCancel(context.Background())
+	goneCancel()
+	if _, err := c.RunCell(gone, CellSpec{Bench: "gone", Layer: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCell with a done context = %v, want context.Canceled", err)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunCell = %v, want context.Canceled", err)
+	}
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the withdrawn cell's attempt was not stopped")
+	}
+	if _, err := c.RunCell(context.Background(), CellSpec{Bench: "b14", Layer: 2}); err != nil {
+		t.Fatalf("slot unusable after a withdrawn cell: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := strings.Join(ran, ","); got != "block/M1,b14/M2" {
+		t.Fatalf("cells run = %s, want block/M1,b14/M2", got)
+	}
+	if lb.contains("death") || lb.contains("reassigning") || lb.contains("rejected") {
+		t.Fatalf("a withdrawn cell was charged; lines: %v", lb.lines)
+	}
+}
+
+// openLog wraps a transport to record, in order, which cell each
+// attempt opened and when.
+type openLog struct {
+	mu    sync.Mutex
+	keys  []string
+	times []time.Time
+}
+
+func (o *openLog) wrap(open Transport) Transport {
+	return func(ctx context.Context, spec CellSpec, id int) (io.ReadCloser, error) {
+		o.mu.Lock()
+		o.keys = append(o.keys, spec.Key())
+		o.times = append(o.times, time.Now())
+		o.mu.Unlock()
+		return open(ctx, spec, id)
+	}
+}
+
+// A cell that killed its worker waits out its backoff (backoffBase
+// after the first death, plus jitter) before it is leased again.
+func TestDeathBackoffDelaysRelease(t *testing.T) {
+	defer faultpoint.Reset()
+	if err := faultpoint.Arm("dispatch.worker.corrupt-payload@b14/M3:after=1:panic"); err != nil {
+		t.Fatal(err)
+	}
+	const base = 300 * time.Millisecond
+	var ol openLog
+	c, err := newCoordinator(Options{
+		Slots: []Slot{{Name: "pipe", Open: ol.wrap(pipeTransport(echoCell))}},
+	}, base, maxBackoff, maxStrikes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.RunCell(context.Background(), CellSpec{Bench: "b14", Layer: 3, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ol.mu.Lock()
+	defer ol.mu.Unlock()
+	if len(ol.times) != 2 {
+		t.Fatalf("attempts = %v, want 2", ol.keys)
+	}
+	if gap := ol.times[1].Sub(ol.times[0]); gap < base {
+		t.Fatalf("cell leased again %v after its worker died, before the %v backoff", gap, base)
+	}
+}
+
+// A rejected cell goes back to the front of the queue: its next
+// attempt comes ahead of cells that were queued behind it.
+func TestRejectedCellLeasedFirst(t *testing.T) {
+	opening, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var ol openLog
+	pipe := pipeTransport(echoCell)
+	refuseFirst := func(ctx context.Context, spec CellSpec, id int) (io.ReadCloser, error) {
+		refuse := false
+		once.Do(func() { close(opening); <-release; refuse = true })
+		if refuse {
+			return nil, errors.New("busy")
+		}
+		return pipe(ctx, spec, id)
+	}
+	c, err := newCoordinator(Options{
+		Slots: []Slot{{Name: "pipe", Open: ol.wrap(refuseFirst)}},
+	}, time.Millisecond, maxBackoff, maxStrikes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	run := func(layer int) {
+		defer wg.Done()
+		if _, err := c.RunCell(context.Background(), CellSpec{Bench: "b14", Layer: layer}); err != nil {
+			t.Errorf("cell M%d: %v", layer, err)
+		}
+	}
+	wg.Add(1)
+	go run(1)
+	<-opening
+	// Queue M2 and M3 while M1's first attempt is still opening.
+	for layer := 2; layer <= 3; layer++ {
+		wg.Add(1)
+		go run(layer)
+		for queued := false; !queued; time.Sleep(time.Millisecond) {
+			c.mu.Lock()
+			queued = len(c.queue) == layer-1
+			c.mu.Unlock()
+		}
+	}
+	close(release)
+	wg.Wait()
+	ol.mu.Lock()
+	defer ol.mu.Unlock()
+	if got := strings.Join(ol.keys, ","); got != "b14/M1,b14/M1,b14/M2,b14/M3" {
+		t.Fatalf("lease order = %s, want the rejected b14/M1 again first", got)
+	}
+}

@@ -1,28 +1,28 @@
 // Package dispatch shards the table harness's benchmark×layer cell grid
-// across OS processes and machines. A coordinator owns the cell queue
-// and runs each cell as one *attempt* on a worker slot under a lease:
-// the slot's transport opens a line stream for the attempt (a fresh
-// `tables -worker` process, or one POST /v1/cells to a splitlockd
-// daemon), the worker heartbeats on it while it computes, and a lease
-// whose heartbeats stop arriving is expired — the attempt is killed and
-// the cell reassigned with doubling-plus-jitter backoff. Robustness is
-// the design center, not an add-on: an attempt that crashes (SIGKILL),
-// hangs, or returns a poisoned payload costs one entry of the cell's
-// bounded crash budget, and a cell that kills its budget's worth of
-// workers is quarantined (reported as that cell's error) while the rest
-// of the sweep proceeds. Cells are deterministic functions of their
-// spec, so a result is identical no matter which worker — or how many
-// attempts — produced it, and a distributed table is byte-identical to
-// a single-process run.
+// across OS processes and machines. A coordinator runs one goroutine
+// per worker slot over one queue of ready cells; a slot takes the next
+// cell and runs it as one *attempt* under a lease: the slot's transport
+// opens a line stream for the attempt (a fresh `tables -worker`
+// process, or one POST /v1/cells to a splitlockd daemon), the worker
+// heartbeats on it while it computes, and each heartbeat resets the
+// lease timer. A lease that fires cancels the attempt — the worker is
+// killed and the cell reassigned with doubling-plus-jitter backoff.
+// Robustness is the design center, not an add-on: an attempt that
+// crashes (SIGKILL), hangs, or returns a poisoned payload costs one
+// entry of the cell's bounded crash budget, and a cell that kills its
+// budget's worth of workers is quarantined (reported as that cell's
+// error) while the rest of the sweep proceeds. Cells are deterministic
+// functions of their spec, so a result is identical no matter which
+// worker — or how many attempts — produced it, and a distributed table
+// is byte-identical to a single-process run.
 //
 // The wire protocol is line-oriented JSON, one Message per line, worker
 // to coordinator only: hello, heartbeats while the cell runs, then
 // exactly one res or err line (ServeCell writes it). A local worker
 // reads its one CellSpec as JSON on stdin and writes the stream to
 // stdout; a daemon takes the CellSpec as the request body and streams
-// the lines back as the response. The coordinator reads every stream
-// with one scanner and knows the lease from the attempt, so the lines
-// carry none.
+// the lines back as the response. Each slot reads its own attempt's
+// stream and knows the lease from the attempt, so the lines carry none.
 package dispatch
 
 import (

@@ -62,26 +62,17 @@ type WorkerOptions struct {
 // stream with no result line — the coordinator counts that as a dead
 // worker.
 func ServeCell(ctx context.Context, out io.Writer, spec CellSpec, opt WorkerOptions) error {
-	w, err := startWorker(out, opt)
-	if err != nil {
-		return err
-	}
-	return w.runCell(ctx, spec)
-}
-
-// startWorker fills opt's defaults and sends the hello line.
-func startWorker(out io.Writer, opt WorkerOptions) (*workerConn, error) {
 	if opt.Run == nil {
-		return nil, fmt.Errorf("dispatch: a worker needs a CellFunc")
+		return fmt.Errorf("dispatch: a worker needs a CellFunc")
 	}
 	if opt.HeartbeatInterval <= 0 {
 		opt.HeartbeatInterval = 500 * time.Millisecond
 	}
 	w := &workerConn{out: out, opt: opt}
 	if err := w.send(Message{Type: MsgHello, Worker: opt.ID, Version: ProtocolVersion}); err != nil {
-		return nil, err
+		return err
 	}
-	return w, nil
+	return w.runCell(ctx, spec)
 }
 
 // workerConn serializes protocol writes: the heartbeat goroutine and the

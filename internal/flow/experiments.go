@@ -628,6 +628,10 @@ func (r IdealAttackResult) OERPercent() float64 {
 // returns the context's error.
 func RunIdealAttack(ctx context.Context, bench string, scale float64, keyBits, runs, patterns int, seed uint64) (IdealAttackResult, error) {
 	res := IdealAttackResult{Runs: runs}
+	if runs < 1 {
+		// Zero runs would print an OER of 0%, which reads as a broken lock.
+		return res, fmt.Errorf("ideal attack: %d runs, want at least 1", runs)
+	}
 	orig, err := bmarks.Load(bench, scale)
 	if err != nil {
 		return res, err

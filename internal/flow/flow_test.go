@@ -182,6 +182,11 @@ func TestRunIdealAttackSmall(t *testing.T) {
 	if res.OERPercent() < 95 {
 		t.Fatalf("ideal attack OER %.1f%%, expected ≈100%%", res.OERPercent())
 	}
+	for _, runs := range []int{0, -1} {
+		if _, err := RunIdealAttack(context.Background(), "b14", 0.02, 32, runs, 256, 5); err == nil {
+			t.Fatalf("runs=%d: no error", runs)
+		}
+	}
 }
 
 // With more runs than one engine batch (grain 64), the ideal-attack
