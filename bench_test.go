@@ -353,7 +353,7 @@ func BenchmarkFootnote6(b *testing.B) {
 // experiment (paper: 1M runs, OER stays 100%).
 func BenchmarkIdealAttack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := flow.RunIdealAttack(context.Background(), "b14", benchScale, benchKeyBits, 500, 256, 6)
+		res, err := flow.RunIdealAttack(context.Background(), "b14", benchScale, benchKeyBits, 500, 6)
 		if err != nil {
 			b.Fatal(err)
 		}

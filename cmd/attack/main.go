@@ -36,7 +36,7 @@ func main() {
 	flag.Parse()
 
 	if *ideal {
-		res, err := flow.RunIdealAttack(context.Background(), *bench, *scale, *keyBits, *runs, 256, *seed)
+		res, err := flow.RunIdealAttack(context.Background(), *bench, *scale, *keyBits, *runs, *seed)
 		if err != nil {
 			fatal(err)
 		}

@@ -9,6 +9,9 @@
 //	tables -ideal          Sec. IV-A ideal proximity attack
 //	tables -all            everything
 //
+// All of them run through flow's one cell loop: a failed cell never
+// stops the others, and the run exits 1 naming every failure in order.
+//
 // Scale and pattern counts default to values that finish in minutes;
 // raise -scale/-patterns/-runs to approach the paper's full setup. A
 // full-paper-scale run of one benchmark, e.g.
@@ -127,14 +130,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Fail fast on a benchmark typo or a pattern count the simulator
-	// refuses: at full scale a sweep runs for hours, and such errors
-	// must not surface after that.
+	// Fail fast on a benchmark typo, a pattern count the simulator
+	// refuses or a run count the ideal attack refuses: at full scale a
+	// sweep runs for hours, and such errors must not surface after that.
 	if err := bmarks.Validate(benches); err != nil {
 		fail(err)
 	}
 	if *patterns > sim.MaxPatterns {
 		fail(fmt.Errorf("-patterns %d above the limit of %d", *patterns, sim.MaxPatterns))
+	}
+	if *runs < 1 {
+		fail(fmt.Errorf("-runs %d, want at least 1", *runs))
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -184,28 +190,12 @@ func main() {
 		}
 		var coord *dispatch.Coordinator
 		if distributed {
-			coord, err = newCoordinator(coordinatorConfig{
-				workers:     *workers,
-				connect:     splitList(*connectSel),
-				leaseT:      *leaseT,
-				crashBudget: *crashBudget,
-				jobTimeout:  *jobTimeout,
-			})
+			coord, err = newCoordinator(*workers, splitList(*connectSel), *jobTimeout,
+				dispatch.Options{LeaseTimeout: *leaseT, CrashBudget: *crashBudget})
 			if err != nil {
 				fail(err)
 			}
-			runner := flow.DispatchRunner(coord, itcOpt)
-			itcOpt.CellRunner = func(ctx context.Context, bench string, layer int) (flow.SplitResult, error) {
-				res, err := runner(ctx, bench, layer)
-				if err != nil && dispatch.IsQuarantined(err) && manifest != nil {
-					// Record the quarantined cell's fate in the manifest so a
-					// -resume of the sweep knows why the cell is absent; the
-					// cell itself stays missing, so the resume retries it.
-					manifest.PutNote(flow.ITCCellKey(bench, layer), err.Error())
-					_ = manifest.Flush()
-				}
-				return res, err
-			}
+			itcOpt.CellRunner = flow.DispatchRunner(coord, itcOpt)
 			// Hand every cell to the coordinator at once; its queue
 			// bounds execution to the fleet.
 			itcOpt.Parallel = true
@@ -259,19 +249,20 @@ func main() {
 	}
 	if *all || *ideal {
 		any = true
+		rows, err := flow.RunIdeal(ctx, flow.IdealOptions{
+			Benchmarks: benches,
+			Scale:      *scale, KeyBits: *keyBits, Runs: *runs, Seed: *seed,
+		})
+		interrupted(nil)
 		fmt.Println("\n== Ideal proximity attack (Sec. IV-A): regular nets granted, key-nets guessed ==")
-		idealBenches := benches
-		if len(idealBenches) == 0 {
-			idealBenches = bmarks.ITC99Names()
-		}
-		for _, b := range idealBenches {
-			res, err := flow.RunIdealAttack(ctx, b, *scale, *keyBits, *runs, 256, *seed)
-			interrupted(nil)
-			if err != nil {
-				fail(err)
+		for _, r := range rows {
+			if r.Benchmark != "" { // a failed design's row stays zero
+				fmt.Printf("%-6s runs=%-8d OER=%6.2f%%  full-key recoveries=%d\n",
+					r.Benchmark, r.Runs, r.OERPercent(), r.FullKeyRecoveries)
 			}
-			fmt.Printf("%-6s runs=%-8d OER=%6.2f%%  full-key recoveries=%d\n",
-				b, res.Runs, res.OERPercent(), res.FullKeyRecoveries)
+		}
+		if err != nil {
+			fail(err)
 		}
 	}
 	if !any {
@@ -328,21 +319,12 @@ func runWorker(id int, jobTimeout time.Duration) error {
 	})
 }
 
-// coordinatorConfig gathers the dispatch-related flags.
-type coordinatorConfig struct {
-	workers     int
-	connect     []string
-	leaseT      time.Duration
-	crashBudget int
-	jobTimeout  time.Duration
-}
-
-// newCoordinator builds the worker slots: cfg.workers local slots, each
-// attempt a fresh process re-executing this binary in -worker mode,
-// plus one slot per -connect daemon.
-func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, error) {
-	var slots []dispatch.Slot
-	if cfg.workers > 0 {
+// newCoordinator adds the worker slots to opt and starts the
+// coordinator: workers local slots, each attempt a fresh process
+// re-executing this binary in -worker mode under jobTimeout, plus one
+// slot per connect daemon.
+func newCoordinator(workers int, connect []string, jobTimeout time.Duration, opt dispatch.Options) (*dispatch.Coordinator, error) {
+	if workers > 0 {
 		exe, err := os.Executable()
 		if err != nil {
 			return nil, fmt.Errorf("cannot locate own binary to spawn workers: %w", err)
@@ -350,26 +332,22 @@ func newCoordinator(cfg coordinatorConfig) (*dispatch.Coordinator, error) {
 		// Workers inherit this process's environment (REPRO_FAULTPOINTS
 		// included — per-worker fault sites key off the -workerid that
 		// ProcTransport appends).
-		local := dispatch.ProcTransport([]string{exe, "-worker", "-jobtimeout", cfg.jobTimeout.String()}, nil)
-		for i := 0; i < cfg.workers; i++ {
-			slots = append(slots, dispatch.Slot{Name: "local", Open: local})
+		local := dispatch.ProcTransport([]string{exe, "-worker", "-jobtimeout", jobTimeout.String()}, nil)
+		for i := 0; i < workers; i++ {
+			opt.Slots = append(opt.Slots, dispatch.Slot{Name: "local", Open: local})
 		}
 	}
-	for _, target := range cfg.connect {
+	for _, target := range connect {
 		url := target
 		if !strings.Contains(url, "://") {
 			url = "http://" + url
 		}
-		slots = append(slots, dispatch.Slot{Name: url, Open: dispatch.HTTPTransport(url)})
+		opt.Slots = append(opt.Slots, dispatch.Slot{Name: url, Open: dispatch.HTTPTransport(url)})
 	}
-	return dispatch.New(dispatch.Options{
-		Slots:        slots,
-		LeaseTimeout: cfg.leaseT,
-		CrashBudget:  cfg.crashBudget,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "tables: "+format+"\n", args...)
-		},
-	})
+	opt.Logf = func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "tables: "+format+"\n", args...)
+	}
+	return dispatch.New(opt)
 }
 
 // printFaultpoints lists every Describe'd fault site linked into this

@@ -20,7 +20,7 @@ func main() {
 	const runs = 3000
 	fmt.Printf("ideal proximity attack, %d random key guesses per design\n\n", runs)
 	for _, k := range []int{16, 32, 64, 128} {
-		res, err := flow.RunIdealAttack(context.Background(), "b14", 0.05, k, runs, 256, uint64(k))
+		res, err := flow.RunIdealAttack(context.Background(), "b14", 0.05, k, runs, uint64(k))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -123,23 +123,6 @@ func Area(c *netlist.Circuit) float64 {
 	return total
 }
 
-// Leakage returns the total leakage power in nW of all live gates.
-func Leakage(c *netlist.Circuit) float64 {
-	total := 0.0
-	for i := 0; i < c.NumIDs(); i++ {
-		id := netlist.GateID(i)
-		if !c.Alive(id) {
-			continue
-		}
-		g := c.Gate(id)
-		if g.Type == netlist.Input || g.Type == netlist.Output {
-			continue
-		}
-		total += ForGate(g.Type, len(g.Fanin)).Leakage
-	}
-	return total
-}
-
 // FanoutCap returns the total input-pin capacitance in fF presented by
 // the sinks of the net driven by id (wire capacitance excluded; the
 // layout stage adds it).

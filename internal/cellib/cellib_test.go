@@ -55,9 +55,6 @@ func TestCircuitAggregates(t *testing.T) {
 	if area != want {
 		t.Fatalf("area %v, want %v (I/O must not count)", area, want)
 	}
-	if Leakage(c) <= 0 {
-		t.Fatal("leakage not positive")
-	}
 	// FanoutCap of net a: g1 reads it twice.
 	if got := FanoutCap(c, a); got != 2*ForGate(netlist.Nand, 2).InputCap {
 		t.Fatalf("fanout cap %v", got)

@@ -60,12 +60,19 @@ func DispatchCellFunc(base ITCOptions) dispatch.CellFunc {
 // The returned SplitResult re-marshals to the exact bytes the worker
 // produced (Go's shortest-round-trip float encoding makes
 // unmarshal∘marshal the identity on SplitResult), so the coordinated
-// manifest is byte-identical to a single-process run.
+// manifest is byte-identical to a single-process run. A quarantined
+// cell's fate is noted in opt.Manifest, so a resume of the sweep knows
+// why the cell is absent; the cell itself stays missing, so the resume
+// retries it.
 func DispatchRunner(c *dispatch.Coordinator, opt ITCOptions) func(ctx context.Context, bench string, layer int) (SplitResult, error) {
 	opt = opt.withDefaults()
 	return func(ctx context.Context, bench string, layer int) (SplitResult, error) {
 		payload, err := c.RunCell(ctx, CellSpecFor(bench, layer, opt))
 		if err != nil {
+			if dispatch.IsQuarantined(err) && opt.Manifest != nil {
+				opt.Manifest.PutNote(ITCCellKey(bench, layer), err.Error())
+				_ = opt.Manifest.Flush()
+			}
 			return SplitResult{}, err
 		}
 		var res SplitResult

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -76,19 +77,18 @@ type ITCOptions struct {
 	SplitLayers []int
 	// Parallel runs benchmark×layer jobs concurrently (the paper's
 	// flow exploits a 128-core host the same way); in-process cells
-	// split the cores between their HD/OER simulations (cellSimPool).
+	// split the cores between their HD/OER simulations (runCells).
 	Parallel bool
 	// SolverWorkers is ignored: a cell's LEC step always builds one
 	// SAT solver, since no cell result depends on the portfolio width.
 	// It is kept so existing callers still compile.
 	SolverWorkers int
-	// JobTimeout bounds each benchmark×layer job; a job that exceeds it
-	// is cancelled and recorded on its row's Errors map, and the other
-	// cells keep running. 0 means no per-job deadline. Jobs that finish
-	// under the deadline are bit-identical to an unbounded run. A failed
-	// cell is not retried in-process: it is a deterministic function of
-	// its spec, so only the dispatch coordinator's reassignment (which
-	// covers worker deaths) ever runs a cell again.
+	// JobTimeout bounds each in-process benchmark×layer job (0 = none);
+	// a job that exceeds it is cancelled and recorded on its row's Errors
+	// map, and the other cells keep running. Jobs that finish under the
+	// deadline are bit-identical to an unbounded run. A failed cell is
+	// not retried in-process: only the dispatch coordinator's
+	// reassignment after a worker death ever runs a cell again.
 	JobTimeout time.Duration
 	// Manifest, when non-nil, checkpoints every completed cell (and is
 	// consulted first, so cells already present are not recomputed).
@@ -137,113 +137,52 @@ func ITCCellKey(bench string, splitLayer int) string {
 	return fmt.Sprintf("%s/M%d", bench, splitLayer)
 }
 
-// RunITC regenerates Tables I and II (and the footnote 6 numbers).
-// Every benchmark×layer job that fails is recorded on its row's Errors
-// map and included in the returned error (the rows are returned either
-// way, so callers can render the successful cells alongside an explicit
-// failure report instead of a silently partial table). A job failure —
-// an error, a panic inside the job, or a blown JobTimeout — never
-// poisons sibling cells. Cancelling ctx stops issuing new jobs, cancels
-// running ones at the next solver/simulation step, and returns ctx's
-// error joined with any cell failures; interrupted cells are simply
-// absent (not recorded as failures), so a resumed run recomputes them.
+// RunITC regenerates Tables I and II (and the footnote 6 numbers). A
+// benchmark×layer cell that fails — an error, a panic inside the job,
+// or a blown JobTimeout — is recorded on its row's Errors map and joined
+// into the returned error, and never poisons sibling cells. The rows are
+// returned either way, so callers can render the successful cells next
+// to an explicit failure report. An interrupted cell is simply absent,
+// so a resumed run recomputes it (see runCells).
 func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 	opt = opt.withDefaults()
+	nl := len(opt.SplitLayers)
 	rows := make([]ITCRow, len(opt.Benchmarks))
-	type job struct{ bi, layer int }
-	var jobs []job
-	for bi := range opt.Benchmarks {
-		rows[bi] = ITCRow{Benchmark: opt.Benchmarks[bi], Results: make(map[int]SplitResult)}
+	var keys []string
+	for bi, bench := range opt.Benchmarks {
+		rows[bi] = ITCRow{Benchmark: bench, Results: make(map[int]SplitResult)}
 		for _, sl := range opt.SplitLayers {
-			if opt.Manifest != nil {
-				var res SplitResult
-				if ok, err := opt.Manifest.Get(ITCCellKey(opt.Benchmarks[bi], sl), &res); err == nil && ok {
-					rows[bi].Results[sl] = res
-					continue // checkpointed: skip recompute
-				}
-			}
-			jobs = append(jobs, job{bi, sl})
+			keys = append(keys, ITCCellKey(bench, sl))
 		}
 	}
-	simWorkers := cellSimPool(opt.Parallel, len(jobs))
-	// Cells are claimed in row/layer order: one at a time unless
-	// Parallel; all at once when a CellRunner queues them at the
-	// coordinator; otherwise one per core.
-	width := 1
-	if opt.Parallel {
-		width = runtime.GOMAXPROCS(0)
-		if opt.CellRunner != nil {
-			width = len(jobs)
-		}
+	timeout := opt.JobTimeout
+	if opt.CellRunner != nil {
+		timeout = 0 // a runner's cells run under the worker's own deadline
 	}
-	var mu sync.Mutex
-	var manifestErr error
-	done := 0
-	forEachCell(len(jobs), width, func(i int) {
-		j := jobs[i]
-		if ctx.Err() != nil {
-			return
-		}
-		bench := opt.Benchmarks[j.bi]
-		var res SplitResult
-		var err error
-		if opt.CellRunner != nil {
-			res, err = opt.CellRunner(ctx, bench, j.layer)
-		} else {
-			res, err = runOneITCIsolated(ctx, bench, j.layer, opt, simWorkers)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if ctx.Err() != nil {
-				// Interrupted, not failed: leave the cell absent so a
-				// resumed run recomputes it. ctx.Err() is joined into
-				// the returned error below.
-				return
+	outs, err := runCells(ctx, cells[SplitResult]{
+		keys: keys,
+		run: func(ctx context.Context, i, simWorkers int) (SplitResult, error) {
+			bench, layer := opt.Benchmarks[i/nl], opt.SplitLayers[i%nl]
+			if opt.CellRunner != nil {
+				return opt.CellRunner(ctx, bench, layer)
 			}
-			if rows[j.bi].Errors == nil {
-				rows[j.bi].Errors = make(map[int]error)
-			}
-			rows[j.bi].Errors[j.layer] = err
-			done++
-			if opt.Progress != nil {
-				opt.Progress(ITCCellKey(bench, j.layer), done, len(jobs))
-			}
-			return
-		}
-		rows[j.bi].Results[j.layer] = res
-		done++
-		if opt.Progress != nil {
-			opt.Progress(ITCCellKey(bench, j.layer), done, len(jobs))
-		}
-		if opt.Manifest != nil {
-			key := ITCCellKey(bench, j.layer)
-			if err := opt.Manifest.Put(key, res); err != nil {
-				if manifestErr == nil {
-					manifestErr = fmt.Errorf("checkpoint %s: %w", key, err)
-				}
-			} else if err := opt.Manifest.Flush(); err != nil && manifestErr == nil {
-				manifestErr = fmt.Errorf("checkpoint %s: %w", key, err)
-			}
-		}
-		faultpoint.Hit(fpCellDone)
+			return runOneITC(ctx, bench, layer, opt, simWorkers)
+		},
+		parallel: opt.Parallel, all: opt.CellRunner != nil, timeout: timeout,
+		manifest: opt.Manifest, progress: opt.Progress,
 	})
-	// Assemble the failure report in deterministic row/layer order.
-	var errs []error
-	for bi := range rows {
-		for _, sl := range opt.SplitLayers {
-			if err, ok := rows[bi].Errors[sl]; ok {
-				errs = append(errs, fmt.Errorf("%s: %w", ITCCellKey(rows[bi].Benchmark, sl), err))
+	for i, o := range outs {
+		row, layer := &rows[i/nl], opt.SplitLayers[i%nl]
+		if o.err != nil {
+			if row.Errors == nil {
+				row.Errors = make(map[int]error)
 			}
+			row.Errors[layer] = o.err
+		} else if o.done {
+			row.Results[layer] = o.res
 		}
 	}
-	if manifestErr != nil {
-		errs = append(errs, manifestErr)
-	}
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
-	}
-	return rows, errors.Join(errs...)
+	return rows, err
 }
 
 // RunITCCell computes one benchmark×layer cell under the in-process
@@ -252,34 +191,150 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 // process calls this once per lease, and the cell's simulation uses
 // the whole process (GOMAXPROCS workers).
 func RunITCCell(ctx context.Context, bench string, layer int, opt ITCOptions) (SplitResult, error) {
-	return runOneITCIsolated(ctx, bench, layer, opt.withDefaults(), 0)
+	opt = opt.withDefaults()
+	return isolate(ctx, opt.JobTimeout, func(ctx context.Context) (SplitResult, error) {
+		return runOneITC(ctx, bench, layer, opt, 0)
+	})
 }
 
-// runOneITCIsolated runs one cell under its own deadline and converts a
-// panic anywhere inside the job — including one recovered from an
-// engine worker goroutine — into an error carrying the panicking
-// goroutine's stack. simWorkers sizes the HD/OER simulation pool
-// (0 = GOMAXPROCS); results do not depend on it.
-func runOneITCIsolated(ctx context.Context, bench string, layer int, opt ITCOptions, simWorkers int) (res SplitResult, err error) {
+// cells describes one experiment for runCells: cell i is named keys[i]
+// (in errors, progress calls and the manifest) and computed by run on a
+// simulation pool of simWorkers.
+type cells[R any] struct {
+	keys          []string
+	run           func(ctx context.Context, i, simWorkers int) (R, error)
+	parallel, all bool                              // one cell per core; under parallel, every cell at once
+	timeout       time.Duration                     // per cell (0 = none)
+	manifest      *runmanifest.Manifest             // skip the cells it holds, checkpoint the others
+	progress      func(key string, done, total int) // per finished or failed cell, under a lock
+}
+
+// cellOutcome is one cell's result (done) or failure (err); an
+// interrupted cell has neither.
+type cellOutcome[R any] struct {
+	res  R
+	err  error
+	done bool
+}
+
+// runCells is the one cell loop of every experiment. Pending cells are
+// claimed in key order, one per engine batch. Each runs under its own
+// deadline with panics isolated, and a failure never stops the others.
+// Cancelling ctx stops claiming cells; a cell that fails while ctx is
+// done is interrupted, not failed, so a resumed run recomputes it. The
+// error joins every failure in cell order, each prefixed by its key,
+// then a checkpoint failure, then ctx's error.
+func runCells[R any](ctx context.Context, c cells[R]) ([]cellOutcome[R], error) {
+	outs := make([]cellOutcome[R], len(c.keys))
+	var pending []int
+	for i, key := range c.keys {
+		if c.manifest != nil {
+			var res R
+			if ok, err := c.manifest.Get(key, &res); err == nil && ok {
+				outs[i] = cellOutcome[R]{res: res, done: true}
+				continue
+			}
+		}
+		pending = append(pending, i)
+	}
+	// Concurrent cells split the cores between their simulations, so the
+	// total worker count stays ~GOMAXPROCS rather than GOMAXPROCS²; a
+	// serial cell gets the whole pool (0). Results do not depend on it.
+	width, simWorkers := 1, 0
+	if c.parallel {
+		width = runtime.GOMAXPROCS(0)
+		simWorkers = max(width/max(len(pending), 1), 1)
+		if c.all {
+			width = len(pending)
+		}
+	}
+	var mu sync.Mutex
+	var manifestErr error
+	finished := 0
+	// Cells check ctx themselves: Run gets no Stop flag and cannot fail.
+	_, _ = engine.Run(len(pending), engine.Options{Workers: width, Grain: 1},
+		func(int) struct{} { return struct{}{} },
+		func(_ struct{}, b engine.Batch) {
+			i := pending[b.Start]
+			if ctx.Err() != nil {
+				return
+			}
+			res, err := isolate(ctx, c.timeout, func(ctx context.Context) (R, error) {
+				return c.run(ctx, i, simWorkers)
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil && ctx.Err() != nil {
+				return // interrupted
+			}
+			outs[i] = cellOutcome[R]{res: res, err: err, done: err == nil}
+			finished++
+			key := c.keys[i]
+			if c.progress != nil {
+				c.progress(key, finished, len(pending))
+			}
+			if err != nil || c.manifest == nil {
+				return
+			}
+			if err = c.manifest.Put(key, res); err == nil {
+				err = c.manifest.Flush()
+			}
+			if err != nil && manifestErr == nil {
+				manifestErr = fmt.Errorf("checkpoint %s: %w", key, err)
+			}
+			faultpoint.Hit(fpCellDone)
+		})
+	var errs []error
+	for i, o := range outs {
+		if o.err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", c.keys[i], o.err))
+		}
+	}
+	if manifestErr != nil {
+		errs = append(errs, manifestErr)
+	}
+	if err := ctx.Err(); err != nil {
+		errs = append(errs, err)
+	}
+	return outs, errors.Join(errs...)
+}
+
+// results returns each cell's result in cell order; a failed or
+// interrupted cell's entry stays zero.
+func results[R any](outs []cellOutcome[R]) []R {
+	rows := make([]R, len(outs))
+	for i, o := range outs {
+		rows[i] = o.res
+	}
+	return rows
+}
+
+// isolate runs one cell under its own deadline (0 = none) and converts
+// a panic anywhere inside it — including one recovered from an engine
+// worker goroutine — into an error carrying the panicking goroutine's
+// stack. A failed cell's result is zero.
+func isolate[R any](ctx context.Context, timeout time.Duration, run func(context.Context) (R, error)) (res R, err error) {
 	jobCtx := ctx
-	if opt.JobTimeout > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		jobCtx, cancel = context.WithTimeout(ctx, opt.JobTimeout)
+		jobCtx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	defer func() {
 		if v := recover(); v != nil {
+			stack := debug.Stack()
 			if pe, ok := engine.AsPanicError(v); ok {
-				err = fmt.Errorf("job panicked: %v\n%s", pe.Value, pe.Stack)
-			} else {
-				err = fmt.Errorf("job panicked: %v\n%s", v, debug.Stack())
+				v, stack = pe.Value, pe.Stack
 			}
-			res = SplitResult{}
+			err = fmt.Errorf("job panicked: %v\n%s", v, stack)
+		}
+		if err != nil {
+			res = *new(R)
 		}
 	}()
-	res, err = runOneITC(jobCtx, bench, layer, opt, simWorkers)
+	res, err = run(jobCtx)
 	if err != nil && jobCtx.Err() != nil && ctx.Err() == nil {
-		err = fmt.Errorf("job exceeded -jobtimeout %v: %w", opt.JobTimeout, err)
+		err = fmt.Errorf("job exceeded -jobtimeout %v: %w", timeout, err)
 	}
 	return res, err
 }
@@ -356,9 +411,6 @@ func (o ISCASOptions) withDefaults() ISCASOptions {
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = bmarks.ISCASNames()
 	}
-	if o.KeyBits <= 0 {
-		o.KeyBits = 128
-	}
 	if o.Patterns <= 0 {
 		o.Patterns = 1 << 15
 	}
@@ -372,68 +424,19 @@ const liftFraction = 0.5
 // SchemeNames lists the Table III columns in published order.
 func SchemeNames() []string { return []string{"perturb22", "lift12", "restore13", "proposed"} }
 
-// cellSimPool sizes each job's simulation pool so that job-level
-// and pattern-level parallelism compose instead of multiply: with jobs
-// running concurrently, GOMAXPROCS is divided across the jobs (at
-// least 1), keeping the total worker and net-buffer count at
-// ~GOMAXPROCS rather than GOMAXPROCS². Serial jobs get 0, the whole
-// pool. Results are bit-identical for every pool size.
-func cellSimPool(parallel bool, jobs int) int {
-	if !parallel || jobs <= 0 {
-		return 0
-	}
-	return max(runtime.GOMAXPROCS(0)/jobs, 1)
-}
-
 // RunISCAS regenerates Table III: the three prior-art defenses and the
-// proposed scheme, each attacked with the proximity attack. Cancelling
-// ctx stops issuing new benchmarks and interrupts running ones.
+// proposed scheme, each attacked with the proximity attack. A failed
+// row stays zero (see runCells).
 func RunISCAS(ctx context.Context, opt ISCASOptions) ([]ISCASRow, error) {
 	opt = opt.withDefaults()
-	simWorkers := cellSimPool(opt.Parallel, len(opt.Benchmarks))
-	return fanOut(ctx, opt.Benchmarks, opt.Parallel, func(bench string) (ISCASRow, error) {
-		return runOneISCAS(ctx, bench, opt, simWorkers)
+	outs, err := runCells(ctx, cells[ISCASRow]{
+		keys: opt.Benchmarks,
+		run: func(ctx context.Context, i, simWorkers int) (ISCASRow, error) {
+			return runOneISCAS(ctx, opt.Benchmarks[i], opt, simWorkers)
+		},
+		parallel: opt.Parallel,
 	})
-}
-
-// fanOut runs one row per benchmark, one per core when parallel. A
-// failed row stays zero. The error is the failure of the lowest-index
-// benchmark, prefixed with its name, or ctx's error when none failed;
-// cancelling ctx stops issuing new benchmarks.
-func fanOut[R any](ctx context.Context, benchmarks []string, parallel bool, run func(bench string) (R, error)) ([]R, error) {
-	rows := make([]R, len(benchmarks))
-	errs := make([]error, len(benchmarks))
-	width := 1
-	if parallel {
-		width = runtime.GOMAXPROCS(0)
-	}
-	forEachCell(len(benchmarks), width, func(bi int) {
-		if ctx.Err() != nil {
-			return
-		}
-		row, err := run(benchmarks[bi])
-		if err != nil {
-			errs[bi] = fmt.Errorf("%s: %w", benchmarks[bi], err)
-			return
-		}
-		rows[bi] = row
-	})
-	for _, err := range errs {
-		if err != nil {
-			return rows, err
-		}
-	}
-	return rows, ctx.Err()
-}
-
-// forEachCell runs cell(0), …, cell(n-1) on engine.Run, one cell per
-// batch, claimed in index order by up to width workers; width 1 runs
-// them in order on the calling goroutine. Cells check ctx themselves,
-// so Run gets no Stop flag and cannot return ErrStopped.
-func forEachCell(n, width int, cell func(i int)) {
-	_, _ = engine.Run(n, engine.Options{Workers: width, Grain: 1},
-		func(int) struct{} { return struct{}{} },
-		func(_ struct{}, b engine.Batch) { cell(b.Start) })
+	return results(outs), err
 }
 
 func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions, simWorkers int) (ISCASRow, error) {
@@ -453,6 +456,30 @@ func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions, simWorkers
 	if err != nil {
 		return row, err
 	}
+	// scheme attacks one split layout and scores it. CCR is the regular
+	// nets' CCR for a prior defense and the key-nets' physical CCR for
+	// the proposed scheme (Table III note).
+	scheme := func(view *split.FEOLView, secret *split.Secret, proposed bool) (SchemeResult, error) {
+		asg, err := attack.Proximity(view, attack.ProximityOptions{Seed: opt.Seed + 5, KeyPostProcess: proposed})
+		if err != nil {
+			return SchemeResult{}, err
+		}
+		ccr := metrics.ComputeCCR(view, secret, asg)
+		d, err := metrics.FunctionalOpt(orig, view, asg, sim.CompareOptions{
+			Patterns: opt.Patterns,
+			Seed:     opt.Seed + 6,
+			Workers:  simWorkers,
+			Stop:     stop,
+		})
+		if err != nil {
+			return SchemeResult{}, err
+		}
+		res := SchemeResult{PNR: metrics.PNR(view, secret, asg), CCR: ccr.Regular, HD: d.HD, OER: d.OER}
+		if proposed {
+			res.CCR = ccr.KeyPhysical
+		}
+		return res, nil
+	}
 	priors := map[string]*route.Result{
 		"perturb22": defense.PerturbRouting(lay, routes, 0.9, 5, opt.Seed+2),
 		"lift12":    defense.LiftWires(lay, routes, liftFraction, opt.Seed+3),
@@ -463,55 +490,18 @@ func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions, simWorkers
 		if err != nil {
 			return row, err
 		}
-		asg, err := attack.Proximity(view, attack.ProximityOptions{Seed: opt.Seed + 5})
-		if err != nil {
+		if row.Schemes[name], err = scheme(view, secret, false); err != nil {
 			return row, err
-		}
-		ccr := metrics.ComputeCCR(view, secret, asg)
-		d, err := metrics.FunctionalOpt(orig, view, asg, sim.CompareOptions{
-			Patterns: opt.Patterns,
-			Seed:     opt.Seed + 6,
-			Workers:  simWorkers,
-			Stop:     stop,
-		})
-		if err != nil {
-			return row, err
-		}
-		row.Schemes[name] = SchemeResult{
-			PNR: metrics.PNR(view, secret, asg),
-			CCR: ccr.Regular,
-			HD:  d.HD,
-			OER: d.OER,
 		}
 	}
-	// Proposed: the full SplitLock flow; CCR reports the key-nets'
-	// physical CCR (Table III note).
+	// Proposed: the full SplitLock flow.
 	art, err := Run(ctx, orig, Config{KeyBits: opt.KeyBits, SplitLayer: 4, Seed: opt.Seed + 9,
 		UseATPGLock: true})
 	if err != nil {
 		return row, err
 	}
-	asg, err := attack.Proximity(art.View, attack.ProximityOptions{Seed: opt.Seed + 5, KeyPostProcess: true})
-	if err != nil {
-		return row, err
-	}
-	ccr := metrics.ComputeCCR(art.View, art.Secret, asg)
-	d, err := metrics.FunctionalOpt(orig, art.View, asg, sim.CompareOptions{
-		Patterns: opt.Patterns,
-		Seed:     opt.Seed + 6,
-		Workers:  simWorkers,
-		Stop:     stop,
-	})
-	if err != nil {
-		return row, err
-	}
-	row.Schemes["proposed"] = SchemeResult{
-		PNR: metrics.PNR(art.View, art.Secret, asg),
-		CCR: ccr.KeyPhysical,
-		HD:  d.HD,
-		OER: d.OER,
-	}
-	return row, nil
+	row.Schemes["proposed"], err = scheme(art.View, art.Secret, true)
+	return row, err
 }
 
 // CostDelta is one Fig. 5 measurement: percent change versus the
@@ -544,19 +534,21 @@ func (o Fig5Options) withDefaults() Fig5Options {
 	if o.Scale <= 0 {
 		o.Scale = 0.1
 	}
-	if o.KeyBits <= 0 {
-		o.KeyBits = 128
-	}
 	return o
 }
 
-// RunFig5 regenerates the Fig. 5 layout cost study. Cancelling ctx
-// stops issuing new benchmarks and interrupts running flows.
+// RunFig5 regenerates the Fig. 5 layout cost study. A failed row stays
+// zero (see runCells).
 func RunFig5(ctx context.Context, opt Fig5Options) ([]Fig5Row, error) {
 	opt = opt.withDefaults()
-	return fanOut(ctx, opt.Benchmarks, opt.Parallel, func(bench string) (Fig5Row, error) {
-		return runOneFig5(ctx, bench, opt)
+	outs, err := runCells(ctx, cells[Fig5Row]{
+		keys: opt.Benchmarks,
+		run: func(ctx context.Context, i, _ int) (Fig5Row, error) {
+			return runOneFig5(ctx, opt.Benchmarks[i], opt)
+		},
+		parallel: opt.Parallel,
 	})
+	return results(outs), err
 }
 
 func runOneFig5(ctx context.Context, bench string, opt Fig5Options) (Fig5Row, error) {
@@ -572,37 +564,31 @@ func runOneFig5(ctx context.Context, bench string, opt Fig5Options) (Fig5Row, er
 	if err := ctx.Err(); err != nil {
 		return row, err
 	}
-	base, err := MeasurePPA(art, VariantBaseline)
-	if err != nil {
-		return row, err
-	}
-	prelift, err := MeasurePPA(art, VariantPrelift)
-	if err != nil {
-		return row, err
-	}
-	m4, err := MeasurePPA(art, VariantSplit)
-	if err != nil {
-		return row, err
-	}
 	art6 := *art
 	art6.Config.SplitLayer = 6
-	m6, err := MeasurePPA(&art6, VariantSplit)
-	if err != nil {
-		return row, err
+	// The unprotected baseline, then the prelift, M4 and M6 variants.
+	var ppa [4]metrics.PPA
+	for k, v := range []struct {
+		art     *Artifacts
+		variant LayoutVariant
+	}{{art, VariantBaseline}, {art, VariantPrelift}, {art, VariantSplit}, {&art6, VariantSplit}} {
+		if ppa[k], err = MeasurePPA(v.art, v.variant); err != nil {
+			return row, err
+		}
 	}
 	delta := func(p metrics.PPA) CostDelta {
-		a, pw, d := p.Delta(base)
+		a, pw, d := p.Delta(ppa[0])
 		return CostDelta{Area: a, Power: pw, Timing: d}
 	}
-	row.Prelift = delta(prelift)
-	row.M4 = delta(m4)
-	row.M6 = delta(m6)
+	row.Prelift, row.M4, row.M6 = delta(ppa[1]), delta(ppa[2]), delta(ppa[3])
 	return row, nil
 }
 
-// IdealAttackResult summarizes the Sec. IV-A ideal-attack experiment.
+// IdealAttackResult summarizes the Sec. IV-A ideal-attack experiment
+// on one design.
 type IdealAttackResult struct {
-	Runs int
+	Benchmark string
+	Runs      int
 	// ErrRuns counts runs whose recovered netlist showed at least one
 	// output error; the paper reports OER = 100% (ErrRuns == Runs).
 	ErrRuns int
@@ -619,15 +605,45 @@ func (r IdealAttackResult) OERPercent() float64 {
 	return float64(r.ErrRuns) / float64(r.Runs) * 100
 }
 
+// IdealOptions configures the Sec. IV-A ideal-attack experiment. Each
+// design runs RunIdealAttack with these arguments.
+type IdealOptions struct {
+	Benchmarks []string // defaults to the ITC'99 set
+	Scale      float64
+	KeyBits    int
+	Runs       int
+	Seed       uint64
+}
+
+// RunIdeal runs the ideal attack on each design, one at a time: a
+// design's runs already fill the engine pool. A failed row stays zero
+// (see runCells).
+func RunIdeal(ctx context.Context, opt IdealOptions) ([]IdealAttackResult, error) {
+	if len(opt.Benchmarks) == 0 {
+		opt.Benchmarks = bmarks.ITC99Names()
+	}
+	outs, err := runCells(ctx, cells[IdealAttackResult]{
+		keys: opt.Benchmarks,
+		run: func(ctx context.Context, i, _ int) (IdealAttackResult, error) {
+			return RunIdealAttack(ctx, opt.Benchmarks[i], opt.Scale, opt.KeyBits, opt.Runs, opt.Seed)
+		},
+	})
+	return results(outs), err
+}
+
+// idealPatterns is the simulation depth of one ideal-attack run: a run
+// only asks whether any output errs at all.
+const idealPatterns = 256
+
 // RunIdealAttack performs the ideal proximity attack experiment:
 // regular nets granted, key-nets guessed randomly, repeated `runs`
-// times (the paper uses 1,000,000). Runs are sharded across the engine
-// worker pool — each worker mutates its own clone of the recovered
-// netlist — and every run is independently seeded, so the tallies do
-// not depend on the worker count. Cancelling ctx drains the pool and
-// returns the context's error.
-func RunIdealAttack(ctx context.Context, bench string, scale float64, keyBits, runs, patterns int, seed uint64) (IdealAttackResult, error) {
-	res := IdealAttackResult{Runs: runs}
+// times (the paper uses 1,000,000) over idealPatterns patterns each.
+// Runs are sharded across the engine worker pool — each worker mutates
+// its own clone of the recovered netlist — and every run is
+// independently seeded, so the tallies do not depend on the worker
+// count. Cancelling ctx drains the pool and returns the context's error.
+func RunIdealAttack(ctx context.Context, bench string, scale float64, keyBits, runs int, seed uint64) (IdealAttackResult, error) {
+	res := IdealAttackResult{Benchmark: bench, Runs: runs}
 	if runs < 1 {
 		// Zero runs would print an OER of 0%, which reads as a broken lock.
 		return res, fmt.Errorf("ideal attack: %d runs, want at least 1", runs)
@@ -639,9 +655,6 @@ func RunIdealAttack(ctx context.Context, bench string, scale float64, keyBits, r
 	art, err := Run(ctx, orig, Config{KeyBits: keyBits, SplitLayer: 4, Seed: seed, UseATPGLock: true})
 	if err != nil {
 		return res, err
-	}
-	if patterns <= 0 {
-		patterns = 256
 	}
 	// Fast path: the recovered function depends only on the polarity
 	// each key pin receives, so one recombined netlist with two shared
@@ -706,7 +719,7 @@ func RunIdealAttack(ctx context.Context, bench string, scale float64, keyBits, r
 					s.fullKeys++
 				}
 				d, err := sim.Compare(orig, s.rec, sim.CompareOptions{
-					Patterns: patterns,
+					Patterns: idealPatterns,
 					Seed:     seed + uint64(r),
 					Workers:  1, // runs already saturate the pool
 				})
@@ -748,12 +761,7 @@ func ComputeQuartiles(xs []float64) Quartiles {
 	if len(xs) == 0 {
 		return Quartiles{}
 	}
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	s := slices.Sorted(slices.Values(xs))
 	at := func(q float64) float64 {
 		pos := q * float64(len(s)-1)
 		lo := int(pos)

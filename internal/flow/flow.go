@@ -11,8 +11,11 @@
 // detached → routing with key-nets lifted above the split layer through
 // stacked vias (ECO route) → split into FEOL and BEOL.
 //
-// The experiment runners in experiments.go drive this flow to
-// regenerate every table and figure of Sec. IV.
+// The experiment runners in experiments.go (RunITC, RunISCAS, RunFig5,
+// RunIdeal) drive this flow to regenerate every table and figure of
+// Sec. IV. Each lists its cells (a benchmark×layer for Tables I/II, a
+// benchmark for the others) and hands them to runCells, the one loop
+// that claims, isolates, checkpoints and reports cells.
 package flow
 
 import (

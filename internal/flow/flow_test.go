@@ -169,7 +169,7 @@ func TestRunITCAnnotatesFailedJobs(t *testing.T) {
 }
 
 func TestRunIdealAttackSmall(t *testing.T) {
-	res, err := RunIdealAttack(context.Background(), "b14", 0.02, 32, 50, 256, 5)
+	res, err := RunIdealAttack(context.Background(), "b14", 0.02, 32, 50, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRunIdealAttackSmall(t *testing.T) {
 		t.Fatalf("ideal attack OER %.1f%%, expected ≈100%%", res.OERPercent())
 	}
 	for _, runs := range []int{0, -1} {
-		if _, err := RunIdealAttack(context.Background(), "b14", 0.02, 32, runs, 256, 5); err == nil {
+		if _, err := RunIdealAttack(context.Background(), "b14", 0.02, 32, runs, 5); err == nil {
 			t.Fatalf("runs=%d: no error", runs)
 		}
 	}
@@ -195,11 +195,11 @@ func TestRunIdealAttackSmall(t *testing.T) {
 // seeded. This is also the -race coverage for the worker-cloned
 // netlists.
 func TestRunIdealAttackWorkerDeterminism(t *testing.T) {
-	first, err := RunIdealAttack(context.Background(), "b14", 0.02, 16, 200, 128, 8)
+	first, err := RunIdealAttack(context.Background(), "b14", 0.02, 16, 200, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunIdealAttack(context.Background(), "b14", 0.02, 16, 200, 128, 8)
+	second, err := RunIdealAttack(context.Background(), "b14", 0.02, 16, 200, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,18 @@
 package flow
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/runmanifest"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the Table III, Fig. 5 and ideal-attack goldens in testdata from this run")
 
 // TestRunITCGolden pins the exact Table I/II cell values (CCR,
 // footnote-6 LogicalNoPost, HD, OER) of a small sweep to a checked-in
@@ -73,5 +78,80 @@ func TestRunITCGolden(t *testing.T) {
 	}
 	if cells != golden.Len() {
 		t.Errorf("compared %d cells, golden holds %d", cells, golden.Len())
+	}
+}
+
+// TestRunISCASGolden pins every Table III number (PNR, CCR, HD, OER
+// per scheme) of a two-design run. Regenerate it from the repository
+// root, only when a change moves the table on purpose, with
+//
+//	go test ./internal/flow -run TestRunISCASGolden -update
+//
+// It matches `tables -table 3 -benchmarks c432,c880 -keybits 32
+// -patterns 4096 -seed 3`.
+func TestRunISCASGolden(t *testing.T) {
+	rows, err := RunISCAS(context.Background(), ISCASOptions{
+		Benchmarks: []string{"c432", "c880"}, KeyBits: 32, Patterns: 4096, Seed: 3, Parallel: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "iscas_golden.json", rows)
+}
+
+// TestRunFig5Golden pins every Fig. 5 cost delta of a two-design run
+// (`tables -fig 5 -benchmarks b14,b15 -scale 0.05 -keybits 32 -seed 3`).
+// Regenerate it with
+//
+//	go test ./internal/flow -run TestRunFig5Golden -update
+func TestRunFig5Golden(t *testing.T) {
+	rows, err := RunFig5(context.Background(), Fig5Options{
+		Benchmarks: []string{"b14", "b15"}, Scale: 0.05, KeyBits: 32, Seed: 3, Parallel: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig5_golden.json", rows)
+}
+
+// TestRunIdealGolden pins the ideal-attack tallies of a two-design run
+// (`tables -ideal -benchmarks b14,b15 -scale 0.03 -keybits 4 -runs 200
+// -seed 3`). The key is 4 bits wide so that both tallies depend on the
+// seed: at 32 bits every run errs and none recovers the key, whatever
+// the seed. Regenerate it with
+//
+//	go test ./internal/flow -run TestRunIdealGolden -update
+func TestRunIdealGolden(t *testing.T) {
+	rows, err := RunIdeal(context.Background(), IdealOptions{
+		Benchmarks: []string{"b14", "b15"}, Scale: 0.03, KeyBits: 4, Runs: 200, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "ideal_golden.json", rows)
+}
+
+// checkGolden compares rows, as indented JSON, with testdata/name, or
+// rewrites that file under -update.
+func checkGolden(t *testing.T, name string, rows any) {
+	t.Helper()
+	got, err := json.MarshalIndent(rows, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s moved:\n got  %s\n want %s", name, got, want)
 	}
 }

@@ -225,29 +225,74 @@ func TestRunITCCancelledFlow(t *testing.T) {
 	}
 }
 
-// TestFanOutFailuresLeaveZeroRows: when several Table III or Fig. 5
-// benchmarks fail under Parallel, every failed row stays zero and the
-// error names the lowest-index failure, whichever finished first.
-func TestFanOutFailuresLeaveZeroRows(t *testing.T) {
+// TestRunCellsFailuresLeaveZeroRows: when several Table III, Fig. 5 or
+// ideal-attack benchmarks fail (the first two under Parallel), every
+// failed row stays zero and the error names the lowest-index failure
+// first, whichever finished first, then every later one.
+func TestRunCellsFailuresLeaveZeroRows(t *testing.T) {
 	benches := []string{"nosuch1", "nosuch2"}
+	checkErr := func(name string, err error) {
+		t.Helper()
+		if err == nil || !strings.HasPrefix(err.Error(), "nosuch1: ") || !strings.Contains(err.Error(), "\nnosuch2: ") {
+			t.Fatalf("%s error %v, want the nosuch1 failure, then the nosuch2 one", name, err)
+		}
+	}
 	for i := 0; i < 10; i++ {
 		iscas, err := RunISCAS(context.Background(), ISCASOptions{Benchmarks: benches, Parallel: true})
-		if err == nil || !strings.HasPrefix(err.Error(), "nosuch1: ") {
-			t.Fatalf("RunISCAS error %v, want the nosuch1 failure", err)
-		}
+		checkErr("RunISCAS", err)
 		for bi, row := range iscas {
 			if !reflect.DeepEqual(row, ISCASRow{}) {
 				t.Fatalf("RunISCAS row %d of a failed benchmark is %+v, want zero", bi, row)
 			}
 		}
 		fig5, err := RunFig5(context.Background(), Fig5Options{Benchmarks: benches, Parallel: true})
-		if err == nil || !strings.HasPrefix(err.Error(), "nosuch1: ") {
-			t.Fatalf("RunFig5 error %v, want the nosuch1 failure", err)
-		}
+		checkErr("RunFig5", err)
 		for bi, row := range fig5 {
 			if row != (Fig5Row{}) {
 				t.Fatalf("RunFig5 row %d of a failed benchmark is %+v, want zero", bi, row)
 			}
 		}
+	}
+	ideal, err := RunIdeal(context.Background(), IdealOptions{Benchmarks: benches, Runs: 1})
+	checkErr("RunIdeal", err)
+	for bi, row := range ideal {
+		if row != (IdealAttackResult{}) {
+			t.Fatalf("RunIdeal row %d of a failed benchmark is %+v, want zero", bi, row)
+		}
+	}
+}
+
+// TestRunCellsIsolatesPanics: a panic in one cell of any experiment
+// becomes that cell's error, prefixed by its key, while the other cells
+// finish and each finished or failed cell gets one progress call.
+func TestRunCellsIsolatesPanics(t *testing.T) {
+	var calls []string
+	outs, err := runCells(context.Background(), cells[int]{
+		keys: []string{"a", "b", "c"},
+		run: func(_ context.Context, i, _ int) (int, error) {
+			if i == 1 {
+				panic("injected fault")
+			}
+			return i + 10, nil
+		},
+		parallel: true,
+		progress: func(key string, done, total int) {
+			calls = append(calls, key)
+			if done != len(calls) || total != 3 {
+				t.Errorf("progress(%s, %d, %d), want done %d of 3", key, done, total, len(calls))
+			}
+		},
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "b: job panicked: injected fault") {
+		t.Fatalf("error %v, want cell b's panic", err)
+	}
+	if len(calls) != 3 {
+		t.Errorf("%d progress calls, want 3", len(calls))
+	}
+	if got := results(outs); !reflect.DeepEqual(got, []int{10, 0, 12}) {
+		t.Errorf("results %v, want [10 0 12]", got)
+	}
+	if outs[1].err == nil || outs[1].done {
+		t.Errorf("panicked cell outcome %+v, want its error and no result", outs[1])
 	}
 }

@@ -56,24 +56,3 @@ func RandomBalanced(c *netlist.Circuit, k int, seed uint64) ([]Module, error) {
 	}
 	return mods, nil
 }
-
-// Balance returns the ratio of the smallest to the largest module size
-// (1.0 = perfectly balanced).
-func Balance(mods []Module) float64 {
-	if len(mods) == 0 {
-		return 1
-	}
-	min, max := len(mods[0].Gates), len(mods[0].Gates)
-	for _, m := range mods[1:] {
-		if len(m.Gates) < min {
-			min = len(m.Gates)
-		}
-		if len(m.Gates) > max {
-			max = len(m.Gates)
-		}
-	}
-	if max == 0 {
-		return 1
-	}
-	return float64(min) / float64(max)
-}

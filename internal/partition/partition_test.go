@@ -19,8 +19,12 @@ func TestRandomBalanced(t *testing.T) {
 	if len(mods) != 8 {
 		t.Fatalf("module count = %d", len(mods))
 	}
-	if b := Balance(mods); b < 0.95 {
-		t.Fatalf("imbalanced partition: %v", b)
+	lo, hi := len(mods[0].Gates), len(mods[0].Gates)
+	for _, m := range mods {
+		lo, hi = min(lo, len(m.Gates)), max(hi, len(m.Gates))
+	}
+	if hi-lo > 1 {
+		t.Fatalf("imbalanced partition: module sizes %d to %d", lo, hi)
 	}
 	seen := make(map[netlist.GateID]bool)
 	total := 0
