@@ -196,9 +196,6 @@ func main() {
 				fail(err)
 			}
 			itcOpt.CellRunner = flow.DispatchRunner(coord, itcOpt)
-			// Hand every cell to the coordinator at once; its queue
-			// bounds execution to the fleet.
-			itcOpt.Parallel = true
 		}
 		rows, err := flow.RunITC(ctx, itcOpt)
 		if coord != nil {

@@ -1,13 +1,13 @@
-//go:build amd64 && !amd64.v3
+//go:build amd64
 
 package main
 
 // Example runs the Table III comparison on c432 and c880 and pins
 // every PNR/CCR/HD/OER value it prints.
 //
-// The numbers were computed on amd64 at the default GOAMD64 level, as
-// were the flow package's goldens: other targets may fuse a multiply
-// and an add and move the last bits of a float.
+// The numbers hold on amd64 at every GOAMD64 level, as the flow
+// package's goldens do: other architectures may fuse a multiply and an
+// add and move the last bits of a float.
 func Example() {
 	main()
 	// Output:

@@ -1,4 +1,4 @@
-//go:build amd64 && !amd64.v3
+//go:build amd64
 
 package main
 
@@ -6,9 +6,9 @@ package main
 // design statistics, the key, the attack's CCR/HD/OER and the LEC
 // verdict.
 //
-// The numbers were computed on amd64 at the default GOAMD64 level, as
-// were the flow package's goldens: other targets may fuse a multiply
-// and an add and move the last bits of a float.
+// The numbers hold on amd64 at every GOAMD64 level, as the flow
+// package's goldens do: other architectures may fuse a multiply and an
+// add and move the last bits of a float.
 func Example() {
 	main()
 	// Output:

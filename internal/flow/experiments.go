@@ -13,6 +13,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/bmarks"
 	"repro/internal/defense"
+	"repro/internal/dispatch"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
 	"repro/internal/metrics"
@@ -61,11 +62,16 @@ type ITCRow struct {
 	Errors map[int]error
 }
 
+// defaultScale is the benchmark scale every experiment and job runs at
+// when it is given a scale ≤ 0.
+const defaultScale = 0.1
+
 // ITCOptions configures the Table I/II experiment.
 type ITCOptions struct {
 	// Benchmarks defaults to the ITC'99 set.
 	Benchmarks []string
-	// Scale shrinks the synthetic benchmarks (1.0 = published size).
+	// Scale shrinks the synthetic benchmarks (1.0 = published size,
+	// ≤ 0 = the default, 0.1).
 	Scale float64
 	// KeyBits defaults to 128.
 	KeyBits int
@@ -106,9 +112,10 @@ type ITCOptions struct {
 	// and error plumbing but delegates each missing cell here (the
 	// dispatch coordinator plugs in at this seam to run cells in worker
 	// processes). The runner must be deterministic in (bench, layer) for
-	// fixed options — RunITC checkpoints whatever it returns. Under
-	// Parallel every missing cell is handed to the runner at once: the
-	// coordinator's queue already bounds execution to its fleet.
+	// fixed options — RunITC checkpoints whatever it returns. Every
+	// missing cell is handed to the runner at once, whatever Parallel
+	// says: the coordinator's queue already bounds execution to its
+	// fleet.
 	CellRunner func(ctx context.Context, bench string, layer int) (SplitResult, error) `json:"-"`
 }
 
@@ -117,7 +124,7 @@ func (o ITCOptions) withDefaults() ITCOptions {
 		o.Benchmarks = bmarks.ITC99Names()
 	}
 	if o.Scale <= 0 {
-		o.Scale = 0.1
+		o.Scale = defaultScale
 	}
 	if o.KeyBits <= 0 {
 		o.KeyBits = 128
@@ -132,9 +139,17 @@ func (o ITCOptions) withDefaults() ITCOptions {
 }
 
 // ITCCellKey names one benchmark×layer cell as it appears in manifest
-// files and error reports ("b14/M4").
+// files, error reports and `@<cell>` fault sites ("b14/M4"). It is the
+// dispatch layer's CellSpec.Key, so coordinator and manifest agree.
 func ITCCellKey(bench string, splitLayer int) string {
-	return fmt.Sprintf("%s/M%d", bench, splitLayer)
+	return dispatch.CellSpec{Bench: bench, Layer: splitLayer}.Key()
+}
+
+// layerSeed is the lock seed of a split layer's flow: a table cell and
+// a lock/verify/attack job on the same (seed, layer) lock the same
+// circuit.
+func layerSeed(seed uint64, splitLayer int) uint64 {
+	return seed + uint64(splitLayer)*1000
 }
 
 // RunITC regenerates Tables I and II (and the footnote 6 numbers). A
@@ -203,7 +218,7 @@ func RunITCCell(ctx context.Context, bench string, layer int, opt ITCOptions) (S
 type cells[R any] struct {
 	keys          []string
 	run           func(ctx context.Context, i, simWorkers int) (R, error)
-	parallel, all bool                              // one cell per core; under parallel, every cell at once
+	parallel, all bool                              // one cell per core; every cell at once, whatever parallel says
 	timeout       time.Duration                     // per cell (0 = none)
 	manifest      *runmanifest.Manifest             // skip the cells it holds, checkpoint the others
 	progress      func(key string, done, total int) // per finished or failed cell, under a lock
@@ -244,9 +259,9 @@ func runCells[R any](ctx context.Context, c cells[R]) ([]cellOutcome[R], error) 
 	if c.parallel {
 		width = runtime.GOMAXPROCS(0)
 		simWorkers = max(width/max(len(pending), 1), 1)
-		if c.all {
-			width = len(pending)
-		}
+	}
+	if c.all {
+		width = len(pending)
 	}
 	var mu sync.Mutex
 	var manifestErr error
@@ -352,7 +367,7 @@ func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions
 	art, err := Run(ctx, orig, Config{
 		KeyBits:     opt.KeyBits,
 		SplitLayer:  splitLayer,
-		Seed:        opt.Seed + uint64(splitLayer)*1000,
+		Seed:        layerSeed(opt.Seed, splitLayer),
 		UseATPGLock: true,
 	})
 	if err != nil {
@@ -532,7 +547,7 @@ func (o Fig5Options) withDefaults() Fig5Options {
 		o.Benchmarks = bmarks.ITC99Names()
 	}
 	if o.Scale <= 0 {
-		o.Scale = 0.1
+		o.Scale = defaultScale
 	}
 	return o
 }
@@ -641,9 +656,13 @@ const idealPatterns = 256
 // Runs are sharded across the engine worker pool — each worker mutates
 // its own clone of the recovered netlist — and every run is
 // independently seeded, so the tallies do not depend on the worker
-// count. Cancelling ctx drains the pool and returns the context's error.
+// count. A scale ≤ 0 runs at the default 0.1, as every other
+// experiment does. Cancelling ctx drains the pool and returns the context's error.
 func RunIdealAttack(ctx context.Context, bench string, scale float64, keyBits, runs int, seed uint64) (IdealAttackResult, error) {
 	res := IdealAttackResult{Benchmark: bench, Runs: runs}
+	if scale <= 0 {
+		scale = defaultScale
+	}
 	if runs < 1 {
 		// Zero runs would print an OER of 0%, which reads as a broken lock.
 		return res, fmt.Errorf("ideal attack: %d runs, want at least 1", runs)

@@ -187,6 +187,19 @@ func TestRunIdealAttackSmall(t *testing.T) {
 			t.Fatalf("runs=%d: no error", runs)
 		}
 	}
+	// Scale 0 takes the default scale, as RunITC, RunFig5 and jobs do,
+	// not the published size (which reads 142 erring runs here, not 141).
+	def, err := RunIdealAttack(context.Background(), "b14", 0, 4, 200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenth, err := RunIdealAttack(context.Background(), "b14", 0.1, 4, 200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def != tenth {
+		t.Fatalf("scale 0: %+v, scale 0.1: %+v", def, tenth)
+	}
 }
 
 // With more runs than one engine batch (grain 64), the ideal-attack

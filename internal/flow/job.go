@@ -65,7 +65,7 @@ type JobSpec struct {
 
 func (s JobSpec) withDefaults() JobSpec {
 	if s.Scale <= 0 {
-		s.Scale = 0.1
+		s.Scale = defaultScale
 	}
 	if s.KeyBits <= 0 {
 		s.KeyBits = 128
@@ -182,12 +182,10 @@ func (j *Job) Prepare(ctx context.Context) error {
 	return nil
 }
 
-// lockSeed matches the seed derivation of the table sweep's per-cell
-// flow config, so a lock/verify/attack job on the same (bench, layer,
-// seed) works on the same locked circuit as the corresponding table
-// cell.
+// lockSeed is the table cell's seed (layerSeed), so a job on the same
+// (bench, layer, seed) works on the same locked circuit as that cell.
 func (j *Job) lockSeed() uint64 {
-	return j.Spec.Seed + uint64(j.Spec.SplitLayer)*1000
+	return layerSeed(j.Spec.Seed, j.Spec.SplitLayer)
 }
 
 // CacheKey names the job's result: every field of its normalized spec.

@@ -103,33 +103,35 @@ func TestRunITCJobTimeout(t *testing.T) {
 }
 
 // TestRunITCCellRunnerAllInFlight: with a CellRunner, RunITC hands every
-// cell to the runner at once — the coordinator's queue, not the core
-// count, bounds execution — so a runner that waits for all four cells
-// to arrive is not starved on a one-core host.
+// cell to the runner at once, serial or parallel — the coordinator's
+// queue, not the core count, bounds execution — so a runner that waits
+// for all four cells to arrive is not starved on a one-core host.
 func TestRunITCCellRunnerAllInFlight(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const cells = 4
-	var entered atomic.Int32
-	all := make(chan struct{})
-	opt := ITCOptions{Benchmarks: []string{"b14", "b15"}, Parallel: true}
-	opt.CellRunner = func(ctx context.Context, bench string, layer int) (SplitResult, error) {
-		if entered.Add(1) == cells {
-			close(all)
+	for _, parallel := range []bool{true, false} {
+		var entered atomic.Int32
+		all := make(chan struct{})
+		opt := ITCOptions{Benchmarks: []string{"b14", "b15"}, Parallel: parallel}
+		opt.CellRunner = func(ctx context.Context, bench string, layer int) (SplitResult, error) {
+			if entered.Add(1) == cells {
+				close(all)
+			}
+			select {
+			case <-all:
+				return SplitResult{SplitLayer: layer}, nil
+			case <-time.After(5 * time.Second):
+				return SplitResult{}, errors.New("cell waited 5s for its siblings to enter the runner")
+			}
 		}
-		select {
-		case <-all:
-			return SplitResult{SplitLayer: layer}, nil
-		case <-time.After(5 * time.Second):
-			return SplitResult{}, errors.New("cell waited 5s for its siblings to enter the runner")
+		rows, err := RunITC(context.Background(), opt)
+		if err != nil {
+			t.Fatalf("parallel=%v: %v", parallel, err)
 		}
-	}
-	rows, err := RunITC(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range rows {
-		if len(row.Results) != 2 {
-			t.Errorf("%s: %d cells, want 2", row.Benchmark, len(row.Results))
+		for _, row := range rows {
+			if len(row.Results) != 2 {
+				t.Errorf("parallel=%v: %s: %d cells, want 2", parallel, row.Benchmark, len(row.Results))
+			}
 		}
 	}
 }

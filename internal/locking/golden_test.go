@@ -1,4 +1,4 @@
-//go:build amd64 && !amd64.v3
+//go:build amd64
 
 package locking
 
@@ -58,10 +58,10 @@ func lockHash(t *testing.T, bench string, scale float64, keyBits int, seed uint6
 //
 // and copy the logged hashes of the moved locks into the golden file.
 //
-// The golden was computed on amd64 at the default GOAMD64 level. Other
-// architectures, and amd64 at v3 and above, let the compiler fuse a
-// multiply and an add into one FMA instruction, which can move the last
-// bits of the report's areas, so this file only builds for that target.
+// The golden holds on amd64 at every GOAMD64 level (see TestRunITCGolden
+// in internal/flow). Other architectures may fuse a multiply and an add
+// into one FMA instruction, which can move the last bits of the
+// report's areas, so this file only builds on amd64.
 func TestATPGLockGolden(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "atpglock_golden.json"))
 	if err != nil {

@@ -8,20 +8,18 @@ import "math"
 // contiguous []uint32 with a 3-word inline header directly in front of
 // its literals:
 //
-//	word 0   size<<5 | learnt(bit 0) | deleted(bit 1) |
-//	         imported(bit 2) | vivified(bit 3) | clean(bit 4)
+//	word 0   size<<4 | learnt(bit 0) | deleted(bit 1) |
+//	         imported(bit 2) | clean(bit 3)
 //	word 1   LBD (glue) of a learnt clause
 //	word 2   float32 activity bits
 //	word 3…  the literals (internal encoding: var<<1 | neg)
 //
 // The imported bit marks clauses integrated from a peer's export log
 // (reduceDB evicts that tier harder — the peer still has the clause).
-// The vivified bit marks learnt clauses the distillation pass has
-// already processed, so each clause is vivified at most once. The
-// clean bit marks problem clauses the last inprocessing round checked
-// as a subsumer against every other clause and left unchanged; two
-// clean clauses cannot subsume or strengthen each other, so the next
-// round skips that pair (simplify.go). A fresh allocation is never
+// The clean bit marks problem clauses the last inprocessing round
+// checked as a subsumer against every other clause and left unchanged;
+// two clean clauses cannot subsume or strengthen each other, so the
+// next round skips that pair (simplify.go). A fresh allocation is never
 // clean, so a shortened or re-added clause is checked again.
 //
 // A clause reference (cref) is the arena offset of word 0; watch lists
@@ -40,9 +38,8 @@ const (
 	claLearntFlag   = 1
 	claDeletedFlag  = 2
 	claImportedFlag = 4
-	claVivifiedFlag = 8
-	claCleanFlag    = 16
-	claFlagBits     = 5
+	claCleanFlag    = 8
+	claFlagBits     = 4
 )
 
 // allocClause appends a clause to the arena and returns its reference.
@@ -73,7 +70,6 @@ func (s *Solver) claLits(c cref) []uint32 {
 func (s *Solver) claLearnt(c cref) bool   { return s.arena[c]&claLearntFlag != 0 }
 func (s *Solver) claDeleted(c cref) bool  { return s.arena[c]&claDeletedFlag != 0 }
 func (s *Solver) claImported(c cref) bool { return s.arena[c]&claImportedFlag != 0 }
-func (s *Solver) claVivified(c cref) bool { return s.arena[c]&claVivifiedFlag != 0 }
 func (s *Solver) claClean(c cref) bool    { return s.arena[c]&claCleanFlag != 0 }
 func (s *Solver) claLBD(c cref) int32     { return int32(s.arena[c+1]) }
 func (s *Solver) claAct(c cref) float32   { return math.Float32frombits(s.arena[c+2]) }

@@ -10,7 +10,10 @@ import (
 // work counters, every clause of the arena (header fields decoded, so
 // the digest does not depend on the header bit layout, and the clean
 // bit is left out), and the elimination stack with its stored
-// clauses. Model values are not included; callers hash Value.
+// clauses. Model values are not included; callers hash Value. The two
+// zeros after Reintroduced stand for the counters of a learnt-clause
+// distillation pass the solver no longer has, so the recorded digests
+// still match.
 func InprocessingDigest(s *Solver) [32]byte {
 	h := sha256.New()
 	var w [8]byte
@@ -23,7 +26,7 @@ func InprocessingDigest(s *Solver) [32]byte {
 		st.Conflicts, st.Decisions, st.Propagations, st.Learnt,
 		st.Restarts, st.Minimized, st.Reduced, st.Compactions,
 		st.Exported, st.Imported, st.Subsumed, st.Strengthened,
-		st.ElimVars, st.Reintroduced, st.Vivified, st.VivifiedLits,
+		st.ElimVars, st.Reintroduced, 0, 0,
 	} {
 		put(uint64(x))
 	}
@@ -31,7 +34,7 @@ func InprocessingDigest(s *Solver) [32]byte {
 	put(uint64(end))
 	for c := cref(0); c < end; c += claHdrWords + s.claSize(c) {
 		flags := uint64(0)
-		for i, b := range []bool{s.claLearnt(c), s.claDeleted(c), s.claImported(c), s.claVivified(c)} {
+		for i, b := range []bool{s.claLearnt(c), s.claDeleted(c), s.claImported(c)} {
 			if b {
 				flags |= 1 << i
 			}

@@ -200,7 +200,6 @@ type Solver struct {
 	modelEpoch uint32     // stamps extMemo entries of the current model (1 .. 1<<31-1)
 	numElim    int        // variables currently eliminated
 	lastSimp   int        // numProblem after the last simplify run
-	lastViv    int64      // Stats.Conflicts at the last vivification pass
 	simpCls    []cref     // scratch: live problem clauses
 	simpSig    []uint64   // scratch: clause signatures, parallel to simpCls
 	simpOcc    [][]int32  // scratch: literal -> indices into simpCls
@@ -214,9 +213,6 @@ type Solver struct {
 	bveRes     []uint32   // scratch: resolvent batch, [len, lits...] per clause
 	bveOne     []uint32   // scratch: single-resolvent assembly
 	litMark    []byte     // literal -> subsumption/resolution mark
-	vivBuf     []uint32   // scratch: clause under vivification
-	vivOut     []uint32   // scratch: vivified literal set
-	vivCand    []cref     // scratch: vivification candidates
 
 	// Stats counts solver work for reporting.
 	Stats Stats
@@ -239,8 +235,6 @@ type Stats struct {
 	Strengthened int64 // literals removed by self-subsumption
 	ElimVars     int64 // variables removed by bounded variable elimination
 	Reintroduced int64 // eliminated variables restored on later mention
-	Vivified     int64 // learnt clauses shortened or deleted by vivification
-	VivifiedLits int64 // literals removed by vivification
 	// SubsumeChecks counts candidate clause bodies scanned by
 	// subsumption and self-subsumption.
 	SubsumeChecks int64
@@ -264,8 +258,6 @@ func (s *Stats) add(o Stats) {
 	s.Strengthened += o.Strengthened
 	s.ElimVars += o.ElimVars
 	s.Reintroduced += o.Reintroduced
-	s.Vivified += o.Vivified
-	s.VivifiedLits += o.VivifiedLits
 	s.SubsumeChecks += o.SubsumeChecks
 	s.BVETries += o.BVETries
 }
@@ -1082,13 +1074,6 @@ func (s *Solver) solve(budget int64, assumptions []int) Status {
 			s.Stats.Restarts++
 			s.cancelUntil(rootLevel)
 			s.reduceDB()
-			// Restart boundary: distill learnt clauses before they are
-			// shared (root level only — at assumption levels the
-			// strengthening would depend on the assumptions).
-			s.maybeVivify()
-			if s.unsat {
-				return Unsat
-			}
 			// Restart boundary: integrate peer clauses while the trail
 			// is at the root level and watches can be placed soundly.
 			if len(s.shareIn) > 0 && s.importShared() {

@@ -2,33 +2,22 @@ package sat
 
 import "repro/internal/faultpoint"
 
-// Inprocessing — simplification at solve entry and restart boundaries
+// Inprocessing — simplification at solve entry
 //
-// Two cooperating passes keep the clause database small while solving:
+// When the problem clause set has grown enough since the last round,
+// simplify applies the level-0 assignment at the top level, runs
+// backward subsumption and self-subsumption over signature-filtered
+// occurrence lists, and SatELite-style bounded variable elimination
+// (BVE). A variable is eliminated when its non-tautological resolvent
+// set is no larger than the clause set it replaces; the removed clauses
+// go to a side store. Mentioning an eliminated variable again — in
+// AddClause or as an assumption — restores its clauses, cascading
+// through other eliminated variables they mention. Clause surgery never
+// shrinks a clause in place (the arena walks stride by the header
+// size); shortened clauses are re-allocated at the arena end and the
+// original is tombstoned until the closing compaction reclaims it.
 //
-//   - simplify (solve entry, gated on problem-clause growth): top-level
-//     application of the level-0 assignment, backward subsumption and
-//     self-subsumption over signature-filtered occurrence lists, and
-//     SatELite-style bounded variable elimination (BVE). A variable is
-//     eliminated when its non-tautological resolvent set is no larger
-//     than the clause set it replaces; the removed clauses go to a side
-//     store. Mentioning an eliminated variable again — in AddClause or
-//     as an assumption — restores its clauses, cascading through other
-//     eliminated variables they mention. Clause surgery never shrinks a
-//     clause in place (the arena walks stride by the header size);
-//     shortened clauses are re-allocated at the arena end and the
-//     original is tombstoned until the closing compaction reclaims it.
-//
-//   - vivify (restart boundaries, on a conflict-count schedule):
-//     learnt-clause distillation. Each candidate is detached from the
-//     watch lists — propagating through the clause under distillation
-//     would let it subsume itself — then its literals are assumed false
-//     one at a time and unit propagation over the rest of the database
-//     shortens the clause when it derives a conflict or implies a
-//     literal. Shortened clauses re-enter the export log, so a
-//     portfolio spreads distilled clauses instead of raw ones.
-//
-// Both passes run at decision level zero only and are deterministic:
+// The pass runs at decision level zero only and is deterministic:
 // candidate orders come from the arena layout and variable indices,
 // never from map iteration.
 //
@@ -99,14 +88,6 @@ const (
 	// bveMaxResolvent aborts an elimination that would create a clause
 	// longer than this, whatever the literal-count balance says.
 	bveMaxResolvent = 16
-	// vivifyInterval is the conflict distance between vivification
-	// passes.
-	vivifyInterval = 6000
-	// vivifyMaxPass bounds the clauses distilled per pass.
-	vivifyMaxPass = 400
-	// vivifyMaxLits skips clauses longer than this (their shortenings
-	// rarely survive reduceDB anyway).
-	vivifyMaxLits = 32
 )
 
 // elimSpan is the slice of elimLits ([len, lits...] per clause) holding
@@ -781,121 +762,4 @@ func (s *Solver) extLitTrue(l uint32) bool {
 		return s.extValue(v) != litNeg(l)
 	}
 	return (s.assign[v] == 1) != litNeg(l)
-}
-
-// maybeVivify distills learnt clauses on a conflict-count schedule.
-// Must be called with no pending propagation; runs at root decision
-// level zero only — at assumption levels the strengthening would
-// depend on the assumptions and could not be kept.
-func (s *Solver) maybeVivify() {
-	if s.unsat || s.decisionLevel() != 0 {
-		return
-	}
-	if s.Stats.Conflicts-s.lastViv < vivifyInterval {
-		return
-	}
-	s.lastViv = s.Stats.Conflicts
-	cand := s.vivCand[:0]
-	end := cref(len(s.arena))
-	for c := cref(0); c < end && len(cand) < vivifyMaxPass; c += claHdrWords + s.claSize(c) {
-		if s.claDeleted(c) || !s.claLearnt(c) || s.claVivified(c) {
-			continue
-		}
-		if n := s.claSize(c); n < 3 || n > vivifyMaxLits {
-			continue
-		}
-		cand = append(cand, c)
-	}
-	for _, c := range cand {
-		// Stop between candidates: each vivified clause is individually
-		// sound, so a cancelled pass keeps what it already distilled.
-		if s.unsat || s.interrupted() {
-			break
-		}
-		faultpoint.Hit("sat.vivify")
-		// Re-check per clause: an earlier vivification may have
-		// propagated a unit that locked or satisfied this one.
-		if s.claDeleted(c) || s.locked(c) {
-			continue
-		}
-		s.vivifyClause(c)
-	}
-	s.vivCand = cand[:0]
-}
-
-// vivifyClause assumes the negation of each literal of c in turn and
-// lets unit propagation over the rest of the database shorten the
-// clause: a conflict proves the prefix assumed so far is itself a
-// valid clause; an implied-true literal closes the clause early; an
-// implied-false literal is self-subsumed away. The clause is detached
-// first so it cannot propagate through itself.
-func (s *Solver) vivifyClause(c cref) {
-	lits := append(s.vivBuf[:0], s.claLits(c)...)
-	s.vivBuf = lits
-	s.detachClause(c)
-	out := s.vivOut[:0]
-	satisfied := false
-	s.trailLim = append(s.trailLim, len(s.trail))
-loop:
-	for _, l := range lits {
-		switch s.value(l) {
-		case 1:
-			if s.level[litVar(l)] == 0 {
-				satisfied = true // true forever: the clause is garbage
-			} else {
-				out = append(out, l) // ¬out implies l: out ∨ l subsumes c
-			}
-			break loop
-		case 0:
-			continue // false at level 0, or implied false by ¬out: drop
-		}
-		out = append(out, l)
-		s.enqueue(l^1, noReason)
-		if s.propagate() >= 0 {
-			break // ¬out is contradictory: out alone is implied
-		}
-	}
-	s.cancelUntil(0)
-	s.vivOut = out
-
-	if satisfied {
-		s.claMarkDeleted(c)
-		s.numLearnt--
-		s.Stats.Vivified++
-		return
-	}
-	if len(out) == len(lits) {
-		// Nothing gained: re-watch the original, mark it done.
-		s.arena[c] |= claVivifiedFlag
-		s.watchClause(c, s.claLits(c))
-		return
-	}
-	s.Stats.Vivified++
-	s.Stats.VivifiedLits += int64(len(lits) - len(out))
-	act := s.arena[c+2]
-	imported := s.claImported(c)
-	lbd := s.claLBD(c)
-	if int(lbd) > len(out) {
-		lbd = int32(len(out))
-	}
-	s.claMarkDeleted(c)
-	s.numLearnt--
-	switch len(out) {
-	case 0:
-		s.unsat = true
-	case 1:
-		if !s.enqueue(out[0], noReason) || s.propagate() >= 0 {
-			s.unsat = true
-		}
-	default:
-		nc := s.attachClause(out, true, lbd)
-		s.arena[nc] |= claVivifiedFlag
-		if imported {
-			s.arena[nc] |= claImportedFlag
-		}
-		s.arena[nc+2] = act
-		// A distilled clause is strictly stronger than what the log
-		// carried before: share it again.
-		s.exportLearnt(out, lbd)
-	}
 }

@@ -100,40 +100,6 @@ func TestSubsumptionRemovesSupersets(t *testing.T) {
 	verifyModel(t, s, [][]int{{a, b}, {a, b, c}, {-a, b, d}, {c, d, -b, a}}, 0)
 }
 
-// TestVivifyShortensClause plants a learnt clause with literals that
-// unit propagation over the problem clauses proves redundant and
-// checks the distillation pass shortens it.
-func TestVivifyShortensClause(t *testing.T) {
-	s := New()
-	a, b, c, d := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()
-	s.AddClause(-a, b) // a → b
-	s.AddClause(-b, c) // b → c
-	_ = d
-	// Learnt clause (¬c ∨ ¬a ∨ d): assuming c and a propagates nothing
-	// by itself, but assuming ¬(¬c)=c, ¬(¬a)=a implies b and c — the
-	// literal ¬c is implied false once ¬a is assumed false... build a
-	// clause where vivification must fire: (¬a ∨ b ∨ d) — assuming a
-	// propagates b, so the literal b is implied true and the clause
-	// closes as (¬a ∨ b), dropping d.
-	lits := []uint32{intLit(-a), intLit(b), intLit(d)}
-	s.attachClause(lits, true, 3)
-	s.lastViv = -(1 << 40)
-	s.maybeVivify()
-	if s.Stats.Vivified == 0 {
-		t.Fatal("vivification did not fire on (¬a ∨ b ∨ d)")
-	}
-	if s.Stats.VivifiedLits == 0 {
-		t.Fatal("no literal removed")
-	}
-	// The instance is untouched semantically.
-	if got := s.Solve(a); got != Sat {
-		t.Fatalf("solve under a: %v", got)
-	}
-	if !s.Value(b) || !s.Value(c) {
-		t.Error("implication chain broken after vivification")
-	}
-}
-
 // TestImportedTierEviction: imported clauses carry the imported flag
 // and reduceDB evicts them at a higher rate than local learnt clauses.
 func TestImportedTierEviction(t *testing.T) {

@@ -66,42 +66,6 @@ func TestStopDuringBVE(t *testing.T) {
 	}
 }
 
-// TestStopDuringVivify: the vivification candidate loop must break
-// between clauses once the flag is up.
-func TestStopDuringVivify(t *testing.T) {
-	defer faultpoint.Reset()
-	var stop atomic.Bool
-	s := NewWithOptions(Options{Stop: &stop})
-	// Implication ladder plus wide learnt clauses that vivification
-	// would distill one by one.
-	const n = 20
-	vars := make([]int, n)
-	for i := range vars {
-		vars[i] = s.NewVar()
-	}
-	for i := 0; i+1 < n; i++ {
-		s.AddClause(-vars[i], vars[i+1])
-	}
-	for i := 0; i+3 < n; i++ {
-		s.attachClause([]uint32{intLit(-vars[i]), intLit(vars[i+1]), intLit(vars[i+3])}, true, 3)
-	}
-	s.lastViv = -(1 << 40)
-
-	hits := 0
-	faultpoint.Set("sat.vivify", func() {
-		hits++
-		stop.Store(true)
-	})
-	s.maybeVivify()
-	if hits != 1 {
-		t.Fatalf("vivification visited %d more candidates after the stop flag was set", hits-1)
-	}
-	stop.Store(false)
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("solve after stopped vivify: %v", got)
-	}
-}
-
 // TestStopFlagSolver: a raised Options.Stop cancels the solve, the
 // solver never clears it, and lowering it re-enables the solver.
 func TestStopFlagSolver(t *testing.T) {

@@ -153,67 +153,6 @@ func (s *Solver) growLong(sg *seg) {
 	s.wData = growSeg(s.wData, &s.freeW, sg)
 }
 
-// removeBin deletes the watcher of clause c from lit's binary segment,
-// preserving the order of the remaining entries (watch order steers the
-// search, so removal must stay deterministic).
-func (s *Solver) removeBin(lit uint32, c cref) {
-	sg := &s.wseg[lit].bin
-	ws := s.bData[sg.off : sg.off+sg.len]
-	for i := range ws {
-		if ws[i].c == c {
-			copy(ws[i:], ws[i+1:])
-			sg.len--
-			return
-		}
-	}
-}
-
-// removeTri is removeBin for the ternary segment.
-func (s *Solver) removeTri(lit uint32, c cref) {
-	sg := &s.wseg[lit].tri
-	ws := s.tData[sg.off : sg.off+sg.len]
-	for i := range ws {
-		if ws[i].c == c {
-			copy(ws[i:], ws[i+1:])
-			sg.len--
-			return
-		}
-	}
-}
-
-// removeLong is removeBin for the long-clause segment.
-func (s *Solver) removeLong(lit uint32, c cref) {
-	sg := &s.wseg[lit].long
-	ws := s.wData[sg.off : sg.off+sg.len]
-	for i := range ws {
-		if ws[i].c == c {
-			copy(ws[i:], ws[i+1:])
-			sg.len--
-			s.wLive--
-			return
-		}
-	}
-}
-
-// detachClause removes every watch-list entry of clause c — the exact
-// inverse of watchClause. Long clauses are watched at positions 0 and 1,
-// which propagation keeps as the watched pair.
-func (s *Solver) detachClause(c cref) {
-	lits := s.claLits(c)
-	switch len(lits) {
-	case 2:
-		s.removeBin(lits[0]^1, c)
-		s.removeBin(lits[1]^1, c)
-	case 3:
-		s.removeTri(lits[0]^1, c)
-		s.removeTri(lits[1]^1, c)
-		s.removeTri(lits[2]^1, c)
-	default:
-		s.removeLong(lits[0]^1, c)
-		s.removeLong(lits[1]^1, c)
-	}
-}
-
 // maybeCompactWatches compacts the long-watcher array when its
 // footprint has drifted far from the entries actually in use (s.wLive)
 // — churn can park capacity in segments that have since shrunk, which
