@@ -159,7 +159,8 @@ func BenchmarkPatternEngine(b *testing.B) {
 // post-processing, "raw" the footnote-6 pass without it, and "pair"
 // both from one greedy search, as a Table I/II cell runs them.
 // regCCR_% is a deterministic check that the (post-processed)
-// assignment itself did not move.
+// assignment itself did not move; stubsScored/pin is the candidate
+// ranking's work, the driver stubs it scores per cut pin.
 func BenchmarkProximity(b *testing.B) {
 	orig, err := bmarks.Load("b14", 0.2)
 	if err != nil {
@@ -169,6 +170,7 @@ func BenchmarkProximity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	scoredPerPin := float64(attack.ScoredStubs(art.View)) / float64(len(art.View.CutPins))
 	for _, mode := range []struct {
 		name string
 		run  func() (attack.Assignment, error)
@@ -196,6 +198,7 @@ func BenchmarkProximity(b *testing.B) {
 			pins := float64(len(art.View.CutPins) * b.N)
 			b.ReportMetric(pins/1e3/b.Elapsed().Seconds(), "kpins/s")
 			b.ReportMetric(metrics.ComputeCCR(art.View, art.Secret, asg).Regular*100, "regCCR_%")
+			b.ReportMetric(scoredPerPin, "stubsScored/pin")
 		})
 	}
 }
@@ -775,6 +778,25 @@ func BenchmarkFlowRuntime(b *testing.B) {
 		if _, err := flow.Run(context.Background(), orig, flow.Config{KeyBits: benchKeyBits, SplitLayer: 4, Seed: uint64(i), UseATPGLock: true}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLoad times the benchmark generator at the published size,
+// the netlist every Table I/II cell starts from. gates is the generated
+// gate count, a check that the generator's output did not change size.
+func BenchmarkLoad(b *testing.B) {
+	for _, name := range []string{"b14", "b17"} {
+		b.Run(name+"x1.0", func(b *testing.B) {
+			var gates int
+			for i := 0; i < b.N; i++ {
+				c, err := bmarks.Load(name, 1.0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				gates = c.NumGates()
+			}
+			b.ReportMetric(float64(gates), "gates")
+		})
 	}
 }
 

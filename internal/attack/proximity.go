@@ -220,39 +220,52 @@ func bestScore(cands []candidate) float64 {
 }
 
 // stubIndex buckets driver stubs on a coarse grid for nearest-first
-// retrieval.
+// retrieval. The stubs in tile t = y*tx + x are recs[start[t]:start[t+1]],
+// in DriverStubs order.
 type stubIndex struct {
-	stubs      []split.DriverStub
 	tile       int
 	tx, ty     int
 	minX, minY int
-	buckets    map[int][]int
-	found      []int // nearest's gather scratch, reused across pins
+	start      []int32
+	recs       []stubRec
+	tiles      []int32 // nearest's gather scratch, reused across pins
+	// scored counts the stubs nearest has scored, skipped the tiles it
+	// pruned unscored, over all calls.
+	scored, skipped int
+}
+
+// stubRec is a driver stub as the ranking reads it.
+type stubRec struct {
+	x, y   int32
+	dir    layout.Direction
+	driver netlist.GateID
 }
 
 func newStubIndex(stubs []split.DriverStub) *stubIndex {
 	minX, minY := 1<<30, 1<<30
 	maxX, maxY := -(1 << 30), -(1 << 30)
 	for _, s := range stubs {
-		if s.Stub.X < minX {
-			minX = s.Stub.X
-		}
-		if s.Stub.Y < minY {
-			minY = s.Stub.Y
-		}
-		if s.Stub.X > maxX {
-			maxX = s.Stub.X
-		}
-		if s.Stub.Y > maxY {
-			maxY = s.Stub.Y
-		}
+		minX, minY = min(minX, s.Stub.X), min(minY, s.Stub.Y)
+		maxX, maxY = max(maxX, s.Stub.X), max(maxY, s.Stub.Y)
 	}
 	tile := 8
-	idx := &stubIndex{stubs: stubs, tile: tile, minX: minX, minY: minY, buckets: make(map[int][]int)}
+	idx := &stubIndex{tile: tile, minX: minX, minY: minY}
 	idx.tx = (maxX-minX)/tile + 1
 	idx.ty = (maxY-minY)/tile + 1
-	for i, s := range stubs {
-		idx.buckets[idx.key(s.Stub)] = append(idx.buckets[idx.key(s.Stub)], i)
+	// Counting sort by tile: count, prefix-sum, then place.
+	idx.start = make([]int32, idx.tx*idx.ty+1)
+	for _, s := range stubs {
+		idx.start[idx.key(s.Stub)+1]++
+	}
+	for t := 1; t < len(idx.start); t++ {
+		idx.start[t] += idx.start[t-1]
+	}
+	next := append([]int32(nil), idx.start[:len(idx.start)-1]...)
+	idx.recs = make([]stubRec, len(stubs))
+	for _, s := range stubs {
+		t := idx.key(s.Stub)
+		idx.recs[next[t]] = stubRec{x: int32(s.Stub.X), y: int32(s.Stub.Y), dir: s.Dir, driver: s.Driver}
+		next[t]++
 	}
 	return idx
 }
@@ -263,23 +276,47 @@ func (idx *stubIndex) key(p layout.Point) int {
 	return y*idx.tx + x
 }
 
+// boxDist is the Manhattan distance from p to the nearest point of
+// tile t, a lower bound on its distance to every stub in the tile.
+func (idx *stubIndex) boxDist(t int32, p layout.Point) int {
+	lox := idx.minX + int(t)%idx.tx*idx.tile
+	loy := idx.minY + int(t)/idx.tx*idx.tile
+	return max(lox-p.X, p.X-(lox+idx.tile-1), 0) + max(loy-p.Y, p.Y-(loy+idx.tile-1), 0)
+}
+
 // nearest returns up to want driver stubs ranked by the attack score:
 // Manhattan distance discounted when the FEOL escape directions agree
 // with the geometry. The ranking is written into top, which must have
 // room for min(want, number of stubs).
+//
+// The candidates are the stubs of every tile within the gather radius:
+// the first ring of tiles around the pin's tile, past ring 1, by which
+// the rings hold at least 3×want stubs (or every ring). Tiles are
+// scored ring by ring, and a tile is skipped once top is full and
+// 0.35× its distance from the pin exceeds the worst kept score: every
+// score is at least 0.36× the stub's distance (two 0.6 discounts, or
+// one 0.5), so no stub in it could enter top. The result is the
+// want-prefix of a stable sort of every candidate by less.
 func (idx *stubIndex) nearest(cp split.CutPin, want int, top []candidate) []candidate {
-	found := idx.found[:0]
+	tiles := idx.tiles[:0]
 	cx := (cp.Stub.X - idx.minX) / idx.tile
 	cy := (cp.Stub.Y - idx.minY) / idx.tile
+	found := 0
 	for r := 0; r < idx.tx+idx.ty+2; r++ {
 		for dy := -r; dy <= r; dy++ {
+			y := cy + dy
+			if y < 0 || y >= idx.ty {
+				continue
+			}
 			dx := r - abs(dy)
-			for _, sx := range []int{cx - dx, cx + dx} {
-				y := cy + dy
-				if sx < 0 || sx >= idx.tx || y < 0 || y >= idx.ty {
-					continue
+			for _, x := range [2]int{cx - dx, cx + dx} {
+				if x >= 0 && x < idx.tx {
+					t := y*idx.tx + x
+					if n := idx.start[t+1] - idx.start[t]; n > 0 {
+						tiles = append(tiles, int32(t))
+						found += int(n)
+					}
 				}
-				found = append(found, idx.buckets[y*idx.tx+sx]...)
 				if dx == 0 {
 					break // avoid double-visiting the dx==0 column
 				}
@@ -287,52 +324,75 @@ func (idx *stubIndex) nearest(cp split.CutPin, want int, top []candidate) []cand
 		}
 		// Stop once the rings hold at least 3×want stubs,
 		// but never before rings 0–2 are gathered.
-		if len(found) >= want*3 && r > 1 {
+		if found >= want*3 && r > 1 {
 			break
 		}
 	}
-	idx.found = found
+	idx.tiles = tiles
 	top = top[:0]
-	for _, si := range found {
-		ds := idx.stubs[si]
-		score := float64(cp.Stub.Dist(ds.Stub))
-		// A sink escape pointing at the driver stub, or a driver
-		// escape pointing at the sink stub, strengthens the match.
-		if cp.Dir != layout.DirNone && cp.Dir == layout.Toward(cp.Stub, ds.Stub) {
-			score *= 0.6
+	for _, t := range tiles {
+		if len(top) == want && 0.35*float64(idx.boxDist(t, cp.Stub)) > top[want-1].score {
+			idx.skipped++
+			continue
 		}
-		if ds.Dir != layout.DirNone && ds.Dir == layout.Toward(ds.Stub, cp.Stub) {
-			score *= 0.6
-		}
-		// Stacked-via signature matching: a pin with no FEOL escape
-		// was wired as a new net through the BEOL; its partner stub
-		// shows the same signature. (Kerckhoff: the attacker knows
-		// the scheme.) Against randomized TIE cells this changes
-		// nothing — all TIE stubs share the signature — but it
-		// recovers naive layouts (Fig. 2(a)/(b)).
-		if cp.Dir == layout.DirNone && ds.Dir == layout.DirNone {
-			score *= 0.5
-		}
-		// Keep the want best in order: insert after every equal
-		// candidate, and drop the worst once the buffer is full. This
-		// is exactly the want-prefix of a stable sort by less.
-		cand := candidate{driver: ds.Driver, score: score}
-		n := len(top)
-		if n == want {
-			if !cand.less(top[n-1]) {
-				continue
+		recs := idx.recs[idx.start[t]:idx.start[t+1]]
+		idx.scored += len(recs)
+		for _, s := range recs {
+			ds := layout.Point{X: int(s.x), Y: int(s.y)}
+			score := float64(cp.Stub.Dist(ds))
+			// A sink escape pointing at the driver stub, or a driver
+			// escape pointing at the sink stub, strengthens the match.
+			if cp.Dir != layout.DirNone && cp.Dir == layout.Toward(cp.Stub, ds) {
+				score *= 0.6
 			}
-			n--
-		} else {
-			top = top[:n+1]
+			if s.dir != layout.DirNone && s.dir == layout.Toward(ds, cp.Stub) {
+				score *= 0.6
+			}
+			// Stacked-via signature matching: a pin with no FEOL escape
+			// was wired as a new net through the BEOL; its partner stub
+			// shows the same signature. (Kerckhoff: the attacker knows
+			// the scheme.) Against randomized TIE cells this changes
+			// nothing — all TIE stubs share the signature — but it
+			// recovers naive layouts (Fig. 2(a)/(b)).
+			if cp.Dir == layout.DirNone && s.dir == layout.DirNone {
+				score *= 0.5
+			}
+			// Keep the want best in order: insert after every equal
+			// candidate, and drop the worst once the buffer is full. This
+			// is exactly the want-prefix of a stable sort by less.
+			cand := candidate{driver: s.driver, score: score}
+			n := len(top)
+			if n == want {
+				if !cand.less(top[n-1]) {
+					continue
+				}
+				n--
+			} else {
+				top = top[:n+1]
+			}
+			for n > 0 && cand.less(top[n-1]) {
+				top[n] = top[n-1]
+				n--
+			}
+			top[n] = cand
 		}
-		for n > 0 && cand.less(top[n-1]) {
-			top[n] = top[n-1]
-			n--
-		}
-		top[n] = cand
 	}
 	return top
+}
+
+// ScoredStubs reports how many driver stubs the candidate ranking
+// scores to rank every cut pin of view: the work the proximity attack
+// spends finding candidates, before any load or loop check.
+func ScoredStubs(view *split.FEOLView) int {
+	if len(view.DriverStubs) == 0 {
+		return 0
+	}
+	idx := newStubIndex(view.DriverStubs)
+	top := make([]candidate, min(candidateLimit, len(view.DriverStubs)))
+	for _, cp := range view.CutPins {
+		idx.nearest(cp, candidateLimit, top)
+	}
+	return idx.scored
 }
 
 // driverCanTake checks the load constraint: the proposed extra sink cap

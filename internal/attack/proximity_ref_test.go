@@ -1,7 +1,9 @@
 package attack
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -28,8 +30,8 @@ func proximityRef(view *split.FEOLView, opt ProximityOptions) (Assignment, error
 		return nil, fmt.Errorf("attack: no driver stubs to match")
 	}
 
-	idx := newStubIndex(view.DriverStubs)
 	rng := newRand(opt.Seed)
+	rr := newRefRanker(view.DriverStubs)
 
 	type scored struct {
 		pin   split.CutPin
@@ -37,7 +39,7 @@ func proximityRef(view *split.FEOLView, opt ProximityOptions) (Assignment, error
 	}
 	pins := make([]scored, len(view.CutPins))
 	for i, cp := range view.CutPins {
-		pins[i] = scored{pin: cp, cands: nearestRef(idx, cp, candidateLimit)}
+		pins[i] = scored{pin: cp, cands: rr.nearest(cp, candidateLimit)}
 	}
 	sort.SliceStable(pins, func(i, j int) bool {
 		si, sj := bestScore(pins[i].cands), bestScore(pins[j].cands)
@@ -96,31 +98,60 @@ func proximityRef(view *split.FEOLView, opt ProximityOptions) (Assignment, error
 	return asg, nil
 }
 
-func nearestRef(idx *stubIndex, cp split.CutPin, want int) []candidate {
-	var found []int
-	cx := (cp.Stub.X - idx.minX) / idx.tile
-	cy := (cp.Stub.Y - idx.minY) / idx.tile
-	for r := 0; r < idx.tx+idx.ty+2; r++ {
-		for dy := -r; dy <= r; dy++ {
-			dx := r - abs(dy)
-			for _, sx := range []int{cx - dx, cx + dx} {
-				y := cy + dy
-				if sx < 0 || sx >= idx.tx || y < 0 || y >= idx.ty {
-					continue
-				}
-				found = append(found, idx.buckets[y*idx.tx+sx]...)
-				if dx == 0 {
-					break
-				}
-			}
+// refRanker is the reference candidate ranking. It reads nothing but
+// the driver stubs: the gather radius (the first ring of 8×8 tiles
+// around the pin's tile, past ring 1, by which the rings hold at least
+// 3×want stubs, capped at tx+ty+1), then a full stable sort of every
+// stub within it.
+type refRanker struct {
+	stubs        []split.DriverStub
+	minX, minY   int
+	tx, ty       int
+	tileX, tileY []int // each stub's tile
+	ring         []int // scratch: each stub's ring around the current pin
+}
+
+// refTile is the reference's tile side, the index's 8.
+const refTile = 8
+
+func newRefRanker(stubs []split.DriverStub) *refRanker {
+	rr := &refRanker{stubs: stubs, minX: stubs[0].Stub.X, minY: stubs[0].Stub.Y}
+	maxX, maxY := rr.minX, rr.minY
+	for _, s := range stubs {
+		rr.minX, rr.minY = min(rr.minX, s.Stub.X), min(rr.minY, s.Stub.Y)
+		maxX, maxY = max(maxX, s.Stub.X), max(maxY, s.Stub.Y)
+	}
+	rr.tx, rr.ty = (maxX-rr.minX)/refTile+1, (maxY-rr.minY)/refTile+1
+	for _, s := range stubs {
+		rr.tileX = append(rr.tileX, (s.Stub.X-rr.minX)/refTile)
+		rr.tileY = append(rr.tileY, (s.Stub.Y-rr.minY)/refTile)
+	}
+	rr.ring = make([]int, len(stubs))
+	return rr
+}
+
+func (rr *refRanker) nearest(cp split.CutPin, want int) []candidate {
+	cx, cy := (cp.Stub.X-rr.minX)/refTile, (cp.Stub.Y-rr.minY)/refTile
+	perRing := make([]int, rr.tx+rr.ty+2)
+	for i := range rr.stubs {
+		rr.ring[i] = abs(rr.tileX[i]-cx) + abs(rr.tileY[i]-cy)
+		if rr.ring[i] < len(perRing) {
+			perRing[rr.ring[i]]++
 		}
-		if len(found) >= want*3 && r > 1 {
+	}
+	radius, found := len(perRing)-1, 0
+	for r, n := range perRing {
+		found += n
+		if found >= want*3 && r > 1 {
+			radius = r
 			break
 		}
 	}
-	cands := make([]candidate, 0, len(found))
-	for _, si := range found {
-		ds := idx.stubs[si]
+	var cands []candidate
+	for i, ds := range rr.stubs {
+		if rr.ring[i] > radius {
+			continue
+		}
 		score := float64(cp.Stub.Dist(ds.Stub))
 		if cp.Dir != layout.DirNone && cp.Dir == layout.Toward(cp.Stub, ds.Stub) {
 			score *= 0.6
@@ -133,11 +164,11 @@ func nearestRef(idx *stubIndex, cp split.CutPin, want int) []candidate {
 		}
 		cands = append(cands, candidate{driver: ds.Driver, score: score})
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score < cands[j].score
+	slices.SortStableFunc(cands, func(a, b candidate) int {
+		if c := cmp.Compare(a.score, b.score); c != 0 {
+			return c
 		}
-		return cands[i].driver < cands[j].driver
+		return cmp.Compare(a.driver, b.driver)
 	})
 	if len(cands) > want {
 		cands = cands[:want]
@@ -469,27 +500,56 @@ func FuzzProximityDifferential(f *testing.F) {
 	})
 }
 
-// TestNearestMatchesReference pins the bounded-insertion ranking against
-// a full stable sort at candidate limits below, at and above the
-// attack's own (16).
+// TestNearestMatchesReference pins the pruned, bounded-insertion
+// ranking against refRanker, which gathers and fully sorts from the
+// driver stubs alone, at candidate limits below, at and above the
+// attack's own (16). The dense case is the paper's cell (b14 ×1.0 with
+// a 128-bit key, split at M4; ×0.3 under -short), where pruning must
+// skip tiles for the check to cover it.
 func TestNearestMatchesReference(t *testing.T) {
+	type viewCase struct {
+		name  string
+		view  *split.FEOLView
+		dense bool
+	}
+	var cases []viewCase
 	for _, layer := range []int{4, 6} {
-		view := referenceView(t, layer)
-		idx := newStubIndex(view.DriverStubs)
+		cases = append(cases, viewCase{name: fmt.Sprintf("M%d", layer), view: referenceView(t, layer)})
+	}
+	scale := 1.0
+	if testing.Short() {
+		scale = 0.3
+	}
+	orig, err := bmarks.Load("b14", scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, viewCase{name: fmt.Sprintf("b14x%g/M4", scale), view: atpgView(t, orig, 128, 1, 4), dense: true})
+	for _, vc := range cases {
 		for _, want := range []int{1, candidateLimit, 64} {
-			top := make([]candidate, min(want, len(view.DriverStubs)))
-			for _, cp := range view.CutPins {
-				got := idx.nearest(cp, want, top)
-				ref := nearestRef(idx, cp, want)
-				if len(got) != len(ref) {
-					t.Fatalf("M%d limit %d pin %v: %d candidates, reference %d", layer, want, cp.Ref, len(got), len(ref))
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("M%d limit %d pin %v: candidate %d = %+v, reference %+v", layer, want, cp.Ref, i, got[i], ref[i])
+			t.Run(fmt.Sprintf("%s/limit=%d", vc.name, want), func(t *testing.T) {
+				t.Parallel()
+				view := vc.view
+				idx, rr := newStubIndex(view.DriverStubs), newRefRanker(view.DriverStubs)
+				top := make([]candidate, min(want, len(view.DriverStubs)))
+				for _, cp := range view.CutPins {
+					got := idx.nearest(cp, want, top)
+					ref := rr.nearest(cp, want)
+					if len(got) != len(ref) {
+						t.Fatalf("pin %v: %d candidates, reference %d", cp.Ref, len(got), len(ref))
+					}
+					for i := range ref {
+						if got[i] != ref[i] {
+							t.Fatalf("pin %v: candidate %d = %+v, reference %+v", cp.Ref, i, got[i], ref[i])
+						}
 					}
 				}
-			}
+				t.Logf("%d pins, %.1f stubs scored per pin, %d tiles skipped",
+					len(view.CutPins), float64(idx.scored)/float64(len(view.CutPins)), idx.skipped)
+				if vc.dense && idx.skipped == 0 {
+					t.Fatal("pruning skipped no tile; the dense case checks nothing")
+				}
+			})
 		}
 	}
 }
@@ -501,14 +561,14 @@ func TestNearestMatchesReference(t *testing.T) {
 func TestCycleCheckerMatchesReference(t *testing.T) {
 	for _, layer := range []int{4, 6} {
 		view := referenceView(t, layer)
-		idx := newStubIndex(view.DriverStubs)
+		rr := newRefRanker(view.DriverStubs)
 		for _, budget := range []int{1, 8, 64} {
 			chk := newCycleChecker(view.Circuit, budget)
 			ref := newRefCycleChecker(view.Circuit, budget)
 			queries, loops := 0, 0
 			for _, cp := range view.CutPins {
 				g := cp.Ref.Gate
-				for _, cand := range nearestRef(idx, cp, candidateLimit) {
+				for _, cand := range rr.nearest(cp, candidateLimit) {
 					d := cand.driver
 					got, want := chk.createsCycle(g, d), ref.createsCycle(g, d)
 					queries++

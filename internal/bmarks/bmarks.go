@@ -11,7 +11,6 @@ package bmarks
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/netlist"
@@ -60,9 +59,9 @@ func Generate(spec Spec) (*netlist.Circuit, error) {
 		pool = append(pool, id)
 	}
 
-	unused := make(map[netlist.GateID]bool, len(pool))
+	unused := newIDSet(cap(pool))
 	for _, id := range pool {
-		unused[id] = true
+		unused.add(id)
 	}
 
 	types := []netlist.GateType{
@@ -86,14 +85,9 @@ func Generate(spec Spec) (*netlist.Circuit, error) {
 		return pool[rng.Intn(len(pool))]
 	}
 	pickPreferUnused := func() netlist.GateID {
-		if len(unused) > 0 && rng.Float64() < 0.5 {
-			// Deterministic choice from the unused set.
-			keys := make([]netlist.GateID, 0, len(unused))
-			for id := range unused {
-				keys = append(keys, id)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			return keys[rng.Intn(len(keys))]
+		if unused.len() > 0 && rng.Float64() < 0.5 {
+			// Deterministic choice from the unused set, by ID rank.
+			return unused.kth(rng.Intn(unused.len()))
 		}
 		return pick()
 	}
@@ -156,10 +150,10 @@ func Generate(spec Spec) (*netlist.Circuit, error) {
 			return nil, err
 		}
 		for _, f := range fanin {
-			delete(unused, f)
+			unused.del(f)
 		}
 		pool = append(pool, id)
-		unused[id] = true
+		unused.add(id)
 	}
 
 	// Wire flip-flop data pins to late combinational signals.
@@ -168,16 +162,12 @@ func Generate(spec Spec) (*netlist.Circuit, error) {
 		if err := c.SetFanin(ff, 0, d); err != nil {
 			return nil, err
 		}
-		delete(unused, d)
+		unused.del(d)
 	}
 
 	// Outputs: prefer unconsumed signals so the circuit is fully live;
 	// fold any surplus orphans into balanced OR/XOR trees.
-	orphans := make([]netlist.GateID, 0, len(unused))
-	for id := range unused {
-		orphans = append(orphans, id)
-	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
+	orphans := unused.members()
 	drivers := make([]netlist.GateID, 0, spec.Outputs)
 	for len(drivers) < spec.Outputs && len(orphans) > 0 {
 		drivers = append(drivers, orphans[len(orphans)-1])
@@ -228,7 +218,7 @@ func Generate(spec Spec) (*netlist.Circuit, error) {
 // emitEnableStructure appends a trigger net (wide AND or NOR, active
 // only on one input combination) and several cells gated by it. It
 // returns the number of gates emitted.
-func emitEnableStructure(c *netlist.Circuit, rng *sim.Rand, pool *[]netlist.GateID, unused map[netlist.GateID]bool) (int, error) {
+func emitEnableStructure(c *netlist.Circuit, rng *sim.Rand, pool *[]netlist.GateID, unused *idSet) (int, error) {
 	p := *pool
 	width := 4 + rng.Intn(3) // 4..6 trigger inputs
 	var ins []netlist.GateID
@@ -247,7 +237,7 @@ func emitEnableStructure(c *netlist.Circuit, rng *sim.Rand, pool *[]netlist.Gate
 		return 0, err
 	}
 	for _, f := range ins {
-		delete(unused, f)
+		unused.del(f)
 	}
 	p = append(p, trig)
 	emitted := 1
@@ -265,12 +255,12 @@ func emitEnableStructure(c *netlist.Circuit, rng *sim.Rand, pool *[]netlist.Gate
 		if err != nil {
 			return 0, err
 		}
-		delete(unused, other)
+		unused.del(other)
 		p = append(p, id)
-		unused[id] = true
+		unused.add(id)
 		emitted++
 	}
-	delete(unused, trig)
+	unused.del(trig)
 	*pool = p
 	return emitted, nil
 }
@@ -281,7 +271,7 @@ func emitEnableStructure(c *netlist.Circuit, rng *sim.Rand, pool *[]netlist.Gate
 // when the trigger is stuck at its inactive value. The side operands
 // are drawn from a small shared set, keeping the block's input cut
 // narrow (as in real decoded datapaths).
-func emitGatedMesh(c *netlist.Circuit, rng *sim.Rand, pool *[]netlist.GateID, unused map[netlist.GateID]bool) (int, error) {
+func emitGatedMesh(c *netlist.Circuit, rng *sim.Rand, pool *[]netlist.GateID, unused *idSet) (int, error) {
 	p := *pool
 	width := 4 + rng.Intn(2) // trigger width 4..5
 	var ins []netlist.GateID
@@ -296,7 +286,7 @@ func emitGatedMesh(c *netlist.Circuit, rng *sim.Rand, pool *[]netlist.GateID, un
 		return 0, err
 	}
 	for _, f := range ins {
-		delete(unused, f)
+		unused.del(f)
 	}
 	emitted := 1
 	// Shared side operands.
@@ -327,13 +317,13 @@ func emitGatedMesh(c *netlist.Circuit, rng *sim.Rand, pool *[]netlist.GateID, un
 		exits = append(exits, cur)
 	}
 	for _, s := range sides {
-		delete(unused, s)
+		unused.del(s)
 	}
 	// Only the chain exits join the signal pool (the interior has no
 	// external readers).
 	for _, e := range exits {
 		p = append(p, e)
-		unused[e] = true
+		unused.add(e)
 	}
 	*pool = p
 	return emitted, nil

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/attack"
@@ -176,7 +177,7 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 	}
 	outs, err := runCells(ctx, cells[SplitResult]{
 		keys: keys,
-		run: func(ctx context.Context, i, simWorkers int) (SplitResult, error) {
+		run: func(ctx context.Context, i int, simWorkers func() int) (SplitResult, error) {
 			bench, layer := opt.Benchmarks[i/nl], opt.SplitLayers[i%nl]
 			if opt.CellRunner != nil {
 				return opt.CellRunner(ctx, bench, layer)
@@ -208,16 +209,17 @@ func RunITC(ctx context.Context, opt ITCOptions) ([]ITCRow, error) {
 func RunITCCell(ctx context.Context, bench string, layer int, opt ITCOptions) (SplitResult, error) {
 	opt = opt.withDefaults()
 	return isolate(ctx, opt.JobTimeout, func(ctx context.Context) (SplitResult, error) {
-		return runOneITC(ctx, bench, layer, opt, 0)
+		return runOneITC(ctx, bench, layer, opt, func() int { return 0 })
 	})
 }
 
 // cells describes one experiment for runCells: cell i is named keys[i]
-// (in errors, progress calls and the manifest) and computed by run on a
-// simulation pool of simWorkers.
+// (in errors, progress calls and the manifest) and computed by run. A
+// cell calls simWorkers as each of its simulations starts, for the
+// width of that simulation's pool.
 type cells[R any] struct {
 	keys          []string
-	run           func(ctx context.Context, i, simWorkers int) (R, error)
+	run           func(ctx context.Context, i int, simWorkers func() int) (R, error)
 	parallel, all bool                              // one cell per core; every cell at once, whatever parallel says
 	timeout       time.Duration                     // per cell (0 = none)
 	manifest      *runmanifest.Manifest             // skip the cells it holds, checkpoint the others
@@ -253,12 +255,19 @@ func runCells[R any](ctx context.Context, c cells[R]) ([]cellOutcome[R], error) 
 		pending = append(pending, i)
 	}
 	// Concurrent cells split the cores between their simulations, so the
-	// total worker count stays ~GOMAXPROCS rather than GOMAXPROCS²; a
-	// serial cell gets the whole pool (0). Results do not depend on it.
-	width, simWorkers := 1, 0
+	// total worker count stays ~GOMAXPROCS rather than GOMAXPROCS². The
+	// split is taken as each simulation starts, over the cells running
+	// then: the last cell still running gets the cores the finished
+	// ones left idle. A serial cell gets the whole pool (0). Results do
+	// not depend on the width.
+	width := 1
+	var running atomic.Int32
+	simWorkers := func() int { return 0 }
 	if c.parallel {
 		width = runtime.GOMAXPROCS(0)
-		simWorkers = max(width/max(len(pending), 1), 1)
+		simWorkers = func() int {
+			return max(runtime.GOMAXPROCS(0)/max(int(running.Load()), 1), 1)
+		}
 	}
 	if c.all {
 		width = len(pending)
@@ -274,9 +283,11 @@ func runCells[R any](ctx context.Context, c cells[R]) ([]cellOutcome[R], error) 
 			if ctx.Err() != nil {
 				return
 			}
+			running.Add(1)
 			res, err := isolate(ctx, c.timeout, func(ctx context.Context) (R, error) {
 				return c.run(ctx, i, simWorkers)
 			})
+			running.Add(-1)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && ctx.Err() != nil {
@@ -354,7 +365,7 @@ func isolate[R any](ctx context.Context, timeout time.Duration, run func(context
 	return res, err
 }
 
-func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions, simWorkers int) (SplitResult, error) {
+func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions, simWorkers func() int) (SplitResult, error) {
 	faultpoint.Hit(fpITCRun)
 	faultpoint.Hit(fpITCRun + "@" + ITCCellKey(bench, splitLayer))
 	if err := ctx.Err(); err != nil {
@@ -388,7 +399,7 @@ func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions
 	d, err := metrics.FunctionalOpt(orig, art.View, asg, sim.CompareOptions{
 		Patterns: opt.Patterns,
 		Seed:     opt.Seed + 8,
-		Workers:  simWorkers,
+		Workers:  simWorkers(),
 		Stop:     stop,
 	})
 	if err != nil {
@@ -446,7 +457,7 @@ func RunISCAS(ctx context.Context, opt ISCASOptions) ([]ISCASRow, error) {
 	opt = opt.withDefaults()
 	outs, err := runCells(ctx, cells[ISCASRow]{
 		keys: opt.Benchmarks,
-		run: func(ctx context.Context, i, simWorkers int) (ISCASRow, error) {
+		run: func(ctx context.Context, i int, simWorkers func() int) (ISCASRow, error) {
 			return runOneISCAS(ctx, opt.Benchmarks[i], opt, simWorkers)
 		},
 		parallel: opt.Parallel,
@@ -454,7 +465,7 @@ func RunISCAS(ctx context.Context, opt ISCASOptions) ([]ISCASRow, error) {
 	return results(outs), err
 }
 
-func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions, simWorkers int) (ISCASRow, error) {
+func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions, simWorkers func() int) (ISCASRow, error) {
 	row := ISCASRow{Benchmark: bench, Schemes: make(map[string]SchemeResult)}
 	stop, release := engine.WatchContext(ctx)
 	defer release()
@@ -483,7 +494,7 @@ func runOneISCAS(ctx context.Context, bench string, opt ISCASOptions, simWorkers
 		d, err := metrics.FunctionalOpt(orig, view, asg, sim.CompareOptions{
 			Patterns: opt.Patterns,
 			Seed:     opt.Seed + 6,
-			Workers:  simWorkers,
+			Workers:  simWorkers(),
 			Stop:     stop,
 		})
 		if err != nil {
@@ -558,7 +569,7 @@ func RunFig5(ctx context.Context, opt Fig5Options) ([]Fig5Row, error) {
 	opt = opt.withDefaults()
 	outs, err := runCells(ctx, cells[Fig5Row]{
 		keys: opt.Benchmarks,
-		run: func(ctx context.Context, i, _ int) (Fig5Row, error) {
+		run: func(ctx context.Context, i int, _ func() int) (Fig5Row, error) {
 			return runOneFig5(ctx, opt.Benchmarks[i], opt)
 		},
 		parallel: opt.Parallel,
@@ -639,7 +650,7 @@ func RunIdeal(ctx context.Context, opt IdealOptions) ([]IdealAttackResult, error
 	}
 	outs, err := runCells(ctx, cells[IdealAttackResult]{
 		keys: opt.Benchmarks,
-		run: func(ctx context.Context, i, _ int) (IdealAttackResult, error) {
+		run: func(ctx context.Context, i int, _ func() int) (IdealAttackResult, error) {
 			return RunIdealAttack(ctx, opt.Benchmarks[i], opt.Scale, opt.KeyBits, opt.Runs, opt.Seed)
 		},
 	})

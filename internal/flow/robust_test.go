@@ -271,7 +271,7 @@ func TestRunCellsIsolatesPanics(t *testing.T) {
 	var calls []string
 	outs, err := runCells(context.Background(), cells[int]{
 		keys: []string{"a", "b", "c"},
-		run: func(_ context.Context, i, _ int) (int, error) {
+		run: func(_ context.Context, i int, _ func() int) (int, error) {
 			if i == 1 {
 				panic("injected fault")
 			}
@@ -296,5 +296,58 @@ func TestRunCellsIsolatesPanics(t *testing.T) {
 	}
 	if outs[1].err == nil || outs[1].done {
 		t.Errorf("panicked cell outcome %+v, want its error and no result", outs[1])
+	}
+}
+
+// TestRunCellsWidthFollowsRunningCells: a parallel cell's simulation
+// width is read as the simulation starts, over the cells running then.
+// On two cores, two running cells get one worker each; the cell still
+// running after its sibling returned gets both.
+func TestRunCellsWidthFollowsRunningCells(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	wait := func(ch <-chan struct{}, what string) error {
+		select {
+		case <-ch:
+			return nil
+		case <-time.After(5 * time.Second):
+			return errors.New("cell waited 5s for " + what)
+		}
+	}
+	var arrived atomic.Int32
+	both, secondRead, firstDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	widths := make([][]int, 2)
+	_, err := runCells(context.Background(), cells[int]{
+		keys: []string{"first", "second"},
+		run: func(_ context.Context, i int, simWorkers func() int) (int, error) {
+			if arrived.Add(1) == 2 {
+				close(both)
+			}
+			if err := wait(both, "its sibling to start"); err != nil {
+				return 0, err
+			}
+			widths[i] = append(widths[i], simWorkers())
+			if i == 0 {
+				// Return as soon as the sibling has read its width too.
+				return 0, wait(secondRead, "its sibling to read its width")
+			}
+			close(secondRead)
+			if err := wait(firstDone, "its sibling to finish"); err != nil {
+				return 0, err
+			}
+			widths[i] = append(widths[i], simWorkers())
+			return 0, nil
+		},
+		parallel: true,
+		progress: func(key string, _, _ int) {
+			if key == "first" {
+				close(firstDone)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{1}, {1, 2}}; !reflect.DeepEqual(widths, want) {
+		t.Fatalf("simulation widths %v, want %v (1 each while both run, GOMAXPROCS for the last)", widths, want)
 	}
 }
