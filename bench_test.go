@@ -160,7 +160,9 @@ func BenchmarkPatternEngine(b *testing.B) {
 // both from one greedy search, as a Table I/II cell runs them.
 // regCCR_% is a deterministic check that the (post-processed)
 // assignment itself did not move; stubsScored/pin is the candidate
-// ranking's work, the driver stubs it scores per cut pin.
+// ranking's work, the driver stubs it scores per cut pin, and
+// loopNodes/pin the loop check's, the DFS nodes it expands per cut pin
+// in one greedy pass.
 func BenchmarkProximity(b *testing.B) {
 	orig, err := bmarks.Load("b14", 0.2)
 	if err != nil {
@@ -171,6 +173,7 @@ func BenchmarkProximity(b *testing.B) {
 		b.Fatal(err)
 	}
 	scoredPerPin := float64(attack.ScoredStubs(art.View)) / float64(len(art.View.CutPins))
+	loopPerPin := float64(attack.LoopCheckNodes(art.View)) / float64(len(art.View.CutPins))
 	for _, mode := range []struct {
 		name string
 		run  func() (attack.Assignment, error)
@@ -199,6 +202,7 @@ func BenchmarkProximity(b *testing.B) {
 			b.ReportMetric(pins/1e3/b.Elapsed().Seconds(), "kpins/s")
 			b.ReportMetric(metrics.ComputeCCR(art.View, art.Secret, asg).Regular*100, "regCCR_%")
 			b.ReportMetric(scoredPerPin, "stubsScored/pin")
+			b.ReportMetric(loopPerPin, "loopNodes/pin")
 		})
 	}
 }

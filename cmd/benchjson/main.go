@@ -156,7 +156,9 @@ func baseName(name string) string {
 }
 
 // loadResults reads one BENCH_*.json file, or every BENCH_*.json in a
-// directory, into a name-keyed map.
+// directory, into a name-keyed map. Files are read in the order of n
+// in BENCH_<n>.json, so a newer baseline of a benchmark replaces an
+// older one (BENCH_34 after BENCH_7).
 func loadResults(path string) (map[string]Result, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -171,7 +173,7 @@ func loadResults(path string) (map[string]Result, error) {
 		if len(files) == 0 {
 			return nil, fmt.Errorf("%s: no BENCH_*.json files", path)
 		}
-		sort.Strings(files)
+		sort.SliceStable(files, func(i, j int) bool { return benchIndex(files[i]) < benchIndex(files[j]) })
 	}
 	out := make(map[string]Result)
 	for _, f := range files {
@@ -186,6 +188,15 @@ func loadResults(path string) (map[string]Result, error) {
 		out[baseName(r.Name)] = r
 	}
 	return out, nil
+}
+
+// benchIndex returns n of a BENCH_<n>.json path, or -1.
+func benchIndex(path string) int {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json"))
+	if err != nil {
+		return -1
+	}
+	return n
 }
 
 // diff compares new against old and returns the human-readable report

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -104,5 +106,25 @@ func TestBaseName(t *testing.T) {
 	}
 	if got := baseName("BenchmarkA/members=4"); got != "BenchmarkA/members=4" {
 		t.Errorf("baseName stripped a non-numeric suffix: %q", got)
+	}
+}
+
+// TestLoadResultsNewestWins: when two baselines in a directory name the
+// same benchmark, the higher BENCH_<n> wins, whatever the names' string
+// order (BENCH_34 sorts before BENCH_7).
+func TestLoadResultsNewestWins(t *testing.T) {
+	dir := t.TempDir()
+	for name, ns := range map[string]string{"BENCH_7.json": "100", "BENCH_34.json": "50"} {
+		body := `{"name": "BenchmarkX/pair-2", "iterations": 1, "ns_per_op": ` + ns + `}`
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := loadResults(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res["BenchmarkX/pair"].NsPerOp; got != 50 {
+		t.Fatalf("ns_per_op %v, want BENCH_34's 50", got)
 	}
 }

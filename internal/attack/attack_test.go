@@ -97,13 +97,29 @@ func TestProximityKeyPinsRandomized(t *testing.T) {
 	}
 }
 
+// randomGuess guesses every broken pin uniformly from the driver stubs
+// (keeping acyclicity via the repair pass) — the floor any attack must
+// beat.
+func randomGuess(view *split.FEOLView, seed uint64) Assignment {
+	rng := newRand(seed ^ 0x9d2c)
+	asg := make(Assignment, len(view.CutPins))
+	if len(view.DriverStubs) == 0 {
+		return asg
+	}
+	for _, cp := range view.CutPins {
+		asg[cp.Ref] = view.DriverStubs[rng.intn(len(view.DriverStubs))].Driver
+	}
+	repairCycles(view.Circuit, view, view.TieStubs(), asg)
+	return asg
+}
+
 func TestProximityBeatsRandomOnRegularNets(t *testing.T) {
 	_, _, view, secret := pipeline(t, 1200, 16, 30, 4, true, true)
 	asg, err := Proximity(view, ProximityOptions{Seed: 3, KeyPostProcess: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd := RandomGuess(view, 4)
+	rnd := randomGuess(view, 4)
 	score := func(a Assignment) float64 {
 		ok, n := 0, 0
 		for _, cp := range view.RegularPins() {
@@ -493,7 +509,7 @@ func TestCycleRepairProperty(t *testing.T) {
 	// valid netlist.
 	_, _, view, _ := pipeline(t, 600, 16, 90, 4, true, true)
 	for s := uint64(0); s < 10; s++ {
-		asg := RandomGuess(view, s)
+		asg := randomGuess(view, s)
 		if _, err := view.Recombine(asg); err != nil {
 			t.Fatalf("seed %d: repaired assignment still invalid: %v", s, err)
 		}

@@ -23,19 +23,3 @@ func Ideal(view *split.FEOLView, secret *split.Secret, seed uint64) Assignment {
 	}
 	return asg
 }
-
-// RandomGuess guesses every broken pin uniformly from the driver stubs
-// (keeping acyclicity via the repair pass) — the floor any attack must
-// beat.
-func RandomGuess(view *split.FEOLView, seed uint64) Assignment {
-	rng := newRand(seed ^ 0x9d2c)
-	asg := make(Assignment, len(view.CutPins))
-	if len(view.DriverStubs) == 0 {
-		return asg
-	}
-	for _, cp := range view.CutPins {
-		asg[cp.Ref] = view.DriverStubs[rng.intn(len(view.DriverStubs))].Driver
-	}
-	repairCycles(view.Circuit, view, view.TieStubs(), asg)
-	return asg
-}

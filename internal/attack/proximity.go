@@ -21,6 +21,7 @@ package attack
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/cellib"
@@ -86,6 +87,8 @@ type proximityPass struct {
 	ties []split.DriverStub
 	rng  *xrand
 	asg  Assignment
+	// loopNodes is the number of nodes the loop check expanded.
+	loopNodes int
 }
 
 // greedyProximity is Wang et al.'s greedy search: rank every sink pin's
@@ -127,7 +130,7 @@ func greedyProximity(view *split.FEOLView, opt ProximityOptions) (*proximityPass
 	})
 
 	asg := make(Assignment, len(pins))
-	load := make(map[netlist.GateID]float64)
+	load := make([]float64, c.NumIDs())
 	// Seed loads with the FEOL-visible fanout of every driver.
 	for _, ds := range view.DriverStubs {
 		load[ds.Driver] = cellib.FanoutCap(c, ds.Driver)
@@ -163,7 +166,7 @@ func greedyProximity(view *split.FEOLView, opt ProximityOptions) (*proximityPass
 		}
 	}
 
-	return &proximityPass{view: view, ties: ties, rng: rng, asg: asg}, nil
+	return &proximityPass{view: view, ties: ties, rng: rng, asg: asg, loopNodes: chk.expanded}, nil
 }
 
 // finish completes one variant of the attack on asg, which must be p's
@@ -395,6 +398,18 @@ func ScoredStubs(view *split.FEOLView) int {
 	return idx.scored
 }
 
+// LoopCheckNodes reports how many nodes the acyclicity check expands
+// in the greedy search over every cut pin of view: the work the
+// proximity attack spends on loop avoidance. The seed only draws TIE
+// fallbacks, which the check never sees, so the count has no option.
+func LoopCheckNodes(view *split.FEOLView) int {
+	p, err := greedyProximity(view, ProximityOptions{})
+	if err != nil {
+		return 0
+	}
+	return p.loopNodes
+}
+
 // driverCanTake checks the load constraint: the proposed extra sink cap
 // must fit the driver's MaxLoad. TIE cells are unconstrained (paper
 // proof outline, hint 3).
@@ -409,98 +424,192 @@ func driverCanTake(c *netlist.Circuit, d netlist.GateID, cur, extra float64) boo
 
 // cycleChecker answers "does adding edge d→g close a combinational
 // loop" with a budgeted DFS over FEOL edges plus assigned edges.
+//
+// The DFS from g pops nodes LIFO, marks a node when it pops it, counts
+// it against the budget, and scans its successors in order (FEOL
+// fanouts in Fanouts order, then noted sinks in note order), pushing
+// each unmarked one. The query's answer is whether d is scanned before
+// the walk runs out of budget or nodes. Nothing in that walk depends
+// on d, so the checker keeps the walk from the last queried sink: a
+// later query from the same sink answers true if d was already
+// scanned, false if the walk already finished, and otherwise resumes
+// the walk where it stopped, mid-node if need be. A noted edge u→v
+// drops the kept walk only if the walk expanded u; until then u's
+// successors have not been read, so the walk so far is the one the
+// new graph gives. A query answering false never scanned d, let alone
+// expanded it, so the greedy loop's own note(d, g) keeps the walk.
 type cycleChecker struct {
-	c      *netlist.Circuit
 	budget int
-	// The non-DFF FEOL fanouts of gate id, in Fanouts order, are
-	// succ[start[id]:start[id+1]].
-	start []int32
-	succ  []netlist.GateID
-	// extra[id] lists the hypothesis sinks added by assignments.
-	extra [][]netlist.GateID
-	// mark[id] == epoch means id was visited by the current query;
-	// bumping epoch clears every mark at once.
-	mark  []uint32
-	epoch uint32
+	nodes  []loopNode
+	// over[id] holds gate id's successors past the inline ones.
+	over [][]netlist.GateID
+
+	// The kept walk: a DFS from sink (InvalidGate: none) whose marks
+	// and seen stamps equal stamp. It stopped while scanning cur's
+	// successors at index next (cur is InvalidGate between nodes),
+	// after marking count nodes; done means it hit the budget or ran
+	// out of nodes.
+	sink  netlist.GateID
+	stamp uint32
 	stack []netlist.GateID
+	cur   netlist.GateID
+	next  int32
+	count int
+	done  bool
+
+	// expanded counts the nodes every walk has expanded.
+	expanded int
+}
+
+// inlineSucc is the number of successors a loopNode holds inline.
+const inlineSucc = 4
+
+// loopNode is one gate's 32-byte record in the loop check.
+type loopNode struct {
+	mark uint32 // == stamp: the kept walk popped and marked the gate
+	seen uint32 // == stamp: the kept walk scanned it as a successor
+	deg  int32  // successor count, the first inlineSucc of them in succ
+	src  bool   // a source gate, which no loop can pass through
+	succ [inlineSucc]netlist.GateID
 }
 
 func newCycleChecker(c *netlist.Circuit, budget int) *cycleChecker {
 	n := c.NumIDs()
 	cc := &cycleChecker{
-		c:      c,
 		budget: budget,
-		start:  make([]int32, n+1),
-		extra:  make([][]netlist.GateID, n),
-		mark:   make([]uint32, n),
+		nodes:  make([]loopNode, n),
+		over:   make([][]netlist.GateID, n),
+		sink:   netlist.InvalidGate,
 	}
-	for id := 0; id < n; id++ {
-		for _, s := range c.Fanouts(netlist.GateID(id)) {
+	for id := range netlist.GateID(n) {
+		cc.nodes[id].src = c.Gate(id).Type.IsSource()
+		for _, s := range c.Fanouts(id) {
 			if c.Gate(s).Type != netlist.DFF {
-				cc.succ = append(cc.succ, s)
+				cc.addSucc(id, s)
 			}
 		}
-		cc.start[id+1] = int32(len(cc.succ))
 	}
 	return cc
 }
 
+func (cc *cycleChecker) addSucc(u, v netlist.GateID) {
+	n := &cc.nodes[u]
+	if n.deg < inlineSucc {
+		n.succ[n.deg] = v
+	} else {
+		cc.over[u] = append(cc.over[u], v)
+	}
+	n.deg++
+}
+
 // note records an accepted assignment edge d→g (driver to sink gate).
 func (cc *cycleChecker) note(d, g netlist.GateID) {
-	cc.extra[d] = append(cc.extra[d], g)
+	cc.addSucc(d, g)
+	if cc.nodes[d].mark == cc.stamp {
+		cc.sink = netlist.InvalidGate
+	}
 }
 
 // createsCycle reports whether d is combinationally reachable from g.
 // The DFS gives up (returns false) after the node budget; the final
 // repair pass guarantees global acyclicity.
 func (cc *cycleChecker) createsCycle(g, d netlist.GateID) bool {
-	if cc.c.Gate(d).Type.IsSource() {
+	if cc.nodes[d].src {
 		return false
 	}
 	if g == d {
 		return true
 	}
-	cc.epoch++
-	if cc.epoch == 0 {
-		clear(cc.mark)
-		cc.epoch = 1
+	if g != cc.sink {
+		cc.restart(g)
 	}
-	mark, epoch := cc.mark, cc.epoch
-	stack := append(cc.stack[:0], g)
-	nodes := 0
-	hit := false
-search:
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if mark[id] == epoch {
-			continue
-		}
-		mark[id] = epoch
-		nodes++
-		if nodes > cc.budget {
-			break
-		}
-		for _, s := range cc.succ[cc.start[id]:cc.start[id+1]] {
-			if s == d {
-				hit = true
-				break search
-			}
-			if mark[s] != epoch {
-				stack = append(stack, s)
-			}
-		}
-		for _, s := range cc.extra[id] {
-			if s == d {
-				hit = true
-				break search
-			}
-			if mark[s] != epoch {
-				stack = append(stack, s)
-			}
-		}
+	if cc.nodes[d].seen == cc.stamp {
+		return true
 	}
-	cc.stack = stack
+	if cc.done {
+		return false
+	}
+	return cc.walk(d)
+}
+
+// restart starts a new kept walk from g.
+func (cc *cycleChecker) restart(g netlist.GateID) {
+	cc.stamp++
+	if cc.stamp == 0 {
+		for i := range cc.nodes {
+			cc.nodes[i].mark, cc.nodes[i].seen = 0, 0
+		}
+		cc.stamp = 1
+	}
+	cc.sink = g
+	cc.stack = append(cc.stack[:0], g)
+	cc.cur, cc.next = netlist.InvalidGate, 0
+	cc.count, cc.done = 0, false
+}
+
+// walk resumes the kept walk until it scans d (true) or finishes
+// (false).
+func (cc *cycleChecker) walk(d netlist.GateID) bool {
+	nodes, stamp, stack := cc.nodes, cc.stamp, cc.stack
+	id, i, count := cc.cur, cc.next, cc.count
+	for {
+		if id != netlist.InvalidGate {
+			// Scan id's successors from i. Each one is written above the
+			// stack top and kept there only if unmarked: a push without
+			// a branch on the mark.
+			n := &nodes[id]
+			stack = slices.Grow(stack, int(n.deg-i))
+			buf, top := stack[:cap(stack)], len(stack)
+			for ; i < min(n.deg, inlineSucc); i++ {
+				s := n.succ[i]
+				ns := &nodes[s]
+				ns.seen = stamp
+				buf[top] = s
+				top += b2i(ns.mark != stamp)
+				if s == d {
+					return cc.pause(buf[:top], id, i+1, count, true)
+				}
+			}
+			if i < n.deg {
+				for _, s := range cc.over[id][i-inlineSucc:] {
+					i++
+					ns := &nodes[s]
+					ns.seen = stamp
+					buf[top] = s
+					top += b2i(ns.mark != stamp)
+					if s == d {
+						return cc.pause(buf[:top], id, i, count, true)
+					}
+				}
+			}
+			stack = buf[:top]
+		}
+		// Pop the next unmarked node and expand it, within budget.
+		for {
+			if len(stack) == 0 {
+				return cc.pause(stack, id, i, count, false)
+			}
+			id = stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if nodes[id].mark != stamp {
+				break
+			}
+		}
+		nodes[id].mark = stamp
+		count++
+		if count > cc.budget {
+			return cc.pause(stack, id, i, count, false)
+		}
+		i = 0
+	}
+}
+
+// pause stores the walk's state for the next query and returns hit. A
+// walk that did not hit has finished.
+func (cc *cycleChecker) pause(stack []netlist.GateID, id netlist.GateID, next int32, count int, hit bool) bool {
+	cc.expanded += min(count, cc.budget) - cc.count
+	cc.stack, cc.cur, cc.next, cc.count = stack, id, next, count
+	cc.done = !hit
 	return hit
 }
 
@@ -601,6 +710,14 @@ func cyclicGates(c *netlist.Circuit, asg Assignment) map[netlist.GateID]bool {
 		}
 	}
 	return stuck
+}
+
+// b2i is 1 for true and 0 for false; it compiles without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func randomTie(ties []split.DriverStub, rng *xrand) netlist.GateID {

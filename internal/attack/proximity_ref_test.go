@@ -555,14 +555,16 @@ func TestNearestMatchesReference(t *testing.T) {
 }
 
 // TestCycleCheckerMatchesReference replays a greedy assignment through
-// the epoch-marked cycleChecker and the map-based reference side by
-// side: every query must agree, and an accepted edge is noted in both.
-// Budgets 1 and 8 force the budget-exhaustion exit; 64 finds loops.
+// the kept-walk cycleChecker and the map-based reference side by side:
+// every query must agree, and an accepted edge is noted in both.
+// Budgets 1 and 8 force the budget-exhaustion exit; 64 finds loops;
+// 4096 is the attack's own. The second replay drives the kept walk
+// through each of its paths: see replayKeptWalk.
 func TestCycleCheckerMatchesReference(t *testing.T) {
 	for _, layer := range []int{4, 6} {
 		view := referenceView(t, layer)
 		rr := newRefRanker(view.DriverStubs)
-		for _, budget := range []int{1, 8, 64} {
+		for _, budget := range []int{1, 8, 64, cycleBudget} {
 			chk := newCycleChecker(view.Circuit, budget)
 			ref := newRefCycleChecker(view.Circuit, budget)
 			queries, loops := 0, 0
@@ -588,7 +590,95 @@ func TestCycleCheckerMatchesReference(t *testing.T) {
 				t.Fatalf("M%d: no query of %d found a loop; the replay checks nothing", layer, queries)
 			}
 		}
+		for _, budget := range []int{8, 64, cycleBudget} {
+			t.Run(fmt.Sprintf("M%d/kept/budget=%d", layer, budget), func(t *testing.T) {
+				replayKeptWalk(t, view, rr, budget)
+			})
+		}
 	}
+}
+
+// replayKeptWalk checks the kept walk against the reference with the
+// query mix the greedy loop rarely makes. Per cut pin, with sink g:
+//   - every candidate is queried, so repeated queries from g follow
+//     both hits (the walk resumes mid-node) and false answers;
+//   - g's FEOL fanouts, which the walk scanned when it expanded g, are
+//     queried (the seen-stamp answer);
+//   - an edge out of g and one out of another node the walk expanded
+//     are noted in both checkers, to a candidate that was answered
+//     false, and g is re-queried for it (the walk must be dropped);
+//   - the first candidate answered false that no note took is then
+//     assigned, as in the attack.
+func replayKeptWalk(t *testing.T, view *split.FEOLView, rr *refRanker, budget int) {
+	c := view.Circuit
+	chk := newCycleChecker(c, budget)
+	ref := newRefCycleChecker(c, budget)
+	check := func(g, d netlist.GateID) bool {
+		t.Helper()
+		got, want := chk.createsCycle(g, d), ref.createsCycle(g, d)
+		if got != want {
+			t.Fatalf("createsCycle(%d, %d) = %v, reference %v", g, d, got, want)
+		}
+		return got
+	}
+	note := func(u, v netlist.GateID) {
+		chk.note(u, v)
+		ref.extra[u] = append(ref.extra[u], v)
+	}
+	var midNode, scannedHits, dropHits int
+	for _, cp := range view.CutPins {
+		g := cp.Ref.Gate
+		var free []netlist.GateID
+		for _, cand := range rr.nearest(cp, candidateLimit) {
+			if chk.sink == g && !chk.done && chk.cur != netlist.InvalidGate {
+				midNode++
+			}
+			if !check(g, cand.driver) && !c.Gate(cand.driver).Type.IsSource() {
+				free = append(free, cand.driver)
+			}
+		}
+		if chk.sink == g {
+			for _, s := range c.Fanouts(g) {
+				if c.Gate(s).Type != netlist.DFF && chk.nodes[s].seen == chk.stamp && check(g, s) {
+					scannedHits++
+				}
+			}
+		}
+		// Note edges out of expanded nodes: g first, then a node two
+		// steps down that the walk marked.
+		for _, u := range []netlist.GateID{g, expandedBelow(chk, c, g)} {
+			if len(free) == 0 || u == netlist.InvalidGate || chk.sink != g || chk.nodes[u].mark != chk.stamp {
+				continue
+			}
+			v := free[len(free)-1]
+			free = free[:len(free)-1]
+			note(u, v)
+			if check(g, v) {
+				dropHits++
+			}
+		}
+		if len(free) > 0 {
+			note(free[0], g)
+		}
+	}
+	t.Logf("%d queries resumed mid-node, %d scanned-successor hits, %d re-queries true after a noted edge", midNode, scannedHits, dropHits)
+	if midNode == 0 || scannedHits == 0 || dropHits == 0 {
+		t.Fatal("the replay never resumed mid-node, answered from the seen stamps or re-queried after a noted edge; it checks nothing")
+	}
+}
+
+// expandedBelow returns a node other than g that the kept walk from g
+// has marked, found among the FEOL fanouts of g's fanouts, or
+// InvalidGate.
+func expandedBelow(chk *cycleChecker, c *netlist.Circuit, g netlist.GateID) netlist.GateID {
+	for _, s := range c.Fanouts(g) {
+		for _, u := range c.Fanouts(s) {
+			if u != g && chk.nodes[u].mark == chk.stamp {
+				return u
+			}
+		}
+	}
+	return netlist.InvalidGate
 }
 
 // referenceView is the b14 view the unit-level reference tests share.
