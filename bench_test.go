@@ -158,53 +158,84 @@ func BenchmarkPatternEngine(b *testing.B) {
 // b14 x0.2 split at M4: "post" is the Table I/II pass with key
 // post-processing, "raw" the footnote-6 pass without it, and "pair"
 // both from one greedy search, as a Table I/II cell runs them.
-// regCCR_% is a deterministic check that the (post-processed)
-// assignment itself did not move; stubsScored/pin is the candidate
-// ranking's work, the driver stubs it scores per cut pin, and
-// loopNodes/pin the loop check's, the DFS nodes it expands per cut pin
-// in one greedy pass.
+// "paper-pair" runs the pair on paper-b14's M4 view (b14 x1.0, 128-bit
+// key, lock seed 4001, proximity seed 8), the one case whose loop check
+// reaches its node budget. regCCR_% is a deterministic check that the
+// (post-processed) assignment itself did not move; stubsScored/pin is
+// the candidate ranking's work, the driver stubs it scores per cut
+// pin; loopNodes/pin the loop check's, the DFS nodes it expands per cut
+// pin in one greedy pass; capHits the loop queries it answers "no
+// loop" at the budget, and capHits/query their share of its queries.
 func BenchmarkProximity(b *testing.B) {
-	orig, err := bmarks.Load("b14", 0.2)
-	if err != nil {
-		b.Fatal(err)
+	type view struct {
+		art  *flow.Artifacts
+		loop attack.LoopCheckWork
+		// scoredPerPin is the candidate ranking's work per cut pin.
+		scoredPerPin float64
 	}
-	art, err := flow.Run(context.Background(), orig, flow.Config{KeyBits: benchKeyBits, SplitLayer: 4, Seed: 7, UseATPGLock: true})
-	if err != nil {
-		b.Fatal(err)
+	load := func(b *testing.B, scale float64, keyBits int, seed uint64) view {
+		orig, err := bmarks.Load("b14", scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		art, err := flow.Run(context.Background(), orig, flow.Config{KeyBits: keyBits, SplitLayer: 4, Seed: seed, UseATPGLock: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return view{
+			art:          art,
+			loop:         attack.LoopCheck(art.View),
+			scoredPerPin: float64(attack.ScoredStubs(art.View)) / float64(len(art.View.CutPins)),
+		}
 	}
-	scoredPerPin := float64(attack.ScoredStubs(art.View)) / float64(len(art.View.CutPins))
-	loopPerPin := float64(attack.LoopCheckNodes(art.View)) / float64(len(art.View.CutPins))
+	run := func(b *testing.B, v view, attackRun func() (attack.Assignment, error)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		var asg attack.Assignment
+		var err error
+		for i := 0; i < b.N; i++ {
+			asg, err = attackRun()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		pins := float64(len(v.art.View.CutPins))
+		b.ReportMetric(pins*float64(b.N)/1e3/b.Elapsed().Seconds(), "kpins/s")
+		b.ReportMetric(metrics.ComputeCCR(v.art.View, v.art.Secret, asg).Regular*100, "regCCR_%")
+		b.ReportMetric(v.scoredPerPin, "stubsScored/pin")
+		b.ReportMetric(float64(v.loop.Nodes)/pins, "loopNodes/pin")
+		b.ReportMetric(float64(v.loop.CapHits), "capHits")
+		b.ReportMetric(float64(v.loop.CapHits)/float64(v.loop.Queries), "capHits/query")
+	}
+	small := load(b, 0.2, benchKeyBits, 7)
 	for _, mode := range []struct {
 		name string
 		run  func() (attack.Assignment, error)
 	}{
 		{"post", func() (attack.Assignment, error) {
-			return attack.Proximity(art.View, attack.ProximityOptions{Seed: 7, KeyPostProcess: true})
+			return attack.Proximity(small.art.View, attack.ProximityOptions{Seed: 7, KeyPostProcess: true})
 		}},
 		{"raw", func() (attack.Assignment, error) {
-			return attack.Proximity(art.View, attack.ProximityOptions{Seed: 7})
+			return attack.Proximity(small.art.View, attack.ProximityOptions{Seed: 7})
 		}},
 		{"pair", func() (attack.Assignment, error) {
-			post, _, err := attack.ProximityPair(art.View, attack.ProximityOptions{Seed: 7})
+			post, _, err := attack.ProximityPair(small.art.View, attack.ProximityOptions{Seed: 7})
 			return post, err
 		}},
 	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var asg attack.Assignment
-			for i := 0; i < b.N; i++ {
-				asg, err = mode.run()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			pins := float64(len(art.View.CutPins) * b.N)
-			b.ReportMetric(pins/1e3/b.Elapsed().Seconds(), "kpins/s")
-			b.ReportMetric(metrics.ComputeCCR(art.View, art.Secret, asg).Regular*100, "regCCR_%")
-			b.ReportMetric(scoredPerPin, "stubsScored/pin")
-			b.ReportMetric(loopPerPin, "loopNodes/pin")
-		})
+		b.Run(mode.name, func(b *testing.B) { run(b, small, mode.run) })
 	}
+	var paper *view // loaded on first use: only this case pays for b14 x1.0
+	b.Run("paper-pair", func(b *testing.B) {
+		if paper == nil {
+			v := load(b, 1.0, 128, 4001)
+			paper = &v
+		}
+		run(b, *paper, func() (attack.Assignment, error) {
+			post, _, err := attack.ProximityPair(paper.art.View, attack.ProximityOptions{Seed: 8})
+			return post, err
+		})
+	})
 }
 
 // BenchmarkCompare1M measures the wide-word simulation kernel head-on:
@@ -373,7 +404,10 @@ func BenchmarkIdealAttack(b *testing.B) {
 
 // BenchmarkSATSolver exercises the CDCL core directly on two
 // deterministic families: a resolution-hard pigeonhole instance and a
-// batch of random 3-SAT instances near the phase transition.
+// batch of random 3-SAT instances near the phase transition. Both
+// report conflicts (rnd3sat sums its 20 instances and counts the
+// satisfiable ones), so a change to the watch lists or the search shows
+// as a moved count on binary, ternary and long clauses alike.
 func BenchmarkSATSolver(b *testing.B) {
 	b.Run("pigeonhole", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -404,6 +438,7 @@ func BenchmarkSATSolver(b *testing.B) {
 	})
 	b.Run("rnd3sat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			var conflicts, sats int64
 			rng := uint64(0xdecafbad)
 			next := func(n int) int {
 				rng ^= rng << 13
@@ -428,8 +463,13 @@ func BenchmarkSATSolver(b *testing.B) {
 					}
 					s.AddClause(lits...)
 				}
-				s.Solve()
+				if s.Solve() == sat.Sat {
+					sats++
+				}
+				conflicts += s.Stats.Conflicts
 			}
+			b.ReportMetric(float64(conflicts), "conflicts")
+			b.ReportMetric(float64(sats), "satInstances")
 		}
 	})
 }

@@ -2,7 +2,10 @@
 // al. [7] (with the paper's key-aware post-processing) against a
 // split-manufactured layout produced by the secure flow, and reports
 // every Sec. IV metric: CCR (regular / key-logical / key-physical),
-// HD, OER and PNR.
+// HD, OER and PNR. It locks, attacks and simulates with the seeds of
+// the `tables` Table I/II cell of the same benchmark, scale, key size,
+// split layer, pattern count and -seed, so it prints that cell's CCR,
+// HD and OER, plus the PNR the tables leave out.
 //
 //	attack -bench b14 -scale 0.1 -split 4
 //	attack -bench b14 -no-postprocess     # footnote 6 setup
@@ -52,7 +55,7 @@ func main() {
 	art, err := flow.Run(context.Background(), orig, flow.Config{
 		KeyBits:     *keyBits,
 		SplitLayer:  *splitAt,
-		Seed:        *seed,
+		Seed:        flow.LayerSeed(*seed, *splitAt),
 		UseATPGLock: true,
 	})
 	if err != nil {

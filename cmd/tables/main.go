@@ -131,8 +131,10 @@ func main() {
 	}
 
 	// Fail fast on a benchmark typo, a pattern count the simulator
-	// refuses or a run count the ideal attack refuses: at full scale a
-	// sweep runs for hours, and such errors must not surface after that.
+	// refuses, a run count the ideal attack refuses or a design the
+	// daemons would refuse (flow.ValidateDesign, applied to every
+	// selected benchmark): at full scale a sweep runs for hours, and
+	// such errors must not surface after that.
 	if err := bmarks.Validate(benches); err != nil {
 		fail(err)
 	}
@@ -141,6 +143,15 @@ func main() {
 	}
 	if *runs < 1 {
 		fail(fmt.Errorf("-runs %d, want at least 1", *runs))
+	}
+	selected := benches
+	if len(selected) == 0 {
+		selected = bmarks.Names()
+	}
+	for _, b := range selected {
+		if err := flow.ValidateDesign(b, *scale, *keyBits, *patterns); err != nil {
+			fail(err)
+		}
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

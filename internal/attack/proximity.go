@@ -87,8 +87,8 @@ type proximityPass struct {
 	ties []split.DriverStub
 	rng  *xrand
 	asg  Assignment
-	// loopNodes is the number of nodes the loop check expanded.
-	loopNodes int
+	// loop is the loop check's work.
+	loop LoopCheckWork
 }
 
 // greedyProximity is Wang et al.'s greedy search: rank every sink pin's
@@ -166,7 +166,7 @@ func greedyProximity(view *split.FEOLView, opt ProximityOptions) (*proximityPass
 		}
 	}
 
-	return &proximityPass{view: view, ties: ties, rng: rng, asg: asg, loopNodes: chk.expanded}, nil
+	return &proximityPass{view: view, ties: ties, rng: rng, asg: asg, loop: chk.work}, nil
 }
 
 // finish completes one variant of the attack on asg, which must be p's
@@ -398,16 +398,29 @@ func ScoredStubs(view *split.FEOLView) int {
 	return idx.scored
 }
 
-// LoopCheckNodes reports how many nodes the acyclicity check expands
-// in the greedy search over every cut pin of view: the work the
-// proximity attack spends on loop avoidance. The seed only draws TIE
-// fallbacks, which the check never sees, so the count has no option.
-func LoopCheckNodes(view *split.FEOLView) int {
+// LoopCheckWork counts the acyclicity check's work in one greedy
+// search.
+type LoopCheckWork struct {
+	// Nodes is the number of DFS nodes the walks expanded.
+	Nodes int
+	// Queries is the number of loop queries a walk answers (a source
+	// driver, or a driver that is the sink itself, needs none).
+	Queries int
+	// CapHits is the number of queries answered "no loop" because the
+	// walk hit the node budget, not because it ran out of nodes.
+	CapHits int
+}
+
+// LoopCheck reports the acyclicity check's work in the greedy search
+// over every cut pin of view: the work the proximity attack spends on
+// loop avoidance. The seed only draws TIE fallbacks, which the check
+// never sees, so the count has no option.
+func LoopCheck(view *split.FEOLView) LoopCheckWork {
 	p, err := greedyProximity(view, ProximityOptions{})
 	if err != nil {
-		return 0
+		return LoopCheckWork{}
 	}
-	return p.loopNodes
+	return p.loop
 }
 
 // driverCanTake checks the load constraint: the proposed extra sink cap
@@ -457,8 +470,8 @@ type cycleChecker struct {
 	count int
 	done  bool
 
-	// expanded counts the nodes every walk has expanded.
-	expanded int
+	// work counts every walk's expansions and every query.
+	work LoopCheckWork
 }
 
 // inlineSucc is the number of successors a loopNode holds inline.
@@ -520,16 +533,21 @@ func (cc *cycleChecker) createsCycle(g, d netlist.GateID) bool {
 	if g == d {
 		return true
 	}
+	cc.work.Queries++
 	if g != cc.sink {
 		cc.restart(g)
 	}
 	if cc.nodes[d].seen == cc.stamp {
 		return true
 	}
-	if cc.done {
-		return false
+	if !cc.done && cc.walk(d) {
+		return true
 	}
-	return cc.walk(d)
+	// The walk finished without scanning d: out of budget or of nodes.
+	if cc.count > cc.budget {
+		cc.work.CapHits++
+	}
+	return false
 }
 
 // restart starts a new kept walk from g.
@@ -607,7 +625,7 @@ func (cc *cycleChecker) walk(d netlist.GateID) bool {
 // pause stores the walk's state for the next query and returns hit. A
 // walk that did not hit has finished.
 func (cc *cycleChecker) pause(stack []netlist.GateID, id netlist.GateID, next int32, count int, hit bool) bool {
-	cc.expanded += min(count, cc.budget) - cc.count
+	cc.work.Nodes += min(count, cc.budget) - cc.count
 	cc.stack, cc.cur, cc.next, cc.count = stack, id, next, count
 	cc.done = !hit
 	return hit

@@ -180,6 +180,8 @@ type refCycleChecker struct {
 	c      *netlist.Circuit
 	budget int
 	extra  map[netlist.GateID][]netlist.GateID
+	// queries and capHits count what LoopCheckWork counts.
+	queries, capHits int
 }
 
 func newRefCycleChecker(c *netlist.Circuit, budget int) *refCycleChecker {
@@ -193,6 +195,7 @@ func (cc *refCycleChecker) createsCycle(g, d netlist.GateID) bool {
 	if g == d {
 		return true
 	}
+	cc.queries++
 	visited := make(map[netlist.GateID]bool, 64)
 	stack := []netlist.GateID{g}
 	nodes := 0
@@ -205,6 +208,7 @@ func (cc *refCycleChecker) createsCycle(g, d netlist.GateID) bool {
 		visited[id] = true
 		nodes++
 		if nodes > cc.budget {
+			cc.capHits++
 			return false
 		}
 		for _, s := range cc.c.Fanouts(id) {
@@ -589,6 +593,7 @@ func TestCycleCheckerMatchesReference(t *testing.T) {
 			if budget == 64 && loops == 0 {
 				t.Fatalf("M%d: no query of %d found a loop; the replay checks nothing", layer, queries)
 			}
+			checkLoopWork(t, chk, ref, budget)
 		}
 		for _, budget := range []int{8, 64, cycleBudget} {
 			t.Run(fmt.Sprintf("M%d/kept/budget=%d", layer, budget), func(t *testing.T) {
@@ -661,9 +666,23 @@ func replayKeptWalk(t *testing.T, view *split.FEOLView, rr *refRanker, budget in
 			note(free[0], g)
 		}
 	}
+	checkLoopWork(t, chk, ref, budget)
 	t.Logf("%d queries resumed mid-node, %d scanned-successor hits, %d re-queries true after a noted edge", midNode, scannedHits, dropHits)
 	if midNode == 0 || scannedHits == 0 || dropHits == 0 {
 		t.Fatal("the replay never resumed mid-node, answered from the seen stamps or re-queried after a noted edge; it checks nothing")
+	}
+}
+
+// checkLoopWork holds the checker's query and cap-hit counts to the
+// reference's; a small budget must hit the cap, or the count is
+// untested.
+func checkLoopWork(t *testing.T, chk *cycleChecker, ref *refCycleChecker, budget int) {
+	t.Helper()
+	if chk.work.Queries != ref.queries || chk.work.CapHits != ref.capHits {
+		t.Fatalf("budget %d: %d queries, %d cap hits; reference %d, %d", budget, chk.work.Queries, chk.work.CapHits, ref.queries, ref.capHits)
+	}
+	if budget <= 8 && ref.capHits == 0 {
+		t.Fatalf("budget %d: no query hit the cap; the cap-hit count is untested", budget)
 	}
 }
 

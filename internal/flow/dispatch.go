@@ -31,7 +31,7 @@ func ValidateCellSpec(spec dispatch.CellSpec) error {
 	if spec.Layer <= 0 {
 		return fmt.Errorf("flow: cell layer %d must be positive", spec.Layer)
 	}
-	return validateDesign(spec.Bench, spec.Scale, spec.KeyBits, spec.Patterns)
+	return ValidateDesign(spec.Bench, spec.Scale, spec.KeyBits, spec.Patterns)
 }
 
 // DispatchCellFunc returns the worker side of the dispatch seam: a

@@ -146,10 +146,10 @@ func ITCCellKey(bench string, splitLayer int) string {
 	return dispatch.CellSpec{Bench: bench, Layer: splitLayer}.Key()
 }
 
-// layerSeed is the lock seed of a split layer's flow: a table cell and
-// a lock/verify/attack job on the same (seed, layer) lock the same
-// circuit.
-func layerSeed(seed uint64, splitLayer int) uint64 {
+// LayerSeed is the lock seed of a split layer's flow: a table cell, a
+// lock/verify/attack job and cmd/attack on the same (seed, layer) lock
+// the same circuit.
+func LayerSeed(seed uint64, splitLayer int) uint64 {
 	return seed + uint64(splitLayer)*1000
 }
 
@@ -378,7 +378,7 @@ func runOneITC(ctx context.Context, bench string, splitLayer int, opt ITCOptions
 	art, err := Run(ctx, orig, Config{
 		KeyBits:     opt.KeyBits,
 		SplitLayer:  splitLayer,
-		Seed:        layerSeed(opt.Seed, splitLayer),
+		Seed:        LayerSeed(opt.Seed, splitLayer),
 		UseATPGLock: true,
 	})
 	if err != nil {

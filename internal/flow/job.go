@@ -94,14 +94,15 @@ func (s JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("flow: unknown job kind %q", s.Kind)
 	}
-	return validateDesign(s.Bench, s.Scale, s.KeyBits, s.Patterns)
+	return ValidateDesign(s.Bench, s.Scale, s.KeyBits, s.Patterns)
 }
 
-// validateDesign is the design check every daemon entry point applies
-// before any compute starts: a known benchmark, scale in [0, 1] and
-// keybits in [0, 4096] (0 selects the default for both), and at most
+// ValidateDesign is the design rule every entry point applies before
+// any compute starts (daemon jobs and cells, and every benchmark a
+// tables run selects): a known benchmark, scale in [0, 1] and keybits
+// in [0, 4096] (0 selects the default for both), and at most
 // sim.MaxPatterns patterns.
-func validateDesign(bench string, scale float64, keyBits, patterns int) error {
+func ValidateDesign(bench string, scale float64, keyBits, patterns int) error {
 	if err := bmarks.Validate([]string{bench}); err != nil {
 		return fmt.Errorf("flow: %w", err)
 	}
@@ -182,10 +183,10 @@ func (j *Job) Prepare(ctx context.Context) error {
 	return nil
 }
 
-// lockSeed is the table cell's seed (layerSeed), so a job on the same
+// lockSeed is the table cell's seed (LayerSeed), so a job on the same
 // (bench, layer, seed) works on the same locked circuit as that cell.
 func (j *Job) lockSeed() uint64 {
-	return layerSeed(j.Spec.Seed, j.Spec.SplitLayer)
+	return LayerSeed(j.Spec.Seed, j.Spec.SplitLayer)
 }
 
 // CacheKey names the job's result: every field of its normalized spec.

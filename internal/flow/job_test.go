@@ -44,6 +44,9 @@ func TestJobSpecValidate(t *testing.T) {
 		{Kind: JobVerify, Bench: "nosuchbench"},
 		{Kind: "table", Bench: "b14"},
 		{Kind: JobVerify, Bench: "c432", Scale: 2},
+		{Kind: JobVerify, Bench: "c432", Scale: -1},
+		{Kind: JobVerify, Bench: "c432", KeyBits: -5},
+		{Kind: JobVerify, Bench: "c432", KeyBits: 5000},
 		{Kind: JobVerify, Bench: "c432", Patterns: sim.MaxPatterns + 1},
 		{Kind: JobAttack, Bench: "c432", Patterns: math.MaxInt},
 	}

@@ -146,9 +146,5 @@ func (s *Solver) compact() {
 	s.forEachClause(func(c cref) {
 		s.watchClause(c, s.claLits(c))
 	})
-	// The append-based rebuild leaves geometric slack per literal in
-	// clause order; one watcher compaction restores the dense
-	// literal-ordered layout the propagation loop profits from.
-	s.compactWatches()
 	s.Stats.Compactions++
 }

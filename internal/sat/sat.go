@@ -6,8 +6,8 @@
 // restarts. Clause bodies live in one contiguous uint32 arena with
 // inline headers (see arena.go); clause references are arena offsets,
 // and reduceDB compacts the arena in place. The solve loop runs on
-// preallocated scratch buffers and is allocation-free in steady state
-// apart from the learnt clauses themselves. It backs the logic
+// preallocated scratch buffers and allocates in steady state only for
+// the learnt clauses and watch-list growth. It backs the logic
 // equivalence checker (the paper's Conformal LEC substitute) and the
 // oracle-guided SAT-attack demonstration.
 //
@@ -129,21 +129,10 @@ type triWatcher struct {
 type Solver struct {
 	arena []uint32 // clause arena: inline headers + literals (arena.go)
 
-	// Watcher arena (watch.go): per-literal segments into three
-	// contiguous watcher arrays, replacing per-literal Go slices.
-	wseg  []litWatch           // literal -> its three watch-list segments (one cache line)
-	wData []watcher            // long-clause (≥4 lits) watcher storage
-	bData []binWatcher         // binary watcher storage
-	tData []triWatcher         // ternary watcher storage
-	wLive int                  // long-watcher entries currently in use (sum of lSeg lens)
-	freeB [freeClasses][]int32 // size-class free lists of vacated blocks
-	freeT [freeClasses][]int32
-	freeW [freeClasses][]int32
-	// Ping-pong spares for compactWatches (swapped with the live
-	// arrays, so steady-state compaction allocates nothing).
-	bSpare []binWatcher
-	tSpare []triWatcher
-	wSpare []watcher
+	// Watch lists (watch.go): literal -> its watchers, one slice per kind.
+	wBin  [][]binWatcher // binary clauses
+	wTri  [][]triWatcher // ternary clauses
+	wLong [][]watcher    // long clauses (≥4 lits)
 
 	assignLit []int8 // literal -> -1 unassigned / 0 false / 1 true
 	assign    []int8 // var -> -1 unassigned / 0 false / 1 true
@@ -333,7 +322,9 @@ func (s *Solver) NewVar() int {
 	s.elimAt = append(s.elimAt, elimSpan{})
 	s.extMemo = append(s.extMemo, 0)
 	s.litMark = append(s.litMark, 0, 0)
-	s.wseg = append(s.wseg, litWatch{}, litWatch{})
+	s.wBin = append(s.wBin, nil, nil)
+	s.wTri = append(s.wTri, nil, nil)
+	s.wLong = append(s.wLong, nil, nil)
 	v := int32(len(s.assign) - 1)
 	s.heapPos = append(s.heapPos, -1)
 	s.heapInsert(v)
@@ -439,11 +430,7 @@ func (s *Solver) AddClause(lits ...int) {
 }
 
 // attachClause copies lits into the arena and installs the watches.
-// It also gives the watcher arena its chance to compact relocation
-// garbage — a point that is never inside propagate, whose loops hold
-// segment offsets.
 func (s *Solver) attachClause(lits []uint32, learnt bool, lbd int32) cref {
-	s.maybeCompactWatches()
 	c := s.allocClause(lits, learnt, lbd)
 	s.watchClause(c, s.claLits(c))
 	if learnt {
@@ -460,15 +447,15 @@ func (s *Solver) attachClause(lits []uint32, learnt bool, lbd int32) cref {
 func (s *Solver) watchClause(c cref, lits []uint32) {
 	switch len(lits) {
 	case 2:
-		s.appendBin(lits[0]^1, binWatcher{other: lits[1], c: c})
-		s.appendBin(lits[1]^1, binWatcher{other: lits[0], c: c})
+		s.wBin[lits[0]^1] = append(s.wBin[lits[0]^1], binWatcher{other: lits[1], c: c})
+		s.wBin[lits[1]^1] = append(s.wBin[lits[1]^1], binWatcher{other: lits[0], c: c})
 	case 3:
-		s.appendTri(lits[0]^1, triWatcher{a: lits[1], b: lits[2], c: c})
-		s.appendTri(lits[1]^1, triWatcher{a: lits[0], b: lits[2], c: c})
-		s.appendTri(lits[2]^1, triWatcher{a: lits[0], b: lits[1], c: c})
+		s.wTri[lits[0]^1] = append(s.wTri[lits[0]^1], triWatcher{a: lits[1], b: lits[2], c: c})
+		s.wTri[lits[1]^1] = append(s.wTri[lits[1]^1], triWatcher{a: lits[0], b: lits[2], c: c})
+		s.wTri[lits[2]^1] = append(s.wTri[lits[2]^1], triWatcher{a: lits[0], b: lits[1], c: c})
 	default:
-		s.appendLong(lits[0]^1, watcher{c: c, blocker: lits[1]})
-		s.appendLong(lits[1]^1, watcher{c: c, blocker: lits[0]})
+		s.wLong[lits[0]^1] = append(s.wLong[lits[0]^1], watcher{c: c, blocker: lits[1]})
+		s.wLong[lits[1]^1] = append(s.wLong[lits[1]^1], watcher{c: c, blocker: lits[0]})
 	}
 }
 
@@ -592,11 +579,7 @@ func (s *Solver) propagate() cref {
 		s.qhead++
 		props++
 		// Binary clauses: no watch movement, no clause dereference.
-		// Binary segments only change at clause attach, so a subslice
-		// of the backing array is stable here.
-		lw := &s.wseg[p] // all three segments of p, one cache line
-		bg := lw.bin
-		for _, bw := range s.bData[bg.off : bg.off+bg.len] {
+		for _, bw := range s.wBin[p] {
 			switch s.assignLit[bw.other] {
 			case 0:
 				s.qhead = len(s.trail)
@@ -609,8 +592,7 @@ func (s *Solver) propagate() cref {
 		// Ternary clauses: the watcher carries the other two literals,
 		// so unit/conflict detection is two loads with no watch
 		// movement.
-		tg := lw.tri
-		for _, tw := range s.tData[tg.off : tg.off+tg.len] {
+		for _, tw := range s.wTri[p] {
 			va := s.assignLit[tw.a]
 			if va == 1 {
 				continue
@@ -630,15 +612,11 @@ func (s *Solver) propagate() cref {
 				s.enq(tw.a, tw.c)
 			}
 		}
-		// Long clauses. Watch moves append to *other* literals'
-		// segments — the new watch is never ¬p (it must be non-false
-		// while ¬p is false), so p's segment never moves during its own
-		// iteration — but a grow can reallocate the backing array, so
-		// the iteration subslice is refreshed after every grow; the
-		// prefix written so far is carried over by the reallocation
-		// copy.
-		off := int(lw.long.off)
-		ws := s.wData[off : off+int(lw.long.len)]
+		// Long clauses. Watch moves append to *other* literals' lists
+		// (the new watch is never ¬p: it must be non-false while ¬p is
+		// false), so p's list is only compacted in place (ws[j] = w)
+		// while it is scanned.
+		ws := s.wLong[p]
 		j := 0
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
@@ -677,22 +655,13 @@ func (s *Solver) propagate() cref {
 					continue
 				}
 			}
-			// Find a new watch; the segment append is inlined here
-			// (this is the hottest write in the solver) with the grow
-			// path out of line.
+			// Find a new watch.
 			found := false
 			for k, end := base+2, base+s.claSize(w.c); k < end; k++ {
 				lk := s.arena[k]
 				if s.value(lk) != 0 {
 					s.arena[base+1], s.arena[k] = lk, l1
-					sg := &s.wseg[lk^1].long
-					if sg.len == sg.cap {
-						s.growLong(sg)
-						ws = s.wData[off : off+len(ws)] // may have reallocated
-					}
-					s.wData[int(sg.off)+int(sg.len)] = watcher{c: w.c, blocker: first}
-					sg.len++
-					s.wLive++
+					s.wLong[lk^1] = append(s.wLong[lk^1], watcher{c: w.c, blocker: first})
 					found = true
 					break
 				}
@@ -710,16 +679,14 @@ func (s *Solver) propagate() cref {
 					ws[j] = ws[i]
 					j++
 				}
-				s.wLive -= len(ws) - j
-				lw.long.len = int32(j)
+				s.wLong[p] = ws[:j]
 				s.qhead = len(s.trail)
 				s.Stats.Propagations += props
 				return w.c
 			}
 			s.enq(first, w.c)
 		}
-		s.wLive -= len(ws) - j
-		lw.long.len = int32(j)
+		s.wLong[p] = ws[:j]
 	}
 	s.Stats.Propagations += props
 	return -1

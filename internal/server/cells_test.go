@@ -179,6 +179,7 @@ func TestCellsEndpointRejectsBadSpec(t *testing.T) {
 		`{`, `{"bogus":1}`, `{}`,
 		`{"bench":"b14","layer":4,"scale":1.5}`,
 		`{"bench":"b14","layer":4,"scale":0.03,"keybits":5000}`,
+		`{"bench":"b14","layer":4,"scale":0.03,"keybits":-5}`,
 		`{"bench":"nope","layer":4,"scale":0.03}`,
 		`{"bench":"b14","layer":4,"scale":0.03,"patterns":9223372036854775807}`,
 	} {
