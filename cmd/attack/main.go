@@ -5,7 +5,10 @@
 // HD, OER and PNR. It locks, attacks and simulates with the seeds of
 // the `tables` Table I/II cell of the same benchmark, scale, key size,
 // split layer, pattern count and -seed, so it prints that cell's CCR,
-// HD and OER, plus the PNR the tables leave out.
+// HD and OER, plus the PNR the tables leave out. Like tables, it runs a
+// -scale of 0 at the default 0.1 and refuses a design the daemons
+// refuse (-scale outside [0, 1], -keybits outside [0, 4096]) before
+// any work starts.
 //
 //	attack -bench b14 -scale 0.1 -split 4
 //	attack -bench b14 -no-postprocess     # footnote 6 setup
@@ -19,7 +22,6 @@ import (
 	"os"
 
 	"repro/internal/attack"
-	"repro/internal/bmarks"
 	"repro/internal/flow"
 	"repro/internal/metrics"
 )
@@ -38,6 +40,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := flow.ValidateDesign(*bench, *scale, *keyBits, *patterns); err != nil {
+		fatal(err)
+	}
 	if *ideal {
 		res, err := flow.RunIdealAttack(context.Background(), *bench, *scale, *keyBits, *runs, *seed)
 		if err != nil {
@@ -48,7 +53,7 @@ func main() {
 		return
 	}
 
-	orig, err := bmarks.Load(*bench, *scale)
+	orig, err := flow.LoadBenchmark(*bench, *scale)
 	if err != nil {
 		fatal(err)
 	}

@@ -3,7 +3,9 @@
 // randomized TIE cells, route with key-nets lifted to the BEOL, and
 // split. It reports the synthesis-stage economics, the layout cost
 // versus the unprotected baseline, and (optionally) writes the locked
-// netlist in .bench format.
+// netlist in .bench format. A generated benchmark follows the tables'
+// design rule: -scale 0 runs at the default 0.1, and a -scale outside
+// [0, 1] or -keybits outside [0, 4096] exits 1 before any work starts.
 //
 //	splitlock -bench b14 -scale 0.1 -split 4 -keybits 128
 //	splitlock -bench c432 -o locked.bench
@@ -15,7 +17,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bmarks"
 	"repro/internal/flow"
 	"repro/internal/netlist"
 )
@@ -42,8 +43,8 @@ func main() {
 		}
 		orig, err = netlist.ParseBench(f, *file)
 		f.Close()
-	} else {
-		orig, err = bmarks.Load(*bench, *scale)
+	} else if err = flow.ValidateDesign(*bench, *scale, *keyBits, 0); err == nil {
+		orig, err = flow.LoadBenchmark(*bench, *scale)
 	}
 	if err != nil {
 		fatal(err)

@@ -67,6 +67,16 @@ type ITCRow struct {
 // when it is given a scale ≤ 0.
 const defaultScale = 0.1
 
+// LoadBenchmark generates bench at scale, or at the default 0.1 when
+// scale ≤ 0 — the design an experiment or a job of the same scale
+// starts from. Callers apply ValidateDesign first.
+func LoadBenchmark(bench string, scale float64) (*netlist.Circuit, error) {
+	if scale <= 0 {
+		scale = defaultScale
+	}
+	return bmarks.Load(bench, scale)
+}
+
 // ITCOptions configures the Table I/II experiment.
 type ITCOptions struct {
 	// Benchmarks defaults to the ITC'99 set.
@@ -671,14 +681,11 @@ const idealPatterns = 256
 // experiment does. Cancelling ctx drains the pool and returns the context's error.
 func RunIdealAttack(ctx context.Context, bench string, scale float64, keyBits, runs int, seed uint64) (IdealAttackResult, error) {
 	res := IdealAttackResult{Benchmark: bench, Runs: runs}
-	if scale <= 0 {
-		scale = defaultScale
-	}
 	if runs < 1 {
 		// Zero runs would print an OER of 0%, which reads as a broken lock.
 		return res, fmt.Errorf("ideal attack: %d runs, want at least 1", runs)
 	}
-	orig, err := bmarks.Load(bench, scale)
+	orig, err := LoadBenchmark(bench, scale)
 	if err != nil {
 		return res, err
 	}

@@ -8,14 +8,11 @@ import "math"
 // contiguous []uint32 with a 3-word inline header directly in front of
 // its literals:
 //
-//	word 0   size<<4 | learnt(bit 0) | deleted(bit 1) |
-//	         imported(bit 2) | clean(bit 3)
+//	word 0   size<<3 | learnt(bit 0) | deleted(bit 1) | clean(bit 2)
 //	word 1   LBD (glue) of a learnt clause
 //	word 2   float32 activity bits
 //	word 3…  the literals (internal encoding: var<<1 | neg)
 //
-// The imported bit marks clauses integrated from a peer's export log
-// (reduceDB evicts that tier harder — the peer still has the clause).
 // The clean bit marks problem clauses the last inprocessing round
 // checked as a subsumer against every other clause and left unchanged;
 // two clean clauses cannot subsume or strengthen each other, so the
@@ -34,12 +31,11 @@ import "math"
 type cref = int32
 
 const (
-	claHdrWords     = 3
-	claLearntFlag   = 1
-	claDeletedFlag  = 2
-	claImportedFlag = 4
-	claCleanFlag    = 8
-	claFlagBits     = 4
+	claHdrWords    = 3
+	claLearntFlag  = 1
+	claDeletedFlag = 2
+	claCleanFlag   = 4
+	claFlagBits    = 3
 )
 
 // allocClause appends a clause to the arena and returns its reference.
@@ -67,12 +63,11 @@ func (s *Solver) claLits(c cref) []uint32 {
 	return s.arena[c+claHdrWords : c+claHdrWords+s.claSize(c)]
 }
 
-func (s *Solver) claLearnt(c cref) bool   { return s.arena[c]&claLearntFlag != 0 }
-func (s *Solver) claDeleted(c cref) bool  { return s.arena[c]&claDeletedFlag != 0 }
-func (s *Solver) claImported(c cref) bool { return s.arena[c]&claImportedFlag != 0 }
-func (s *Solver) claClean(c cref) bool    { return s.arena[c]&claCleanFlag != 0 }
-func (s *Solver) claLBD(c cref) int32     { return int32(s.arena[c+1]) }
-func (s *Solver) claAct(c cref) float32   { return math.Float32frombits(s.arena[c+2]) }
+func (s *Solver) claLearnt(c cref) bool  { return s.arena[c]&claLearntFlag != 0 }
+func (s *Solver) claDeleted(c cref) bool { return s.arena[c]&claDeletedFlag != 0 }
+func (s *Solver) claClean(c cref) bool   { return s.arena[c]&claCleanFlag != 0 }
+func (s *Solver) claLBD(c cref) int32    { return int32(s.arena[c+1]) }
+func (s *Solver) claAct(c cref) float32  { return math.Float32frombits(s.arena[c+2]) }
 
 // claMarkDeleted tombstones clause c; the size stays readable so arena
 // walks can skip over it until the next compaction reclaims the words.

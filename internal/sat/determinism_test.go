@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// buildDet constructs a sharing portfolio over one of the
-// regression instances.
+// buildDet constructs a portfolio over one of the regression
+// instances.
 func buildDet(workers int, build func(Interface)) *Portfolio {
 	p := NewPortfolio(PortfolioOptions{Workers: workers, Seed: 11})
 	build(p)
@@ -55,8 +55,7 @@ func (a detSnapshot) equal(b detSnapshot) bool {
 // TestDeterministicPortfolioRepeatable: the deterministic mode's core
 // contract — two runs of the same configuration on the same instance
 // are bit-identical in status, winner, model, and every stat, including
-// on a multi-round UNSAT instance where clause sharing shapes the
-// search.
+// on a multi-round UNSAT instance that several members search.
 func TestDeterministicPortfolioRepeatable(t *testing.T) {
 	builders := map[string]func(Interface){
 		"unsat-multiround": func(s Interface) { unsat3SAT(s, 200, 2) },
@@ -169,5 +168,33 @@ func pigeonholeIface(s Interface, pigeons, holes int) {
 				s.AddClause(-v[p1][h], -v[p2][h])
 			}
 		}
+	}
+}
+
+// unsat3SAT fills s with a fixed random 3-SAT instance at clause
+// ratio 4.6 — just past the phase transition, so the chosen seeds are
+// UNSAT with resolution proofs hard enough (thousands of conflicts) to
+// outlive several portfolio slices.
+func unsat3SAT(s Interface, numVars int, seed uint64) {
+	rng := seed
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	for v := 0; v < numVars; v++ {
+		s.NewVar()
+	}
+	for cl := 0; cl < numVars*46/10; cl++ {
+		lits := make([]int, 3)
+		for j := range lits {
+			v := 1 + next(numVars)
+			if next(2) == 1 {
+				v = -v
+			}
+			lits[j] = v
+		}
+		s.AddClause(lits...)
 	}
 }

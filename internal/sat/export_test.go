@@ -10,10 +10,11 @@ import (
 // work counters, every clause of the arena (header fields decoded, so
 // the digest does not depend on the header bit layout, and the clean
 // bit is left out), and the elimination stack with its stored
-// clauses. Model values are not included; callers hash Value. The two
-// zeros after Reintroduced stand for the counters of a learnt-clause
-// distillation pass the solver no longer has, so the recorded digests
-// still match.
+// clauses. Model values are not included; callers hash Value. The
+// zeros after Compactions and after Reintroduced stand for the
+// counters of clause sharing and of a learnt-clause distillation pass
+// the solver no longer has, and the flags word keeps bit 2 (it marked
+// an imported clause) at 0, so the recorded digests still match.
 func InprocessingDigest(s *Solver) [32]byte {
 	h := sha256.New()
 	var w [8]byte
@@ -25,7 +26,7 @@ func InprocessingDigest(s *Solver) [32]byte {
 	for _, x := range []int64{
 		st.Conflicts, st.Decisions, st.Propagations, st.Learnt,
 		st.Restarts, st.Minimized, st.Reduced, st.Compactions,
-		st.Exported, st.Imported, st.Subsumed, st.Strengthened,
+		0, 0, st.Subsumed, st.Strengthened,
 		st.ElimVars, st.Reintroduced, 0, 0,
 	} {
 		put(uint64(x))
@@ -34,7 +35,7 @@ func InprocessingDigest(s *Solver) [32]byte {
 	put(uint64(end))
 	for c := cref(0); c < end; c += claHdrWords + s.claSize(c) {
 		flags := uint64(0)
-		for i, b := range []bool{s.claLearnt(c), s.claDeleted(c), s.claImported(c)} {
+		for i, b := range []bool{s.claLearnt(c), s.claDeleted(c)} {
 			if b {
 				flags |= 1 << i
 			}

@@ -30,11 +30,10 @@ type PortfolioOptions struct {
 // the same instance; Solve time-slices them on the calling goroutine in
 // the staircase schedule of solveStaircase.
 //
-// The members cooperate: each appends its short/low-LBD learnt clauses
-// to its export log (sharing.go) and imports the peers' exports at
-// solve entry and restart boundaries, so lemmas — above all the
-// UNSAT-proof glue clauses every member would otherwise have to
-// rediscover — are derived once and reused N times.
+// The members share no clauses: each searches on its own clause
+// database, so member i's run — and its UNSAT answer — is exactly
+// what a standalone NewWithOptions(MemberOptions(i, Seed)) solver
+// would do given the same clauses and the same SolveLimited slices.
 //
 // Everything a member sees is a pure function of the schedule, so the
 // result — status, model, winner and all stats — is bit-identical on
@@ -62,18 +61,6 @@ func NewPortfolio(opt PortfolioOptions) *Portfolio {
 	}
 	for i := range p.members {
 		p.members[i] = NewWithOptions(memberOptions(i, opt.Seed, opt.Stop))
-	}
-	if n > 1 {
-		for _, m := range p.members {
-			m.shareOut = newShareLog()
-		}
-		for i, m := range p.members {
-			for j, peer := range p.members {
-				if j != i {
-					m.shareIn = append(m.shareIn, shareReader{log: peer.shareOut})
-				}
-			}
-		}
 	}
 	return p
 }
@@ -165,15 +152,15 @@ const sliceUnit = 2000
 // solveStaircase runs the members one after another on the calling
 // goroutine: round r gives each of the first min(r+1, N) members a
 // SolveLimited slice of sliceUnit<<r conflicts, and the first
-// definitive answer in (round, member) order wins. Everything that
-// feeds a member — its own slice history and the peers' export logs at
-// each slice boundary — is a pure function of this schedule, so the
-// result (status, model, winner, stats) is bit-identical on every run
-// and host. The staircase (member i joins in round i) additionally
-// makes the result independent of the member count for every instance
-// decided before the schedule first reaches a member index ≥ the
-// smaller count — in particular, instances decided in rounds 0–1 (and
-// member 0–1 of round 2) report identically for any Workers ≥ 2.
+// definitive answer in (round, member) order wins. A member's search
+// depends only on its own slice history, a pure function of this
+// schedule, so the result (status, model, winner, stats) is
+// bit-identical on every run and host. The staircase (member i joins
+// in round i) additionally makes the result independent of the member
+// count for every instance decided before the schedule first reaches a
+// member index ≥ the smaller count — in particular, instances decided
+// in rounds 0–1 (and member 0–1 of round 2) report identically for any
+// Workers ≥ 2.
 //
 // A finite budget is per-member (budgets that fit inside the first
 // slice never reach here — solve routes them to member 0).
@@ -218,9 +205,9 @@ func (p *Portfolio) solveStaircase(budget int64, assumptions []int) Status {
 // Value reads variable v from the winning member's model.
 func (p *Portfolio) Value(v int) bool { return p.members[p.winner].Value(v) }
 
-// Stats sums the members' work counters — conflicts, propagations,
-// exported/imported clauses, and the rest — so a portfolio reports all
-// the work it did, not just member 0's share.
+// Stats sums the members' work counters — conflicts, propagations and
+// the rest — so a portfolio reports all the work it did, not just
+// member 0's share.
 func (p *Portfolio) Stats() Stats {
 	var t Stats
 	for _, m := range p.members {

@@ -130,6 +130,44 @@ func TestPortfolioHardInstances(t *testing.T) {
 	}
 }
 
+// TestPortfolioMembersIndependent: members share nothing, so each
+// member's work counters after a staircase solve equal those of a
+// standalone solver with the member's configuration that is given the
+// same clauses and the same SolveLimited slices — replayed here in the
+// schedule's (round, member) order. The instance is decided in round
+// 2, so member 0 resumes after member 1 has run a slice of its own.
+func TestPortfolioMembersIndependent(t *testing.T) {
+	const workers, seed = 4, 99
+	build := func(s Interface) { unsat3SAT(s, 200, 2) }
+	p := NewPortfolio(PortfolioOptions{Workers: workers, Seed: seed})
+	build(p)
+	got := p.Solve()
+
+	solo := make([]*Solver, workers)
+	for i := range solo {
+		solo[i] = NewWithOptions(MemberOptions(i, seed))
+		build(solo[i])
+	}
+	want, winner, round := Unknown, 0, -1
+	for want == Unknown {
+		round++
+		for i := 0; i < min(round+1, workers) && want == Unknown; i++ {
+			want, winner = solo[i].SolveLimited(int64(sliceUnit)<<round), i
+		}
+	}
+	if round < 2 {
+		t.Fatalf("decided in round %d; the check needs round 2 or later", round)
+	}
+	if got != want || p.Winner() != winner {
+		t.Fatalf("portfolio %v by member %d, standalone replay %v by member %d", got, p.Winner(), want, winner)
+	}
+	for i := range solo {
+		if p.MemberStats(i) != solo[i].Stats {
+			t.Errorf("member %d differs from its standalone replay:\n%+v\n%+v", i, p.MemberStats(i), solo[i].Stats)
+		}
+	}
+}
+
 // TestPortfolioSolveLimited: with a tiny budget every member returns
 // Unknown; the portfolio must report Unknown and stay reusable.
 func TestPortfolioSolveLimited(t *testing.T) {

@@ -18,9 +18,9 @@
 // Cancellation has one input, the caller-owned Options.Stop flag: while
 // it is up every solve returns Unknown and leaves the solver reusable.
 // The Portfolio layer (portfolio.go) time-slices diverging members on
-// one goroutine with clause sharing between them (sharing.go) and keeps
-// the same bit-exact reproducibility; NewPortfolio is the constructor
-// callers use, and its one-member form answers exactly like a Solver.
+// one goroutine and keeps the same bit-exact reproducibility;
+// NewPortfolio is the constructor callers use, and its one-member form
+// answers exactly like a Solver.
 package sat
 
 import (
@@ -160,13 +160,6 @@ type Solver struct {
 	lubyUnit int64
 	stop     *atomic.Bool // caller cancellation (Options.Stop)
 
-	// Clause sharing (sharing.go), wired by the Portfolio: shareOut is
-	// this solver's export log, shareIn the peers' logs with this
-	// solver's private read cursors.
-	shareOut  *shareLog
-	shareIn   []shareReader
-	importBuf []uint32 // filtered-literal scratch for importClause
-
 	// Preallocated scratch (reused across calls, never shrunk).
 	seen      []byte   // var -> conflict-analysis mark
 	toClear   []int32  // vars whose seen mark must be reset
@@ -176,8 +169,7 @@ type Solver struct {
 	addBuf    []uint32 // AddClause literal buffer
 	lbdStamp  []uint32 // level -> stamp for LBD counting
 	lbdTick   uint32
-	reduceBuf []cref // candidate list for reduceDB (local tier)
-	reduceImp []cref // candidate list for reduceDB (imported tier)
+	reduceBuf []cref // candidate list for reduceDB
 
 	// Inprocessing state (simplify.go).
 	elim       []byte     // var -> eliminated by bounded variable elimination
@@ -218,8 +210,6 @@ type Stats struct {
 	Minimized    int64 // literals removed by learnt-clause minimization
 	Reduced      int64 // learnt clauses deleted by reduceDB
 	Compactions  int64 // arena compactions (one per effective reduceDB)
-	Exported     int64 // learnt clauses published to the export log
-	Imported     int64 // peer clauses integrated from export logs
 	Subsumed     int64 // problem clauses removed by subsumption
 	Strengthened int64 // literals removed by self-subsumption
 	ElimVars     int64 // variables removed by bounded variable elimination
@@ -241,8 +231,6 @@ func (s *Stats) add(o Stats) {
 	s.Minimized += o.Minimized
 	s.Reduced += o.Reduced
 	s.Compactions += o.Compactions
-	s.Exported += o.Exported
-	s.Imported += o.Imported
 	s.Subsumed += o.Subsumed
 	s.Strengthened += o.Strengthened
 	s.ElimVars += o.ElimVars
@@ -482,54 +470,34 @@ func (s *Solver) locked(c cref) bool {
 // place (see compact). Victims are picked by glue first (higher LBD
 // goes first) and clause activity second (colder clauses go first);
 // binary clauses, glue clauses (LBD ≤ 2) and clauses that are the
-// reason of a current assignment are kept. Imported clauses form their
-// own eviction tier: they are a renewable resource — the peer that
-// found one still has it and re-shares its descendants — so the
-// imported tier is evicted harder (3/4) and, being sorted separately,
-// can never crowd locally learnt clauses out of the candidate list.
+// reason of a current assignment are kept.
 func (s *Solver) reduceDB() {
 	limit := 2*s.numProblem + 10000
 	if s.numLearnt <= limit {
 		return
 	}
 	cand := s.reduceBuf[:0]
-	imp := s.reduceImp[:0]
 	s.forEachClause(func(c cref) {
-		if !s.claLearnt(c) || s.claSize(c) <= 2 || s.claLBD(c) <= 2 || s.locked(c) {
-			return
-		}
-		if s.claImported(c) {
-			imp = append(imp, c)
-		} else {
+		if s.claLearnt(c) && s.claSize(c) > 2 && s.claLBD(c) > 2 && !s.locked(c) {
 			cand = append(cand, c)
 		}
 	})
-	colder := func(set []cref) func(i, j int) bool {
-		return func(i, j int) bool {
-			a, b := set[i], set[j]
-			if la, lb := s.claLBD(a), s.claLBD(b); la != lb {
-				return la > lb
-			}
-			if aa, ab := s.claAct(a), s.claAct(b); aa != ab {
-				return aa < ab
-			}
-			return a < b // deterministic tie-break
+	sort.Slice(cand, func(i, j int) bool {
+		a, b := cand[i], cand[j]
+		if la, lb := s.claLBD(a), s.claLBD(b); la != lb {
+			return la > lb
 		}
-	}
-	sort.Slice(cand, colder(cand))
-	sort.Slice(imp, colder(imp))
+		if aa, ab := s.claAct(a), s.claAct(b); aa != ab {
+			return aa < ab
+		}
+		return a < b // deterministic tie-break
+	})
 	for _, c := range cand[:len(cand)/2] {
 		s.claMarkDeleted(c)
 		s.numLearnt--
 		s.Stats.Reduced++
 	}
-	for _, c := range imp[:3*len(imp)/4] {
-		s.claMarkDeleted(c)
-		s.numLearnt--
-		s.Stats.Reduced++
-	}
 	s.reduceBuf = cand[:0]
-	s.reduceImp = imp[:0]
 	s.compact()
 }
 
@@ -973,14 +941,6 @@ func (s *Solver) solve(budget int64, assumptions []int) Status {
 	}
 	rootLevel := s.decisionLevel()
 
-	// Pick up peer clauses published since the last solve (slices of a
-	// deterministic portfolio land here); fresh conflicts they imply
-	// surface through the loop's propagate below.
-	if len(s.shareIn) > 0 && s.importShared() {
-		s.cancelUntil(0)
-		return Unsat
-	}
-
 	var restarts int64
 	conflictLimit := s.lubyUnit * luby(0)
 	conflicts := int64(0)
@@ -1010,7 +970,6 @@ func (s *Solver) solve(budget int64, assumptions []int) Status {
 				return Unsat
 			}
 			learnt, backLvl, lbd := s.analyze(conf)
-			s.exportLearnt(learnt, lbd)
 			if backLvl < rootLevel {
 				backLvl = rootLevel
 			}
@@ -1041,12 +1000,6 @@ func (s *Solver) solve(budget int64, assumptions []int) Status {
 			s.Stats.Restarts++
 			s.cancelUntil(rootLevel)
 			s.reduceDB()
-			// Restart boundary: integrate peer clauses while the trail
-			// is at the root level and watches can be placed soundly.
-			if len(s.shareIn) > 0 && s.importShared() {
-				s.cancelUntil(0)
-				return Unsat
-			}
 			continue
 		}
 		v := int32(-1)

@@ -100,45 +100,6 @@ func TestSubsumptionRemovesSupersets(t *testing.T) {
 	verifyModel(t, s, [][]int{{a, b}, {a, b, c}, {-a, b, d}, {c, d, -b, a}}, 0)
 }
 
-// TestImportedTierEviction: imported clauses carry the imported flag
-// and reduceDB evicts them at a higher rate than local learnt clauses.
-func TestImportedTierEviction(t *testing.T) {
-	s := New()
-	var vars []int
-	for i := 0; i < 12; i++ {
-		vars = append(vars, s.NewVar())
-	}
-	// One local problem clause so the reduce limit is tiny.
-	s.AddClause(vars[0], vars[1])
-	// Import many medium-glue clauses by hand.
-	lits := make([]uint32, 4)
-	imported := 0
-	for i := 0; i+3 < 12; i++ {
-		lits[0] = intLit(vars[i])
-		lits[1] = intLit(vars[(i+1)%12])
-		lits[2] = intLit(vars[(i+2)%12])
-		lits[3] = intLit(vars[(i+3)%12])
-		if !s.importClause(lits, 4) {
-			imported++
-		}
-	}
-	if imported == 0 {
-		t.Fatal("no clause imported")
-	}
-	found := 0
-	s.forEachClause(func(c cref) {
-		if s.claImported(c) {
-			found++
-		}
-	})
-	if found != imported {
-		t.Fatalf("imported flag on %d of %d imported clauses", found, imported)
-	}
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("instance satisfiable: %v", got)
-	}
-}
-
 // TestSimplifyDeterminism: two identical solvers simplify identically —
 // same eliminations, same clause counts, same stats.
 func TestSimplifyDeterminism(t *testing.T) {

@@ -6,8 +6,15 @@ import (
 	"net/http"
 
 	"repro/internal/dispatch"
+	"repro/internal/faultpoint"
 	"repro/internal/flow"
 )
+
+// fpCellsRefuse is a behavioural site: armed with the panic action, it
+// makes POST /v1/cells refuse a valid cell with a 400, the answer a
+// coordinator must turn into that cell's failure at once.
+var fpCellsRefuse = faultpoint.Describe("server.cells.refuse",
+	"server: POST /v1/cells, after the spec checks; panic makes the daemon refuse the cell with a 400")
 
 // RunCell computes one dispatched table cell, gated by the daemon's
 // cell semaphore (MaxJobs wide) so coordinators cannot oversubscribe
@@ -49,7 +56,8 @@ func (m *Manager) CellsRunning() int { return len(m.cellSem) }
 // request body is one CellSpec, and the response streams the
 // worker→coordinator half as NDJSON through dispatch.ServeCell — hello,
 // heartbeats while the cell queues and computes, then exactly one res
-// or err line. A spec JobSpec.Validate would reject as a job gets a 400.
+// or err line. A spec JobSpec.Validate would reject as a job gets a 400,
+// and so does every cell while the server.cells.refuse site is armed.
 // A daemon at capacity keeps heartbeating until a slot frees; a
 // draining daemon answers 503 before the stream starts, which the
 // coordinator treats as a rejection (requeue elsewhere, no crash-budget
@@ -64,6 +72,10 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := flow.ValidateCellSpec(spec); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if faultpoint.Fired(fpCellsRefuse) {
+		writeError(w, http.StatusBadRequest, "cell %s refused at fault site %s", spec.Key(), fpCellsRefuse)
 		return
 	}
 	if s.mgr.Draining() {

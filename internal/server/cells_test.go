@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/dispatch"
+	"repro/internal/faultpoint"
 	"repro/internal/flow"
 )
 
@@ -231,46 +232,62 @@ func TestRemoteWorkerEndToEnd(t *testing.T) {
 }
 
 // TestRemoteRefusedCellFailsAtOnce: a cell the daemon refuses with a
-// 400 (scale 2 is out of range) is that cell's clean failure and
+// 400 — scale 2 is out of range, or any cell while the
+// server.cells.refuse site is armed — is that cell's clean failure and
 // carries the daemon's reason. It is neither a rejection, which would
 // requeue it until the slot retires, nor a worker death, which at crash
 // budget 1 would quarantine it.
 func TestRemoteRefusedCellFailsAtOnce(t *testing.T) {
-	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
-	ts := httptest.NewServer(NewServer(m))
-	defer ts.Close()
-	var mu sync.Mutex
-	var logs []string
-	c, err := dispatch.New(dispatch.Options{
-		Slots:       []dispatch.Slot{{Name: ts.URL, Open: dispatch.HTTPTransport(ts.URL)}},
-		CrashBudget: 1,
-		Logf: func(format string, args ...any) {
+	for _, tc := range []struct {
+		name, reason string
+		scale        float64
+		arm          bool
+	}{
+		{"scale", "scale", 2, false},
+		{"fault site", "refused at fault site " + fpCellsRefuse, 0.03, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.arm {
+				faultpoint.Set(fpCellsRefuse, func() { panic("refuse") })
+				defer faultpoint.Reset()
+			}
+			m := newTestManager(t, ManagerOptions{MaxJobs: 1})
+			ts := httptest.NewServer(NewServer(m))
+			defer ts.Close()
+			var mu sync.Mutex
+			var logs []string
+			c, err := dispatch.New(dispatch.Options{
+				Slots:       []dispatch.Slot{{Name: ts.URL, Open: dispatch.HTTPTransport(ts.URL)}},
+				CrashBudget: 1,
+				Logf: func(format string, args ...any) {
+					mu.Lock()
+					defer mu.Unlock()
+					logs = append(logs, fmt.Sprintf(format, args...))
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			spec := testCellSpec()
+			spec.Scale = tc.scale
+			_, err = c.RunCell(ctx, spec)
+			if err == nil || !strings.Contains(err.Error(), tc.reason) {
+				t.Fatalf("refused cell returned %v, want the daemon's reason %q", err, tc.reason)
+			}
+			if dispatch.IsQuarantined(err) {
+				t.Fatalf("refused cell was charged a worker death: %v", err)
+			}
 			mu.Lock()
 			defer mu.Unlock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	spec := testCellSpec()
-	spec.Scale = 2
-	_, err = c.RunCell(ctx, spec)
-	if err == nil || !strings.Contains(err.Error(), "scale") {
-		t.Fatalf("refused cell returned %v, want the daemon's scale error", err)
-	}
-	if dispatch.IsQuarantined(err) {
-		t.Fatalf("refused cell was charged a worker death: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, l := range logs {
-		if strings.Contains(l, "rejected") || strings.Contains(l, "requeue") || strings.Contains(l, "died") {
-			t.Fatalf("refused cell was retried: %q in %v", l, logs)
-		}
+			for _, l := range logs {
+				if strings.Contains(l, "rejected") || strings.Contains(l, "requeue") || strings.Contains(l, "died") {
+					t.Fatalf("refused cell was retried: %q in %v", l, logs)
+				}
+			}
+		})
 	}
 }
