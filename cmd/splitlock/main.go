@@ -6,6 +6,7 @@
 // netlist in .bench format. A generated benchmark follows the tables'
 // design rule: -scale 0 runs at the default 0.1, and a -scale outside
 // [0, 1] or -keybits outside [0, 4096] exits 1 before any work starts.
+// A -file netlist is held to the same -keybits range.
 //
 //	splitlock -bench b14 -scale 0.1 -split 4 -keybits 128
 //	splitlock -bench c432 -o locked.bench
@@ -37,6 +38,9 @@ func main() {
 	var orig *netlist.Circuit
 	var err error
 	if *file != "" {
+		if err := flow.ValidateKeyBits(*keyBits); err != nil {
+			fatal(err)
+		}
 		f, ferr := os.Open(*file)
 		if ferr != nil {
 			fatal(ferr)

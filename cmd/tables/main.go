@@ -378,71 +378,106 @@ func printFaultpoints() {
 	}
 }
 
+// itcLayers are the split layers of Tables I/II and footnote 6, in
+// column order.
+var itcLayers = [2]int{4, 6}
+
+// failedCell stands in for every value of a benchmark×layer cell that
+// failed; the Avg row leaves such cells out.
+const failedCell = "failed"
+
+// layerCells formats one layer's values with format (width 8), or the
+// failed marker in each of their columns when ok is false.
+func layerCells(format string, ok bool, vals ...float64) string {
+	cols := make([]string, len(vals))
+	for i, v := range vals {
+		if ok {
+			cols[i] = fmt.Sprintf(format, v)
+		} else {
+			cols[i] = fmt.Sprintf("%8s", failedCell)
+		}
+	}
+	return strings.Join(cols, " ")
+}
+
+// itcTable prints one row per benchmark and an Avg row: values(res)
+// gives a layer's columns, printed ×100 with format, sep separates the
+// layers, and avg(sum, n) turns a column's sum over n cells into its
+// printed average. A failed cell prints the failed marker and is left
+// out of its layer's average; the Avg row is left out when every cell
+// failed.
+func itcTable(rows []flow.ITCRow, format, sep string, values func(flow.SplitResult) []float64, avg func(sum float64, n int) float64) {
+	var sums [len(itcLayers)][]float64
+	var counts [len(itcLayers)]int
+	line := func(name string, cells [len(itcLayers)]string) {
+		fmt.Printf("%-6s | %s\n", name, strings.Join(cells[:], sep))
+	}
+	for _, r := range rows {
+		var cells [len(itcLayers)]string
+		for li, l := range itcLayers {
+			res, ok := r.Results[l]
+			vals := values(res)
+			if ok {
+				if sums[li] == nil {
+					sums[li] = make([]float64, len(vals))
+				}
+				for i, v := range vals {
+					sums[li][i] += v
+				}
+				counts[li]++
+			}
+			scaled := make([]float64, len(vals))
+			for i, v := range vals {
+				scaled[i] = v * 100
+			}
+			cells[li] = layerCells(format, ok, scaled...)
+		}
+		line(r.Benchmark, cells)
+	}
+	if counts[0]+counts[1] == 0 {
+		return
+	}
+	var cells [len(itcLayers)]string
+	width := len(values(flow.SplitResult{}))
+	for li := range itcLayers {
+		avgs := make([]float64, width)
+		for i, v := range sums[li] {
+			avgs[i] = avg(v, counts[li])
+		}
+		cells[li] = layerCells(format, counts[li] > 0, avgs...)
+	}
+	line("Avg", cells)
+}
+
+// percentAvg is Table I's and II's average of n fractions, in percent.
+func percentAvg(sum float64, n int) float64 { return sum * (100 / float64(n)) }
+
 func printTableI(rows []flow.ITCRow) {
 	fmt.Println("\n== Table I: CCR (%) for ITC'99 benchmarks split at M4 and M6 ==")
 	fmt.Printf("%-6s | %8s %8s %8s | %8s %8s %8s\n", "", "M4", "", "", "M6", "", "")
 	fmt.Printf("%-6s | %8s %8s %8s | %8s %8s %8s\n",
 		"Bench", "KeyLog", "KeyPhys", "Regular", "KeyLog", "KeyPhys", "Regular")
-	var s4l, s4p, s4r, s6l, s6p, s6r float64
-	n := 0
-	for _, r := range rows {
-		m4, m6 := r.Results[4], r.Results[6]
-		fmt.Printf("%-6s | %8.0f %8.0f %8.0f | %8.0f %8.0f %8.0f\n", r.Benchmark,
-			m4.CCR.KeyLogical*100, m4.CCR.KeyPhysical*100, m4.CCR.Regular*100,
-			m6.CCR.KeyLogical*100, m6.CCR.KeyPhysical*100, m6.CCR.Regular*100)
-		s4l += m4.CCR.KeyLogical
-		s4p += m4.CCR.KeyPhysical
-		s4r += m4.CCR.Regular
-		s6l += m6.CCR.KeyLogical
-		s6p += m6.CCR.KeyPhysical
-		s6r += m6.CCR.Regular
-		n++
-	}
-	if n > 0 {
-		f := 100 / float64(n)
-		fmt.Printf("%-6s | %8.0f %8.0f %8.0f | %8.0f %8.0f %8.0f\n", "Avg",
-			s4l*f, s4p*f, s4r*f, s6l*f, s6p*f, s6r*f)
-	}
+	itcTable(rows, "%8.0f", " | ", func(r flow.SplitResult) []float64 {
+		return []float64{r.CCR.KeyLogical, r.CCR.KeyPhysical, r.CCR.Regular}
+	}, percentAvg)
 	fmt.Println("paper: key-net logical ≈51/54, physical ≈0/1, regular ≈15/32 (M4/M6)")
 }
 
 func printTableII(rows []flow.ITCRow) {
 	fmt.Println("\n== Table II: HD and OER (%) for ITC'99 benchmarks split at M4/M6 ==")
 	fmt.Printf("%-6s | %8s %8s | %8s %8s\n", "Bench", "HD(M4)", "OER(M4)", "HD(M6)", "OER(M6)")
-	var h4, o4, h6, o6 float64
-	n := 0
-	for _, r := range rows {
-		m4, m6 := r.Results[4], r.Results[6]
-		fmt.Printf("%-6s | %8.0f %8.0f | %8.0f %8.0f\n", r.Benchmark,
-			m4.HD*100, m4.OER*100, m6.HD*100, m6.OER*100)
-		h4 += m4.HD
-		o4 += m4.OER
-		h6 += m6.HD
-		o6 += m6.OER
-		n++
-	}
-	if n > 0 {
-		f := 100 / float64(n)
-		fmt.Printf("%-6s | %8.0f %8.0f | %8.0f %8.0f\n", "Avg", h4*f, o4*f, h6*f, o6*f)
-	}
+	itcTable(rows, "%8.0f", " | ", func(r flow.SplitResult) []float64 {
+		return []float64{r.HD, r.OER}
+	}, percentAvg)
 	fmt.Println("paper: HD ≈53 (M4) / 25 (M6), OER = 100 everywhere")
 }
 
 func printFootnote6(rows []flow.ITCRow) {
 	fmt.Println("\n== Footnote 6: key-net logical CCR (%) without key post-processing ==")
 	fmt.Printf("%-6s | %8s %8s\n", "Bench", "M4", "M6")
-	var a4, a6 float64
-	n := 0
-	for _, r := range rows {
-		fmt.Printf("%-6s | %8.1f %8.1f\n", r.Benchmark,
-			r.Results[4].LogicalNoPost*100, r.Results[6].LogicalNoPost*100)
-		a4 += r.Results[4].LogicalNoPost
-		a6 += r.Results[6].LogicalNoPost
-		n++
-	}
-	if n > 0 {
-		fmt.Printf("%-6s | %8.1f %8.1f\n", "Avg", a4/float64(n)*100, a6/float64(n)*100)
-	}
+	itcTable(rows, "%8.1f", " ", func(r flow.SplitResult) []float64 {
+		return []float64{r.LogicalNoPost}
+	}, func(sum float64, n int) float64 { return sum / float64(n) * 100 })
 	fmt.Println("paper: 17.6 (M4) / 29.3 (M6) — dropping well below 50%")
 }
 

@@ -109,11 +109,21 @@ func ValidateDesign(bench string, scale float64, keyBits, patterns int) error {
 	if scale < 0 || scale > 1 {
 		return fmt.Errorf("flow: scale %v out of range [0, 1]", scale)
 	}
-	if keyBits < 0 || keyBits > 4096 {
-		return fmt.Errorf("flow: keybits %d out of range [0, 4096]", keyBits)
+	if err := ValidateKeyBits(keyBits); err != nil {
+		return err
 	}
 	if patterns > sim.MaxPatterns {
 		return fmt.Errorf("flow: patterns %d above the limit of %d", patterns, sim.MaxPatterns)
+	}
+	return nil
+}
+
+// ValidateKeyBits is ValidateDesign's key-size rule, for designs that
+// are not registered benchmarks (a .bench file): keyBits must be in
+// [0, 4096], where 0 means the default 128.
+func ValidateKeyBits(keyBits int) error {
+	if keyBits < 0 || keyBits > 4096 {
+		return fmt.Errorf("flow: keybits %d out of range [0, 4096]", keyBits)
 	}
 	return nil
 }

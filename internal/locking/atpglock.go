@@ -83,16 +83,29 @@ type ATPGLockReport struct {
 // restore scheme of Sec. III-A. Per module the most cost-effective
 // fault region is selected (maximizing removed minus added area under
 // the key budget), applied as a trial, verified equivalent (the Fig. 3
-// LEC reject loop, realized here as a structural validity check plus
-// simulation; the flow package re-verifies with full LEC), and
-// committed.
+// LEC reject loop, realized here as a validity check plus simulation,
+// both confined to what the trial touched; the flow package
+// re-verifies with full LEC), and committed.
 //
 // The lock works on one copy of the circuit and one per-lock state
 // that is rebuilt only when a fault is committed: the region
-// analysis's topological positions and scratch, the compiled activity
-// simulator and the compiled equivalence reference. A trial edits the
+// analysis's topological positions and scratch, and the compiled
+// simulator of the whole circuit, which serves the activity estimates
+// and, when needed, the trial's equivalence check. A trial edits the
 // copy in place under a netlist checkpoint; a rejected trial is rolled
 // back, a kept one committed, so no trial clones the circuit.
+//
+// The trial's check (tryRegion) is cone-local. It validates only the
+// trial's new edges and killed gates, sweeps only what the trial
+// removed, and re-adds the area only from the lowest edited ID. For
+// equivalence it first compares each re-driven boundary with the net
+// it replaces over every value of the region's support; when one
+// differs, it simulates the committed circuit once and re-simulates
+// only the trial's forward cone, comparing the outputs and next states
+// inside it, since every other observable is structurally unchanged.
+// The verdict and the random draws, and so the lock, are those of a
+// whole-circuit Validate, SweepDead, cellib.Area and a 4096-pattern
+// sim.EquivalentOpt against the committed circuit.
 func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockReport, error) {
 	opt = opt.withDefaults()
 	c := orig.Clone()
@@ -110,13 +123,13 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 	if err != nil {
 		return nil, nil, err
 	}
-	ref, err := sim.NewReference(c)
-	if err != nil {
-		return nil, nil, err
-	}
-	area := cellib.Area(c)
-	// eval is the activity simulator of the committed circuit, compiled
-	// on first use after each commit.
+	var ledger areaLedger
+	area := ledger.update(c, nil, 0)
+	// stale lists the gates dead in the input, which a trial's sweep
+	// removes too; the first commit removes them for good.
+	stale := c.DeadGates()
+	// eval is the simulator of the committed circuit, compiled on first
+	// use after each commit.
 	var eval *sim.Evaluator
 
 	// Several selection rounds over the modules: each round picks at
@@ -161,37 +174,37 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 			}
 			// Apply as a trial; reject on any validity or equivalence
 			// failure (the Fig. 3 reject loop).
+			var before *netlist.Circuit
+			if trialHook != nil {
+				before = c.Clone()
+			}
+			n0 := c.NumIDs()
 			c.Checkpoint()
 			keys := len(lk.KeyBits)
-			bits, remArea, addArea, areaAfter, err := an.applyRegion(lk, best, rng, area)
-			if err == nil {
-				err = c.Validate()
-			}
-			var next *sim.Reference
-			if err == nil {
-				var eq bool
-				eq, next, err = ref.Equivalent(c, 1<<12, rng.Word())
-				if err == nil && !eq {
-					err = errNotEquivalent
-				}
+			bits, seed, err := an.tryRegion(lk, best, rng, eval, n0, stale)
+			if trialHook != nil {
+				trialHook(an, eval, n0, before, seed, err)
 			}
 			if err != nil {
 				c.Rollback()
 				lk.KeyBits = lk.KeyBits[:keys]
+				ledger.update(c, an.killed, n0)
 				rep.FaultsRejected++
 				continue
 			}
+			areaAfter := ledger.update(c, an.killed, n0)
 			c.Commit()
 			if err := an.reset(); err != nil {
 				return nil, nil, err
 			}
-			ref, area, eval = next, areaAfter, nil
+			stale, eval = nil, nil
 			budget -= bits
 			applied++
 			rep.FaultsApplied++
 			rep.RemovedGates += len(best.removed)
-			rep.RemovedArea += remArea
-			rep.RestoreArea += addArea
+			rep.RemovedArea += max(area-areaAfter, 0)
+			rep.RestoreArea += max(areaAfter-area, 0)
+			area = areaAfter
 		}
 		if round == 0 {
 			rep.ModulesLocked = applied
@@ -217,10 +230,6 @@ func ATPGLock(orig *netlist.Circuit, opt ATPGLockOptions) (*Locked, *ATPGLockRep
 	}
 	return lk, rep, nil
 }
-
-// errNotEquivalent rejects a trial whose simulation differs from the
-// committed circuit's.
-var errNotEquivalent = errors.New("locking: trial not equivalent")
 
 // bestRegion scans a module for the most cost-effective fault region.
 // Candidates are visited in ascending switching activity (activity

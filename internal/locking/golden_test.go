@@ -14,24 +14,6 @@ import (
 	"repro/internal/bmarks"
 )
 
-// goldenLocks are the locks TestATPGLockGolden pins: the ten locks of
-// BenchmarkATPGLock (the daemon-mix designs at k64 and k128, lock seed
-// 4001) and paper-b14's two b14 ×1.0 k128 cells (seeds 4001 and 6001).
-var goldenLocks = []struct {
-	bench   string
-	scale   float64
-	keyBits int
-	seed    uint64
-	paper   bool
-}{
-	{"c880", 1, 64, 4001, false}, {"c880", 1, 128, 4001, false},
-	{"c1355", 1, 64, 4001, false}, {"c1355", 1, 128, 4001, false},
-	{"c1908", 1, 64, 4001, false}, {"c1908", 1, 128, 4001, false},
-	{"c3540", 1, 64, 4001, false}, {"c3540", 1, 128, 4001, false},
-	{"b14", 0.1, 64, 4001, false}, {"b14", 0.1, 128, 4001, false},
-	{"b14", 1, 128, 4001, true}, {"b14", 1, 128, 6001, true},
-}
-
 // lockHash is the SHA-256 of everything a lock hands on: the locked
 // netlist, the key, where each key bit lives, and the report.
 func lockHash(t *testing.T, bench string, scale float64, keyBits int, seed uint64) string {

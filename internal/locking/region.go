@@ -160,6 +160,19 @@ type analyzer struct {
 	// cand receives each analysis; spare holds the caller's best
 	// region while cand is overwritten (see keep).
 	cand, spare *region
+
+	// The trial's bookkeeping (trial.go): the sinks applyRegion
+	// rewired, the gates the trial killed, the sweep's work list, marks
+	// and walk, the new gates' positions, the sinks of edges that run
+	// against the topological order, and the trial's forward cone,
+	// compiled for the equivalence check.
+	rewired                                []rewire
+	killed, work, back, coneIDs, coneOrder []netlist.GateID
+	live, dead, visit, done, inCone, obs   idSet
+	walk                                   []edgeCursor
+	newPos                                 []int32
+	holdCone, trialCone                    sim.Cone
+	edit                                   sim.Edit
 }
 
 // coneItem is a gate on a depth-bounded walk.
@@ -839,13 +852,14 @@ func complementMinterms(on []uint32, n int) []uint32 {
 // activation comparator, per-boundary faulty SOP ⊕ (match ∧ cond),
 // rewiring of outside sinks, and deletion of the removed set. New key
 // bits are appended to lk. It edits the circuit in place: ATPGLock
-// runs it under a netlist checkpoint and rolls the edit back when the
-// trial is rejected, whether here, by Validate or by the equivalence
-// check. areaBefore is the circuit's cellib.Area; the returned areas
-// are measured against it (post SweepDead), not estimated, and
-// areaAfter is the edited circuit's cellib.Area.
-func (a *analyzer) applyRegion(lk *Locked, r *region, rng *sim.Rand, areaBefore float64) (bits int, removedArea, addedArea, areaAfter float64, err error) {
+// runs it under a netlist checkpoint, and the caller sweeps, checks
+// and keeps or rolls back the edit (see tryRegion). Every rewired sink
+// is recorded in a.rewired. corrupt inverts the first boundary's new
+// driver, which makes the trial wrong on purpose (the
+// locking.trial.corrupt fault site).
+func (a *analyzer) applyRegion(lk *Locked, r *region, rng *sim.Rand, corrupt bool) (bits int, err error) {
 	c := a.c
+	a.rewired = a.rewired[:0]
 	n := len(r.support)
 	baseIdx := len(lk.KeyBits)
 	inRemoved := &a.removed
@@ -926,7 +940,7 @@ func (a *analyzer) applyRegion(lk *Locked, r *region, rng *sim.Rand, areaBefore 
 	// The keyed activation comparator (one per fault).
 	match, err := buildComparator(c, lk, r.support, r.actCubes, rng)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, err
 	}
 
 	size := 1 << uint(n)
@@ -946,20 +960,20 @@ func (a *analyzer) applyRegion(lk *Locked, r *region, rng *sim.Rand, areaBefore 
 			}
 		}
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return 0, err
 		}
 		newNet := faultyNet
 		if len(r.cond[bi]) > 0 {
 			condNet, cerr := sop(r.cond[bi], false)
 			if cerr != nil {
-				return 0, 0, 0, 0, cerr
+				return 0, cerr
 			}
 			restore := match
 			// cond ≡ TRUE (a single all-dontcare cube) needs no AND.
 			if !(len(r.cond[bi]) == 1 && r.cond[bi][0].Care == 0) {
 				restore, err = c.AddGate("", netlist.And, match, condNet)
 				if err != nil {
-					return 0, 0, 0, 0, err
+					return 0, err
 				}
 				c.Gate(restore).DontTouch = true
 			}
@@ -974,9 +988,14 @@ func (a *analyzer) applyRegion(lk *Locked, r *region, rng *sim.Rand, areaBefore 
 				newNet, err = c.AddGate("", netlist.Xor, faultyNet, restore)
 			}
 			if err != nil {
-				return 0, 0, 0, 0, err
+				return 0, err
 			}
 			c.Gate(newNet).DontTouch = true
+		}
+		if corrupt && bi == 0 {
+			if newNet, err = c.AddGate("", netlist.Not, newNet); err != nil {
+				return 0, err
+			}
 		}
 		// Rewiring patches b's fanout list, so walk a copy.
 		a.sinks = append(a.sinks[:0], c.Fanouts(b)...)
@@ -985,21 +1004,13 @@ func (a *analyzer) applyRegion(lk *Locked, r *region, rng *sim.Rand, areaBefore 
 				continue
 			}
 			c.ReplaceFanin(s, b, newNet)
+			a.rewired = append(a.rewired, rewire{sink: s, old: b, new: newNet})
 		}
 	}
 	for _, id := range r.removed {
 		c.Kill(id)
 	}
-	c.SweepDead()
-	areaAfter = cellib.Area(c)
-	return len(lk.KeyBits) - baseIdx, max0(areaBefore - areaAfter), max0(areaAfter - areaBefore), areaAfter, nil
-}
-
-func max0(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
+	return len(lk.KeyBits) - baseIdx, nil
 }
 
 // buildComparator creates the keyed cube matcher: one XOR/XNOR key-gate

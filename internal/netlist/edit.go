@@ -123,6 +123,18 @@ func removeID(ids []GateID, id GateID) []GateID {
 // combinationally or through flip-flops. Primary inputs and DontTouch
 // gates are always kept. It returns the number of gates removed.
 func (c *Circuit) SweepDead() int {
+	dead := c.DeadGates()
+	for _, id := range dead {
+		c.Kill(id)
+	}
+	return len(dead)
+}
+
+// DeadGates lists, in ascending ID order, the live gates SweepDead
+// would remove: those from which no primary output, primary input or
+// DontTouch gate is reachable through fanout edges, flip-flops
+// included.
+func (c *Circuit) DeadGates() []GateID {
 	live := make([]bool, len(c.gates))
 	var stack []GateID
 	mark := func(id GateID) {
@@ -146,12 +158,11 @@ func (c *Circuit) SweepDead() int {
 			mark(f)
 		}
 	}
-	removed := 0
+	var dead []GateID
 	for i := range c.gates {
 		if !c.gates[i].dead && !live[i] {
-			c.Kill(GateID(i))
-			removed++
+			dead = append(dead, GateID(i))
 		}
 	}
-	return removed
+	return dead
 }

@@ -283,38 +283,82 @@ func matchByName(as, bs []string, bName, kind string) ([]int, error) {
 	return m, nil
 }
 
-// Reference is a circuit compiled once for repeated equivalence checks
-// against it. A caller that edits a circuit trial by trial, keeping an
-// edit only when it is equivalent, compiles the unedited circuit once
-// instead of once per trial, and gets each trial back compiled as the
-// next Reference in case it keeps the edit.
-type Reference struct{ s *side }
+// NetPair is one observable of an in-place edit: the net that carries
+// it in the circuit before the edit and the one that carries it after.
+// They differ where the edit moved a flip-flop's D pin to a new driver.
+type NetPair struct{ Before, After netlist.GateID }
 
-// NewReference compiles c as an equivalence reference. Later edits to
-// c do not affect the Reference.
-func NewReference(c *netlist.Circuit) (*Reference, error) {
-	s, err := prepareSide(c, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Reference{s: s}, nil
+// Edit is an in-place edit of an evaluator's circuit, described by what
+// it can change: Cone is its forward cone in the edited circuit,
+// compiled with CompileCone in topological order (every gate the edit
+// added and every gate whose fanin it changed, plus their
+// combinational fanout), Ties the TIE cells the edit added (which
+// CompileCone skips) and Observed the primary outputs and flip-flop
+// next states that the cone reaches.
+type Edit struct {
+	Cone     *Cone
+	Ties     []netlist.GateID
+	Observed []NetPair
 }
 
-// Equivalent is EquivalentOpt(ref, b, CompareOptions{Patterns:
-// patterns, Seed: seed}), where ref is the circuit the Reference was
-// compiled from: the same stimulus, the same
-// observables and the same answer. It also returns b compiled as a
-// Reference (nil on error).
-func (r *Reference) Equivalent(b *netlist.Circuit, patterns int, seed uint64) (bool, *Reference, error) {
-	pb, err := prepareSide(b, true)
-	if err != nil {
-		return false, nil, err
+// EquivalentEdit is EquivalentOpt(before, after, CompareOptions{
+// Patterns: patterns, Seed: seed}) for an edit made in place: before is
+// the circuit as e was compiled from it, after the same circuit object
+// now, with its gate IDs kept, gates added and gates killed. The answer
+// is the same provided the edit kept the primary inputs, outputs and
+// flip-flops and d lists every observable it can reach: every other
+// observable reads only gates the edit left alone, so it cannot
+// differ.
+//
+// It simulates before once under EquivalentOpt's stimulus, then
+// re-runs only d.Cone over the same buffer, which reads before's values
+// at the cone boundary, and compares d.Observed. The first difference
+// ends the run.
+func (e *Evaluator) EquivalentEdit(d *Edit, patterns int, seed uint64) (bool, error) {
+	if patterns <= 0 {
+		patterns = 65536
 	}
-	d, err := compareSides(r.s, pb, CompareOptions{Patterns: patterns, Seed: seed, ObserveState: true})
-	if err != nil {
-		return false, nil, err
+	if err := checkPatterns(patterns); err != nil {
+		return false, err
 	}
-	return d.OER == 0, &Reference{s: pb}, nil
+	words := (patterns + 63) / 64
+	w := AutoWidth(words)
+	n := e.c.NumIDs()
+	buf := getScratch((e.nIn + e.nState + n + len(d.Observed)) * w)
+	defer putScratch(buf)
+	in, st, rest := carve(buf, e.nIn*w, e.nState*w)
+	nets, saved := rest[:n*w], rest[n*w:]
+	// The edit's TIE cells drive the same constant in every pass.
+	for _, t := range d.Ties {
+		v := uint64(0)
+		if e.c.Gate(t).Type == netlist.TieHi {
+			v = ^uint64(0)
+		}
+		for k := range w {
+			nets[int(t)*w+k] = v
+		}
+	}
+	stride := uint64(e.nIn + e.nState)
+	for base := 0; base < words; base += w {
+		lanes := min(w, words-base)
+		rng := NewWideRandAt(seed, uint64(base), stride, w)
+		rng.FillWide(in)
+		rng.FillWide(st)
+		evalWide(w, &e.plan, in, st, nets)
+		for i, o := range d.Observed {
+			copy(saved[i*w:(i+1)*w], nets[int(o.Before)*w:])
+		}
+		evalWide(w, &d.Cone.plan, nil, nil, nets)
+		for i, o := range d.Observed {
+			x, y := nets[int(o.After)*w:], saved[i*w:]
+			for k := 0; k < lanes; k++ {
+				if x[k] != y[k] {
+					return false, nil
+				}
+			}
+		}
+	}
+	return true, nil
 }
 
 // ActivityOptions tunes ActivityOpt.

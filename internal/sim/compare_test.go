@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,12 +277,12 @@ func TestPatternCountAboveLimitRejected(t *testing.T) {
 		if d, err := Compare(and2, or2, CompareOptions{Patterns: n}); err == nil {
 			t.Errorf("Compare with %d patterns = %+v, want an error", n, d)
 		}
-		ref, err := NewReference(and2)
+		e, err := NewEvaluator(and2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eq, _, err := ref.Equivalent(or2, n, 1); err == nil {
-			t.Errorf("Reference.Equivalent with %d patterns = %v, want an error", n, eq)
+		if eq, err := e.EquivalentEdit(&Edit{Cone: &Cone{}}, n, 1); err == nil {
+			t.Errorf("EquivalentEdit with %d patterns = %v, want an error", n, eq)
 		}
 		if _, err := ActivityOpt(and2, ActivityOptions{Patterns: n}); err == nil {
 			t.Errorf("ActivityOpt with %d patterns succeeded, want an error", n)
@@ -289,5 +290,137 @@ func TestPatternCountAboveLimitRejected(t *testing.T) {
 	}
 	if eq, err := EquivalentOpt(and2, or2, CompareOptions{Patterns: 4096}); err != nil || eq {
 		t.Fatalf("AND2 vs OR2 at 4096 patterns = %v, %v; want false, nil", eq, err)
+	}
+}
+
+// Reference is a circuit compiled once for repeated equivalence checks
+// against it, each trial compiled whole: the test oracle that
+// EquivalentEdit is held to.
+type Reference struct{ s *side }
+
+// NewReference compiles c as an equivalence reference. Later edits to
+// c do not affect the Reference.
+func NewReference(c *netlist.Circuit) (*Reference, error) {
+	s, err := prepareSide(c, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Reference{s: s}, nil
+}
+
+// Equivalent is EquivalentOpt(ref, b, CompareOptions{Patterns:
+// patterns, Seed: seed}), where ref is the circuit the Reference was
+// compiled from: the same stimulus, the same
+// observables and the same answer. It also returns b compiled as a
+// Reference (nil on error).
+func (r *Reference) Equivalent(b *netlist.Circuit, patterns int, seed uint64) (bool, *Reference, error) {
+	pb, err := prepareSide(b, true)
+	if err != nil {
+		return false, nil, err
+	}
+	d, err := compareSides(r.s, pb, CompareOptions{Patterns: patterns, Seed: seed, ObserveState: true})
+	if err != nil {
+		return false, nil, err
+	}
+	return d.OER == 0, &Reference{s: pb}, nil
+}
+
+// TestEquivalentEditMatchesReference holds EquivalentEdit to the
+// whole-circuit comparison on random in-place edits: a new gate takes
+// over some or all sinks of an existing one, either as a buffer of it
+// (equivalent) or as a random function of earlier nets (usually not),
+// and flip-flop D pins among the sinks move with it.
+func TestEquivalentEditMatchesReference(t *testing.T) {
+	verdicts := map[bool]int{}
+	for seed := uint64(1); seed <= 120; seed++ {
+		c := randCircuit(t, seed, 60)
+		rng := NewRand(seed * 7)
+		e, err := NewEvaluator(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewReference(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A combinational gate with sinks; IDs are topological here.
+		var g netlist.GateID
+		for {
+			g = netlist.GateID(rng.Intn(c.NumIDs()))
+			if ty := c.Gate(g).Type; !ty.IsSource() && ty != netlist.Output && c.FanoutCount(g) > 0 {
+				break
+			}
+		}
+		n0 := c.NumIDs()
+		c.Checkpoint()
+		var h netlist.GateID
+		if seed%3 == 0 {
+			h = c.MustAdd("", netlist.Buf, g)
+		} else {
+			h = c.MustAdd("", netlist.Xor, netlist.GateID(rng.Intn(int(g))), netlist.GateID(rng.Intn(int(g))))
+		}
+		sinks := slices.Clone(c.Fanouts(g))
+		var ed Edit
+		inCone := map[netlist.GateID]bool{h: true}
+		observed := map[netlist.GateID]bool{}
+		for i, s := range sinks {
+			if s == h || (i > 0 && seed%2 == 0) {
+				continue
+			}
+			c.ReplaceFanin(s, g, h)
+			if c.Gate(s).Type == netlist.DFF {
+				observed[s] = true
+				ed.Observed = append(ed.Observed, NetPair{Before: g, After: h})
+			} else {
+				inCone[s] = true
+			}
+		}
+		// The forward cone, in the edited circuit's topological order.
+		order, err := c.TopoOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []netlist.GateID
+		for _, id := range order {
+			if !inCone[id] {
+				continue
+			}
+			ids = append(ids, id)
+			if c.Gate(id).Type == netlist.Output {
+				ed.Observed = append(ed.Observed, NetPair{Before: id, After: id})
+			}
+			for _, s := range c.Fanouts(id) {
+				if c.Gate(s).Type != netlist.DFF {
+					inCone[s] = true
+				} else if !observed[s] {
+					observed[s] = true
+					ed.Observed = append(ed.Observed, NetPair{Before: id, After: id})
+				}
+			}
+		}
+		if ed.Cone, err = CompileCone(c, ids); err != nil {
+			t.Fatal(err)
+		}
+		for _, patterns := range []int{64, 300, 4096} {
+			got, err := e.EquivalentEdit(&ed, patterns, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := ref.Equivalent(c.Clone(), patterns, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("seed %d, %d patterns: EquivalentEdit = %v, whole-circuit comparison %v", seed, patterns, got, want)
+			}
+			verdicts[got]++
+		}
+		c.Rollback()
+		if c.NumIDs() != n0 {
+			t.Fatal("rollback left new gates")
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("verdicts %v: want both", verdicts)
 	}
 }
