@@ -24,6 +24,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/flow"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -41,6 +42,9 @@ func main() {
 	flag.Parse()
 
 	if err := flow.ValidateDesign(*bench, *scale, *keyBits, *patterns); err != nil {
+		fatal(err)
+	}
+	if err := flow.ValidateSplitLayer(*splitAt); err != nil {
 		fatal(err)
 	}
 	if *ideal {
@@ -80,7 +84,7 @@ func main() {
 	fmt.Printf("CCR: regular %.1f%%, key logical %.1f%%, key physical %.1f%%\n",
 		ccr.Regular*100, ccr.KeyLogical*100, ccr.KeyPhysical*100)
 	fmt.Printf("PNR: %.1f%%\n", metrics.PNR(art.View, art.Secret, asg)*100)
-	d, err := metrics.Functional(orig, art.View, asg, *patterns, *seed+8)
+	d, err := metrics.FunctionalOpt(orig, art.View, asg, sim.CompareOptions{Patterns: *patterns, Seed: *seed + 8})
 	if err != nil {
 		fatal(err)
 	}

@@ -35,6 +35,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := flow.ValidateSplitLayer(*splitAt); err != nil {
+		fatal(err)
+	}
 	var orig *netlist.Circuit
 	var err error
 	if *file != "" {

@@ -65,7 +65,6 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/flow"
 	"repro/internal/runmanifest"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -130,17 +129,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Fail fast on a benchmark typo, a pattern count the simulator
-	// refuses, a run count the ideal attack refuses or a design the
+	// Fail fast on a run count the ideal attack refuses or a design the
 	// daemons would refuse (flow.ValidateDesign, applied to every
-	// selected benchmark): at full scale a sweep runs for hours, and
+	// selected benchmark: a benchmark typo, a pattern count the
+	// simulator refuses): at full scale a sweep runs for hours, and
 	// such errors must not surface after that.
-	if err := bmarks.Validate(benches); err != nil {
-		fail(err)
-	}
-	if *patterns > sim.MaxPatterns {
-		fail(fmt.Errorf("-patterns %d above the limit of %d", *patterns, sim.MaxPatterns))
-	}
 	if *runs < 1 {
 		fail(fmt.Errorf("-runs %d, want at least 1", *runs))
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/bmarks"
 	"repro/internal/flow"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -43,7 +44,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ccr := metrics.ComputeCCR(art.View, art.Secret, asg)
-		d, err := metrics.Functional(orig, art.View, asg, 1<<15, 78)
+		d, err := metrics.FunctionalOpt(orig, art.View, asg, sim.CompareOptions{Patterns: 1 << 15, Seed: 78})
 		if err != nil {
 			log.Fatal(err)
 		}

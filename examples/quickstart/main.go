@@ -14,6 +14,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/lec"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -43,7 +44,7 @@ func main() {
 	ccr := metrics.ComputeCCR(art.View, art.Secret, asg)
 	fmt.Printf("attack result:   key logical CCR %.0f%% (random guessing = 50%%), physical CCR %.0f%%\n",
 		ccr.KeyLogical*100, ccr.KeyPhysical*100)
-	d, err := metrics.Functional(orig, art.View, asg, 1<<14, 9)
+	d, err := metrics.FunctionalOpt(orig, art.View, asg, sim.CompareOptions{Patterns: 1 << 14, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}

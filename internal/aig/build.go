@@ -11,9 +11,6 @@ import (
 // to their driver's literal and DFF gates to their Q leaf.
 type LitMap []Lit
 
-// Lit returns the literal of the given net.
-func (m LitMap) Lit(id netlist.GateID) Lit { return m[id] }
-
 // Builder appends netlist circuits into one shared Graph. Leaves
 // (primary inputs and flip-flop outputs) are shared by name, so two
 // circuits added to the same builder strash against each other —

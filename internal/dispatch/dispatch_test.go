@@ -26,11 +26,7 @@ func pipeTransport(fn CellFunc) Transport {
 		r, w := io.Pipe()
 		context.AfterFunc(ctx, func() { r.CloseWithError(context.Canceled) })
 		go func() {
-			w.CloseWithError(ServeCell(ctx, w, spec, WorkerOptions{
-				ID:                id,
-				HeartbeatInterval: 20 * time.Millisecond,
-				Run:               fn,
-			}))
+			w.CloseWithError(serveCell(ctx, w, spec, WorkerOptions{ID: id, Run: fn}, 20*time.Millisecond))
 		}()
 		return r, nil
 	}

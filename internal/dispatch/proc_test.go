@@ -36,16 +36,15 @@ func workerMain() {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
-	err := ServeCell(context.Background(), os.Stdout, spec, WorkerOptions{
-		ID:                id,
-		HeartbeatInterval: 20 * time.Millisecond,
+	err := serveCell(context.Background(), os.Stdout, spec, WorkerOptions{
+		ID: id,
 		Run: func(ctx context.Context, spec CellSpec) (json.RawMessage, error) {
 			if spec.Bench == "fail" {
 				return nil, fmt.Errorf("cell %s: synthetic failure", spec.Key())
 			}
 			return json.Marshal(spec)
 		},
-	})
+	}, 20*time.Millisecond)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)

@@ -47,10 +47,6 @@ type WorkerOptions struct {
 	// (used in hello and in per-worker fault-site names); 0 is
 	// anonymous.
 	ID int
-	// HeartbeatInterval is the lease-renewal period while a cell runs
-	// (default 500ms). The coordinator's lease timeout should be a
-	// comfortable multiple of it.
-	HeartbeatInterval time.Duration
 	// Run computes cells.
 	Run CellFunc
 }
@@ -62,13 +58,19 @@ type WorkerOptions struct {
 // stream with no result line — the coordinator counts that as a dead
 // worker.
 func ServeCell(ctx context.Context, out io.Writer, spec CellSpec, opt WorkerOptions) error {
+	return serveCell(ctx, out, spec, opt, heartbeatInterval)
+}
+
+// heartbeatInterval is the lease-renewal period while a cell runs. The
+// coordinator's lease timeout should be a comfortable multiple of it.
+const heartbeatInterval = 500 * time.Millisecond
+
+// serveCell is ServeCell with heartbeats every hb.
+func serveCell(ctx context.Context, out io.Writer, spec CellSpec, opt WorkerOptions, hb time.Duration) error {
 	if opt.Run == nil {
 		return fmt.Errorf("dispatch: a worker needs a CellFunc")
 	}
-	if opt.HeartbeatInterval <= 0 {
-		opt.HeartbeatInterval = 500 * time.Millisecond
-	}
-	w := &workerConn{out: out, opt: opt}
+	w := &workerConn{out: out, opt: opt, hb: hb}
 	if err := w.send(Message{Type: MsgHello, Worker: opt.ID, Version: ProtocolVersion}); err != nil {
 		return err
 	}
@@ -81,6 +83,7 @@ type workerConn struct {
 	mu  sync.Mutex
 	out io.Writer
 	opt WorkerOptions
+	hb  time.Duration
 }
 
 func (w *workerConn) send(m Message) error {
@@ -136,7 +139,7 @@ func (w *workerConn) runCell(ctx context.Context, spec CellSpec) error {
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		t := time.NewTicker(w.opt.HeartbeatInterval)
+		t := time.NewTicker(w.hb)
 		defer t.Stop()
 		for {
 			select {

@@ -25,11 +25,14 @@ func CellSpecFor(bench string, layer int, opt ITCOptions) dispatch.CellSpec {
 }
 
 // ValidateCellSpec rejects a dispatched cell spec with a
-// client-presentable error: the design and pattern checks of
-// JobSpec.Validate plus a positive split layer.
+// client-presentable error: the design, pattern and split-layer checks
+// of JobSpec.Validate, where a cell's layer is never the default 0.
 func ValidateCellSpec(spec dispatch.CellSpec) error {
-	if spec.Layer <= 0 {
-		return fmt.Errorf("flow: cell layer %d must be positive", spec.Layer)
+	if spec.Layer == 0 {
+		return fmt.Errorf("flow: cell %s needs a split layer", spec.Key())
+	}
+	if err := ValidateSplitLayer(spec.Layer); err != nil {
+		return err
 	}
 	return ValidateDesign(spec.Bench, spec.Scale, spec.KeyBits, spec.Patterns)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/bmarks"
 	"repro/internal/engine"
+	"repro/internal/layout"
 	"repro/internal/lec"
 	"repro/internal/locking"
 	"repro/internal/netlist"
@@ -94,14 +95,17 @@ func (s JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("flow: unknown job kind %q", s.Kind)
 	}
+	if err := ValidateSplitLayer(s.SplitLayer); err != nil {
+		return err
+	}
 	return ValidateDesign(s.Bench, s.Scale, s.KeyBits, s.Patterns)
 }
 
 // ValidateDesign is the design rule every entry point applies before
 // any compute starts (daemon jobs and cells, and every benchmark a
 // tables run selects): a known benchmark, scale in [0, 1] and keybits
-// in [0, 4096] (0 selects the default for both), and at most
-// sim.MaxPatterns patterns.
+// in [0, 4096] (0 selects the default for both), and patterns in [0,
+// sim.MaxPatterns].
 func ValidateDesign(bench string, scale float64, keyBits, patterns int) error {
 	if err := bmarks.Validate([]string{bench}); err != nil {
 		return fmt.Errorf("flow: %w", err)
@@ -112,8 +116,20 @@ func ValidateDesign(bench string, scale float64, keyBits, patterns int) error {
 	if err := ValidateKeyBits(keyBits); err != nil {
 		return err
 	}
-	if patterns > sim.MaxPatterns {
-		return fmt.Errorf("flow: patterns %d above the limit of %d", patterns, sim.MaxPatterns)
+	if patterns < 0 || patterns > sim.MaxPatterns {
+		return fmt.Errorf("flow: patterns %d out of range [0, %d]", patterns, sim.MaxPatterns)
+	}
+	return nil
+}
+
+// ValidateSplitLayer is the split-layer rule of every entry point that
+// takes one (daemon jobs and cells, splitlock and attack): 0 selects
+// the default M4; otherwise the split sits above M1, which holds the
+// cell pins, and below the top layer, because lifted key-nets route on
+// the layer above the split.
+func ValidateSplitLayer(layer int) error {
+	if layer != 0 && (layer < 2 || layer > layout.NumLayers-1) {
+		return fmt.Errorf("flow: split layer %d out of range [2, %d]", layer, layout.NumLayers-1)
 	}
 	return nil
 }

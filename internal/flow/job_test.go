@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/bmarks"
+	"repro/internal/layout"
 	"repro/internal/sat"
 	"repro/internal/sim"
 )
@@ -49,14 +50,28 @@ func TestJobSpecValidate(t *testing.T) {
 		{Kind: JobVerify, Bench: "c432", KeyBits: 5000},
 		{Kind: JobVerify, Bench: "c432", Patterns: sim.MaxPatterns + 1},
 		{Kind: JobAttack, Bench: "c432", Patterns: math.MaxInt},
+		{Kind: JobVerify, Bench: "c432", Patterns: -1},
+		{Kind: JobAttack, Bench: "c432", Patterns: -1},
+		{Kind: JobLock, Bench: "c432", SplitLayer: -3},
+		{Kind: JobLock, Bench: "c432", SplitLayer: 1},
+		{Kind: JobLock, Bench: "c432", SplitLayer: layout.NumLayers},
+		{Kind: JobLock, Bench: "c432", SplitLayer: 50},
 	}
 	for _, spec := range bad {
 		if _, err := NewJob(spec); err == nil {
 			t.Errorf("NewJob(%+v) accepted an invalid spec", spec)
 		}
 	}
-	if _, err := NewJob(JobSpec{Kind: JobVerify, Bench: "c432"}); err != nil {
-		t.Errorf("minimal verify spec rejected: %v", err)
+	good := []JobSpec{
+		{Kind: JobVerify, Bench: "c432"},
+		{Kind: JobLock, Bench: "c432", SplitLayer: 2},
+		{Kind: JobLock, Bench: "c432", SplitLayer: layout.NumLayers - 1},
+		{Kind: JobVerify, Bench: "c432", Patterns: sim.MaxPatterns},
+	}
+	for _, spec := range good {
+		if _, err := NewJob(spec); err != nil {
+			t.Errorf("NewJob(%+v) rejected a valid spec: %v", spec, err)
+		}
 	}
 }
 

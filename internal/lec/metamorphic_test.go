@@ -99,8 +99,10 @@ func TestMetamorphicDoubleNegation(t *testing.T) {
 		n1 := b.MustAdd(fmt.Sprintf("dneg%d_a", i), netlist.Not, net)
 		n2 := b.MustAdd(fmt.Sprintf("dneg%d_b", i), netlist.Not, n1)
 		b.RewireNet(net, n2)
-		b.Gate(n1).Fanin[0] = net // RewireNet moved n1's own pin too
-		b.Invalidate()
+		// RewireNet moved n1's own pin too.
+		if err := b.SetFanin(n1, 0, net); err != nil {
+			t.Fatal(err)
+		}
 		if err := b.Validate(); err != nil {
 			t.Fatal(err)
 		}

@@ -286,48 +286,16 @@ func bestRegion(an *analyzer, mod partition.Module, maxTries, budget int, probs 
 // padRandomKeyGates inserts plain XOR/XNOR key-gates on random live
 // nets until the key budget is filled.
 func padRandomKeyGates(c *netlist.Circuit, lk *Locked, n int, rng *sim.Rand) error {
-	var candidates []netlist.GateID
-	for i := 0; i < c.NumIDs(); i++ {
-		id := netlist.GateID(i)
-		if !c.Alive(id) {
-			continue
-		}
-		g := c.Gate(id)
-		if g.Type == netlist.Output || g.Type.IsTie() || g.DontTouch {
-			continue
-		}
-		if c.FanoutCount(id) == 0 {
-			continue
-		}
-		candidates = append(candidates, id)
-	}
+	candidates := lockableNets(c)
 	if len(candidates) < n {
 		return fmt.Errorf("locking: cannot pad %d key bits, only %d candidate nets", n, len(candidates))
 	}
 	perm := rng.Perm(len(candidates))
 	for i := 0; i < n; i++ {
-		net := candidates[perm[i]]
 		bit := rng.Word()&1 == 1
-		gt, tt := netlist.Xor, netlist.TieLo
-		if bit {
-			gt, tt = netlist.Xnor, netlist.TieHi
-		}
-		kidx := len(lk.KeyBits)
-		tie, err := c.AddGate(fmt.Sprintf("tie_k%d", kidx), tt)
-		if err != nil {
+		if err := insertXorKeyGate(c, lk, candidates[perm[i]], len(lk.KeyBits), bit); err != nil {
 			return err
 		}
-		kg, err := c.AddGate(fmt.Sprintf("kg%d", kidx), gt, net, tie)
-		if err != nil {
-			return err
-		}
-		c.RewireNet(net, kg)
-		c.Gate(kg).Fanin[0] = net
-		c.Invalidate()
-		c.Gate(tie).DontTouch = true
-		c.Gate(kg).DontTouch = true
-		c.Gate(kg).KeyPin = 1
-		lk.KeyBits = append(lk.KeyBits, KeyBit{Tie: tie, Gate: kg, Pin: 1, Value: bit})
 	}
 	return nil
 }

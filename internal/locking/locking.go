@@ -129,21 +129,7 @@ func RandomLock(orig *netlist.Circuit, opt RandomLockOptions) (*Locked, error) {
 	}
 	c := orig.Clone()
 	rng := sim.NewRand(opt.Seed ^ 0x5eed)
-	var candidates []netlist.GateID
-	for i := 0; i < c.NumIDs(); i++ {
-		id := netlist.GateID(i)
-		if !c.Alive(id) {
-			continue
-		}
-		g := c.Gate(id)
-		if g.Type == netlist.Output || g.Type.IsTie() || g.DontTouch {
-			continue
-		}
-		if c.FanoutCount(id) == 0 {
-			continue
-		}
-		candidates = append(candidates, id)
-	}
+	candidates := lockableNets(c)
 	if len(candidates) < opt.KeyBits {
 		return nil, fmt.Errorf("locking: circuit has %d lockable nets, need %d", len(candidates), opt.KeyBits)
 	}
@@ -159,6 +145,28 @@ func RandomLock(orig *netlist.Circuit, opt RandomLockOptions) (*Locked, error) {
 		return nil, fmt.Errorf("locking: random lock broke the netlist: %w", err)
 	}
 	return lk, nil
+}
+
+// lockableNets lists, in ascending ID order, the live nets a key-gate
+// may be spliced onto: those with a sink that are not primary outputs,
+// TIE cells or DontTouch.
+func lockableNets(c *netlist.Circuit) []netlist.GateID {
+	var nets []netlist.GateID
+	for i := 0; i < c.NumIDs(); i++ {
+		id := netlist.GateID(i)
+		if !c.Alive(id) {
+			continue
+		}
+		g := c.Gate(id)
+		if g.Type == netlist.Output || g.Type.IsTie() || g.DontTouch {
+			continue
+		}
+		if c.FanoutCount(id) == 0 {
+			continue
+		}
+		nets = append(nets, id)
+	}
+	return nets
 }
 
 // insertXorKeyGate splices an XOR/XNOR key-gate (with its TIE cell) on
@@ -183,8 +191,9 @@ func insertXorKeyGate(c *netlist.Circuit, lk *Locked, net netlist.GateID, i int,
 	// the key-gate itself, whose pin 0 must keep reading the original
 	// net).
 	c.RewireNet(net, kg)
-	c.Gate(kg).Fanin[0] = net
-	c.Invalidate()
+	if err := c.SetFanin(kg, 0, net); err != nil {
+		return err
+	}
 	c.Gate(tie).DontTouch = true
 	c.Gate(kg).DontTouch = true
 	c.Gate(kg).KeyPin = 1

@@ -128,8 +128,8 @@ func analyzeGrownRef(c *netlist.Circuit, f atpg.Fault, opt regionOptions, region
 		// Two compiled passes over the region: the good circuit, and
 		// the faulty one, which re-evaluates the forward shadow with
 		// the fault net held at v.
-		good, err := sim.CompileCone(c, regionOrder)
-		if err != nil {
+		var good sim.Cone
+		if err := good.Recompile(c, regionOrder); err != nil {
 			return nil
 		}
 		shadow := make([]netlist.GateID, 0, len(fwd))
@@ -138,8 +138,8 @@ func analyzeGrownRef(c *netlist.Circuit, f atpg.Fault, opt regionOptions, region
 				shadow = append(shadow, id)
 			}
 		}
-		faulty, err := sim.CompileCone(c, shadow)
-		if err != nil {
+		var faulty sim.Cone
+		if err := faulty.Recompile(c, shadow); err != nil {
 			return nil
 		}
 
@@ -398,8 +398,8 @@ func backwardKeyBitsRef(c *netlist.Circuit, f atpg.Fault, regionSet map[netlist.
 		}
 	}
 	slices.SortFunc(order, func(a, b netlist.GateID) int { return cmp.Compare(topoPos[a], topoPos[b]) })
-	cone, err := sim.CompileCone(c, order)
-	if err != nil {
+	var cone sim.Cone
+	if err := cone.Recompile(c, order); err != nil {
 		return -1
 	}
 	var vWord uint64

@@ -101,18 +101,9 @@ func PNR(view *split.FEOLView, secret *split.Secret, asg attack.Assignment) floa
 	return float64(correct) / float64(total)
 }
 
-// Functional compares the attacker's recovered netlist against the
-// original design and returns HD and OER (Table II) using the default
-// simulation worker pool.
-func Functional(original *netlist.Circuit, view *split.FEOLView, asg attack.Assignment, patterns int, seed uint64) (sim.DiffStats, error) {
-	return FunctionalOpt(original, view, asg, sim.CompareOptions{
-		Patterns: patterns,
-		Seed:     seed,
-	})
-}
-
-// FunctionalOpt is Functional with full control over the pattern run
-// (pattern count, seed, observables, and the engine worker pool).
+// FunctionalOpt compares the attacker's recovered netlist against the
+// original design and returns HD and OER (Table II) over the pattern
+// run opt describes.
 func FunctionalOpt(original *netlist.Circuit, view *split.FEOLView, asg attack.Assignment, opt sim.CompareOptions) (sim.DiffStats, error) {
 	rec, err := view.Recombine(asg)
 	if err != nil {

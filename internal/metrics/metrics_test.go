@@ -107,7 +107,7 @@ func TestFunctionalPerfectRecovery(t *testing.T) {
 	for k, v := range secret.Assignment {
 		asg[k] = v
 	}
-	d, err := Functional(orig, view, asg, 4096, 5)
+	d, err := FunctionalOpt(orig, view, asg, sim.CompareOptions{Patterns: 4096, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFunctionalPerfectRecovery(t *testing.T) {
 func TestFunctionalWrongKey(t *testing.T) {
 	orig, view, secret, _, _ := pipeline(t, 600, 32, 6)
 	asg := attack.Ideal(view, secret, 99)
-	d, err := Functional(orig, view, asg, 8192, 7)
+	d, err := FunctionalOpt(orig, view, asg, sim.CompareOptions{Patterns: 8192, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,18 +47,16 @@ func (c *Circuit) SetFanin(id GateID, pin int, driver GateID) error {
 	return nil
 }
 
-// setPin points one pin of gate id at driver. Under a checkpoint it
-// logs the edit and moves id from the old driver's fanout list to the
-// new one's; otherwise it invalidates the derived structures.
+// setPin points one pin of gate id at driver, moving id from the old
+// driver's fanout list to the new one's. Under a checkpoint it logs the
+// edit.
 func (c *Circuit) setPin(id GateID, pin int, driver GateID) {
 	g := &c.gates[id]
 	old := g.Fanin[pin]
 	g.Fanin[pin] = driver
-	if !c.undo.open {
-		c.invalidate()
-		return
+	if c.undo.open {
+		c.undo.log(undoEntry{kind: undoPin, id: id, pos: int32(pin), old: old})
 	}
-	c.undo.log(undoEntry{kind: undoPin, id: id, pos: int32(pin), old: old})
 	if c.fanoutsValid && !g.dead {
 		c.fanouts[old] = removeSink(c.fanouts[old], id)
 		c.fanouts[driver] = insertSink(c.fanouts[driver], id)
@@ -96,11 +94,9 @@ func (c *Circuit) Kill(id GateID) {
 		pos = slices.Index(c.outputs, id)
 		c.outputs = removeID(c.outputs, id)
 	}
-	if !c.undo.open {
-		c.invalidate()
-		return
+	if c.undo.open {
+		c.undo.log(undoEntry{kind: undoKill, id: id, pos: int32(pos)})
 	}
-	c.undo.log(undoEntry{kind: undoKill, id: id, pos: int32(pos)})
 	if c.fanoutsValid {
 		for _, f := range g.Fanin {
 			c.fanouts[f] = removeSink(c.fanouts[f], id)

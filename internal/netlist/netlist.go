@@ -104,11 +104,12 @@ type GateID int32
 const InvalidGate GateID = -1
 
 // Gate is a single cell instance. Fanin lists the driver gate IDs in
-// pin order. DontTouch marks gates the synthesis stage must not
-// restructure (Fig. 3: set_dont_touch on TIE cells and key-nets).
-// KeyInput marks an input pin position of a restore-circuitry gate that
-// consumes a key bit; the metadata is used by the locking and attack
-// packages.
+// pin order; change it only through SetFanin and the other editing
+// methods, which keep the circuit's fanout lists in step. DontTouch
+// marks gates the synthesis stage must not restructure (Fig. 3:
+// set_dont_touch on TIE cells and key-nets). KeyInput marks an input
+// pin position of a restore-circuitry gate that consumes a key bit;
+// the metadata is used by the locking and attack packages.
 type Gate struct {
 	Name      string
 	Type      GateType
@@ -238,18 +239,16 @@ func (c *Circuit) AddGate(name string, t GateType, fanin ...GateID) (GateID, err
 	}
 	if c.undo.open {
 		c.undo.log(undoEntry{kind: undoAdd, id: id})
-		if c.fanoutsValid {
-			// The new gate has the highest ID, so it goes last in each
-			// fanin's list, once per pin.
-			c.fanouts = append(c.fanouts, nil)
-			for _, f := range fanin {
-				c.fanouts[f] = append(c.fanouts[f], id)
-			}
-		}
-		c.topoValid = false
-		return id, nil
 	}
-	c.invalidate()
+	if c.fanoutsValid {
+		// The new gate has the highest ID, so it goes last in each
+		// fanin's list, once per pin.
+		c.fanouts = append(c.fanouts, nil)
+		for _, f := range fanin {
+			c.fanouts[f] = append(c.fanouts[f], id)
+		}
+	}
+	c.topoValid = false
 	return id, nil
 }
 
@@ -271,24 +270,13 @@ func (c *Circuit) AddOutput(name string, src GateID) (GateID, error) {
 	return c.AddGate(name, Output, src)
 }
 
-// Rename changes a gate's name. The new name must be unused.
-func (c *Circuit) Rename(id GateID, name string) error {
-	if _, dup := c.byName[name]; dup {
-		return fmt.Errorf("netlist: duplicate gate name %q", name)
-	}
-	if c.undo.open {
-		panic("netlist: Rename under an open checkpoint")
-	}
-	delete(c.byName, c.gates[id].Name)
-	c.gates[id].Name = name
-	c.byName[name] = id
-	return nil
-}
-
 // Fanouts returns the sink gate IDs of the net driven by id, in
 // ascending ID order. A sink appears once per pin it connects to. The
-// result is owned by the circuit and invalidated by structural edits
-// (under a Checkpoint, edits patch it in place instead).
+// result is owned by the circuit. The editing methods (AddGate,
+// SetFanin, ReplaceFanin, RewireNet, Kill, SweepDead) keep built
+// lists valid, patching each in place exactly as a rebuild would list
+// it, so a Fanouts slice held across an edit may change under the
+// caller.
 func (c *Circuit) Fanouts(id GateID) []GateID {
 	c.ensureFanouts()
 	return c.fanouts[id]
@@ -312,17 +300,6 @@ func (c *Circuit) ensureFanouts() {
 	}
 	c.fanoutsValid = true
 }
-
-// invalidate marks derived structures stale after an edit.
-func (c *Circuit) invalidate() {
-	c.fanoutsValid = false
-	c.topoValid = false
-}
-
-// Invalidate marks derived structures (fanout lists, cached topological
-// order) stale. Call it after mutating a Gate's Fanin slice directly
-// rather than through the editing methods.
-func (c *Circuit) Invalidate() { c.invalidate() }
 
 // Validate checks structural well-formedness: arity rules, live fanin
 // references, output/DFF connectivity, and acyclicity of the

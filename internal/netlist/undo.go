@@ -9,14 +9,9 @@ import "slices"
 // fanins, boundary lists, fanout lists and the cached topological
 // order. A trial edit therefore costs what it touches, not a Clone.
 //
-// Under a checkpoint the edits also keep valid fanout lists valid,
-// patching each in place in ascending sink-ID order, exactly as a
-// rebuild would list it, instead of invalidating them. A Fanouts slice
-// held across such an edit may change under the caller. Direct writes
-// to a Gate's fields are not logged: they are allowed only on gates
-// added since the checkpoint (Rollback drops those), and Fanin writes
-// still need Invalidate. Rename panics under a checkpoint, and so does
-// a second Checkpoint.
+// Direct writes to a Gate's fields are not logged: they are allowed
+// only on gates added since the checkpoint (Rollback drops those). A
+// second Checkpoint panics.
 func (c *Circuit) Checkpoint() {
 	if c.undo.open {
 		panic("netlist: checkpoint already open")

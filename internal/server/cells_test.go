@@ -170,8 +170,8 @@ func TestCellsEndpointDrainEndsStreamWithoutResult(t *testing.T) {
 
 // TestCellsEndpointRejectsBadSpec: a cell spec that does not parse, or
 // that POST /v1/jobs would reject as a job (out-of-range scale, key
-// size or pattern count, unknown benchmark), gets a 400 before any
-// stream starts.
+// size, pattern count or split layer, unknown benchmark), or that has
+// no layer, gets a 400 before any stream starts.
 func TestCellsEndpointRejectsBadSpec(t *testing.T) {
 	m := newTestManager(t, ManagerOptions{MaxJobs: 1})
 	ts := httptest.NewServer(NewServer(m))
@@ -183,6 +183,12 @@ func TestCellsEndpointRejectsBadSpec(t *testing.T) {
 		`{"bench":"b14","layer":4,"scale":0.03,"keybits":-5}`,
 		`{"bench":"nope","layer":4,"scale":0.03}`,
 		`{"bench":"b14","layer":4,"scale":0.03,"patterns":9223372036854775807}`,
+		`{"bench":"b14","layer":4,"scale":0.03,"patterns":-1}`,
+		`{"bench":"b14","scale":0.03}`,
+		`{"bench":"b14","layer":-3,"scale":0.03}`,
+		`{"bench":"b14","layer":1,"scale":0.03}`,
+		`{"bench":"b14","layer":10,"scale":0.03}`,
+		`{"bench":"b14","layer":50,"scale":0.03}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/cells", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -290,10 +290,10 @@ type NetPair struct{ Before, After netlist.GateID }
 
 // Edit is an in-place edit of an evaluator's circuit, described by what
 // it can change: Cone is its forward cone in the edited circuit,
-// compiled with CompileCone in topological order (every gate the edit
+// compiled with Cone.Recompile in topological order (every gate the edit
 // added and every gate whose fanin it changed, plus their
 // combinational fanout), Ties the TIE cells the edit added (which
-// CompileCone skips) and Observed the primary outputs and flip-flop
+// Recompile skips) and Observed the primary outputs and flip-flop
 // next states that the cone reaches.
 type Edit struct {
 	Cone     *Cone
@@ -368,14 +368,6 @@ type ActivityOptions struct {
 	Patterns int
 	// Seed selects the stimulus stream.
 	Seed uint64
-	// Workers caps the simulation worker pool (0 = GOMAXPROCS).
-	Workers int
-	// Width is the simulation width (1, 4 or 8; 0 auto-selects).
-	// Activity estimates are bit-identical at every width.
-	Width int
-	// Stop, when non-nil and set, cancels the estimation; ActivityOpt
-	// then returns engine.ErrStopped.
-	Stop *atomic.Bool
 }
 
 // ActivityOpt estimates per-net switching activity (2·p·(1−p) with p
@@ -384,11 +376,17 @@ type ActivityOptions struct {
 // sharded across the engine worker pool; the count merge is exact, so
 // results do not depend on the worker count or the simulation width.
 func ActivityOpt(c *netlist.Circuit, opt ActivityOptions) ([]float64, error) {
+	return activityOpt(c, opt, 0, 0, nil)
+}
+
+// activityOpt is ActivityOpt on a worker pool of workers (0 =
+// GOMAXPROCS) at simulation width (0 = auto), cancelled by stop.
+func activityOpt(c *netlist.Circuit, opt ActivityOptions, workers, width int, stop *atomic.Bool) ([]float64, error) {
 	e, err := NewEvaluator(c)
 	if err != nil {
 		return nil, err
 	}
-	ones, total, err := e.countOnes(nil, opt)
+	ones, total, err := e.countOnes(nil, opt, workers, width, stop)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +407,7 @@ func ActivityOpt(c *netlist.Circuit, opt ActivityOptions) ([]float64, error) {
 // asked for are counted. The circuit must not have been edited since
 // NewEvaluator.
 func (e *Evaluator) Activity(ids []netlist.GateID, opt ActivityOptions) ([]float64, error) {
-	ones, total, err := e.countOnes(ids, opt)
+	ones, total, err := e.countOnes(ids, opt, 0, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -430,8 +428,9 @@ func activity(n int, total float64) float64 {
 
 // countOnes simulates the patterns of opt and counts, for each gate of
 // ids (each net ID when ids is nil), the patterns in which it is one.
-// It also returns the pattern count.
-func (e *Evaluator) countOnes(ids []netlist.GateID, opt ActivityOptions) (ones []int, total float64, err error) {
+// It also returns the pattern count. workers, width and stop are as in
+// activityOpt.
+func (e *Evaluator) countOnes(ids []netlist.GateID, opt ActivityOptions, workers, width int, stop *atomic.Bool) (ones []int, total float64, err error) {
 	c := e.c
 	if opt.Patterns <= 0 {
 		opt.Patterns = 4096
@@ -440,7 +439,7 @@ func (e *Evaluator) countOnes(ids []netlist.GateID, opt ActivityOptions) (ones [
 		return nil, 0, err
 	}
 	words := (opt.Patterns + 63) / 64
-	w, err := resolveWidth(opt.Width, words)
+	w, err := resolveWidth(width, words)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -456,7 +455,7 @@ func (e *Evaluator) countOnes(ids []netlist.GateID, opt ActivityOptions) (ones [
 		ones              []int
 	}
 	states, err := engine.Run(items,
-		engine.Options{Workers: opt.Workers, Grain: grainForWidth(w), Stop: opt.Stop},
+		engine.Options{Workers: workers, Grain: grainForWidth(w), Stop: stop},
 		func(int) *actState {
 			s := &actState{ones: make([]int, counted)}
 			s.buf = getScratch((len(c.Inputs()) + e.NumState() + c.NumIDs()) * w)

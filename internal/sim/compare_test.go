@@ -398,7 +398,8 @@ func TestEquivalentEditMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if ed.Cone, err = CompileCone(c, ids); err != nil {
+		ed.Cone = new(Cone)
+		if err := ed.Cone.Recompile(c, ids); err != nil {
 			t.Fatal(err)
 		}
 		for _, patterns := range []int{64, 300, 4096} {

@@ -15,7 +15,7 @@ import (
 // compileCircuit orders ops by (logic level, opcode). Every op's fanins
 // sit at a lower level, so the order is still topological, and the ops
 // of one level that share an opcode are adjacent, so runs are long.
-// CompileCone keeps its caller's topological order.
+// Cone.Recompile keeps its caller's topological order.
 type plan struct {
 	ops    []evalOp
 	runs   []opRun

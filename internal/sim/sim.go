@@ -60,25 +60,16 @@ func NewEvaluator(c *netlist.Circuit) (*Evaluator, error) {
 // caller has forced some nets to chosen values.
 type Cone struct{ plan }
 
-// CompileCone compiles the gates ids, which must be in topological
-// order, for Cone.Eval. Sources (inputs, flip-flops and TIE cells) are
-// skipped, so they keep their buffer value; so does every net outside
-// ids. The cone keeps the order it is given, cut into runs wherever
-// the opcode changes: levelizing would need a gate-to-level lookup,
-// and locking compiles thousands of small cones that are each
-// evaluated only a few times, so the compile must stay a single pass
-// linear in len(ids).
-func CompileCone(c *netlist.Circuit, ids []netlist.GateID) (*Cone, error) {
-	k := &Cone{plan{ops: make([]evalOp, 0, len(ids)), runs: make([]opRun, 0, len(ids))}}
-	if err := k.Recompile(c, ids); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// Recompile makes k the cone CompileCone(c, ids) would return, reusing
-// k's storage, for callers that compile many cones one after another.
-// On error k is left empty.
+// Recompile makes k a compiled plan of the gates ids, which must be in
+// topological order, for Eval, reusing k's storage: callers compile
+// many cones one after another, and the zero Cone is ready to use.
+// Sources (inputs, flip-flops and TIE cells) are skipped, so they keep
+// their buffer value; so does every net outside ids. The cone keeps
+// the order it is given, cut into runs wherever the opcode changes:
+// levelizing would need a gate-to-level lookup, and locking compiles
+// thousands of small cones that are each evaluated only a few times,
+// so the compile must stay a single pass linear in len(ids). On error
+// k is left empty.
 func (k *Cone) Recompile(c *netlist.Circuit, ids []netlist.GateID) error {
 	k.ops, k.runs, k.fanins = k.ops[:0], k.runs[:0], k.fanins[:0]
 	for _, id := range ids {
@@ -97,15 +88,12 @@ func (k *Cone) Recompile(c *netlist.Circuit, ids []netlist.GateID) error {
 	return nil
 }
 
-// Eval recomputes the cone's gates, in the order CompileCone was
+// Eval recomputes the cone's gates, in the order Recompile was
 // given, from the 64-pattern net buffer nets (one word per net ID) and
 // writes them back into it.
 func (k *Cone) Eval(nets []uint64) {
 	evalPlan(&k.plan, nil, nil, lanesOf[[1]uint64](nets))
 }
-
-// Circuit returns the circuit this evaluator was compiled from.
-func (e *Evaluator) Circuit() *netlist.Circuit { return e.c }
 
 // NumInputs returns the width of the input vector.
 func (e *Evaluator) NumInputs() int { return e.nIn }

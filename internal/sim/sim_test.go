@@ -337,8 +337,8 @@ func TestConeOnPIs(t *testing.T) {
 	sup := c.Support(u12)
 	// The cone includes the primary inputs, which it must leave at
 	// their forced values.
-	k, err := CompileCone(c, coneOrder(t, c, c.TransitiveFanin(u12)))
-	if err != nil {
+	var k Cone
+	if err := k.Recompile(c, coneOrder(t, c, c.TransitiveFanin(u12))); err != nil {
 		t.Fatal(err)
 	}
 	forced := make([]uint64, len(sup))
@@ -364,8 +364,8 @@ func TestConeOnInternalFrontier(t *testing.T) {
 	u12 := c.GateByName("U12")
 	// Depth-1 cone: frontier is {U8, U10}; U12 = NAND(U8, U10).
 	cone, frontier := c.BoundedCone(u12, 1)
-	k, err := CompileCone(c, coneOrder(t, c, cone))
-	if err != nil {
+	var k Cone
+	if err := k.Recompile(c, coneOrder(t, c, cone)); err != nil {
 		t.Fatal(err)
 	}
 	forced := make([]uint64, len(frontier))
@@ -446,8 +446,8 @@ func TestConeGateSemantics(t *testing.T) {
 		c.Gate(id).Fanin = tc.fanin
 		ids = append(ids, id)
 	}
-	k, err := CompileCone(c, ids)
-	if err != nil {
+	var k Cone
+	if err := k.Recompile(c, ids); err != nil {
 		t.Fatal(err)
 	}
 	nets := make([]uint64, c.NumIDs())

@@ -14,9 +14,6 @@ const MaxWidth = 8
 // count.
 var Widths = []int{1, 4, 8}
 
-// ValidWidth reports whether w is a supported simulation width.
-func ValidWidth(w int) bool { return w == 1 || w == 4 || w == 8 }
-
 // AutoWidth picks the simulation width for a run of the given number
 // of 64-pattern words: the largest supported width that keeps every
 // lane busy, so tiny runs don't pay for idle lanes.
@@ -37,7 +34,7 @@ func resolveWidth(w, words int) (int, error) {
 	if w == 0 {
 		return AutoWidth(words), nil
 	}
-	if !ValidWidth(w) {
+	if w != 1 && w != 4 && w != 8 {
 		return 0, fmt.Errorf("sim: unsupported width %d (want 1, 4 or 8)", w)
 	}
 	return w, nil

@@ -205,13 +205,13 @@ func TestCompareRejectsBadWidth(t *testing.T) {
 
 func TestActivityWidthAndWorkerInvariance(t *testing.T) {
 	c := randCircuit(t, 21, 120)
-	base, err := ActivityOpt(c, ActivityOptions{Patterns: 640, Seed: 9, Workers: 1, Width: 1})
+	base, err := activityOpt(c, ActivityOptions{Patterns: 640, Seed: 9}, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 4, 8} {
 		for _, workers := range []int{1, 3} {
-			act, err := ActivityOpt(c, ActivityOptions{Patterns: 640, Seed: 9, Workers: workers, Width: w})
+			act, err := activityOpt(c, ActivityOptions{Patterns: 640, Seed: 9}, workers, w, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +228,7 @@ func TestActivityStopPropagatesError(t *testing.T) {
 	c := randCircuit(t, 31, 50)
 	var stop atomic.Bool
 	stop.Store(true)
-	_, err := ActivityOpt(c, ActivityOptions{Patterns: 1 << 16, Seed: 1, Stop: &stop})
+	_, err := activityOpt(c, ActivityOptions{Patterns: 1 << 16, Seed: 1}, 0, 0, &stop)
 	if !errors.Is(err, engine.ErrStopped) {
 		t.Fatalf("got %v, want engine.ErrStopped", err)
 	}
@@ -247,8 +247,8 @@ func TestConeDeepChain(t *testing.T) {
 		chain = append(chain, prev)
 	}
 	c.MustAdd("o", netlist.Output, prev)
-	k, err := CompileCone(c, chain)
-	if err != nil {
+	var k Cone
+	if err := k.Recompile(c, chain); err != nil {
 		t.Fatal(err)
 	}
 	nets := make([]uint64, c.NumIDs())
@@ -301,8 +301,8 @@ func checkConeKeepsEvalBuffer(tb testing.TB, c *netlist.Circuit, seed uint64) {
 				ids = append(ids, id)
 			}
 		}
-		k, err := CompileCone(c, ids)
-		if err != nil {
+		var k Cone
+		if err := k.Recompile(c, ids); err != nil {
 			tb.Fatal(err)
 		}
 		k.Eval(nets)
@@ -454,8 +454,8 @@ func checkPlanMatchesGateReference(tb testing.TB, c *netlist.Circuit, seed uint6
 				ids = append(ids, id)
 			}
 		}
-		k, err := CompileCone(c, ids)
-		if err != nil {
+		var k Cone
+		if err := k.Recompile(c, ids); err != nil {
 			tb.Fatal(err)
 		}
 		for wd := range ref {
