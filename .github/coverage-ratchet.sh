@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Coverage ratchet: lists the functions a fixed set of runs never
-# executes and fails when that list gains an entry that
-# .github/coverage-unreached.txt does not hold.
+# executes and fails when that list differs from
+# .github/coverage-unreached.txt, in either direction.
 #
 #   bash .github/coverage-ratchet.sh
 #
@@ -11,9 +11,12 @@
 # short paper-b14 and daemon-mix benchmark runs; and lists each function
 # at 0.0% as path:Func (methods as path:(*T).Name), one a line, sorted.
 # This run's list is left in .cover_build/unreached.txt: after deleting
-# code, or when a run reaches more, copy it over the checked-in file so
-# the list only shrinks. perfbench's own package is left out: it is a
-# nested module, which `go tool cover -func` cannot resolve from here.
+# code, or when a run reaches more, copy it over the checked-in file.
+# A listed function that is now executed or gone fails the step too, so
+# no stale entry can later hide a function that becomes unreached
+# again, and the list only shrinks. perfbench's own package is left
+# out: it is a nested module, which `go tool cover -func` cannot
+# resolve from here.
 set -euo pipefail
 root=$(pwd)
 out=$root/.cover_build
@@ -66,11 +69,14 @@ added=$(LC_ALL=C comm -13 "$want" "$out/unreached.txt")
 gone=$(LC_ALL=C comm -23 "$want" "$out/unreached.txt")
 echo "$(wc -l < "$out/unreached.txt") functions never executed ($(wc -l < "$want") listed)"
 if [ -n "$gone" ]; then
-  echo "listed but now executed or deleted; drop them from $want:"
-  echo "$gone"
+  echo "listed in $want but now executed or deleted; drop them:" >&2
+  echo "$gone" >&2
 fi
 if [ -n "$added" ]; then
   echo "functions the runs never execute that $want does not list:" >&2
   echo "$added" >&2
+fi
+if [ -n "$gone$added" ]; then
+  echo "copy .cover_build/unreached.txt over $want once the change is intended" >&2
   exit 1
 fi

@@ -47,6 +47,9 @@ func main() {
 	if err := flow.ValidateSplitLayer(*splitAt); err != nil {
 		fatal(err)
 	}
+	if *splitAt == 0 {
+		*splitAt = 4
+	}
 	if *ideal {
 		res, err := flow.RunIdealAttack(context.Background(), *bench, *scale, *keyBits, *runs, *seed)
 		if err != nil {

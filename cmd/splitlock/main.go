@@ -38,6 +38,9 @@ func main() {
 	if err := flow.ValidateSplitLayer(*splitAt); err != nil {
 		fatal(err)
 	}
+	if *splitAt == 0 {
+		*splitAt = 4
+	}
 	var orig *netlist.Circuit
 	var err error
 	if *file != "" {

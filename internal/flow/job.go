@@ -124,7 +124,7 @@ func ValidateDesign(bench string, scale float64, keyBits, patterns int) error {
 
 // ValidateSplitLayer is the split-layer rule of every entry point that
 // takes one (daemon jobs and cells, splitlock and attack): 0 selects
-// the default M4; otherwise the split sits above M1, which holds the
+// the default M4 (a cell needs a non-zero layer); otherwise the split sits above M1, which holds the
 // cell pins, and below the top layer, because lifted key-nets route on
 // the layer above the split.
 func ValidateSplitLayer(layer int) error {
